@@ -6,6 +6,12 @@ the algebra (dual backend).  From an action we extract its fixed-point
 algebra, the invariant subspaces attached to each irreducible, and the
 functor data they assemble into; the round-trip check certifies that
 rebuilding the algebra from that data reproduces the original action.
+
+One builder, `functor_from_subspaces`, turns invariant subspaces into
+functor data.  It serves the spectral functor of an action (subspaces of
+the acted-on algebra), the functor of an equivariant module (equivariant
+maps M -> M (x) H) and the spectral functor of a reconstructed algebra;
+`null_space` and `InSpan` are the shared kernel and projection helpers.
 """
 
 from __future__ import annotations
@@ -160,6 +166,94 @@ def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> Subalge
     return decompose_star_algebra(mats, b.n, seed=seed)
 
 
+def null_space(stacked: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a matrix, shape (nullity,
+    columns).  Singular values up to RANK_TOL count as zero; the columns in
+    excess of the rows always lie in the kernel."""
+    _, s, vh = np.linalg.svd(stacked)
+    # rows of vh are orthonormal; conjugate so x (not x-bar) solves stacked x = 0
+    return vh[int(np.sum(s > RANK_TOL)):].conj()
+
+
+class InSpan:
+    """Coordinates of vectors in a fixed basis of shape (count, ...), each
+    entry flattened being one basis vector.  Projecting a vector that does
+    not lie in the span raises ActionError; an empty basis spans only 0."""
+
+    def __init__(self, basis: np.ndarray, label: str):
+        self.label = label
+        self.flat = basis.reshape(basis.shape[0], int(np.prod(basis.shape[1:])))
+        self.pinv = np.linalg.pinv(self.flat.T)
+
+    def __call__(self, element) -> np.ndarray:
+        vec = np.asarray(element).reshape(-1)
+        coords = self.pinv @ vec
+        resid = np.linalg.norm(self.flat.T @ coords - vec)
+        if resid > 1e-6 * max(1.0, np.linalg.norm(vec)):
+            raise ActionError(f"element does not lie in the subspace of {self.label!r}")
+        return coords
+
+
+def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
+                           bases: dict[str, np.ndarray], ambient, product,
+                           pairing, name: str) -> TensorFunctorData:
+    """Functor data of a family of invariant subspaces of an ambient algebra.
+
+    bases[label] has shape (multiplicity, irrep dim, ...): basis vector p of
+    the subspace of `label` is the tuple of ambient elements
+    ambient(bases[label][p, i]).  The trivial label must hold the matrix
+    units of `base`, in order, so the base algebra sits inside the ambient
+    one on the nose.  product(x, y) gives the coordinates of x y, shaped
+    like one basis entry; pairing(xs, ys) gives the base-valued inner
+    product of two basis tuples as an (n, n) matrix of `base`.
+
+    The bimodule actions multiply tuples by the base units; the
+    multiplication maps multiply two tuples componentwise, apply each basis
+    intertwiner of Mor(alpha x beta, gamma) and read off coordinates in the
+    basis of gamma.
+    """
+    elements = {label: [[ambient(v) for v in vecs] for vecs in bases[label]]
+                for label in backend.labels}
+    spans = {label: InSpan(bases[label], label) for label in backend.labels}
+    units = [xs[0] for xs in elements[backend.trivial_label]]
+
+    modules: dict[str, Correspondence] = {}
+    for label in backend.labels:
+        tuples = elements[label]
+        m = len(tuples)
+        left = np.zeros((base.dim, m, m), dtype=complex)
+        right = np.zeros((base.dim, m, m), dtype=complex)
+        inner = np.zeros((m, m, base.n, base.n), dtype=complex)
+        for k, unit in enumerate(units):
+            for q, xs in enumerate(tuples):
+                left[k, :, q] = spans[label]([product(unit, x) for x in xs])
+                right[k, :, q] = spans[label]([product(x, unit) for x in xs])
+        for p, xs in enumerate(tuples):
+            for q, ys in enumerate(tuples):
+                inner[p, q] = pairing(xs, ys)
+        modules[label] = Correspondence(base, m, left, right, inner)
+
+    phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
+    live = [label for label in backend.labels if elements[label]]
+    for alpha in live:
+        for beta in live:
+            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
+            targets = {}
+            for gamma in live:
+                basis_t = backend.mor_basis(pair, backend.atom(gamma))
+                if basis_t:
+                    targets[gamma] = basis_t
+                    shape = (len(elements[gamma]), len(elements[alpha]), len(elements[beta]))
+                    phi[(alpha, beta, gamma)] = [np.zeros(shape, dtype=complex) for _ in basis_t]
+            for p, xs in enumerate(elements[alpha]):
+                for q, ys in enumerate(elements[beta]):
+                    prods = np.array([product(x, y) for x in xs for y in ys])
+                    for gamma, basis_t in targets.items():
+                        for arr, t in zip(phi[(alpha, beta, gamma)], basis_t):
+                            arr[:, p, q] = spans[gamma](np.einsum("cz,z...->c...", t, prods))
+    return TensorFunctorData(backend, base, modules, phi, name=name)
+
+
 def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     """Orthonormal basis of the invariant subspace attached to one
     irreducible, shape (multiplicity, irrep dim, dim B)."""
@@ -168,16 +262,12 @@ def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     if act.kind == "automorphism":
         u = backend.irrep(label).matrices
         d = backend.irrep(label).dim
-        rows = []
         eye = np.eye(d * b.dim)
-        for gi, x in enumerate(act.group.elements):
-            rows.append(np.kron(u[gi], act.map_matrix(x)) - eye)
-        stacked = np.vstack(rows)
-        _, s, vh = np.linalg.svd(stacked)
-        num = vh.shape[0] - int(np.sum(s > RANK_TOL))
-        basis = vh[len(s) - num:] if num else np.zeros((0, d * b.dim))
-        # rows of vh are orthonormal; conjugate so X (not X-bar) solves the system
-        return basis.conj().reshape(num, d, b.dim)
+        basis = null_space(np.vstack([
+            np.kron(u[gi], act.map_matrix(x)) - eye
+            for gi, x in enumerate(act.group.elements)
+        ]))
+        return basis.reshape(-1, d, b.dim)
     rows = act.component_rows(label)
     if rows.shape[0] == 0:
         return np.zeros((0, 1, b.dim))
@@ -196,12 +286,8 @@ class SpectralFunctor:
     bases: dict[str, np.ndarray]
     action: Action
 
-    def module_of_invariants(self, label: str) -> np.ndarray:
-        return self.bases[label]
 
-
-def spectral_functor(backend: Backend, act: Action, seed: int = 0,
-                     tol: float = 1e-9) -> SpectralFunctor:
+def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFunctor:
     """Assemble the functor of invariant subspaces of an action.
 
     Each module carries the bimodule structure over the fixed-point algebra
@@ -212,103 +298,21 @@ def spectral_functor(backend: Backend, act: Action, seed: int = 0,
     b = act.algebra
     fixed = fixed_point_algebra(backend, act, seed=seed)
     a = fixed.algebra
-    bases: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        bases[label] = spectral_basis(backend, act, label)
     # the trivial component must carry the matrix-unit basis of the fixed
     # algebra, so that it is that algebra on the nose
-    bases[backend.trivial_label] = np.array(
-        [[b.coords(fixed.unit_images[k])] for k in range(a.dim)]
-    )
+    units = np.array([[b.coords(unit)] for unit in fixed.unit_images])
+    bases = {
+        label: units if label == backend.trivial_label
+        else spectral_basis(backend, act, label)
+        for label in backend.labels
+    }
 
-    mats: dict[str, list[list[np.ndarray]]] = {}
-    pinvs: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        basis = bases[label]
-        mats[label] = [
-            [b.from_coords(basis[p, i]) for i in range(basis.shape[1])]
-            for p in range(basis.shape[0])
-        ]
-        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-        pinvs[label] = np.linalg.pinv(flat.T) if basis.size else flat
+    def pairing(xs, ys):
+        return a.from_coords(fixed.restrict(sum(x.conj().T @ y for x, y in zip(xs, ys))))
 
-    def project(label: str, element: np.ndarray) -> np.ndarray:
-        """Coordinates of an (irrep dim, dim B) array in the stored basis,
-        with a consistency check that it really lies in the span."""
-        basis = bases[label]
-        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-        vec = element.reshape(-1)
-        coords = pinvs[label] @ vec
-        resid = np.linalg.norm(flat.T @ coords - vec)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(vec)):
-            raise ActionError(
-                f"element does not lie in the invariant subspace of {label!r}"
-            )
-        return coords
-
-    modules: dict[str, Correspondence] = {}
-    for label in backend.labels:
-        basis = bases[label]
-        m = basis.shape[0]
-        d = basis.shape[1]
-        left = np.zeros((a.dim, m, m), dtype=complex)
-        right = np.zeros((a.dim, m, m), dtype=complex)
-        inner = np.zeros((m, m, a.n, a.n), dtype=complex)
-        for k in range(a.dim):
-            amat = fixed.unit_images[k]
-            for q in range(m):
-                xa = np.array([
-                    b.coords(amat @ mats[label][q][i]) for i in range(d)
-                ])
-                left[k, :, q] = project(label, xa)
-                ax = np.array([
-                    b.coords(mats[label][q][i] @ amat) for i in range(d)
-                ])
-                right[k, :, q] = project(label, ax)
-        for p in range(m):
-            for q in range(m):
-                val = np.zeros((b.n, b.n), dtype=complex)
-                for i in range(d):
-                    val += mats[label][p][i].conj().T @ mats[label][q][i]
-                inner[p, q] = a.from_coords(fixed.restrict(val))
-        modules[label] = Correspondence(a, m, left, right, inner)
-
-    phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
-    for alpha in backend.labels:
-        ma = bases[alpha].shape[0]
-        da = backend.irrep(alpha).dim
-        if ma == 0:
-            continue
-        for beta in backend.labels:
-            mb = bases[beta].shape[0]
-            db = backend.irrep(beta).dim
-            if mb == 0:
-                continue
-            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
-            for gamma in backend.labels:
-                basis_t = backend.mor_basis(pair, backend.atom(gamma))
-                if not basis_t or bases[gamma].shape[0] == 0:
-                    continue
-                dg = backend.irrep(gamma).dim
-                mg = bases[gamma].shape[0]
-                tensors = []
-                for t in basis_t:
-                    arr = np.zeros((mg, ma, mb), dtype=complex)
-                    for p in range(ma):
-                        for q in range(mb):
-                            prod = np.zeros((da * db, b.n, b.n), dtype=complex)
-                            for i in range(da):
-                                for j in range(db):
-                                    prod[i * db + j] = (
-                                        mats[alpha][p][i] @ mats[beta][q][j]
-                                    )
-                            out = np.einsum("cz,zuv->cuv", t, prod)
-                            coords = np.array([b.coords(out[c]) for c in range(dg)])
-                            arr[:, p, q] = project(gamma, coords)
-                    tensors.append(arr)
-                phi[(alpha, beta, gamma)] = tensors
-
-    functor = TensorFunctorData(backend, a, modules, phi, name=f"spectral:{act.name}")
+    functor = functor_from_subspaces(backend, a, bases, b.from_coords,
+                                     lambda x, y: b.coords(x @ y), pairing,
+                                     f"spectral:{act.name}")
     return SpectralFunctor(functor, fixed, bases, act)
 
 
@@ -329,7 +333,7 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     the canonical map back onto the original algebra: linear bijection,
     multiplicative, star-preserving, equivariant, identity on the fixed
     subalgebra."""
-    spec = spectral_functor(backend, act, seed=seed, tol=tol)
+    spec = spectral_functor(backend, act, seed=seed)
     alg = build_algebra(spec.functor, tol=tol)
     b = act.algebra
 
@@ -580,7 +584,7 @@ class ModuleFunctor:
     functor: TensorFunctorData
     endomorphisms: SubalgebraBlocks  # blocks of End(M) in the induced Hilbert space
     end_units_module: np.ndarray     # (dim A, dim M, dim M): units as module maps
-    bases: dict[str, np.ndarray]     # per label: (mult, dim M * d, dim M) flattened maps
+    bases: dict[str, np.ndarray]     # per label: (mult, d, dim M, dim M) component maps
     module: EquivariantModule
 
 
@@ -596,18 +600,11 @@ def _module_hilbert_data(module: EquivariantModule):
     return v[:, keep], np.sqrt(w[keep])
 
 
-def _map_to_hilbert(t: np.ndarray, src_data, tgt_data, n: int) -> np.ndarray:
-    """Transport a module map to a matrix between induced Hilbert spaces."""
-    vs, ss = src_data
-    vt, st = tgt_data
-    big = np.kron(t, np.eye(n))
-    return (vt * st).conj().T @ big @ (vs / ss)
-
-
 def _equivariant_maps(backend: Backend, module: EquivariantModule,
                       label: str) -> np.ndarray:
     """Orthonormal basis of the right-linear equivariant maps
-    M -> M (x) H_label, flattened; shape (count, dim M * d, dim M)."""
+    M -> M (x) H_label, split into their components M -> M along the
+    basis of H_label; shape (count, d, dim M, dim M)."""
     act = module.action
     b = act.algebra
     target = module_tensor_irrep(backend, module, label)
@@ -628,24 +625,18 @@ def _equivariant_maps(backend: Backend, module: EquivariantModule,
                 np.kron(np.eye(target.dim), w.T) - np.kron(w2, np.eye(module.dim))
             )
     else:
-        g = act.group
         mask = np.zeros((target.dim, module.dim))
         for r in range(target.dim):
             for c in range(module.dim):
                 if target.grades[r] != module.grades[c]:
                     mask[r, c] = 1.0
         rows.append(np.diag(mask.reshape(-1)))
-    stacked = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stacked)
-    num = vh.shape[0] - int(np.sum(s > RANK_TOL))
-    if num == 0:
-        return np.zeros((0, target.dim, module.dim))
-    basis = vh[len(s) - num:].conj()
-    return basis.reshape(num, target.dim, module.dim)
+    # rows of M (x) H are indexed (module index, representation index)
+    basis = null_space(np.vstack(rows)).reshape(-1, module.dim, d, module.dim)
+    return basis.transpose(0, 2, 1, 3)
 
 
-def module_functor(backend: Backend, module: EquivariantModule,
-                   seed: int = 0, tol: float = 1e-9,
+def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
                    base: tuple[BlockAlgebra, np.ndarray] | None = None) -> ModuleFunctor:
     """The functor of equivariant module maps M -> M (x) H attached to an
     equivariant module, over the algebra of equivariant endomorphisms.
@@ -655,17 +646,18 @@ def module_functor(backend: Backend, module: EquivariantModule,
     (algebra dim, dim M, dim M).  Functors of related modules can then
     share one base algebra instead of each probing its own.
     """
-    act = module.action
-    b = act.algebra
-    nb = b.n
-    m_data = _module_hilbert_data(module)
+    nb = module.action.algebra.n
+    vecs, sing = _module_hilbert_data(module)
+
+    def hilbert(t):
+        """A module map M -> M as a matrix on the induced Hilbert space."""
+        return (vecs * sing).conj().T @ np.kron(t, np.eye(nb)) @ (vecs / sing)
 
     triv = backend.trivial_label
-    end_basis = _equivariant_maps(backend, module, triv)
     # maps into M (x) C are maps into M
-    end_maps = [t.reshape(module.dim, module.dim) for t in end_basis]
-    end_h = [_map_to_hilbert(t, m_data, m_data, nb) for t in end_maps]
-    kdim = m_data[0].shape[1]
+    end_maps = [t[0] for t in _equivariant_maps(backend, module, triv)]
+    end_h = [hilbert(t) for t in end_maps]
+    kdim = vecs.shape[1]
     if base is None:
         blocks = decompose_star_algebra(end_h, kdim, seed=seed)
         unit_module = np.zeros((blocks.algebra.dim, module.dim, module.dim), dtype=complex)
@@ -676,7 +668,7 @@ def module_functor(backend: Backend, module: EquivariantModule,
     else:
         algebra, unit_module = base
         unit_module = np.asarray(unit_module, dtype=complex)
-        images = np.array([_map_to_hilbert(t, m_data, m_data, nb) for t in unit_module])
+        images = np.array([hilbert(t) for t in unit_module])
         mults = []
         k = 0
         for d in algebra.blocks:
@@ -685,81 +677,20 @@ def module_functor(backend: Backend, module: EquivariantModule,
         blocks = SubalgebraBlocks(algebra, images, tuple(mults), kdim)
     a = blocks.algebra
 
-    bases: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        bases[label] = _equivariant_maps(backend, module, label)
     # trivial component: matrix units of the endomorphism algebra themselves
-    bases[triv] = unit_module.copy()
+    bases = {
+        label: unit_module[:, None] if label == triv
+        else _equivariant_maps(backend, module, label)
+        for label in backend.labels
+    }
 
-    pinvs: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        shape = bases[label].shape
-        flat = bases[label].reshape(shape[0], shape[1] * shape[2])
-        pinvs[label] = np.linalg.pinv(flat.T) if flat.size else flat
+    def pairing(xs, ys):
+        # the Hilbert space induced by M (x) H is that of M, once per component
+        prod = sum(hilbert(x).conj().T @ hilbert(y) for x, y in zip(xs, ys))
+        return a.from_coords(blocks.restrict(prod))
 
-    def project(label, tmat):
-        basis = bases[label]
-        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-        vec = tmat.reshape(-1)
-        coords = pinvs[label] @ vec
-        resid = np.linalg.norm(flat.T @ coords - vec)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(vec)):
-            raise ActionError(f"map does not lie in the equivariant space of {label!r}")
-        return coords
-
-    modules: dict[str, Correspondence] = {}
-    target_data: dict[str, tuple] = {}
-    for label in backend.labels:
-        basis = bases[label]
-        m = basis.shape[0]
-        target = module_tensor_irrep(backend, module, label)
-        t_data = _module_hilbert_data(target)
-        target_data[label] = t_data
-        d = backend.irrep(label).dim
-        left = np.zeros((a.dim, m, m), dtype=complex)
-        right = np.zeros((a.dim, m, m), dtype=complex)
-        inner = np.zeros((m, m, a.n, a.n), dtype=complex)
-        for k in range(a.dim):
-            amat = unit_module[k]
-            for q in range(m):
-                right[k, :, q] = project(label, basis[q] @ amat)
-                left[k, :, q] = project(label, np.kron(amat, np.eye(d)) @ basis[q])
-        hil = [_map_to_hilbert(basis[p], m_data, t_data, nb) for p in range(m)]
-        for p in range(m):
-            for q in range(m):
-                prod = hil[p].conj().T @ hil[q]
-                inner[p, q] = a.from_coords(blocks.restrict(prod))
-        modules[label] = Correspondence(a, m, left, right, inner)
-
-    phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
-    for alpha in backend.labels:
-        ma = bases[alpha].shape[0]
-        if ma == 0:
-            continue
-        da = backend.irrep(alpha).dim
-        for beta in backend.labels:
-            mb = bases[beta].shape[0]
-            if mb == 0:
-                continue
-            db = backend.irrep(beta).dim
-            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
-            for gamma in backend.labels:
-                basis_t = backend.mor_basis(pair, backend.atom(gamma))
-                if not basis_t or bases[gamma].shape[0] == 0:
-                    continue
-                mg = bases[gamma].shape[0]
-                tensors = []
-                for t in basis_t:
-                    arr = np.zeros((mg, ma, mb), dtype=complex)
-                    for p in range(ma):
-                        xext = np.kron(bases[alpha][p], np.eye(db))
-                        for q in range(mb):
-                            composite = np.kron(np.eye(module.dim), t) @ xext @ bases[beta][q]
-                            arr[:, p, q] = project(gamma, composite)
-                    tensors.append(arr)
-                phi[(alpha, beta, gamma)] = tensors
-
-    functor = TensorFunctorData(backend, a, modules, phi, name="module-functor")
+    functor = functor_from_subspaces(backend, a, bases, lambda t: t, np.matmul,
+                                     pairing, "module-functor")
     return ModuleFunctor(functor, blocks, unit_module, bases, module)
 
 
@@ -789,12 +720,7 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
         for gi, x in enumerate(act.group.elements):
             w = module.comodule[x]
             rows.append(np.kron(np.eye(d), w) - np.kron(u[gi].T, np.eye(module.dim)))
-        stacked = np.vstack(rows)
-        _, s, vh = np.linalg.svd(stacked)
-        num = vh.shape[0] - int(np.sum(s > RANK_TOL))
-        if num == 0:
-            return np.zeros((0, d, module.dim))
-        return vh[len(s) - num:].conj().reshape(num, d, module.dim)
+        return null_space(np.vstack(rows)).reshape(-1, d, module.dim)
     g = act.group
     want = g.elements[g.inv(g.index(label))]
     hits = [p for p, gr in enumerate(module.grades) if gr == want]
@@ -1046,12 +972,9 @@ def _closest_bimodule_unitary(f1, f2, label):
                     np.kron(m2.left[k], np.eye(dim)))
         rows.append(np.kron(np.eye(dim), m1.right[k].T) -
                     np.kron(m2.right[k], np.eye(dim)))
-    stacked = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stacked)
-    num = vh.shape[0] - int(np.sum(s > RANK_TOL))
-    if num == 0:
+    basis = null_space(np.vstack(rows))
+    if not len(basis):
         return np.eye(dim, dtype=complex)
-    basis = vh[len(s) - num:].conj()
     target = np.eye(dim, dtype=complex).reshape(-1)
     coef = basis.conj() @ target
     cand = (coef @ basis).reshape(dim, dim)
@@ -1064,7 +987,7 @@ def _closest_bimodule_unitary(f1, f2, label):
 # -- spectral data of a reconstructed algebra -----------------------------------
 
 
-def algebra_spectral_functor(alg: ReconstructedAlgebra, tol: float = 1e-9):
+def algebra_spectral_functor(alg: ReconstructedAlgebra):
     """The functor of invariant subspaces of the coaction carried by a
     reconstructed algebra, over the same base algebra on the nose.
 
@@ -1088,135 +1011,33 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra, tol: float = 1e-9):
     bases: dict[str, np.ndarray] = {}
     for label in backend.labels:
         dl = backend.irrep(label).dim
-        if backend.kind == "group":
-            rows = []
+        if label == backend.trivial_label:
+            # pin the trivial component to the matrix units of the base algebra
+            bases[label] = np.array([[alg.flatten(alg.from_algebra(u))] for u in a.basis()])
+        elif backend.kind == "group":
             eye = np.eye(dl * dim)
             mats = backend.irrep(label).matrices
-            for gi in range(backend.group.order):
-                # the coaction evaluated at g is the automorphism of g^{-1}
-                rows.append(
-                    np.kron(mats[gi], coact_matrix(backend.group.inv(gi))) - eye
-                )
-            stacked = np.vstack(rows)
-            _, s, vh = np.linalg.svd(stacked)
-            num = vh.shape[0] - int(np.sum(s > RANK_TOL))
-            basis = vh[len(s) - num:].conj() if num else np.zeros((0, dl * dim))
-            bases[label] = basis.reshape(num, dl, dim)
+            # the coaction evaluated at g is the automorphism of g^{-1}
+            basis = null_space(np.vstack([
+                np.kron(mats[gi], coact_matrix(backend.group.inv(gi))) - eye
+                for gi in range(backend.group.order)
+            ]))
+            bases[label] = basis.reshape(-1, dl, dim)
+        elif label in alg.shapes:
+            _, m = alg.shapes[label]
+            off = alg.offsets[label]
+            bases[label] = np.eye(dim, dtype=complex)[off:off + m].reshape(m, 1, dim)
         else:
-            if label in alg.shapes:
-                d, m = alg.shapes[label]
-                off = alg.offsets[label]
-                rows = np.zeros((m, 1, dim), dtype=complex)
-                for p in range(m):
-                    rows[p, 0, off + p] = 1.0
-                bases[label] = rows
-            else:
-                bases[label] = np.zeros((0, 1, dim))
-    # pin the trivial component to the matrix units of the base algebra
-    triv = backend.trivial_label
-    units_flat = []
-    for k in range(a.dim):
-        coords = np.zeros(a.dim, dtype=complex)
-        coords[k] = 1.0
-        units_flat.append([alg.flatten(alg.from_algebra(a.from_coords(coords)))])
-    bases[triv] = np.array(units_flat)
+            bases[label] = np.zeros((0, 1, dim))
 
-    pinvs = {}
-    for label in backend.labels:
-        basis = bases[label]
-        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-        pinvs[label] = np.linalg.pinv(flat.T) if basis.size else flat
+    def pairing(xs, ys):
+        return alg.expectation(
+            sum((alg.multiply(alg.star(x), y) for x, y in zip(xs, ys)), alg.zero())
+        )
 
-    def project(label, element):
-        basis = bases[label]
-        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-        vec = element.reshape(-1)
-        coords = pinvs[label] @ vec
-        resid = np.linalg.norm(flat.T @ coords - vec)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(vec)):
-            raise ActionError(
-                f"element does not lie in the invariant subspace of {label!r}"
-            )
-        return coords
-
-    elements: dict[str, list[list[GradedElement]]] = {}
-    for label in backend.labels:
-        basis = bases[label]
-        elements[label] = [
-            [alg.unflatten(basis[p, i]) for i in range(basis.shape[1])]
-            for p in range(basis.shape[0])
-        ]
-
-    modules: dict[str, Correspondence] = {}
-    for label in backend.labels:
-        basis = bases[label]
-        m = basis.shape[0]
-        d = basis.shape[1]
-        left = np.zeros((a.dim, m, m), dtype=complex)
-        right = np.zeros((a.dim, m, m), dtype=complex)
-        inner = np.zeros((m, m, a.n, a.n), dtype=complex)
-        for k in range(a.dim):
-            coords = np.zeros(a.dim, dtype=complex)
-            coords[k] = 1.0
-            a_el = alg.from_algebra(a.from_coords(coords))
-            for q in range(m):
-                xa = np.array([
-                    alg.flatten(alg.multiply(a_el, elements[label][q][i]))
-                    for i in range(d)
-                ])
-                left[k, :, q] = project(label, xa)
-                ax = np.array([
-                    alg.flatten(alg.multiply(elements[label][q][i], a_el))
-                    for i in range(d)
-                ])
-                right[k, :, q] = project(label, ax)
-        for p in range(m):
-            for q in range(m):
-                val = alg.zero()
-                for i in range(d):
-                    val = val + alg.multiply(
-                        alg.star(elements[label][p][i]), elements[label][q][i]
-                    )
-                inner[p, q] = alg.expectation(val)
-        modules[label] = Correspondence(a, m, left, right, inner)
-
-    phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
-    for alpha in backend.labels:
-        ma = bases[alpha].shape[0]
-        if ma == 0:
-            continue
-        da = backend.irrep(alpha).dim
-        for beta in backend.labels:
-            mb = bases[beta].shape[0]
-            if mb == 0:
-                continue
-            db = backend.irrep(beta).dim
-            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
-            for gamma in backend.labels:
-                basis_t = backend.mor_basis(pair, backend.atom(gamma))
-                if not basis_t or bases[gamma].shape[0] == 0:
-                    continue
-                dg = backend.irrep(gamma).dim
-                mg = bases[gamma].shape[0]
-                tensors = []
-                for t in basis_t:
-                    arr = np.zeros((mg, ma, mb), dtype=complex)
-                    for p in range(ma):
-                        for q in range(mb):
-                            prods = [
-                                alg.flatten(alg.multiply(
-                                    elements[alpha][p][i], elements[beta][q][j]
-                                ))
-                                for i in range(da) for j in range(db)
-                            ]
-                            prods = np.array(prods)
-                            out = np.einsum("cz,zD->cD", t, prods)
-                            arr[:, p, q] = project(gamma, out)
-                    tensors.append(arr)
-                phi[(alpha, beta, gamma)] = tensors
-
-    functor = TensorFunctorData(backend, a, modules, phi,
-                                name=f"spectral-of:{alg.functor.name}")
+    functor = functor_from_subspaces(backend, a, bases, alg.unflatten,
+                                     lambda x, y: alg.flatten(alg.multiply(x, y)),
+                                     pairing, f"spectral-of:{alg.functor.name}")
     return functor, bases
 
 
@@ -1226,31 +1047,20 @@ def functor_roundtrip_check(functor: TensorFunctorData, tol: float = 1e-9):
     canonical map sending X to the invariant vector with components
     (basis vector i) (x) (conjugate basis vector i) (x) X."""
     alg = build_algebra(functor, tol=tol)
-    functor2, bases2 = algebra_spectral_functor(alg, tol=tol)
-    backend = functor.backend
+    functor2, bases2 = algebra_spectral_functor(alg)
     maps: dict[str, np.ndarray] = {}
-    for label in backend.labels:
+    for label in functor.backend.labels:
         m = functor.module(label).dim
-        m2 = functor2.module(label).dim
-        v = np.zeros((m2, m), dtype=complex)
-        if m and label in alg.shapes:
-            d, _ = alg.shapes[label]
-            basis = bases2[label]
-            flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
-            pinv = np.linalg.pinv(flat.T)
+        v = np.zeros((functor2.module(label).dim, m), dtype=complex)
+        if m:
+            span = InSpan(bases2[label], label)
+            d = alg.shapes[label][0]
             for p in range(m):
+                # component i is the basis element with entry (i, p) of the label
                 vec = np.zeros((d, alg.dim), dtype=complex)
                 for i in range(d):
-                    arr = np.zeros((d, m), dtype=complex)
-                    arr[i, p] = 1.0
-                    vec[i] = alg.flatten(GradedElement({label: arr}))
-                coords = pinv @ vec.reshape(-1)
-                resid = np.linalg.norm(flat.T @ coords - vec.reshape(-1))
-                if resid > 1e-6:
-                    raise ActionError(
-                        f"canonical vector for {label!r} is not invariant"
-                    )
-                v[:, p] = coords
+                    vec[i, alg.offsets[label] + i * m + p] = 1.0
+                v[:, p] = span(vec)
         maps[label] = v
     return verify_natural_iso(functor, functor2, maps, tol)
 
@@ -1260,49 +1070,27 @@ def canonical_module_iso(backend: Backend, act: Action, tol: float = 1e-9,
     """The functor of the algebra as a module over itself, compared with the
     spectral functor of the action through the canonical identification
     X -> (b -> sum_i x_i b (x) basis vector i)."""
-    spec = spectral_functor(backend, act, seed=seed, tol=tol)
+    spec = spectral_functor(backend, act, seed=seed)
     mod = module_from_algebra(backend, act)
     b = act.algebra
     units = b.basis()
-    to_frame = None
-    if mod.frame is not None and mod.grades is not None:
-        to_frame = np.linalg.inv(mod.frame.T)
-    lmaps = []
-    for k in range(spec.fixed.algebra.dim):
-        amat = spec.fixed.unit_images[k]
-        lmat = np.zeros((b.dim, b.dim), dtype=complex)
-        for q, u in enumerate(units):
-            lmat[:, q] = b.coords(amat @ u)
+    to_frame = np.linalg.inv(mod.frame.T) if mod.grades is not None else None
+
+    def left_mult(x: np.ndarray) -> np.ndarray:
+        """Left multiplication by x as a map of the module carrier."""
+        lmat = np.array([b.coords(x @ u) for u in units]).T
         if to_frame is not None:
             lmat = to_frame @ lmat @ mod.frame.T
-        lmaps.append(lmat)
-    mf = module_functor(backend, mod, seed=seed, tol=tol,
-                        base=(spec.fixed.algebra, np.array(lmaps)))
+        return lmat
+
+    lmaps = np.array([left_mult(unit) for unit in spec.fixed.unit_images])
+    mf = module_functor(backend, mod, seed=seed, base=(spec.fixed.algebra, lmaps))
     maps: dict[str, np.ndarray] = {}
     for label in backend.labels:
+        span = InSpan(mf.bases[label], label)
         basis = spec.bases[label]
-        m = basis.shape[0]
-        d = basis.shape[1]
-        target = mf.bases[label]
-        flat = target.reshape(target.shape[0], -1)
-        pinv = np.linalg.pinv(flat.T) if flat.size else flat
-        v = np.zeros((target.shape[0], m), dtype=complex)
-        for p in range(m):
-            xmats = [b.from_coords(basis[p, i]) for i in range(d)]
-            tmat = np.zeros((mod.dim * d, mod.dim), dtype=complex)
-            for q, u in enumerate(units):
-                col = np.zeros((b.dim, d), dtype=complex)
-                for i in range(d):
-                    col[:, i] = b.coords(xmats[i] @ u)
-                if to_frame is not None:
-                    col = to_frame @ col
-                tmat[:, q] = col.reshape(-1)
-            if to_frame is not None:
-                tmat = tmat @ mod.frame.T
-            coords = pinv @ tmat.reshape(-1)
-            resid = np.linalg.norm(flat.T @ coords - tmat.reshape(-1))
-            if resid > 1e-6 * max(1.0, np.linalg.norm(tmat)):
-                raise ActionError(f"canonical module map for {label!r} escapes the space")
-            v[:, p] = coords
+        v = np.zeros((len(mf.bases[label]), len(basis)), dtype=complex)
+        for p, vecs in enumerate(basis):
+            v[:, p] = span([left_mult(b.from_coords(x)) for x in vecs])
         maps[label] = v
     return spec, mf, verify_natural_iso(spec.functor, mf.functor, maps, tol)

@@ -89,9 +89,6 @@ class SubalgebraBlocks:
     def embed(self, coords: np.ndarray) -> np.ndarray:
         return np.einsum("k,kuv->uv", np.asarray(coords, dtype=complex), self.unit_images)
 
-    def embed_matrix(self, mat: np.ndarray) -> np.ndarray:
-        return self.embed(self.algebra.coords(mat))
-
     def restrict(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of an ambient element lying in the subalgebra."""
         coords = np.zeros(self.algebra.dim, dtype=complex)
@@ -103,9 +100,6 @@ class SubalgebraBlocks:
                     coords[k] = np.trace(e.conj().T @ mat) / mult
                     k += 1
         return coords
-
-    def restriction_residual(self, mat: np.ndarray) -> float:
-        return float(np.linalg.norm(self.embed(self.restrict(mat)) - mat))
 
 
 def decompose_star_algebra(basis: list[np.ndarray], n: int,

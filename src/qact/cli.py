@@ -139,7 +139,7 @@ def run_verb(args) -> tuple[int, dict]:
         report["action"] = act_report
         if not act_report["passed"]:
             return 1, report
-        spec = spectral_functor(backend, act, seed=args.seed, tol=tol)
+        spec = spectral_functor(backend, act, seed=args.seed)
         val = validate_functor(spec.functor, tol)
         report["fixed_algebra_blocks"] = list(spec.fixed.algebra.blocks)
         report["module_dims"] = {
@@ -225,7 +225,7 @@ def run_verb(args) -> tuple[int, dict]:
         report["center_dimension"] = deformed.model.center_dimension()
         ok = deformed.report["passed"]
         if args.cross_test:
-            spec = spectral_functor(backend, act, seed=args.seed, tol=tol)
+            spec = spectral_functor(backend, act, seed=args.seed)
             twisted = deform_functor(spec.functor, cocycle)
             val = validate_functor(twisted, tol)
             alg = build_algebra(twisted, tol=tol, validate=False)

@@ -12,7 +12,9 @@ from qact.fixtures import (
 from qact.functors import validate_functor
 from qact.actions import (
     Action,
+    ActionError,
     EquivariantModule,
+    InSpan,
     canonical_module_iso,
     fixed_point_algebra,
     fullness_check,
@@ -21,6 +23,7 @@ from qact.actions import (
     module_from_algebra,
     module_functor,
     module_tensor_irrep,
+    null_space,
     roundtrip_check,
     solve_natural_iso,
     spectral_basis,
@@ -325,3 +328,59 @@ def test_expectation_faithful_on_every_action(backends, corpus):
                 gram[p, q] = np.trace(e_val)
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         assert eigs.min() > 1e-9, name
+
+
+def _unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def test_null_space_of_empty_stacks():
+    # no equations: every vector solves them; no unknowns: nothing to solve for
+    ker = null_space(np.zeros((0, 3)))
+    assert ker.shape == (3, 3)
+    np.testing.assert_allclose(ker @ ker.conj().T, np.eye(3), atol=1e-12)
+    assert null_space(np.zeros((4, 0))).shape == (0, 0)
+
+
+def test_null_space_of_rotated_matrix():
+    # rank 2 in C^4 with kernel spanned by two columns of a random unitary
+    u, v = _unitary(5, 0), _unitary(4, 1)
+    sing = np.zeros((5, 4))
+    sing[0, 0], sing[1, 1] = 3.0, 1e-3
+    stacked = u @ sing @ v.conj().T
+    ker = null_space(stacked)
+    assert ker.shape == (2, 4)
+    np.testing.assert_allclose(stacked @ ker.T, 0, atol=1e-12)
+    np.testing.assert_allclose(ker @ ker.conj().T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(ker.T @ ker.conj(), v[:, 2:] @ v[:, 2:].conj().T,
+                               atol=1e-12)
+
+
+def test_null_space_counts_missing_rows():
+    # two proportional equations in five unknowns: nullity 5 - 2 + 1
+    u = _unitary(5, 2)
+    stacked = np.outer([1.0, 2.0], u[:, 0].conj())
+    ker = null_space(stacked)
+    assert ker.shape == (4, 5)
+    np.testing.assert_allclose(stacked @ ker.T, 0, atol=1e-12)
+    np.testing.assert_allclose(ker @ ker.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_in_span_coordinates_in_rotated_basis():
+    u = _unitary(6, 3)
+    basis = u[:3].reshape(3, 2, 3)  # entries shaped like irrep-dim tuples
+    span = InSpan(basis, "rotated")
+    coef = np.array([1.0, -2.0j, 0.5])
+    np.testing.assert_allclose(span((coef @ u[:3]).reshape(2, 3)), coef, atol=1e-12)
+    with pytest.raises(ActionError):
+        span(u[4].reshape(2, 3))
+
+
+def test_in_span_empty_basis():
+    span = InSpan(np.zeros((0, 2, 3)), "empty")
+    assert span(np.zeros((2, 3))).shape == (0,)
+    with pytest.raises(ActionError):
+        span(np.ones((2, 3)))
+    # basis vectors of length zero: every coordinate reads zero
+    np.testing.assert_array_equal(InSpan(np.zeros((2, 0)), "void")(np.zeros(0)), 0)

@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from qact import cli
+from qact.fixtures import action_corpus, write_corpus
+
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -59,6 +62,26 @@ def test_verbs_pass_on_fixtures(args, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(report.read_text())
     assert data["schema"] == "report.v1"
+
+
+@pytest.mark.parametrize("verb", ["spectral", "roundtrip", "module-functor", "fullness"])
+@pytest.mark.parametrize("name", sorted(action_corpus()))
+def test_action_verbs_on_whole_corpus(name, verb, tmp_path):
+    backend = json.loads((FIXTURES / "actions" / f"{name}.json").read_text())["backend_ref"]
+    report = tmp_path / "report.json"
+    code = cli.main([verb, "--backend", str(FIXTURES / backend),
+                     "--input", str(FIXTURES / "actions" / f"{name}.json"),
+                     "--report", str(report)])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["verb"] == verb and "error" not in data
+
+
+def test_committed_fixtures_are_fresh(tmp_path):
+    fresh = sorted(pathlib.Path(p).relative_to(tmp_path) for p in write_corpus(tmp_path))
+    assert fresh == sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.json"))
+    for rel in fresh:
+        assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
 
 
 def test_missing_file_is_input_error(tmp_path):
