@@ -169,8 +169,9 @@ def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> Subalge
 def null_space(stacked: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the kernel of a matrix, shape (nullity,
     columns).  Singular values up to RANK_TOL count as zero; the columns in
-    excess of the rows always lie in the kernel."""
-    _, s, vh = np.linalg.svd(stacked)
+    excess of the rows always lie in the kernel.  Tall stacks take the thin
+    SVD, which has every right singular vector without the full U."""
+    _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     # rows of vh are orthonormal; conjugate so x (not x-bar) solves stacked x = 0
     return vh[int(np.sum(s > RANK_TOL)):].conj()
 

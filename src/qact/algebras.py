@@ -8,6 +8,7 @@ coefficient tensors on a chosen basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,11 @@ class BlockAlgebra:
             k += b * b
         return vec
 
+    def structure_tensor(self) -> np.ndarray:
+        """Coordinates of the products of matrix units: entry [k, l, m] is
+        coordinate m of u_k u_l.  Cached per block structure, read-only."""
+        return _structure_tensor(self.blocks)
+
     def from_coords(self, vec: np.ndarray) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=complex)
         k = 0
@@ -88,9 +94,6 @@ class BlockAlgebra:
     def project(self, mat: np.ndarray) -> np.ndarray:
         """Zero out off-block entries."""
         return self.from_coords(self.coords(mat))
-
-    def off_block_residual(self, mat: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(mat) - self.project(mat)))
 
     def identity(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)
@@ -107,6 +110,20 @@ class BlockAlgebra:
             return False
         w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         return bool(w.min() > -tol * max(1.0, abs(w).max()))
+
+
+@functools.cache
+def _structure_tensor(blocks: tuple[int, ...]) -> np.ndarray:
+    dim = sum(b * b for b in blocks)
+    out = np.zeros((dim, dim, dim))
+    start = 0
+    for b in blocks:
+        # E_ij E_jl = E_il inside one block; products across blocks vanish
+        i, j, l = np.meshgrid(range(b), range(b), range(b), indexing="ij")
+        out[start + i * b + j, start + j * b + l, start + i * b + l] = 1.0
+        start += b * b
+    out.setflags(write=False)
+    return out
 
 
 class Correspondence:
@@ -154,50 +171,40 @@ class Correspondence:
     def validate(self, tol: float = 1e-9) -> dict:
         """Residuals of the correspondence axioms on the basis."""
         a = self.algebra
-        units = a.basis()
+        structure = a.structure_tensor()
+        units = np.array(a.basis())
+        left, right, inner = self.left, self.right, self.inner_tensor
         rep = {}
-        # bimodule laws and compatibility
-        worst_act = 0.0
-        worst_comm = 0.0
-        worst_star = 0.0
-        eye = a.identity()
-        for x in np.eye(self.dim, dtype=complex):
-            worst_act = max(
-                worst_act,
-                np.linalg.norm(self.left_mul(eye, x) - x),
-                np.linalg.norm(self.right_mul(x, eye) - x),
-            )
-        for u in units:
-            for v in units:
-                lu = np.einsum("k,kpq->pq", a.coords(u), self.left)
-                lv = np.einsum("k,kpq->pq", a.coords(v), self.left)
-                luv = np.einsum("k,kpq->pq", a.coords(u @ v), self.left)
-                ru = np.einsum("k,kpq->pq", a.coords(u), self.right)
-                rv = np.einsum("k,kpq->pq", a.coords(v), self.right)
-                ruv = np.einsum("k,kpq->pq", a.coords(u @ v), self.right)
-                worst_act = max(
-                    worst_act,
-                    np.linalg.norm(lu @ lv - luv),
-                    np.linalg.norm(rv @ ru - ruv),
-                )
-                worst_comm = max(worst_comm, np.linalg.norm(lu @ rv - rv @ lu))
+
+        def worst(x, axis):
+            return float(np.linalg.norm(x, axis=axis).max(initial=0.0))
+
+        # bimodule laws and compatibility; index [k, l] pairs units u_k, u_l
+        eye = np.eye(self.dim)
+        one = a.coords(a.identity())
+        left_uv = np.tensordot(structure, left, axes=(2, 0))
+        right_uv = np.tensordot(structure, right, axes=(2, 0))
+        worst_act = max(
+            worst(np.einsum("k,kpq->pq", one, left) - eye, 0),
+            worst(np.einsum("k,kpq->pq", one, right) - eye, 0),
+            worst(left[:, None] @ left[None] - left_uv, (2, 3)),
+            worst(right[None] @ right[:, None] - right_uv, (2, 3)),
+        )
+        worst_comm = worst(left[:, None] @ right[None] - right[None] @ left[:, None], (2, 3))
         # inner-product laws on the basis
-        worst_lin = 0.0
-        basis = np.eye(self.dim, dtype=complex)
-        for p in range(self.dim):
-            for q in range(self.dim):
-                ip = self.inner(basis[p], basis[q])
-                worst_star = max(
-                    worst_star,
-                    np.linalg.norm(ip.conj().T - self.inner(basis[q], basis[p])),
-                    a.off_block_residual(ip),
-                )
-                for u in units:
-                    lhs = self.inner(basis[p], self.right_mul(basis[q], u))
-                    worst_lin = max(worst_lin, np.linalg.norm(lhs - ip @ u))
-                    lhs2 = self.inner(self.left_mul(u, basis[p]), basis[q])
-                    rhs2 = self.inner(basis[p], self.left_mul(u.conj().T, basis[q]))
-                    worst_lin = max(worst_lin, np.linalg.norm(lhs2 - rhs2))
+        worst_star = max(
+            worst(np.conj(np.transpose(inner, (1, 0, 3, 2))) - inner, (2, 3)),
+            worst(inner - inner * a.project(np.ones((a.n, a.n))).real, (2, 3)),
+        )
+        # <m_p, m_q u> = <m_p, m_q> u and <u m_p, m_q> = <m_p, u* m_q>
+        left_star = np.tensordot(np.array([a.coords(u.conj().T) for u in units]), left,
+                                 axes=(1, 0))
+        worst_lin = max(
+            worst(np.einsum("ksq,psuv->kpquv", right, inner)
+                  - np.einsum("pquw,kwv->kpquv", inner, units), (3, 4)),
+            worst(np.einsum("ksp,squv->kpquv", left.conj(), inner)
+                  - np.einsum("ksq,psuv->kpquv", left_star, inner), (3, 4)),
+        )
         gram = self.scalar_gram()
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         gmin = float(eigs.min()) if self.dim else 1.0
@@ -301,55 +308,88 @@ def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
 class AdjointResult:
     adjoint: np.ndarray | None
     residual: float
-    linear_residual: float
 
     @property
     def adjointable(self) -> bool:
         return self.adjoint is not None
 
 
+@dataclass
+class AdjointBatch:
+    """Least-squares adjoints of a stack of maps T_i : M -> N.
+
+    adjoints[i] has shape (dim M, dim N); T_i is adjointable when its
+    residual is within tol * max(1, |T_i|)."""
+
+    adjoints: np.ndarray
+    residuals: np.ndarray
+    adjointable: np.ndarray
+
+    def adjoint(self, i: int) -> np.ndarray | None:
+        return self.adjoints[i] if self.adjointable[i] else None
+
+
+def module_linear_residuals(maps: np.ndarray, m: Correspondence,
+                            n: Correspondence) -> np.ndarray:
+    """How far each map of a stack (count, dim N, dim M) of maps M -> N is
+    from being right-A-linear: the largest column norm of
+    T right_M(u) - right_N(u) T over the matrix units u."""
+    maps = np.asarray(maps, dtype=complex)[:, None]
+    diff = maps @ m.right - n.right @ maps  # (count, unit, dim N, dim M)
+    return np.linalg.norm(diff, axis=2).max(axis=(1, 2), initial=0.0)
+
+
 def module_linear_residual(t: np.ndarray, m: Correspondence, n: Correspondence) -> float:
     """How far T : M -> N is from being right-A-linear."""
-    worst = 0.0
-    basis = np.eye(m.dim, dtype=complex)
-    for u in m.algebra.basis():
-        for p in range(m.dim):
-            lhs = t @ m.right_mul(basis[p], u)
-            rhs = n.right_mul(t @ basis[p], u)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    return float(module_linear_residuals(np.asarray(t)[None], m, n)[0])
+
+
+def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
+                tol: float = 1e-9) -> AdjointBatch:
+    """Adjoints of a stack (count, dim N, dim M) of maps M -> N for the
+    algebra-valued inner products.
+
+    Solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T* in least
+    squares.  For each column s this is one system against the source's
+    coefficient matrix G[(p, u, v), r] = <m_p, m_r>_{uv}, so a single solve
+    with every map's columns as right-hand sides serves the whole stack.
+    Its singular-value cutoff is the one lstsq applies to the system of one
+    map, G repeated once per column of N.
+    """
+    maps = np.asarray(maps, dtype=complex)
+    count = maps.shape[0]
+    scale = np.maximum(1.0, np.linalg.norm(maps, axis=(1, 2)))
+    if m.dim == 0 or n.dim == 0:
+        zeros = np.zeros(count)
+        return AdjointBatch(np.zeros((count, m.dim, n.dim), dtype=complex), zeros,
+                            zeros <= tol * scale)
+    nn = m.algebra.n * m.algebra.n
+    gram = np.transpose(m.inner_tensor, (0, 2, 3, 1)).reshape(m.dim * nn, m.dim)
+    # rhs[(p, u, v), (i, s)] = <T_i m_p, n_s>_{uv}
+    rhs = np.einsum("iqp,qsuv->puvis", maps.conj(), n.inner_tensor)
+    rhs = rhs.reshape(m.dim * nn, count * n.dim)
+    rcond = np.finfo(float).eps * m.dim * n.dim * nn
+    sol, *_ = np.linalg.lstsq(gram, rhs, rcond=rcond)
+    resid = (gram @ sol - rhs).reshape(m.dim * nn, count, n.dim)
+    residuals = np.sqrt(np.einsum("ris,ris->i", resid.conj(), resid).real)
+    adjoints = sol.reshape(m.dim, count, n.dim).transpose(1, 0, 2)
+    return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
 
 
 def adjoint_of(t: np.ndarray, m: Correspondence, n: Correspondence,
                tol: float = 1e-9, check_linear: bool = True) -> AdjointResult:
     """Adjoint of a right-A-linear map T : M -> N for the algebra-valued
-    inner products, or an explicit not-adjointable report.
-
-    Solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T* in least squares
-    and reports the residual; a residual above tol means no adjoint exists.
+    inner products, or an explicit not-adjointable report; the one-map case
+    of adjoints_of.  A residual above tol means no adjoint exists.
     Raises ContractViolation if T itself is not right-A-linear (validators
-    pass check_linear=False and fold the linearity residual into the report).
+    pass check_linear=False and report the linearity residual themselves).
     """
     t = np.asarray(t, dtype=complex)
     if t.shape != (n.dim, m.dim):
         raise AlgebraError(f"map has shape {t.shape}, expected {(n.dim, m.dim)}")
-    lin = module_linear_residual(t, m, n)
-    scale = max(1.0, float(np.linalg.norm(t)))
-    if check_linear and lin > 100 * tol * scale:
-        raise ContractViolation(f"input map is not module-linear (residual {lin:.2e})")
-    if m.dim == 0 or n.dim == 0:
-        return AdjointResult(np.zeros((m.dim, n.dim), dtype=complex), 0.0, lin)
-    # target[p, s] = <T m_p, n_s>; unknown X with <m_p, X n_s> = target
-    target = np.einsum("qp,qsuv->psuv", t.conj(), n.inner_tensor)
-    # coefficient of X[r, s'] in <m_p, X e_s>: inner_tensor[p, r] delta_{s s'}
-    rows = m.dim * n.dim * m.algebra.n * m.algebra.n
-    mat = np.zeros((m.dim, n.dim, m.algebra.n, m.algebra.n, m.dim, n.dim), dtype=complex)
-    for s in range(n.dim):
-        mat[:, s, :, :, :, s] = np.transpose(m.inner_tensor, (0, 2, 3, 1))
-    mat = mat.reshape(rows, m.dim * n.dim)
-    rhs = target.reshape(rows)
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = float(np.linalg.norm(mat @ sol - rhs))
-    if resid > tol * scale:
-        return AdjointResult(None, resid, lin)
-    return AdjointResult(sol.reshape(m.dim, n.dim), resid, lin)
+    if check_linear:
+        lin = module_linear_residual(t, m, n)
+        if lin > 100 * tol * max(1.0, float(np.linalg.norm(t))):
+            raise ContractViolation(f"input map is not module-linear (residual {lin:.2e})")
+    batch = adjoints_of(t[None], m, n, tol)
+    return AdjointResult(batch.adjoint(0), float(batch.residuals[0]))

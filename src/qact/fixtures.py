@@ -221,6 +221,41 @@ def zero_odd_bundle() -> GradedBundle:
     return GradedBundle(group, algebra, fibers, mult)
 
 
+def m2_plus_c_bundle() -> GradedBundle:
+    """The Z_2-grading of M_2 (+) C inside the 3 x 3 matrices: the diagonal
+    of M_2 and the C block are even, the off-diagonal of M_2 is odd.  Odd
+    times odd misses the C block, so the product into the even fiber is not
+    surjective and the adjoint-exchange condition is checked, not skipped."""
+    group = cyclic_group(2)
+    algebra = BlockAlgebra((1, 1, 1))
+
+    def unit(i, j):
+        e = np.zeros((3, 3), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    grades = {"0": [unit(0, 0), unit(1, 1), unit(2, 2)], "1": [unit(0, 1), unit(1, 0)]}
+
+    def coords(grade, mat):
+        # every product of basis matrices is 0 or a basis matrix of its grade
+        return np.array([np.vdot(e, mat) for e in grades[grade]])
+
+    fibers = {}
+    for g, basis in grades.items():
+        left = np.array([[coords(g, u @ v) for v in basis] for u in algebra.basis()])
+        right = np.array([[coords(g, v @ u) for v in basis] for u in algebra.basis()])
+        inner = np.array([[x.conj().T @ y for y in basis] for x in basis])
+        fibers[g] = Correspondence(algebra, len(basis), left.transpose(0, 2, 1),
+                                   right.transpose(0, 2, 1), inner)
+    mult = {}
+    for a in grades:
+        for b in grades:
+            ab = str((int(a) + int(b)) % 2)
+            t = np.array([[coords(ab, x @ y) for y in grades[b]] for x in grades[a]])
+            mult[(a, b)] = t.transpose(2, 0, 1)
+    return GradedBundle(group, algebra, fibers, mult)
+
+
 def bicharacter_cocycle(orders: list[int]) -> Cocycle:
     """The standard bicharacter on a product of two equal cyclic factors:
     Omega((a1, a2), (b1, b2)) = exp(2 pi i a2 b1 / n)."""
@@ -323,6 +358,7 @@ def write_corpus(outdir) -> list[str]:
         ("clock_shift_z3", clock_shift_bundle(3)),
         ("group_algebra_z2", __import__("qact.functors", fromlist=["group_algebra_bundle"]).group_algebra_bundle(cyclic_group(2))),
         ("zero_odd", zero_odd_bundle()),
+        ("m2_plus_c", m2_plus_c_bundle()),
     ):
         path = out / "bundles" / f"{name}.json"
         serialize.dump_json(serialize.bundle_to_json(bundle), path)

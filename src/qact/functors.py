@@ -25,8 +25,9 @@ from .algebras import (
     BlockAlgebra,
     Correspondence,
     adjoint_of,
+    adjoints_of,
     algebra_as_correspondence,
-    module_linear_residual,
+    module_linear_residuals,
     tensor_semi_inner,
 )
 from .groups import GroupPresentation
@@ -216,13 +217,15 @@ class Realization:
         s = self.s_matrix(u, x, v)
         return adjoint_of(s, v.carrier, target.carrier, tol=tol, check_linear=False)
 
-    def involution_partner(self, alpha: str, x: np.ndarray,
-                           tol: float = 1e-9) -> np.ndarray:
-        """The element of the conjugate module dual to X under the
-        conjugation pairing; the building block of the involution.
+    def involution_partners(self, alpha: str, xs: np.ndarray,
+                            tol: float = 1e-9) -> np.ndarray:
+        """The elements of the conjugate module dual to the rows X of xs
+        under the conjugation pairing, as rows; the building blocks of the
+        involution.
 
-        Computed constructively as the adjoint of Y -> F_2(X (x) Y) applied
-        to the image of the unit under the conjugation morphism.
+        Computed constructively as the adjoints of Y -> F_2(X (x) Y), found
+        in one batch, applied to the image of the unit under the
+        conjugation morphism.
         """
         sol = self.backend.conjugate_solution(alpha)
         u = self.atom_object(alpha)
@@ -232,12 +235,18 @@ class Realization:
         f_rbar = self.morphism_matrix(rbar_vec, self.trivial_object(), pair)
         unit = self.functor.algebra.coords(self.functor.algebra.identity())
         target_vec = f_rbar @ unit
-        adj = self.s_adjoint(u, x, bar, tol=tol)
-        if adj.adjoint is None:
+        maps = np.einsum("tpq,ip->itq", self.f2_tensor(u, bar), xs)
+        adj = adjoints_of(maps, bar.carrier, pair.carrier, tol)
+        if not adj.adjointable.all():
             raise BackendError(
                 "adjoint solve failed; the data violates the adjointability axiom"
             )
-        return adj.adjoint @ target_vec
+        return adj.adjoints @ target_vec
+
+    def involution_partner(self, alpha: str, x: np.ndarray,
+                           tol: float = 1e-9) -> np.ndarray:
+        """The involution partner of one element X; see involution_partners."""
+        return self.involution_partners(alpha, np.asarray(x)[None], tol)[0]
 
 
 # -- validation ---------------------------------------------------------------
@@ -299,6 +308,21 @@ def _unit_axiom_residual(real: Realization) -> float:
         expectr = np.transpose(mod.right, (1, 2, 0))
         worst = max(worst, float(np.abs(actedr - expectr).max()))
     return worst
+
+
+def _exchange_residuals(adjoints, t_bc, t_a_bc, bc, abc, t_ab_c, tol):
+    """The exchange identity F_2(S_p* y (x) z) = S_p* F_2(y (x) z) for a
+    stack of adjoints S_p* : F(ab) -> F(b), one per basis vector m_p of F(a).
+
+    The adjoints of the maps S_p : F(bc) -> F(abc) of the same vectors,
+    slices of t_a_bc, come from one batch solve.  Returns that batch and the
+    largest entry of lhs - rhs per p, meaningful where the batch found an
+    adjoint.
+    """
+    big = adjoints_of(np.moveaxis(t_a_bc, 1, 0), bc, abc, tol)
+    lhs = np.einsum("tqr,pqs->ptsr", t_bc, adjoints)
+    rhs = np.einsum("pts,sqr->ptqr", big.adjoints, t_ab_c)
+    return big, np.abs(lhs - rhs).max(axis=(1, 2, 3), initial=0.0)
 
 
 def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
@@ -400,49 +424,41 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
             res_iv = max(res_iv, r)
     axioms["iv_associativity"] = AxiomCheck(res_iv, res_iv < tol, {"triples": detail_iv})
 
-    # (v) adjointability plus the exchange identity
+    # (v) adjointability plus the exchange identity, for the maps
+    # S_p = F_2(m_p (x) -) of all basis vectors m_p of F(a) at once
     res_v = 0.0
     detail_v = {}
     for a in labels:
-        ma = functor.module(a)
-        if ma.dim == 0:
+        if functor.module(a).dim == 0:
             continue
         oa = real.atom_object(a)
         for b in labels:
-            mb = functor.module(b)
-            if mb.dim == 0:
+            if functor.module(b).dim == 0:
                 continue
             ob = real.atom_object(b)
             oab = real.object(oa.atoms + ob.atoms)
-            for p in range(ma.dim):
-                x = np.zeros(ma.dim, dtype=complex)
-                x[p] = 1.0
-                s = real.s_matrix(oa, x, ob)
-                lin = module_linear_residual(s, ob.carrier, oab.carrier)
-                adj = real.s_adjoint(oa, x, ob, tol=tol)
-                r = max(lin, adj.residual)
+            s = np.moveaxis(real.f2_tensor(oa, ob), 1, 0)
+            lin = module_linear_residuals(s, ob.carrier, oab.carrier)
+            adj = adjoints_of(s, ob.carrier, oab.carrier, tol)
+            exchange = {}
+            for c in labels:
+                if functor.module(c).dim == 0:
+                    continue
+                oc = real.atom_object(c)
+                obc = real.object(ob.atoms + oc.atoms)
+                exchange[c] = _exchange_residuals(
+                    adj.adjoints, real.f2_tensor(ob, oc), real.f2_tensor(oa, obc),
+                    obc.carrier, real.object(oa.atoms + obc.atoms).carrier,
+                    real.f2_tensor(oab, oc), tol,
+                )
+            for p in range(len(s)):
+                r = float(max(lin[p], adj.residuals[p]))
                 detail_v[f"adjoint:{a},{b}:{p}"] = r
                 res_v = max(res_v, r)
-                if adj.adjoint is None:
+                if not adj.adjointable[p]:
                     continue
-                for c in labels:
-                    mc = functor.module(c)
-                    if mc.dim == 0:
-                        continue
-                    oc = real.atom_object(c)
-                    obc = real.object(ob.atoms + oc.atoms)
-                    sdag_big = real.s_adjoint(oa, x, obc, tol=tol)
-                    if sdag_big.adjoint is None:
-                        res_v = float("inf")
-                        detail_v[f"exchange:{a},{b},{c}:{p}"] = float("inf")
-                        continue
-                    lhs = np.einsum(
-                        "tqr,qs->tsr", real.f2_tensor(ob, oc), adj.adjoint
-                    )
-                    rhs = np.einsum(
-                        "ts,sqr->tqr", sdag_big.adjoint, real.f2_tensor(oab, oc)
-                    )
-                    r2 = float(np.abs(lhs - rhs).max())
+                for c, (big, r2) in exchange.items():
+                    r2 = float(r2[p]) if big.adjointable[p] else float("inf")
                     detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
                     res_v = max(res_v, r2)
     axioms["v_adjointability"] = AxiomCheck(res_v, res_v < 100 * tol, {"checks": detail_v})
@@ -568,39 +584,24 @@ def validate_graded(bundle: GradedBundle, tol: float = 1e-9) -> ValidationReport
                     continue
                 ab = g.elements[g.times(g.index(a), g.index(b))]
                 fab = bundle.fiber(ab)
-                for p in range(fa.dim):
-                    x = np.zeros(fa.dim, dtype=complex)
-                    x[p] = 1.0
-                    s = np.einsum("tpq,p->tq", bundle.mult_tensor(a, b), x)
-                    adj = adjoint_of(s, fb, fab, tol=tol, check_linear=False)
-                    lin = module_linear_residual(s, fb, fab)
-                    if adj.adjoint is None:
-                        res_d = max(res_d, adj.residual, lin)
+                s = np.moveaxis(bundle.mult_tensor(a, b), 1, 0)
+                lin = module_linear_residuals(s, fb, fab)
+                adj = adjoints_of(s, fb, fab, tol)
+                ok = adj.adjointable
+                res_d = max(res_d, float(np.max(np.maximum(lin, adj.residuals))))
+                if not ok.any():
+                    continue
+                for c in names:
+                    if bundle.fiber(c).dim == 0:
                         continue
-                    res_d = max(res_d, adj.residual, lin)
-                    for c in names:
-                        fc = bundle.fiber(c)
-                        if fc.dim == 0:
-                            continue
-                        abc = g.elements[g.times(g.index(ab), g.index(c))]
-                        bc = g.elements[g.times(g.index(b), g.index(c))]
-                        sbig = np.einsum(
-                            "tpq,p->tq", bundle.mult_tensor(a, bc), x
-                        )
-                        adj_big = adjoint_of(
-                            sbig, bundle.fiber(bc), bundle.fiber(abc),
-                            tol=tol, check_linear=False,
-                        )
-                        if adj_big.adjoint is None:
-                            res_d = max(res_d, adj_big.residual)
-                            continue
-                        lhs = np.einsum(
-                            "tqr,qs->tsr", bundle.mult_tensor(b, c), adj.adjoint
-                        )
-                        rhs = np.einsum(
-                            "ts,sqr->tqr", adj_big.adjoint, bundle.mult_tensor(ab, c)
-                        )
-                        res_d = max(res_d, float(np.abs(lhs - rhs).max()))
+                    abc = g.elements[g.times(g.index(ab), g.index(c))]
+                    bc = g.elements[g.times(g.index(b), g.index(c))]
+                    big, r2 = _exchange_residuals(
+                        adj.adjoints, bundle.mult_tensor(b, c), bundle.mult_tensor(a, bc),
+                        bundle.fiber(bc), bundle.fiber(abc), bundle.mult_tensor(ab, c), tol,
+                    )
+                    r2 = np.where(big.adjointable, r2, big.residuals)
+                    res_d = max(res_d, float(r2[ok].max()))
         axioms["d_adjoint_exchange"] = AxiomCheck(res_d, res_d < 100 * tol)
 
     return ValidationReport(tol, axioms)

@@ -93,6 +93,7 @@ class ReconstructedAlgebra:
         self._star = self._build_star_tensors()
         self._gram = None
         self._gns = None
+        self._table = None
 
     # -- structure tensors -------------------------------------------------
 
@@ -119,15 +120,11 @@ class ReconstructedAlgebra:
     def _build_star_tensors(self):
         tensors = {}
         for a in self.labels:
-            d, m = self.shapes[a]
+            m = self.shapes[a][1]
             sol = self.backend.conjugate_solution(a)
             bar_obj = self.real.atom_object(a, barred=True)
             (target, w), = bar_obj.components
-            partners = np.zeros((self.shapes.get(target, (0, 0))[1], m), dtype=complex)
-            for p in range(m):
-                x = np.zeros(m, dtype=complex)
-                x[p] = 1.0
-                partners[:, p] = self.real.involution_partner(a, x, tol=self.tol)
+            partners = self.real.involution_partners(a, np.eye(m), tol=self.tol).T
             cmat = w.T @ sol.r.conj()
             tensors[a] = (target, cmat, partners)
         return tensors
@@ -295,10 +292,8 @@ class ReconstructedAlgebra:
         return self._gns
 
     def mult_matrix(self, x: GradedElement) -> np.ndarray:
-        cols = []
-        for b in self.basis():
-            cols.append(self.flatten(self.multiply(x, b)))
-        return np.array(cols).T
+        """Matrix of y -> x y on the flat basis."""
+        return np.einsum("i,ijk->kj", self.flatten(x), self.multiplication_table())
 
     def operator_norm(self, x: GradedElement) -> float:
         """Norm of x acting by left multiplication on the Hilbert space
@@ -315,12 +310,23 @@ class ReconstructedAlgebra:
         return {l: [self.shapes[l][0], self.shapes[l][1]] for l in self.labels}
 
     def multiplication_table(self) -> np.ndarray:
-        basis = self.basis()
-        table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                table[i, j] = self.flatten(self.multiply(bi, bj))
-        return table
+        """Entry [i, j] is the flat product of basis elements i and j, with
+        each component pruned as multiply prunes it.  Built once; read-only."""
+        if self._table is None:
+            span = {label: slice(self.offsets[label], self.offsets[label] + d * m)
+                    for label, (d, m) in self.shapes.items()}
+            table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
+            for (a, b), entries in self._product.items():
+                for gamma, wt, phi in entries:
+                    block = np.einsum("cij,rpq->ipjqcr", wt, phi)
+                    table[span[a], span[b], span[gamma]] += block.reshape(
+                        block.shape[0] * block.shape[1], block.shape[2] * block.shape[3], -1)
+            for gamma in self.labels:
+                part = table[:, :, span[gamma]]
+                part[np.abs(part).max(axis=2) <= PRUNE_TOL] = 0.0
+            table.setflags(write=False)
+            self._table = table
+        return self._table
 
     def star_matrix(self) -> np.ndarray:
         basis = self.basis()

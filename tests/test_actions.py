@@ -10,6 +10,7 @@ from qact.fixtures import (
     trivial_action,
 )
 from qact.functors import validate_functor
+from qact.repcat import RANK_TOL
 from qact.actions import (
     Action,
     ActionError,
@@ -365,6 +366,17 @@ def test_null_space_counts_missing_rows():
     assert ker.shape == (4, 5)
     np.testing.assert_allclose(stacked @ ker.T, 0, atol=1e-12)
     np.testing.assert_allclose(ker @ ker.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_null_space_of_tall_stack_matches_full_svd():
+    # 40 equations of rank 3 in six unknowns: the thin SVD keeps the kernel
+    rng = np.random.default_rng(6)
+    stacked = (rng.standard_normal((40, 3)) @ _unitary(6, 4)[:3]) * 2.0
+    ker = null_space(stacked)
+    _, s, vh = np.linalg.svd(stacked)
+    full = vh[int(np.sum(s > RANK_TOL)):].conj()
+    assert ker.shape == full.shape == (3, 6)
+    np.testing.assert_allclose(ker.T @ ker.conj(), full.T @ full.conj(), atol=1e-12)
 
 
 def test_in_span_coordinates_in_rotated_basis():

@@ -7,10 +7,13 @@ from qact.algebras import (
     ContractViolation,
     Correspondence,
     adjoint_of,
+    adjoints_of,
     algebra_as_correspondence,
     internal_tensor,
+    module_linear_residuals,
     zero_correspondence,
 )
+from qact.functors import direct_sum
 
 TOL = 1e-9
 
@@ -237,3 +240,172 @@ def test_zero_correspondence():
     assert z.dim == 0
     out = internal_tensor(z, algebra_as_correspondence(a))
     assert out.product.dim == 0
+
+
+# -- batched kernels against per-map loop references --------------------------
+
+
+def loop_linear_residual(t, m, n):
+    """Right-linearity residual of one map, one unit and basis vector at a time."""
+    worst = 0.0
+    basis = np.eye(m.dim, dtype=complex)
+    for u in m.algebra.basis():
+        for p in range(m.dim):
+            lhs = t @ m.right_mul(basis[p], u)
+            rhs = n.right_mul(t @ basis[p], u)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def loop_adjoint(t, m, n):
+    """(least-squares adjoint, residual) of one map, from the system of all
+    its columns at once: one copy of the coefficient matrix per column."""
+    if m.dim == 0 or n.dim == 0:
+        return np.zeros((m.dim, n.dim), dtype=complex), 0.0
+    nn = m.algebra.n * m.algebra.n
+    target = np.einsum("qp,qsuv->psuv", t.conj(), n.inner_tensor)
+    mat = np.zeros((m.dim, n.dim, m.algebra.n, m.algebra.n, m.dim, n.dim), dtype=complex)
+    for s in range(n.dim):
+        mat[:, s, :, :, :, s] = np.transpose(m.inner_tensor, (0, 2, 3, 1))
+    mat = mat.reshape(m.dim * n.dim * nn, m.dim * n.dim)
+    rhs = target.reshape(-1)
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    return sol.reshape(m.dim, n.dim), float(np.linalg.norm(mat @ sol - rhs))
+
+
+def skewed_copies(algebra, copies, rng):
+    """A^copies on a random non-orthogonal basis, and the change of basis."""
+    base = direct_sum(algebra, [algebra_as_correspondence(algebra)] * copies)
+    d = base.dim
+    p = 3 * np.eye(d) + (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    inv = np.linalg.inv(p)
+    inner = np.einsum("rp,sq,rsuv->pquv", p.conj(), p, base.inner_tensor)
+    return Correspondence(algebra, d, inv @ base.left @ p, inv @ base.right @ p, inner), p
+
+
+def linear_maps(algebra, m, pm, n, pn, count, rng):
+    """Random right-A-linear maps between skewed copies: blocks of left
+    multiplications, conjugated by the changes of basis."""
+    one = algebra_as_correspondence(algebra)
+    out = []
+    for _ in range(count):
+        blocks = [[np.einsum("k,kpq->pq", algebra.coords(random_element(algebra, rng)), one.left)
+                   for _ in range(m.dim // algebra.dim)] for _ in range(n.dim // algebra.dim)]
+        out.append(np.linalg.inv(pn) @ np.block(blocks) @ pm)
+    return np.array(out)
+
+
+def assert_matches_loop(maps, m, n, batch, lin):
+    for i, t in enumerate(maps):
+        # both sides are rounding noise where they vanish: compare at the map's scale
+        scale = max(1.0, float(np.linalg.norm(t)))
+        assert abs(lin[i] - loop_linear_residual(t, m, n)) < 1e-12 * scale
+        adj, resid = loop_adjoint(t, m, n)
+        assert abs(batch.residuals[i] - resid) < 1e-12 * scale
+        np.testing.assert_allclose(batch.adjoints[i], adj, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("copies", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_batched_kernels_match_loop_on_random_correspondences(copies):
+    a = BlockAlgebra((2, 1))
+    rng = np.random.default_rng(sum(copies))
+    m, pm = skewed_copies(a, copies[0], rng)
+    n, pn = skewed_copies(a, copies[1], rng)
+    maps = linear_maps(a, m, pm, n, pn, 4, rng)
+    batch = adjoints_of(maps, m, n, TOL)
+    lin = module_linear_residuals(maps, m, n)
+    assert_matches_loop(maps, m, n, batch, lin)
+    assert batch.adjointable.all() and lin.max() < 1e-10
+    # the defining identity <T m_p, n_s> = <m_p, T* n_s> on the bases
+    for t, adj in zip(maps, batch.adjoints):
+        lhs = np.einsum("qp,qsuv->psuv", t.conj(), n.inner_tensor)
+        rhs = np.einsum("rs,pruv->psuv", adj, m.inner_tensor)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+def test_batched_kernels_flag_only_the_non_linear_map():
+    a = BlockAlgebra((2, 1))
+    rng = np.random.default_rng(7)
+    m, pm = skewed_copies(a, 1, rng)
+    good = linear_maps(a, m, pm, m, pm, 2, rng)
+    maps = np.array([good[0], rng.standard_normal((m.dim, m.dim)), good[1]])
+    batch = adjoints_of(maps, m, m, TOL)
+    lin = module_linear_residuals(maps, m, m)
+    assert_matches_loop(maps, m, m, batch, lin)
+    assert lin[1] > TOL and lin[0] < TOL and lin[2] < TOL
+    assert batch.residuals[1] > TOL
+    assert batch.adjoint(1) is None
+    assert batch.adjoint(0) is not None and batch.adjoint(2) is not None
+    # the one-map call agrees with its slot of the batch
+    single = adjoint_of(maps[0], m, m)
+    np.testing.assert_array_equal(single.adjoint, batch.adjoints[0])
+
+
+def test_batched_kernels_on_zero_dimensional_carriers():
+    a = BlockAlgebra((2, 1))
+    m = algebra_as_correspondence(a)
+    z = zero_correspondence(a)
+    for src, tgt in ((m, z), (z, m), (z, z)):
+        maps = np.zeros((3, tgt.dim, src.dim), dtype=complex)
+        batch = adjoints_of(maps, src, tgt, TOL)
+        assert batch.adjoints.shape == (3, src.dim, tgt.dim)
+        assert batch.adjointable.all()
+        np.testing.assert_array_equal(batch.residuals, 0.0)
+        np.testing.assert_array_equal(module_linear_residuals(maps, src, tgt), 0.0)
+    assert adjoints_of(np.zeros((0, m.dim, m.dim)), m, m, TOL).adjoints.shape == (0, m.dim, m.dim)
+
+
+def loop_validate(corr, tol=1e-9):
+    """Correspondence.validate, one basis pair and unit at a time."""
+    a = corr.algebra
+    units = a.basis()
+    worst_act = worst_comm = worst_star = worst_lin = 0.0
+    eye = a.identity()
+    for x in np.eye(corr.dim, dtype=complex):
+        worst_act = max(worst_act, np.linalg.norm(corr.left_mul(eye, x) - x),
+                        np.linalg.norm(corr.right_mul(x, eye) - x))
+    for u in units:
+        for v in units:
+            lu, lv, luv = (np.einsum("k,kpq->pq", a.coords(w), corr.left) for w in (u, v, u @ v))
+            ru, rv, ruv = (np.einsum("k,kpq->pq", a.coords(w), corr.right) for w in (u, v, u @ v))
+            worst_act = max(worst_act, np.linalg.norm(lu @ lv - luv),
+                            np.linalg.norm(rv @ ru - ruv))
+            worst_comm = max(worst_comm, np.linalg.norm(lu @ rv - rv @ lu))
+    basis = np.eye(corr.dim, dtype=complex)
+    for p in range(corr.dim):
+        for q in range(corr.dim):
+            ip = corr.inner(basis[p], basis[q])
+            worst_star = max(worst_star,
+                             np.linalg.norm(ip.conj().T - corr.inner(basis[q], basis[p])),
+                             np.linalg.norm(ip - a.project(ip)))
+            for u in units:
+                lhs = corr.inner(basis[p], corr.right_mul(basis[q], u))
+                worst_lin = max(worst_lin, np.linalg.norm(lhs - ip @ u))
+                lhs2 = corr.inner(corr.left_mul(u, basis[p]), basis[q])
+                rhs2 = corr.inner(basis[p], corr.left_mul(u.conj().T, basis[q]))
+                worst_lin = max(worst_lin, np.linalg.norm(lhs2 - rhs2))
+    return {"actions": worst_act, "left_right_commute": worst_comm,
+            "inner_hermitian": worst_star, "inner_module_linear": worst_lin}
+
+
+def corpus_modules():
+    from qact.actions import spectral_functor
+    from qact.fixtures import action_corpus, clock_shift_bundle, standard_backends, zero_odd_bundle
+
+    backends = standard_backends()
+    out = []
+    for name, (bk, act) in sorted(action_corpus().items()):
+        for label, mod in spectral_functor(backends[bk], act).functor.modules.items():
+            out.append((f"{name}:{label}", mod))
+    for name, bundle in (("clock_shift_z3", clock_shift_bundle(3)), ("zero_odd", zero_odd_bundle())):
+        out += [(f"{name}:{g}", fib) for g, fib in bundle.fibers.items()]
+    return out
+
+
+def test_validate_matches_loop_on_corpus_modules():
+    rng = np.random.default_rng(8)
+    skewed = [(f"skewed{k}", skewed_copies(BlockAlgebra((2, 1)), k, rng)[0]) for k in (1, 2)]
+    for name, mod in corpus_modules() + skewed:
+        rep = mod.validate(TOL)
+        for key, val in loop_validate(mod, TOL).items():
+            assert abs(rep[key] - val) < 1e-12, (name, key)

@@ -49,6 +49,7 @@ def test_fixture_corpus_exists():
     ("deform", "--backend", "backends/dual_z2z2.json",
      "--input", "actions/z2z2_group_algebra.json",
      "--input", "cocycles/bicharacter_z2z2.json", "--cross-test"),
+    ("validate-graded", "--input", "bundles/m2_plus_c.json"),
 ])
 def test_verbs_pass_on_fixtures(args, tmp_path):
     full = []
@@ -75,6 +76,36 @@ def test_action_verbs_on_whole_corpus(name, verb, tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert data["verb"] == verb and "error" not in data
+
+
+@pytest.mark.parametrize("verb", ["validate", "build"])
+@pytest.mark.parametrize("name", sorted(action_corpus()))
+def test_functor_verbs_on_whole_corpus(name, verb, tmp_path):
+    from qact import serialize
+    from qact.actions import spectral_functor
+    from qact.fixtures import standard_backends
+
+    bk, act = action_corpus()[name]
+    functor = spectral_functor(standard_backends()[bk], act).functor
+    path = tmp_path / "functor.json"
+    serialize.dump_json(serialize.functor_to_json(functor), path)
+    report = tmp_path / "report.json"
+    code = cli.main([verb, "--backend", str(FIXTURES / "backends" / f"{bk}.json"),
+                     "--input", str(path), "--report", str(report)])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["validation"]["passed"]
+    assert verb == "validate" or data["build"]["passed"]
+    # axiom (v) reports one adjoint check per basis vector and pair, and one
+    # exchange check per basis vector and triple, of nonzero modules
+    labels = [l for l in functor.backend.labels if functor.module(l).dim]
+    expected = set()
+    for a in labels:
+        for b in labels:
+            for p in range(functor.module(a).dim):
+                expected.add(f"adjoint:{a},{b}:{p}")
+                expected.update(f"exchange:{a},{b},{c}:{p}" for c in labels)
+    assert set(data["validation"]["axioms"]["v_adjointability"]["checks"]) == expected
 
 
 def test_committed_fixtures_are_fresh(tmp_path):

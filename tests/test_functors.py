@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from qact.algebras import BlockAlgebra, algebra_as_correspondence, zero_correspondence
+from qact.algebras import (
+    BlockAlgebra,
+    Correspondence,
+    algebra_as_correspondence,
+    zero_correspondence,
+)
 from qact.fixtures import (
     action_corpus,
     c3_swap_grading,
     clock_shift_bundle,
+    m2_plus_c_bundle,
     standard_backends,
     zero_odd_bundle,
 )
@@ -273,9 +279,54 @@ def test_validate_graded_broken_associativity():
     assert not rep.axioms["c_associativity"].passed
 
 
+def test_validate_graded_checks_exchange_when_not_surjective():
+    # odd times odd misses the C block of M_2 (+) C; values pinned before the
+    # exchange check was batched
+    rep = validate_graded(m2_plus_c_bundle())
+    d = rep.axioms["d_adjoint_exchange"]
+    assert rep.passed and "skipped" not in d.detail
+    assert d.residual == 0.0
+
+
+def skewed_odd_fiber(bundle, seed):
+    """The same bundle on a random non-orthogonal basis of the odd fiber."""
+    rng = np.random.default_rng(seed)
+    p = np.eye(2) + (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / 2
+    inv = np.linalg.inv(p)
+    odd = bundle.fibers["1"]
+    inner = np.einsum("rp,sq,rsuv->pquv", p.conj(), p, odd.inner_tensor)
+    bundle.fibers["1"] = Correspondence(odd.algebra, 2, inv @ odd.left @ p,
+                                        inv @ odd.right @ p, inner)
+    change = {"0": (np.eye(3), np.eye(3)), "1": (p, inv)}
+    for (a, b), t in list(bundle.mult.items()):
+        ab = str((int(a) + int(b)) % 2)
+        bundle.mult[(a, b)] = np.einsum("st,tpq,pi,qj->sij", change[ab][1], t,
+                                        change[a][0], change[b][0])
+    return bundle
+
+
+def test_validate_graded_exchange_on_skewed_basis():
+    rep = validate_graded(skewed_odd_fiber(m2_plus_c_bundle(), 0))
+    d = rep.axioms["d_adjoint_exchange"]
+    assert rep.passed and "skipped" not in d.detail
+    assert d.residual < 1e-12
+
+
+def test_validate_graded_exchange_detects_broken_product():
+    # perturb odd times odd inside the M_2 block only: still not surjective
+    bundle = m2_plus_c_bundle()
+    rng = np.random.default_rng(0)
+    t = bundle.mult[("1", "1")].copy()
+    t[:2] += 1e-3 * rng.standard_normal((2, 2, 2))
+    bundle.mult[("1", "1")] = t
+    d = validate_graded(bundle).axioms["d_adjoint_exchange"]
+    assert not d.passed and "skipped" not in d.detail
+    assert abs(d.residual - 0.00114328628169965) < 1e-12
+
+
 def test_from_graded_outputs_validate():
     for bundle in (group_algebra_bundle(cyclic_group(3)), clock_shift_bundle(3),
-                   zero_odd_bundle()):
+                   zero_odd_bundle(), m2_plus_c_bundle()):
         functor = from_graded(bundle)
         assert validate_functor(functor).passed
 
