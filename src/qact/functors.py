@@ -124,6 +124,7 @@ class Realization:
         self.backend = functor.backend
         self._objects: dict = {}
         self._f2: dict = {}
+        self._fusion: dict = {}
 
     def object(self, atoms) -> WordObject:
         atoms = tuple(atoms)
@@ -169,6 +170,18 @@ class Realization:
                 out[tgt.slot(k), src.slot(j)] = scalar * np.eye(mod_dim)
         return out
 
+    def _fusion_data(self, alpha: str, beta: str, gamma: str):
+        """The basis of Mor(alpha x beta, gamma) and the multiplication
+        tensors stored against it, looked up and shape-checked once per
+        fusion triple; the tensors are [] when the basis is empty."""
+        key = (alpha, beta, gamma)
+        if key not in self._fusion:
+            b = self.backend
+            basis = b.mor_basis(b.tensor(b.atom(alpha), b.atom(beta)), b.atom(gamma))
+            tensors = self.functor.phi_tensors(alpha, beta, gamma) if basis else []
+            self._fusion[key] = (basis, tensors)
+        return self._fusion[key]
+
     def f2_tensor(self, left: WordObject, right: WordObject) -> np.ndarray:
         """The multiplication map F(left) (x) F(right) -> F(left * right) as a
         dense (target, left, right) tensor."""
@@ -189,14 +202,14 @@ class Realization:
                     mj = self.functor.module(lj).dim
                     if mj == 0:
                         continue
-                    pair = self.backend.tensor(
-                        self.backend.atom(li), self.backend.atom(lj)
-                    )
-                    basis = self.backend.mor_basis(pair, self.backend.atom(lk))
+                    basis, tensors = self._fusion_data(li, lj, lk)
                     if not basis:
                         continue
-                    compressed = wk.conj().T @ np.kron(ui, vj)
-                    tensors = self.functor.phi_tensors(li, lj, lk)
+                    # the Kronecker product of the two isometries
+                    kron = (ui[:, None, :, None] * vj[None, :, None, :]).reshape(
+                        ui.shape[0] * vj.shape[0], ui.shape[1] * vj.shape[1]
+                    )
+                    compressed = wk.conj().T @ kron
                     block = np.zeros((gamma_dim, mi, mj), dtype=complex)
                     for t_m, phi_m in zip(basis, tensors):
                         coeff = np.trace(t_m.conj().T @ compressed)
@@ -310,6 +323,18 @@ def _unit_axiom_residual(real: Realization) -> float:
     return worst
 
 
+def _isometry_residual(t: np.ndarray, inner: np.ndarray, ma: Correspondence,
+                       mb: Correspondence) -> float:
+    """Largest entry of <t(x (x) y), t(x' (x) y')> - <x (x) y, x' (x) y'> for
+    a multiplication tensor t : M_a (x) M_b -> M_c, where inner is the inner
+    tensor of M_c; contracted one operand at a time."""
+    half = np.einsum("srz,tsuv->trzuv", t, inner)
+    lhs = np.einsum("tpq,trzuv->pqrzuv", t.conj(), half)
+    n = inner.shape[-1]
+    lhs = lhs.reshape(ma.dim * mb.dim, ma.dim * mb.dim, n, n)
+    return float(np.abs(lhs - tensor_semi_inner(ma, mb)).max())
+
+
 def _exchange_residuals(adjoints, t_bc, t_a_bc, bc, abc, t_ab_c, tol):
     """The exchange identity F_2(S_p* y (x) z) = S_p* F_2(y (x) z) for a
     stack of adjoints S_p* : F(ab) -> F(b), one per basis vector m_p of F(a).
@@ -380,16 +405,10 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
             if ma.dim == 0 or mb.dim == 0:
                 continue
             oa, ob = real.atom_object(a), real.atom_object(b)
-            t2 = real.f2_tensor(oa, ob)
             target = real.object(oa.atoms + ob.atoms)
-            lhs = np.einsum(
-                "tpq,srz,tsuv->pqrzuv",
-                t2.conj(),
-                t2,
-                target.carrier.inner_tensor,
-            ).reshape(ma.dim * mb.dim, ma.dim * mb.dim, functor.algebra.n, functor.algebra.n)
-            rhs = tensor_semi_inner(ma, mb)
-            r = float(np.abs(lhs - rhs).max())
+            r = _isometry_residual(
+                real.f2_tensor(oa, ob), target.carrier.inner_tensor, ma, mb
+            )
             detail_ii[f"{a},{b}"] = r
             res_ii = max(res_ii, r)
     axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
@@ -541,11 +560,7 @@ def validate_graded(bundle: GradedBundle, tol: float = 1e-9) -> ValidationReport
             ab = g.elements[g.times(g.index(a), g.index(b))]
             fab = bundle.fiber(ab)
             t = bundle.mult_tensor(a, b)
-            lhs = np.einsum(
-                "tpq,srz,tsuv->pqrzuv", t.conj(), t, fab.inner_tensor
-            ).reshape(fa.dim * fb.dim, fa.dim * fb.dim, bundle.algebra.n, bundle.algebra.n)
-            rhs = tensor_semi_inner(fa, fb)
-            res_iso = max(res_iso, float(np.abs(lhs - rhs).max()))
+            res_iso = max(res_iso, _isometry_residual(t, fab.inner_tensor, fa, fb))
             if fab.dim and np.linalg.matrix_rank(t.reshape(fab.dim, -1), tol=1e-8) < fab.dim:
                 surjective = False
     axioms["isometry"] = AxiomCheck(res_iso, res_iso < tol)

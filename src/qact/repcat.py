@@ -7,6 +7,15 @@ by group elements).  Both expose the same category operations: morphism
 spaces, Haar averaging, decomposition into irreducibles, and conjugation
 data.
 
+Multiplicities come from characters before any SVD.  The character of a
+word is the vector chi_u(g) = tr U(g) over the group for the group kind,
+and the count of basis vectors in each grade for the dual kind; the
+backend caches it per word, next to the table of irreducible characters.
+dim Mor(u, v) is then <chi_u, chi_v>/|G| (Schur orthogonality), or the
+number of matching grade pairs.  ``mor_basis`` skips the SVD when this count
+is 0, and otherwise checks the rank of its thresholded SVD against it, so
+the count certifies every rank decision and is never just trusted.
+
 Every irreducible carries a positive matrix ``rho`` implementing the
 modular data of conjugation.  The supported backends all have rho = 1,
 but the formulas below use the stored rho throughout, so synthetic
@@ -102,6 +111,8 @@ class Backend:
         self._rep_cache: dict = {}
         self._mor_cache: dict = {}
         self._dec_cache: dict = {}
+        self._char_cache: dict = {}
+        self._char_table: np.ndarray | None = None
 
     # -- table structure ------------------------------------------------
 
@@ -230,6 +241,35 @@ class Backend:
             rep = self.tensor(rep, self.atom(*a))
         return rep
 
+    # -- characters ---------------------------------------------------------
+
+    def character(self, u: Rep) -> np.ndarray:
+        """The character of a word, cached: tr U(g) per group element for
+        the group kind, the number of basis vectors of each grade for the
+        dual kind."""
+        chi = self._char_cache.get(u.atoms)
+        if chi is None:
+            if self.kind == "group":
+                chi = np.einsum("gii->g", u.matrices)
+            else:
+                grades = np.asarray(u.grades, dtype=int)
+                chi = np.bincount(grades, minlength=self.group.order).astype(complex)
+            self._char_cache[u.atoms] = chi
+        return chi
+
+    def _count(self, inner) -> np.ndarray:
+        """Multiplicities from raw character inner products."""
+        if self.kind == "group":
+            inner = inner / self.group.order
+        return np.rint(np.real(inner)).astype(int)
+
+    def multiplicity(self, u: Rep, v: Rep) -> int:
+        """dim Mor(u, v) from characters: <chi_u, chi_v>/|G| for the group
+        kind, the number of matching grade pairs for the dual kind."""
+        if u.backend is not v.backend:
+            raise BackendError("representations live over different backends")
+        return int(self._count(np.vdot(self.character(u), self.character(v))))
+
     # -- category operations ----------------------------------------------
 
     def haar_average(self, u: Rep, v: Rep, seed: np.ndarray) -> np.ndarray:
@@ -257,13 +297,20 @@ class Backend:
     def mor_basis(self, u: Rep, v: Rep) -> list[np.ndarray]:
         """Orthonormal basis (trace inner product) of the intertwiner space
         Mor(u, v), computed by averaging a full matrix-unit basis and
-        extracting the span by singular-value thresholding."""
+        extracting the span by singular-value thresholding.
+
+        The character count ``multiplicity(u, v)`` comes first: when it is 0
+        the basis is empty and no SVD runs.  Otherwise the number of
+        singular values above RANK_TOL must equal the count; if it does not,
+        the matrices are not a representation and BackendError is raised.
+        """
         if u.backend is not v.backend:
             raise BackendError("representations live over different backends")
         key = (u.atoms, v.atoms)
         if key in self._mor_cache:
             return self._mor_cache[key]
-        if u.dim == 0 or v.dim == 0:
+        count = self.multiplicity(u, v)
+        if count == 0:
             basis = []
         elif self.kind == "group":
             # columns of the averaging superoperator are the projected units
@@ -271,6 +318,11 @@ class Backend:
             sup = sup.reshape(v.dim * u.dim, v.dim * u.dim) / self.group.order
             w, s, _ = np.linalg.svd(sup)
             rank = int(np.sum(s > RANK_TOL))
+            if rank != count:
+                raise BackendError(
+                    f"Mor({u}, {v}): SVD rank {rank} differs from the character "
+                    f"count {count}; the matrices are not a representation"
+                )
             basis = [w[:, k].reshape(v.dim, u.dim) for k in range(rank)]
         else:
             basis = []
@@ -293,6 +345,10 @@ class Backend:
         Trace-orthonormal intertwiners S_i from an irreducible into u satisfy
         S_i* S_j = (delta_ij / d) id by Schur's lemma, so sqrt(d) S_i are the
         required isometries; no further orthogonalization is needed.
+
+        The multiplicities of all irreducibles come from one product of the
+        character table with chi_u; ``mor_basis`` (and its rank check) runs
+        only for the labels that occur, in label order.
         """
         if u.atoms in self._dec_cache:
             return self._dec_cache[u.atoms]
@@ -300,8 +356,15 @@ class Backend:
             # an irreducible from the table decomposes as itself, on the nose
             out = [(u.atoms[0][0], np.eye(u.dim, dtype=complex))]
         else:
+            if self._char_table is None:
+                self._char_table = np.array(
+                    [self.character(self.atom(label)) for label in self.labels]
+                ).conj()
+            counts = self._count(self._char_table @ self.character(u))
             out = []
-            for label in self.labels:
+            for label, count in zip(self.labels, counts):
+                if count == 0:
+                    continue
                 a = self.atom(label)
                 for s in self.mor_basis(a, u):
                     out.append((label, np.sqrt(a.dim) * s))

@@ -83,6 +83,33 @@ def test_mutation_breaks_associativity(backends):
     assert 1e-4 < resid < 1e-1
 
 
+def test_f2_tensor_looks_up_each_fusion_triple_once(backends, monkeypatch):
+    bk, act = action_corpus()["s3_translation"]
+    functor = spectral_functor(backends[bk], act).functor
+    lookup = functor.phi_tensors
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return lookup(*key)
+
+    monkeypatch.setattr(functor, "phi_tensors", counted)
+    real = Realization(functor)
+    std = real.atom_object("std")
+    ss = real.object(std.atoms * 2)
+    # std occurs three times in std^3 and twice in the carrier pairs below,
+    # so every triple with std in it is met in several blocks
+    for left, right in ((ss, std), (std, ss), (ss, ss)):
+        real.f2_tensor(left, right)
+    backend = functor.backend
+    labels = backend.labels
+    fusion = {
+        (a, b, c) for a in labels for b in labels for c in labels
+        if backend.mor_dim(backend.tensor(backend.atom(a), backend.atom(b)), backend.atom(c))
+    }
+    assert sorted(calls) == sorted(fusion)
+
+
 def test_missing_phi_tensor_named(backends):
     functor = from_graded(group_algebra_bundle(cyclic_group(2)))
     del functor.phi[("1", "1", "0")]

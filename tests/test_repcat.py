@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qact.cocycles import TwistedBackend
+from qact.fixtures import bicharacter_cocycle, group_backend_bicharacter_cocycle
 from qact.groups import GroupError, cyclic_group, direct_product, symmetric_group
 from qact.repcat import (
+    RANK_TOL,
     Backend,
+    BackendError,
     DimensionError,
     Irrep,
     abelian_product_backend,
@@ -265,3 +271,116 @@ def test_mor_space_backend_mismatch(s3):
     other = symmetric3_backend()
     with pytest.raises(Exception, match="different backends"):
         s3.mor_basis(s3.atom("std"), other.atom("std"))
+
+
+# -- character counts against the SVD of every label --------------------------
+
+
+def reference_mor_basis(backend, u, v):
+    """Mor(u, v) without character counts: the thresholded SVD of the
+    averaging map for the group kind, grade matching for the dual kind."""
+    if isinstance(backend, TwistedBackend):
+        tu, tv = backend.twist_matrix(u), backend.twist_matrix(v)
+        base = reference_mor_basis(
+            backend.base, backend.base.word(u.atoms), backend.base.word(v.atoms)
+        )
+        return [tv @ t @ tu.conj().T for t in base]
+    if backend.kind == "dual":
+        basis = []
+        for k in range(v.dim):
+            for l in range(u.dim):
+                if v.grades[k] == u.grades[l]:
+                    e = np.zeros((v.dim, u.dim), dtype=complex)
+                    e[k, l] = 1.0
+                    basis.append(e)
+        return basis
+    sup = np.einsum("gki,glj->klij", v.matrices, u.matrices.conj())
+    sup = sup.reshape(v.dim * u.dim, v.dim * u.dim) / backend.group.order
+    w, s, _ = np.linalg.svd(sup)
+    return [w[:, k].reshape(v.dim, u.dim) for k in range(int(np.sum(s > RANK_TOL)))]
+
+
+def reference_decompose(backend, u):
+    """The decomposition with one SVD for every label."""
+    if isinstance(backend, TwistedBackend):
+        tu = backend.twist_matrix(u)
+        base = reference_decompose(backend.base, backend.base.word(u.atoms))
+        return [(label, tu @ w) for label, w in base]
+    if len(u.atoms) == 1 and not u.atoms[0][1]:
+        return [(u.atoms[0][0], np.eye(u.dim, dtype=complex))]
+    out = []
+    for label in backend.labels:
+        a = backend.atom(label)
+        for s in reference_mor_basis(backend, a, u):
+            out.append((label, np.sqrt(a.dim) * s))
+    return out
+
+
+def z2z2_dual():
+    return dual_backend(direct_product(cyclic_group(2), cyclic_group(2)))
+
+
+@pytest.mark.parametrize("make", [
+    symmetric3_backend,
+    lambda: cyclic_backend(4),
+    lambda: abelian_product_backend([2, 2]),
+    lambda: dual_backend(cyclic_group(3)),
+    z2z2_dual,
+    lambda: TwistedBackend(z2z2_dual(), bicharacter_cocycle([2, 2])),
+    lambda: TwistedBackend(abelian_product_backend([2, 2]),
+                           group_backend_bicharacter_cocycle()),
+], ids=["s3", "z4", "z2z2", "dual_z3", "dual_z2z2", "twisted_dual_z2z2",
+        "twisted_z2z2"])
+def test_character_counts_match_svd_of_every_label(make):
+    backend = make()
+    atoms = [(label, barred) for label in backend.labels for barred in (False, True)]
+    words = [w for n in (1, 2, 3) for w in itertools.product(atoms, repeat=n)]
+    for word in words:
+        u = backend.word(word)
+        got, want = backend.decompose(u), reference_decompose(backend, u)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, w1), (_, w2) in zip(got, want):
+            assert np.array_equal(w1, w2)
+        for label in backend.labels:
+            a = backend.atom(label)
+            basis = backend.mor_basis(a, u)
+            assert len(basis) == len(reference_mor_basis(backend, a, u))
+            for t1, t2 in zip(basis, reference_mor_basis(backend, a, u)):
+                assert np.array_equal(t1, t2)
+            assert backend.mor_dim(a, u) == backend.multiplicity(a, u)
+
+
+def test_character_count_with_multiplicity_three(s3):
+    std = ("std", False)
+    u = s3.word([std, std, std])
+    assert s3.multiplicity(s3.atom("std"), u) == 3
+    assert [s3.multiplicity(s3.atom(label), u) for label in s3.labels] == [1, 1, 3]
+    assert [label for label, _ in s3.decompose(u)] == ["triv", "sign", "std", "std", "std"]
+
+
+def test_mor_basis_rank_guard():
+    # not a representation: its character count against the trivial label
+    # rounds to 1, but the averaging map has rank 2
+    group = cyclic_group(2)
+    triv = Irrep("triv", 1, np.ones((2, 1, 1), dtype=complex), np.eye(1, dtype=complex), "triv")
+    mats = np.array([np.eye(2), np.diag([1.0, -0.8])], dtype=complex)
+    fake = Irrep("fake", 2, mats, np.eye(2, dtype=complex), "fake")
+    backend = Backend("group", group, [triv, fake])
+    assert backend.multiplicity(backend.atom("triv"), backend.atom("fake")) == 1
+    with pytest.raises(BackendError, match="character count"):
+        backend.mor_basis(backend.atom("triv"), backend.atom("fake"))
+
+
+def test_decompose_runs_the_svd_only_for_occurring_labels(monkeypatch):
+    backend = cyclic_backend(12)
+    u = backend.word([("chi1", False), ("chi2", False), ("chi5", True)])
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert [label for label, _ in backend.decompose(u)] == ["chi10"]
+    assert len(calls) == 1
