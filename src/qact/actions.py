@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import BlockAlgebra, Correspondence
+from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
 from .blockdecomp import SubalgebraBlocks, decompose_star_algebra
 from .functors import TensorFunctorData
 from .groups import GroupPresentation
@@ -129,13 +129,22 @@ class Action:
         return rep
 
 
-def _outside_span(vec: np.ndarray, rows: np.ndarray) -> float:
-    if np.linalg.norm(vec) < 1e-14:
+def _outside_span(vecs: np.ndarray, rows: np.ndarray) -> float:
+    """The largest distance of a vector, or of the columns of a matrix,
+    from the span of the rows; vectors of norm below 1e-14 count as 0."""
+    vecs = vecs.reshape(len(vecs), -1)
+    norms = np.linalg.norm(vecs, axis=0)
+    vecs = vecs[:, norms >= 1e-14]
+    if vecs.shape[1] == 0:
         return 0.0
     if rows.size == 0:
-        return float(np.linalg.norm(vec))
-    coef, *_ = np.linalg.lstsq(rows.T, vec, rcond=None)
-    return float(np.linalg.norm(rows.T @ coef - vec))
+        return float(norms.max())
+    coef, *_ = np.linalg.lstsq(rows.T, vecs, rcond=None)
+    return float(np.linalg.norm(rows.T @ coef - vecs, axis=0).max())
+
+
+def _worst(diff: np.ndarray) -> float:
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def _check_backend(backend: Backend, act: Action) -> None:
@@ -344,13 +353,10 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
             (b.dim, alg.dim), False,
         )
 
+    # column (i, p) of a label's block is component i of its basis vector p
     phi = np.zeros((b.dim, alg.dim), dtype=complex)
-    for label in alg.labels:
-        basis = spec.bases[label]
-        d, m = alg.shapes[label]
-        for i in range(d):
-            for p in range(m):
-                phi[:, alg.offsets[label] + i * m + p] = basis[p, i]
+    for label, span in alg.spans.items():
+        phi[:, span] = spec.bases[label].transpose(1, 0, 2).reshape(-1, b.dim).T
 
     residuals: dict[str, float] = {}
     sv = np.linalg.svd(phi, compute_uv=False)
@@ -360,21 +366,16 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     def to_b(x: GradedElement) -> np.ndarray:
         return b.from_coords(phi @ alg.flatten(x))
 
-    basis_elements = alg.basis()
-    worst_mult = 0.0
-    for x in basis_elements:
-        for y in basis_elements:
-            lhs = to_b(alg.multiply(x, y))
-            rhs = to_b(x) @ to_b(y)
-            worst_mult = max(worst_mult, float(np.abs(lhs - rhs).max()))
-    residuals["multiplicative"] = worst_mult
-
-    worst_star = 0.0
-    for x in basis_elements:
-        worst_star = max(worst_star, float(np.abs(
-            to_b(alg.star(x)) - to_b(x).conj().T
-        ).max()))
-    residuals["star"] = worst_star
+    # coordinates in B of the images of the basis products, and of the
+    # products of the images of the basis
+    table = alg.multiplication_table()
+    images = np.tensordot(phi, np.tensordot(phi, b.structure_tensor(), axes=(0, 0)),
+                          axes=(0, 1)).transpose(1, 0, 2)
+    residuals["multiplicative"] = worst_mult = _worst(table @ phi.T - images)
+    # row i: the image of the star of basis element i, and the adjoint of
+    # the image of basis element i
+    stars = alg.star_flat(np.eye(alg.dim)) @ phi.T
+    residuals["star"] = worst_star = _worst(stars - phi.T.conj()[:, b.star_permutation()])
 
     worst_unit = float(np.abs(to_b(alg.unit()) - b.identity()).max())
     worst_fixed = 0.0
@@ -390,20 +391,16 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
 
     worst_eq = 0.0
     if act.kind == "automorphism":
-        for g in act.group.elements:
-            for x in basis_elements:
-                lhs = to_b(alg.coaction_at(g, x))
-                ginv = act.group.elements[act.group.inv(act.group.index(g))]
-                rhs = act.apply(ginv, to_b(x))
-                worst_eq = max(worst_eq, float(np.abs(lhs - rhs).max()))
+        g = act.group
+        for gi in range(g.order):
+            # row i: the image of the coaction at g of basis element i, and
+            # alpha_{g^-1} applied to the image of basis element i
+            coacted = alg.prune(alg.coaction_matrix(gi).T) @ phi.T
+            moved = (act.map_matrix(g.elements[g.inv(gi)]) @ phi).T
+            worst_eq = max(worst_eq, _worst(coacted - moved))
     else:
-        for label in alg.labels:
-            rows = act.component_rows(label)
-            for x in basis_elements:
-                if label not in x.parts:
-                    continue
-                vec = b.coords(to_b(x))
-                worst_eq = max(worst_eq, _outside_span(vec, rows))
+        for label, span in alg.spans.items():
+            worst_eq = max(worst_eq, _outside_span(phi[:, span], act.component_rows(label)))
     residuals["equivariance"] = worst_eq
 
     passed = bool(
@@ -488,15 +485,8 @@ class EquivariantModule:
 def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
     """The algebra as a module over itself."""
     b = act.algebra
-    units = b.basis()
-    right = np.zeros((b.dim, b.dim, b.dim), dtype=complex)
-    inner = np.zeros((b.dim, b.dim, b.n, b.n), dtype=complex)
-    for k, u in enumerate(units):
-        for q, v in enumerate(units):
-            right[k, :, q] = b.coords(v @ u)
-    for p, u in enumerate(units):
-        for q, v in enumerate(units):
-            inner[p, q] = u.conj().T @ v
+    regular = algebra_as_correspondence(b)
+    right, inner = regular.right, regular.inner_tensor
     if act.kind == "automorphism":
         com = {x: act.map_matrix(x) for x in act.group.elements}
         return EquivariantModule(act, b.dim, right, inner, comodule=com,
@@ -999,16 +989,6 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     a = alg.algebra
     dim = alg.dim
 
-    def coact_matrix(gi: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for label in alg.labels:
-            d, m = alg.shapes[label]
-            off = alg.offsets[label]
-            u = backend.irrep(label).matrices[gi]
-            block = np.kron(u.T, np.eye(m))
-            out[off:off + d * m, off:off + d * m] = block
-        return out
-
     bases: dict[str, np.ndarray] = {}
     for label in backend.labels:
         dl = backend.irrep(label).dim
@@ -1020,24 +1000,24 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
             mats = backend.irrep(label).matrices
             # the coaction evaluated at g is the automorphism of g^{-1}
             basis = null_space(np.vstack([
-                np.kron(mats[gi], coact_matrix(backend.group.inv(gi))) - eye
+                np.kron(mats[gi], alg.coaction_matrix(backend.group.inv(gi))) - eye
                 for gi in range(backend.group.order)
             ]))
             bases[label] = basis.reshape(-1, dl, dim)
-        elif label in alg.shapes:
-            _, m = alg.shapes[label]
-            off = alg.offsets[label]
-            bases[label] = np.eye(dim, dtype=complex)[off:off + m].reshape(m, 1, dim)
+        elif label in alg.spans:
+            span = alg.spans[label]
+            bases[label] = np.eye(dim, dtype=complex)[span].reshape(-1, 1, dim)
         else:
             bases[label] = np.zeros((0, 1, dim))
 
     def pairing(xs, ys):
-        return alg.expectation(
-            sum((alg.multiply(alg.star(x), y) for x, y in zip(xs, ys)), alg.zero())
-        )
+        # summed as GradedElements sum: pruned after each addition
+        total, *rest = alg.multiply_flat(alg.star_flat(np.array(xs)), np.array(ys))
+        for term in rest:
+            total = alg.prune(total + term)
+        return alg.expectation_flat(total)
 
-    functor = functor_from_subspaces(backend, a, bases, alg.unflatten,
-                                     lambda x, y: alg.flatten(alg.multiply(x, y)),
+    functor = functor_from_subspaces(backend, a, bases, alg.prune, alg.multiply_flat,
                                      pairing, f"spectral-of:{alg.functor.name}")
     return functor, bases
 

@@ -69,26 +69,27 @@ class BlockAlgebra:
         return units
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of an element in the matrix-unit basis."""
-        mat = np.asarray(mat, dtype=complex)
-        vec = np.zeros(self.dim, dtype=complex)
-        k = 0
-        for off, b in zip(self.offsets(), self.blocks):
-            vec[k:k + b * b] = mat[off:off + b, off:off + b].reshape(-1)
-            k += b * b
-        return vec
+        """Coordinates in the matrix-unit basis of an element, or of each
+        element of a stack (..., n, n)."""
+        rows, cols = _unit_positions(self.blocks)
+        return np.asarray(mat, dtype=complex)[..., rows, cols]
 
     def structure_tensor(self) -> np.ndarray:
         """Coordinates of the products of matrix units: entry [k, l, m] is
         coordinate m of u_k u_l.  Cached per block structure, read-only."""
         return _structure_tensor(self.blocks)
 
+    def star_permutation(self) -> np.ndarray:
+        """The involution on coordinates: u_k* = u_perm[k], so coords(x*) is
+        conj(coords(x))[perm].  A read-only involutive permutation."""
+        return _star_permutation(self.blocks)
+
     def from_coords(self, vec: np.ndarray) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        k = 0
-        for off, b in zip(self.offsets(), self.blocks):
-            mat[off:off + b, off:off + b] = np.asarray(vec[k:k + b * b]).reshape(b, b)
-            k += b * b
+        """The element, or stack of elements, with the given coordinates."""
+        vec = np.asarray(vec)
+        rows, cols = _unit_positions(self.blocks)
+        mat = np.zeros(vec.shape[:-1] + (self.n, self.n), dtype=complex)
+        mat[..., rows, cols] = vec
         return mat
 
     def project(self, mat: np.ndarray) -> np.ndarray:
@@ -110,6 +111,33 @@ class BlockAlgebra:
             return False
         w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         return bool(w.min() > -tol * max(1.0, abs(w).max()))
+
+
+@functools.cache
+def _unit_positions(blocks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the nonzero entry of each matrix unit."""
+    rows, cols = [], []
+    start = 0
+    for b in blocks:
+        i, j = np.divmod(np.arange(b * b), b)
+        rows.append(start + i)
+        cols.append(start + j)
+        start += b
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+@functools.cache
+def _star_permutation(blocks: tuple[int, ...]) -> np.ndarray:
+    perm = []
+    start = 0
+    for b in blocks:
+        # E_ij* = E_ji inside one block
+        i, j = np.divmod(np.arange(b * b), b)
+        perm.append(start + j * b + i)
+        start += b * b
+    out = np.concatenate(perm)
+    out.setflags(write=False)
+    return out
 
 
 @functools.cache
@@ -222,19 +250,13 @@ class Correspondence:
 
 def algebra_as_correspondence(algebra: BlockAlgebra) -> Correspondence:
     """A as a correspondence over itself, on the matrix-unit basis."""
-    units = algebra.basis()
-    d = algebra.dim
-    left = np.zeros((d, d, d), dtype=complex)
-    right = np.zeros((d, d, d), dtype=complex)
-    inner = np.zeros((d, d, algebra.n, algebra.n), dtype=complex)
-    for k, u in enumerate(units):
-        for q, v in enumerate(units):
-            left[k, :, q] = algebra.coords(u @ v)
-            right[k, :, q] = algebra.coords(v @ u)
-    for p, u in enumerate(units):
-        for q, v in enumerate(units):
-            inner[p, q] = u.conj().T @ v
-    return Correspondence(algebra, d, left, right, inner)
+    structure = algebra.structure_tensor()
+    # left[k, :, q] = coords(u_k u_q), right[k, :, q] = coords(u_q u_k) and
+    # inner[p, q] = u_p* u_q
+    left = structure.transpose(0, 2, 1)
+    right = structure.transpose(1, 2, 0)
+    inner = algebra.from_coords(structure[algebra.star_permutation()])
+    return Correspondence(algebra, algebra.dim, left, right, inner)
 
 
 def zero_correspondence(algebra: BlockAlgebra) -> Correspondence:
@@ -259,11 +281,11 @@ def tensor_semi_inner(m: Correspondence, n: Correspondence) -> np.ndarray:
     <m_p (x) n_q, m_r (x) n_s> = <n_q, <m_p, m_r> n_s>, flattened to
     (dim_M * dim_N, dim_M * dim_N, n, n)."""
     a = m.algebra
-    full = np.zeros((m.dim, n.dim, m.dim, n.dim, a.n, a.n), dtype=complex)
-    for p in range(m.dim):
-        for r in range(m.dim):
-            lmat = np.einsum("k,kqs->qs", a.coords(m.inner_tensor[p, r]), n.left)
-            full[p, :, r, :] = np.einsum("ts,qtuv->qsuv", lmat, n.inner_tensor)
+    # lmats[p, r] is the left action of <m_p, m_r> on N
+    lmats = np.tensordot(a.coords(m.inner_tensor), n.left, axes=(2, 0))
+    # full[p, r, s, q, u, v] = <n_q, lmats[p, r] n_s>_{uv}
+    full = np.tensordot(lmats, n.inner_tensor, axes=(2, 1))
+    full = full.transpose(0, 3, 1, 2, 4, 5)
     return full.reshape(m.dim * n.dim, m.dim * n.dim, a.n, a.n)
 
 

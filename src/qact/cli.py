@@ -26,7 +26,13 @@ from .actions import (
     spectral_functor,
 )
 from .algebras import AlgebraError
-from .cocycles import CocycleError, check_cocycle, deform_action, deform_functor, twist_element
+from .cocycles import (
+    CocycleError,
+    check_cocycle,
+    deform_action,
+    deformation_cross_test,
+    twist_element,
+)
 from .functors import IncompleteDataError, validate_functor, validate_graded
 from .reconstruction import build_algebra, build_report
 from .repcat import BackendError
@@ -225,28 +231,8 @@ def run_verb(args) -> tuple[int, dict]:
         report["center_dimension"] = deformed.model.center_dimension()
         ok = deformed.report["passed"]
         if args.cross_test:
-            spec = spectral_functor(backend, act, seed=args.seed)
-            twisted = deform_functor(spec.functor, cocycle)
-            val = validate_functor(twisted, tol)
-            alg = build_algebra(twisted, tol=tol, validate=False)
-            cert = roundtrip_check(backend, act, seed=args.seed, tol=tol)
-            phi = cert.matrix
-            worst = 0.0
-            basis = alg.basis()
-            for x in basis:
-                xs = phi @ alg.flatten(x)
-                worst = max(worst, float(np.abs(
-                    phi @ alg.flatten(alg.star(x)) - deformed.star(xs)
-                ).max()))
-                for y in basis:
-                    lhs = phi @ alg.flatten(alg.multiply(x, y))
-                    rhs = deformed.multiply(xs, phi @ alg.flatten(y))
-                    worst = max(worst, float(np.abs(lhs - rhs).max()))
-            report["cross_test"] = {
-                "twisted_functor_valid": val.passed,
-                "comparison_residual": worst,
-                "passed": bool(val.passed and worst < 1e4 * tol),
-            }
+            report["cross_test"] = deformation_cross_test(backend, act, cocycle, deformed,
+                                                          tol=tol, seed=args.seed)
             ok = ok and report["cross_test"]["passed"]
         return (0 if ok else 1), report
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, fixed_point_algebra
-from .functors import TensorFunctorData
+from .actions import Action, fixed_point_algebra, roundtrip_check, spectral_functor
+from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
+from .reconstruction import build_algebra
 from .repcat import Backend, ConjugateSolution, Rep
 from .staralg import StarAlgebraModel
 
@@ -308,22 +309,13 @@ class DeformedAlgebra:
 
 
 def _mult_tensor(algebra) -> np.ndarray:
-    units = algebra.basis()
-    dim = algebra.dim
-    out = np.zeros((dim, dim, dim), dtype=complex)
-    for p, up in enumerate(units):
-        for q, uq in enumerate(units):
-            out[:, p, q] = algebra.coords(up @ uq)
-    return out
+    """Product tensor of a block algebra in StarAlgebraModel layout."""
+    return algebra.structure_tensor().transpose(2, 0, 1).astype(complex)
 
 
 def _star_matrix(algebra) -> np.ndarray:
-    units = algebra.basis()
-    dim = algebra.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for p, up in enumerate(units):
-        out[:, p] = algebra.coords(up.conj().T)
-    return out
+    """Involution matrix of a block algebra in StarAlgebraModel layout."""
+    return np.eye(algebra.dim, dtype=complex)[algebra.star_permutation()]
 
 
 def _coaction_module_maps(backend: Backend, act: Action):
@@ -469,6 +461,33 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
         and report["expectation_faithful"]
     )
     return DeformedAlgebra(act, cocycle, model, proj, report)
+
+
+def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
+                           deformed: DeformedAlgebra, tol: float = 1e-9,
+                           seed: int = 0) -> dict:
+    """Rebuild the deformed algebra a second way, from the twisted spectral
+    functor, and compare it with the deformed action's algebra through the
+    round-trip map of the undeformed action: products and stars of the
+    basis must agree."""
+    spec = spectral_functor(backend, act, seed=seed)
+    twisted = deform_functor(spec.functor, cocycle)
+    val = validate_functor(twisted, tol)
+    alg = build_algebra(twisted, tol=tol, validate=False)
+    phi = roundtrip_check(backend, act, seed=seed, tol=tol).matrix
+    # [i, j]: images of the rebuilt products, and deformed products of the
+    # images, of basis elements i and j; then the same for stars of basis i
+    rebuilt = alg.multiplication_table() @ phi.T
+    product = np.tensordot(np.tensordot(deformed.model.product, phi, axes=(1, 0)),
+                           phi, axes=(1, 0)).transpose(1, 2, 0)
+    stars = alg.star_flat(np.eye(alg.dim)) @ phi.T
+    worst = max(float(np.abs(rebuilt - product).max(initial=0.0)),
+                float(np.abs(stars - (deformed.model.star @ phi.conj()).T).max(initial=0.0)))
+    return {
+        "twisted_functor_valid": val.passed,
+        "comparison_residual": worst,
+        "passed": bool(val.passed and worst < 1e4 * tol),
+    }
 
 
 def _expect_mat(b, proj, model, x, y):

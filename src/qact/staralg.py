@@ -8,10 +8,12 @@ and certify *-isomorphisms against oracle algebras.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebras import BlockAlgebra
 from .blockdecomp import decompose_star_algebra
 
 
@@ -29,13 +31,10 @@ class StarAlgebraModel:
     def star_of(self, x: np.ndarray) -> np.ndarray:
         return self.star @ np.conj(x)
 
+    @functools.cached_property
     def _gns(self):
-        basis = np.eye(self.dim, dtype=complex)
-        g = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in range(self.dim):
-            sp = self.star_of(basis[p])
-            for q in range(self.dim):
-                g[p, q] = self.functional @ self.multiply(sp, basis[q])
+        # g[p, q] = functional(e_p* e_q); e_p* has coordinates star[:, p]
+        g = self.star.T @ np.tensordot(self.functional, self.product, axes=(0, 0))
         g = (g + g.conj().T) / 2
         w, v = np.linalg.eigh(g)
         keep = w > 1e-12 * max(float(w.max()), 1e-300)
@@ -45,7 +44,7 @@ class StarAlgebraModel:
         return np.einsum("rpq,p->rq", self.product, x)
 
     def operator_norm(self, x: np.ndarray) -> float:
-        v, s = self._gns()
+        v, s = self._gns
         t = (v * s).conj().T @ self.left_matrix(x) @ (v / s)
         return float(np.linalg.norm(t, 2)) if t.size else 0.0
 
@@ -60,13 +59,10 @@ class StarAlgebraModel:
 
     def block_structure(self, seed: int = 0) -> tuple[int, ...]:
         """Wedderburn block sizes, recovered from the induced representation."""
-        v, s = self._gns()
-        mats = []
-        for p in range(self.dim):
-            x = np.zeros(self.dim, dtype=complex)
-            x[p] = 1.0
-            mats.append((v * s).conj().T @ self.left_matrix(x) @ (v / s))
-        blocks = decompose_star_algebra(mats, v.shape[1], seed=seed)
+        v, s = self._gns
+        # left multiplication by basis element p is product[:, p, :]
+        mats = (v * s).conj().T @ np.moveaxis(self.product, 1, 0) @ (v / s)
+        blocks = decompose_star_algebra(list(mats), v.shape[1], seed=seed)
         return blocks.algebra.blocks
 
 
@@ -101,18 +97,9 @@ def verify_algebra_iso(src: StarAlgebraModel, dst: StarAlgebraModel,
 
 def matrix_algebra_model(n: int) -> StarAlgebraModel:
     """M_n(C) on the matrix-unit basis, with the trace functional."""
-    dim = n * n
-    product = np.zeros((dim, dim, dim), dtype=complex)
-    star = np.zeros((dim, dim), dtype=complex)
-    for p in range(dim):
-        i, j = divmod(p, n)
-        star[j * n + i, p] = 1.0
-        for q in range(dim):
-            k, l = divmod(q, n)
-            if j == k:
-                product[i * n + l, p, q] = 1.0
-    unit = np.zeros(dim, dtype=complex)
-    for i in range(n):
-        unit[i * n + i] = 1.0
+    algebra = BlockAlgebra((n,))
+    product = algebra.structure_tensor().transpose(2, 0, 1).astype(complex)
+    star = np.eye(algebra.dim, dtype=complex)[algebra.star_permutation()]
+    unit = algebra.coords(algebra.identity())
     functional = unit.copy()  # trace on matrix units
-    return StarAlgebraModel(dim, product, star, unit, functional)
+    return StarAlgebraModel(algebra.dim, product, star, unit, functional)

@@ -9,6 +9,8 @@ import pytest
 from qact import cli
 from qact.fixtures import action_corpus, write_corpus
 
+import record_golden
+
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -25,44 +27,14 @@ def test_fixture_corpus_exists():
     )
 
 
-@pytest.mark.parametrize("args", [
-    ("validate", "--backend", "backends/s3.json",
-     "--input", "functors/spectral_s3_translation.json"),
-    ("validate-graded", "--input", "bundles/clock_shift_z3.json"),
-    ("validate-graded", "--input", "bundles/zero_odd.json"),
-    ("build", "--backend", "backends/z2.json",
-     "--input", "functors/spectral_swap_c2.json"),
-    ("spectral", "--backend", "backends/s3.json",
-     "--input", "actions/s3_translation.json"),
-    ("spectral", "--backend", "backends/dual_s3.json",
-     "--input", "actions/s3_group_algebra.json"),
-    ("roundtrip", "--backend", "backends/z2.json", "--input", "actions/swap_c2.json"),
-    ("roundtrip", "--backend", "backends/dual_z3.json",
-     "--input", "actions/m3_clock_shift.json"),
-    ("module-functor", "--backend", "backends/z2.json",
-     "--input", "actions/inner_m2.json"),
-    ("fullness", "--backend", "backends/z2.json", "--input", "actions/swap_c2.json"),
-    ("cocycle-check", "--backend", "backends/dual_z2z2.json",
-     "--input", "cocycles/bicharacter_z2z2.json"),
-    ("cocycle-check", "--backend", "backends/z2z2.json",
-     "--input", "cocycles/group_bicharacter_z2z2.json"),
-    ("deform", "--backend", "backends/dual_z2z2.json",
-     "--input", "actions/z2z2_group_algebra.json",
-     "--input", "cocycles/bicharacter_z2z2.json", "--cross-test"),
-    ("validate-graded", "--input", "bundles/m2_plus_c.json"),
-])
+@pytest.mark.parametrize("args", record_golden.FIXTURE_RUNS)
 def test_verbs_pass_on_fixtures(args, tmp_path):
-    full = []
-    for a in args:
-        if a.endswith(".json"):
-            full.append(str(FIXTURES / a))
-        else:
-            full.append(a)
     report = tmp_path / "report.json"
-    proc = run_cli(*full, "--report", str(report))
+    proc = run_cli(*record_golden.fixture_argv(args), "--report", str(report))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(report.read_text())
     assert data["schema"] == "report.v1"
+    record_golden.check(record_golden.fixture_key(args), proc.returncode, data)
 
 
 @pytest.mark.parametrize("verb", ["spectral", "roundtrip", "module-functor", "fullness"])
@@ -76,6 +48,7 @@ def test_action_verbs_on_whole_corpus(name, verb, tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert data["verb"] == verb and "error" not in data
+    record_golden.check(record_golden.action_key(verb, name), code, data)
 
 
 @pytest.mark.parametrize("verb", ["validate", "build"])
@@ -96,6 +69,7 @@ def test_functor_verbs_on_whole_corpus(name, verb, tmp_path):
     data = json.loads(report.read_text())
     assert data["validation"]["passed"]
     assert verb == "validate" or data["build"]["passed"]
+    record_golden.check(record_golden.functor_key(verb, name), code, data)
     # axiom (v) reports one adjoint check per basis vector and pair, and one
     # exchange check per basis vector and triple, of nonzero modules
     labels = [l for l in functor.backend.labels if functor.module(l).dim]
@@ -194,17 +168,13 @@ def test_functor_file_roundtrip(tmp_path):
 
 def test_deform_group_backend_cli(tmp_path):
     report = tmp_path / "r.json"
-    proc = run_cli(
-        "deform",
-        "--backend", str(FIXTURES / "backends/z2z2.json"),
-        "--input", str(FIXTURES / "actions/z2z2_translation.json"),
-        "--input", str(FIXTURES / "cocycles/group_bicharacter_z2z2.json"),
-        "--cross-test", "--report", str(report),
-    )
+    args = record_golden.DEFORM_GROUP_RUN
+    proc = run_cli(*record_golden.fixture_argv(args), "--report", str(report))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(report.read_text())
     assert data["cross_test"]["passed"]
     assert data["center_dimension"] == 1
+    record_golden.check(record_golden.fixture_key(args), proc.returncode, data)
 
 
 def test_failing_cocycle_exits_one(tmp_path):

@@ -363,3 +363,299 @@ def test_norm_submultiplicative(s3_algebra):
         y = random_element(s3_algebra, rng)
         nxy = s3_algebra.operator_norm(s3_algebra.multiply(x, y))
         assert nxy <= s3_algebra.operator_norm(x) * s3_algebra.operator_norm(y) + 1e-9
+
+
+# -- the flat model against the dict-of-arrays model it replaced ---------------
+
+
+class DictReference:
+    """The dict-of-arrays model of the rebuilt algebra that the flat model
+    replaced, kept as an independent reference: products by one einsum per
+    (a, b, gamma) block, stars per component, the Gram matrix by a basis
+    loop and norms through kron(left multiplication, 1) on the GNS space."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        real = alg.real
+        self.product = {}
+        for a in alg.labels:
+            for b in alg.labels:
+                oa, ob = real.atom_object(a), real.atom_object(b)
+                word = real.object(oa.atoms + ob.atoms)
+                f2 = real.f2_tensor(oa, ob)
+                entries = []
+                for k, (gamma, wk) in enumerate(word.components):
+                    if gamma in alg.shapes:
+                        wt = wk.T.reshape(alg.shapes[gamma][0], alg.shapes[a][0],
+                                          alg.shapes[b][0])
+                        entries.append((gamma, wt, f2[word.slot(k)]))
+                self.product[(a, b)] = entries
+        self.star_data = {}
+        for a in alg.labels:
+            (target, w), = real.atom_object(a, barred=True).components
+            partners = real.involution_partners(a, np.eye(alg.shapes[a][1]), tol=alg.tol).T
+            cmat = w.T @ alg.backend.conjugate_solution(a).r.conj()
+            self.star_data[a] = (target, cmat, partners)
+        self._gns = None
+
+    def multiply(self, x, y):
+        acc = {}
+        for a, xa in x.parts.items():
+            for b, yb in y.parts.items():
+                for gamma, wt, phi in self.product[(a, b)]:
+                    piece = np.einsum("cij,rpq,ip,jq->cr", wt, phi, xa, yb)
+                    acc[gamma] = acc[gamma] + piece if gamma in acc else piece
+        return GradedElement(acc)
+
+    def star(self, x):
+        acc = {}
+        for a, xa in x.parts.items():
+            target, cmat, partners = self.star_data[a]
+            piece = cmat @ xa.conj() @ partners.T
+            acc[target] = acc[target] + piece if target in acc else piece
+        return GradedElement(acc)
+
+    def expectation(self, x):
+        e = self.alg.backend.trivial_label
+        if e not in x.parts:
+            return np.zeros((self.alg.algebra.n, self.alg.algebra.n), dtype=complex)
+        return self.alg.algebra.from_coords(x.parts[e][0])
+
+    def inner(self, x, y):
+        return self.expectation(self.multiply(self.star(x), y))
+
+    def gram(self):
+        alg = self.alg
+        basis = alg.basis()
+        n = alg.algebra.n
+        g = np.zeros((alg.dim, alg.dim, n, n), dtype=complex)
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                g[i, j] = self.inner(bi, bj)
+        return g
+
+    def operator_norm(self, x):
+        alg = self.alg
+        n = alg.algebra.n
+        if self._gns is None:
+            s = np.transpose(self.gram(), (0, 2, 1, 3)).reshape(alg.dim * n, alg.dim * n)
+            w, v = np.linalg.eigh((s + s.conj().T) / 2)
+            keep = w > 1e-12 * max(float(w.max()), 1e-300)
+            self._gns = (v[:, keep], np.sqrt(w[keep]))
+        v, sq = self._gns
+        basis = alg.basis()
+        lmat = np.array([alg.flatten(self.multiply(x, b)) for b in basis]).T
+        t = (v * sq).conj().T @ np.kron(lmat, np.eye(n)) @ (v / sq)
+        return float(np.linalg.norm(t, 2)) if t.size else 0.0
+
+
+def reference_build_report(alg, seed=0, samples=100):
+    """The audit as the dict-based model computed it, one sample at a time."""
+    ref = DictReference(alg)
+    rng = np.random.default_rng(seed)
+    tol = alg.tol
+    rep = {"dimension": alg.dim, "component_dims": alg.component_dims(), "tolerance": tol}
+    worst_assoc = worst_invol = worst_anti = worst_cstar = 0.0
+    for _ in range(samples):
+        x, y, z = (random_element(alg, rng) for _ in range(3))
+        nx, ny, nz = (ref.operator_norm(v) for v in (x, y, z))
+        lhs = ref.multiply(ref.multiply(x, y), z)
+        rhs = ref.multiply(x, ref.multiply(y, z))
+        worst_assoc = max(worst_assoc, ref.operator_norm(lhs - rhs) / max(nx * ny * nz, 1e-30))
+        worst_invol = max(worst_invol,
+                          ref.operator_norm(ref.star(ref.star(x)) - x) / max(nx, 1e-30))
+        worst_anti = max(worst_anti, ref.operator_norm(
+            ref.star(ref.multiply(x, y)) - ref.multiply(ref.star(y), ref.star(x))
+        ) / max(nx * ny, 1e-30))
+        xx = ref.multiply(ref.star(x), x)
+        worst_cstar = max(worst_cstar, abs(ref.operator_norm(xx) - nx**2) / max(nx**2, 1e-30))
+    rep["associativity"] = worst_assoc
+    rep["involution"] = worst_invol
+    rep["anti_multiplicative"] = worst_anti
+    rep["cstar_identity"] = worst_cstar
+    worst_bimod = 0.0
+    worst_bound = -np.inf
+    n = alg.algebra.n
+    amat = alg.algebra.project(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a_el = alg.from_algebra(amat)
+    for _ in range(20):
+        x = random_element(alg, rng)
+        lhs = ref.expectation(ref.multiply(a_el, ref.multiply(x, a_el)))
+        rhs = amat @ ref.expectation(x) @ amat
+        worst_bimod = max(worst_bimod, float(np.abs(lhs - rhs).max()))
+        ax = ref.multiply(a_el, x)
+        bound = alg.algebra.opnorm(amat) ** 2 * ref.inner(x, x) - ref.inner(ax, ax)
+        worst_bound = max(worst_bound,
+                          -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min()))
+    rep["expectation_bimodular"] = worst_bimod
+    rep["expectation_bound_violation"] = max(worst_bound, 0.0)
+    scal = np.einsum("pquu->pq", ref.gram())
+    eigs = np.linalg.eigvalsh((scal + scal.conj().T) / 2)
+    rep["expectation_gram_min_eig"] = float(eigs.min())
+    rep["expectation_faithful"] = bool(eigs.min() > tol)
+    worst_pi = 0.0
+    labels = alg.labels
+    for _ in range(10):
+        a = labels[int(rng.integers(len(labels)))]
+        b = labels[int(rng.integers(len(labels)))]
+        (da, ma), (db, mb) = alg.shapes[a], alg.shapes[b]
+        xa = rng.standard_normal((da, ma)) + 1j * rng.standard_normal((da, ma))
+        yb = rng.standard_normal((db, mb)) + 1j * rng.standard_normal((db, mb))
+        atoms, arr = alg.free_product_word(a, xa, b, yb)
+        diff = alg.project_word(atoms, arr) - ref.multiply(GradedElement({a: xa}),
+                                                           GradedElement({b: yb}))
+        worst_pi = max(worst_pi, ref.operator_norm(diff))
+    rep["word_projection_homomorphism"] = worst_pi
+    rep["passed"] = bool(all([
+        worst_assoc < 1e4 * tol, worst_invol < 1e4 * tol, worst_anti < 1e4 * tol,
+        worst_cstar < 1e-8, worst_bimod < 1e4 * tol,
+        rep["expectation_bound_violation"] < 1e4 * tol, rep["expectation_faithful"],
+        worst_pi < 1e4 * tol,
+    ]))
+    return rep
+
+
+def conjugated_clock_shift(n, seed=0):
+    """The clock-shift grading of M_n transported by a seeded Haar unitary."""
+    from qact.actions import Action
+    from qact.fixtures import clock_shift_grading
+
+    act = clock_shift_grading(n)
+    b = act.algebra
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    c = np.array([b.coords(u @ e @ u.conj().T) for e in b.basis()]).T
+    comps = {x: act.component_rows(x) @ c.T for x in act.group.elements}
+    return Action(act.kind, b, act.group, components=comps, name=act.name)
+
+
+REFERENCE_NAMES = sorted(action_corpus()) + ["m2_plus_c", "clock4_conjugated"]
+
+
+def reference_functor(name):
+    """A corpus spectral functor, the M_2 + C bundle functor or the spectral
+    functor of a conjugated clock-shift grading of M_4."""
+    from qact.fixtures import m2_plus_c_bundle
+    from qact.repcat import dual_backend
+
+    if name == "m2_plus_c":
+        return from_graded(m2_plus_c_bundle())
+    if name == "clock4_conjugated":
+        return spectral_functor(dual_backend(cyclic_group(4)),
+                                conjugated_clock_shift(4)).functor
+    bk, act = action_corpus()[name]
+    return spectral_functor(standard_backends()[bk], act).functor
+
+
+@pytest.fixture(scope="module", params=REFERENCE_NAMES)
+def flat_and_reference(request):
+    alg = build_algebra(reference_functor(request.param), validate=False)
+    return alg, DictReference(alg)
+
+
+def _sample_elements(alg, rng):
+    """Basis elements, random elements and random elements supported on a
+    single component."""
+    out = list(alg.basis())
+    out += [random_element(alg, rng) for _ in range(4)]
+    for label in alg.labels:
+        shape = alg.shapes[label]
+        out.append(GradedElement({label: rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape)}))
+    return out
+
+
+def _assert_same_element(got, want, atol):
+    assert sorted(got.parts) == sorted(want.parts)
+    for label, arr in want.parts.items():
+        np.testing.assert_allclose(got.parts[label], arr, rtol=0, atol=atol)
+
+
+def test_flat_products_and_stars_match_dict_model(flat_and_reference):
+    alg, ref = flat_and_reference
+    rng = np.random.default_rng(11)
+    elements = _sample_elements(alg, rng)
+    for x in elements:
+        _assert_same_element(alg.star(x), ref.star(x), 1e-13)
+        for y in elements:
+            scale = max(1.0, float(np.abs(alg.flatten(x)).max() * np.abs(alg.flatten(y)).max()))
+            _assert_same_element(alg.multiply(x, y), ref.multiply(x, y), 1e-13 * scale)
+
+
+def test_flat_products_prune_the_components_the_dict_model_prunes(flat_and_reference):
+    alg, ref = flat_and_reference
+    basis = alg.basis()
+    for x in basis:
+        assert sorted(alg.star(x).parts) == sorted(ref.star(x).parts)
+        for y in basis:
+            assert sorted(alg.multiply(x, y).parts) == sorted(ref.multiply(x, y).parts)
+    xs = np.array([alg.flatten(x) for x in basis])
+    stacked = alg.multiply_flat(xs[:, None], xs[None, :])
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            np.testing.assert_array_equal(stacked[i, j], alg.flatten(alg.multiply(x, y)))
+
+
+def test_flat_outputs_are_pruned(flat_and_reference):
+    # basis elements plus rounding-size noise: the components that only the
+    # noise reaches must come out exactly zero, as GradedElement drops them
+    from qact.reconstruction import PRUNE_TOL
+
+    alg, _ = flat_and_reference
+    rng = np.random.default_rng(13)
+    noise = 1e-15 * (rng.standard_normal((alg.dim, alg.dim))
+                     + 1j * rng.standard_normal((alg.dim, alg.dim)))
+    xs = np.eye(alg.dim) + noise
+    assert not alg.prune(noise).any()
+    for out in (alg.multiply_flat(xs[:, None], xs[None, :]), alg.star_flat(xs)):
+        for span in alg.spans.values():
+            peak = np.abs(out[..., span]).max(axis=-1)
+            assert np.all((peak == 0.0) | (peak > PRUNE_TOL))
+
+
+def test_flat_norms_and_gram_match_dict_model(flat_and_reference):
+    alg, ref = flat_and_reference
+    rng = np.random.default_rng(12)
+    elements = _sample_elements(alg, rng)
+    np.testing.assert_allclose(alg.gram(), ref.gram(), rtol=0, atol=1e-13)
+    flat = alg.operator_norm_flat(np.array([alg.flatten(x) for x in elements]))
+    for x, got in zip(elements, flat):
+        want = ref.operator_norm(x)
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
+        assert abs(alg.operator_norm(x) - got) <= 1e-13 * max(got, 1.0)
+
+
+def test_flat_build_report_matches_dict_model(flat_and_reference):
+    alg, _ = flat_and_reference
+    got = build_report(alg, seed=3, samples=30)
+    want = reference_build_report(alg, seed=3, samples=30)
+    assert sorted(got) == sorted(want)
+    assert got["passed"] == want["passed"]
+    assert got["expectation_faithful"] == want["expectation_faithful"]
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+            assert value != 0.0 or got[key] == 0.0, key
+
+
+def test_build_report_forms_no_kron(monkeypatch):
+    alg = build_algebra(reference_functor("clock4_conjugated"), validate=False)
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda *a: calls.append(1) or kron(*a))
+    assert build_report(alg, seed=0)["passed"]
+    assert calls == []
+
+
+def test_roundtrip_makes_no_element_products(monkeypatch):
+    from qact.actions import roundtrip_check
+    from qact.reconstruction import ReconstructedAlgebra
+
+    calls = []
+    multiply = ReconstructedAlgebra.multiply
+    monkeypatch.setattr(ReconstructedAlgebra, "multiply",
+                        lambda self, x, y: calls.append(1) or multiply(self, x, y))
+    bk, act = action_corpus()["m3_clock_shift"]
+    assert roundtrip_check(standard_backends()[bk], act).passed
+    assert calls == []
