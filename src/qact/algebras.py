@@ -369,7 +369,7 @@ def module_linear_residual(t: np.ndarray, m: Correspondence, n: Correspondence) 
 def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
                 tol: float = 1e-9) -> AdjointBatch:
     """Adjoints of a stack (count, dim N, dim M) of maps M -> N for the
-    algebra-valued inner products.
+    algebra-valued inner products; the stack of one of adjoints_by_source.
 
     Solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T* in least
     squares.  For each column s this is one system against the source's
@@ -378,23 +378,40 @@ def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
     Its singular-value cutoff is the one lstsq applies to the system of one
     map, G repeated once per column of N.
     """
+    batch = adjoints_by_source(np.asarray(maps)[None], m, n.inner_tensor[None], tol)
+    return AdjointBatch(batch.adjoints[0], batch.residuals[0], batch.adjointable[0])
+
+
+def adjoints_by_source(maps: np.ndarray, m: Correspondence, targets: np.ndarray,
+                       tol: float = 1e-9) -> AdjointBatch:
+    """adjoints_of for stacks (stacks, count, dim N, dim M) of maps out of
+    one source M, stack k into its own target N_k, whose inner tensor is
+    targets[k]; every field of the result gains the leading stack axis.
+
+    All stacks share one least-squares solve.  Its matrix G and cutoff
+    depend only on M and dim N, lstsq finds each right-hand side's
+    solution column on its own, and each stack's residual is formed from
+    its own columns.  So every stack gets the adjoints and residuals that
+    adjoints_of gives it alone.
+    """
     maps = np.asarray(maps, dtype=complex)
-    count = maps.shape[0]
-    scale = np.maximum(1.0, np.linalg.norm(maps, axis=(1, 2)))
-    if m.dim == 0 or n.dim == 0:
-        zeros = np.zeros(count)
-        return AdjointBatch(np.zeros((count, m.dim, n.dim), dtype=complex), zeros,
+    stacks, count, dim_n, _ = maps.shape
+    scale = np.maximum(1.0, np.linalg.norm(maps, axis=(2, 3)))
+    if m.dim == 0 or dim_n == 0:
+        zeros = np.zeros((stacks, count))
+        return AdjointBatch(np.zeros((stacks, count, m.dim, dim_n), dtype=complex), zeros,
                             zeros <= tol * scale)
     nn = m.algebra.n * m.algebra.n
     gram = np.transpose(m.inner_tensor, (0, 2, 3, 1)).reshape(m.dim * nn, m.dim)
-    # rhs[(p, u, v), (i, s)] = <T_i m_p, n_s>_{uv}
-    rhs = np.einsum("iqp,qsuv->puvis", maps.conj(), n.inner_tensor)
-    rhs = rhs.reshape(m.dim * nn, count * n.dim)
-    rcond = np.finfo(float).eps * m.dim * n.dim * nn
-    sol, *_ = np.linalg.lstsq(gram, rhs, rcond=rcond)
-    resid = (gram @ sol - rhs).reshape(m.dim * nn, count, n.dim)
-    residuals = np.sqrt(np.einsum("ris,ris->i", resid.conj(), resid).real)
-    adjoints = sol.reshape(m.dim, count, n.dim).transpose(1, 0, 2)
+    # rhs[(p, u, v), (k, i, s)] = <T_ki m_p, n_s>_{uv}
+    rhs = np.einsum("kiqp,kqsuv->puvkis", maps.conj(), targets)
+    rhs = rhs.reshape(m.dim * nn, stacks, count * dim_n)
+    rcond = np.finfo(float).eps * m.dim * dim_n * nn
+    sol, *_ = np.linalg.lstsq(gram, rhs.reshape(m.dim * nn, -1), rcond=rcond)
+    sol = sol.reshape(m.dim, stacks, count * dim_n).transpose(1, 0, 2)
+    resid = (gram @ sol - rhs.transpose(1, 0, 2)).reshape(stacks, m.dim * nn, count, dim_n)
+    residuals = np.sqrt(np.einsum("kris,kris->ki", resid.conj(), resid).real)
+    adjoints = sol.reshape(stacks, m.dim, count, dim_n).transpose(0, 2, 1, 3)
     return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
 
 

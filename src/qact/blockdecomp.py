@@ -56,15 +56,6 @@ def _selfadjoint_basis(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
     return out
 
 
-def _in_span_residual(mat: np.ndarray, basis: list[np.ndarray]) -> float:
-    if not basis:
-        return float(np.linalg.norm(mat))
-    stack = np.array([b.reshape(-1) for b in basis]).T
-    vec = mat.reshape(-1)
-    coef, *_ = np.linalg.lstsq(stack, vec, rcond=None)
-    return float(np.linalg.norm(stack @ coef - vec))
-
-
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     order = np.argsort(values)
     groups = [[order[0]]]

@@ -548,13 +548,12 @@ class TwistedBackend(Backend):
         self._mor_cache[key] = out
         return out
 
-    def decompose(self, u: Rep):
-        if u.atoms in self._dec_cache:
-            return self._dec_cache[u.atoms]
-        tu = self.twist_matrix(u)
-        base = Backend.decompose(self.base, self._as_base(u))
-        out = [(label, tu @ w) for label, w in base]
-        self._dec_cache[u.atoms] = out
+    def _decompose_stack(self, words):
+        base = self.base.decompose_words(words)
+        out = []
+        for word, parts in zip(words, base):
+            tu = self.twist_matrix(self.word(word))
+            out.append([(label, tu @ w) for label, w in parts])
         return out
 
     def haar_average(self, u: Rep, v: Rep, seed: np.ndarray) -> np.ndarray:

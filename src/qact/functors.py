@@ -9,10 +9,18 @@ the intertwiner space Mor(alpha x beta, gamma).
 F extends to arbitrary representations through their decompositions: the
 value on a tensor word is the direct sum of the modules of its irreducible
 constituents, morphisms act blockwise by Schur scalars, and the
-multiplication maps assemble from the stored family.  All axiom checks run
-through this extension on the finite set of decompositions the backend
-produces, which by semisimplicity certifies the axioms up to the tested
-tensor depth.
+multiplication maps assemble from the stored family.  ``Realization``
+builds this extension word by word, for the reconstruction and the
+involution.
+
+The validator checks the axioms on the finite set of decompositions the
+backend produces, which by semisimplicity certifies them up to tensor
+depth 3.  Associativity and the adjoint exchange are conditions on fusion
+data carried along the two bracketings of a*b*c (the F-moves of
+Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, ch. 4); the validator
+evaluates them from fusion data, stacked, without realizing any word of
+length 3, and reports them in the word basis of a*b*c (see
+``validate_functor``).
 """
 
 from __future__ import annotations
@@ -22,9 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebras import (
+    AdjointBatch,
     BlockAlgebra,
     Correspondence,
     adjoint_of,
+    adjoints_by_source,
     adjoints_of,
     algebra_as_correspondence,
     module_linear_residuals,
@@ -32,6 +42,11 @@ from .algebras import (
 )
 from .groups import GroupPresentation
 from .repcat import Backend, BackendError, Rep, dual_backend
+
+# complex entries per triple chunk of the stacked validation contractions,
+# and per shared adjoint solve; past these sizes a larger stack runs slower
+CHUNK = 1 << 15
+SOLVE_CHUNK = 1 << 14
 
 
 class IncompleteDataError(ValueError):
@@ -184,40 +199,14 @@ class Realization:
 
     def f2_tensor(self, left: WordObject, right: WordObject) -> np.ndarray:
         """The multiplication map F(left) (x) F(right) -> F(left * right) as a
-        dense (target, left, right) tensor."""
+        dense (target, left, right) tensor; the stack of one of
+        ``_stacked_f2``."""
         key = (left.atoms, right.atoms)
-        if key in self._f2:
-            return self._f2[key]
-        target = self.object(left.atoms + right.atoms)
-        out = np.zeros((target.dim, left.dim, right.dim), dtype=complex)
-        for k, (lk, wk) in enumerate(target.components):
-            gamma_dim = self.functor.module(lk).dim
-            if gamma_dim == 0:
-                continue
-            for i, (li, ui) in enumerate(left.components):
-                mi = self.functor.module(li).dim
-                if mi == 0:
-                    continue
-                for j, (lj, vj) in enumerate(right.components):
-                    mj = self.functor.module(lj).dim
-                    if mj == 0:
-                        continue
-                    basis, tensors = self._fusion_data(li, lj, lk)
-                    if not basis:
-                        continue
-                    # the Kronecker product of the two isometries
-                    kron = (ui[:, None, :, None] * vj[None, :, None, :]).reshape(
-                        ui.shape[0] * vj.shape[0], ui.shape[1] * vj.shape[1]
-                    )
-                    compressed = wk.conj().T @ kron
-                    block = np.zeros((gamma_dim, mi, mj), dtype=complex)
-                    for t_m, phi_m in zip(basis, tensors):
-                        coeff = np.trace(t_m.conj().T @ compressed)
-                        if abs(coeff) > 1e-16:
-                            block += coeff * phi_m
-                    out[target.slot(k), left.slot(i), right.slot(j)] += block
-        self._f2[key] = out
-        return out
+        if key not in self._f2:
+            prod = (left.components, right.components,
+                    self.object(left.atoms + right.atoms).components)
+            self._f2[key] = _stacked_f2(self, [prod], _layout(self, *prod))[0]
+        return self._f2[key]
 
     def s_matrix(self, u: WordObject, x: np.ndarray, v: WordObject) -> np.ndarray:
         """The map Y -> F_2(X (x) Y) : F(v) -> F(u * v) for X in F(u)."""
@@ -350,8 +339,142 @@ def _exchange_residuals(adjoints, t_bc, t_a_bc, bc, abc, t_ab_c, tol):
     return big, np.abs(lhs - rhs).max(axis=(1, 2, 3), initial=0.0)
 
 
-def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
-                     deep_triples: bool = True) -> ValidationReport:
+def _layout(real: Realization, left, right, target):
+    """The shape of F_2 on one product of words, given by their component
+    lists: each component's isometry shape and module dimension, and
+    (k, i, j, number of intertwiners) for every block F_2 fills."""
+    dim = {label: real.functor.module(label).dim for label, _ in left + right + target}
+    parts = tuple(tuple((w.shape, dim[l]) for l, w in comps) for comps in (left, right, target))
+    blocks = []
+    for k, (lk, _) in enumerate(target):
+        for i, (li, _) in enumerate(left):
+            for j, (lj, _) in enumerate(right):
+                if dim[lk] and dim[li] and dim[lj]:
+                    count = len(real._fusion_data(li, lj, lk)[0])
+                    if count:
+                        blocks.append((k, i, j, count))
+    return parts, tuple(blocks)
+
+
+def _gather(items: list) -> np.ndarray:
+    """np.array(items) for a list that repeats its objects: each distinct
+    object is converted once, then indexed."""
+    distinct = list({id(x): x for x in items}.values())
+    where = {id(x): n for n, x in enumerate(distinct)}
+    return np.array(distinct)[[where[id(x)] for x in items]]
+
+
+def _stacked_f2(real: Realization, prods: list, layout) -> np.ndarray:
+    """F_2 for a stack of products (left, right, target) of component lists
+    with one layout, as (count, target, left, right) tensors.
+
+    Block by block: the Kronecker product of the two isometries compressed
+    by the target's, one trace against each intertwiner of the fusion
+    triple, and the phi tensors weighted by the traces above 1e-16.  Every
+    operation acts on each product of the stack on its own, so a product
+    gets the same bits alone as in any stack.
+    """
+    parts, blocks = layout
+    off = [np.cumsum([0] + [m for _, m in part]) for part in parts]
+    n = len(prods)
+    out = np.zeros((n, off[2][-1], off[0][-1], off[1][-1]), dtype=complex)
+    for k, i, j, count in blocks:
+        u, v, w = (_gather([p[x][y][1] for p in prods]) for x, y in ((0, i), (1, j), (2, k)))
+        # the Kronecker products of the two isometries
+        kron = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(
+            n, u.shape[1] * v.shape[1], u.shape[2] * v.shape[2]
+        )
+        compressed = w.conj().transpose(0, 2, 1) @ kron
+        fusion = [real._fusion_data(p[0][i][0], p[1][j][0], p[2][k][0]) for p in prods]
+        basis = _gather([f[0] for f in fusion])
+        coeffs = np.trace(basis.conj().transpose(0, 1, 3, 2) @ compressed[:, None],
+                          axis1=2, axis2=3)
+        block = out[:, off[2][k]:off[2][k + 1], off[0][i]:off[0][i + 1],
+                    off[1][j]:off[1][j + 1]]
+        for m in range(count):
+            keep = np.abs(coeffs[:, m]) > 1e-16
+            phis = _gather([f[1][m] for f in fusion])[keep]
+            block[keep] += coeffs[keep, m][:, None, None, None] * phis
+    return out
+
+
+def _bracketings(real: Realization, live: list):
+    """F_2 on the two bracketings of every word a*b*c over the labels
+    ``live``, in the word basis of a*b*c, without realizing any word of
+    length 3.
+
+    Returns the triples (a, b, c) in label order, chunks
+    (indices, ab_c, a_bc) of the tensors F(ab) (x) F(c) -> F(abc) and
+    F(a) (x) F(bc) -> F(abc) for triples[indices[n]], and the component
+    labels of each a*b*c.  The isometries of all words a*b*c come from one
+    backend.decompose_words.  A chunk holds triples of one shape signature
+    (the module dimension of b and the layouts of both products), at most
+    CHUNK entries per triple's largest contraction.
+    """
+    comps = {(x,): real.atom_object(x).components for x in live}
+    comps.update({(x, y): real.object(((x, False), (y, False))).components
+                  for x in live for y in live})
+    triples = [(a, b, c) for a in live for b in live for c in live]
+    abc = real.backend.decompose_words([tuple((x, False) for x in t) for t in triples])
+
+    def key(parts):
+        return tuple(label for label, _ in parts), parts[0][1].shape[0]
+
+    keys = {word: key(parts) for word, parts in comps.items()}
+    layouts: dict = {}  # the products' keys -> (layout, its number among the distinct ones)
+    distinct: dict = {}
+    groups: dict = {}
+    for n, (a, b, c) in enumerate(triples):
+        k3 = key(abc[n])
+        prods = ((comps[a, b], comps[c,], abc[n]), (comps[a,], comps[b, c], abc[n]))
+        found = []
+        for k, prod in zip(((keys[a, b], keys[c,], k3), (keys[a,], keys[b, c], k3)), prods):
+            if k not in layouts:
+                lay = _layout(real, *prod)
+                layouts[k] = lay, distinct.setdefault(lay, len(distinct))
+            found.append(layouts[k])
+        (lay_ab_c, i), (lay_a_bc, j) = found
+        mb = real.functor.module(b).dim
+        groups.setdefault((mb, i, j), (mb, lay_ab_c, lay_a_bc, []))[3].append((n, prods))
+    chunks = []
+    for mb, lay_ab_c, lay_a_bc, members in groups.values():
+        (n_ab, mc, n_abc), (ma, n_bc, _) = (
+            [sum(m for _, m in part) for part in lay[0]] for lay in (lay_ab_c, lay_a_bc)
+        )
+        step = max(1, CHUNK // max(n_abc * ma * mb * mc, ma * n_bc * n_ab * mc, 1))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            chunks.append((
+                [n for n, _ in part],
+                _stacked_f2(real, [p[0] for _, p in part], lay_ab_c),
+                _stacked_f2(real, [p[1] for _, p in part], lay_a_bc),
+            ))
+    return triples, chunks, [tuple(label for label, _ in parts) for parts in abc]
+
+
+def _adjoints(jobs: list, tol: float) -> list[AdjointBatch]:
+    """adjoints_of for (source key, source, maps, target inner tensor)
+    jobs; the jobs with one source and one shape share one solve
+    (adjoints_by_source)."""
+    groups: dict = {}
+    for n, (key, _, maps, target) in enumerate(jobs):
+        groups.setdefault((key, maps.shape, target.shape), []).append(n)
+    out = [None] * len(jobs)
+    for (_, (count, dim_n, dim_m), _), members in groups.items():
+        source = jobs[members[0]][1]
+        size = dim_m * source.algebra.n ** 2 * count * dim_n  # one job's right-hand sides
+        step = max(1, SOLVE_CHUNK // max(size, 1))
+        for lo in range(0, len(members), step):
+            idx = members[lo:lo + step]
+            batch = adjoints_by_source(np.stack([jobs[n][2] for n in idx]), source,
+                                       np.stack([jobs[n][3] for n in idx]), tol)
+            for k, n in enumerate(idx):
+                out[n] = AdjointBatch(batch.adjoints[k], batch.residuals[k],
+                                      batch.adjointable[k])
+    return out
+
+
+def validate_functor(functor: TensorFunctorData, tol: float = 1e-9) -> ValidationReport:
     """Check the defining conditions of the functor data.
 
     (i)   the trivial module is the base algebra;
@@ -360,6 +483,21 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
     (iv)  the two ways through a triple product agree;
     (v)   left-multiplication operators are adjointable and their adjoints
           exchange with the multiplication maps.
+
+    (i)-(iii) and the adjoints of (v) run on the words of length <= 2.
+    (iv) and the exchange identity of (v) run on F_2 of the two
+    bracketings of every word a*b*c, evaluated from fusion data by
+    ``_bracketings`` with no word of length 3 realized: triples of one
+    shape signature form one stack, each axiom is a few contractions per
+    stack, and the adjoint solves that share a source (F(b) or F(bc)) and
+    a shape are one least-squares solve.  Each entry gets the bits the
+    word-by-word evaluation gives it.
+
+    Residuals are reported in the word basis of a*b*c, through the
+    isometries of its decomposition.  A max-abs entry is not invariant
+    under a change of basis on a multiplicity space (as in S3's
+    std*std*std, which holds std three times), so the basis is part of
+    what a residual means.
     """
     real = Realization(functor)
     backend = functor.backend
@@ -396,19 +534,19 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
         )
     axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < 100 * tol)
 
-    # (ii) isometry pair by pair
+    # (ii) isometry pair by pair; the words of length 2 decompose as one stack
+    live = [label for label in labels if functor.module(label).dim]
+    backend.decompose_words([((a, False), (b, False)) for a in live for b in live])
+    f2 = {}
     res_ii = 0.0
     detail_ii = {}
-    for a in labels:
-        for b in labels:
-            ma, mb = functor.module(a), functor.module(b)
-            if ma.dim == 0 or mb.dim == 0:
-                continue
+    for a in live:
+        for b in live:
             oa, ob = real.atom_object(a), real.atom_object(b)
             target = real.object(oa.atoms + ob.atoms)
-            r = _isometry_residual(
-                real.f2_tensor(oa, ob), target.carrier.inner_tensor, ma, mb
-            )
+            f2[a, b] = real.f2_tensor(oa, ob)
+            r = _isometry_residual(f2[a, b], target.carrier.inner_tensor,
+                                   functor.module(a), functor.module(b))
             detail_ii[f"{a},{b}"] = r
             res_ii = max(res_ii, r)
     axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
@@ -417,69 +555,57 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
     res_iii = _unit_axiom_residual(real)
     axioms["iii_units"] = AxiomCheck(res_iii, res_iii < tol)
 
-    # (iv) associativity through depth-3 words
-    res_iv = 0.0
-    detail_iv = {}
-    triples = [
-        (a, b, c)
-        for a in labels
-        for b in labels
-        for c in labels
-        if functor.module(a).dim and functor.module(b).dim and functor.module(c).dim
-    ]
-    if deep_triples:
-        for a, b, c in triples:
-            oa, ob, oc = (real.atom_object(x) for x in (a, b, c))
-            oab = real.object(oa.atoms + ob.atoms)
-            obc = real.object(ob.atoms + oc.atoms)
-            lhs = np.einsum(
-                "tsr,spq->tpqr", real.f2_tensor(oab, oc), real.f2_tensor(oa, ob)
-            )
-            rhs = np.einsum(
-                "tps,sqr->tpqr", real.f2_tensor(oa, obc), real.f2_tensor(ob, oc)
-            )
-            r = float(np.abs(lhs - rhs).max())
-            detail_iv[f"{a},{b},{c}"] = r
-            res_iv = max(res_iv, r)
-    axioms["iv_associativity"] = AxiomCheck(res_iv, res_iv < tol, {"triples": detail_iv})
+    # (iv) associativity on the two bracketings of every word a*b*c
+    triples, chunks, abc_labels = _bracketings(real, live)
+    res_iv = np.zeros(len(triples))
+    for idx, ab_c, a_bc in chunks:
+        lhs = np.einsum("ntsr,nspq->ntpqr", ab_c, np.stack([f2[triples[n][:2]] for n in idx]))
+        rhs = np.einsum("ntps,nsqr->ntpqr", a_bc, np.stack([f2[triples[n][1:]] for n in idx]))
+        res_iv[idx] = np.abs(lhs - rhs).max(axis=(1, 2, 3, 4), initial=0.0)
+    detail_iv = {f"{a},{b},{c}": float(r) for (a, b, c), r in zip(triples, res_iv)}
+    res = max(detail_iv.values(), default=0.0)
+    axioms["iv_associativity"] = AxiomCheck(res, res < tol, {"triples": detail_iv})
 
     # (v) adjointability plus the exchange identity, for the maps
     # S_p = F_2(m_p (x) -) of all basis vectors m_p of F(a) at once
+    carrier = {p: real.object(((p[0], False), (p[1], False))).carrier for p in f2}
+    maps = {(a, b): t.transpose(1, 0, 2) for (a, b), t in f2.items()}
+    lin = {(a, b): module_linear_residuals(s, functor.module(b), carrier[a, b])
+           for (a, b), s in maps.items()}
+    adj = dict(zip(f2, _adjoints([(b, functor.module(b), s, carrier[a, b].inner_tensor)
+                                  for (a, b), s in maps.items()], tol)))
+    # the adjoints of S_p : F(bc) -> F(abc), then lhs - rhs of the exchange
+    sums: dict = {}
+    jobs = {}
+    for idx, _, a_bc in chunks:
+        for n, t in zip(idx, a_bc):
+            key = abc_labels[n]
+            if key not in sums:
+                sums[key] = direct_sum(functor.algebra, [functor.module(l) for l in key])
+            bc = triples[n][1:]
+            jobs[n] = (bc, carrier[bc], t.transpose(1, 0, 2), sums[key].inner_tensor)
+    big = dict(zip(jobs, _adjoints(list(jobs.values()), tol)))
+    exchange = {}
+    for idx, ab_c, _ in chunks:
+        lhs = np.einsum("ntqr,npqs->nptsr", np.stack([f2[triples[n][1:]] for n in idx]),
+                        np.stack([adj[triples[n][:2]].adjoints for n in idx]))
+        rhs = np.einsum("npts,nsqr->nptqr", np.stack([big[n].adjoints for n in idx]), ab_c)
+        exchange.update(zip(idx, np.abs(lhs - rhs).max(axis=(2, 3, 4), initial=0.0)))
     res_v = 0.0
     detail_v = {}
-    for a in labels:
-        if functor.module(a).dim == 0:
-            continue
-        oa = real.atom_object(a)
-        for b in labels:
-            if functor.module(b).dim == 0:
+    index = {t: n for n, t in enumerate(triples)}
+    for a, b in f2:
+        for p, adjointable in enumerate(adj[a, b].adjointable):
+            r = float(max(lin[a, b][p], adj[a, b].residuals[p]))
+            detail_v[f"adjoint:{a},{b}:{p}"] = r
+            res_v = max(res_v, r)
+            if not adjointable:
                 continue
-            ob = real.atom_object(b)
-            oab = real.object(oa.atoms + ob.atoms)
-            s = np.moveaxis(real.f2_tensor(oa, ob), 1, 0)
-            lin = module_linear_residuals(s, ob.carrier, oab.carrier)
-            adj = adjoints_of(s, ob.carrier, oab.carrier, tol)
-            exchange = {}
-            for c in labels:
-                if functor.module(c).dim == 0:
-                    continue
-                oc = real.atom_object(c)
-                obc = real.object(ob.atoms + oc.atoms)
-                exchange[c] = _exchange_residuals(
-                    adj.adjoints, real.f2_tensor(ob, oc), real.f2_tensor(oa, obc),
-                    obc.carrier, real.object(oa.atoms + obc.atoms).carrier,
-                    real.f2_tensor(oab, oc), tol,
-                )
-            for p in range(len(s)):
-                r = float(max(lin[p], adj.residuals[p]))
-                detail_v[f"adjoint:{a},{b}:{p}"] = r
-                res_v = max(res_v, r)
-                if not adj.adjointable[p]:
-                    continue
-                for c, (big, r2) in exchange.items():
-                    r2 = float(r2[p]) if big.adjointable[p] else float("inf")
-                    detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
-                    res_v = max(res_v, r2)
+            for c in live:
+                n = index[a, b, c]
+                r2 = float(exchange[n][p]) if big[n].adjointable[p] else float("inf")
+                detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
+                res_v = max(res_v, r2)
     axioms["v_adjointability"] = AxiomCheck(res_v, res_v < 100 * tol, {"checks": detail_v})
 
     return ValidationReport(tol, axioms)

@@ -16,6 +16,12 @@ number of matching grade pairs.  ``mor_basis`` skips the SVD when this count
 is 0, and otherwise checks the rank of its thresholded SVD against it, so
 the count certifies every rank decision and is never just trusted.
 
+``decompose_words`` decomposes many words at once: words of one shape are
+formed as one stack of matrices, and the Mor-space SVDs of one shape and
+count run as one stacked SVD (``_mor_stack``).  ``mor_basis`` and
+``decompose`` are its stacks of one, so a word gets the same bits alone as
+in any stack.
+
 Every irreducible carries a positive matrix ``rho`` implementing the
 modular data of conjugation.  The supported backends all have rho = 1,
 but the formulas below use the stored rho throughout, so synthetic
@@ -86,8 +92,12 @@ class Rep:
         return self.atoms
 
     def __repr__(self):
-        word = "*".join(f"{l}~" if b else l for l, b in self.atoms) or "1"
-        return f"Rep({word}, dim={self.dim})"
+        return _word_name(self.atoms, self.dim)
+
+
+def _word_name(atoms, dim: int) -> str:
+    word = "*".join(f"{l}~" if b else l for l, b in atoms) or "1"
+    return f"Rep({word}, dim={dim})"
 
 
 class Backend:
@@ -300,9 +310,8 @@ class Backend:
         extracting the span by singular-value thresholding.
 
         The character count ``multiplicity(u, v)`` comes first: when it is 0
-        the basis is empty and no SVD runs.  Otherwise the number of
-        singular values above RANK_TOL must equal the count; if it does not,
-        the matrices are not a representation and BackendError is raised.
+        the basis is empty and no SVD runs.  Otherwise the basis is the
+        stack of one of ``_mor_stack``, whose rank check it shares.
         """
         if u.backend is not v.backend:
             raise BackendError("representations live over different backends")
@@ -313,17 +322,8 @@ class Backend:
         if count == 0:
             basis = []
         elif self.kind == "group":
-            # columns of the averaging superoperator are the projected units
-            sup = np.einsum("gki,glj->klij", v.matrices, u.matrices.conj())
-            sup = sup.reshape(v.dim * u.dim, v.dim * u.dim) / self.group.order
-            w, s, _ = np.linalg.svd(sup)
-            rank = int(np.sum(s > RANK_TOL))
-            if rank != count:
-                raise BackendError(
-                    f"Mor({u}, {v}): SVD rank {rank} differs from the character "
-                    f"count {count}; the matrices are not a representation"
-                )
-            basis = [w[:, k].reshape(v.dim, u.dim) for k in range(rank)]
+            basis = list(self._mor_stack(u.matrices[None], v.matrices[None], count,
+                                         lambda _: f"{u}, {v}")[0])
         else:
             basis = []
             for k in range(v.dim):
@@ -335,40 +335,125 @@ class Backend:
         self._mor_cache[key] = basis
         return basis
 
+    def _mor_stack(self, umats: np.ndarray, vmats: np.ndarray, count: int,
+                   name) -> np.ndarray:
+        """Bases of Mor(u_n, v_n) for a stack of group-kind pairs of one
+        shape and one character count > 0, given by their matrices
+        (N, |G|, dim u, dim u) and (N, |G|, dim v, dim v): shape
+        (N, count, dim v, dim u).
+
+        The averaging maps of the whole stack go through one SVD.  Each
+        pair's number of singular values above RANK_TOL must equal the
+        count; if it does not, the matrices are not a representation and
+        BackendError is raised, naming the pair by ``name(index)``.
+        """
+        n, _, du, _ = umats.shape
+        dv = vmats.shape[2]
+        # columns of the averaging superoperator are the projected units
+        sup = np.einsum("ngki,nglj->nklij", vmats, umats.conj())
+        sup = sup.reshape(n, dv * du, dv * du) / self.group.order
+        w, s, _ = np.linalg.svd(sup)
+        ranks = np.sum(s > RANK_TOL, axis=1)
+        for k in np.flatnonzero(ranks != count):
+            raise BackendError(
+                f"Mor({name(k)}): SVD rank {ranks[k]} differs from the character "
+                f"count {count}; the matrices are not a representation"
+            )
+        return np.moveaxis(w[:, :, :count], 2, 1).reshape(n, count, dv, du)
+
     def mor_dim(self, u: Rep, v: Rep) -> int:
         return len(self.mor_basis(u, v))
 
     def decompose(self, u: Rep) -> list[tuple[str, np.ndarray]]:
         """Decompose into irreducibles: a list of (label, isometry) pairs with
-        w* w = 1 on each summand and sum_i w_i w_i* = 1 on H_u.
+        w* w = 1 on each summand and sum_i w_i w_i* = 1 on H_u; the stack of
+        one of ``decompose_words``."""
+        return self.decompose_words([u.atoms])[0]
+
+    def decompose_words(self, words) -> list[list[tuple[str, np.ndarray]]]:
+        """``decompose`` for many words of (label, barred) atoms at once,
+        cached per word; the words not yet cached go through one
+        ``_decompose_stack``."""
+        words = [tuple(w) or ((self._trivial, False),) for w in words]
+        todo = list(dict.fromkeys(w for w in words if w not in self._dec_cache))
+        if todo:
+            self._dec_cache.update(zip(todo, self._decompose_stack(todo)))
+        return [self._dec_cache[w] for w in words]
+
+    def _decompose_stack(self, words: list[tuple]) -> list[list[tuple[str, np.ndarray]]]:
+        """The decompositions of distinct words.
 
         Trace-orthonormal intertwiners S_i from an irreducible into u satisfy
         S_i* S_j = (delta_ij / d) id by Schur's lemma, so sqrt(d) S_i are the
         required isometries; no further orthogonalization is needed.
 
-        The multiplicities of all irreducibles come from one product of the
-        character table with chi_u; ``mor_basis`` (and its rank check) runs
-        only for the labels that occur, in label order.
+        The words of one shape are formed as one stack of matrices (no Rep
+        is built), the multiplicities of all irreducibles come from one
+        product of the character table with their characters, and the
+        Mor-space bases of each (word shape, label dimension, count) come
+        from one ``_mor_stack``, in label order per word.  A word gets the
+        same bits alone as in any stack.
         """
-        if u.atoms in self._dec_cache:
-            return self._dec_cache[u.atoms]
-        if len(u.atoms) == 1 and not u.atoms[0][1]:
-            # an irreducible from the table decomposes as itself, on the nose
-            out = [(u.atoms[0][0], np.eye(u.dim, dtype=complex))]
-        else:
-            if self._char_table is None:
-                self._char_table = np.array(
-                    [self.character(self.atom(label)) for label in self.labels]
-                ).conj()
-            counts = self._count(self._char_table @ self.character(u))
-            out = []
-            for label, count in zip(self.labels, counts):
-                if count == 0:
-                    continue
-                a = self.atom(label)
-                for s in self.mor_basis(a, u):
-                    out.append((label, np.sqrt(a.dim) * s))
-        self._dec_cache[u.atoms] = out
+        out: list[list] = [[] for _ in words]
+        if self._char_table is None:
+            self._char_table = np.array(
+                [self.character(self.atom(label)) for label in self.labels]
+            ).conj()
+        shapes: dict = {}
+        for n, w in enumerate(words):
+            if len(w) == 1 and not w[0][1]:
+                # an irreducible from the table decomposes as itself, on the nose
+                out[n] = [(w[0][0], np.eye(self.irrep(w[0][0]).dim, dtype=complex))]
+            else:
+                shapes.setdefault(tuple(self.irrep(label).dim for label, _ in w), []).append(n)
+        field = "matrices" if self.kind == "group" else "grades"
+
+        def column(idx, pos):
+            """The matrices (or grades) of the atoms at one position of the
+            words, each distinct atom looked up once."""
+            atoms = [words[n][pos] for n in idx]
+            distinct = {x: k for k, x in enumerate(dict.fromkeys(atoms))}
+            table = np.array([getattr(self.atom(*x), field) for x in distinct])
+            return table[[distinct[x] for x in atoms]]
+
+        for idx in shapes.values():
+            data = column(idx, 0)
+            for pos in range(1, len(words[idx[0]])):
+                nxt = column(idx, pos)
+                if self.kind == "group":
+                    dim = data.shape[-1] * nxt.shape[-1]
+                    data = np.einsum("ngij,ngkl->ngikjl", data, nxt).reshape(
+                        len(idx), self.group.order, dim, dim
+                    )
+                else:
+                    data = self.group.mul[data[:, :, None], nxt[:, None, :]].reshape(len(idx), -1)
+            if self.kind == "group":
+                chars = np.einsum("ngii->ng", data)
+            else:
+                chars = np.array([np.bincount(g, minlength=self.group.order) for g in data],
+                                 dtype=complex)
+            counts = self._count(chars @ self._char_table.T)
+            irreps = [self.atom(label) for label in self.labels]
+            found: dict = {}
+            for row, col in zip(*np.nonzero(counts)):
+                found.setdefault((irreps[col].dim, counts[row, col]), []).append((row, col))
+            isos: dict = {}
+            for (dim, count), pairs in found.items():
+                rows, cols = (list(x) for x in zip(*pairs))
+                if self.kind == "group":
+                    bases = self._mor_stack(
+                        np.stack([irreps[col].matrices for col in cols]), data[rows], count,
+                        lambda k: f"{irreps[cols[k]]}, "
+                                  f"{_word_name(words[idx[rows[k]]], data.shape[-1])}",
+                    )
+                else:
+                    # the matrix units at the basis vectors of the irreducible's grade
+                    bases = np.array([np.eye(data.shape[1], dtype=complex)[
+                        data[row] == irreps[col].grades[0]][:, :, None] for row, col in pairs])
+                for pair, isometries in zip(pairs, np.sqrt(dim) * bases):
+                    isos[pair] = list(isometries)
+            for row, col in sorted(isos):
+                out[idx[row]] += [(self.labels[col], iso) for iso in isos[row, col]]
         return out
 
     def conjugate_solution(self, label: str) -> "ConjugateSolution":

@@ -7,6 +7,7 @@ from qact.algebras import (
     ContractViolation,
     Correspondence,
     adjoint_of,
+    adjoints_by_source,
     adjoints_of,
     algebra_as_correspondence,
     internal_tensor,
@@ -409,3 +410,23 @@ def test_validate_matches_loop_on_corpus_modules():
         rep = mod.validate(TOL)
         for key, val in loop_validate(mod, TOL).items():
             assert abs(rep[key] - val) < 1e-12, (name, key)
+
+
+def test_shared_solve_gives_each_stack_its_own_adjoints():
+    # stacks out of one source into different targets of one dimension, one
+    # of them holding a non-linear map: the shared solve returns, bit for
+    # bit, what adjoints_of returns for each stack alone
+    a = BlockAlgebra((2, 1))
+    rng = np.random.default_rng(11)
+    m, pm = skewed_copies(a, 1, rng)
+    targets = [skewed_copies(a, 2, rng) for _ in range(3)]
+    stacks = [linear_maps(a, m, pm, n, pn, 3, rng) for n, pn in targets]
+    stacks[1][2] = rng.standard_normal(stacks[1][2].shape)
+    batch = adjoints_by_source(np.array(stacks), m,
+                               np.array([n.inner_tensor for n, _ in targets]), TOL)
+    for k, (maps, (n, _)) in enumerate(zip(stacks, targets)):
+        alone = adjoints_of(maps, m, n, TOL)
+        np.testing.assert_array_equal(batch.adjoints[k], alone.adjoints)
+        np.testing.assert_array_equal(batch.residuals[k], alone.residuals)
+        np.testing.assert_array_equal(batch.adjointable[k], alone.adjointable)
+    assert not batch.adjointable[1, 2] and batch.adjointable.sum() == 8

@@ -16,17 +16,24 @@ from qact.fixtures import (
     zero_odd_bundle,
 )
 from qact.functors import (
+    AxiomCheck,
     IncompleteDataError,
     Realization,
     TensorFunctorData,
+    ValidationReport,
+    _exchange_residuals,
+    _isometry_residual,
+    _unit_axiom_residual,
     from_graded,
     group_algebra_bundle,
     validate_functor,
     validate_graded,
 )
 from qact.groups import cyclic_group
-from qact.actions import spectral_functor
-from qact.repcat import Backend
+from qact.actions import canonical_module_iso, spectral_functor
+from qact.algebras import adjoints_of, module_linear_residuals
+from qact.repcat import Backend, cyclic_backend, dual_backend
+from test_reconstruction import conjugated_clock_shift
 
 TOL = 1e-9
 
@@ -366,3 +373,299 @@ def test_rank_one_odd_fiber_functor(backends):
     assert spec.fixed.algebra.blocks == (1, 1)
     assert spec.functor.module("1").dim == 1
     assert validate_functor(spec.functor).passed
+
+
+# -- the word-based validator as a reference ----------------------------------
+
+
+def reference_f2_tensor(real, left, right):
+    """F_2 on one pair of words assembled block by block, as f2_tensor did
+    before it became a stack of one."""
+    target = real.object(left.atoms + right.atoms)
+    out = np.zeros((target.dim, left.dim, right.dim), dtype=complex)
+    for k, (lk, wk) in enumerate(target.components):
+        for i, (li, ui) in enumerate(left.components):
+            for j, (lj, vj) in enumerate(right.components):
+                dims = [real.functor.module(label).dim for label in (lk, li, lj)]
+                if 0 in dims:
+                    continue
+                basis, tensors = real._fusion_data(li, lj, lk)
+                kron = (ui[:, None, :, None] * vj[None, :, None, :]).reshape(
+                    ui.shape[0] * vj.shape[0], ui.shape[1] * vj.shape[1]
+                )
+                compressed = wk.conj().T @ kron
+                block = np.zeros(dims, dtype=complex)
+                for t_m, phi_m in zip(basis, tensors):
+                    coeff = np.trace(t_m.conj().T @ compressed)
+                    if abs(coeff) > 1e-16:
+                        block += coeff * phi_m
+                out[target.slot(k), left.slot(i), right.slot(j)] += block
+    return out
+
+
+class ReferenceRealization(Realization):
+    """A realization whose F_2 is the block-by-block reference."""
+
+    def f2_tensor(self, left, right):
+        key = (left.atoms, right.atoms)
+        if key not in self._f2:
+            self._f2[key] = reference_f2_tensor(self, left, right)
+        return self._f2[key]
+
+
+def test_f2_tensor_matches_block_by_block_assembly(backends):
+    # words up to length 4, on multiplicity spaces of dimension up to 3
+    bk, act = action_corpus()["s3_translation"]
+    functor = spectral_functor(backends[bk], act).functor
+    real, ref = Realization(functor), ReferenceRealization(functor)
+    words = [(), ("std",), ("sign", "std"), ("std", "std"), ("std", "std", "std")]
+    for left in words:
+        for right in words:
+            l_atoms = tuple((x, False) for x in left)
+            r_atoms = tuple((x, False) for x in right)
+            got = real.f2_tensor(real.object(l_atoms), real.object(r_atoms))
+            want = ref.f2_tensor(ref.object(l_atoms), ref.object(r_atoms))
+            assert np.array_equal(got, want)
+
+
+def reference_validate_functor(functor, tol=1e-9):
+    """validate_functor as it was written before it ran on fusion data: every
+    word a*b*c is realized, and axioms (iv) and (v) run triple by triple
+    through the block-by-block F_2 on those words."""
+    real = ReferenceRealization(functor)
+    backend = functor.backend
+    labels = list(backend.labels)
+    axioms = {}
+
+    canonical = algebra_as_correspondence(functor.algebra)
+    m_e = functor.module(backend.trivial_label)
+    if m_e.dim != canonical.dim:
+        res_i = float("inf")
+    else:
+        res_i = max(
+            float(np.abs(m_e.left - canonical.left).max()),
+            float(np.abs(m_e.right - canonical.right).max()),
+            float(np.abs(m_e.inner_tensor - canonical.inner_tensor).max()),
+        )
+    axioms["i_unit_object"] = AxiomCheck(res_i, res_i < tol)
+
+    worst_mod = 0.0
+    for label in labels:
+        mod = functor.module(label)
+        if mod.dim == 0:
+            continue
+        rep = mod.validate(tol)
+        worst_mod = max(
+            worst_mod, rep["actions"], rep["left_right_commute"], rep["inner_hermitian"],
+            rep["inner_module_linear"], 0.0 if rep["nondegenerate"] else float("inf"),
+        )
+    axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < 100 * tol)
+
+    res_ii = 0.0
+    detail_ii = {}
+    for a in labels:
+        for b in labels:
+            ma, mb = functor.module(a), functor.module(b)
+            if ma.dim == 0 or mb.dim == 0:
+                continue
+            oa, ob = real.atom_object(a), real.atom_object(b)
+            target = real.object(oa.atoms + ob.atoms)
+            r = _isometry_residual(
+                real.f2_tensor(oa, ob), target.carrier.inner_tensor, ma, mb
+            )
+            detail_ii[f"{a},{b}"] = r
+            res_ii = max(res_ii, r)
+    axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
+
+    res_iii = _unit_axiom_residual(real)
+    axioms["iii_units"] = AxiomCheck(res_iii, res_iii < tol)
+
+    res_iv = 0.0
+    detail_iv = {}
+    live = [label for label in labels if functor.module(label).dim]
+    for a in live:
+        for b in live:
+            for c in live:
+                oa, ob, oc = (real.atom_object(x) for x in (a, b, c))
+                oab = real.object(oa.atoms + ob.atoms)
+                obc = real.object(ob.atoms + oc.atoms)
+                lhs = np.einsum(
+                    "tsr,spq->tpqr", real.f2_tensor(oab, oc), real.f2_tensor(oa, ob)
+                )
+                rhs = np.einsum(
+                    "tps,sqr->tpqr", real.f2_tensor(oa, obc), real.f2_tensor(ob, oc)
+                )
+                r = float(np.abs(lhs - rhs).max())
+                detail_iv[f"{a},{b},{c}"] = r
+                res_iv = max(res_iv, r)
+    axioms["iv_associativity"] = AxiomCheck(res_iv, res_iv < tol, {"triples": detail_iv})
+
+    res_v = 0.0
+    detail_v = {}
+    for a in live:
+        oa = real.atom_object(a)
+        for b in live:
+            ob = real.atom_object(b)
+            oab = real.object(oa.atoms + ob.atoms)
+            s = np.moveaxis(real.f2_tensor(oa, ob), 1, 0)
+            lin = module_linear_residuals(s, ob.carrier, oab.carrier)
+            adj = adjoints_of(s, ob.carrier, oab.carrier, tol)
+            exchange = {}
+            for c in live:
+                oc = real.atom_object(c)
+                obc = real.object(ob.atoms + oc.atoms)
+                exchange[c] = _exchange_residuals(
+                    adj.adjoints, real.f2_tensor(ob, oc), real.f2_tensor(oa, obc),
+                    obc.carrier, real.object(oa.atoms + obc.atoms).carrier,
+                    real.f2_tensor(oab, oc), tol,
+                )
+            for p in range(len(s)):
+                r = float(max(lin[p], adj.residuals[p]))
+                detail_v[f"adjoint:{a},{b}:{p}"] = r
+                res_v = max(res_v, r)
+                if not adj.adjointable[p]:
+                    continue
+                for c, (big, r2) in exchange.items():
+                    r2 = float(r2[p]) if big.adjointable[p] else float("inf")
+                    detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
+                    res_v = max(res_v, r2)
+    axioms["v_adjointability"] = AxiomCheck(res_v, res_v < 100 * tol, {"checks": detail_v})
+    return ValidationReport(tol, axioms)
+
+
+def flat_report(rep):
+    """(key, value) pairs of a report summary in order, nested keys joined."""
+    out = []
+
+    def walk(prefix, node):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                walk(prefix + key + "/", value)
+            else:
+                out.append((prefix + key, value))
+
+    walk("", rep.summary())
+    return out
+
+
+def assert_same_report(got, want):
+    """Same keys in the same order, equal flags, residuals within 1e-12 of
+    each other, and every zero residual still zero."""
+    got, want = flat_report(got), flat_report(want)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, g), (_, w) in zip(got, want):
+        if isinstance(w, bool):
+            assert g is w, key
+        elif w == 0.0 or np.isinf(w):
+            assert g == w, (key, g, w)
+        else:
+            assert abs(g - w) <= 1e-12, (key, g, w)
+
+
+def translation_functor(backend):
+    from qact.fixtures import translation_action
+
+    return spectral_functor(backend, translation_action(backend)).functor
+
+
+def twisted_functor(kind):
+    """The cocycle-twisted spectral functor that deform --cross-test validates."""
+    from qact.cocycles import deform_functor
+    from qact.fixtures import bicharacter_cocycle, group_backend_bicharacter_cocycle
+
+    corpus = action_corpus()
+    if kind == "dual":
+        bk, act = corpus["z2z2_group_algebra"]
+        cocycle = bicharacter_cocycle([2, 2])
+    else:
+        bk, act = corpus["z2z2_translation"]
+        cocycle = group_backend_bicharacter_cocycle()
+    return deform_functor(spectral_functor(standard_backends()[bk], act).functor, cocycle)
+
+
+def perturbed(functor, seed, scale=1e-3):
+    """The functor with every phi tensor moved by seeded noise."""
+    rng = np.random.default_rng(seed)
+    phi = {
+        key: [t + scale * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+              for t in tensors]
+        for key, tensors in functor.phi.items()
+    }
+    return TensorFunctorData(functor.backend, functor.algebra, functor.modules, phi)
+
+
+@pytest.mark.parametrize("name", sorted(action_corpus()))
+def test_fusion_validator_matches_word_validator_on_corpus(name, backends):
+    # s3_translation holds std three times in std*std*std, where the word
+    # basis is part of what a residual means
+    bk, act = action_corpus()[name]
+    functor = spectral_functor(backends[bk], act).functor
+    assert_same_report(validate_functor(functor), reference_validate_functor(functor))
+
+
+@pytest.mark.parametrize("name", sorted(action_corpus()))
+def test_fusion_validator_matches_word_validator_on_module_functors(name, backends):
+    bk, act = action_corpus()[name]
+    functor = canonical_module_iso(backends[bk], act)[1].functor
+    assert_same_report(validate_functor(functor), reference_validate_functor(functor))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: translation_functor(cyclic_backend(8)),
+    lambda: spectral_functor(dual_backend(cyclic_group(4)), conjugated_clock_shift(4)).functor,
+    lambda: twisted_functor("dual"),
+    lambda: twisted_functor("group"),
+], ids=["z8_translation", "clock4_conjugated", "twisted_dual_z2z2", "twisted_z2z2"])
+def test_fusion_validator_matches_word_validator(make):
+    functor = make()
+    assert_same_report(validate_functor(functor), reference_validate_functor(functor))
+
+
+@pytest.mark.parametrize("name,seed", [("s3_translation", 0), ("m3_clock_shift", 1),
+                                       ("z2z2_translation", 2), ("inner_m2", 3)])
+def test_fusion_validator_matches_word_validator_when_it_fails(name, seed, backends):
+    bk, act = action_corpus()[name]
+    functor = perturbed(spectral_functor(backends[bk], act).functor, seed)
+    rep = validate_functor(functor)
+    assert not rep.axioms["iv_associativity"].passed
+    assert not rep.axioms["v_adjointability"].passed
+    assert_same_report(rep, reference_validate_functor(functor))
+
+
+def test_validation_realizes_no_word_of_length_three(monkeypatch):
+    # the Z12 translation functor as the CLI meets it: read from JSON over a
+    # freshly loaded backend, so no cache is warm
+    from qact import functors, repcat, serialize
+
+    backend = cyclic_backend(12)
+    data = serialize.functor_to_json(translation_functor(backend))
+    fresh = serialize.backend_from_json(serialize.backend_to_json(backend))
+    functor = serialize.functor_from_json(data, fresh)
+    calls = {"decompose": 0, "object": 0, "svd": 0, "lstsq": 0}
+    decompose, obj = repcat.Backend.decompose, functors.Realization.object
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+    def counted_decompose(self, u):
+        calls["decompose"] += len(u.atoms) == 3
+        return decompose(self, u)
+
+    def counted_object(self, atoms):
+        calls["object"] += len(tuple(atoms)) == 3
+        return obj(self, atoms)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(repcat.Backend, "decompose", counted_decompose)
+    monkeypatch.setattr(functors.Realization, "object", counted_object)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    assert validate_functor(functor).passed
+    # reference_validate_functor makes 1,728, 5,184, 2,016 and 1,872 of these
+    assert calls["decompose"] == 0
+    assert calls["object"] == 0
+    assert calls["svd"] <= 300
+    assert calls["lstsq"] <= 300

@@ -350,6 +350,40 @@ def test_character_counts_match_svd_of_every_label(make):
             assert backend.mor_dim(a, u) == backend.multiplicity(a, u)
 
 
+@pytest.mark.parametrize("make", [
+    symmetric3_backend,
+    lambda: cyclic_backend(6),
+    lambda: dual_backend(cyclic_group(3)),
+    lambda: TwistedBackend(z2z2_dual(), bicharacter_cocycle([2, 2])),
+    lambda: TwistedBackend(abelian_product_backend([2, 2]),
+                           group_backend_bicharacter_cocycle()),
+], ids=["s3", "z6", "dual_z3", "twisted_dual_z2z2", "twisted_z2z2"])
+def test_stacked_decomposition_matches_one_word_at_a_time(make):
+    # every word of length <= 3 in one call, on a fresh backend, against the
+    # stacks of one that decompose makes on another
+    stacked, single = make(), make()
+    atoms = [(label, barred) for label in stacked.labels for barred in (False, True)]
+    words = [w for n in (1, 2, 3) for w in itertools.product(atoms, repeat=n)]
+    for word, got in zip(words, stacked.decompose_words(words)):
+        want = single.decompose(single.word(word))
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, w1), (_, w2) in zip(got, want):
+            assert np.array_equal(w1, w2)
+
+
+def test_stacked_decomposition_names_the_word_that_fails_the_rank_check():
+    group = cyclic_group(2)
+    triv = Irrep("triv", 1, np.ones((2, 1, 1), dtype=complex), np.eye(1, dtype=complex), "triv")
+    mats = np.array([np.eye(2), np.diag([1.0, -0.8])], dtype=complex)
+    fake = Irrep("fake", 2, mats, np.eye(2, dtype=complex), "fake")
+    backend = Backend("group", group, [triv, fake])
+    # fake's character meets triv*triv's with count 1, but the averaging map
+    # has rank 2: the error names the pair, whatever else is in the stack
+    with pytest.raises(BackendError, match=r"Mor\(Rep\(fake, dim=2\), Rep\(triv\*triv, "
+                                           r"dim=1\)\): SVD rank 2 .*character count 1"):
+        backend.decompose_words([[("triv", False)], [("triv", False), ("triv", False)]])
+
+
 def test_character_count_with_multiplicity_three(s3):
     std = ("std", False)
     u = s3.word([std, std, std])
