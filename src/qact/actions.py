@@ -24,8 +24,9 @@ from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
 from .blockdecomp import SubalgebraBlocks, decompose_star_algebra
 from .functors import TensorFunctorData
 from .groups import GroupPresentation
-from .reconstruction import GradedElement, ReconstructedAlgebra, build_algebra
+from .reconstruction import ReconstructedAlgebra, build_algebra
 from .repcat import Backend, BackendError, RANK_TOL
+from .staralg import StarAlgebraModel
 
 
 class ActionError(ValueError):
@@ -363,29 +364,20 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     residuals["invertibility"] = float(sv.min())
     bijective = sv.min() > 1e-8
 
-    def to_b(x: GradedElement) -> np.ndarray:
-        return b.from_coords(phi @ alg.flatten(x))
-
     # coordinates in B of the images of the basis products, and of the
     # products of the images of the basis
-    table = alg.multiplication_table()
     images = np.tensordot(phi, np.tensordot(phi, b.structure_tensor(), axes=(0, 0)),
                           axes=(0, 1)).transpose(1, 0, 2)
-    residuals["multiplicative"] = worst_mult = _worst(table @ phi.T - images)
+    residuals["multiplicative"] = worst_mult = _worst(alg.model.table @ phi.T - images)
     # row i: the image of the star of basis element i, and the adjoint of
     # the image of basis element i
-    stars = alg.star_flat(np.eye(alg.dim)) @ phi.T
+    stars = alg.model.star(np.eye(alg.dim)) @ phi.T
     residuals["star"] = worst_star = _worst(stars - phi.T.conj()[:, b.star_permutation()])
 
-    worst_unit = float(np.abs(to_b(alg.unit()) - b.identity()).max())
-    worst_fixed = 0.0
-    for k in range(spec.fixed.algebra.dim):
-        coords = np.zeros(spec.fixed.algebra.dim, dtype=complex)
-        coords[k] = 1.0
-        amat = spec.fixed.algebra.from_coords(coords)
-        lhs = to_b(alg.from_algebra(amat))
-        rhs = spec.fixed.embed(coords)
-        worst_fixed = max(worst_fixed, float(np.abs(lhs - rhs).max()))
+    worst_unit = float(np.abs(b.from_coords(phi @ alg.model.unit) - b.identity()).max())
+    # the matrix units of the fixed algebra are the trivial component's basis
+    trivial = alg.spans[backend.trivial_label]
+    worst_fixed = _worst(b.from_coords(phi[:, trivial].T) - spec.fixed.unit_images)
     residuals["unit"] = worst_unit
     residuals["fixed_algebra"] = worst_fixed
 
@@ -395,7 +387,7 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
         for gi in range(g.order):
             # row i: the image of the coaction at g of basis element i, and
             # alpha_{g^-1} applied to the image of basis element i
-            coacted = alg.prune(alg.coaction_matrix(gi).T) @ phi.T
+            coacted = alg.model.prune(alg.coaction_matrix(gi).T) @ phi.T
             moved = (act.map_matrix(g.elements[g.inv(gi)]) @ phi).T
             worst_eq = max(worst_eq, _worst(coacted - moved))
     else:
@@ -484,6 +476,7 @@ class EquivariantModule:
 
 def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
     """The algebra as a module over itself."""
+    _check_backend(backend, act)
     b = act.algebra
     regular = algebra_as_correspondence(b)
     right, inner = regular.right, regular.inner_tensor
@@ -579,18 +572,6 @@ class ModuleFunctor:
     module: EquivariantModule
 
 
-def _module_hilbert_data(module: EquivariantModule):
-    """Isometric coordinates for the Hilbert space induced by the B-valued
-    inner product (the kept spectral directions of the scalarized Gram)."""
-    n = module.action.algebra.n
-    dim = module.dim
-    s = np.transpose(module.inner, (0, 2, 1, 3)).reshape(dim * n, dim * n)
-    s = (s + s.conj().T) / 2
-    w, v = np.linalg.eigh(s)
-    keep = w > 1e-12 * max(float(w.max()), 1e-300)
-    return v[:, keep], np.sqrt(w[keep])
-
-
 def _equivariant_maps(backend: Backend, module: EquivariantModule,
                       label: str) -> np.ndarray:
     """Orthonormal basis of the right-linear equivariant maps
@@ -638,7 +619,8 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     share one base algebra instead of each probing its own.
     """
     nb = module.action.algebra.n
-    vecs, sing = _module_hilbert_data(module)
+    # isometric coordinates for the Hilbert space induced by the inner product
+    vecs, sing = StarAlgebraModel.gns_space(module.inner)
 
     def hilbert(t):
         """A module map M -> M as a matrix on the induced Hilbert space."""
@@ -994,7 +976,7 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
         dl = backend.irrep(label).dim
         if label == backend.trivial_label:
             # pin the trivial component to the matrix units of the base algebra
-            bases[label] = np.array([[alg.flatten(alg.from_algebra(u))] for u in a.basis()])
+            bases[label] = np.array([[alg.from_algebra(u)] for u in a.basis()])
         elif backend.kind == "group":
             eye = np.eye(dl * dim)
             mats = backend.irrep(label).matrices
@@ -1010,14 +992,16 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
         else:
             bases[label] = np.zeros((0, 1, dim))
 
-    def pairing(xs, ys):
-        # summed as GradedElements sum: pruned after each addition
-        total, *rest = alg.multiply_flat(alg.star_flat(np.array(xs)), np.array(ys))
-        for term in rest:
-            total = alg.prune(total + term)
-        return alg.expectation_flat(total)
+    model = alg.model
 
-    functor = functor_from_subspaces(backend, a, bases, alg.prune, alg.multiply_flat,
+    def pairing(xs, ys):
+        # summed term by term, pruned after each addition
+        total, *rest = model.multiply(model.star(np.array(xs)), np.array(ys))
+        for term in rest:
+            total = model.prune(total + term)
+        return model.expectation(total)
+
+    functor = functor_from_subspaces(backend, a, bases, model.prune, model.multiply,
                                      pairing, f"spectral-of:{alg.functor.name}")
     return functor, bases
 

@@ -131,9 +131,7 @@ def run_verb(args) -> tuple[int, dict]:
             return 1, report
         alg = build_algebra(functor, tol=tol, validate=False)
         audit = build_report(alg, seed=args.seed)
-        audit["multiplication_table"] = serialize.encode_complex(
-            alg.multiplication_table()
-        )
+        audit["multiplication_table"] = serialize.encode_complex(alg.model.table)
         report["build"] = audit
         return (0 if audit["passed"] else 1), report
 

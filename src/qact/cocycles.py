@@ -9,7 +9,9 @@ counital form by the permitted overall phase (the raw data is retained).
 The deformed product routes both factors through the coaction before
 multiplying; the deformed involution composes the original one with the
 companion element u built by contracting one leg of the cocycle through
-the antipode.
+the antipode.  The deformed algebra is a qact.staralg.StarAlgebraModel,
+the class of the algebra rebuilt from functor data, whose state is the
+trace of the expectation onto the fixed algebra.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import Action, fixed_point_algebra, roundtrip_check, spectral_functor
+from .algebras import BlockAlgebra
 from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
 from .reconstruction import build_algebra
@@ -172,17 +175,21 @@ def check_cocycle(cocycle: Cocycle, tol: float = 1e-9) -> dict:
     return rep
 
 
+def _left_regular(group: GroupPresentation, coeffs: np.ndarray) -> np.ndarray:
+    """Left multiplication by sum_x coeffs[x] x on the group algebra: entry
+    [xy, y] is coeffs[x]."""
+    out = np.zeros((group.order, group.order), dtype=complex)
+    out[group.mul, np.arange(group.order)] = coeffs[:, None]
+    return out
+
+
 def _omega_regular(group: GroupPresentation, vals: np.ndarray) -> np.ndarray:
-    """Omega in the left regular representation of the tensor square."""
+    """Omega in the left regular representation of the tensor square: entry
+    [(au, bv), (u, v)] is vals[a, b]."""
     n = group.order
     out = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if vals[a, b] == 0:
-                continue
-            for u in range(n):
-                for v in range(n):
-                    out[group.mul[a, u] * n + group.mul[b, v], u * n + v] += vals[a, b]
+    rows = group.mul[:, None, :, None] * n + group.mul[None, :, None, :]
+    out[rows, np.arange(n * n).reshape(n, n)] = vals[:, :, None, None]
     return out
 
 
@@ -212,6 +219,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
 
     Returns (element, report).
     """
+    _check_cocycle_backend(backend, cocycle)
     g = cocycle.group
     n = g.order
     vals = cocycle.values
@@ -230,21 +238,13 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
         for a in range(n):
             for b in range(n):
                 coeffs[g.mul[a, g.inv(b)]] += vals[a, b]
-        reg = np.zeros((n, n), dtype=complex)
-        for x in range(n):
-            if coeffs[x] == 0:
-                continue
-            for y in range(n):
-                reg[g.mul[x, y], y] += coeffs[x]
+        reg = _left_regular(g, coeffs)
         sv = np.linalg.svd(reg, compute_uv=False)
         if sv.min() < 1e-10:
             raise CocycleError("companion element is not invertible")
         u = TwistElement("group", g, coeffs)
-        shat_ustar = np.array([np.conj(coeffs[x]) for x in range(n)])
-        reg2 = np.zeros((n, n), dtype=complex)
-        for x in range(n):
-            for y in range(n):
-                reg2[g.mul[x, y], y] += shat_ustar[x]
+        # the antipode of u* has coefficient conj(u_x) at x
+        reg2 = _left_regular(g, coeffs.conj())
         rep["inverse_identity"] = float(np.abs(reg @ reg2 - np.eye(n)).max())
 
     worst_eu = 0.0
@@ -287,35 +287,12 @@ def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
 @dataclass
 class DeformedAlgebra:
     """The deformed *-algebra on the coordinate space of the original one,
-    plus the unchanged expectation onto the fixed part."""
+    plus the unchanged expectation onto the fixed part as a coordinate
+    projection."""
 
-    action: Action
-    cocycle: Cocycle
     model: StarAlgebraModel
     expectation_matrix: np.ndarray
     report: dict
-
-    def multiply(self, x, y):
-        return self.model.multiply(x, y)
-
-    def star(self, x):
-        return self.model.star_of(x)
-
-    def expectation_coords(self, x):
-        return self.expectation_matrix @ x
-
-    def operator_norm(self, x):
-        return self.model.operator_norm(x)
-
-
-def _mult_tensor(algebra) -> np.ndarray:
-    """Product tensor of a block algebra in StarAlgebraModel layout."""
-    return algebra.structure_tensor().transpose(2, 0, 1).astype(complex)
-
-
-def _star_matrix(algebra) -> np.ndarray:
-    """Involution matrix of a block algebra in StarAlgebraModel layout."""
-    return np.eye(algebra.dim, dtype=complex)[algebra.star_permutation()]
 
 
 def _coaction_module_maps(backend: Backend, act: Action):
@@ -328,139 +305,124 @@ def _coaction_module_maps(backend: Backend, act: Action):
         return {
             x: act.map_matrix(g.elements[g.inv(g.index(x))]) for x in g.elements
         }
-    stacked = []
-    owners = []
-    for x in g.elements:
-        rows = act.component_rows(x)
-        for row in rows:
-            stacked.append(row)
-            owners.append(x)
-    v = np.array(stacked)  # rows span B; coordinates along the grading
+    rows = [act.component_rows(x) for x in g.elements]
+    v = np.vstack(rows)  # rows span B; coordinates along the grading
     if v.shape[0] != b.dim:
         raise CocycleError("grading components do not span the algebra")
     vinv = np.linalg.inv(v.T)
-    projections = {}
-    for x in g.elements:
-        sel = np.diag([1.0 if o == x else 0.0 for o in owners])
-        projections[x] = v.T @ sel @ vinv
-    return projections
+    # owners[i]: the number of the group element whose component row i spans
+    owners = np.repeat(np.arange(g.order), [len(r) for r in rows])
+    return {x: v.T @ np.diag((owners == k).astype(float)) @ vinv
+            for k, x in enumerate(g.elements)}
 
 
 def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
                   tol: float = 1e-9, seed: int = 0) -> DeformedAlgebra:
     """The deformed algebra: both product factors are routed through the
     coaction against the cocycle, and the involution picks up the companion
-    element.  The report verifies it is again a *-algebra and that the
-    expectation still satisfies the algebraic-action conditions."""
-    _require_matching(backend, act, cocycle)
+    element.  The state of the model is the trace of the expectation onto
+    the fixed algebra.  The report verifies, as contractions over the whole
+    basis, that it is again a *-algebra, and that the expectation still
+    satisfies the algebraic-action conditions."""
+    _check_cocycle_backend(backend, cocycle)
+    _require_matching(act, cocycle)
     b = act.algebra
     g = act.group
     n = g.order
     vals = cocycle.values
-    base_product = _mult_tensor(b)
-    base_star = _star_matrix(b)
+    base = StarAlgebraModel.of_block_algebra(b)
     rd = _coaction_module_maps(backend, act)
     u, u_rep = twist_element(backend, cocycle, tol=tol)
 
     if cocycle.is_trivial():
         # the identity cocycle deforms nothing; keep the tensors bit-exact
-        product = base_product.copy()
-        dagger = base_star.copy()
+        table = base.table
+        dagger = base.star_matrix
     else:
-        product = np.zeros_like(base_product)
+        table = np.zeros_like(base.table)
         for a in range(n):
             da = rd[g.elements[a]]
             for c in range(n):
                 w = vals[a, c]
                 if w == 0:
                     continue
-                product += w * np.einsum(
-                    "rpq,pi,qj->rij", base_product, da, rd[g.elements[c]]
+                table += w * np.einsum(
+                    "pqr,pi,qj->ijr", base.table, da, rd[g.elements[c]]
                 )
-        dagger = np.zeros_like(base_star)
+        dagger = np.zeros_like(base.star_matrix)
         if act.kind == "grading":
             # <| by the pointwise conjugate of the companion function
             for x in range(n):
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[x]] @ base_star
+                dagger += np.conj(u.coeffs[x]) * rd[g.elements[x]] @ base.star_matrix
         else:
             # u* = sum_h conj(u_h) h^{-1}; <| by a group element h is rd[h]
             for x in range(n):
                 if u.coeffs[x] == 0:
                     continue
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[g.inv(x)]] @ base_star
+                dagger += np.conj(u.coeffs[x]) * rd[g.elements[g.inv(x)]] @ base.star_matrix
 
     fixed = fixed_point_algebra(backend, act, seed=seed)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])
     proj = emb.T @ np.linalg.pinv(emb.T)
-    unit = b.coords(b.identity())
-    trace_vec = np.array([np.trace(b.from_coords(proj @ e)) for e in np.eye(b.dim)])
-    model = StarAlgebraModel(b.dim, product, dagger, unit, trace_vec)
+    trace_vec = np.trace(b.from_coords(proj.T), axis1=1, axis2=2)
+    model = StarAlgebraModel(table, dagger, base.unit, {}, BlockAlgebra((1,)),
+                             trace_vec[None, :])
+
+    def worst(values) -> float:
+        return float(np.abs(values).max(initial=0.0))
 
     report = dict(u_rep)
     basis = np.eye(b.dim, dtype=complex)
-    worst_assoc = worst_inv = worst_anti = worst_unit = 0.0
-    for p in range(b.dim):
-        worst_inv = max(worst_inv, float(np.abs(
-            model.star_of(model.star_of(basis[p])) - basis[p]
-        ).max()))
-        worst_unit = max(
-            worst_unit,
-            float(np.abs(model.multiply(unit, basis[p]) - basis[p]).max()),
-            float(np.abs(model.multiply(basis[p], unit) - basis[p]).max()),
-        )
-        for q in range(b.dim):
-            worst_anti = max(worst_anti, float(np.abs(
-                model.star_of(model.multiply(basis[p], basis[q]))
-                - model.multiply(model.star_of(basis[q]), model.star_of(basis[p]))
-            ).max()))
-            for r in range(b.dim):
-                lhs = model.multiply(model.multiply(basis[p], basis[q]), basis[r])
-                rhs = model.multiply(basis[p], model.multiply(basis[q], basis[r]))
-                worst_assoc = max(worst_assoc, float(np.abs(lhs - rhs).max()))
-    report["associative"] = worst_assoc
-    report["involutive"] = worst_inv
-    report["anti_multiplicative"] = worst_anti
-    report["unital"] = worst_unit
+    stars = model.star(basis)
+    # [p, q] is b_p b_q, and [p, q, r] is (b_p b_q) b_r against b_p (b_q b_r)
+    prods = model.table
+    report["associative"] = worst(model.multiply(prods[:, :, None], basis)
+                                  - model.multiply(basis[:, None, None], prods[None]))
+    report["involutive"] = worst(model.star(stars) - basis)
+    report["anti_multiplicative"] = worst(model.star(prods)
+                                          - model.multiply(stars[None], stars[:, None]))
+    report["unital"] = max(worst(model.multiply(base.unit, basis) - basis),
+                           worst(model.multiply(basis, base.unit) - basis))
 
     # algebraic-action conditions for the unchanged coaction: the expectation
     # is positive and faithful for the new structure and satisfies the
     # boundedness estimate over the fixed algebra
-    gram = np.zeros((b.dim, b.dim), dtype=complex)
-    for p in range(b.dim):
-        sp = model.star_of(basis[p])
-        for q in range(b.dim):
-            gram[p, q] = trace_vec @ model.multiply(sp, basis[q])
+    gram = model.gram()[:, :, 0, 0]
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     report["expectation_gram_min_eig"] = float(eigs.min())
     report["expectation_faithful"] = bool(eigs.min() > tol)
 
     rng = np.random.default_rng(seed)
-    worst_bound = 0.0
+    xs, avecs, anorms = [], [], []
     for _ in range(10):
-        x = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
+        xs.append(rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim))
         acoords = fixed.algebra.coords(
             fixed.algebra.project(
                 rng.standard_normal((fixed.algebra.n, fixed.algebra.n))
             )
         )
         amat = fixed.embed(acoords)
-        a_vec = b.coords(amat)
-        ax = model.multiply(a_vec, x)
-        lhs = _expect_mat(b, proj, model, ax, ax)
-        rhs = b.opnorm(amat) ** 2 * _expect_mat(b, proj, model, x, x)
-        diff = rhs - lhs
-        worst_bound = max(worst_bound, -float(
-            np.linalg.eigvalsh((diff + diff.conj().T) / 2).min()
-        ))
-    report["expectation_bound_violation"] = max(worst_bound, 0.0)
+        avecs.append(b.coords(amat))
+        anorms.append(b.opnorm(amat))
+    xs = np.array(xs)
+    axs = model.multiply(np.array(avecs), xs)
+
+    def expect(ys):
+        # E(y* y) onto the fixed algebra, as elements of B, one sample at a time
+        return b.from_coords(np.array([proj @ v for v in model.multiply(model.star(ys), ys)]))
+
+    diff = np.array(anorms)[:, None, None] ** 2 * expect(xs) - expect(axs)
+    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2
+    report["expectation_bound_violation"] = max(
+        0.0, float(np.max(-np.linalg.eigvalsh(diff).min(axis=1))))
     report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
     report["passed"] = bool(
-        max(worst_assoc, worst_inv, worst_anti, worst_unit,
-            report["expectation_bound_violation"]) < 1e4 * tol
+        max(report["associative"], report["involutive"], report["anti_multiplicative"],
+            report["unital"], report["expectation_bound_violation"]) < 1e4 * tol
         and report["expectation_faithful"]
     )
-    return DeformedAlgebra(act, cocycle, model, proj, report)
+    return DeformedAlgebra(model, proj, report)
 
 
 def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
@@ -468,21 +430,22 @@ def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
                            seed: int = 0) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
     functor, and compare it with the deformed action's algebra through the
-    round-trip map of the undeformed action: products and stars of the
-    basis must agree."""
+    round-trip map of the undeformed action: the two product tables and the
+    two star matrices must agree."""
     spec = spectral_functor(backend, act, seed=seed)
     twisted = deform_functor(spec.functor, cocycle)
     val = validate_functor(twisted, tol)
-    alg = build_algebra(twisted, tol=tol, validate=False)
+    rebuilt = build_algebra(twisted, tol=tol, validate=False).model
     phi = roundtrip_check(backend, act, seed=seed, tol=tol).matrix
     # [i, j]: images of the rebuilt products, and deformed products of the
     # images, of basis elements i and j; then the same for stars of basis i
-    rebuilt = alg.multiplication_table() @ phi.T
-    product = np.tensordot(np.tensordot(deformed.model.product, phi, axes=(1, 0)),
-                           phi, axes=(1, 0)).transpose(1, 2, 0)
-    stars = alg.star_flat(np.eye(alg.dim)) @ phi.T
-    worst = max(float(np.abs(rebuilt - product).max(initial=0.0)),
-                float(np.abs(stars - (deformed.model.star @ phi.conj()).T).max(initial=0.0)))
+    product = np.tensordot(np.tensordot(phi, deformed.model.table, axes=(0, 0)),
+                           phi, axes=(1, 0)).transpose(0, 2, 1)
+    stars = rebuilt.star(np.eye(rebuilt.dim)) @ phi.T
+    worst = max(
+        float(np.abs(rebuilt.table @ phi.T - product).max(initial=0.0)),
+        float(np.abs(stars - (deformed.model.star_matrix @ phi.conj()).T).max(initial=0.0)),
+    )
     return {
         "twisted_functor_valid": val.passed,
         "comparison_residual": worst,
@@ -490,18 +453,25 @@ def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
     }
 
 
-def _expect_mat(b, proj, model, x, y):
-    return b.from_coords(proj @ model.multiply(model.star_of(x), y))
+def _check_cocycle_backend(backend: Backend, cocycle: Cocycle) -> None:
+    """A cocycle lives on the dual side of a backend of its own kind and
+    group."""
+    if cocycle.kind != backend.kind:
+        raise CocycleError(
+            f"{cocycle.kind} cocycles need a {cocycle.kind} backend, got {backend.kind}"
+        )
+    if backend.group.elements != cocycle.group.elements:
+        raise CocycleError("cocycle and backend use different groups")
 
 
-def _require_matching(backend: Backend, act: Action, cocycle: Cocycle) -> None:
+def _require_matching(act: Action, cocycle: Cocycle) -> None:
     want = "automorphism" if cocycle.kind == "group" else "grading"
     if act.kind != want:
         raise CocycleError(
             f"{cocycle.kind} cocycles deform {want} actions, got {act.kind}"
         )
-    if backend.group.elements != cocycle.group.elements:
-        raise CocycleError("cocycle and backend use different groups")
+    if act.group.elements != cocycle.group.elements:
+        raise CocycleError("cocycle and action use different groups")
 
 
 # -- deformation of functor data ------------------------------------------------
@@ -513,8 +483,7 @@ class TwistedBackend(Backend):
     conjugation solutions conjugated by the cocycle action on tensor words."""
 
     def __init__(self, base: Backend, cocycle: Cocycle):
-        if (cocycle.kind == "dual") != (base.kind == "dual"):
-            raise CocycleError("cocycle kind does not match the backend")
+        _check_cocycle_backend(base, cocycle)
         super().__init__(base.kind, base.group, [base.irreps[l] for l in base.labels])
         self.base = base
         self.cocycle = cocycle

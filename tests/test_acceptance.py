@@ -40,14 +40,12 @@ from qact.actions import (
 )
 from qact.cocycles import (
     deform_action,
-    deform_functor,
+    deformation_cross_test,
     trivial_cocycle,
     twist_element,
-    _mult_tensor,
-    _star_matrix,
 )
-from qact.reconstruction import build_algebra, random_element
-from qact.staralg import matrix_algebra_model, verify_algebra_iso
+from qact.reconstruction import build_algebra
+from qact.staralg import StarAlgebraModel, verify_algebra_iso
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BACKENDS = standard_backends()
@@ -155,18 +153,13 @@ def test_criterion_06_fell_bundle_equivalence():
     functor = from_graded(bundle)
     ok = validate_functor(functor).passed
     alg = build_algebra(functor, validate=False)
-    model3 = matrix_algebra_model(3)
+    model3 = StarAlgebraModel.of_block_algebra(BlockAlgebra((3,)))
     phi = np.zeros((9, alg.dim), dtype=complex)
     for k in range(3):
         off = alg.offsets[str(k)]
         for p in range(3):
             phi[p * 3 + (p + k) % 3, off + p] = 1.0
-    table = alg.multiplication_table()
-    functional = np.array([np.trace(alg.expectation(b)) for b in alg.basis()])
-    from qact.staralg import StarAlgebraModel
-
-    model = StarAlgebraModel(alg.dim, table.transpose(2, 0, 1), alg.star_matrix(),
-                             alg.flatten(alg.unit()), functional)
+    model = alg.model
     iso = verify_algebra_iso(model, model3, phi, tol=1e-9)
     worst = max(iso["multiplicative"], iso["star"], iso["unit"])
     simple = model.center_dimension() == 1 and model.block_structure() == (3,)
@@ -183,11 +176,13 @@ def test_criterion_07_cstar_identity():
         builds.append(build_algebra(spectral_functor(BACKENDS[bk], act).functor,
                                     validate=False))
     for alg in builds:
-        for _ in range(100):
-            x = random_element(alg, rng)
-            n = alg.operator_norm(x)
-            nn = alg.operator_norm(alg.multiply(alg.star(x), x))
-            worst = max(worst, abs(nn - n * n) / max(n * n, 1e-30))
+        model = alg.model
+        # drawn in the order of one element at a time
+        draws = rng.standard_normal((100, 2, alg.dim))
+        x = model.prune(draws[:, 0] + 1j * draws[:, 1])
+        n = model.operator_norm(x)
+        nn = model.operator_norm(model.multiply(model.star(x), x))
+        worst = max(worst, float(np.max(abs(nn - n * n) / np.maximum(n * n, 1e-30))))
     report(7, worst < 1e-8, f"worst relative defect {worst:.2e} over 100 x {len(builds)} samples")
 
 
@@ -198,7 +193,7 @@ def test_criterion_08_primitive_bicharacter_deformation():
     simple = (deformed.model.center_dimension() == 1
               and deformed.model.block_structure() == (2,))
     g = act.group
-    m2 = matrix_algebra_model(2)
+    m2 = StarAlgebraModel.of_block_algebra(BlockAlgebra((2,)))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     targets = {"0|0": np.eye(2, dtype=complex), "1|0": x_mat,
@@ -211,8 +206,9 @@ def test_criterion_08_primitive_bicharacter_deformation():
     iso = verify_algebra_iso(deformed.model, m2, phi, tol=1e-9)
     worst = max(iso["multiplicative"], iso["star"], iso["unit"])
     triv = deform_action(BACKENDS[bk], act, trivial_cocycle("dual", g))
-    exact = (np.array_equal(triv.model.product, _mult_tensor(act.algebra))
-             and np.array_equal(triv.model.star, _star_matrix(act.algebra)))
+    base = StarAlgebraModel.of_block_algebra(act.algebra)
+    exact = (np.array_equal(triv.model.table, base.table)
+             and np.array_equal(triv.model.star_matrix, base.star_matrix))
     ok = deformed.report["passed"] and simple and iso["passed"] and exact
     report(8, ok and worst < 1e-9,
            f"Pauli residual {worst:.2e}; trivial cocycle exact: {exact}")
@@ -234,22 +230,10 @@ def test_criterion_09_deformation_cross_test():
     ok = True
     for bk, act, om in pairs:
         backend = BACKENDS[bk]
-        spec = spectral_functor(backend, act)
-        twisted = deform_functor(spec.functor, om)
-        ok = ok and validate_functor(twisted).passed
-        alg = build_algebra(twisted, validate=False)
         deformed = deform_action(backend, act, om)
-        phi = roundtrip_check(backend, act).matrix
-        basis = alg.basis()
-        for x in basis:
-            xs = phi @ alg.flatten(x)
-            worst = max(worst, float(np.abs(
-                phi @ alg.flatten(alg.star(x)) - deformed.star(xs)
-            ).max()))
-            for y in basis:
-                lhs = phi @ alg.flatten(alg.multiply(x, y))
-                rhs = deformed.multiply(xs, phi @ alg.flatten(y))
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
+        cross = deformation_cross_test(backend, act, om, deformed)
+        ok = ok and cross["twisted_functor_valid"]
+        worst = max(worst, cross["comparison_residual"])
     report(9, ok and worst < 1e-9, f"worst comparison residual {worst:.2e}")
 
 

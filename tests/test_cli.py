@@ -216,11 +216,22 @@ def test_project_word_unknown_label_is_error():
         alg.project_word((("nope", False),), np.zeros((1, 1)))
 
 
-def test_kind_mismatch_is_input_error():
-    proc = run_cli("deform",
-                   "--backend", str(FIXTURES / "backends/dual_z2z2.json"),
-                   "--input", str(FIXTURES / "actions/z2z2_group_algebra.json"),
-                   "--input", str(FIXTURES / "cocycles/group_bicharacter_z2z2.json"))
+@pytest.mark.parametrize("args", [
+    ("deform", "backends/dual_z2z2.json", "actions/z2z2_group_algebra.json",
+     "cocycles/group_bicharacter_z2z2.json"),
+    ("fullness", "backends/dual_s3.json", "actions/inner_m2.json"),
+    ("cocycle-check", "backends/z2.json", "cocycles/bicharacter_z2z2.json"),
+    ("deform", "backends/z2z2.json", "actions/z2z2_group_algebra.json",
+     "cocycles/bicharacter_z2z2.json"),
+    ("deform", "backends/dual_z2z2.json", "actions/swap_c2.json",
+     "cocycles/group_bicharacter_z2z2.json"),
+])
+def test_kind_mismatch_is_input_error(args):
+    verb, backend, *inputs = args
+    argv = [verb, "--backend", str(FIXTURES / backend)]
+    for path in inputs:
+        argv += ["--input", str(FIXTURES / path)]
+    proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "error" in json.loads(proc.stdout)
 

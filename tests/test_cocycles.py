@@ -19,13 +19,12 @@ from qact.cocycles import (
     make_cocycle,
     trivial_cocycle,
     twist_element,
-    _mult_tensor,
-    _star_matrix,
 )
 from qact.actions import roundtrip_check, spectral_functor
+from qact.algebras import BlockAlgebra
 from qact.functors import validate_functor
 from qact.reconstruction import build_algebra
-from qact.staralg import matrix_algebra_model, verify_algebra_iso
+from qact.staralg import StarAlgebraModel, verify_algebra_iso
 
 TOL = 1e-9
 
@@ -38,6 +37,17 @@ def backends():
 @pytest.fixture(scope="module")
 def z2z2_grading():
     return action_corpus()["z2z2_group_algebra"]
+
+
+def cross_residual(alg, deformed, phi):
+    """Worst disagreement between the rebuilt products and stars of the
+    basis, carried over by phi, and the deformed products and stars of the
+    images of the basis."""
+    images = phi.T  # row i: the image of basis element i
+    stars = alg.model.star(np.eye(alg.dim)) @ phi.T - deformed.model.star(images)
+    prods = (alg.model.table @ phi.T
+             - deformed.model.multiply(images[:, None], images[None, :]))
+    return max(float(np.abs(stars).max()), float(np.abs(prods).max()))
 
 
 def brute_force_cocycle_identity(cocycle):
@@ -150,7 +160,7 @@ def test_deform_action_pauli_oracle(backends, z2z2_grading):
     assert deformed.model.block_structure() == (2,)
     # explicit Pauli isomorphism
     g = act.group
-    m2 = matrix_algebra_model(2)
+    m2 = StarAlgebraModel.of_block_algebra(BlockAlgebra((2,)))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     targets = {"0|0": np.eye(2, dtype=complex), "1|0": x_mat,
@@ -168,8 +178,9 @@ def test_deform_trivial_is_exact_identity(backends, z2z2_grading):
     bk, act = z2z2_grading
     om = trivial_cocycle("dual", act.group)
     deformed = deform_action(backends[bk], act, om)
-    assert np.array_equal(deformed.model.product, _mult_tensor(act.algebra))
-    assert np.array_equal(deformed.model.star, _star_matrix(act.algebra))
+    base = StarAlgebraModel.of_block_algebra(act.algebra)
+    assert np.array_equal(deformed.model.table, base.table)
+    assert np.array_equal(deformed.model.star_matrix, base.star_matrix)
 
 
 def test_deform_center_collapse(backends, z2z2_grading):
@@ -190,7 +201,7 @@ def test_deform_then_conjugate_recovers(backends, z2z2_grading):
     d1 = deform_action(backends[bk], act, om)
     # pointwise product of the two cocycles is identically one, so deforming
     # twice composes to the identity; verify on the product tensors
-    prod = np.zeros_like(d1.model.product)
+    prod = np.zeros_like(d1.model.table)
     g = act.group
     from qact.cocycles import _coaction_module_maps
     rd = _coaction_module_maps(backends[bk], act)
@@ -198,9 +209,10 @@ def test_deform_then_conjugate_recovers(backends, z2z2_grading):
         for c in range(g.order):
             w = conj.values[a, c]
             prod += w * np.einsum(
-                "rpq,pi,qj->rij", d1.model.product, rd[g.elements[a]], rd[g.elements[c]]
+                "pqr,pi,qj->ijr", d1.model.table, rd[g.elements[a]], rd[g.elements[c]]
             )
-    np.testing.assert_allclose(prod, _mult_tensor(act.algebra), atol=1e-12)
+    np.testing.assert_allclose(prod, StarAlgebraModel.of_block_algebra(act.algebra).table,
+                               atol=1e-12)
 
 
 def test_deformation_preserves_dimension_and_fixed_algebra(backends, z2z2_grading):
@@ -214,8 +226,8 @@ def test_deformation_preserves_dimension_and_fixed_algebra(backends, z2z2_gradin
     unit_row = act.component_rows(e)[0]
     rng = np.random.default_rng(2)
     x = rng.standard_normal(act.algebra.dim)
-    lhs = deformed.multiply(unit_row, x)
-    rhs = np.einsum("rpq,p,q->r", _mult_tensor(act.algebra), unit_row, x)
+    lhs = deformed.model.multiply(unit_row, x)
+    rhs = np.einsum("pqr,p,q->r", act.algebra.structure_tensor(), unit_row, x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -247,10 +259,11 @@ def test_deformed_involution_laws(backends, z2z2_grading):
     for _ in range(10):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_allclose(deformed.star(deformed.star(x)), x, atol=1e-10)
+        model = deformed.model
+        np.testing.assert_allclose(model.star(model.star(x)), x, atol=1e-10)
         np.testing.assert_allclose(
-            deformed.star(deformed.multiply(x, y)),
-            deformed.multiply(deformed.star(y), deformed.star(x)),
+            model.star(model.multiply(x, y)),
+            model.multiply(model.star(y), model.star(x)),
             atol=1e-10,
         )
 
@@ -311,17 +324,16 @@ def test_deform_functor_scales_graded_tensors(backends, z2z2_grading):
     alg1 = build_algebra(functor, validate=False)
     alg2 = build_algebra(twisted, validate=False)
     g = act.group
-    from qact.reconstruction import GradedElement
     for a in g.elements:
         for b in g.elements:
-            xa = GradedElement({a: np.ones((1, 1))})
-            yb = GradedElement({b: np.ones((1, 1))})
-            p1 = alg1.multiply(xa, yb)
-            p2 = alg2.multiply(xa, yb)
-            ab = g.elements[g.times(g.index(a), g.index(b))]
+            xa = alg1.component(a, np.ones((1, 1)))
+            yb = alg1.component(b, np.ones((1, 1)))
+            p1 = alg1.model.multiply(xa, yb)
+            p2 = alg2.model.multiply(xa, yb)
+            ab = alg1.spans[g.elements[g.times(g.index(a), g.index(b))]]
             scale = om.values[g.index(a), g.index(b)]
             np.testing.assert_allclose(
-                p2.parts[ab], scale * p1.parts[ab], atol=1e-12
+                p2[ab], scale * p1[ab], atol=1e-12
             )
 
 
@@ -350,17 +362,7 @@ def test_cross_deformation_consistency(backends, pair):
     deformed = deform_action(backends[bk], act, om)
     cert = roundtrip_check(backends[bk], act)
     phi = cert.matrix
-    worst = 0.0
-    basis = alg.basis()
-    for x in basis:
-        xs = phi @ alg.flatten(x)
-        worst = max(worst, float(np.abs(
-            phi @ alg.flatten(alg.star(x)) - deformed.star(xs)
-        ).max()))
-        for y in basis:
-            lhs = phi @ alg.flatten(alg.multiply(x, y))
-            rhs = deformed.multiply(xs, phi @ alg.flatten(y))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
 
 
@@ -377,17 +379,7 @@ def test_cross_deformation_group_backend(backends):
     deformed = deform_action(backend, act, om)
     cert = roundtrip_check(backend, act)
     phi = cert.matrix
-    worst = 0.0
-    basis = alg.basis()
-    for x in basis:
-        xs = phi @ alg.flatten(x)
-        worst = max(worst, float(np.abs(
-            phi @ alg.flatten(alg.star(x)) - deformed.star(xs)
-        ).max()))
-        for y in basis:
-            lhs = phi @ alg.flatten(alg.multiply(x, y))
-            rhs = deformed.multiply(xs, phi @ alg.flatten(y))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
     assert deformed.model.block_structure() == (2,)
 
@@ -415,17 +407,7 @@ def test_cross_deformation_nonabelian_dual(backends):
     alg = build_algebra(twisted, validate=False)
     deformed = deform_action(backends[bk], act, om)
     phi = roundtrip_check(backends[bk], act).matrix
-    worst = 0.0
-    basis = alg.basis()
-    for x in basis:
-        xs = phi @ alg.flatten(x)
-        worst = max(worst, float(np.abs(
-            phi @ alg.flatten(alg.star(x)) - deformed.star(xs)
-        ).max()))
-        for y in basis:
-            lhs = phi @ alg.flatten(alg.multiply(x, y))
-            rhs = deformed.multiply(xs, phi @ alg.flatten(y))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
 
 
@@ -446,16 +428,202 @@ def test_deformed_cstar_identity_and_expectation(backends, z2z2_grading):
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        n = deformed.operator_norm(x)
-        nn = deformed.operator_norm(deformed.multiply(deformed.star(x), x))
+        model = deformed.model
+        n = model.operator_norm(x)
+        nn = model.operator_norm(model.multiply(model.star(x), x))
         assert abs(nn - n * n) < 1e-8 * n * n
     # the expectation is the projection onto the unit component
     e_label = act.group.elements[act.group.identity]
     unit_row = act.component_rows(e_label)[0]
     np.testing.assert_allclose(
-        deformed.expectation_coords(unit_row), unit_row, atol=1e-12
+        deformed.expectation_matrix @ unit_row, unit_row, atol=1e-12
     )
     other = act.component_rows(act.group.elements[1])[0]
     np.testing.assert_allclose(
-        deformed.expectation_coords(other), 0, atol=1e-12
+        deformed.expectation_matrix @ other, 0, atol=1e-12
     )
+
+
+# -- the contraction-form audits against the per-basis loops they replaced ------
+
+
+def reference_deform_audit(backend, act, cocycle, deformed, tol=TOL, seed=0):
+    """The deform audit as it was computed one basis element at a time, on
+    the deformed model's table, star matrix, unit and state."""
+    from qact.actions import fixed_point_algebra
+
+    model = deformed.model
+    b = act.algebra
+    proj = deformed.expectation_matrix
+    trace_vec = model.expect[0]
+
+    def multiply(x, y):
+        return np.einsum("pqr,p,q->r", model.table, x, y)
+
+    def star(x):
+        return model.star_matrix @ np.conj(x)
+
+    def expect_mat(x, y):
+        return b.from_coords(proj @ multiply(star(x), y))
+
+    report = dict(twist_element(backend, cocycle, tol=tol)[1])
+    unit = model.unit
+    basis = np.eye(b.dim, dtype=complex)
+    worst_assoc = worst_inv = worst_anti = worst_unit = 0.0
+    for p in range(b.dim):
+        worst_inv = max(worst_inv, float(np.abs(star(star(basis[p])) - basis[p]).max()))
+        worst_unit = max(
+            worst_unit,
+            float(np.abs(multiply(unit, basis[p]) - basis[p]).max()),
+            float(np.abs(multiply(basis[p], unit) - basis[p]).max()),
+        )
+        for q in range(b.dim):
+            worst_anti = max(worst_anti, float(np.abs(
+                star(multiply(basis[p], basis[q]))
+                - multiply(star(basis[q]), star(basis[p]))
+            ).max()))
+            for r in range(b.dim):
+                lhs = multiply(multiply(basis[p], basis[q]), basis[r])
+                rhs = multiply(basis[p], multiply(basis[q], basis[r]))
+                worst_assoc = max(worst_assoc, float(np.abs(lhs - rhs).max()))
+    report["associative"] = worst_assoc
+    report["involutive"] = worst_inv
+    report["anti_multiplicative"] = worst_anti
+    report["unital"] = worst_unit
+
+    gram = np.zeros((b.dim, b.dim), dtype=complex)
+    for p in range(b.dim):
+        sp = star(basis[p])
+        for q in range(b.dim):
+            gram[p, q] = trace_vec @ multiply(sp, basis[q])
+    gram = (gram + gram.conj().T) / 2
+    eigs = np.linalg.eigvalsh(gram)
+    report["expectation_gram_min_eig"] = float(eigs.min())
+    report["expectation_faithful"] = bool(eigs.min() > tol)
+
+    fixed = fixed_point_algebra(backend, act, seed=seed)
+    rng = np.random.default_rng(seed)
+    worst_bound = 0.0
+    for _ in range(10):
+        x = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
+        acoords = fixed.algebra.coords(
+            fixed.algebra.project(rng.standard_normal((fixed.algebra.n, fixed.algebra.n)))
+        )
+        amat = fixed.embed(acoords)
+        ax = multiply(b.coords(amat), x)
+        diff = b.opnorm(amat) ** 2 * expect_mat(x, x) - expect_mat(ax, ax)
+        worst_bound = max(worst_bound, -float(
+            np.linalg.eigvalsh((diff + diff.conj().T) / 2).min()
+        ))
+    report["expectation_bound_violation"] = max(worst_bound, 0.0)
+    report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
+    report["passed"] = bool(
+        max(worst_assoc, worst_inv, worst_anti, worst_unit,
+            report["expectation_bound_violation"]) < 1e4 * tol
+        and report["expectation_faithful"]
+    )
+    return report
+
+
+def reference_algebra_iso(src, dst, phi, tol=TOL):
+    """verify_algebra_iso one basis pair at a time."""
+    out = {}
+    sv = np.linalg.svd(phi, compute_uv=False)
+    out["smallest_singular_value"] = float(sv.min()) if sv.size else 0.0
+    basis = np.eye(src.dim, dtype=complex)
+    worst_mult = 0.0
+    worst_star = 0.0
+    for p in range(src.dim):
+        worst_star = max(worst_star, float(np.abs(
+            phi @ src.star(basis[p]) - dst.star(phi @ basis[p])
+        ).max()))
+        for q in range(src.dim):
+            lhs = phi @ src.multiply(basis[p], basis[q])
+            rhs = dst.multiply(phi @ basis[p], phi @ basis[q])
+            worst_mult = max(worst_mult, float(np.abs(lhs - rhs).max()))
+    out["multiplicative"] = worst_mult
+    out["star"] = worst_star
+    out["unit"] = float(np.abs(phi @ src.unit - dst.unit).max())
+    out["passed"] = bool(
+        sv.size and sv.min() > 1e-8
+        and max(worst_mult, worst_star, out["unit"]) < 1e4 * tol
+    )
+    return out
+
+
+def reference_center_dimension(model, tol=1e-8):
+    """center_dimension with one commutator system per basis element."""
+    basis = np.eye(model.dim, dtype=complex)
+    stacked = np.vstack([np.einsum("pqr,q->rp", model.table, b)
+                         - np.einsum("qpr,q->rp", model.table, b)
+                         for b in basis])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return int(model.dim - np.sum(s > tol))
+
+
+def m3_coboundary():
+    """The coboundary cocycle on the clock-shift grading of M_3 that the
+    acceptance criterion on the deformation cross-test draws."""
+    bk, act = action_corpus()["m3_clock_shift"]
+    rng = np.random.default_rng(1)
+    phases = np.exp(2j * np.pi * rng.random(3))
+    phases[act.group.identity] = 1.0
+    return bk, act, coboundary_cocycle(act.group, phases)
+
+
+def _audit_pair(which):
+    corpus = action_corpus()
+    if which == "bicharacter":
+        bk, act = corpus["z2z2_group_algebra"]
+        return bk, act, bicharacter_cocycle([2, 2])
+    if which == "group_bicharacter":
+        bk, act = corpus["z2z2_translation"]
+        return bk, act, group_backend_bicharacter_cocycle()
+    if which == "trivial":
+        bk, act = corpus["z2z2_group_algebra"]
+        return bk, act, trivial_cocycle("dual", act.group)
+    return m3_coboundary()
+
+
+def assert_same_report(got, want):
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if isinstance(value, bool):
+            assert got[key] == value, key
+        elif isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+            assert value != 0.0 or got[key] == 0.0, (key, "zero moved", got[key])
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("which", ["bicharacter", "group_bicharacter", "trivial",
+                                   "m3_coboundary"])
+def test_contraction_audits_match_per_basis_loops(backends, which):
+    bk, act, om = _audit_pair(which)
+    backend = backends[bk]
+    deformed = deform_action(backend, act, om)
+    assert_same_report(deformed.report,
+                       reference_deform_audit(backend, act, om, deformed))
+    rebuilt = build_algebra(deform_functor(spectral_functor(backend, act).functor, om),
+                            validate=False).model
+    phi = roundtrip_check(backend, act).matrix
+    assert_same_report(verify_algebra_iso(rebuilt, deformed.model, phi),
+                       reference_algebra_iso(rebuilt, deformed.model, phi))
+    for model in (rebuilt, deformed.model):
+        assert model.center_dimension() == reference_center_dimension(model)
+
+
+def test_deform_audit_makes_no_single_element_products(backends, monkeypatch):
+    calls = []
+    multiply = StarAlgebraModel.multiply
+
+    def counted(self, x, y):
+        if np.ndim(x) <= 1 and np.ndim(y) <= 1:
+            calls.append(1)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(StarAlgebraModel, "multiply", counted)
+    bk, act, om = m3_coboundary()
+    assert deform_action(backends[bk], act, om).report["passed"]
+    assert calls == []

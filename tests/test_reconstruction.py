@@ -5,13 +5,9 @@ from qact.fixtures import action_corpus, clock_shift_bundle, standard_backends
 from qact.functors import from_graded, group_algebra_bundle
 from qact.groups import cyclic_group
 from qact.actions import spectral_functor
-from qact.reconstruction import (
-    GradedElement,
-    build_algebra,
-    build_report,
-    random_element,
-)
-from qact.staralg import matrix_algebra_model, verify_algebra_iso
+from qact.algebras import BlockAlgebra
+from qact.reconstruction import build_algebra, build_report
+from qact.staralg import PRUNE_TOL, StarAlgebraModel, verify_algebra_iso
 
 TOL = 1e-9
 
@@ -42,22 +38,40 @@ def unit_component(alg, label, i, p):
     d, m = alg.shapes[label]
     arr = np.zeros((d, m), dtype=complex)
     arr[i, p] = 1.0
-    return GradedElement({label: arr})
+    return alg.component(label, arr)
+
+
+def random_element(alg, rng):
+    vec = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    return alg.model.prune(vec)
+
+
+def parts(alg, vec):
+    """The nonzero label components of a flat vector, as arrays of shape
+    shapes[label]."""
+    return {label: vec[span].reshape(alg.shapes[label])
+            for label, span in alg.spans.items()
+            if np.abs(vec[span]).max() > PRUNE_TOL}
+
+
+def coaction_at(alg, g, x):
+    """The coaction of a group-kind algebra evaluated at group element g."""
+    return alg.model.prune(alg.coaction_matrix(alg.backend.group.index(g)) @ x)
 
 
 def test_project_word_irreducible_is_identity(s3_algebra):
     alg = s3_algebra
     arr = np.arange(1, 5, dtype=complex).reshape(2, 2)
     out = alg.project_word((("std", False),), arr)
-    np.testing.assert_allclose(out.parts["std"], arr, atol=TOL)
+    np.testing.assert_allclose(parts(alg, out)["std"], arr, atol=TOL)
 
 
 def test_project_word_dual_single_component(z3_group_algebra):
     alg = z3_group_algebra
     arr = np.array([[2.0 + 1j]])
-    out = alg.project_word((("1", False), ("2", False)), arr)
-    assert list(out.parts) == ["0"]
-    np.testing.assert_allclose(out.parts["0"], arr, atol=TOL)
+    out = parts(alg, alg.project_word((("1", False), ("2", False)), arr))
+    assert list(out) == ["0"]
+    np.testing.assert_allclose(out["0"], arr, atol=TOL)
 
 
 def test_project_word_std_squared(s3_algebra):
@@ -67,7 +81,7 @@ def test_project_word_std_squared(s3_algebra):
     obj = alg.real.object(word)
     arr = rng.standard_normal((4, obj.dim)) + 1j * rng.standard_normal((4, obj.dim))
     out = alg.project_word(word, arr)
-    assert sorted(out.parts) == ["sign", "std", "triv"]
+    assert sorted(parts(alg, out)) == ["sign", "std", "triv"]
 
 
 def test_project_word_decomposition_independent(s3_algebra):
@@ -84,8 +98,8 @@ def test_project_word_decomposition_independent(s3_algebra):
     ]
     out1 = alg.project_word(word, arr)
     out2 = alg.project_word(word, arr, components=rotated)
-    diff = out1 - out2
-    assert alg.operator_norm(diff) < 1e-10
+    diff = alg.model.prune(out1 - out2)
+    assert alg.model.operator_norm(diff) < 1e-10
 
 
 def test_project_word_isometry_property(s3_algebra):
@@ -103,7 +117,7 @@ def test_project_word_isometry_property(s3_algebra):
     arr = w.conj() @ x @ fw.T
     out1 = alg.project_word(word, arr)
     out2 = alg.project_word(atom, x)
-    assert alg.operator_norm(out1 - out2) < 1e-10
+    assert alg.model.operator_norm(alg.model.prune(out1 - out2)) < 1e-10
 
 
 def test_multiply_unit_and_algebra_component(s3_algebra):
@@ -113,11 +127,9 @@ def test_multiply_unit_and_algebra_component(s3_algebra):
     bmat = alg.algebra.project(rng.standard_normal((6, 6)))
     x = alg.from_algebra(amat)
     y = alg.from_algebra(bmat)
-    prod = alg.multiply(x, y)
-    np.testing.assert_allclose(alg.expectation(prod), amat @ bmat, atol=TOL)
-    np.testing.assert_allclose(
-        alg.flatten(alg.multiply(alg.unit(), x)), alg.flatten(x), atol=TOL
-    )
+    prod = alg.model.multiply(x, y)
+    np.testing.assert_allclose(alg.model.expectation(prod), amat @ bmat, atol=TOL)
+    np.testing.assert_allclose(alg.model.multiply(alg.model.unit, x), x, atol=TOL)
 
 
 def test_group_algebra_multiplication(z3_group_algebra):
@@ -127,56 +139,43 @@ def test_group_algebra_multiplication(z3_group_algebra):
         for b in g.elements:
             ua = unit_component(alg, a, 0, 0)
             ub = unit_component(alg, b, 0, 0)
-            prod = alg.multiply(ua, ub)
+            prod = parts(alg, alg.model.multiply(ua, ub))
             ab = g.elements[g.times(g.index(a), g.index(b))]
-            assert list(prod.parts) == [ab]
-            np.testing.assert_allclose(prod.parts[ab], [[1.0]], atol=TOL)
+            assert list(prod) == [ab]
+            np.testing.assert_allclose(prod[ab], [[1.0]], atol=TOL)
 
 
 def test_group_algebra_star(z3_group_algebra):
     alg = z3_group_algebra
     g = alg.backend.group
     for a in g.elements:
-        out = alg.star(unit_component(alg, a, 0, 0))
+        out = parts(alg, alg.model.star(unit_component(alg, a, 0, 0)))
         inv = g.elements[g.inv(g.index(a))]
-        assert list(out.parts) == [inv]
-        np.testing.assert_allclose(out.parts[inv], [[1.0]], atol=TOL)
+        assert list(out) == [inv]
+        np.testing.assert_allclose(out[inv], [[1.0]], atol=TOL)
 
 
 def test_clock_shift_matches_matrix_algebra(m3_algebra):
     # the rebuilt algebra of the offset bundle is the full 3x3 matrix
     # algebra: basis vector p of the offset-k fiber is the unit at (p, p+k)
     alg = m3_algebra
-    model = matrix_algebra_model(3)
+    model = StarAlgebraModel.of_block_algebra(BlockAlgebra((3,)))
     phi = np.zeros((9, alg.dim), dtype=complex)
     for k in range(3):
         off = alg.offsets[str(k)]
         for p in range(3):
             phi[p * 3 + (p + k) % 3, off + p] = 1.0
-    src = algebra_model_of(alg)
-    iso = verify_algebra_iso(src, model, phi, tol=TOL)
+    iso = verify_algebra_iso(alg.model, model, phi, tol=TOL)
     assert iso["passed"], iso
-
-
-def algebra_model_of(alg):
-    from qact.staralg import StarAlgebraModel
-
-    table = alg.multiplication_table()
-    star = alg.star_matrix()
-    functional = np.array([
-        np.trace(alg.expectation(b)) for b in alg.basis()
-    ])
-    return StarAlgebraModel(alg.dim, table.transpose(2, 0, 1), star,
-                            alg.flatten(alg.unit()), functional)
 
 
 def test_expectation_examples(s3_algebra):
     alg = s3_algebra
     rng = np.random.default_rng(4)
     amat = alg.algebra.project(rng.standard_normal((6, 6)))
-    np.testing.assert_allclose(alg.expectation(alg.from_algebra(amat)), amat, atol=TOL)
+    np.testing.assert_allclose(alg.model.expectation(alg.from_algebra(amat)), amat, atol=TOL)
     x = unit_component(alg, "std", 0, 1)
-    np.testing.assert_allclose(alg.expectation(x), 0, atol=TOL)
+    np.testing.assert_allclose(alg.model.expectation(x), 0, atol=TOL)
 
 
 def test_component_inner_product_formula(s3_algebra):
@@ -190,7 +189,7 @@ def test_component_inner_product_formula(s3_algebra):
                 for q in range(mod.dim):
                     x = unit_component(alg, "std", i, p)
                     y = unit_component(alg, "std", j, q)
-                    lhs = alg.inner(x, y)
+                    lhs = alg.model.inner(x, y)
                     scalar = (1.0 / dq) if i == j else 0.0
                     rhs = scalar * mod.inner(
                         np.eye(mod.dim)[p], np.eye(mod.dim)[q]
@@ -202,7 +201,7 @@ def test_components_mutually_orthogonal(s3_algebra):
     alg = s3_algebra
     x = unit_component(alg, "sign", 0, 0)
     y = unit_component(alg, "std", 1, 0)
-    np.testing.assert_allclose(alg.inner(x, y), 0, atol=TOL)
+    np.testing.assert_allclose(alg.model.inner(x, y), 0, atol=TOL)
 
 
 def test_coaction_constants_and_law(s3_algebra):
@@ -212,19 +211,17 @@ def test_coaction_constants_and_law(s3_algebra):
     amat = alg.algebra.project(rng.standard_normal((6, 6)))
     a_el = alg.from_algebra(amat)
     for x in g.elements:
-        np.testing.assert_allclose(
-            alg.flatten(alg.coaction_at(x, a_el)), alg.flatten(a_el), atol=TOL
-        )
+        np.testing.assert_allclose(coaction_at(alg, x, a_el), a_el, atol=TOL)
     # matrix-coefficient transformation law on the two-dimensional component
     mats = alg.backend.irrep("std").matrices
     for gi, x in enumerate(g.elements):
         for i in range(2):
             el = unit_component(alg, "std", i, 0)
-            out = alg.coaction_at(x, el)
+            out = parts(alg, coaction_at(alg, x, el))
             expect = np.zeros((2, alg.shapes["std"][1]), dtype=complex)
             for j in range(2):
                 expect[j, 0] = mats[gi][i, j]
-            np.testing.assert_allclose(out.parts["std"], expect, atol=TOL)
+            np.testing.assert_allclose(out["std"], expect, atol=TOL)
 
 
 def test_coaction_coassociativity_counit_star(s3_algebra):
@@ -233,28 +230,27 @@ def test_coaction_coassociativity_counit_star(s3_algebra):
     rng = np.random.default_rng(6)
     x = random_element(alg, rng)
     e = g.elements[g.identity]
-    np.testing.assert_allclose(
-        alg.flatten(alg.coaction_at(e, x)), alg.flatten(x), atol=TOL
-    )
+    model = alg.model
+    np.testing.assert_allclose(coaction_at(alg, e, x), x, atol=TOL)
     y = random_element(alg, rng)
     for a in g.elements:
-        xa = alg.coaction_at(a, x)
+        xa = coaction_at(alg, a, x)
         # homomorphism and star compatibility pointwise
         np.testing.assert_allclose(
-            alg.flatten(alg.coaction_at(a, alg.multiply(x, y))),
-            alg.flatten(alg.multiply(xa, alg.coaction_at(a, y))),
+            coaction_at(alg, a, model.multiply(x, y)),
+            model.multiply(xa, coaction_at(alg, a, y)),
             atol=1e-8,
         )
         np.testing.assert_allclose(
-            alg.flatten(alg.coaction_at(a, alg.star(x))),
-            alg.flatten(alg.star(xa)),
+            coaction_at(alg, a, model.star(x)),
+            model.star(xa),
             atol=1e-8,
         )
         for b in g.elements:
             ab = g.elements[g.times(g.index(a), g.index(b))]
             np.testing.assert_allclose(
-                alg.flatten(alg.coaction_at(ab, x)),
-                alg.flatten(alg.coaction_at(b, alg.coaction_at(a, x))),
+                coaction_at(alg, ab, x),
+                coaction_at(alg, b, coaction_at(alg, a, x)),
                 atol=1e-8,
             )
 
@@ -266,8 +262,8 @@ def test_coaction_fixed_points_are_algebra(s3_algebra):
     rows = []
     for x in g.elements:
         mat = np.zeros((alg.dim, alg.dim), dtype=complex)
-        for b_idx, b in enumerate(alg.basis()):
-            mat[:, b_idx] = alg.flatten(alg.coaction_at(x, b))
+        for b_idx, b in enumerate(np.eye(alg.dim)):
+            mat[:, b_idx] = coaction_at(alg, x, b)
         rows.append(mat - np.eye(alg.dim))
     null = np.linalg.svd(np.vstack(rows), compute_uv=False)
     fixed_dim = int(np.sum(null < 1e-9))
@@ -276,50 +272,50 @@ def test_coaction_fixed_points_are_algebra(s3_algebra):
 
 def test_grading_form_of_coaction(z3_group_algebra):
     alg = z3_group_algebra
+    # the coaction of a dual backend is the decomposition into components
     x = unit_component(alg, "1", 0, 0)
-    graded = alg.grading(x)
+    graded = parts(alg, x)
     assert list(graded) == ["1"]
 
 
 def test_regular_norm_examples(z3_group_algebra, m3_algebra):
     alg = z3_group_algebra
-    assert abs(alg.operator_norm(alg.unit()) - 1.0) < TOL
+    assert abs(alg.model.operator_norm(alg.model.unit) - 1.0) < TOL
     # Fourier oracle on the cyclic group algebra
     rng = np.random.default_rng(7)
     coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    el = alg.zero()
-    for k, c in enumerate(coeff):
-        el = el + unit_component(alg, str(k), 0, 0).scale(c)
+    el = sum(c * unit_component(alg, str(k), 0, 0) for k, c in enumerate(coeff))
     omega = np.exp(2j * np.pi / 3)
     oracle = max(
         abs(sum(coeff[k] * omega ** (k * chi) for k in range(3)))
         for chi in range(3)
     )
-    assert abs(alg.operator_norm(el) - oracle) < 1e-8
+    assert abs(alg.model.operator_norm(el) - oracle) < 1e-8
     # the clock/shift algebra carries the operator norm of 3x3 matrices
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     el = alg2_element_from_matrix(m3_algebra, m)
     oracle = np.linalg.svd(m, compute_uv=False)[0]
-    assert abs(m3_algebra.operator_norm(el) - oracle) < 1e-8
+    assert abs(m3_algebra.model.operator_norm(el) - oracle) < 1e-8
 
 
 def alg2_element_from_matrix(alg, m):
     # the basis vector p of the offset-k component is the unit at (p, p+k)
-    parts = {}
+    vec = np.zeros(alg.dim, dtype=complex)
     for k in range(3):
         arr = np.zeros((1, 3), dtype=complex)
         for p in range(3):
             arr[0, p] = m[p, (p + k) % 3]
-        parts[str(k)] = arr
-    return GradedElement(parts)
+        vec += alg.component(str(k), arr)
+    return vec
 
 
 def test_cstar_identity_random(s3_algebra):
     rng = np.random.default_rng(8)
     for _ in range(20):
+        model = s3_algebra.model
         x = random_element(s3_algebra, rng)
-        n = s3_algebra.operator_norm(x)
-        nn = s3_algebra.operator_norm(s3_algebra.multiply(s3_algebra.star(x), x))
+        n = model.operator_norm(x)
+        nn = model.operator_norm(model.multiply(model.star(x), x))
         assert abs(nn - n * n) < 1e-8 * n * n
 
 
@@ -347,25 +343,59 @@ def test_algebra_acts_componentwise(s3_algebra):
     for i in range(2):
         for p in range(mod.dim):
             x = unit_component(alg, "std", i, p)
-            left = alg.multiply(a_el, x)
+            left = parts(alg, alg.model.multiply(a_el, x))
             expect = np.zeros((2, mod.dim), dtype=complex)
             expect[i] = mod.left_mul(amat, np.eye(mod.dim)[p])
-            np.testing.assert_allclose(left.parts["std"], expect, atol=TOL)
-            right = alg.multiply(x, a_el)
+            np.testing.assert_allclose(left["std"], expect, atol=TOL)
+            right = parts(alg, alg.model.multiply(x, a_el))
             expect[i] = mod.right_mul(np.eye(mod.dim)[p], amat)
-            np.testing.assert_allclose(right.parts["std"], expect, atol=TOL)
+            np.testing.assert_allclose(right["std"], expect, atol=TOL)
 
 
 def test_norm_submultiplicative(s3_algebra):
     rng = np.random.default_rng(10)
     for _ in range(10):
+        model = s3_algebra.model
         x = random_element(s3_algebra, rng)
         y = random_element(s3_algebra, rng)
-        nxy = s3_algebra.operator_norm(s3_algebra.multiply(x, y))
-        assert nxy <= s3_algebra.operator_norm(x) * s3_algebra.operator_norm(y) + 1e-9
+        nxy = model.operator_norm(model.multiply(x, y))
+        assert nxy <= model.operator_norm(x) * model.operator_norm(y) + 1e-9
 
 
 # -- the flat model against the dict-of-arrays model it replaced ---------------
+
+
+class DictElement:
+    """An element of the dict-of-arrays model: one coefficient array of
+    shape (irrep dim, module dim) per label, components within PRUNE_TOL
+    dropped."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts=None):
+        self.parts = {}
+        for label, arr in (parts or {}).items():
+            arr = np.asarray(arr, dtype=complex)
+            if arr.size and np.abs(arr).max() > PRUNE_TOL:
+                self.parts[label] = arr
+
+    def __sub__(self, other):
+        out = {label: arr.copy() for label, arr in self.parts.items()}
+        for label, arr in other.parts.items():
+            out[label] = out[label] - arr if label in out else -arr
+        return DictElement(out)
+
+
+def to_dict(alg, vec):
+    return DictElement({label: vec[span].reshape(alg.shapes[label])
+                        for label, span in alg.spans.items()})
+
+
+def to_flat(alg, x):
+    vec = np.zeros(alg.dim, dtype=complex)
+    for label, arr in x.parts.items():
+        vec[alg.spans[label]] = arr.reshape(-1)
+    return vec
 
 
 class DictReference:
@@ -405,7 +435,7 @@ class DictReference:
                 for gamma, wt, phi in self.product[(a, b)]:
                     piece = np.einsum("cij,rpq,ip,jq->cr", wt, phi, xa, yb)
                     acc[gamma] = acc[gamma] + piece if gamma in acc else piece
-        return GradedElement(acc)
+        return DictElement(acc)
 
     def star(self, x):
         acc = {}
@@ -413,7 +443,7 @@ class DictReference:
             target, cmat, partners = self.star_data[a]
             piece = cmat @ xa.conj() @ partners.T
             acc[target] = acc[target] + piece if target in acc else piece
-        return GradedElement(acc)
+        return DictElement(acc)
 
     def expectation(self, x):
         e = self.alg.backend.trivial_label
@@ -426,7 +456,7 @@ class DictReference:
 
     def gram(self):
         alg = self.alg
-        basis = alg.basis()
+        basis = [to_dict(alg, e) for e in np.eye(alg.dim)]
         n = alg.algebra.n
         g = np.zeros((alg.dim, alg.dim, n, n), dtype=complex)
         for i, bi in enumerate(basis):
@@ -443,8 +473,8 @@ class DictReference:
             keep = w > 1e-12 * max(float(w.max()), 1e-300)
             self._gns = (v[:, keep], np.sqrt(w[keep]))
         v, sq = self._gns
-        basis = alg.basis()
-        lmat = np.array([alg.flatten(self.multiply(x, b)) for b in basis]).T
+        basis = [to_dict(alg, e) for e in np.eye(alg.dim)]
+        lmat = np.array([to_flat(alg, self.multiply(x, b)) for b in basis]).T
         t = (v * sq).conj().T @ np.kron(lmat, np.eye(n)) @ (v / sq)
         return float(np.linalg.norm(t, 2)) if t.size else 0.0
 
@@ -457,7 +487,7 @@ def reference_build_report(alg, seed=0, samples=100):
     rep = {"dimension": alg.dim, "component_dims": alg.component_dims(), "tolerance": tol}
     worst_assoc = worst_invol = worst_anti = worst_cstar = 0.0
     for _ in range(samples):
-        x, y, z = (random_element(alg, rng) for _ in range(3))
+        x, y, z = (to_dict(alg, random_element(alg, rng)) for _ in range(3))
         nx, ny, nz = (ref.operator_norm(v) for v in (x, y, z))
         lhs = ref.multiply(ref.multiply(x, y), z)
         rhs = ref.multiply(x, ref.multiply(y, z))
@@ -477,9 +507,9 @@ def reference_build_report(alg, seed=0, samples=100):
     worst_bound = -np.inf
     n = alg.algebra.n
     amat = alg.algebra.project(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    a_el = alg.from_algebra(amat)
+    a_el = to_dict(alg, alg.from_algebra(amat))
     for _ in range(20):
-        x = random_element(alg, rng)
+        x = to_dict(alg, random_element(alg, rng))
         lhs = ref.expectation(ref.multiply(a_el, ref.multiply(x, a_el)))
         rhs = amat @ ref.expectation(x) @ amat
         worst_bimod = max(worst_bimod, float(np.abs(lhs - rhs).max()))
@@ -502,8 +532,8 @@ def reference_build_report(alg, seed=0, samples=100):
         xa = rng.standard_normal((da, ma)) + 1j * rng.standard_normal((da, ma))
         yb = rng.standard_normal((db, mb)) + 1j * rng.standard_normal((db, mb))
         atoms, arr = alg.free_product_word(a, xa, b, yb)
-        diff = alg.project_word(atoms, arr) - ref.multiply(GradedElement({a: xa}),
-                                                           GradedElement({b: yb}))
+        diff = to_dict(alg, alg.project_word(atoms, arr)) - ref.multiply(
+            DictElement({a: xa}), DictElement({b: yb}))
         worst_pi = max(worst_pi, ref.operator_norm(diff))
     rep["word_projection_homomorphism"] = worst_pi
     rep["passed"] = bool(all([
@@ -557,16 +587,17 @@ def flat_and_reference(request):
 def _sample_elements(alg, rng):
     """Basis elements, random elements and random elements supported on a
     single component."""
-    out = list(alg.basis())
+    out = list(np.eye(alg.dim, dtype=complex))
     out += [random_element(alg, rng) for _ in range(4)]
     for label in alg.labels:
         shape = alg.shapes[label]
-        out.append(GradedElement({label: rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape)}))
+        out.append(alg.component(label, rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape)))
     return out
 
 
-def _assert_same_element(got, want, atol):
+def _assert_same_element(alg, got, want, atol):
+    got = to_dict(alg, got)
     assert sorted(got.parts) == sorted(want.parts)
     for label, arr in want.parts.items():
         np.testing.assert_allclose(got.parts[label], arr, rtol=0, atol=atol)
@@ -574,41 +605,42 @@ def _assert_same_element(got, want, atol):
 
 def test_flat_products_and_stars_match_dict_model(flat_and_reference):
     alg, ref = flat_and_reference
+    model = alg.model
     rng = np.random.default_rng(11)
     elements = _sample_elements(alg, rng)
     for x in elements:
-        _assert_same_element(alg.star(x), ref.star(x), 1e-13)
+        _assert_same_element(alg, model.star(x), ref.star(to_dict(alg, x)), 1e-13)
         for y in elements:
-            scale = max(1.0, float(np.abs(alg.flatten(x)).max() * np.abs(alg.flatten(y)).max()))
-            _assert_same_element(alg.multiply(x, y), ref.multiply(x, y), 1e-13 * scale)
+            scale = max(1.0, float(np.abs(x).max() * np.abs(y).max()))
+            _assert_same_element(alg, model.multiply(x, y),
+                                 ref.multiply(to_dict(alg, x), to_dict(alg, y)), 1e-13 * scale)
 
 
 def test_flat_products_prune_the_components_the_dict_model_prunes(flat_and_reference):
     alg, ref = flat_and_reference
-    basis = alg.basis()
-    for x in basis:
-        assert sorted(alg.star(x).parts) == sorted(ref.star(x).parts)
-        for y in basis:
-            assert sorted(alg.multiply(x, y).parts) == sorted(ref.multiply(x, y).parts)
-    xs = np.array([alg.flatten(x) for x in basis])
-    stacked = alg.multiply_flat(xs[:, None], xs[None, :])
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            np.testing.assert_array_equal(stacked[i, j], alg.flatten(alg.multiply(x, y)))
+    model = alg.model
+    xs = np.eye(alg.dim, dtype=complex)
+    basis = [to_dict(alg, x) for x in xs]
+    for x, xd in zip(xs, basis):
+        assert sorted(parts(alg, model.star(x))) == sorted(ref.star(xd).parts)
+        for y, yd in zip(xs, basis):
+            assert sorted(parts(alg, model.multiply(x, y))) == sorted(ref.multiply(xd, yd).parts)
+    stacked = model.multiply(xs[:, None], xs[None, :])
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            np.testing.assert_array_equal(stacked[i, j], model.multiply(x, y))
 
 
 def test_flat_outputs_are_pruned(flat_and_reference):
     # basis elements plus rounding-size noise: the components that only the
-    # noise reaches must come out exactly zero, as GradedElement drops them
-    from qact.reconstruction import PRUNE_TOL
-
+    # noise reaches must come out exactly zero, as the dict model drops them
     alg, _ = flat_and_reference
     rng = np.random.default_rng(13)
     noise = 1e-15 * (rng.standard_normal((alg.dim, alg.dim))
                      + 1j * rng.standard_normal((alg.dim, alg.dim)))
     xs = np.eye(alg.dim) + noise
-    assert not alg.prune(noise).any()
-    for out in (alg.multiply_flat(xs[:, None], xs[None, :]), alg.star_flat(xs)):
+    assert not alg.model.prune(noise).any()
+    for out in (alg.model.multiply(xs[:, None], xs[None, :]), alg.model.star(xs)):
         for span in alg.spans.values():
             peak = np.abs(out[..., span]).max(axis=-1)
             assert np.all((peak == 0.0) | (peak > PRUNE_TOL))
@@ -618,12 +650,12 @@ def test_flat_norms_and_gram_match_dict_model(flat_and_reference):
     alg, ref = flat_and_reference
     rng = np.random.default_rng(12)
     elements = _sample_elements(alg, rng)
-    np.testing.assert_allclose(alg.gram(), ref.gram(), rtol=0, atol=1e-13)
-    flat = alg.operator_norm_flat(np.array([alg.flatten(x) for x in elements]))
+    np.testing.assert_allclose(alg.model.gram(), ref.gram(), rtol=0, atol=1e-13)
+    flat = alg.model.operator_norm(np.array(elements))
     for x, got in zip(elements, flat):
-        want = ref.operator_norm(x)
+        want = ref.operator_norm(to_dict(alg, x))
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
-        assert abs(alg.operator_norm(x) - got) <= 1e-13 * max(got, 1.0)
+        assert abs(alg.model.operator_norm(x) - got) <= 1e-13 * max(got, 1.0)
 
 
 def test_flat_build_report_matches_dict_model(flat_and_reference):
@@ -650,11 +682,10 @@ def test_build_report_forms_no_kron(monkeypatch):
 
 def test_roundtrip_makes_no_element_products(monkeypatch):
     from qact.actions import roundtrip_check
-    from qact.reconstruction import ReconstructedAlgebra
 
     calls = []
-    multiply = ReconstructedAlgebra.multiply
-    monkeypatch.setattr(ReconstructedAlgebra, "multiply",
+    multiply = StarAlgebraModel.multiply
+    monkeypatch.setattr(StarAlgebraModel, "multiply",
                         lambda self, x, y: calls.append(1) or multiply(self, x, y))
     bk, act = action_corpus()["m3_clock_shift"]
     assert roundtrip_check(standard_backends()[bk], act).passed
