@@ -11,26 +11,28 @@ One builder, `functor_from_subspaces`, turns invariant subspaces into
 functor data.  It serves the spectral functor of an action (subspaces of
 the acted-on algebra), the functor of an equivariant module (equivariant
 maps M -> M (x) H) and the spectral functor of a reconstructed algebra;
-`null_space` and `InSpan` are the shared kernel and projection helpers.
+`blockdecomp.null_space` and `InSpan` are the shared kernel and projection
+helpers.  Only the round trips rebuild an algebra, so only they import
+`reconstruction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
-from .blockdecomp import SubalgebraBlocks, decompose_star_algebra
+from .blockdecomp import SubalgebraBlocks, decompose_star_algebra, null_space
+from .errors import ActionError, BackendError
 from .functors import TensorFunctorData
 from .groups import GroupPresentation
-from .reconstruction import ReconstructedAlgebra, build_algebra
-from .repcat import Backend, BackendError, RANK_TOL
+from .repcat import Backend, RANK_TOL
 from .staralg import StarAlgebraModel
 
-
-class ActionError(ValueError):
-    """Malformed action data."""
+if TYPE_CHECKING:
+    from .reconstruction import ReconstructedAlgebra
 
 
 @dataclass
@@ -176,14 +178,12 @@ def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> Subalge
     return decompose_star_algebra(mats, b.n, seed=seed)
 
 
-def null_space(stacked: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the kernel of a matrix, shape (nullity,
-    columns).  Singular values up to RANK_TOL count as zero; the columns in
-    excess of the rows always lie in the kernel.  Tall stacks take the thin
-    SVD, which has every right singular vector without the full U."""
-    _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
-    # rows of vh are orthonormal; conjugate so x (not x-bar) solves stacked x = 0
-    return vh[int(np.sum(s > RANK_TOL)):].conj()
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, for stacks of matrices along leading
+    axes of a or b; every entry is the one product np.kron forms for it,
+    so each slice has np.kron's bits."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 class InSpan:
@@ -273,11 +273,8 @@ def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     if act.kind == "automorphism":
         u = backend.irrep(label).matrices
         d = backend.irrep(label).dim
-        eye = np.eye(d * b.dim)
-        basis = null_space(np.vstack([
-            np.kron(u[gi], act.map_matrix(x)) - eye
-            for gi, x in enumerate(act.group.elements)
-        ]))
+        maps = np.array([act.map_matrix(x) for x in act.group.elements])
+        basis = null_space((_kron(u, maps) - np.eye(d * b.dim)).reshape(-1, d * b.dim))
         return basis.reshape(-1, d, b.dim)
     rows = act.component_rows(label)
     if rows.shape[0] == 0:
@@ -344,6 +341,8 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     the canonical map back onto the original algebra: linear bijection,
     multiplicative, star-preserving, equivariant, identity on the fixed
     subalgebra."""
+    from .reconstruction import build_algebra
+
     spec = spectral_functor(backend, act, seed=seed)
     alg = build_algebra(spec.functor, tol=tol)
     b = act.algebra
@@ -552,12 +551,16 @@ def module_tensor_irrep(backend: Backend, module: EquivariantModule,
         for gi, x in enumerate(act.group.elements):
             com[x] = np.kron(module.comodule[x], rep.matrices[gi])
         return EquivariantModule(act, dim, right, inner, comodule=com)
-    g = act.group
-    gamma = rep.grades[0]
-    grades = tuple(
-        g.elements[g.times(g.inv(gamma), g.index(mu))] for mu in module.grades
-    )
-    return EquivariantModule(act, dim, right, inner, grades=grades)
+    return EquivariantModule(act, dim, right, inner,
+                             grades=_tensor_grades(backend, module, label))
+
+
+def _tensor_grades(backend: Backend, module: EquivariantModule,
+                   label: str) -> tuple[str, ...]:
+    """The grades of the carrier basis of M (x) H for a dual backend."""
+    g = module.action.group
+    gamma = backend.atom(label).grades[0]
+    return tuple(g.elements[g.times(g.inv(gamma), g.index(mu))] for mu in module.grades)
 
 
 # -- functors from module objects ----------------------------------------------
@@ -572,39 +575,43 @@ class ModuleFunctor:
     module: EquivariantModule
 
 
-def _equivariant_maps(backend: Backend, module: EquivariantModule,
-                      label: str) -> np.ndarray:
+def _right_linearity_rows(module: EquivariantModule, d: int) -> np.ndarray:
+    """The equations T R_k = R'_k T of a map T : M -> M (x) H, stacked over
+    the basis of B, where R'_k = R_k (x) I_d is the right action on M (x) H
+    (module_tensor_irrep); they depend on H only through d = dim H."""
+    t = module.dim * d
+    # complex as module_tensor_irrep stores it, so the system stays complex
+    right2 = _kron(module.right, np.eye(d)).astype(complex)
+    # row-major vec: T A -> kron(I, A.T), A T -> kron(A, I)
+    rows = _kron(np.eye(t), module.right.transpose(0, 2, 1)) - _kron(right2, np.eye(module.dim))
+    return rows.reshape(-1, t * module.dim)
+
+
+def _equivariant_maps(backend: Backend, module: EquivariantModule, label: str,
+                      right_rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right-linear equivariant maps
     M -> M (x) H_label, split into their components M -> M along the
-    basis of H_label; shape (count, d, dim M, dim M)."""
+    basis of H_label; shape (count, d, dim M, dim M).
+
+    right_rows are the right-linearity equations for the dimension of
+    H_label (_right_linearity_rows); the label adds its equivariance
+    equations, one per group element or the grading mask.
+    """
     act = module.action
-    b = act.algebra
-    target = module_tensor_irrep(backend, module, label)
     d = backend.irrep(label).dim
-    rows = []
-    for k in range(b.dim):
-        # T R_k = R'_k T; row-major vec: T A -> kron(I, A.T), A T -> kron(A, I)
-        rk = module.right[k]
-        rk2 = target.right[k]
-        rows.append(
-            np.kron(np.eye(target.dim), rk.T) - np.kron(rk2, np.eye(module.dim))
-        )
+    t = module.dim * d
     if act.kind == "automorphism":
-        for x in act.group.elements:
-            w = module.comodule[x]
-            w2 = target.comodule[x]
-            rows.append(
-                np.kron(np.eye(target.dim), w.T) - np.kron(w2, np.eye(module.dim))
-            )
+        # W_x T = (W_x (x) U_x) T, the comodule maps of M and M (x) H
+        w = np.array([module.comodule[x] for x in act.group.elements])
+        w2 = _kron(w, backend.atom(label).matrices)
+        rows = _kron(np.eye(t), w.transpose(0, 2, 1)) - _kron(w2, np.eye(module.dim))
     else:
-        mask = np.zeros((target.dim, module.dim))
-        for r in range(target.dim):
-            for c in range(module.dim):
-                if target.grades[r] != module.grades[c]:
-                    mask[r, c] = 1.0
-        rows.append(np.diag(mask.reshape(-1)))
+        grades = np.array(_tensor_grades(backend, module, label))
+        mask = (grades[:, None] != np.array(module.grades)[None, :]).astype(float)
+        rows = np.diag(mask.reshape(-1))
     # rows of M (x) H are indexed (module index, representation index)
-    basis = null_space(np.vstack(rows)).reshape(-1, module.dim, d, module.dim)
+    stacked = np.vstack([right_rows, rows.reshape(-1, t * module.dim)])
+    basis = null_space(stacked).reshape(-1, module.dim, d, module.dim)
     return basis.transpose(0, 2, 1, 3)
 
 
@@ -616,7 +623,10 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     `base` optionally fixes the endomorphism algebra: a block algebra
     together with the images of its matrix units as module maps, shape
     (algebra dim, dim M, dim M).  Functors of related modules can then
-    share one base algebra instead of each probing its own.
+    share one base algebra instead of each probing its own.  The maps of
+    the trivial label, End(M) itself, are solved for only without `base`;
+    with it, the given unit images are that label's basis.  The
+    right-linearity equations are built once per irrep dimension.
     """
     nb = module.action.algebra.n
     # isometric coordinates for the Hilbert space induced by the inner product
@@ -626,12 +636,20 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
         """A module map M -> M as a matrix on the induced Hilbert space."""
         return (vecs * sing).conj().T @ np.kron(t, np.eye(nb)) @ (vecs / sing)
 
+    right_rows: dict[int, np.ndarray] = {}
+
+    def equivariant_maps(label):
+        d = backend.irrep(label).dim
+        if d not in right_rows:
+            right_rows[d] = _right_linearity_rows(module, d)
+        return _equivariant_maps(backend, module, label, right_rows[d])
+
     triv = backend.trivial_label
-    # maps into M (x) C are maps into M
-    end_maps = [t[0] for t in _equivariant_maps(backend, module, triv)]
-    end_h = [hilbert(t) for t in end_maps]
     kdim = vecs.shape[1]
     if base is None:
+        # maps into M (x) C are maps into M
+        end_maps = [t[0] for t in equivariant_maps(triv)]
+        end_h = [hilbert(t) for t in end_maps]
         blocks = decompose_star_algebra(end_h, kdim, seed=seed)
         unit_module = np.zeros((blocks.algebra.dim, module.dim, module.dim), dtype=complex)
         stack = np.array([t.reshape(-1) for t in end_h]).T
@@ -652,8 +670,7 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
 
     # trivial component: matrix units of the endomorphism algebra themselves
     bases = {
-        label: unit_module[:, None] if label == triv
-        else _equivariant_maps(backend, module, label)
+        label: unit_module[:, None] if label == triv else equivariant_maps(label)
         for label in backend.labels
     }
 
@@ -688,12 +705,9 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
     d = backend.irrep(label).dim
     if act.kind == "automorphism":
         u = backend.irrep(label).matrices
-        rows = []
-        eye = np.eye(d * module.dim)
-        for gi, x in enumerate(act.group.elements):
-            w = module.comodule[x]
-            rows.append(np.kron(np.eye(d), w) - np.kron(u[gi].T, np.eye(module.dim)))
-        return null_space(np.vstack(rows)).reshape(-1, d, module.dim)
+        w = np.array([module.comodule[x] for x in act.group.elements])
+        rows = _kron(np.eye(d), w) - _kron(u.transpose(0, 2, 1), np.eye(module.dim))
+        return null_space(rows.reshape(-1, d * module.dim)).reshape(-1, d, module.dim)
     g = act.group
     want = g.elements[g.inv(g.index(label))]
     hits = [p for p, gr in enumerate(module.grades) if gr == want]
@@ -1011,6 +1025,8 @@ def functor_roundtrip_check(functor: TensorFunctorData, tol: float = 1e-9):
     algebra is naturally unitarily isomorphic to the input, through the
     canonical map sending X to the invariant vector with components
     (basis vector i) (x) (conjugate basis vector i) (x) X."""
+    from .reconstruction import build_algebra
+
     alg = build_algebra(functor, tol=tol)
     functor2, bases2 = algebra_spectral_functor(alg)
     maps: dict[str, np.ndarray] = {}

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class AlgebraError(ValueError):
-    """Mismatched algebras or malformed correspondence data."""
+from .errors import AlgebraError
 
 
 class ContractViolation(ValueError):

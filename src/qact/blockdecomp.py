@@ -5,6 +5,9 @@ M_n(C): the list of block sizes together with images in S of the abstract
 matrix units.  The probe is a random self-adjoint element of the center
 (then of each simple summand) with a fixed seed, so results are
 deterministic for a given seed.
+
+`null_space` is the package's one kernel routine: the center here, and the
+spectral subspaces, equivariant maps and bimodule maps of `actions`.
 """
 
 from __future__ import annotations
@@ -14,12 +17,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import BlockAlgebra
+from .repcat import RANK_TOL
 
 CLUSTER_TOL = 1e-7
 
 
 class DecompositionError(RuntimeError):
     """The probe failed to separate the algebra (after retries)."""
+
+
+def null_space(stacked: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a matrix, shape (nullity,
+    columns).  Singular values up to RANK_TOL count as zero; the columns in
+    excess of the rows always lie in the kernel.
+
+    A stack with at least 17/9 (complex) or 11/6 (real) times as many rows
+    as columns is first reduced to the square R of its QR factorization
+    (mode "r"), and the SVD is taken of R: R has the stack's singular
+    values and right singular vectors, and no U is formed.  LAPACK's
+    divide-and-conquer SVD (?gesdd) runs that same QR itself on a stack
+    that tall, so with one LAPACK the values and vectors are those of the
+    thin SVD bit for bit.  A shorter stack takes the thin SVD, where ?gesdd
+    runs no QR.  Another LAPACK build, which may factor differently or
+    cross over elsewhere, gives the same null space up to rounding.
+    """
+    rows, cols = stacked.shape
+    num, den = (17, 9) if np.iscomplexobj(stacked) else (11, 6)
+    if rows > cols and rows >= cols * num // den:
+        stacked = np.linalg.qr(stacked, mode="r")
+    _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < cols)
+    # rows of vh are orthonormal; conjugate so x (not x-bar) solves stacked x = 0
+    return vh[int(np.sum(s > RANK_TOL)):].conj()
 
 
 def _orthonormal_span(mats: list[np.ndarray], n: int, tol: float = 1e-10) -> list[np.ndarray]:
@@ -99,19 +127,12 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int,
     basis = _orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
     if not basis:
         raise DecompositionError("empty algebra")
-    dim_s = len(basis)
     # center: commutes with every basis element
     rows = []
     for b in basis:
         block = np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T
         rows.append(block)
-    commutator = np.vstack(rows)
-    _, s, vh = np.linalg.svd(commutator)
-    null_dim = int(np.sum(s < 1e-8)) + (vh.shape[0] - len(s))
-    center_coords = vh[len(s) - null_dim:] if null_dim else np.zeros((0, dim_s))
-    center = [
-        sum(c * b for c, b in zip(row, basis)) for row in center_coords.conj()
-    ]
+    center = [sum(c * b for c, b in zip(row, basis)) for row in null_space(np.vstack(rows))]
     center_sa = _selfadjoint_basis(center, n)
     n_blocks = len(center_sa)
 

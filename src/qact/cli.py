@@ -4,40 +4,60 @@ Verbs: validate, validate-graded, build, spectral, roundtrip,
 module-functor, fullness, cocycle-check, deform.
 
 Exit codes: 0 all residuals under tolerance, 1 validation failure,
-2 input error.  The report is written to --report (or stdout) either way;
-identical inputs and seed produce byte-identical reports.
+2 input error, 3 internal error (any other exception; the report names its
+type and message under "internal_error").  The report is written to
+--report (or stdout) either way; identical inputs and seed produce
+byte-identical reports.
+
+A verb runs the code of only the layers it uses.  The layers are bound
+here as lazy modules (importlib.util.LazyLoader), whose code runs on their
+first attribute access: `validate`, `validate-graded` and `build` never run
+`actions` or `cocycles`, and `module-functor` never runs `cocycles` or
+`reconstruction`.  All of them are bound, so `import qact.cli` still puts
+every layer in sys.modules, where a tool that wraps the layers' functions
+before calling `main` finds them (perfbench/tracer.py does).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
 import numpy as np
 
-from . import serialize
-from .actions import (
+from .errors import (
     ActionError,
-    canonical_module_iso,
-    fullness_check,
-    module_from_algebra,
-    roundtrip_check,
-    spectral_functor,
-)
-from .algebras import AlgebraError
-from .cocycles import (
+    AlgebraError,
+    BackendError,
     CocycleError,
-    check_cocycle,
-    deform_action,
-    deformation_cross_test,
-    twist_element,
+    IncompleteDataError,
+    SchemaError,
 )
-from .functors import IncompleteDataError, validate_functor, validate_graded
-from .reconstruction import build_algebra, build_report
-from .repcat import BackendError
 
 SCHEMA = "report.v1"
+
+
+def _bind_lazily(name: str) -> None:
+    """Put the layer qact.<name> in sys.modules and on the package, its code
+    to run on its first attribute access; a loaded layer stays as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+for _name in ("actions", "algebras", "blockdecomp", "cocycles", "functors", "groups",
+              "reconstruction", "repcat", "serialize", "staralg"):
+    _bind_lazily(_name)
+# bound above, so these name the lazy modules without running them
+from . import actions, cocycles, functors, reconstruction, serialize
 
 
 class InputError(Exception):
@@ -46,7 +66,7 @@ class InputError(Exception):
 
 # malformed or mismatched data surfaced by the library maps to exit code 2
 INPUT_ERRORS = (ActionError, AlgebraError, BackendError, CocycleError,
-                IncompleteDataError, serialize.SchemaError)
+                IncompleteDataError, SchemaError)
 
 
 def jsonable(obj):
@@ -76,7 +96,7 @@ def _load(path, loader, what):
         raise InputError(f"{what} file {path} is not valid JSON: {err}")
     try:
         return loader(data)
-    except (serialize.SchemaError, KeyError, ValueError) as err:
+    except (SchemaError, KeyError, ValueError) as err:
         raise InputError(f"{what} file {path}: {err}")
 
 
@@ -109,14 +129,14 @@ def run_verb(args) -> tuple[int, dict]:
         _need_inputs(args, 1)
         functor = _load(args.input[0], lambda d: serialize.functor_from_json(d, backend),
                         "functor")
-        val = validate_functor(functor, tol)
+        val = functors.validate_functor(functor, tol)
         report["validation"] = val.summary()
         return (0 if val.passed else 1), report
 
     if args.verb == "validate-graded":
         _need_inputs(args, 1)
         bundle = _load(args.input[0], serialize.bundle_from_json, "bundle")
-        val = validate_graded(bundle, tol)
+        val = functors.validate_graded(bundle, tol)
         report["validation"] = val.summary()
         return (0 if val.passed else 1), report
 
@@ -125,12 +145,12 @@ def run_verb(args) -> tuple[int, dict]:
         _need_inputs(args, 1)
         functor = _load(args.input[0], lambda d: serialize.functor_from_json(d, backend),
                         "functor")
-        val = validate_functor(functor, tol)
+        val = functors.validate_functor(functor, tol)
         report["validation"] = val.summary()
         if not val.passed:
             return 1, report
-        alg = build_algebra(functor, tol=tol, validate=False)
-        audit = build_report(alg, seed=args.seed)
+        alg = reconstruction.build_algebra(functor, tol=tol, validate=False)
+        audit = reconstruction.build_report(alg, seed=args.seed)
         audit["multiplication_table"] = serialize.encode_complex(alg.model.table)
         report["build"] = audit
         return (0 if audit["passed"] else 1), report
@@ -143,8 +163,8 @@ def run_verb(args) -> tuple[int, dict]:
         report["action"] = act_report
         if not act_report["passed"]:
             return 1, report
-        spec = spectral_functor(backend, act, seed=args.seed)
-        val = validate_functor(spec.functor, tol)
+        spec = actions.spectral_functor(backend, act, seed=args.seed)
+        val = functors.validate_functor(spec.functor, tol)
         report["fixed_algebra_blocks"] = list(spec.fixed.algebra.blocks)
         report["module_dims"] = {
             label: spec.functor.module(label).dim for label in backend.labels
@@ -156,7 +176,7 @@ def run_verb(args) -> tuple[int, dict]:
         backend = _need_backend(args)
         _need_inputs(args, 1)
         act = _load(args.input[0], serialize.action_from_json, "action")
-        cert = roundtrip_check(backend, act, seed=args.seed, tol=tol)
+        cert = actions.roundtrip_check(backend, act, seed=args.seed, tol=tol)
         report["certificate"] = {
             "passed": cert.passed,
             "residuals": cert.residuals,
@@ -169,8 +189,8 @@ def run_verb(args) -> tuple[int, dict]:
         backend = _need_backend(args)
         _need_inputs(args, 1)
         act = _load(args.input[0], serialize.action_from_json, "action")
-        spec, mf, iso = canonical_module_iso(backend, act, tol=tol, seed=args.seed)
-        val = validate_functor(mf.functor, tol)
+        spec, mf, iso = actions.canonical_module_iso(backend, act, tol=tol, seed=args.seed)
+        val = functors.validate_functor(mf.functor, tol)
         report["endomorphism_blocks"] = list(mf.endomorphisms.algebra.blocks)
         report["module_dims"] = {
             label: mf.functor.module(label).dim for label in backend.labels
@@ -186,8 +206,8 @@ def run_verb(args) -> tuple[int, dict]:
         backend = _need_backend(args)
         _need_inputs(args, 1)
         act = _load(args.input[0], serialize.action_from_json, "action")
-        module = module_from_algebra(backend, act)
-        cert = fullness_check(backend, module, tol=tol)
+        module = actions.module_from_algebra(backend, act)
+        cert = actions.fullness_check(backend, module, tol=tol)
         report["certificate"] = {
             "passed": cert.passed,
             "lower_constant": cert.lower_constant,
@@ -203,12 +223,12 @@ def run_verb(args) -> tuple[int, dict]:
         _need_inputs(args, 1)
         cocycle = _load(args.input[0], serialize.cocycle_from_json, "cocycle")
         try:
-            chk = check_cocycle(cocycle, tol)
+            chk = cocycles.check_cocycle(cocycle, tol)
         except CocycleError as err:
             raise InputError(str(err))
         report["cocycle"] = chk
         if chk["passed"]:
-            _, urep = twist_element(backend, cocycle, tol)
+            _, urep = cocycles.twist_element(backend, cocycle, tol)
             report["twist_element"] = urep
             ok = urep["passed"]
         else:
@@ -220,17 +240,17 @@ def run_verb(args) -> tuple[int, dict]:
         _need_inputs(args, 2)
         act = _load(args.input[0], serialize.action_from_json, "action")
         cocycle = _load(args.input[1], serialize.cocycle_from_json, "cocycle")
-        chk = check_cocycle(cocycle, tol)
+        chk = cocycles.check_cocycle(cocycle, tol)
         report["cocycle"] = chk
         if not chk["passed"]:
             return 1, report
-        deformed = deform_action(backend, act, cocycle, tol=tol, seed=args.seed)
+        deformed = cocycles.deform_action(backend, act, cocycle, tol=tol, seed=args.seed)
         report["deformed"] = deformed.report
         report["center_dimension"] = deformed.model.center_dimension()
         ok = deformed.report["passed"]
         if args.cross_test:
-            report["cross_test"] = deformation_cross_test(backend, act, cocycle, deformed,
-                                                          tol=tol, seed=args.seed)
+            report["cross_test"] = cocycles.deformation_cross_test(
+                backend, act, cocycle, deformed, tol=tol, seed=args.seed)
             ok = ok and report["cross_test"]["passed"]
         return (0 if ok else 1), report
 
@@ -269,6 +289,10 @@ def main(argv=None) -> int:
     except (InputError, *INPUT_ERRORS) as err:
         report = {"schema": SCHEMA, "verb": args.verb, "error": str(err)}
         code = 2
+    except Exception as err:  # every verb ends in a report
+        report = {"schema": SCHEMA, "verb": args.verb,
+                  "internal_error": {"type": type(err).__name__, "message": str(err)}}
+        code = 3
     text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -22,15 +22,12 @@ import numpy as np
 
 from .actions import Action, fixed_point_algebra, roundtrip_check, spectral_functor
 from .algebras import BlockAlgebra
+from .errors import CocycleError
 from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
 from .reconstruction import build_algebra
 from .repcat import Backend, ConjugateSolution, Rep
 from .staralg import StarAlgebraModel
-
-
-class CocycleError(ValueError):
-    """Non-invertible or structurally malformed cocycle data."""
 
 
 @dataclass

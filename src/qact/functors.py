@@ -40,17 +40,14 @@ from .algebras import (
     module_linear_residuals,
     tensor_semi_inner,
 )
+from .errors import BackendError, IncompleteDataError
 from .groups import GroupPresentation
-from .repcat import Backend, BackendError, Rep, dual_backend
+from .repcat import Backend, Rep, dual_backend
 
 # complex entries per triple chunk of the stacked validation contractions,
 # and per shared adjoint solve; past these sizes a larger stack runs slower
 CHUNK = 1 << 15
 SOLVE_CHUNK = 1 << 14
-
-
-class IncompleteDataError(ValueError):
-    """A required multiplication tensor is missing from the functor data."""
 
 
 @dataclass
@@ -199,14 +196,22 @@ class Realization:
 
     def f2_tensor(self, left: WordObject, right: WordObject) -> np.ndarray:
         """The multiplication map F(left) (x) F(right) -> F(left * right) as a
-        dense (target, left, right) tensor; the stack of one of
-        ``_stacked_f2``."""
-        key = (left.atoms, right.atoms)
-        if key not in self._f2:
-            prod = (left.components, right.components,
-                    self.object(left.atoms + right.atoms).components)
-            self._f2[key] = _stacked_f2(self, [prod], _layout(self, *prod))[0]
-        return self._f2[key]
+        dense (target, left, right) tensor."""
+        return self.f2_tensors([(left, right)])[0]
+
+    def f2_tensors(self, pairs: list) -> list[np.ndarray]:
+        """f2_tensor for a list of (left, right) pairs: the pairs not yet
+        cached are built by ``_stacked_f2``, one stack per layout."""
+        stacks: dict = {}
+        for left, right in pairs:
+            key = (left.atoms, right.atoms)
+            if key not in self._f2:
+                prod = (left.components, right.components,
+                        self.object(left.atoms + right.atoms).components)
+                stacks.setdefault(_layout(self, *prod), {})[key] = prod
+        for layout, prods in stacks.items():
+            self._f2.update(zip(prods, _stacked_f2(self, list(prods.values()), layout)))
+        return [self._f2[left.atoms, right.atoms] for left, right in pairs]
 
     def s_matrix(self, u: WordObject, x: np.ndarray, v: WordObject) -> np.ndarray:
         """The map Y -> F_2(X (x) Y) : F(v) -> F(u * v) for X in F(u)."""
@@ -534,21 +539,21 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9) -> Validatio
         )
     axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < 100 * tol)
 
-    # (ii) isometry pair by pair; the words of length 2 decompose as one stack
+    # (ii) isometry pair by pair; the words of length 2 decompose as one
+    # stack, and their F_2 form one stack per layout
     live = [label for label in labels if functor.module(label).dim]
-    backend.decompose_words([((a, False), (b, False)) for a in live for b in live])
-    f2 = {}
+    keys = [(a, b) for a in live for b in live]
+    backend.decompose_words([((a, False), (b, False)) for a, b in keys])
+    pairs = [(real.atom_object(a), real.atom_object(b)) for a, b in keys]
+    f2 = dict(zip(keys, real.f2_tensors(pairs)))
     res_ii = 0.0
     detail_ii = {}
-    for a in live:
-        for b in live:
-            oa, ob = real.atom_object(a), real.atom_object(b)
-            target = real.object(oa.atoms + ob.atoms)
-            f2[a, b] = real.f2_tensor(oa, ob)
-            r = _isometry_residual(f2[a, b], target.carrier.inner_tensor,
-                                   functor.module(a), functor.module(b))
-            detail_ii[f"{a},{b}"] = r
-            res_ii = max(res_ii, r)
+    for (a, b), (oa, ob) in zip(keys, pairs):
+        target = real.object(oa.atoms + ob.atoms)
+        r = _isometry_residual(f2[a, b], target.carrier.inner_tensor,
+                               functor.module(a), functor.module(b))
+        detail_ii[f"{a},{b}"] = r
+        res_ii = max(res_ii, r)
     axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
 
     # (iii) units

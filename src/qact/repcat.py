@@ -34,14 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BackendError
 from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_group
 
 TOL = 1e-9
 RANK_TOL = 1e-8
-
-
-class BackendError(ValueError):
-    """Configuration problem: mismatched backends, missing tables, bad data."""
 
 
 class DimensionError(ValueError):

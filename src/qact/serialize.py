@@ -3,24 +3,27 @@ and cocycles.
 
 Complex entries are serialized as [re, im] pairs, which round-trip exactly
 at double precision.  Every file carries a "schema" tag.
+
+The readers of actions and cocycles import those layers when called, so
+loading a backend, functor or bundle imports neither.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebras import BlockAlgebra, Correspondence
-from .actions import Action
-from .cocycles import Cocycle, make_cocycle
+from .errors import SchemaError
 from .functors import GradedBundle, TensorFunctorData
 from .groups import GroupPresentation, group_from_table
 from .repcat import Backend, Irrep
 
-
-class SchemaError(ValueError):
-    """Malformed or mislabeled input file."""
+if TYPE_CHECKING:
+    from .actions import Action
+    from .cocycles import Cocycle
 
 
 def encode_complex(arr) -> list:
@@ -202,6 +205,8 @@ def action_to_json(act: Action) -> dict:
 
 
 def action_from_json(data: dict) -> Action:
+    from .actions import Action
+
     if data.get("schema") != "action.v1":
         raise SchemaError("not an action file")
     algebra = BlockAlgebra(tuple(data["algebra"]["blocks"]))
@@ -285,6 +290,8 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
 
 
 def cocycle_from_json(data: dict) -> Cocycle:
+    from .cocycles import make_cocycle
+
     if data.get("schema") != "cocycle.v1":
         raise SchemaError("not a cocycle file")
     group = group_from_json(data["group"])

@@ -10,7 +10,7 @@ from qact.fixtures import (
     trivial_action,
 )
 from qact.functors import validate_functor
-from qact.repcat import RANK_TOL
+from qact.repcat import RANK_TOL, cyclic_backend
 from qact.actions import (
     Action,
     ActionError,
@@ -396,3 +396,149 @@ def test_in_span_empty_basis():
         span(np.ones((2, 3)))
     # basis vectors of length zero: every coordinate reads zero
     np.testing.assert_array_equal(InSpan(np.zeros((2, 0)), "void")(np.zeros(0)), 0)
+
+
+# -- the module-functor system, bit for bit -----------------------------------
+
+
+def reference_equivariant_system(backend, module, label):
+    """The stacked system of the equivariant maps M -> M (x) H_label as it
+    was assembled before the right-linearity rows were shared: per label,
+    through module_tensor_irrep, one np.kron pair per block."""
+    act = module.action
+    target = module_tensor_irrep(backend, module, label)
+    rows = []
+    for k in range(act.algebra.dim):
+        rk, rk2 = module.right[k], target.right[k]
+        rows.append(np.kron(np.eye(target.dim), rk.T) - np.kron(rk2, np.eye(module.dim)))
+    if act.kind == "automorphism":
+        for x in act.group.elements:
+            w, w2 = module.comodule[x], target.comodule[x]
+            rows.append(np.kron(np.eye(target.dim), w.T) - np.kron(w2, np.eye(module.dim)))
+    else:
+        mask = np.zeros((target.dim, module.dim))
+        for r in range(target.dim):
+            for c in range(module.dim):
+                if target.grades[r] != module.grades[c]:
+                    mask[r, c] = 1.0
+        rows.append(np.diag(mask.reshape(-1)))
+    return np.vstack(rows)
+
+
+def thin_svd_null_space(stacked):
+    """The kernel through the thin SVD of the whole stack, with no QR first."""
+    _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
+    return vh[int(np.sum(s > RANK_TOL)):].conj()
+
+
+def corpus_modules(backends, corpus):
+    """Every corpus action's algebra as a module over itself (both kinds),
+    and two direct sums, one of each kind."""
+    out = []
+    for name, (bk, act) in sorted(corpus.items()):
+        out.append((name, backends[bk], module_from_algebra(backends[bk], act)))
+    for name in ("swap_c2", "m2_pauli_grading"):
+        bk, act = corpus[name]
+        mod = module_from_algebra(backends[bk], act)
+        out.append((f"{name}+{name}", backends[bk], module_direct_sum(mod, mod)))
+    return out
+
+
+def test_equivariant_maps_keep_the_bits_of_the_kron_system(backends, corpus, monkeypatch):
+    # the shared right-linearity rows and the batched Kronecker products give
+    # the per-label kron system byte for byte (signed zeros included), and
+    # the QR-first kernel gives the basis of its thin SVD byte for byte;
+    # s3_translation's std is the 2-dimensional irreducible
+    from qact import actions
+
+    stacks = []
+
+    def captured(stacked):
+        stacks.append(stacked)
+        return null_space(stacked)
+
+    monkeypatch.setattr(actions, "null_space", captured)
+    seen = set()
+    for name, backend, module in corpus_modules(backends, corpus):
+        for label in backend.labels:
+            d = backend.irrep(label).dim
+            rows = actions._right_linearity_rows(module, d)
+            basis = actions._equivariant_maps(backend, module, label, rows)
+            reference = reference_equivariant_system(backend, module, label)
+            assert stacks.pop().tobytes() == reference.tobytes(), (name, label)
+            expect = thin_svd_null_space(reference).reshape(-1, module.dim, d, module.dim)
+            assert basis.tobytes() == expect.transpose(0, 2, 1, 3).tobytes(), (name, label)
+            seen.add((module.action.kind, d))
+    assert seen == {("automorphism", 1), ("automorphism", 2), ("grading", 1)}
+
+
+def test_null_space_keeps_the_thin_svd_bits_on_every_tall_stack(backends, corpus, monkeypatch):
+    # every tall stack the corpus and the Z8 translation send to the kernel
+    # routine (spectral subspaces, equivariant maps, the center solve, tuple
+    # spaces); bit identity holds with the LAPACK the suite runs on
+    from qact import actions, blockdecomp
+
+    stacks = []
+
+    def captured(stacked):
+        stacks.append(stacked)
+        return null_space(stacked)
+
+    monkeypatch.setattr(actions, "null_space", captured)
+    monkeypatch.setattr(blockdecomp, "null_space", captured)
+    z8 = cyclic_backend(8)
+    runs = [(backends[bk], act) for bk, act in corpus.values()] + [(z8, translation_action(z8))]
+    for backend, act in runs:
+        canonical_module_iso(backend, act)
+        fullness_check(backend, module_from_algebra(backend, act))
+    tall = [s for s in stacks if s.shape[0] > s.shape[1]]
+    # 83 tall stacks, up to the 1024 x 64 equivariant-map systems of Z8
+    assert len(tall) >= 80
+    assert max(s.shape for s in tall) == (1024, 64)
+    for stacked in tall:
+        assert null_space(stacked).tobytes() == thin_svd_null_space(stacked).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_null_space_keeps_the_thin_svd_bits_at_every_height(dtype):
+    # QR runs first only where LAPACK's own SVD would run it, so the heights
+    # just below that crossover keep their bits as well
+    rng = np.random.default_rng(7)
+    cols = 6
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    for rows in range(cols + 1, 3 * cols + 1):
+        stacked = draw((rows, 3)) @ draw((3, cols))  # rank 3: a kernel of dimension 3
+        ker = null_space(stacked)
+        assert ker.shape == (3, cols)
+        assert ker.tobytes() == thin_svd_null_space(stacked).tobytes(), rows
+
+
+def test_canonical_module_iso_solves_each_nontrivial_label_once(monkeypatch):
+    # the base algebra is given, so End(M) (the trivial label) is not solved
+    # for; the Z8 labels share one set of right-linearity rows
+    from qact import actions
+
+    backend = cyclic_backend(8)
+    act = translation_action(backend)
+    solved, built = [], []
+    maps, rows = actions._equivariant_maps, actions._right_linearity_rows
+
+    def counted_maps(backend, module, label, right_rows):
+        solved.append(label)
+        return maps(backend, module, label, right_rows)
+
+    def counted_rows(module, d):
+        built.append(d)
+        return rows(module, d)
+
+    monkeypatch.setattr(actions, "_equivariant_maps", counted_maps)
+    monkeypatch.setattr(actions, "_right_linearity_rows", counted_rows)
+    _, _, iso = canonical_module_iso(backend, act)
+    assert iso.passed
+    assert len(solved) == 7 and backend.trivial_label not in solved
+    assert sorted(solved) == sorted(set(solved))
+    assert built == [1]

@@ -249,3 +249,82 @@ def test_tolerance_override_changes_verdict(tmp_path):
                     "--input", str(path), "--tolerance", "1.0")
     assert tight.returncode == 1
     assert loose.returncode == 0
+
+
+LAYERS_RUN = """
+import json, sys, types
+from qact.cli import main
+main(sys.argv[1:])
+print(json.dumps(sorted(name for name, mod in sys.modules.items()
+                        if name.startswith("qact.") and type(mod) is types.ModuleType)))
+"""
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (("validate", "--backend", "backends/s3.json",
+      "--input", "functors/spectral_s3_translation.json"), {"actions", "cocycles"}),
+    (("validate-graded", "--input", "bundles/clock_shift_z3.json"), {"actions", "cocycles"}),
+    (("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"),
+     {"actions", "cocycles"}),
+    (("module-functor", "--backend", "backends/z2.json", "--input", "actions/inner_m2.json"),
+     {"cocycles", "reconstruction"}),
+], ids=["validate", "validate-graded", "build", "module-functor"])
+def test_verbs_run_only_their_layers(argv, unused, tmp_path):
+    # every layer is bound in sys.modules, but a layer the verb does not use
+    # stays a lazy module whose code never ran
+    args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LAYERS_RUN, *args,
+                           "--report", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ran = {name.split(".", 1)[1] for name in json.loads(proc.stdout)}
+    assert not ran & unused
+    assert "functors" in ran
+    assert argv[0] != "module-functor" or "actions" in ran
+
+
+def test_unexpected_exception_is_exit_three(monkeypatch, tmp_path):
+    from qact import functors
+
+    def broken(bundle, tol):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(functors, "validate_graded", broken)
+    report = tmp_path / "r.json"
+    code = cli.main(["validate-graded", "--input", str(FIXTURES / "bundles/clock_shift_z3.json"),
+                     "--report", str(report)])
+    assert code == 3
+    data = json.loads(report.read_text())
+    assert data["internal_error"] == {"type": "RuntimeError", "message": "broken on purpose"}
+    assert data["verb"] == "validate-graded" and "error" not in data
+
+
+def test_every_corpus_pairing_ends_in_a_report(tmp_path):
+    # every action verb on every (backend, action) pair of the corpus, and
+    # cocycle-check and deform --cross-test on every (backend, cocycle) and
+    # (backend, action, cocycle); most pairs are mismatched on purpose and
+    # must end in exit 2, none in a traceback or an internal error
+    backends = sorted((FIXTURES / "backends").glob("*.json"))
+    actions = sorted((FIXTURES / "actions").glob("*.json"))
+    cocycles = sorted((FIXTURES / "cocycles").glob("*.json"))
+    runs = []
+    for backend in backends:
+        for act in actions:
+            for verb in ("spectral", "roundtrip", "module-functor", "fullness"):
+                runs.append([verb, "--backend", str(backend), "--input", str(act)])
+        for cocycle in cocycles:
+            runs.append(["cocycle-check", "--backend", str(backend), "--input", str(cocycle)])
+            for act in actions:
+                runs.append(["deform", "--backend", str(backend), "--input", str(act),
+                             "--input", str(cocycle), "--cross-test"])
+    report = tmp_path / "r.json"
+    codes = []
+    for argv in runs:
+        report.unlink(missing_ok=True)
+        code = cli.main([*argv, "--report", str(report)])
+        data = json.loads(report.read_text())
+        assert code in (0, 1, 2) and "internal_error" not in data, (argv, data)
+        assert data["verb"] == argv[0]
+        codes.append(code)
+    assert len(codes) == len(backends) * (len(actions) * (4 + len(cocycles)) + len(cocycles))
+    assert codes.count(0) >= 4 * len(actions)

@@ -669,3 +669,43 @@ def test_validation_realizes_no_word_of_length_three(monkeypatch):
     assert calls["object"] == 0
     assert calls["svd"] <= 300
     assert calls["lstsq"] <= 300
+
+
+def test_isometry_stacks_give_each_pair_its_own_bits(backends):
+    # axiom (ii) builds F_2 of all pairs of live labels one stack per layout
+    # (Realization.f2_tensors); each pair gets the bits f2_tensor gives it
+    # alone, as a stack of one
+    functors = [translation_functor(cyclic_backend(8))]
+    for name, (bk, act) in sorted(action_corpus().items()):
+        functors.append(spectral_functor(backends[bk], act).functor)
+        functors.append(canonical_module_iso(backends[bk], act)[1].functor)
+    for functor in functors:
+        live = [label for label in functor.backend.labels if functor.module(label).dim]
+        stacked, alone = Realization(functor), Realization(functor)
+        pairs = [(a, b) for a in live for b in live]
+        tensors = stacked.f2_tensors([(stacked.atom_object(a), stacked.atom_object(b))
+                                      for a, b in pairs])
+        for (a, b), t in zip(pairs, tensors):
+            one = alone.f2_tensor(alone.atom_object(a), alone.atom_object(b))
+            assert t.tobytes() == one.tobytes(), (functor.name, a, b)
+
+
+def test_validation_builds_no_f2_stack_of_one(monkeypatch):
+    # the Z8 functor of module-functor: its 64 pairs share one layout, and so
+    # do its 512 triples
+    from qact import functors
+    from qact.fixtures import translation_action
+
+    backend = cyclic_backend(8)
+    functor = canonical_module_iso(backend, translation_action(backend))[1].functor
+    sizes = []
+    stacked_f2 = functors._stacked_f2
+
+    def counted(real, prods, layout):
+        sizes.append(len(prods))
+        return stacked_f2(real, prods, layout)
+
+    monkeypatch.setattr(functors, "_stacked_f2", counted)
+    assert validate_functor(functor).passed
+    assert sizes and min(sizes) > 1
+    assert 64 in sizes
