@@ -867,110 +867,6 @@ def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
     return NaturalIso(dict(maps), residuals, passed)
 
 
-def solve_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
-                      tol: float = 1e-9, sweeps: int = 400,
-                      restarts: int = 8, seed: int = 0) -> NaturalIso:
-    """Search for a natural unitary isomorphism between two functor data sets.
-
-    Best-effort decision procedure: the trivial component is pinned to the
-    identity and the others are refined by alternating sweeps of the
-    compatibility equations with the multiplication tensors, starting from
-    the bimodule solution closest to the identity and then from seeded random
-    unitaries.  A failed search returns the best residuals found; a passed
-    verification is conclusive.
-    """
-    backend = f1.backend
-    for label in backend.labels:
-        if f1.module(label).dim != f2.module(label).dim:
-            return NaturalIso({}, {"shapes": float("inf")}, False)
-    labels = [l for l in backend.labels if f1.module(l).dim]
-    rng = np.random.default_rng(seed)
-    best: NaturalIso | None = None
-    for attempt in range(restarts):
-        maps: dict[str, np.ndarray] = {}
-        for label in backend.labels:
-            dim = f1.module(label).dim
-            if label == backend.trivial_label:
-                maps[label] = np.eye(dim, dtype=complex)
-            elif attempt == 0:
-                maps[label] = _closest_bimodule_unitary(f1, f2, label)
-            else:
-                gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
-                    (dim, dim)
-                )
-                u, _, vh = np.linalg.svd(gauss) if dim else (np.zeros((0, 0)),) * 3
-                maps[label] = u @ vh if dim else np.zeros((0, 0), dtype=complex)
-        for sweep in range(sweeps):
-            if sweep % 25 == 24 and verify_natural_iso(f1, f2, maps, tol).passed:
-                break
-            for target in labels:
-                if target == backend.trivial_label:
-                    continue
-                rows = []
-                rhs = []
-                dim = f1.module(target).dim
-                eye = np.eye(dim)
-                for (alpha, beta, gamma), tensors1 in sorted(f1.phi.items()):
-                    if 0 in (f1.module(alpha).dim, f1.module(beta).dim,
-                             f1.module(gamma).dim):
-                        continue
-                    if target not in (alpha, beta, gamma):
-                        continue
-                    tensors2 = f2.phi_tensors(alpha, beta, gamma)
-                    for t1, t2 in zip(tensors1, tensors2):
-                        # V_gamma t1 = t2 (V_alpha (x) V_beta), linearized in
-                        # whichever occurrence is being updated (over vec V)
-                        if gamma == target:
-                            r = np.einsum("tab,ap,bq->tpq", t2, maps[alpha], maps[beta])
-                            rows.append(np.kron(eye, t1.reshape(dim, -1).T))
-                            rhs.append(r.reshape(-1))
-                        if alpha == target:
-                            lhs = np.einsum("ts,spq->tpq", maps[gamma], t1)
-                            k = np.einsum("tab,bq->tqa", t2, maps[beta])
-                            rows.append(np.kron(k.reshape(-1, dim), eye))
-                            rhs.append(np.transpose(lhs, (0, 2, 1)).reshape(-1))
-                        if beta == target:
-                            lhs = np.einsum("ts,spq->tpq", maps[gamma], t1)
-                            k = np.einsum("tab,ap->tpb", t2, maps[alpha])
-                            rows.append(np.kron(k.reshape(-1, dim), eye))
-                            rhs.append(lhs.reshape(-1))
-                if rows:
-                    a_mat = np.vstack(rows)
-                    b_vec = np.concatenate(rhs)
-                    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-                    u, _, vh = np.linalg.svd(sol.reshape(dim, dim))
-                    maps[target] = u @ vh
-        result = verify_natural_iso(f1, f2, maps, tol)
-        if result.passed:
-            return result
-        if best is None or max(result.residuals.values()) < max(best.residuals.values()):
-            best = result
-    return best
-
-
-def _closest_bimodule_unitary(f1, f2, label):
-    m1, m2 = f1.module(label), f2.module(label)
-    dim = m1.dim
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    rows = []
-    for k in range(f1.algebra.dim):
-        rows.append(np.kron(np.eye(dim), m1.left[k].T) -
-                    np.kron(m2.left[k], np.eye(dim)))
-        rows.append(np.kron(np.eye(dim), m1.right[k].T) -
-                    np.kron(m2.right[k], np.eye(dim)))
-    basis = null_space(np.vstack(rows))
-    if not len(basis):
-        return np.eye(dim, dtype=complex)
-    target = np.eye(dim, dtype=complex).reshape(-1)
-    coef = basis.conj() @ target
-    cand = (coef @ basis).reshape(dim, dim)
-    if np.linalg.norm(cand) < 1e-10:
-        cand = basis[0].reshape(dim, dim)
-    u, _, vh2 = np.linalg.svd(cand)
-    return u @ vh2
-
-
 # -- spectral data of a reconstructed algebra -----------------------------------
 
 

@@ -16,11 +16,6 @@ import numpy as np
 from .errors import AlgebraError
 
 
-class ContractViolation(ValueError):
-    """Input violates a stated precondition (for example, a map that was
-    declared module-linear is not)."""
-
-
 GRAM_CUTOFF = 1e-10  # relative eigenvalue cutoff for quotients by null spaces
 
 
@@ -325,16 +320,6 @@ def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
 
 
 @dataclass
-class AdjointResult:
-    adjoint: np.ndarray | None
-    residual: float
-
-    @property
-    def adjointable(self) -> bool:
-        return self.adjoint is not None
-
-
-@dataclass
 class AdjointBatch:
     """Least-squares adjoints of a stack of maps T_i : M -> N.
 
@@ -345,9 +330,6 @@ class AdjointBatch:
     residuals: np.ndarray
     adjointable: np.ndarray
 
-    def adjoint(self, i: int) -> np.ndarray | None:
-        return self.adjoints[i] if self.adjointable[i] else None
-
 
 def module_linear_residuals(maps: np.ndarray, m: Correspondence,
                             n: Correspondence) -> np.ndarray:
@@ -357,11 +339,6 @@ def module_linear_residuals(maps: np.ndarray, m: Correspondence,
     maps = np.asarray(maps, dtype=complex)[:, None]
     diff = maps @ m.right - n.right @ maps  # (count, unit, dim N, dim M)
     return np.linalg.norm(diff, axis=2).max(axis=(1, 2), initial=0.0)
-
-
-def module_linear_residual(t: np.ndarray, m: Correspondence, n: Correspondence) -> float:
-    """How far T : M -> N is from being right-A-linear."""
-    return float(module_linear_residuals(np.asarray(t)[None], m, n)[0])
 
 
 def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
@@ -412,21 +389,3 @@ def adjoints_by_source(maps: np.ndarray, m: Correspondence, targets: np.ndarray,
     adjoints = sol.reshape(stacks, m.dim, count, dim_n).transpose(0, 2, 1, 3)
     return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
 
-
-def adjoint_of(t: np.ndarray, m: Correspondence, n: Correspondence,
-               tol: float = 1e-9, check_linear: bool = True) -> AdjointResult:
-    """Adjoint of a right-A-linear map T : M -> N for the algebra-valued
-    inner products, or an explicit not-adjointable report; the one-map case
-    of adjoints_of.  A residual above tol means no adjoint exists.
-    Raises ContractViolation if T itself is not right-A-linear (validators
-    pass check_linear=False and report the linearity residual themselves).
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (n.dim, m.dim):
-        raise AlgebraError(f"map has shape {t.shape}, expected {(n.dim, m.dim)}")
-    if check_linear:
-        lin = module_linear_residual(t, m, n)
-        if lin > 100 * tol * max(1.0, float(np.linalg.norm(t))):
-            raise ContractViolation(f"input map is not module-linear (residual {lin:.2e})")
-    batch = adjoints_of(t[None], m, n, tol)
-    return AdjointResult(batch.adjoint(0), float(batch.residuals[0]))

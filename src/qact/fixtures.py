@@ -256,6 +256,17 @@ def m2_plus_c_bundle() -> GradedBundle:
     return GradedBundle(group, algebra, fibers, mult)
 
 
+def negative_odd_fiber_bundle() -> GradedBundle:
+    """m2_plus_c_bundle with the inner product of its odd fiber negated.
+    The graded identities still hold, but the odd fiber is no
+    correspondence: its inner product is not positive."""
+    bundle = m2_plus_c_bundle()
+    odd = bundle.fibers["1"]
+    bundle.fibers["1"] = Correspondence(odd.algebra, odd.dim, odd.left, odd.right,
+                                        -odd.inner_tensor)
+    return bundle
+
+
 def bicharacter_cocycle(orders: list[int]) -> Cocycle:
     """The standard bicharacter on a product of two equal cyclic factors:
     Omega((a1, a2), (b1, b2)) = exp(2 pi i a2 b1 / n)."""
@@ -359,6 +370,7 @@ def write_corpus(outdir) -> list[str]:
         ("group_algebra_z2", __import__("qact.functors", fromlist=["group_algebra_bundle"]).group_algebra_bundle(cyclic_group(2))),
         ("zero_odd", zero_odd_bundle()),
         ("m2_plus_c", m2_plus_c_bundle()),
+        ("negative_odd_fiber", negative_odd_fiber_bundle()),
     ):
         path = out / "bundles" / f"{name}.json"
         serialize.dump_json(serialize.bundle_to_json(bundle), path)

@@ -491,29 +491,6 @@ class ConjugateSolution:
         return float(np.linalg.norm(self.r)), float(np.linalg.norm(self.rbar))
 
 
-# -- Frobenius reciprocity ---------------------------------------------------
-
-
-def frobenius_forward(t: np.ndarray, dim_b: int, dim_u: int, dim_v: int,
-                      rbar: np.ndarray) -> np.ndarray:
-    """Send T : B (x) U -> B (x) V to (T (x) i)(i (x) rbar) : B -> B (x) V (x) U-bar."""
-    if t.shape != (dim_b * dim_v, dim_b * dim_u):
-        raise DimensionError(f"map has shape {t.shape}")
-    t4 = t.reshape(dim_b, dim_v, dim_b, dim_u)
-    s = np.einsum("mvnu,uc->mvcn", t4, rbar)
-    return s.reshape(dim_b * dim_v * dim_u, dim_b)
-
-
-def frobenius_back(s: np.ndarray, dim_b: int, dim_u: int, dim_v: int,
-                   r: np.ndarray) -> np.ndarray:
-    """Send S : B -> B (x) V (x) U-bar to (i (x) i (x) r*)(S (x) i) : B (x) U -> B (x) V."""
-    if s.shape != (dim_b * dim_v * dim_u, dim_b):
-        raise DimensionError(f"map has shape {s.shape}")
-    s4 = s.reshape(dim_b, dim_v, dim_u, dim_b)
-    t = np.einsum("mvcn,cu->mvnu", s4, r.conj())
-    return t.reshape(dim_b * dim_v, dim_b * dim_u)
-
-
 # -- backend constructors ----------------------------------------------------
 
 

@@ -89,6 +89,16 @@ def test_committed_fixtures_are_fresh(tmp_path):
         assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
 
 
+def test_validate_graded_rejects_a_fiber_that_is_no_correspondence(tmp_path):
+    args = record_golden.NEGATIVE_FIBER_RUN
+    report = tmp_path / "report.json"
+    code = cli.main([*record_golden.fixture_argv(args), "--report", str(report)])
+    assert code == 1
+    data = json.loads(report.read_text())
+    assert not data["validation"]["axioms"]["modules_wellformed"]["passed"]
+    record_golden.check(record_golden.fixture_key(args), code, data)
+
+
 def test_missing_file_is_input_error(tmp_path):
     proc = run_cli("roundtrip", "--backend", str(FIXTURES / "backends/z2.json"),
                    "--input", str(tmp_path / "nope.json"))

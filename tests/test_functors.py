@@ -12,16 +12,17 @@ from qact.fixtures import (
     c3_swap_grading,
     clock_shift_bundle,
     m2_plus_c_bundle,
+    negative_odd_fiber_bundle,
     standard_backends,
     zero_odd_bundle,
 )
 from qact.functors import (
+    GRADED_KEYS,
     AxiomCheck,
     IncompleteDataError,
     Realization,
     TensorFunctorData,
     ValidationReport,
-    _exchange_residuals,
     _isometry_residual,
     _unit_axiom_residual,
     from_graded,
@@ -144,27 +145,19 @@ def test_involution_partner_identities(backends):
         f_r_star = real.morphism_matrix(
             sol.r.reshape(-1, 1).conj().T, pair2, real.trivial_object()
         )
-        for p in range(mod.dim):
-            x = np.zeros(mod.dim, dtype=complex)
-            x[p] = 1.0
-            part = real.involution_partner(label, x)
-            for q in range(mbar.dim):
-                y = np.zeros(mbar.dim, dtype=complex)
-                y[q] = 1.0
+        parts = real.involution_partners(label, np.eye(mod.dim))
+        f2_bar = real.f2_tensor(u_obj, bar_obj)
+        f2_back = real.f2_tensor(bar_obj, u_obj)
+        for p, (x, part) in enumerate(zip(np.eye(mod.dim), parts)):
+            for q, y in enumerate(np.eye(mbar.dim)):
                 # <X., Y> agrees with the conjugation pairing of X and Y
                 lhs = mbar.inner(part, y)
-                rhs = algebra.from_coords(
-                    f_rbar_star @ real.s_matrix(u_obj, x, bar_obj) @ y
-                )
+                rhs = algebra.from_coords(f_rbar_star @ f2_bar[:, p, q])
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-            for q in range(mod.dim):
-                y = np.zeros(mod.dim, dtype=complex)
-                y[q] = 1.0
+            for q, y in enumerate(np.eye(mod.dim)):
                 # and the original inner product is recovered from the partner
                 lhs = mod.inner(x, y)
-                rhs = algebra.from_coords(
-                    f_r_star @ real.s_matrix(bar_obj, part, u_obj) @ y
-                )
+                rhs = algebra.from_coords(f_r_star @ f2_back[:, :, q] @ part)
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -180,10 +173,8 @@ def test_involution_partner_graded_case():
         mod = functor.module(label)
         minv = functor.module(inv)
         t = bundle.mult_tensor(label, inv)
-        for p in range(mod.dim):
-            x = np.zeros(mod.dim, dtype=complex)
-            x[p] = 1.0
-            part = real.involution_partner(label, x)
+        parts = real.involution_partners(label, np.eye(mod.dim))
+        for x, part in zip(np.eye(mod.dim), parts):
             for q in range(minv.dim):
                 y = np.zeros(minv.dim, dtype=complex)
                 y[q] = 1.0
@@ -198,7 +189,7 @@ def test_involution_partner_unit(z2_translation_functor):
     unit = z2_translation_functor.algebra.coords(
         z2_translation_functor.algebra.identity()
     )
-    part = real.involution_partner("0", unit)
+    part = real.involution_partners("0", unit[None])[0]
     np.testing.assert_allclose(part, unit, atol=TOL)
 
 
@@ -211,8 +202,8 @@ def test_involution_partner_conjugate_linear(backends):
     x = rng.standard_normal(mod.dim) + 1j * rng.standard_normal(mod.dim)
     y = rng.standard_normal(mod.dim) + 1j * rng.standard_normal(mod.dim)
     c = 0.3 - 1.7j
-    lhs = real.involution_partner("chi1", c * x + y)
-    rhs = np.conj(c) * real.involution_partner("chi1", x) + real.involution_partner("chi1", y)
+    lhs, px, py = real.involution_partners("chi1", np.array([c * x + y, x, y]))
+    rhs = np.conj(c) * px + py
     np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
@@ -227,10 +218,19 @@ def test_involution_partner_trace_identity(backends):
         mod = functor.module(label)
         mbar = functor.module(functor.backend.conj_label(label))
         x = rng.standard_normal(mod.dim) + 1j * rng.standard_normal(mod.dim)
-        part = real.involution_partner(label, x)
+        part = real.involution_partners(label, x[None])[0]
         t1 = np.trace(mod.inner(x, x))
         t2 = np.trace(mbar.inner(part, part))
         assert abs(t1 - t2) < 1e-8 * max(1.0, abs(t1))
+
+
+def adjoint_maps(real, u, v):
+    """The adjoints of the maps Y -> F_2(m_p (x) Y) : F(v) -> F(u * v), one
+    per basis vector m_p of F(u)."""
+    maps = real.f2_tensor(u, v).transpose(1, 0, 2)
+    adj = adjoints_of(maps, v.carrier, real.object(u.atoms + v.atoms).carrier)
+    assert adj.adjointable.all()
+    return adj.adjoints
 
 
 def test_s_adjoint_naturality(backends):
@@ -242,7 +242,7 @@ def test_s_adjoint_naturality(backends):
     u_obj = real.atom_object("std")
     v_obj = real.object((("std", False), ("std", False)))
     pair = backend.tensor(backend.atom("std"), backend.atom("std"))
-    mod = functor.module("std")
+    big = adjoint_maps(real, u_obj, v_obj)
     for target in ("triv", "sign", "std"):
         basis_t = backend.mor_basis(pair, backend.atom(target))
         for t in basis_t:
@@ -253,11 +253,7 @@ def test_s_adjoint_naturality(backends):
                 real.object(u_obj.atoms + vprime.atoms),
             )
             f_t = real.morphism_matrix(t, v_obj, vprime)
-            for p in range(mod.dim):
-                x = np.zeros(mod.dim, dtype=complex)
-                x[p] = 1.0
-                s_small = real.s_adjoint(u_obj, x, vprime).adjoint
-                s_big = real.s_adjoint(u_obj, x, v_obj).adjoint
+            for s_small, s_big in zip(adjoint_maps(real, u_obj, vprime), big):
                 lhs = s_small @ f_iot
                 rhs = f_t @ s_big
                 np.testing.assert_allclose(lhs, rhs, atol=1e-8)
@@ -305,11 +301,15 @@ def test_validate_graded_zero_fiber():
     assert rep.passed
 
 
-def test_validate_graded_broken_associativity():
+def broken_associativity_bundle():
     bundle = clock_shift_bundle(3)
     bad = bundle.mult[("1", "1")].copy()
     bundle.mult[("1", "1")] = bad[:, :, [1, 2, 0]]
-    rep = validate_graded(bundle)
+    return bundle
+
+
+def test_validate_graded_broken_associativity():
+    rep = validate_graded(broken_associativity_bundle())
     assert not rep.axioms["c_associativity"].passed
 
 
@@ -346,16 +346,90 @@ def test_validate_graded_exchange_on_skewed_basis():
     assert d.residual < 1e-12
 
 
-def test_validate_graded_exchange_detects_broken_product():
+def broken_product_bundle():
     # perturb odd times odd inside the M_2 block only: still not surjective
     bundle = m2_plus_c_bundle()
     rng = np.random.default_rng(0)
     t = bundle.mult[("1", "1")].copy()
     t[:2] += 1e-3 * rng.standard_normal((2, 2, 2))
     bundle.mult[("1", "1")] = t
-    d = validate_graded(bundle).axioms["d_adjoint_exchange"]
+    return bundle
+
+
+def test_validate_graded_exchange_detects_broken_product():
+    d = validate_graded(broken_product_bundle()).axioms["d_adjoint_exchange"]
     assert not d.passed and "skipped" not in d.detail
     assert abs(d.residual - 0.00114328628169965) < 1e-12
+
+
+def test_validate_graded_rejects_negative_odd_fiber():
+    # the odd fiber is no correspondence; the graded identities still hold
+    axioms = validate_graded(negative_odd_fiber_bundle()).axioms
+    assert [(k, c.residual, c.passed) for k, c in sorted(axioms.items())] == [
+        ("a_unit_fiber", 0.0, True), ("b_units", 0.0, True), ("c_associativity", 0.0, True),
+        ("d_adjoint_exchange", 0.0, True), ("isometry", 0.0, True),
+        ("modules_wellformed", float("inf"), False)]
+    assert "skipped" not in axioms["d_adjoint_exchange"].detail
+
+
+def one_missing_exchange_adjoint(monkeypatch, modules):
+    """Make the first adjoint solve out of a word F(bc), not a module, report
+    its first map as not adjointable, with residual 10 * TOL."""
+    from qact import functors
+
+    solve, done = functors.adjoints_by_source, []
+
+    def patched(maps, source, targets, tol):
+        batch = solve(maps, source, targets, tol)
+        if not done and all(source is not m for m in modules):
+            done.append(True)
+            batch.residuals[0, 0], batch.adjointable[0, 0] = 10 * TOL, False
+        return batch
+
+    monkeypatch.setattr(functors, "adjoints_by_source", patched)
+
+
+def test_missing_exchange_adjoint_fails_with_its_residual(monkeypatch, backends):
+    bk, act = action_corpus()["s3_translation"]
+    functor = spectral_functor(backends[bk], act).functor
+    one_missing_exchange_adjoint(monkeypatch, functor.modules.values())
+    v = validate_functor(functor).axioms["v_adjointability"]
+    assert v.residual == 10 * TOL and not v.passed
+    assert 10 * TOL in v.detail["checks"].values()
+
+
+def test_validate_graded_fails_on_a_missing_exchange_adjoint(monkeypatch):
+    # within 100 * TOL, but a missing adjoint fails the axiom
+    bundle = m2_plus_c_bundle()
+    one_missing_exchange_adjoint(monkeypatch, bundle.fibers.values())
+    d = validate_graded(bundle).axioms["d_adjoint_exchange"]
+    assert d.residual == 10 * TOL and not d.passed
+
+
+GRADED_BUNDLES = {
+    **{f"clock_shift_{n}": lambda n=n: clock_shift_bundle(n) for n in range(2, 8)},
+    **{f"group_algebra_z{n}": lambda n=n: group_algebra_bundle(cyclic_group(n))
+       for n in (2, 3, 5)},
+    "zero_odd": zero_odd_bundle,
+    "m2_plus_c": m2_plus_c_bundle,
+    "skewed": lambda: skewed_odd_fiber(m2_plus_c_bundle(), 0),
+    "broken_associativity": broken_associativity_bundle,
+    "broken_product": broken_product_bundle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_BUNDLES))
+def test_validate_graded_is_validate_functor_renamed(name):
+    bundle = GRADED_BUNDLES[name]()
+    graded = validate_graded(bundle).axioms
+    full = validate_functor(from_graded(bundle)).axioms
+    assert sorted(graded) == sorted(GRADED_KEYS.values())
+    for key, renamed in GRADED_KEYS.items():
+        got, want = graded[renamed], full[key]
+        if "skipped" in got.detail:
+            assert renamed == "d_adjoint_exchange" and (got.residual, got.passed) == (0.0, True)
+        else:
+            assert (got.residual, got.passed, got.detail) == (want.residual, want.passed, {}), key
 
 
 def test_from_graded_outputs_validate():
@@ -426,6 +500,21 @@ def test_f2_tensor_matches_block_by_block_assembly(backends):
             got = real.f2_tensor(real.object(l_atoms), real.object(r_atoms))
             want = ref.f2_tensor(ref.object(l_atoms), ref.object(r_atoms))
             assert np.array_equal(got, want)
+
+
+def _exchange_residuals(adjoints, t_bc, t_a_bc, bc, abc, t_ab_c, tol):
+    """The exchange identity F_2(S_p* y (x) z) = S_p* F_2(y (x) z) for a
+    stack of adjoints S_p* : F(ab) -> F(b), one per basis vector m_p of F(a).
+
+    The adjoints of the maps S_p : F(bc) -> F(abc) of the same vectors,
+    slices of t_a_bc, come from one batch solve.  Returns that batch and the
+    largest entry of lhs - rhs per p, meaningful where the batch found an
+    adjoint.
+    """
+    big = adjoints_of(np.moveaxis(t_a_bc, 1, 0), bc, abc, tol)
+    lhs = np.einsum("tqr,pqs->ptsr", t_bc, adjoints)
+    rhs = np.einsum("pts,sqr->ptqr", big.adjoints, t_ab_c)
+    return big, np.abs(lhs - rhs).max(axis=(1, 2, 3), initial=0.0)
 
 
 def reference_validate_functor(functor, tol=1e-9):
@@ -501,6 +590,7 @@ def reference_validate_functor(functor, tol=1e-9):
     axioms["iv_associativity"] = AxiomCheck(res_iv, res_iv < tol, {"triples": detail_iv})
 
     res_v = 0.0
+    missing = False
     detail_v = {}
     for a in live:
         oa = real.atom_object(a)
@@ -526,10 +616,12 @@ def reference_validate_functor(functor, tol=1e-9):
                 if not adj.adjointable[p]:
                     continue
                 for c, (big, r2) in exchange.items():
-                    r2 = float(r2[p]) if big.adjointable[p] else float("inf")
+                    r2 = float(r2[p] if big.adjointable[p] else big.residuals[p])
+                    missing = missing or not big.adjointable[p]
                     detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
                     res_v = max(res_v, r2)
-    axioms["v_adjointability"] = AxiomCheck(res_v, res_v < 100 * tol, {"checks": detail_v})
+    axioms["v_adjointability"] = AxiomCheck(res_v, res_v < 100 * tol and not missing,
+                                            {"checks": detail_v})
     return ValidationReport(tol, axioms)
 
 
