@@ -34,6 +34,9 @@ from .staralg import StarAlgebraModel
 if TYPE_CHECKING:
     from .reconstruction import ReconstructedAlgebra
 
+# complex entries of tuple products per stack of functor_from_subspaces
+CHUNK = 1 << 15
+
 
 @dataclass
 class Action:
@@ -193,16 +196,45 @@ class InSpan:
 
     def __init__(self, basis: np.ndarray, label: str):
         self.label = label
+        self.entry_ndim = basis.ndim - 1
         self.flat = basis.reshape(basis.shape[0], int(np.prod(basis.shape[1:])))
         self.pinv = np.linalg.pinv(self.flat.T)
 
     def __call__(self, element) -> np.ndarray:
-        vec = np.asarray(element).reshape(-1)
-        coords = self.pinv @ vec
-        resid = np.linalg.norm(self.flat.T @ coords - vec)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(vec)):
-            raise ActionError(f"element does not lie in the subspace of {self.label!r}")
-        return coords
+        """The coordinates of one element shaped like a basis entry, or of
+        each element of a stack of them, shape (..., count)."""
+        element = np.asarray(element)
+        lead = element.shape[:element.ndim - self.entry_ndim]
+        return _span_coords(self.pinv, self.flat, element.reshape(lead + (self.flat.shape[1],)),
+                            [self.label])
+
+
+def _span_coords(pinv: np.ndarray, flat: np.ndarray, vecs: np.ndarray,
+                 labels: list[str]) -> np.ndarray:
+    """Coordinates (..., count) of the vectors (..., size) in the spans of
+    the rows of flat, with pinv the pseudo-inverse of flat.T; pinv and flat
+    broadcast against the leading axes of vecs, and labels[j] names the
+    span along the first of them (one label: a single span).
+
+    Each vector is one matrix-vector product, as pinv @ vector gives it
+    alone.  A vector farther than 1e-6 (relative) from its span raises
+    ActionError, naming the span.
+    """
+    coords = (pinv @ vecs[..., None])[..., 0]
+    back = (flat.swapaxes(-1, -2) @ coords[..., None])[..., 0]
+    resid = np.linalg.norm(back - vecs, axis=-1)
+    bad = resid > 1e-6 * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+    if bad.any():
+        label = labels[np.argwhere(bad)[0][0]] if len(labels) > 1 else labels[0]
+        raise ActionError(f"element does not lie in the subspace of {label!r}")
+    return coords
+
+
+def _tuple_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sum_i x_i* y_i for two broadcastable stacks of tuples of matrices
+    (..., d, n, n), summed from 0 in order as Python's sum does."""
+    terms = xs.conj().swapaxes(-1, -2) @ ys
+    return sum(terms[..., i, :, :] for i in range(terms.shape[-3]))
 
 
 def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
@@ -214,54 +246,86 @@ def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
     the subspace of `label` is the tuple of ambient elements
     ambient(bases[label][p, i]).  The trivial label must hold the matrix
     units of `base`, in order, so the base algebra sits inside the ambient
-    one on the nose.  product(x, y) gives the coordinates of x y, shaped
-    like one basis entry; pairing(xs, ys) gives the base-valued inner
-    product of two basis tuples as an (n, n) matrix of `base`.
+    one on the nose.
+
+    The callbacks act on stacks and give every entry the bits it gets
+    alone: ambient maps a stack of basis entries to ambient elements;
+    product(xs, ys) gives the coordinates of the products of two
+    broadcastable stacks of elements, each shaped like one basis entry's
+    component; pairing(xs, ys) gives the base-valued inner products of two
+    broadcastable stacks of tuples (..., irrep dim, element) as base
+    elements (..., n, n).
 
     The bimodule actions multiply tuples by the base units; the
     multiplication maps multiply two tuples componentwise, apply each basis
     intertwiner of Mor(alpha x beta, gamma) and read off coordinates in the
-    basis of gamma.
+    basis of gamma.  Each label's actions and pairings are one stack, and
+    the multiplication maps run stacked across all label pairs of one
+    shape, about CHUNK product entries at a time: one product call, then
+    one einsum and one projection per shape of the target.  Every entry
+    keeps the bits of its own product, einsum and matrix-vector
+    projection.
     """
-    elements = {label: [[ambient(v) for v in vecs] for vecs in bases[label]]
-                for label in backend.labels}
+    elements = {label: ambient(bases[label]) for label in backend.labels}
     spans = {label: InSpan(bases[label], label) for label in backend.labels}
-    units = [xs[0] for xs in elements[backend.trivial_label]]
+    units = elements[backend.trivial_label][:, 0]
+
+    def swapped(coords):
+        # [k, q, :] -> [k, :, q], C-ordered like the arrays filled per entry
+        return np.ascontiguousarray(coords.transpose(0, 2, 1))
 
     modules: dict[str, Correspondence] = {}
     for label in backend.labels:
-        tuples = elements[label]
-        m = len(tuples)
-        left = np.zeros((base.dim, m, m), dtype=complex)
-        right = np.zeros((base.dim, m, m), dtype=complex)
-        inner = np.zeros((m, m, base.n, base.n), dtype=complex)
-        for k, unit in enumerate(units):
-            for q, xs in enumerate(tuples):
-                left[k, :, q] = spans[label]([product(unit, x) for x in xs])
-                right[k, :, q] = spans[label]([product(x, unit) for x in xs])
-        for p, xs in enumerate(tuples):
-            for q, ys in enumerate(tuples):
-                inner[p, q] = pairing(xs, ys)
-        modules[label] = Correspondence(base, m, left, right, inner)
+        xs = elements[label]
+        # [k, q]: unit k times tuple q, and tuple q times unit k
+        left = spans[label](product(units[:, None, None], xs[None]))
+        right = spans[label](product(xs[None], units[:, None, None]))
+        modules[label] = Correspondence(base, len(xs), swapped(left), swapped(right),
+                                        pairing(xs[:, None], xs[None]))
 
+    # the fusion triples of each pair of live labels, in label order
+    live = [label for label in backend.labels if len(elements[label])]
+    fusion: dict = {}
     phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
-    live = [label for label in backend.labels if elements[label]]
     for alpha in live:
         for beta in live:
             pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
-            targets = {}
             for gamma in live:
                 basis_t = backend.mor_basis(pair, backend.atom(gamma))
                 if basis_t:
-                    targets[gamma] = basis_t
-                    shape = (len(elements[gamma]), len(elements[alpha]), len(elements[beta]))
-                    phi[(alpha, beta, gamma)] = [np.zeros(shape, dtype=complex) for _ in basis_t]
-            for p, xs in enumerate(elements[alpha]):
-                for q, ys in enumerate(elements[beta]):
-                    prods = np.array([product(x, y) for x in xs for y in ys])
-                    for gamma, basis_t in targets.items():
-                        for arr, t in zip(phi[(alpha, beta, gamma)], basis_t):
-                            arr[:, p, q] = spans[gamma](np.einsum("cz,z...->c...", t, prods))
+                    fusion.setdefault((alpha, beta), []).append((gamma, basis_t))
+                    phi[(alpha, beta, gamma)] = [None] * len(basis_t)
+    shapes: dict = {}
+    for alpha, beta in fusion:
+        shapes.setdefault((elements[alpha].shape, elements[beta].shape), []).append((alpha, beta))
+    for members in shapes.values():
+        # pairs of one shape, about CHUNK product entries at a time
+        xs, ys = elements[members[0][0]], elements[members[0][1]]
+        step = max(1, CHUNK // (xs.size * ys.shape[0] * ys.shape[1]))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            xs = np.stack([elements[alpha] for alpha, _ in part])
+            ys = np.stack([elements[beta] for _, beta in part])
+            # prods[n, p, q, i * db + j] = x_i y_j for tuple p of alpha and
+            # tuple q of beta, (alpha, beta) = part[n]
+            out = product(xs[:, :, None, :, None], ys[:, None, :, None, :])
+            prods = out.reshape(out.shape[:3] + (-1,) + out.shape[5:])
+            # each intertwiner applied and projected onto gamma, one stack
+            # per shape of gamma's elements
+            jobs: dict = {}
+            for n, (alpha, beta) in enumerate(part):
+                for gamma, basis_t in fusion[alpha, beta]:
+                    for m, t in enumerate(basis_t):
+                        jobs.setdefault(elements[gamma].shape, []).append(
+                            (n, t, gamma, phi[(alpha, beta, gamma)], m))
+            for items in jobs.values():
+                numbers, ts, gammas, _, _ = zip(*items)
+                mapped = np.einsum("jcz,jpqz...->jpqc...", np.stack(ts), prods[list(numbers)])
+                coords = _span_coords(np.stack([spans[g].pinv for g in gammas])[:, None, None],
+                                      np.stack([spans[g].flat for g in gammas])[:, None, None],
+                                      mapped.reshape(mapped.shape[:3] + (-1,)), list(gammas))
+                for (_, _, _, tensors, m), c in zip(items, coords):
+                    tensors[m] = np.ascontiguousarray(c.transpose(2, 0, 1))
     return TensorFunctorData(backend, base, modules, phi, name=name)
 
 
@@ -316,7 +380,7 @@ def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFu
     }
 
     def pairing(xs, ys):
-        return a.from_coords(fixed.restrict(sum(x.conj().T @ y for x, y in zip(xs, ys))))
+        return a.from_coords(fixed.restrict(_tuple_products(xs, ys)))
 
     functor = functor_from_subspaces(backend, a, bases, b.from_coords,
                                      lambda x, y: b.coords(x @ y), pairing,
@@ -633,8 +697,9 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     vecs, sing = StarAlgebraModel.gns_space(module.inner)
 
     def hilbert(t):
-        """A module map M -> M as a matrix on the induced Hilbert space."""
-        return (vecs * sing).conj().T @ np.kron(t, np.eye(nb)) @ (vecs / sing)
+        """A module map M -> M, or each of a stack, as a matrix on the
+        induced Hilbert space."""
+        return (vecs * sing).conj().T @ _kron(t, np.eye(nb)) @ (vecs / sing)
 
     right_rows: dict[int, np.ndarray] = {}
 
@@ -676,8 +741,7 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
 
     def pairing(xs, ys):
         # the Hilbert space induced by M (x) H is that of M, once per component
-        prod = sum(hilbert(x).conj().T @ hilbert(y) for x, y in zip(xs, ys))
-        return a.from_coords(blocks.restrict(prod))
+        return a.from_coords(blocks.restrict(_tuple_products(hilbert(xs), hilbert(ys))))
 
     functor = functor_from_subspaces(backend, a, bases, lambda t: t, np.matmul,
                                      pairing, "module-functor")
@@ -903,15 +967,26 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
             bases[label] = np.zeros((0, 1, dim))
 
     model = alg.model
+    table = model.table.reshape(dim, dim * dim)
+
+    def multiply_rows(xs, ys):
+        """model.multiply of two broadcastable stacks of r rows (..., r, dim),
+        each with the bits multiply gives its r rows alone."""
+        left = (xs @ table).reshape(xs.shape[:-1] + (dim, dim))
+        return model.prune((ys[..., None, :] @ left)[..., 0, :])
+
+    def product(xs, ys):
+        return multiply_rows(xs[..., None, :], ys[..., None, :])[..., 0, :]
 
     def pairing(xs, ys):
         # summed term by term, pruned after each addition
-        total, *rest = model.multiply(model.star(np.array(xs)), np.array(ys))
-        for term in rest:
-            total = model.prune(total + term)
-        return model.expectation(total)
+        terms = multiply_rows(model.star(xs), ys)
+        total = terms[..., 0, :]
+        for i in range(1, terms.shape[-2]):
+            total = model.prune(total + terms[..., i, :])
+        return model.base.from_coords((total[..., None, :] @ model.expect.T)[..., 0, :])
 
-    functor = functor_from_subspaces(backend, a, bases, model.prune, model.multiply,
+    functor = functor_from_subspaces(backend, a, bases, model.prune, product,
                                      pairing, f"spectral-of:{alg.functor.name}")
     return functor, bases
 

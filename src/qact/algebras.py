@@ -363,11 +363,13 @@ def adjoints_by_source(maps: np.ndarray, m: Correspondence, targets: np.ndarray,
     one source M, stack k into its own target N_k, whose inner tensor is
     targets[k]; every field of the result gains the leading stack axis.
 
-    All stacks share one least-squares solve.  Its matrix G and cutoff
-    depend only on M and dim N, lstsq finds each right-hand side's
-    solution column on its own, and each stack's residual is formed from
-    its own columns.  So every stack gets the adjoints and residuals that
-    adjoints_of gives it alone.
+    Each stack's right-hand sides are one matrix product (BLAS) of its
+    maps' conjugates with its target's inner tensor, and all stacks share
+    one least-squares solve.  The solve's matrix G and cutoff depend only
+    on M and dim N, lstsq finds each right-hand side's solution column on
+    its own, and each stack's residual is formed from its own columns.  So
+    every stack gets the adjoints and residuals that adjoints_of gives it
+    alone.
     """
     maps = np.asarray(maps, dtype=complex)
     stacks, count, dim_n, _ = maps.shape
@@ -376,10 +378,15 @@ def adjoints_by_source(maps: np.ndarray, m: Correspondence, targets: np.ndarray,
         zeros = np.zeros((stacks, count))
         return AdjointBatch(np.zeros((stacks, count, m.dim, dim_n), dtype=complex), zeros,
                             zeros <= tol * scale)
-    nn = m.algebra.n * m.algebra.n
+    n = m.algebra.n
+    nn = n * n
     gram = np.transpose(m.inner_tensor, (0, 2, 3, 1)).reshape(m.dim * nn, m.dim)
     # rhs[(p, u, v), (k, i, s)] = <T_ki m_p, n_s>_{uv}
-    rhs = np.einsum("kiqp,kqsuv->puvkis", maps.conj(), targets)
+    #                           = sum_q conj(T_ki[q, p]) <n_q, n_s>_{uv},
+    # one matrix product per stack
+    rhs = maps.conj().transpose(0, 1, 3, 2).reshape(stacks, count * m.dim, dim_n) \
+        @ np.reshape(targets, (stacks, dim_n, dim_n * nn))
+    rhs = rhs.reshape(stacks, count, m.dim, dim_n, n, n).transpose(2, 4, 5, 0, 1, 3)
     rhs = rhs.reshape(m.dim * nn, stacks, count * dim_n)
     rcond = np.finfo(float).eps * m.dim * dim_n * nn
     sol, *_ = np.linalg.lstsq(gram, rhs.reshape(m.dim * nn, -1), rcond=rcond)

@@ -109,16 +109,12 @@ class SubalgebraBlocks:
         return np.einsum("k,kuv->uv", np.asarray(coords, dtype=complex), self.unit_images)
 
     def restrict(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of an ambient element lying in the subalgebra."""
-        coords = np.zeros(self.algebra.dim, dtype=complex)
-        k = 0
-        for b, mult in zip(self.algebra.blocks, self.multiplicities):
-            for i in range(b):
-                for j in range(b):
-                    e = self.unit_images[k]
-                    coords[k] = np.trace(e.conj().T @ mat) / mult
-                    k += 1
-        return coords
+        """Coordinates of an ambient element lying in the subalgebra, or of
+        each element of a stack (..., n, n): coordinate k is
+        trace(e_k* x) over the multiplicity of the block of e_k."""
+        mults = np.repeat(self.multiplicities, [b * b for b in self.algebra.blocks])
+        units = self.unit_images.conj().swapaxes(-1, -2)
+        return np.trace(units @ mat[..., None, :, :], axis1=-2, axis2=-1) / mults
 
 
 def decompose_star_algebra(basis: list[np.ndarray], n: int,

@@ -70,6 +70,8 @@ INPUT_ERRORS = (ActionError, AlgebraError, BackendError, CocycleError,
 
 
 def jsonable(obj):
+    """The report with numpy values as JSON values; an array becomes its
+    encode_complex lists, which are returned as they are."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -145,13 +147,14 @@ def run_verb(args) -> tuple[int, dict]:
         _need_inputs(args, 1)
         functor = _load(args.input[0], lambda d: serialize.functor_from_json(d, backend),
                         "functor")
-        val = functors.validate_functor(functor, tol)
-        report["validation"] = val.summary()
-        if not val.passed:
+        try:
+            alg = reconstruction.build_algebra(functor, tol=tol)
+        except reconstruction.BuildError as err:
+            report["validation"] = err.report.summary()
             return 1, report
-        alg = reconstruction.build_algebra(functor, tol=tol, validate=False)
+        report["validation"] = alg.validation.summary()
         audit = reconstruction.build_report(alg, seed=args.seed)
-        audit["multiplication_table"] = serialize.encode_complex(alg.model.table)
+        audit["multiplication_table"] = alg.model.table
         report["build"] = audit
         return (0 if audit["passed"] else 1), report
 
@@ -181,7 +184,7 @@ def run_verb(args) -> tuple[int, dict]:
             "passed": cert.passed,
             "residuals": cert.residuals,
             "dims": list(cert.dims),
-            "isomorphism": serialize.encode_complex(cert.matrix),
+            "isomorphism": cert.matrix,
         }
         return (0 if cert.passed else 1), report
 
@@ -214,7 +217,7 @@ def run_verb(args) -> tuple[int, dict]:
             "residuals": cert.residuals,
             "max_rank": cert.max_rank,
             "chosen": [label for label, _ in cert.chosen],
-            "gram": serialize.encode_complex(cert.gram) if cert.gram is not None else None,
+            "gram": cert.gram,
         }
         return (0 if cert.passed else 1), report
 

@@ -300,16 +300,22 @@ def _unit_axiom_residual(real: Realization) -> float:
     return worst
 
 
-def _isometry_residual(t: np.ndarray, inner: np.ndarray, ma: Correspondence,
-                       mb: Correspondence) -> float:
-    """Largest entry of <t(x (x) y), t(x' (x) y')> - <x (x) y, x' (x) y'> for
-    a multiplication tensor t : M_a (x) M_b -> M_c, where inner is the inner
-    tensor of M_c; contracted one operand at a time."""
-    half = np.einsum("srz,tsuv->trzuv", t, inner)
-    lhs = np.einsum("tpq,trzuv->pqrzuv", t.conj(), half)
+def _isometry_residuals(t: np.ndarray, inner: np.ndarray, semi: np.ndarray) -> np.ndarray:
+    """Largest entry, per stack entry, of <t(x (x) y), t(x' (x) y')> -
+    <x (x) y, x' (x) y'> for a stack (count, c, a, b) of multiplication
+    tensors t : M_a (x) M_b -> M_c, where inner is the stack of inner
+    tensors of M_c and semi that of tensor_semi_inner(M_a, M_b); two
+    stacked matrix products, laid out as semi is."""
+    count, c, a, b = t.shape
     n = inner.shape[-1]
-    lhs = lhs.reshape(ma.dim * mb.dim, ma.dim * mb.dim, n, n)
-    return float(np.abs(lhs - tensor_semi_inner(ma, mb)).max())
+    # half[t, (r, z), (u, v)] = sum_s t[s, r, z] <m_t, m_s>_uv
+    half = t.reshape(count, 1, c, a * b).transpose(0, 1, 3, 2) \
+        @ inner.reshape(count, c, c, n * n)
+    # lhs[(p, q), (r, z, u, v)] = sum_t conj(t[t, p, q]) half[t, r, z, u, v]
+    lhs = t.conj().reshape(count, c, a * b).transpose(0, 2, 1) \
+        @ half.reshape(count, c, a * b * n * n)
+    lhs -= semi.reshape(lhs.shape)
+    return np.abs(lhs).max(axis=(1, 2), initial=0.0)
 
 
 def _layout(real: Realization, left, right, target):
@@ -447,8 +453,11 @@ def _adjoints(jobs: list, tol: float) -> list[AdjointBatch]:
     return out
 
 
-def validate_functor(functor: TensorFunctorData, tol: float = 1e-9) -> ValidationReport:
-    """Check the defining conditions of the functor data.
+def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
+                     real: Realization | None = None) -> ValidationReport:
+    """Check the defining conditions of the functor data, on `real`, a
+    Realization of it, when given: a caller that goes on to use the
+    realization (the algebra build) then reuses its word objects and F_2.
 
     (i)   the trivial module is the base algebra;
     (ii)  multiplication maps are jointly isometric for the inner products;
@@ -464,8 +473,12 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9) -> Validatio
     ``_bracketings`` with no word of length 3 realized: triples of one
     shape signature form one stack, each axiom is a few contractions per
     stack, and the adjoint solves that share a source (F(b) or F(bc)) and
-    a shape are one least-squares solve.  Each entry gets the bits the
-    word-by-word evaluation gives it.
+    a shape are one least-squares solve.  Each entry of (iv), an einsum
+    per stack, gets the bits the word-by-word evaluation gives it.  (ii),
+    one stack per shape of F_2, the right-hand sides of the adjoint solves
+    and the exchange identity of (v) are stacked matrix products (BLAS):
+    an entry is the same in any stack, and agrees with a contraction in
+    another order to rounding, not bit for bit.
 
     Residuals are reported in the word basis of a*b*c, through the
     isometries of its decomposition.  A max-abs entry is not invariant
@@ -473,7 +486,7 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9) -> Validatio
     std*std*std, which holds std three times), so the basis is part of
     what a residual means.
     """
-    real = Realization(functor)
+    real = Realization(functor) if real is None else real
     axioms, fusion = _axioms_i_to_iv(real, tol)
     axioms["v_adjointability"] = _axiom_v(real, fusion, tol)
     return ValidationReport(tol, axioms)
@@ -525,14 +538,24 @@ def _axioms_i_to_iv(real: Realization, tol: float):
     backend.decompose_words([((a, False), (b, False)) for a, b in keys])
     pairs = [(real.atom_object(a), real.atom_object(b)) for a, b in keys]
     f2 = dict(zip(keys, real.f2_tensors(pairs)))
-    res_ii = 0.0
-    detail_ii = {}
-    for (a, b), (oa, ob) in zip(keys, pairs):
-        target = real.object(oa.atoms + ob.atoms)
-        r = _isometry_residual(f2[a, b], target.carrier.inner_tensor,
-                               functor.module(a), functor.module(b))
-        detail_ii[f"{a},{b}"] = r
-        res_ii = max(res_ii, r)
+    # one stack of residuals per shape of F_2, at most CHUNK entries of the
+    # inner products of M_a (x) M_b per chunk
+    shapes: dict = {}
+    for key, (oa, ob) in zip(keys, pairs):
+        shapes.setdefault(f2[key].shape, []).append((key, real.object(oa.atoms + ob.atoms)))
+    res_pairs = {}
+    n = functor.algebra.n
+    for (_, ma, mb), members in shapes.items():
+        step = max(1, CHUNK // (ma * mb * ma * mb * n * n))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            res_pairs.update(zip((key for key, _ in part), _isometry_residuals(
+                np.stack([f2[key] for key, _ in part]),
+                np.stack([target.carrier.inner_tensor for _, target in part]),
+                np.stack([tensor_semi_inner(functor.module(a), functor.module(b))
+                          for (a, b), _ in part]))))
+    detail_ii = {f"{a},{b}": float(res_pairs[a, b]) for a, b in keys}
+    res_ii = max(detail_ii.values(), default=0.0)
     axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
 
     # (iii) units
@@ -550,6 +573,27 @@ def _axioms_i_to_iv(real: Realization, tol: float):
     res = max(detail_iv.values(), default=0.0)
     axioms["iv_associativity"] = AxiomCheck(res, res < tol, {"triples": detail_iv})
     return axioms, (live, f2, triples, chunks, abc_labels)
+
+
+def _exchange_residuals(adj_ab: np.ndarray, f2_bc: np.ndarray, adj_a_bc: np.ndarray,
+                        f2_ab_c: np.ndarray) -> np.ndarray:
+    """The exchange identity of axiom (v) for a stack of triples a*b*c:
+    the largest entry, per triple and basis vector m_p of F(a), of
+    S_p*(ab) F_2(bc) - S_p*(abc) F_2(ab, c), where S_p*(ab) : F(ab) -> F(b)
+    and S_p*(abc) : F(abc) -> F(bc) are the adjoints (adj_ab, adj_a_bc) and
+    F_2(bc), F_2(ab, c) the multiplication tensors; two stacked matrix
+    products."""
+    count, ma, mb, m_ab = adj_ab.shape
+    m_bc, mc = f2_bc.shape[1], f2_bc.shape[3]
+    # lhs[n, p, (s, t, r)] = sum_q S*_p(ab)[q, s] F_2(bc)[t, q, r], with s
+    # in F(ab), t in F(bc) and r in F(c)
+    lhs = adj_ab.transpose(0, 1, 3, 2).reshape(count, ma * m_ab, mb) \
+        @ f2_bc.transpose(0, 2, 1, 3).reshape(count, mb, m_bc * mc)
+    # rhs[n, p, (t, s, r)] = sum_w S*_p(abc)[t, w] F_2(ab, c)[w, s, r]
+    rhs = adj_a_bc.reshape(count, ma * m_bc, -1) @ f2_ab_c.reshape(count, f2_ab_c.shape[1], -1)
+    diff = lhs.reshape(count, ma, m_ab, m_bc, mc)
+    diff -= rhs.reshape(count, ma, m_bc, m_ab, mc).transpose(0, 1, 3, 2, 4)
+    return np.abs(diff).max(axis=(2, 3, 4), initial=0.0)
 
 
 def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
@@ -582,10 +626,10 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
     big = dict(zip(jobs, _adjoints(list(jobs.values()), tol)))
     exchange = {}
     for idx, ab_c, _ in chunks:
-        lhs = np.einsum("ntqr,npqs->nptsr", np.stack([f2[triples[n][1:]] for n in idx]),
-                        np.stack([adj[triples[n][:2]].adjoints for n in idx]))
-        rhs = np.einsum("npts,nsqr->nptqr", np.stack([big[n].adjoints for n in idx]), ab_c)
-        exchange.update(zip(idx, np.abs(lhs - rhs).max(axis=(2, 3, 4), initial=0.0)))
+        exchange.update(zip(idx, _exchange_residuals(
+            np.stack([adj[triples[n][:2]].adjoints for n in idx]),
+            np.stack([f2[triples[n][1:]] for n in idx]),
+            np.stack([big[n].adjoints for n in idx]), ab_c)))
     res_v = 0.0
     missing = False
     detail_v = {}

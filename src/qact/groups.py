@@ -67,14 +67,14 @@ class GroupPresentation:
             j = self.inv(i)
             if self.mul[i, j] != e or self.mul[j, i] != e:
                 raise GroupError(f"inverse law fails at {self.elements[i]}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul[self.mul[i, j], k] != self.mul[i, self.mul[j, k]]:
-                        raise GroupError(
-                            "associativity fails at "
-                            f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
-                        )
+        # [i, j, k]: (ij)k and i(jk); the first failure in index order
+        bad = np.argwhere(self.mul[self.mul] != self.mul[:, self.mul])
+        if len(bad):
+            i, j, k = bad[0]
+            raise GroupError(
+                "associativity fails at "
+                f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
+            )
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))

@@ -20,31 +20,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functors import Realization, TensorFunctorData, validate_functor
+from .functors import Realization, TensorFunctorData, ValidationReport, validate_functor
 from .staralg import StarAlgebraModel
 
 
 class BuildError(ValueError):
-    """Functor data failed validation on entry to the build."""
+    """Functor data failed validation on entry to the build; `report` is
+    the validation report."""
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 class ReconstructedAlgebra:
     """The graded *-algebra of a functor: the flat model alg.model plus the
     label layout (labels, shapes, offsets, spans), the coaction and the
-    projection of tensor words onto the algebra."""
+    projection of tensor words onto the algebra.
+
+    With `validate`, the functor is validated on the build's own
+    Realization, so the word objects and F_2 of the validation serve the
+    build; the report is kept as `validation` (None without `validate`).
+    """
 
     def __init__(self, functor: TensorFunctorData, tol: float = 1e-9,
                  validate: bool = True):
+        self.real = Realization(functor)
+        self.validation = None
         if validate:
-            report = validate_functor(functor, tol)
-            if not report.passed:
-                bad = sorted(k for k, v in report.axioms.items() if not v.passed)
-                raise BuildError(f"functor data fails validation at {bad}")
+            self.validation = validate_functor(functor, tol, real=self.real)
+            if not self.validation.passed:
+                bad = sorted(k for k, v in self.validation.axioms.items() if not v.passed)
+                raise BuildError(f"functor data fails validation at {bad}", self.validation)
         self.functor = functor
         self.backend = functor.backend
         self.algebra = functor.algebra
         self.tol = tol
-        self.real = Realization(functor)
 
         self.labels = []
         self.shapes: dict[str, tuple[int, int]] = {}

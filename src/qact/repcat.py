@@ -53,6 +53,20 @@ def _hermitian_power(mat: np.ndarray, power: float) -> np.ndarray:
     return (v * w**power) @ v.conj().T
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a stack (..., m, n), with the bits
+    norm gives that matrix alone: the same dot products of the real and
+    imaginary parts, as one stacked product each."""
+    flat = stack.reshape(stack.shape[:-2] + (1, -1))
+
+    def square(x):
+        return (x @ x.swapaxes(-1, -2))[..., 0, 0]
+
+    if np.iscomplexobj(flat):
+        return np.sqrt(square(flat.real) + square(flat.imag))
+    return np.sqrt(square(flat))
+
+
 @dataclass(frozen=True)
 class Irrep:
     """One irreducible: label, dimension, matrices (group kind only),
@@ -168,13 +182,15 @@ class Backend:
             mats = ir.matrices
             if mats is None or mats.shape != (g.order, ir.dim, ir.dim):
                 raise BackendError(f"irrep {label!r} has malformed matrices")
-            eye = np.eye(ir.dim)
-            for i in range(g.order):
-                if np.linalg.norm(mats[i] @ mats[i].conj().T - eye) > tol:
-                    raise BackendError(f"irrep {label!r} is not unitary at {g.elements[i]}")
-                for j in range(g.order):
-                    if np.linalg.norm(mats[i] @ mats[j] - mats[g.times(i, j)]) > tol:
-                        raise BackendError(f"irrep {label!r} violates the table")
+            # U_i U_i* and U_i U_j for all i, j as two stacked products; the
+            # first failure in the order i, then (i, j) over j, is reported
+            unitary = _frobenius(mats @ mats.conj().transpose(0, 2, 1) - np.eye(ir.dim)) > tol
+            table = _frobenius(mats[:, None] @ mats[None] - mats[g.mul]) > tol
+            bad = np.flatnonzero(unitary | table.any(axis=1))
+            if bad.size and unitary[bad[0]]:
+                raise BackendError(f"irrep {label!r} is not unitary at {g.elements[bad[0]]}")
+            if bad.size:
+                raise BackendError(f"irrep {label!r} violates the table")
             # designated conjugate must have the conjugate character
             chi = np.einsum("gii->g", mats)
             chib = np.einsum("gii->g", self.irreps[ir.conj].matrices)

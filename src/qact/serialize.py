@@ -27,10 +27,10 @@ if TYPE_CHECKING:
 
 
 def encode_complex(arr) -> list:
+    """Nested lists of [re, im] pairs of Python floats, the array's shape
+    plus a last axis of 2; signed zeros are kept."""
     arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [encode_complex(sub) for sub in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def decode_complex(data) -> np.ndarray:

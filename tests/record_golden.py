@@ -11,6 +11,11 @@ Rewrite the record (only when a change of results is intended, and say so
 in the change log):
 
     PYTHONPATH=src python tests/record_golden.py
+
+Record only the runs the file does not hold yet, leaving every existing
+line as it is, byte for byte (for a new run of the list below):
+
+    PYTHONPATH=src python tests/record_golden.py --add
 """
 
 from __future__ import annotations
@@ -132,7 +137,8 @@ def _run(argv, tmp: pathlib.Path) -> dict:
     return summarize(code, json.loads(out.read_text()))
 
 
-def record() -> dict:
+def record(skip=frozenset()) -> dict:
+    """Summaries of every recorded run whose key is not in skip."""
     from qact import serialize
     from qact.actions import spectral_functor
     from qact.fixtures import action_corpus, standard_backends
@@ -143,29 +149,61 @@ def record() -> dict:
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = pathlib.Path(tmpdir)
         for args in [*FIXTURE_RUNS, DEFORM_GROUP_RUN, NEGATIVE_FIBER_RUN]:
-            golden[fixture_key(args)] = _run(fixture_argv(args), tmp)
+            if fixture_key(args) not in skip:
+                golden[fixture_key(args)] = _run(fixture_argv(args), tmp)
         for name in sorted(corpus):
             path = FIXTURES / "actions" / f"{name}.json"
             backend = json.loads(path.read_text())["backend_ref"]
             for verb in ACTION_VERBS:
-                golden[action_key(verb, name)] = _run(
-                    [verb, "--backend", str(FIXTURES / backend), "--input", str(path)], tmp)
+                if action_key(verb, name) not in skip:
+                    golden[action_key(verb, name)] = _run(
+                        [verb, "--backend", str(FIXTURES / backend), "--input", str(path)], tmp)
+            verbs = [verb for verb in FUNCTOR_VERBS if functor_key(verb, name) not in skip]
+            if not verbs:
+                continue
             bk, act = corpus[name]
             functor_path = tmp / "functor.json"
             serialize.dump_json(serialize.functor_to_json(
                 spectral_functor(backends[bk], act).functor), functor_path)
-            for verb in FUNCTOR_VERBS:
+            for verb in verbs:
                 golden[functor_key(verb, name)] = _run(
                     [verb, "--backend", str(FIXTURES / "backends" / f"{bk}.json"),
                      "--input", str(functor_path)], tmp)
     return golden
 
 
+def entry_line(key: str, summary: dict) -> str:
+    return f"{json.dumps(key)}: {json.dumps(summary, sort_keys=True)}"
+
+
+def file_lines(path: pathlib.Path) -> dict[str, str]:
+    """The entry lines of a record file by key, as the file holds them."""
+    lines = path.read_text().split("\n")[1:-2]  # between "{" and "}\n"
+    return {next(iter(json.loads("{" + line.rstrip(",") + "}"))): line.rstrip(",")
+            for line in lines}
+
+
+def write(path: pathlib.Path, lines: dict[str, str]) -> None:
+    path.write_text("{\n" + ",\n".join(lines[key] for key in sorted(lines)) + "\n}\n")
+
+
+def add_missing(path: pathlib.Path = GOLDEN) -> list[str]:
+    """Record the runs the file at path does not hold; its existing lines
+    stay as they are.  Returns the keys added."""
+    lines = file_lines(path)
+    data = record(skip=frozenset(lines))
+    lines.update((key, entry_line(key, summary)) for key, summary in data.items())
+    write(path, lines)
+    return sorted(data)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    if sys.argv[1:] == ["--add"]:
+        added = add_missing()
+        print(f"added {len(added)} runs to {GOLDEN.relative_to(ROOT)}")
+        sys.exit(0)
     data = record()
     GOLDEN.parent.mkdir(exist_ok=True)
-    lines = [f"{json.dumps(key)}: {json.dumps(data[key], sort_keys=True)}"
-             for key in sorted(data)]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    write(GOLDEN, {key: entry_line(key, summary) for key, summary in data.items()})
     print(f"wrote {len(data)} runs to {GOLDEN.relative_to(ROOT)}")

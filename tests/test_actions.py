@@ -543,3 +543,110 @@ def test_canonical_module_iso_solves_each_nontrivial_label_once(monkeypatch):
     assert len(solved) == 7 and backend.trivial_label not in solved
     assert sorted(solved) == sorted(set(solved))
     assert built == [1]
+
+
+def reference_functor_from_subspaces(backend, base, bases, ambient, product, pairing, name):
+    """functor_from_subspaces one element at a time: every product,
+    pairing and projection on its own, the library's callbacks called on
+    single elements."""
+    from qact.actions import Correspondence, TensorFunctorData
+
+    elements = {label: [[ambient(v) for v in vecs] for vecs in bases[label]]
+                for label in backend.labels}
+    spans = {label: InSpan(bases[label], label) for label in backend.labels}
+    units = [xs[0] for xs in elements[backend.trivial_label]]
+
+    modules = {}
+    for label in backend.labels:
+        tuples = elements[label]
+        m = len(tuples)
+        left = np.zeros((base.dim, m, m), dtype=complex)
+        right = np.zeros((base.dim, m, m), dtype=complex)
+        inner = np.zeros((m, m, base.n, base.n), dtype=complex)
+        for k, unit in enumerate(units):
+            for q, xs in enumerate(tuples):
+                left[k, :, q] = spans[label]([product(unit, x) for x in xs])
+                right[k, :, q] = spans[label]([product(x, unit) for x in xs])
+        for p, xs in enumerate(tuples):
+            for q, ys in enumerate(tuples):
+                inner[p, q] = pairing(np.array(xs), np.array(ys))
+        modules[label] = Correspondence(base, m, left, right, inner)
+
+    phi = {}
+    live = [label for label in backend.labels if elements[label]]
+    for alpha in live:
+        for beta in live:
+            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
+            targets = {}
+            for gamma in live:
+                basis_t = backend.mor_basis(pair, backend.atom(gamma))
+                if basis_t:
+                    targets[gamma] = basis_t
+                    shape = (len(elements[gamma]), len(elements[alpha]), len(elements[beta]))
+                    phi[(alpha, beta, gamma)] = [np.zeros(shape, dtype=complex) for _ in basis_t]
+            for p, xs in enumerate(elements[alpha]):
+                for q, ys in enumerate(elements[beta]):
+                    prods = np.array([product(x, y) for x in xs for y in ys])
+                    for gamma, basis_t in targets.items():
+                        for arr, t in zip(phi[(alpha, beta, gamma)], basis_t):
+                            arr[:, p, q] = spans[gamma](np.einsum("cz,z...->c...", t, prods))
+    return TensorFunctorData(backend, base, modules, phi, name=name)
+
+
+def builder_cases(backends, corpus):
+    """Every corpus action, the actions of both benchmark ladders (the
+    clock-shift gradings conjugated as the block ladder does) and trivial
+    actions whose nontrivial spectral subspaces are empty."""
+    from qact.fixtures import clock_shift_grading
+    from qact.groups import cyclic_group
+    from qact.repcat import dual_backend, symmetric3_backend
+    from test_reconstruction import conjugated_clock_shift
+
+    cases = [(name, backends[bk], act) for name, (bk, act) in sorted(corpus.items())]
+    for n in (3, 4, 5):
+        cases.append((f"clock{n}", dual_backend(cyclic_group(n)), conjugated_clock_shift(n, 1)))
+    cases.append(("clock3_aligned", dual_backend(cyclic_group(3)), clock_shift_grading(3)))
+    for n in (4, 8, 12):
+        backend = cyclic_backend(n)
+        cases.append((f"z{n}_translation", backend, translation_action(backend)))
+    s3 = symmetric3_backend()
+    cases.append(("s3_translation", s3, translation_action(s3)))
+    for label, backend, blocks in (("z2", backends["z2"], (2,)), ("z2", backends["z2"], (3,)),
+                                   ("z3", cyclic_backend(3), (2, 1)), ("s3", s3, (2,))):
+        cases.append((f"trivial_{label}_{blocks}", backend,
+                      trivial_action(backend, BlockAlgebra(blocks))))
+    return cases
+
+
+def test_builder_stacks_keep_the_bits_of_the_per_element_builder(backends, corpus,
+                                                                   monkeypatch):
+    # spectral and module functors serialize byte for byte (signed zeros
+    # included) as the per-element builder gives them, in stacks of the
+    # default size and in stacks of one pair; the module functors of
+    # clock4, clock5 and z12, whose dense equivariant-map systems take from
+    # half a second to several seconds, are left out
+    import json
+
+    from qact import actions, serialize
+
+    def functors(backend, act, module):
+        out = [actions.spectral_functor(backend, act).functor]
+        if module:
+            out.append(actions.canonical_module_iso(backend, act)[1].functor)
+            out.append(actions.module_functor(backend, module_from_algebra(backend, act)).functor)
+        return [json.dumps(serialize.functor_to_json(f)) for f in out]
+
+    seen_empty = False
+    for name, backend, act in builder_cases(backends, corpus):
+        module = name not in ("clock4", "clock5", "z12_translation")
+        got = functors(backend, act, module)
+        with monkeypatch.context() as patch:
+            patch.setattr(actions, "CHUNK", 1)
+            single = functors(backend, act, module)
+            patch.setattr(actions, "functor_from_subspaces", reference_functor_from_subspaces)
+            want = functors(backend, act, module)
+        assert got == want, name
+        assert single == want, name
+        spec = actions.spectral_functor(backend, act).functor
+        seen_empty |= any(spec.module(label).dim == 0 for label in backend.labels)
+    assert seen_empty

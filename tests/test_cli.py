@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -14,10 +15,10 @@ import record_golden
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qact", *args],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
 
 
@@ -29,12 +30,16 @@ def test_fixture_corpus_exists():
 
 @pytest.mark.parametrize("args", record_golden.FIXTURE_RUNS)
 def test_verbs_pass_on_fixtures(args, tmp_path):
+    # under one and two BLAS threads: the golden rule holds for both, though
+    # the bits of a report may differ between them
     report = tmp_path / "report.json"
-    proc = run_cli(*record_golden.fixture_argv(args), "--report", str(report))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    data = json.loads(report.read_text())
-    assert data["schema"] == "report.v1"
-    record_golden.check(record_golden.fixture_key(args), proc.returncode, data)
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = run_cli(*record_golden.fixture_argv(args), "--report", str(report), env=env)
+        assert proc.returncode == 0, (threads, proc.stdout + proc.stderr)
+        data = json.loads(report.read_text())
+        assert data["schema"] == "report.v1"
+        record_golden.check(record_golden.fixture_key(args), proc.returncode, data)
 
 
 @pytest.mark.parametrize("verb", ["spectral", "roundtrip", "module-functor", "fullness"])
@@ -97,6 +102,61 @@ def test_validate_graded_rejects_a_fiber_that_is_no_correspondence(tmp_path):
     data = json.loads(report.read_text())
     assert not data["validation"]["axioms"]["modules_wellformed"]["passed"]
     record_golden.check(record_golden.fixture_key(args), code, data)
+
+
+def test_record_golden_add_records_only_missing_runs(tmp_path):
+    # --add runs only the runs the file lacks (a fixture run and the two
+    # functor verbs of one corpus action here) and leaves every other line
+    # byte for byte in its place
+    golden = tmp_path / "residuals.json"
+    golden.write_text(record_golden.GOLDEN.read_text())
+    full = record_golden.file_lines(golden)
+    dropped = [record_golden.fixture_key(record_golden.FIXTURE_RUNS[2]),
+               *(record_golden.functor_key(verb, "swap_c2") for verb in ("validate", "build"))]
+    kept = {k: v for k, v in full.items() if k not in dropped}
+    record_golden.write(golden, kept)
+
+    assert record_golden.add_missing(golden) == sorted(dropped)
+    added = record_golden.file_lines(golden)
+    assert list(added) == sorted(full)
+    assert {k: v for k, v in added.items() if k in kept} == kept
+    for key in dropped:
+        got = json.loads("{" + added[key] + "}")[key]
+        want = json.loads("{" + full[key] + "}")[key]
+        assert (got["exit"], got["flags"], sorted(got["floats"])) \
+            == (want["exit"], want["flags"], sorted(want["floats"])), key
+        for path, old in want["floats"].items():
+            assert abs(got["floats"][path] - old) <= record_golden.FLOAT_TOL, (key, path)
+            assert old != 0.0 or got["floats"][path] == 0.0, (key, path)
+
+
+def recursive_encode_complex(arr) -> list:
+    """The report encoder as it was, one entry at a time."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 0:
+        return [float(arr.real), float(arr.imag)]
+    return [recursive_encode_complex(sub) for sub in arr]
+
+
+def test_encode_complex_gives_the_recursive_encoders_bytes():
+    from qact import serialize
+
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 1.0, -1e-300, np.inf, -np.inf, np.nan, 2.5e-17])
+    grid = np.zeros((8, 8), dtype=complex)
+    grid.real, grid.imag = special[:, None], special[None, :]
+    arrays = [
+        np.complex128(1 - 2j), np.float64(-0.0), 3, True, [1, 2],
+        special, grid, special.astype(np.float32),
+        rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2)),
+        rng.standard_normal((25, 25, 25)),
+        np.zeros((0,)), np.zeros((0, 3)), np.zeros((3, 0), dtype=complex), np.zeros((2, 0, 4)),
+    ]
+    for arr in arrays:
+        want = json.dumps(recursive_encode_complex(arr), indent=2)
+        assert json.dumps(serialize.encode_complex(arr), indent=2) == want
+        assert json.dumps(cli.jsonable({"a": np.asarray(arr)}), indent=2) \
+            == json.dumps({"a": recursive_encode_complex(arr)}, indent=2)
 
 
 def test_missing_file_is_input_error(tmp_path):

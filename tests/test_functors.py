@@ -5,6 +5,7 @@ from qact.algebras import (
     BlockAlgebra,
     Correspondence,
     algebra_as_correspondence,
+    tensor_semi_inner,
     zero_correspondence,
 )
 from qact.fixtures import (
@@ -23,7 +24,6 @@ from qact.functors import (
     Realization,
     TensorFunctorData,
     ValidationReport,
-    _isometry_residual,
     _unit_axiom_residual,
     from_graded,
     group_algebra_bundle,
@@ -515,6 +515,17 @@ def _exchange_residuals(adjoints, t_bc, t_a_bc, bc, abc, t_ab_c, tol):
     lhs = np.einsum("tqr,pqs->ptsr", t_bc, adjoints)
     rhs = np.einsum("pts,sqr->ptqr", big.adjoints, t_ab_c)
     return big, np.abs(lhs - rhs).max(axis=(1, 2, 3), initial=0.0)
+
+
+def _isometry_residual(t, inner, ma, mb):
+    """Axiom (ii)'s residual of one pair, contracted with einsum one operand
+    at a time: the largest entry of <t(x (x) y), t(x' (x) y')> -
+    <x (x) y, x' (x) y'>."""
+    half = np.einsum("srz,tsuv->trzuv", t, inner)
+    lhs = np.einsum("tpq,trzuv->pqrzuv", t.conj(), half)
+    n = inner.shape[-1]
+    lhs = lhs.reshape(ma.dim * mb.dim, ma.dim * mb.dim, n, n)
+    return float(np.abs(lhs - tensor_semi_inner(ma, mb)).max())
 
 
 def reference_validate_functor(functor, tol=1e-9):

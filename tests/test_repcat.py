@@ -439,3 +439,36 @@ def test_decompose_runs_the_svd_only_for_occurring_labels(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert [label for label, _ in backend.decompose(u)] == ["chi10"]
     assert len(calls) == 1
+
+
+def test_check_names_the_first_element_that_fails():
+    # the stacked products report the first failure in the order of the
+    # element-by-element loop: unitarity at g before the products g*h
+    group = cyclic_group(3)
+    triv = Irrep("triv", 1, np.ones((3, 1, 1), dtype=complex), np.eye(1, dtype=complex), "triv")
+
+    def backend(values):
+        mats = np.array(values, dtype=complex).reshape(3, 1, 1)
+        return Backend("group", group, [triv, Irrep("v", 1, mats, np.eye(1, dtype=complex), "v")])
+
+    with pytest.raises(BackendError, match="'v' is not unitary at 1"):
+        backend([1, 2, 4]).check()
+    with pytest.raises(BackendError, match="'v' violates the table"):
+        backend([1, 1j, 1j]).check()
+    # the products of row 0 come before the unitarity of element 1
+    with pytest.raises(BackendError, match="'v' violates the table"):
+        backend([1j, 2, 4]).check()
+
+
+def test_group_check_names_the_first_nonassociative_triple():
+    # a loop of order 5: identity and inverses, but not associative
+    from qact.groups import GroupPresentation
+
+    mul = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                    [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    group = GroupPresentation(tuple("abcde"), mul, 0, np.arange(5))
+    first = next((i, j, k) for i, j, k in itertools.product(range(5), repeat=3)
+                 if mul[mul[i, j], k] != mul[i, mul[j, k]])
+    names = ", ".join("abcde"[x] for x in first)
+    with pytest.raises(GroupError, match=rf"associativity fails at \({names}\)"):
+        group.check()
