@@ -29,7 +29,7 @@ from .errors import ActionError, BackendError
 from .functors import TensorFunctorData
 from .groups import GroupPresentation
 from .repcat import Backend, RANK_TOL
-from .staralg import StarAlgebraModel
+from .staralg import StarAlgebraModel, verify_algebra_iso
 
 if TYPE_CHECKING:
     from .reconstruction import ReconstructedAlgebra
@@ -73,30 +73,29 @@ class Action:
         return rows.reshape(-1, self.algebra.dim)
 
     def validate(self, tol: float = 1e-9) -> dict:
+        """Check that the data is an action: a homomorphism into the
+        *-automorphisms, or a spanning grading whose components multiply
+        and star into the components they must.  Each group element g is
+        one stack: the automorphism of g against every element and its
+        images of all matrix units, or every product and star that must
+        lie in the component of g, with one least-squares solve each."""
         b = self.algebra
         g = self.group
         rep: dict = {"kind": self.kind}
         if self.kind == "automorphism":
-            units = b.basis()
-            worst_hom = worst_mult = worst_star = 0.0
-            e = g.elements[g.identity]
-            worst_hom = float(np.abs(self.map_matrix(e) - np.eye(b.dim)).max())
-            for x in g.elements:
-                tx = self.map_matrix(x)
-                for y in g.elements:
-                    ty = self.map_matrix(y)
-                    xy = g.elements[g.times(g.index(x), g.index(y))]
-                    worst_hom = max(
-                        worst_hom, float(np.abs(tx @ ty - self.map_matrix(xy)).max())
-                    )
-                for u in units:
-                    worst_star = max(worst_star, float(np.abs(
-                        self.apply(x, u.conj().T) - self.apply(x, u).conj().T
-                    ).max()))
-                    for v in units:
-                        worst_mult = max(worst_mult, float(np.abs(
-                            self.apply(x, u @ v) - self.apply(x, u) @ self.apply(x, v)
-                        ).max()))
+            maps = np.array([self.map_matrix(x) for x in g.elements])
+            perm = b.star_permutation()
+            products = b.structure_tensor()
+            worst_hom = _worst(maps[g.identity] - np.eye(b.dim))
+            worst_mult = worst_star = 0.0
+            for x, tx in enumerate(maps):
+                worst_hom = max(worst_hom, _worst(tx @ maps - maps[g.mul[x]]))
+                # images[k] is alpha_x of matrix unit k
+                images = b.from_coords(tx.T)
+                worst_star = max(worst_star, _worst(
+                    images[perm] - images.conj().transpose(0, 2, 1)))
+                worst_mult = max(worst_mult, _worst(
+                    b.from_coords(products @ tx.T) - images[:, None] @ images[None]))
             rep["homomorphism"] = worst_hom
             rep["multiplicative"] = worst_mult
             rep["star_preserving"] = worst_star
@@ -111,22 +110,17 @@ class Action:
             rep["spanning"] = bool(sv.min() > 1e-8)
             worst_mult = 0.0
             worst_star = 0.0
-            for x in g.elements:
-                rx = self.component_rows(x)
-                xinv = g.elements[g.inv(g.index(x))]
-                target_rows = self.component_rows(xinv)
-                for row in rx:
-                    starred = b.coords(b.from_coords(row).conj().T)
-                    worst_star = max(worst_star, _outside_span(starred, target_rows))
-                for y in g.elements:
-                    ry = self.component_rows(y)
-                    xy = g.elements[g.times(g.index(x), g.index(y))]
-                    txy = self.component_rows(xy)
-                    for r1 in rx:
-                        m1 = b.from_coords(r1)
-                        for r2 in ry:
-                            prod = b.coords(m1 @ b.from_coords(r2))
-                            worst_mult = max(worst_mult, _outside_span(prod, txy))
+            mats = [b.from_coords(self.component_rows(x)) for x in g.elements]
+            for zi, z in enumerate(g.elements):
+                # the stars of the component of z^-1, and the products of
+                # the components of x and y for every xy = z
+                rows = self.component_rows(z)
+                starred = b.coords(mats[g.inv(zi)].conj().transpose(0, 2, 1))
+                worst_star = max(worst_star, _outside_span(starred.T, rows))
+                prods = [b.coords(mats[xi][:, None] @ mats[g.mul[g.inv(xi), zi]][None])
+                         for xi in range(g.order)]
+                worst_mult = max(worst_mult, _outside_span(
+                    np.concatenate([p.reshape(-1, b.dim) for p in prods]).T, rows))
             rep["component_products"] = worst_mult
             rep["component_star"] = worst_star
             rep["passed"] = bool(
@@ -283,18 +277,22 @@ def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
         modules[label] = Correspondence(base, len(xs), swapped(left), swapped(right),
                                         pairing(xs[:, None], xs[None]))
 
-    # the fusion triples of each pair of live labels, in label order
+    # the fusion triples of each pair of live labels, in label order: the
+    # constituents of every alpha x beta come from one decomposition, and
+    # only those get an intertwiner basis
     live = [label for label in backend.labels if len(elements[label])]
+    pairs = [(alpha, beta) for alpha in live for beta in live]
+    words = backend.decompose_words([((alpha, False), (beta, False)) for alpha, beta in pairs])
     fusion: dict = {}
     phi: dict[tuple[str, str, str], list[np.ndarray]] = {}
-    for alpha in live:
-        for beta in live:
-            pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
-            for gamma in live:
+    for (alpha, beta), parts in zip(pairs, words):
+        pair = backend.tensor(backend.atom(alpha), backend.atom(beta))
+        occurring = {gamma for gamma, _ in parts}
+        for gamma in live:
+            if gamma in occurring:
                 basis_t = backend.mor_basis(pair, backend.atom(gamma))
-                if basis_t:
-                    fusion.setdefault((alpha, beta), []).append((gamma, basis_t))
-                    phi[(alpha, beta, gamma)] = [None] * len(basis_t)
+                fusion.setdefault((alpha, beta), []).append((gamma, basis_t))
+                phi[(alpha, beta, gamma)] = [None] * len(basis_t)
     shapes: dict = {}
     for alpha, beta in fusion:
         shapes.setdefault((elements[alpha].shape, elements[beta].shape), []).append((alpha, beta))
@@ -329,17 +327,24 @@ def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
     return TensorFunctorData(backend, base, modules, phi, name=name)
 
 
+def _invariant_tuples(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the tuples (x_1 ... x_d) with
+    sum_j u(g)_ij maps(g) x_j = x_i at every group element g, for a stack u
+    of irrep matrices and a stack of maps, one per element: the null space
+    of the stacked kron(u(g), maps(g)) - 1, shape (count, d, dim)."""
+    d, dim = u.shape[-1], maps.shape[-1]
+    rows = _kron(u, maps) - np.eye(d * dim)
+    return null_space(rows.reshape(-1, d * dim)).reshape(-1, d, dim)
+
+
 def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     """Orthonormal basis of the invariant subspace attached to one
     irreducible, shape (multiplicity, irrep dim, dim B)."""
     _check_backend(backend, act)
     b = act.algebra
     if act.kind == "automorphism":
-        u = backend.irrep(label).matrices
-        d = backend.irrep(label).dim
         maps = np.array([act.map_matrix(x) for x in act.group.elements])
-        basis = null_space((_kron(u, maps) - np.eye(d * b.dim)).reshape(-1, d * b.dim))
-        return basis.reshape(-1, d, b.dim)
+        return _invariant_tuples(backend.irrep(label).matrices, maps)
     rows = act.component_rows(label)
     if rows.shape[0] == 0:
         return np.zeros((0, 1, b.dim))
@@ -399,12 +404,24 @@ class RoundtripCertificate:
     passed: bool
 
 
+def canonical_map(spec: SpectralFunctor, alg: ReconstructedAlgebra) -> np.ndarray:
+    """The canonical map from an algebra rebuilt from functor data with the
+    module dimensions of `spec` onto the acted-on algebra, as a coordinate
+    matrix (dim B, alg.dim): column (i, p) of a label's block is component
+    i of its basis vector p."""
+    b = spec.action.algebra
+    phi = np.zeros((b.dim, alg.dim), dtype=complex)
+    for label, span in alg.spans.items():
+        phi[:, span] = spec.bases[label].transpose(1, 0, 2).reshape(-1, b.dim).T
+    return phi
+
+
 def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
                     tol: float = 1e-9) -> RoundtripCertificate:
     """Rebuild the algebra from the spectral data of an action and certify
-    the canonical map back onto the original algebra: linear bijection,
-    multiplicative, star-preserving, equivariant, identity on the fixed
-    subalgebra."""
+    the canonical map back onto the original algebra: a unital
+    *-isomorphism (staralg.verify_algebra_iso), equivariant, and the
+    identity on the fixed subalgebra."""
     from .reconstruction import build_algebra
 
     spec = spectral_functor(backend, act, seed=seed)
@@ -417,31 +434,14 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
             (b.dim, alg.dim), False,
         )
 
-    # column (i, p) of a label's block is component i of its basis vector p
-    phi = np.zeros((b.dim, alg.dim), dtype=complex)
-    for label, span in alg.spans.items():
-        phi[:, span] = spec.bases[label].transpose(1, 0, 2).reshape(-1, b.dim).T
-
-    residuals: dict[str, float] = {}
-    sv = np.linalg.svd(phi, compute_uv=False)
-    residuals["invertibility"] = float(sv.min())
-    bijective = sv.min() > 1e-8
-
-    # coordinates in B of the images of the basis products, and of the
-    # products of the images of the basis
-    images = np.tensordot(phi, np.tensordot(phi, b.structure_tensor(), axes=(0, 0)),
-                          axes=(0, 1)).transpose(1, 0, 2)
-    residuals["multiplicative"] = worst_mult = _worst(alg.model.table @ phi.T - images)
-    # row i: the image of the star of basis element i, and the adjoint of
-    # the image of basis element i
-    stars = alg.model.star(np.eye(alg.dim)) @ phi.T
-    residuals["star"] = worst_star = _worst(stars - phi.T.conj()[:, b.star_permutation()])
-
-    worst_unit = float(np.abs(b.from_coords(phi @ alg.model.unit) - b.identity()).max())
+    phi = canonical_map(spec, alg)
+    iso = verify_algebra_iso(alg.model, StarAlgebraModel.of_block_algebra(b), phi, tol)
+    residuals = {"invertibility": iso["smallest_singular_value"],
+                 "multiplicative": iso["multiplicative"], "star": iso["star"],
+                 "unit": iso["unit"]}
     # the matrix units of the fixed algebra are the trivial component's basis
     trivial = alg.spans[backend.trivial_label]
     worst_fixed = _worst(b.from_coords(phi[:, trivial].T) - spec.fixed.unit_images)
-    residuals["unit"] = worst_unit
     residuals["fixed_algebra"] = worst_fixed
 
     worst_eq = 0.0
@@ -458,10 +458,7 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
             worst_eq = max(worst_eq, _outside_span(phi[:, span], act.component_rows(label)))
     residuals["equivariance"] = worst_eq
 
-    passed = bool(
-        bijective
-        and max(worst_mult, worst_star, worst_unit, worst_fixed, worst_eq) < 1e4 * tol
-    )
+    passed = bool(iso["passed"] and max(worst_fixed, worst_eq) < 1e4 * tol)
     return RoundtripCertificate(phi, residuals, (b.dim, alg.dim), passed)
 
 
@@ -486,55 +483,6 @@ class EquivariantModule:
 
     def inner_mat(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("p,q,pquv->uv", x.conj(), y, self.inner)
-
-    def validate(self, tol: float = 1e-9) -> dict:
-        b = self.action.algebra
-        units = b.basis()
-        worst = 0.0
-        for k, u in enumerate(units):
-            for l, v in enumerate(units):
-                kl = b.coords(u @ v)
-                expect = np.einsum("k,kpq->pq", kl, self.right)
-                worst = max(worst, float(np.abs(
-                    self.right[l] @ self.right[k] - expect
-                ).max()))
-        rep = {"module_law": worst}
-        if self.action.kind == "automorphism":
-            worst_cov = 0.0
-            g = self.action.group
-            for x in g.elements:
-                w = self.comodule[x]
-                for k, u in enumerate(units):
-                    au = b.coords(self.action.apply(x, u))
-                    rhs = np.einsum("k,kpq->pq", au, self.right) @ w
-                    worst_cov = max(worst_cov, float(np.abs(
-                        w @ self.right[k] - rhs
-                    ).max()))
-                # inner products twist by the action
-                for p in range(self.dim):
-                    for q in range(self.dim):
-                        lhs = self.inner_mat(w[:, p], w[:, q])
-                        rhs = self.action.apply(x, self.inner[p, q])
-                        worst_cov = max(worst_cov, float(np.abs(lhs - rhs).max()))
-            rep["equivariance"] = worst_cov
-        else:
-            worst_grade = 0.0
-            g = self.action.group
-            # grading compatibility: M_mu B_nu inside M_{mu nu}
-            for mu_idx, mu in enumerate(self.grades):
-                x = np.zeros(self.dim, dtype=complex)
-                x[mu_idx] = 1.0
-                for nu in g.elements:
-                    for row in self.action.component_rows(nu):
-                        moved = np.einsum("k,kpq,q->p", row, self.right, x)
-                        target = g.elements[g.times(g.index(mu), g.index(nu))]
-                        mask = np.array([gr != target for gr in self.grades])
-                        worst_grade = max(worst_grade, float(
-                            np.abs(moved[mask]).max() if mask.any() else 0.0
-                        ))
-            rep["equivariance"] = worst_grade
-        rep["passed"] = all(v < 100 * tol for v in rep.values() if isinstance(v, float))
-        return rep
 
 
 def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
@@ -945,21 +893,17 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     a = alg.algebra
     dim = alg.dim
 
+    if backend.kind == "group":
+        # the coaction evaluated at g is the automorphism of g^{-1}
+        coaction = np.array([alg.coaction_matrix(backend.group.inv(gi))
+                             for gi in range(backend.group.order)])
     bases: dict[str, np.ndarray] = {}
     for label in backend.labels:
-        dl = backend.irrep(label).dim
         if label == backend.trivial_label:
             # pin the trivial component to the matrix units of the base algebra
             bases[label] = np.array([[alg.from_algebra(u)] for u in a.basis()])
         elif backend.kind == "group":
-            eye = np.eye(dl * dim)
-            mats = backend.irrep(label).matrices
-            # the coaction evaluated at g is the automorphism of g^{-1}
-            basis = null_space(np.vstack([
-                np.kron(mats[gi], alg.coaction_matrix(backend.group.inv(gi))) - eye
-                for gi in range(backend.group.order)
-            ]))
-            bases[label] = basis.reshape(-1, dl, dim)
+            bases[label] = _invariant_tuples(backend.irrep(label).matrices, coaction)
         elif label in alg.spans:
             span = alg.spans[label]
             bases[label] = np.eye(dim, dtype=complex)[span].reshape(-1, 1, dim)

@@ -3,7 +3,8 @@
 Verbs: validate, validate-graded, build, spectral, roundtrip,
 module-functor, fullness, cocycle-check, deform.
 
-Exit codes: 0 all residuals under tolerance, 1 validation failure,
+Exit codes: 0 all residuals under tolerance, 1 validation failure (an
+action file that is not an action fails every action verb this way),
 2 input error, 3 internal error (any other exception; the report names its
 type and message under "internal_error").  The report is written to
 --report (or stdout) either way; identical inputs and seed produce
@@ -115,6 +116,17 @@ def _need_backend(args):
     return _load(args.backend, serialize.backend_from_json, "backend")
 
 
+def _checked_action(args, report):
+    """The action file of an action verb, checked to be an action: a failed
+    check is written under "action" and gives None; spectral writes its
+    check either way."""
+    act = _load(args.input[0], serialize.action_from_json, "action")
+    check = act.validate(args.tolerance)
+    if args.verb == "spectral" or not check["passed"]:
+        report["action"] = check
+    return act if check["passed"] else None
+
+
 def run_verb(args) -> tuple[int, dict]:
     tol = args.tolerance
     report: dict = {
@@ -161,10 +173,8 @@ def run_verb(args) -> tuple[int, dict]:
     if args.verb == "spectral":
         backend = _need_backend(args)
         _need_inputs(args, 1)
-        act = _load(args.input[0], serialize.action_from_json, "action")
-        act_report = act.validate(tol)
-        report["action"] = act_report
-        if not act_report["passed"]:
+        act = _checked_action(args, report)
+        if act is None:
             return 1, report
         spec = actions.spectral_functor(backend, act, seed=args.seed)
         val = functors.validate_functor(spec.functor, tol)
@@ -178,7 +188,9 @@ def run_verb(args) -> tuple[int, dict]:
     if args.verb == "roundtrip":
         backend = _need_backend(args)
         _need_inputs(args, 1)
-        act = _load(args.input[0], serialize.action_from_json, "action")
+        act = _checked_action(args, report)
+        if act is None:
+            return 1, report
         cert = actions.roundtrip_check(backend, act, seed=args.seed, tol=tol)
         report["certificate"] = {
             "passed": cert.passed,
@@ -191,7 +203,9 @@ def run_verb(args) -> tuple[int, dict]:
     if args.verb == "module-functor":
         backend = _need_backend(args)
         _need_inputs(args, 1)
-        act = _load(args.input[0], serialize.action_from_json, "action")
+        act = _checked_action(args, report)
+        if act is None:
+            return 1, report
         spec, mf, iso = actions.canonical_module_iso(backend, act, tol=tol, seed=args.seed)
         val = functors.validate_functor(mf.functor, tol)
         report["endomorphism_blocks"] = list(mf.endomorphisms.algebra.blocks)
@@ -208,7 +222,9 @@ def run_verb(args) -> tuple[int, dict]:
     if args.verb == "fullness":
         backend = _need_backend(args)
         _need_inputs(args, 1)
-        act = _load(args.input[0], serialize.action_from_json, "action")
+        act = _checked_action(args, report)
+        if act is None:
+            return 1, report
         module = actions.module_from_algebra(backend, act)
         cert = actions.fullness_check(backend, module, tol=tol)
         report["certificate"] = {
@@ -225,10 +241,7 @@ def run_verb(args) -> tuple[int, dict]:
         backend = _need_backend(args)
         _need_inputs(args, 1)
         cocycle = _load(args.input[0], serialize.cocycle_from_json, "cocycle")
-        try:
-            chk = cocycles.check_cocycle(cocycle, tol)
-        except CocycleError as err:
-            raise InputError(str(err))
+        chk = cocycles.check_cocycle(cocycle, tol)
         report["cocycle"] = chk
         if chk["passed"]:
             _, urep = cocycles.twist_element(backend, cocycle, tol)
@@ -241,7 +254,9 @@ def run_verb(args) -> tuple[int, dict]:
     if args.verb == "deform":
         backend = _need_backend(args)
         _need_inputs(args, 2)
-        act = _load(args.input[0], serialize.action_from_json, "action")
+        act = _checked_action(args, report)
+        if act is None:
+            return 1, report
         cocycle = _load(args.input[1], serialize.cocycle_from_json, "cocycle")
         chk = cocycles.check_cocycle(cocycle, tol)
         report["cocycle"] = chk

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, fixed_point_algebra, roundtrip_check, spectral_functor
+from .actions import Action, canonical_map, fixed_point_algebra, spectral_functor
 from .algebras import BlockAlgebra
 from .errors import CocycleError
 from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
 from .reconstruction import build_algebra
 from .repcat import Backend, ConjugateSolution, Rep
-from .staralg import StarAlgebraModel
+from .staralg import StarAlgebraModel, verify_algebra_iso
 
 
 @dataclass
@@ -427,22 +427,14 @@ def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
                            seed: int = 0) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
     functor, and compare it with the deformed action's algebra through the
-    round-trip map of the undeformed action: the two product tables and the
-    two star matrices must agree."""
+    canonical map of the spectral functor: the two product tables and the
+    two star matrices must agree (staralg.verify_algebra_iso)."""
     spec = spectral_functor(backend, act, seed=seed)
     twisted = deform_functor(spec.functor, cocycle)
     val = validate_functor(twisted, tol)
-    rebuilt = build_algebra(twisted, tol=tol, validate=False).model
-    phi = roundtrip_check(backend, act, seed=seed, tol=tol).matrix
-    # [i, j]: images of the rebuilt products, and deformed products of the
-    # images, of basis elements i and j; then the same for stars of basis i
-    product = np.tensordot(np.tensordot(phi, deformed.model.table, axes=(0, 0)),
-                           phi, axes=(1, 0)).transpose(0, 2, 1)
-    stars = rebuilt.star(np.eye(rebuilt.dim)) @ phi.T
-    worst = max(
-        float(np.abs(rebuilt.table @ phi.T - product).max(initial=0.0)),
-        float(np.abs(stars - (deformed.model.star_matrix @ phi.conj()).T).max(initial=0.0)),
-    )
+    rebuilt = build_algebra(twisted, tol=tol, validate=False)
+    iso = verify_algebra_iso(rebuilt.model, deformed.model, canonical_map(spec, rebuilt), tol)
+    worst = max(iso["multiplicative"], iso["star"])
     return {
         "twisted_functor_valid": val.passed,
         "comparison_residual": worst,
@@ -521,14 +513,6 @@ class TwistedBackend(Backend):
             tu = self.twist_matrix(self.word(word))
             out.append([(label, tu @ w) for label, w in parts])
         return out
-
-    def haar_average(self, u: Rep, v: Rep, seed: np.ndarray) -> np.ndarray:
-        tu = self.twist_matrix(u)
-        tv = self.twist_matrix(v)
-        inner = Backend.haar_average(
-            self.base, self._as_base(u), self._as_base(v), tv.conj().T @ seed @ tu
-        )
-        return tv @ inner @ tu.conj().T
 
     def conjugate_solution(self, label: str) -> ConjugateSolution:
         sol = Backend.conjugate_solution(self, label)

@@ -4,8 +4,7 @@ A backend is either a finite group G (representations are unitary matrix
 representations) or the dual of a finite group Gamma (representations are
 Gamma-graded vector spaces; irreducibles are one-dimensional and labeled
 by group elements).  Both expose the same category operations: morphism
-spaces, Haar averaging, decomposition into irreducibles, and conjugation
-data.
+spaces, decomposition into irreducibles, and conjugation data.
 
 Multiplicities come from characters before any SVD.  The character of a
 word is the vector chi_u(g) = tr U(g) over the group for the group kind,
@@ -39,10 +38,6 @@ from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_g
 
 TOL = 1e-9
 RANK_TOL = 1e-8
-
-
-class DimensionError(ValueError):
-    """Shape mismatch in a category operation."""
 
 
 def _hermitian_power(mat: np.ndarray, power: float) -> np.ndarray:
@@ -294,28 +289,6 @@ class Backend:
         return int(self._count(np.vdot(self.character(u), self.character(v))))
 
     # -- category operations ----------------------------------------------
-
-    def haar_average(self, u: Rep, v: Rep, seed: np.ndarray) -> np.ndarray:
-        """Project a seed matrix onto Mor(u, v) by averaging over the group.
-
-        For the group kind this is (1/|G|) sum_g V(g) . seed . U(g)^-1; for
-        the dual kind it is the grade-matching mask, which is what uniform
-        averaging degenerates to.
-        """
-        seed = np.asarray(seed, dtype=complex)
-        if seed.shape != (v.dim, u.dim):
-            raise DimensionError(
-                f"seed has shape {seed.shape}, expected {(v.dim, u.dim)}"
-            )
-        if u.backend is not v.backend or u.backend is not self:
-            raise BackendError("representations live over different backends")
-        if self.kind == "group":
-            out = np.zeros_like(seed)
-            for i in range(self.group.order):
-                out += v.matrices[i] @ seed @ u.matrices[i].conj().T
-            return out / self.group.order
-        mask = np.equal.outer(v.grades, u.grades)
-        return seed * mask
 
     def mor_basis(self, u: Rep, v: Rep) -> list[np.ndarray]:
         """Orthonormal basis (trace inner product) of the intertwiner space

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebras import BlockAlgebra, Correspondence
+from .algebras import BlockAlgebra, Correspondence, zero_correspondence
 from .errors import SchemaError
 from .functors import GradedBundle, TensorFunctorData
 from .groups import GroupPresentation, group_from_table
@@ -123,10 +123,7 @@ def correspondence_from_json(data: dict) -> Correspondence:
     algebra = BlockAlgebra(tuple(data["algebra"]["blocks"]))
     dim = int(data["dim"])
     if dim == 0:
-        return Correspondence(
-            algebra, 0, np.zeros((algebra.dim, 0, 0)),
-            np.zeros((algebra.dim, 0, 0)), np.zeros((0, 0, algebra.n, algebra.n)),
-        )
+        return zero_correspondence(algebra)
     return Correspondence(
         algebra, dim,
         decode_complex(data["left_action"]),

@@ -224,6 +224,115 @@ def test_action_validation_rejects_broken_homomorphism(backends):
     assert not act.validate()["passed"]
 
 
+def reference_action_validate(act, tol=TOL):
+    """Action.validate one matrix unit, pair of units and product of
+    component rows at a time."""
+    from qact.actions import _outside_span
+
+    b, g = act.algebra, act.group
+    rep = {"kind": act.kind}
+    if act.kind == "automorphism":
+        units = b.basis()
+        worst_hom = float(np.abs(act.map_matrix(g.elements[g.identity]) - np.eye(b.dim)).max())
+        worst_mult = worst_star = 0.0
+        for x in g.elements:
+            tx = act.map_matrix(x)
+            for y in g.elements:
+                xy = g.elements[g.times(g.index(x), g.index(y))]
+                worst_hom = max(worst_hom, float(np.abs(
+                    tx @ act.map_matrix(y) - act.map_matrix(xy)).max()))
+            for u in units:
+                worst_star = max(worst_star, float(np.abs(
+                    act.apply(x, u.conj().T) - act.apply(x, u).conj().T).max()))
+                for v in units:
+                    worst_mult = max(worst_mult, float(np.abs(
+                        act.apply(x, u @ v) - act.apply(x, u) @ act.apply(x, v)).max()))
+        rep.update(homomorphism=worst_hom, multiplicative=worst_mult,
+                   star_preserving=worst_star)
+        rep["passed"] = max(worst_hom, worst_mult, worst_star) < 100 * tol
+        return rep
+    stacked = np.vstack([act.component_rows(x) for x in g.elements])
+    rep["spanning"] = bool(np.linalg.svd(stacked, compute_uv=False).min() > 1e-8)
+    worst_mult = worst_star = 0.0
+    for x in g.elements:
+        rx = act.component_rows(x)
+        for row in rx:
+            starred = b.coords(b.from_coords(row).conj().T)
+            worst_star = max(worst_star, _outside_span(
+                starred, act.component_rows(g.elements[g.inv(g.index(x))])))
+        for y in g.elements:
+            txy = act.component_rows(g.elements[g.times(g.index(x), g.index(y))])
+            for r1 in rx:
+                for r2 in act.component_rows(y):
+                    prod = b.coords(b.from_coords(r1) @ b.from_coords(r2))
+                    worst_mult = max(worst_mult, _outside_span(prod, txy))
+    rep["component_products"] = worst_mult
+    rep["component_star"] = worst_star
+    rep["passed"] = bool(rep["spanning"] and max(worst_mult, worst_star) < 100 * tol)
+    return rep
+
+
+def test_action_validation_keeps_the_per_unit_results(corpus):
+    # one stack per group element: automorphisms keep every bit, gradings
+    # (one least-squares solve per component pair) keep the golden rule
+    for name, (_, act) in sorted(corpus.items()):
+        got, want = act.validate(), reference_action_validate(act)
+        assert sorted(got) == sorted(want), name
+        for key, value in want.items():
+            if act.kind == "automorphism" or not isinstance(value, float):
+                assert got[key] == value, (name, key)
+            else:
+                assert abs(got[key] - value) <= 1e-15, (name, key)
+                assert value != 0.0 or got[key] == 0.0, (name, key)
+
+
+def test_invariant_tuples_keep_the_bits_of_the_kron_system(backends, corpus):
+    # the spectral subspaces of a rebuilt algebra's coaction: one stacked
+    # Kronecker system, against the vstack of np.kron blocks it replaced
+    from qact.actions import _invariant_tuples
+    from qact.reconstruction import build_algebra
+
+    seen = 0
+    for name, (bk, act) in sorted(corpus.items()):
+        backend = backends[bk]
+        if backend.kind != "group":
+            continue
+        alg = build_algebra(spectral_functor(backend, act).functor)
+        g = backend.group
+        coaction = np.array([alg.coaction_matrix(g.inv(gi)) for gi in range(g.order)])
+        for label in backend.labels:
+            mats = backend.irrep(label).matrices
+            d = backend.irrep(label).dim
+            reference = null_space(np.vstack([
+                np.kron(mats[gi], coaction[gi]) - np.eye(d * alg.dim)
+                for gi in range(g.order)
+            ])).reshape(-1, d, alg.dim)
+            got = _invariant_tuples(mats, coaction)
+            assert got.tobytes() == reference.tobytes(), (name, label)
+            seen += 1
+    assert seen >= 12
+
+
+def test_builder_asks_only_for_the_fusion_triples_that_occur(monkeypatch):
+    # on Z6 translation each alpha x beta has one constituent, so the
+    # builder asks for 36 intertwiner bases, not 6^3
+    from qact.repcat import Backend
+
+    calls = []
+    mor_basis = Backend.mor_basis
+
+    def counted(self, u, v):
+        calls.append((u.atoms, v.atoms))
+        return mor_basis(self, u, v)
+
+    backend = cyclic_backend(6)
+    act = translation_action(backend)
+    monkeypatch.setattr(Backend, "mor_basis", counted)
+    spec = spectral_functor(backend, act)
+    assert len(calls) == 36
+    assert len(spec.functor.phi) == 36
+
+
 def test_verify_natural_iso_accepts_module_rotation(backends, corpus):
     # rotate the two-dimensional module by a unitary and transport the
     # tensors; the rotation is a natural unitary identification

@@ -270,6 +270,51 @@ def test_failing_cocycle_exits_one(tmp_path):
     assert data["cocycle"]["worst_triple"] is not None
 
 
+def non_actions():
+    """Three action files that are no action, each with its backend: the
+    transpose of M_2 under Z2 (not multiplicative), a shift of C^3 that
+    every nontrivial element of Z3 acts by (no homomorphism), and a split
+    of M_2 into two components that do not multiply into each other."""
+    from qact.actions import Action
+    from qact.algebras import BlockAlgebra
+    from qact.groups import cyclic_group
+
+    m2, c3 = BlockAlgebra((2,)), BlockAlgebra((1, 1, 1))
+    transpose = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    shift = np.eye(3, dtype=complex)[[1, 2, 0]]
+    rows = np.eye(4, dtype=complex)
+    return {
+        "transpose_m2": ("z2", Action("automorphism", m2, cyclic_group(2), maps={
+            "0": np.eye(4, dtype=complex), "1": transpose})),
+        "shift_c3": ("z3", Action("automorphism", c3, cyclic_group(3), maps={
+            "0": np.eye(3, dtype=complex), "1": shift, "2": shift})),
+        "split_m2": ("dual_z2", Action("grading", m2, cyclic_group(2), components={
+            "0": rows[[0, 1]], "1": rows[[2, 3]]})),
+    }
+
+
+@pytest.mark.parametrize("name", ["transpose_m2", "shift_c3", "split_m2"])
+def test_every_action_verb_rejects_a_non_action(name, tmp_path):
+    from qact import serialize
+    from qact.fixtures import trivial_cocycle
+
+    bk, act = non_actions()[name]
+    path = tmp_path / "action.json"
+    serialize.dump_json(serialize.action_to_json(act), path)
+    cocycle = tmp_path / "cocycle.json"
+    kind = "group" if act.kind == "automorphism" else "dual"
+    serialize.dump_json(serialize.cocycle_to_json(trivial_cocycle(kind, act.group)), cocycle)
+    backend = str(FIXTURES / "backends" / f"{bk}.json")
+    report = tmp_path / "r.json"
+    for verb in ("spectral", "roundtrip", "module-functor", "fullness", "deform"):
+        extra = ["--input", str(cocycle), "--cross-test"] if verb == "deform" else []
+        code = cli.main([verb, "--backend", backend, "--input", str(path), *extra,
+                         "--report", str(report)])
+        data = json.loads(report.read_text())
+        assert code == 1, (verb, data)
+        assert data["action"]["passed"] is False, verb
+
+
 def test_project_word_unknown_label_is_error():
     import numpy as np
     import pytest as _pytest

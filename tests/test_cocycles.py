@@ -614,6 +614,34 @@ def test_contraction_audits_match_per_basis_loops(backends, which):
         assert model.center_dimension() == reference_center_dimension(model)
 
 
+def test_cross_test_builds_one_functor_and_one_algebra(monkeypatch, tmp_path):
+    # the cross test takes its map from the spectral functor it twists, so
+    # it builds that functor and the rebuilt algebra once each
+    import pathlib
+
+    import record_golden
+    from qact import actions, cli, reconstruction
+
+    built = {"functors": 0, "algebras": 0}
+    builder = actions.functor_from_subspaces
+    init = reconstruction.ReconstructedAlgebra.__init__
+
+    def count_functor(*args, **kwargs):
+        built["functors"] += 1
+        return builder(*args, **kwargs)
+
+    def count_algebra(self, *args, **kwargs):
+        built["algebras"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(actions, "functor_from_subspaces", count_functor)
+    monkeypatch.setattr(reconstruction.ReconstructedAlgebra, "__init__", count_algebra)
+    report = pathlib.Path(tmp_path) / "r.json"
+    argv = record_golden.fixture_argv(record_golden.DEFORM_GROUP_RUN)
+    assert cli.main([*argv, "--report", str(report)]) == 0
+    assert built == {"functors": 1, "algebras": 1}
+
+
 def test_deform_audit_makes_no_single_element_products(backends, monkeypatch):
     calls = []
     multiply = StarAlgebraModel.multiply

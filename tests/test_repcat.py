@@ -10,7 +10,6 @@ from qact.repcat import (
     RANK_TOL,
     Backend,
     BackendError,
-    DimensionError,
     Irrep,
     abelian_product_backend,
     cyclic_backend,
@@ -67,49 +66,6 @@ def test_bad_table_rejected():
 def test_backend_tables_validate(s3, z4, z2z2):
     for backend in (s3, z4, z2z2, dual_backend(symmetric_group(3))):
         backend.check()
-
-
-def test_haar_average_trivial(s3):
-    triv = s3.atom("triv")
-    out = s3.haar_average(triv, triv, np.array([[1.0]]))
-    np.testing.assert_allclose(out, [[1.0]])
-
-
-def test_haar_average_schur(s3):
-    # averaging a random seed between copies of the standard irrep must give
-    # a scalar matrix; oracle is a hand-rolled loop over all six elements
-    rng = np.random.default_rng(0)
-    std = s3.atom("std")
-    seed = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    out = s3.haar_average(std, std, seed)
-    brute = np.zeros((2, 2), dtype=complex)
-    for i in range(6):
-        brute += std.matrices[i] @ seed @ np.linalg.inv(std.matrices[i])
-    brute /= 6
-    np.testing.assert_allclose(out, brute, atol=1e-12)
-    scalar = np.trace(out) / 2
-    np.testing.assert_allclose(out, scalar * np.eye(2), atol=TOL)
-
-
-def test_haar_average_orthogonality(s3):
-    # trivial -> sign averages to zero (character orthogonality)
-    out = s3.haar_average(s3.atom("triv"), s3.atom("sign"), np.array([[3.7]]))
-    np.testing.assert_allclose(out, 0, atol=1e-12)
-
-
-def test_haar_average_idempotent(s3):
-    rng = np.random.default_rng(1)
-    u = s3.tensor(s3.atom("std"), s3.atom("sign"))
-    v = s3.atom("std")
-    seed = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    once = s3.haar_average(u, v, seed)
-    twice = s3.haar_average(u, v, once)
-    np.testing.assert_allclose(once, twice, atol=TOL)
-
-
-def test_haar_average_shape_error(s3):
-    with pytest.raises(DimensionError):
-        s3.haar_average(s3.atom("std"), s3.atom("triv"), np.eye(2))
 
 
 def test_mor_space_dims_match_characters(s3):
@@ -245,7 +201,7 @@ def frobenius_forward(t: np.ndarray, dim_b: int, dim_u: int, dim_v: int,
                       rbar: np.ndarray) -> np.ndarray:
     """Send T : B (x) U -> B (x) V to (T (x) i)(i (x) rbar) : B -> B (x) V (x) U-bar."""
     if t.shape != (dim_b * dim_v, dim_b * dim_u):
-        raise DimensionError(f"map has shape {t.shape}")
+        raise ValueError(f"map has shape {t.shape}")
     t4 = t.reshape(dim_b, dim_v, dim_b, dim_u)
     s = np.einsum("mvnu,uc->mvcn", t4, rbar)
     return s.reshape(dim_b * dim_v * dim_u, dim_b)
@@ -255,7 +211,7 @@ def frobenius_back(s: np.ndarray, dim_b: int, dim_u: int, dim_v: int,
                    r: np.ndarray) -> np.ndarray:
     """Send S : B -> B (x) V (x) U-bar to (i (x) i (x) r*)(S (x) i) : B (x) U -> B (x) V."""
     if s.shape != (dim_b * dim_v * dim_u, dim_b):
-        raise DimensionError(f"map has shape {s.shape}")
+        raise ValueError(f"map has shape {s.shape}")
     s4 = s.reshape(dim_b, dim_v, dim_u, dim_b)
     t = np.einsum("mvcn,cu->mvnu", s4, r.conj())
     return t.reshape(dim_b * dim_v, dim_b * dim_u)
