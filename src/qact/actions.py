@@ -18,6 +18,7 @@ helpers.  Only the round trips rebuild an algebra, so only they import
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -481,9 +482,6 @@ class EquivariantModule:
     grades: tuple[str, ...] | None = None
     frame: np.ndarray | None = None
 
-    def inner_mat(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("p,q,pquv->uv", x.conj(), y, self.inner)
-
 
 def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
     """The algebra as a module over itself."""
@@ -495,24 +493,15 @@ def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
         com = {x: act.map_matrix(x) for x in act.group.elements}
         return EquivariantModule(act, b.dim, right, inner, comodule=com,
                                  frame=np.eye(b.dim, dtype=complex))
-    rows = []
-    grades = []
-    for label in act.group.elements:
-        basis = spectral_basis(backend, act, label)
-        for p in range(basis.shape[0]):
-            rows.append(basis[p, 0])
-            grades.append(label)
+    bases = [spectral_basis(backend, act, label) for label in act.group.elements]
+    grades = tuple(label for label, basis in zip(act.group.elements, bases) for _ in basis)
     # distinct components need not be orthogonal in coordinates (for a
     # nonabelian group algebra they are not), so transport operators with
     # the genuine inverse of the frame
-    frame = np.array(rows)
-    to_frame = np.linalg.inv(frame.T)
-    right_h = np.zeros((b.dim, b.dim, b.dim), dtype=complex)
-    for k in range(b.dim):
-        right_h[k] = to_frame @ right[k] @ frame.T
+    frame = np.concatenate([basis[:, 0] for basis in bases])
+    right_h = np.linalg.inv(frame.T) @ right @ frame.T
     inner_h = np.einsum("pa,qb,abuv->pquv", frame.conj(), frame, inner)
-    return EquivariantModule(act, b.dim, right_h, inner_h, grades=tuple(grades),
-                             frame=frame)
+    return EquivariantModule(act, b.dim, right_h, inner_h, grades=grades, frame=frame)
 
 
 def module_direct_sum(m1: EquivariantModule, m2: EquivariantModule) -> EquivariantModule:
@@ -550,18 +539,14 @@ def module_tensor_irrep(backend: Backend, module: EquivariantModule,
     d = rep.dim
     dim = module.dim * d
     b = act.algebra
-    right = np.zeros((b.dim, dim, dim), dtype=complex)
-    for k in range(b.dim):
-        right[k] = np.kron(module.right[k], np.eye(d))
-    inner = np.zeros((dim, dim, b.n, b.n), dtype=complex)
-    for p in range(module.dim):
-        for q in range(module.dim):
-            for i in range(d):
-                inner[p * d + i, q * d + i] = module.inner[p, q]
+    right = _kron(module.right, np.eye(d))
+    # <m_p (x) e_i, m_q (x) e_j> = delta_ij <m_p, m_q>
+    inner = np.zeros((module.dim, d, module.dim, d, b.n, b.n), dtype=complex)
+    inner[:, range(d), :, range(d)] = module.inner
+    inner = inner.reshape(dim, dim, b.n, b.n)
     if act.kind == "automorphism":
-        com = {}
-        for gi, x in enumerate(act.group.elements):
-            com[x] = np.kron(module.comodule[x], rep.matrices[gi])
+        w = np.array([module.comodule[x] for x in act.group.elements])
+        com = dict(zip(act.group.elements, _kron(w, rep.matrices)))
         return EquivariantModule(act, dim, right, inner, comodule=com)
     return EquivariantModule(act, dim, right, inner,
                              grades=_tensor_grades(backend, module, label))
@@ -661,24 +646,22 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     kdim = vecs.shape[1]
     if base is None:
         # maps into M (x) C are maps into M
-        end_maps = [t[0] for t in equivariant_maps(triv)]
-        end_h = [hilbert(t) for t in end_maps]
+        end_maps = equivariant_maps(triv)[:, 0]
+        end_h = hilbert(end_maps)
         blocks = decompose_star_algebra(end_h, kdim, seed=seed)
         unit_module = np.zeros((blocks.algebra.dim, module.dim, module.dim), dtype=complex)
-        stack = np.array([t.reshape(-1) for t in end_h]).T
+        stack = end_h.reshape(len(end_h), -1).T
         for k in range(blocks.algebra.dim):
             coef, *_ = np.linalg.lstsq(stack, blocks.unit_images[k].reshape(-1), rcond=None)
             unit_module[k] = sum(c * t for c, t in zip(coef, end_maps))
     else:
         algebra, unit_module = base
         unit_module = np.asarray(unit_module, dtype=complex)
-        images = np.array([hilbert(t) for t in unit_module])
-        mults = []
-        k = 0
-        for d in algebra.blocks:
-            mults.append(int(round(np.trace(images[k]).real)))
-            k += d * d
-        blocks = SubalgebraBlocks(algebra, images, tuple(mults), kdim)
+        images = hilbert(unit_module)
+        # the multiplicity of a block is the trace of its first matrix unit
+        firsts = np.cumsum((0,) + tuple(d * d for d in algebra.blocks[:-1]))
+        mults = np.trace(images[firsts], axis1=1, axis2=2).real.round().astype(int)
+        blocks = SubalgebraBlocks(algebra, images, tuple(int(m) for m in mults), kdim)
     a = blocks.algebra
 
     # trivial component: matrix units of the endomorphism algebra themselves
@@ -722,99 +705,80 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
         return null_space(rows.reshape(-1, d * module.dim)).reshape(-1, d, module.dim)
     g = act.group
     want = g.elements[g.inv(g.index(label))]
-    hits = [p for p, gr in enumerate(module.grades) if gr == want]
-    out = np.zeros((len(hits), 1, module.dim))
-    for t, p in enumerate(hits):
-        out[t, 0, p] = 1.0
-    return out
+    return np.eye(module.dim)[np.array(module.grades) == want][:, None]
 
 
 def fullness_check(backend: Backend, module: EquivariantModule,
-                   tol: float = 1e-9, min_eig: float = 1e-8) -> FullnessCertificate:
+                   tol: float = 1e-9) -> FullnessCertificate:
     """Search the spectral subspaces of a module for an invariant vector Y
     with invertible self-pairing; success certifies the module generates.
+
+    The candidates are the basis tuples X of every spectral subspace, label
+    by label in backend order; tuple X of a label with rho contributes
+    sum_ij rho[j, i] <X_i, X_j>.  Y gathers the shortest prefix of the
+    candidates whose summed contributions have a Hermitian part with
+    smallest eigenvalue above 1e-8.
 
     On success the certificate carries Y's constituents, <Y, Y>, a constant
     c > 0 with <Y, Y> >= c * sum_i <X_i, X_i>, and the residual of the
     isometry x -> Y <Y,Y>^{-1/2} x on the algebra.  On failure it reports
-    the maximal rank reached.
+    the rank of the sum over all candidates.
     """
     b = module.action.algebra
     chosen: list = []
-    rho_blocks: list[np.ndarray] = []
-
-    def y_gram(picks, rhos):
-        total = np.zeros((b.n, b.n), dtype=complex)
-        for (label, arr), rho in zip(picks, rhos):
-            d = arr.shape[0]
-            for i in range(d):
-                for j in range(d):
-                    total += rho[j, i] * module.inner_mat(arr[i], arr[j])
-        return total
-
-    all_gram = np.zeros((b.n, b.n), dtype=complex)
-    candidates: list = []
+    rhos: list[np.ndarray] = []
+    weighted: list[np.ndarray] = []
     for label in backend.labels:
         space = _tuple_space(backend, module, label)
         rho = backend.irrep(label).rho
-        for t in range(space.shape[0]):
-            candidates.append((label, space[t]))
-            d = space.shape[1]
-            for i in range(d):
-                for j in range(d):
-                    all_gram += rho[j, i] * module.inner_mat(space[t][i], space[t][j])
-    full_rank = int(np.linalg.matrix_rank((all_gram + all_gram.conj().T) / 2, tol=1e-8))
-
-    gram = None
-    for label, arr in candidates:
-        chosen.append((label, arr))
-        rho_blocks.append(backend.irrep(label).rho)
-        gram = y_gram(chosen, rho_blocks)
-        herm = (gram + gram.conj().T) / 2
-        if np.linalg.eigvalsh(herm).min() > min_eig:
-            break
-    else:
-        rank = 0
-        if gram is not None:
-            rank = int(np.linalg.matrix_rank((gram + gram.conj().T) / 2, tol=1e-8))
-        return FullnessCertificate(False, chosen, gram, 0.0, {}, rank, full_rank)
+        chosen += [(label, x) for x in space]
+        rhos += [rho] * len(space)
+        weighted.append(np.einsum("ji,tip,tjq,pquv->tuv", rho, space.conj(), space,
+                                  module.inner))
+    # grams[k] is <Y, Y> for Y made of the first k + 1 candidates
+    grams = np.cumsum(np.concatenate(weighted), axis=0)
+    herm = (grams + grams.conj().swapaxes(-1, -2)) / 2
+    full_rank = int(np.linalg.matrix_rank(herm[-1], tol=1e-8)) if len(herm) else 0
+    invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > 1e-8)
+    if not invertible.size:
+        gram = grams[-1] if len(grams) else None
+        return FullnessCertificate(False, chosen, gram, 0.0, {}, full_rank, full_rank)
+    count = invertible[0] + 1
+    chosen, rhos, gram = chosen[:count], rhos[:count], grams[count - 1]
 
     # lower bound <Y,Y> >= c sum <X_i, X_i> with c the smallest eigenvalue of
-    # the (block diagonal) matrix of rho pairings
-    scalar_blocks = [np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rho_blocks]
-    c = float(min(scalar_blocks))
-    plain = np.zeros((b.n, b.n), dtype=complex)
-    for label, arr in chosen:
-        for i in range(arr.shape[0]):
-            plain += module.inner_mat(arr[i], arr[i])
+    # the (block diagonal) matrix rho_all of rho pairings, which pairs the
+    # components of all chosen tuples at once
+    c = float(min(np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rhos))
+    comps = np.concatenate([x for _, x in chosen])
+    rho_all = functools.reduce(_block_diag, rhos)
+    plain = np.einsum("ip,iq,pquv->uv", comps.conj(), comps, module.inner)
     bound = gram - c * plain
     bound_violation = -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min())
 
-    # isometry of x -> Y <Y,Y>^{-1/2} x: the pairing of images reproduces x* y
+    # isometry of x -> Y <Y,Y>^{-1/2} x: the pairing of images reproduces
+    # x* y for every pair of matrix units x, y
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
     gram_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    worst_iso = 0.0
-    for bu in b.basis():
-        for bv in b.basis():
-            q1 = gram_inv_half @ bu
-            q2 = gram_inv_half @ bv
-            val = np.zeros((b.n, b.n), dtype=complex)
-            for (label, arr), rho in zip(chosen, rho_blocks):
-                d = arr.shape[0]
-                for i in range(d):
-                    for j in range(d):
-                        xi = np.einsum("k,kpq,q->p", b.coords(q1), module.right, arr[i])
-                        xj = np.einsum("k,kpq,q->p", b.coords(q2), module.right, arr[j])
-                        val += rho[j, i] * module.inner_mat(xi, xj)
-            worst_iso = max(worst_iso, float(np.abs(val - bu.conj().T @ bv).max()))
+    units = b.from_coords(np.eye(b.dim))
+    # images[x, a] is component a of Y times <Y,Y>^{-1/2} u_x
+    acting = np.tensordot(b.coords(gram_inv_half @ units), module.right, 1)
+    images = (acting @ comps.T).swapaxes(1, 2)
+    weighted_images = rho_all.T @ images
+    # sum_p conj(images[x, a, p]) inner[p, q] first, then summed over (a, q)
+    # against the weighted images of y: vals[y, x] pairs the images of x, y
+    left = images.conj().reshape(-1, module.dim) @ module.inner.reshape(module.dim, -1)
+    vals = np.tensordot(weighted_images.reshape(b.dim, -1),
+                        left.reshape(b.dim, -1, b.n * b.n), axes=(1, 1))
+    target = units.conj().swapaxes(1, 2)[None] @ units[:, None]
+    worst_iso = float(np.abs(vals.reshape(target.shape) - target).max())
 
     residuals = {
         "lower_bound_violation": max(bound_violation, 0.0),
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
-    return FullnessCertificate(passed, chosen, gram, c, residuals,
-                               full_rank, full_rank)
+    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank, full_rank)
 
 
 # -- natural isomorphisms ------------------------------------------------------
@@ -853,12 +817,8 @@ def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
         sv = np.linalg.svd(v, compute_uv=False)
         if sv.size and (sv.min() < 1e-8):
             worst_shape = float("inf")
-        for k in range(f1.algebra.dim):
-            worst_bimod = max(
-                worst_bimod,
-                float(np.abs(v @ m1.left[k] - m2.left[k] @ v).max()),
-                float(np.abs(v @ m1.right[k] - m2.right[k] @ v).max()),
-            )
+        worst_bimod = max(worst_bimod, _worst(v @ m1.left - m2.left @ v),
+                          _worst(v @ m1.right - m2.right @ v))
         lhs = np.einsum("ap,bq,abuv->pquv", v.conj(), v, m2.inner_tensor)
         worst_inner = max(worst_inner, float(np.abs(lhs - m1.inner_tensor).max()))
     for (alpha, beta, gamma), tensors1 in sorted(f1.phi.items()):
@@ -867,10 +827,9 @@ def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
             continue
         tensors2 = f2.phi_tensors(alpha, beta, gamma)
         va, vb, vg = maps[alpha], maps[beta], maps[gamma]
-        for t1, t2 in zip(tensors1, tensors2):
-            lhs = np.einsum("ts,spq->tpq", vg, t1)
-            rhs = np.einsum("tab,ap,bq->tpq", t2, va, vb)
-            worst_mono = max(worst_mono, float(np.abs(lhs - rhs).max()))
+        lhs = np.einsum("ts,mspq->mtpq", vg, np.array(tensors1))
+        rhs = np.einsum("mtab,ap,bq->mtpq", np.array(tensors2), va, vb)
+        worst_mono = max(worst_mono, _worst(lhs - rhs))
     residuals["shapes"] = worst_shape
     residuals["bimodule"] = worst_bimod
     residuals["inner_products"] = worst_inner
@@ -947,17 +906,15 @@ def functor_roundtrip_check(functor: TensorFunctorData, tol: float = 1e-9):
     maps: dict[str, np.ndarray] = {}
     for label in functor.backend.labels:
         m = functor.module(label).dim
-        v = np.zeros((functor2.module(label).dim, m), dtype=complex)
-        if m:
-            span = InSpan(bases2[label], label)
-            d = alg.shapes[label][0]
-            for p in range(m):
-                # component i is the basis element with entry (i, p) of the label
-                vec = np.zeros((d, alg.dim), dtype=complex)
-                for i in range(d):
-                    vec[i, alg.offsets[label] + i * m + p] = 1.0
-                v[:, p] = span(vec)
-        maps[label] = v
+        if not m:
+            maps[label] = np.zeros((functor2.module(label).dim, 0), dtype=complex)
+            continue
+        d = alg.shapes[label][0]
+        # vector p has as component i the basis element with entry (i, p)
+        # of the label
+        entries = alg.offsets[label] + np.arange(d) * m + np.arange(m)[:, None]
+        vecs = np.eye(alg.dim, dtype=complex)[entries]
+        maps[label] = np.ascontiguousarray(InSpan(bases2[label], label)(vecs).T)
     return verify_natural_iso(functor, functor2, maps, tol)
 
 
@@ -969,24 +926,19 @@ def canonical_module_iso(backend: Backend, act: Action, tol: float = 1e-9,
     spec = spectral_functor(backend, act, seed=seed)
     mod = module_from_algebra(backend, act)
     b = act.algebra
-    units = b.basis()
-    to_frame = np.linalg.inv(mod.frame.T) if mod.grades is not None else None
+    left = algebra_as_correspondence(b).left
 
-    def left_mult(x: np.ndarray) -> np.ndarray:
-        """Left multiplication by x as a map of the module carrier."""
-        lmat = np.array([b.coords(x @ u) for u in units]).T
-        if to_frame is not None:
-            lmat = to_frame @ lmat @ mod.frame.T
+    def left_mult(coords: np.ndarray) -> np.ndarray:
+        """Left multiplication by the elements with the given coordinates
+        (..., dim B) as maps of the module carrier."""
+        lmat = np.tensordot(coords, left, 1)
+        if mod.grades is not None:
+            lmat = np.linalg.inv(mod.frame.T) @ lmat @ mod.frame.T
         return lmat
 
-    lmaps = np.array([left_mult(unit) for unit in spec.fixed.unit_images])
+    lmaps = left_mult(b.coords(spec.fixed.unit_images))
     mf = module_functor(backend, mod, seed=seed, base=(spec.fixed.algebra, lmaps))
-    maps: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        span = InSpan(mf.bases[label], label)
-        basis = spec.bases[label]
-        v = np.zeros((len(mf.bases[label]), len(basis)), dtype=complex)
-        for p, vecs in enumerate(basis):
-            v[:, p] = span([left_mult(b.from_coords(x)) for x in vecs])
-        maps[label] = v
+    maps = {label: np.ascontiguousarray(
+                InSpan(mf.bases[label], label)(left_mult(spec.bases[label])).T)
+            for label in backend.labels}
     return spec, mf, verify_natural_iso(spec.functor, mf.functor, maps, tol)

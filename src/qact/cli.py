@@ -5,10 +5,11 @@ module-functor, fullness, cocycle-check, deform.
 
 Exit codes: 0 all residuals under tolerance, 1 validation failure (an
 action file that is not an action fails every action verb this way),
-2 input error, 3 internal error (any other exception; the report names its
-type and message under "internal_error").  The report is written to
---report (or stdout) either way; identical inputs and seed produce
-byte-identical reports.
+2 input error (a --tolerance that is not finite and positive, or a
+negative --seed, is one), 3 internal error (any other exception; the
+report names its type and message under "internal_error").  The report
+is written to --report (or stdout) either way; identical inputs and seed
+produce byte-identical reports.
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
@@ -191,7 +192,11 @@ def run_verb(args) -> tuple[int, dict]:
         act = _checked_action(args, report)
         if act is None:
             return 1, report
-        cert = actions.roundtrip_check(backend, act, seed=args.seed, tol=tol)
+        try:
+            cert = actions.roundtrip_check(backend, act, seed=args.seed, tol=tol)
+        except reconstruction.BuildError as err:
+            report["validation"] = err.report.summary()
+            return 1, report
         report["certificate"] = {
             "passed": cert.passed,
             "residuals": cert.residuals,
@@ -299,10 +304,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 2
     try:
+        if not (np.isfinite(args.tolerance) and args.tolerance > 0):
+            raise InputError(f"--tolerance must be finite and positive, got {args.tolerance}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         code, report = run_verb(args)
     except (InputError, *INPUT_ERRORS) as err:
         report = {"schema": SCHEMA, "verb": args.verb, "error": str(err)}

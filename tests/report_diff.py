@@ -20,7 +20,8 @@ The comparison set:
 - every job of both benchmark workloads, with --seed 1.
 
 `compare` prints how many reports are byte-identical and the largest
-float difference, and lists the violations of the rule of
+float difference, names every run whose report differs with its own
+largest float difference, and lists the violations of the rule of
 `record_golden.check`: a run missing on one side, a changed exit code,
 key or non-float value, a float that moved by more than 1e-12, or a
 residual recorded as exactly 0.0 that moved.  Entries of encoded matrices
@@ -99,11 +100,14 @@ def run_all(runs: list[list[str]], inputs: pathlib.Path) -> dict[str, dict]:
 
 
 class Diff:
-    """The violations and the largest float difference of two reports."""
+    """The violations and the largest float difference of two reports, and
+    of two run files the runs whose reports differ, each with its largest
+    float difference."""
 
     def __init__(self):
         self.violations: list[str] = []
         self.largest = 0.0
+        self.differing: list[tuple[str, float]] = []
 
     def walk(self, old, new, path: str, in_array: bool = False) -> None:
         if isinstance(old, dict):
@@ -134,9 +138,9 @@ class Diff:
 
 
 def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
-    """The number of byte-identical reports of two run files, and the
-    violations (each prefixed by its run) with the largest float
-    difference."""
+    """The number of byte-identical reports of two run files, and their
+    Diff: the violations (each prefixed by its run), the largest float
+    difference and the runs whose reports differ."""
     same = 0
     diff = Diff()
     for key in sorted(set(a) | set(b)):
@@ -149,9 +153,11 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
         if old["report"] == new["report"]:
             same += 1
             continue
-        before = len(diff.violations)
-        diff.walk(json.loads(old["report"]), json.loads(new["report"]), "")
-        diff.violations[before:] = [f"{key}: {v}" for v in diff.violations[before:]]
+        run = Diff()
+        run.walk(json.loads(old["report"]), json.loads(new["report"]), "")
+        diff.violations += [f"{key}: {v}" for v in run.violations]
+        diff.largest = max(diff.largest, run.largest)
+        diff.differing.append((key, run.largest))
     return same, diff
 
 
@@ -172,6 +178,8 @@ def main(argv: list[str]) -> int:
         print(f"{same} of {len(set(a) | set(b))} reports byte-identical; "
               f"largest float difference {diff.largest:.3g}; "
               f"{len(diff.violations)} violations")
+        for key, largest in diff.differing[:50]:
+            print(f"  differs: {key} (largest float difference {largest:.3g})")
         for line in diff.violations[:50]:
             print("  " + line)
         return 1 if diff.violations else 0

@@ -168,17 +168,151 @@ def test_fullness_on_algebra_and_tensors(backends, corpus):
 def test_fullness_fails_on_proper_submodule(backends):
     # the first summand of C (+) C with the trivial symmetry is not full
     backend = backends["z2"]
-    algebra = BlockAlgebra((1, 1))
-    act = trivial_action(backend, algebra)
+    cert = fullness_check(backend, non_full_module(backend))
+    assert not cert.passed
+    assert cert.max_rank == 1  # strictly less than the rank of the algebra
+
+
+def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
+    """fullness_check as it was before it ran on stacks: every candidate
+    prefix summed again pair by pair, and the isometry checked one pair of
+    matrix units and one pair of tuple components at a time."""
+    from qact.actions import FullnessCertificate, _tuple_space
+
+    b = module.action.algebra
+    chosen = []
+    rho_blocks = []
+
+    def inner_mat(x, y):
+        return np.einsum("p,q,pquv->uv", x.conj(), y, module.inner)
+
+    def y_gram(picks, rhos):
+        total = np.zeros((b.n, b.n), dtype=complex)
+        for (label, arr), rho in zip(picks, rhos):
+            d = arr.shape[0]
+            for i in range(d):
+                for j in range(d):
+                    total += rho[j, i] * inner_mat(arr[i], arr[j])
+        return total
+
+    all_gram = np.zeros((b.n, b.n), dtype=complex)
+    candidates = []
+    for label in backend.labels:
+        space = _tuple_space(backend, module, label)
+        rho = backend.irrep(label).rho
+        for t in range(space.shape[0]):
+            candidates.append((label, space[t]))
+            d = space.shape[1]
+            for i in range(d):
+                for j in range(d):
+                    all_gram += rho[j, i] * inner_mat(space[t][i], space[t][j])
+    full_rank = int(np.linalg.matrix_rank((all_gram + all_gram.conj().T) / 2, tol=1e-8))
+
+    gram = None
+    for label, arr in candidates:
+        chosen.append((label, arr))
+        rho_blocks.append(backend.irrep(label).rho)
+        gram = y_gram(chosen, rho_blocks)
+        herm = (gram + gram.conj().T) / 2
+        if np.linalg.eigvalsh(herm).min() > min_eig:
+            break
+    else:
+        rank = 0
+        if gram is not None:
+            rank = int(np.linalg.matrix_rank((gram + gram.conj().T) / 2, tol=1e-8))
+        return FullnessCertificate(False, chosen, gram, 0.0, {}, rank, full_rank)
+
+    scalar_blocks = [np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rho_blocks]
+    c = float(min(scalar_blocks))
+    plain = np.zeros((b.n, b.n), dtype=complex)
+    for label, arr in chosen:
+        for i in range(arr.shape[0]):
+            plain += inner_mat(arr[i], arr[i])
+    bound = gram - c * plain
+    bound_violation = -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min())
+
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    gram_inv_half = (v / np.sqrt(w)) @ v.conj().T
+    worst_iso = 0.0
+    for bu in b.basis():
+        for bv in b.basis():
+            q1 = gram_inv_half @ bu
+            q2 = gram_inv_half @ bv
+            val = np.zeros((b.n, b.n), dtype=complex)
+            for (label, arr), rho in zip(chosen, rho_blocks):
+                d = arr.shape[0]
+                for i in range(d):
+                    for j in range(d):
+                        xi = np.einsum("k,kpq,q->p", b.coords(q1), module.right, arr[i])
+                        xj = np.einsum("k,kpq,q->p", b.coords(q2), module.right, arr[j])
+                        val += rho[j, i] * inner_mat(xi, xj)
+            worst_iso = max(worst_iso, float(np.abs(val - bu.conj().T @ bv).max()))
+
+    residuals = {
+        "lower_bound_violation": max(bound_violation, 0.0),
+        "embedding_isometry": worst_iso,
+    }
+    passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
+    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank, full_rank)
+
+
+def non_full_module(backend):
+    """The first summand of C (+) C under the trivial symmetry."""
+    act = trivial_action(backend, BlockAlgebra((1, 1)))
     right = np.zeros((2, 1, 1), dtype=complex)
     right[0] = 1.0  # only the first block acts
     inner = np.zeros((1, 1, 2, 2), dtype=complex)
     inner[0, 0, 0, 0] = 1.0
     com = {x: np.eye(1, dtype=complex) for x in backend.group.elements}
-    mod = EquivariantModule(act, 1, right, inner, comodule=com)
-    cert = fullness_check(backend, mod)
-    assert not cert.passed
-    assert cert.max_rank == 1  # strictly less than the rank of the algebra
+    return EquivariantModule(act, 1, right, inner, comodule=com)
+
+
+def test_fullness_check_agrees_with_the_pairwise_reference(backends, corpus):
+    # the module of every corpus action and its tensor product with the
+    # last label, modules whose bases are not aligned with the axes (Haar
+    # conjugated as the block ladder does it) and a module that is not full
+    import pathlib
+    import sys
+
+    from qact.fixtures import clock_shift_grading
+    from qact.repcat import dual_backend
+
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import conjugated
+
+    cases = []
+    for name, (bk, act) in sorted(corpus.items()):
+        backend = backends[bk]
+        mod = module_from_algebra(backend, act)
+        cases.append((name, backend, mod))
+        cases.append((f"{name} x {backend.labels[-1]}", backend,
+                      module_tensor_irrep(backend, mod, backend.labels[-1])))
+    for n in (3, 4):
+        act = conjugated(clock_shift_grading(n), 1)
+        backend = dual_backend(act.group)
+        cases.append((f"conjugated clock{n}", backend, module_from_algebra(backend, act)))
+    act = conjugated(trivial_action(backends["z2"], BlockAlgebra((3,))), 1)
+    cases.append(("conjugated trivial m3", backends["z2"],
+                  module_from_algebra(backends["z2"], act)))
+    cases.append(("not full", backends["z2"], non_full_module(backends["z2"])))
+
+    failed = []
+    for name, backend, mod in cases:
+        got, want = fullness_check(backend, mod), reference_fullness_check(backend, mod)
+        assert got.passed == want.passed, name
+        if not got.passed:
+            failed.append(name)
+        assert [label for label, _ in got.chosen] == [label for label, _ in want.chosen], name
+        assert (got.lower_constant, got.max_rank, got.full_rank) == \
+            (want.lower_constant, want.max_rank, want.full_rank), name
+        np.testing.assert_allclose(got.gram, want.gram, rtol=0, atol=1e-12, err_msg=name)
+        assert sorted(got.residuals) == sorted(want.residuals), name
+        for key, value in want.residuals.items():
+            assert abs(got.residuals[key] - value) <= 1e-12, (name, key)
+            assert value != 0.0 or got.residuals[key] == 0.0, (name, key)
+    assert failed == ["not full"]
 
 
 def test_verify_natural_iso_accepts_phase_rotation(backends, corpus):

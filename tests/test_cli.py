@@ -366,6 +366,35 @@ def test_tolerance_override_changes_verdict(tmp_path):
     assert loose.returncode == 0
 
 
+@pytest.mark.parametrize("backend,action", [
+    ("z2", "swap_c2"), ("s3", "s3_translation"), ("z2", "trivial_m2"),
+    ("z2z2", "z2z2_translation"),
+])
+def test_roundtrip_of_a_functor_that_fails_validation_exits_one(backend, action, tmp_path):
+    # below rounding the spectral functor fails its axioms, so the algebra
+    # cannot be rebuilt; roundtrip reports that as spectral and build do
+    report = tmp_path / "r.json"
+    code = cli.main(["roundtrip", "--backend", str(FIXTURES / f"backends/{backend}.json"),
+                     "--input", str(FIXTURES / f"actions/{action}.json"),
+                     "--tolerance", "1e-18", "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 1 and "internal_error" not in data and "certificate" not in data
+    assert data["validation"]["passed"] is False
+
+
+@pytest.mark.parametrize("option", [("--seed", "-1"), ("--tolerance", "inf"),
+                                    ("--tolerance", "nan"), ("--tolerance", "0")],
+                         ids=["seed-1", "tol-inf", "tol-nan", "tol-0"])
+def test_bad_tolerance_or_seed_is_input_error(option, tmp_path):
+    report = tmp_path / "r.json"
+    code = cli.main(["roundtrip", "--backend", str(FIXTURES / "backends/dual_z3.json"),
+                     "--input", str(FIXTURES / "actions/m3_clock_shift.json"),
+                     *option, "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 2
+    assert sorted(data) == ["error", "schema", "verb"] and option[0] in data["error"]
+
+
 LAYERS_RUN = """
 import json, sys, types
 from qact.cli import main

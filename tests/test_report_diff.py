@@ -19,13 +19,13 @@ def edited(runs, key, edit):
     return out
 
 
-def test_a_tree_matches_itself_and_a_moved_float_is_flagged():
+def test_a_tree_matches_itself_and_a_moved_float_is_flagged(tmp_path, capsys):
     argvs = [record_golden.fixture_argv(args) for args in RUNS]
     first = report_diff.run_all(argvs, record_golden.FIXTURES)
     second = report_diff.run_all(argvs, record_golden.FIXTURES)
     assert sorted(first) == sorted(record_golden.fixture_key(args) for args in RUNS)
     same, diff = report_diff.compare(first, second)
-    assert (same, diff.violations, diff.largest) == (len(RUNS), [], 0.0)
+    assert (same, diff.violations, diff.largest, diff.differing) == (len(RUNS), [], 0.0, [])
 
     key = record_golden.fixture_key(RUNS[0])
 
@@ -35,9 +35,17 @@ def test_a_tree_matches_itself_and_a_moved_float_is_flagged():
     def bump(name, by):
         return lambda data: residuals(data).__setitem__(name, residuals(data)[name] + by)
 
-    # drift within 1e-12 of a nonzero residual is allowed and measured
-    same, diff = report_diff.compare(first, edited(first, key, bump("invertibility", 1e-15)))
+    # drift within 1e-12 of a nonzero residual is allowed and measured, and
+    # the run that drifted is named
+    bumped = edited(first, key, bump("invertibility", 1e-15))
+    same, diff = report_diff.compare(first, bumped)
     assert same == len(RUNS) - 1 and diff.violations == [] and diff.largest > 0.0
+    assert diff.differing == [(key, diff.largest)]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, runs in zip(paths, (first, bumped)):
+        path.write_text(json.dumps(runs))
+    assert report_diff.main(["compare", *map(str, paths)]) == 0
+    assert f"differs: {key} (largest float difference" in capsys.readouterr().out
     # a residual that moved by more, or a zero residual that moved at all
     for name, by in (("invertibility", 1e-9), ("unit", 1e-17)):
         _, diff = report_diff.compare(first, edited(first, key, bump(name, by)))
