@@ -699,6 +699,8 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
     act = module.action
     d = backend.irrep(label).dim
     if act.kind == "automorphism":
+        if module.dim == 0:
+            return np.zeros((0, d, 0), dtype=complex)
         u = backend.irrep(label).matrices
         w = np.array([module.comodule[x] for x in act.group.elements])
         rows = _kron(np.eye(d), w) - _kron(u.transpose(0, 2, 1), np.eye(module.dim))

@@ -17,6 +17,12 @@ from .errors import AlgebraError
 
 
 GRAM_CUTOFF = 1e-10  # relative eigenvalue cutoff for quotients by null spaces
+# complex right-hand-side entries per stacked product of adjoints_by_shape,
+# and complex entries per stack of the largest arrays of
+# validate_correspondences: past these sizes a larger stack runs slower, or
+# holds more memory than it saves time
+SOLVE_CHUNK = 1 << 13
+VALIDATE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -34,11 +40,11 @@ class BlockAlgebra:
         if not self.blocks or any(b < 1 for b in self.blocks):
             raise AlgebraError("block sizes must be positive")
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return sum(self.blocks)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return sum(b * b for b in self.blocks)
 
@@ -184,61 +190,106 @@ class Correspondence:
         val = self.algebra.opnorm((gram + gram.conj().T) / 2)
         return float(np.sqrt(max(val, 0.0)))
 
-    def scalar_gram(self) -> np.ndarray:
-        """Trace-composed Gram matrix of the basis; positive semidefinite for
-        valid data."""
-        return np.einsum("pquu->pq", self.inner_tensor)
-
     def validate(self, tol: float = 1e-9) -> dict:
         """Residuals of the correspondence axioms on the basis."""
-        a = self.algebra
-        structure = a.structure_tensor()
-        units = np.array(a.basis())
-        left, right, inner = self.left, self.right, self.inner_tensor
-        rep = {}
+        return validate_correspondences([self], tol)[0]
 
-        def worst(x, axis):
-            return float(np.linalg.norm(x, axis=axis).max(initial=0.0))
 
-        # bimodule laws and compatibility; index [k, l] pairs units u_k, u_l
-        eye = np.eye(self.dim)
-        one = a.coords(a.identity())
-        left_uv = np.tensordot(structure, left, axes=(2, 0))
-        right_uv = np.tensordot(structure, right, axes=(2, 0))
-        worst_act = max(
-            worst(np.einsum("k,kpq->pq", one, left) - eye, 0),
-            worst(np.einsum("k,kpq->pq", one, right) - eye, 0),
-            worst(left[:, None] @ left[None] - left_uv, (2, 3)),
-            worst(right[None] @ right[:, None] - right_uv, (2, 3)),
-        )
-        worst_comm = worst(left[:, None] @ right[None] - right[None] @ left[:, None], (2, 3))
-        # inner-product laws on the basis
-        worst_star = max(
-            worst(np.conj(np.transpose(inner, (1, 0, 3, 2))) - inner, (2, 3)),
-            worst(inner - inner * a.project(np.ones((a.n, a.n))).real, (2, 3)),
-        )
-        # <m_p, m_q u> = <m_p, m_q> u and <u m_p, m_q> = <m_p, u* m_q>
-        left_star = np.tensordot(np.array([a.coords(u.conj().T) for u in units]), left,
-                                 axes=(1, 0))
-        worst_lin = max(
-            worst(np.einsum("ksq,psuv->kpquv", right, inner)
-                  - np.einsum("pquw,kwv->kpquv", inner, units), (3, 4)),
-            worst(np.einsum("ksp,squv->kpquv", left.conj(), inner)
-                  - np.einsum("ksq,psuv->kpquv", left_star, inner), (3, 4)),
-        )
-        gram = self.scalar_gram()
-        eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        gmin = float(eigs.min()) if self.dim else 1.0
-        gmax = float(eigs.max()) if self.dim else 1.0
-        rep["actions"] = worst_act
-        rep["left_right_commute"] = worst_comm
-        rep["inner_hermitian"] = worst_star
-        rep["inner_module_linear"] = worst_lin
-        rep["gram_min_eig"] = gmin
-        rep["positive"] = gmin > -tol
-        # degeneracy is a rank statement, not a residual: fixed relative floor
-        rep["nondegenerate"] = gmin > 1e-10 * max(gmax, 1.0) if self.dim else True
-        return rep
+def validate_correspondences(mods: list[Correspondence], tol: float = 1e-9) -> list[dict]:
+    """Correspondence.validate for each of a list of correspondences over
+    one algebra; those of one dimension are checked as one stack, each
+    check one contraction or stacked matrix product over the stack."""
+    groups: dict = {}
+    for k, mod in enumerate(mods):
+        groups.setdefault(mod.dim, []).append(k)
+    out: list = [None] * len(mods)
+    for dim, members in groups.items():
+        a = mods[members[0]].algebra
+        # the largest arrays hold A.dim * dim^2 * n^2 entries per correspondence
+        step = max(1, VALIDATE_CHUNK // max(a.dim * dim * dim * a.n * a.n, 1))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            reps = _validate_stack(a, dim, *(np.stack([getattr(mods[k], f) for k in part])
+                                             for f in ("left", "right", "inner_tensor")), tol)
+            for k, rep in zip(part, reps):
+                out[k] = rep
+    return out
+
+
+def _validate_stack(a: BlockAlgebra, dim: int, left: np.ndarray, right: np.ndarray,
+                    inner: np.ndarray, tol: float) -> list[dict]:
+    """The residuals of Correspondence.validate for a stack of
+    correspondences of one dimension, given their stacked tensors."""
+    structure = a.structure_tensor()
+    units = np.array(a.basis())
+    count, k = len(left), a.dim
+
+    def worst(x, axis):
+        # per correspondence: the largest norm over the axes `axis`
+        norms = np.linalg.norm(x, axis=axis)
+        return norms.max(axis=tuple(range(1, norms.ndim)), initial=0.0)
+
+    # bimodule laws and compatibility; index [k, l] pairs units u_k, u_l
+    eye = np.eye(dim)
+    one = a.coords(a.identity())
+    left_uv, right_uv = (
+        (structure.reshape(k * k, k) @ x.reshape(count, k, dim * dim)).reshape(
+            count, k, k, dim, dim) for x in (left, right))
+    worst_act = np.maximum.reduce([
+        worst(np.einsum("k,mkpq->mpq", one, left) - eye, 1),
+        worst(np.einsum("k,mkpq->mpq", one, right) - eye, 1),
+        worst(left[:, :, None] @ left[:, None] - left_uv, (3, 4)),
+        worst(right[:, None] @ right[:, :, None] - right_uv, (3, 4)),
+    ])
+    worst_comm = worst(left[:, :, None] @ right[:, None] - right[:, None] @ left[:, :, None],
+                       (3, 4))
+    # inner-product laws on the basis
+    worst_star = np.maximum(
+        worst(np.conj(np.transpose(inner, (0, 2, 1, 4, 3))) - inner, (3, 4)),
+        worst(inner - inner * a.project(np.ones((a.n, a.n))).real, (3, 4)),
+    )
+    # <m_p, m_q u> = <m_p, m_q> u and <u m_p, m_q> = <m_p, u* m_q>, as
+    # stacked matrix products; each pair of sides is compared with the
+    # second side laid out as the first, [k, q, p, (u, v)] and
+    # [k, p, q, (u, v)]
+    nn = a.n * a.n
+    star_coords = np.array([a.coords(u.conj().T) for u in units])
+    left_star = star_coords @ left.reshape(count, k, dim * dim)
+    inner_s = inner.transpose(0, 2, 1, 3, 4).reshape(count, dim, dim * nn)  # [s, (p, u, v)]
+
+    def by_q(x):
+        # sum_s x[k, s, q] <m_p, m_s>, as [k, q, p, (u, v)]
+        return x.reshape(count, k, dim, dim).transpose(0, 1, 3, 2).reshape(
+            count, k * dim, dim) @ inner_s
+
+    times_unit = inner.reshape(count, dim * dim * a.n, a.n) \
+        @ units.transpose(1, 0, 2).reshape(a.n, k * a.n)  # [(p, q, u), (k, v)]
+    lin_right = by_q(right).reshape(count, k, dim, dim, a.n, a.n) - times_unit.reshape(
+        count, dim, dim, a.n, k, a.n).transpose(0, 4, 2, 1, 3, 5)
+    lin_left = (left.conj().transpose(0, 1, 3, 2).reshape(count, k * dim, dim)
+                @ inner.reshape(count, dim, dim * nn)).reshape(count, k, dim, dim, nn) \
+        - by_q(left_star).reshape(count, k, dim, dim, nn).transpose(0, 1, 3, 2, 4)
+    worst_lin = np.maximum(
+        worst(lin_right.reshape(count, k, dim, dim, nn), 4),
+        worst(lin_left, 4),
+    )
+    gram = np.einsum("mpquu->mpq", inner)
+    eigs = np.linalg.eigvalsh((gram + gram.conj().transpose(0, 2, 1)) / 2)
+    reps = []
+    for m in range(count):
+        gmin = float(eigs[m].min()) if dim else 1.0
+        gmax = float(eigs[m].max()) if dim else 1.0
+        reps.append({
+            "actions": float(worst_act[m]),
+            "left_right_commute": float(worst_comm[m]),
+            "inner_hermitian": float(worst_star[m]),
+            "inner_module_linear": float(worst_lin[m]),
+            "gram_min_eig": gmin,
+            "positive": gmin > -tol,
+            # degeneracy is a rank statement, not a residual: fixed relative floor
+            "nondegenerate": gmin > 1e-10 * max(gmax, 1.0) if dim else True,
+        })
+    return reps
 
 
 def algebra_as_correspondence(algebra: BlockAlgebra) -> Correspondence:
@@ -272,14 +323,32 @@ class TensorQuotient:
 def tensor_semi_inner(m: Correspondence, n: Correspondence) -> np.ndarray:
     """Algebra-valued semi-inner product on the algebraic tensor product,
     <m_p (x) n_q, m_r (x) n_s> = <n_q, <m_p, m_r> n_s>, flattened to
-    (dim_M * dim_N, dim_M * dim_N, n, n)."""
+    (dim_M * dim_N, dim_M * dim_N, n, n); the stack of one of
+    tensor_semi_inners."""
     a = m.algebra
+    return tensor_semi_inners(a.coords(m.inner_tensor)[None], n.left[None],
+                              n.inner_tensor[None])[0].reshape(m.dim * n.dim, m.dim * n.dim,
+                                                               a.n, a.n)
+
+
+def tensor_semi_inners(coords: np.ndarray, lefts: np.ndarray, inners: np.ndarray) -> np.ndarray:
+    """tensor_semi_inner for a stack of pairs (M_k, N_k) of one shape, from
+    the matrix-unit coordinates (stack, dim M, dim M, A.dim) of the inner
+    tensors of the M_k, and the left actions (stack, A.dim, dim N, dim N)
+    and inner tensors (stack, dim N, dim N, ...) of the N_k, whose algebra
+    values may be (n, n) matrices or coordinates: a view of shape (stack,
+    dim M, dim N, dim M, dim N, ...), entry [k, p, q, r, s] for
+    <m_p (x) n_q, m_r (x) n_s> in the layout of the inners.  Two stacked
+    matrix products, each acting on one pair on its own."""
+    count, dm, _, k = coords.shape
+    dn, value = lefts.shape[-1], inners.shape[3:]
     # lmats[p, r] is the left action of <m_p, m_r> on N
-    lmats = np.tensordot(a.coords(m.inner_tensor), n.left, axes=(2, 0))
-    # full[p, r, s, q, u, v] = <n_q, lmats[p, r] n_s>_{uv}
-    full = np.tensordot(lmats, n.inner_tensor, axes=(2, 1))
-    full = full.transpose(0, 3, 1, 2, 4, 5)
-    return full.reshape(m.dim * n.dim, m.dim * n.dim, a.n, a.n)
+    lmats = coords.reshape(count, dm * dm, k) @ lefts.reshape(count, k, dn * dn)
+    # full[p, r, s, q, ...] = <n_q, lmats[p, r] n_s>
+    full = lmats.reshape(count, dm * dm, dn, dn).transpose(0, 1, 3, 2).reshape(
+        count, dm * dm * dn, dn) @ np.swapaxes(inners, 1, 2).reshape(count, dn, -1)
+    full = full.reshape(count, dm, dm, dn, dn, -1).transpose(0, 1, 4, 2, 3, 5)
+    return full.reshape(full.shape[:5] + value)
 
 
 def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
@@ -331,68 +400,83 @@ class AdjointBatch:
     adjointable: np.ndarray
 
 
-def module_linear_residuals(maps: np.ndarray, m: Correspondence,
-                            n: Correspondence) -> np.ndarray:
-    """How far each map of a stack (count, dim N, dim M) of maps M -> N is
-    from being right-A-linear: the largest column norm of
-    T right_M(u) - right_N(u) T over the matrix units u."""
-    maps = np.asarray(maps, dtype=complex)[:, None]
-    diff = maps @ m.right - n.right @ maps  # (count, unit, dim N, dim M)
-    return np.linalg.norm(diff, axis=2).max(axis=(1, 2), initial=0.0)
+def module_linear_residuals(maps: np.ndarray, m_right: np.ndarray,
+                            n_right: np.ndarray) -> np.ndarray:
+    """How far each map of a stack (..., count, dim N, dim M) of maps M -> N
+    is from being right-A-linear, given the right actions (..., units,
+    dim M, dim M) of M and (..., units, dim N, dim N) of N: the largest
+    column norm of T right_M(u) - right_N(u) T over the matrix units u.
+    Leading axes stack independent problems, one matmul each."""
+    maps = np.asarray(maps, dtype=complex)[..., None, :, :]
+    m_right, n_right = m_right[..., None, :, :, :], n_right[..., None, :, :, :]
+    diff = maps @ m_right - n_right @ maps  # (..., count, unit, dim N, dim M)
+    return np.linalg.norm(diff, axis=-2).max(axis=(-2, -1), initial=0.0)
 
 
 def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
                 tol: float = 1e-9) -> AdjointBatch:
     """Adjoints of a stack (count, dim N, dim M) of maps M -> N for the
-    algebra-valued inner products; the stack of one of adjoints_by_source.
-
-    Solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T* in least
-    squares.  For each column s this is one system against the source's
-    coefficient matrix G[(p, u, v), r] = <m_p, m_r>_{uv}, so a single solve
-    with every map's columns as right-hand sides serves the whole stack.
-    Its singular-value cutoff is the one lstsq applies to the system of one
-    map, G repeated once per column of N.
-    """
-    batch = adjoints_by_source(np.asarray(maps)[None], m, n.inner_tensor[None], tol)
+    algebra-valued inner products; the stack of one of adjoints_by_shape."""
+    batch = adjoints_by_shape([np.asarray(maps)], [m], [0], [n], tol)
     return AdjointBatch(batch.adjoints[0], batch.residuals[0], batch.adjointable[0])
 
 
-def adjoints_by_source(maps: np.ndarray, m: Correspondence, targets: np.ndarray,
-                       tol: float = 1e-9) -> AdjointBatch:
-    """adjoints_of for stacks (stacks, count, dim N, dim M) of maps out of
-    one source M, stack k into its own target N_k, whose inner tensor is
-    targets[k]; every field of the result gains the leading stack axis.
+def adjoints_by_shape(maps, sources: list[Correspondence], which,
+                      targets: list[Correspondence], tol: float = 1e-9) -> AdjointBatch:
+    """Adjoints of stacks of maps of one shape (count, dim N, dim M), stack
+    k out of the source sources[which[k]] into the target targets[k].
+    Every field of the result gains the leading stack axis.  T_i is
+    adjointable when its residual is within tol * max(1, |T_i|).
 
-    Each stack's right-hand sides are one matrix product (BLAS) of its
-    maps' conjugates with its target's inner tensor, and all stacks share
-    one least-squares solve.  The solve's matrix G and cutoff depend only
-    on M and dim N, lstsq finds each right-hand side's solution column on
-    its own, and each stack's residual is formed from its own columns.  So
-    every stack gets the adjoints and residuals that adjoints_of gives it
-    alone.
+    The adjoint solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T*,
+    column s by column s, against the source's coefficient matrix
+    G[(p, k), r] = coordinate k of <m_p, m_r>.  Both sides are elements of
+    the algebra, so the system is written in its matrix-unit coordinates;
+    entries outside its blocks, zero for valid data, are the concern of
+    Correspondence.validate.  The solution is G's pseudo-inverse applied to
+    the right-hand sides: the minimum-norm least-squares solution, with
+    singular values at most eps * dim M * dim N * n^2 times the largest
+    dropped, the cutoff lstsq applies to the system of one map on full
+    matrices (G repeated once per column of N).  So there is one batched
+    SVD over the distinct sources.  The right-hand sides, the solutions and
+    the residuals are stacked matrix products (BLAS), SOLVE_CHUNK
+    right-hand-side entries at a time, and every product acts on one stack
+    on its own: a stack gets the same entries alone as in any larger stack.
     """
-    maps = np.asarray(maps, dtype=complex)
-    stacks, count, dim_n, _ = maps.shape
-    scale = np.maximum(1.0, np.linalg.norm(maps, axis=(2, 3)))
-    if m.dim == 0 or dim_n == 0:
-        zeros = np.zeros((stacks, count))
-        return AdjointBatch(np.zeros((stacks, count, m.dim, dim_n), dtype=complex), zeros,
-                            zeros <= tol * scale)
-    n = m.algebra.n
-    nn = n * n
-    gram = np.transpose(m.inner_tensor, (0, 2, 3, 1)).reshape(m.dim * nn, m.dim)
-    # rhs[(p, u, v), (k, i, s)] = <T_ki m_p, n_s>_{uv}
-    #                           = sum_q conj(T_ki[q, p]) <n_q, n_s>_{uv},
-    # one matrix product per stack
-    rhs = maps.conj().transpose(0, 1, 3, 2).reshape(stacks, count * m.dim, dim_n) \
-        @ np.reshape(targets, (stacks, dim_n, dim_n * nn))
-    rhs = rhs.reshape(stacks, count, m.dim, dim_n, n, n).transpose(2, 4, 5, 0, 1, 3)
-    rhs = rhs.reshape(m.dim * nn, stacks, count * dim_n)
-    rcond = np.finfo(float).eps * m.dim * dim_n * nn
-    sol, *_ = np.linalg.lstsq(gram, rhs.reshape(m.dim * nn, -1), rcond=rcond)
-    sol = sol.reshape(m.dim, stacks, count * dim_n).transpose(1, 0, 2)
-    resid = (gram @ sol - rhs.transpose(1, 0, 2)).reshape(stacks, m.dim * nn, count, dim_n)
-    residuals = np.sqrt(np.einsum("kris,kris->ki", resid.conj(), resid).real)
-    adjoints = sol.reshape(stacks, m.dim, count, dim_n).transpose(0, 2, 1, 3)
+    stacks = len(maps)
+    count, dim_n, dim_m = np.shape(maps[0]) if stacks else (0, 0, 0)
+    adjoints = np.zeros((stacks, count, dim_m, dim_n), dtype=complex)
+    residuals = np.zeros((stacks, count))
+    scale = np.ones((stacks, count))
+    if not (stacks and count and dim_m and dim_n):
+        return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
+    a = sources[0].algebra
+    grams = a.coords(np.array([m.inner_tensor for m in sources])).transpose(0, 1, 3, 2)
+    grams = grams.reshape(len(sources), dim_m * a.dim, dim_m)
+    u, s, vh = np.linalg.svd(grams, full_matrices=False)
+    rcond = np.finfo(float).eps * dim_m * dim_n * a.n * a.n
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+    # the transposes of G and of its pseudo-inverse: the solve runs on the
+    # transposed system, whose residual holds each map's entries together
+    pinvs_t = u.conj() @ (inv_s[:, :, None] * vh.conj())
+    grams_t = grams.transpose(0, 2, 1).copy()
+    which = np.asarray(which)
+    step = max(1, SOLVE_CHUNK // (dim_m * a.dim * count * dim_n))
+    for lo in range(0, stacks, step):
+        part = slice(lo, min(lo + step, stacks))
+        t = np.asarray(maps[part], dtype=complex)
+        k = len(t)
+        scale[part] = np.maximum(1.0, np.linalg.norm(t, axis=(2, 3)))
+        # rhs[k, (i, s), (p, l)] = coordinate l of <T_ki m_p, n_s>
+        #                        = sum_q conj(T_ki[q, p]) <n_q, n_s>_l
+        inner = a.coords(np.array([n.inner_tensor for n in targets[part]]))
+        rhs = t.conj().transpose(0, 1, 3, 2).reshape(k, count * dim_m, dim_n) \
+            @ inner.reshape(k, dim_n, dim_n * a.dim)
+        rhs = rhs.reshape(k, count, dim_m, dim_n, a.dim).transpose(0, 1, 3, 2, 4).reshape(
+            k, count * dim_n, dim_m * a.dim)
+        w = which[part]
+        sol = rhs @ pinvs_t[w]
+        resid = (sol @ grams_t[w] - rhs).reshape(k, count, dim_n * dim_m * a.dim)
+        residuals[part] = np.sqrt(np.vecdot(resid, resid).real)
+        adjoints[part] = sol.reshape(k, count, dim_n, dim_m).transpose(0, 1, 3, 2)
     return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
-

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import sys
 
 import numpy as np
@@ -71,24 +72,81 @@ INPUT_ERRORS = (ActionError, AlgebraError, BackendError, CocycleError,
                 IncompleteDataError, SchemaError)
 
 
-def jsonable(obj):
-    """The report with numpy values as JSON values; an array becomes its
-    encode_complex lists, which are returned as they are."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+def render_report(report) -> str:
+    """The report as json.dumps(..., indent=2, sort_keys=True) writes it,
+    with numpy values as JSON values: dict keys become str, tuples lists,
+    numpy scalars Python ones, a complex number its [re, im] pair and an
+    array its encode_complex lists.
+
+    With indent set, the json module encodes through its pure-Python
+    encoder, value by value.  Here an array is written whole instead: the
+    reprs of its floats (the json module's own spelling), joined level by
+    level, with the same indentation and separators."""
+    out: list[str] = []
+    _render(report, 0, out)
+    return "".join(out)
+
+
+def _render(obj, level: int, out: list) -> None:
     if isinstance(obj, np.ndarray):
-        return serialize.encode_complex(obj)
-    return obj
+        out.append(_render_array(obj, level))
+    elif isinstance(obj, dict):
+        _render_items(sorted({str(k): v for k, v in obj.items()}.items()), "{}", level, out)
+    elif isinstance(obj, (list, tuple)):
+        _render_items([(None, v) for v in obj], "[]", level, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _render([float(obj.real), float(obj.imag)], level, out)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _render_items(items: list, brackets: str, level: int, out: list) -> None:
+    """A JSON object (keys given) or array (keys None) of the items."""
+    if not items:
+        out.append(brackets)
+        return
+    pad = "\n" + "  " * (level + 1)
+    out.append(brackets[0])
+    for n, (key, value) in enumerate(items):
+        out.append(pad if n == 0 else "," + pad)
+        if key is not None:
+            out.append(json.dumps(key) + ": ")
+        _render(value, level + 1, out)
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _render_array(arr: np.ndarray, level: int) -> str:
+    """serialize.encode_complex(arr) as an indented JSON array at `level`,
+    built from the innermost axis out."""
+    arr = np.asarray(arr, dtype=complex)
+    pairs = np.stack([arr.real, arr.imag], -1)
+    flat = pairs.ravel().tolist()
+    items = list(map(float.__repr__, flat)) if np.isfinite(pairs).all() \
+        else [_float_text(x) for x in flat]
+    for axis in range(pairs.ndim - 1, -1, -1):
+        size, groups = pairs.shape[axis], math.prod(pairs.shape[:axis])
+        if size == 0:
+            items = ["[]"] * groups
+            continue
+        pad = "\n" + "  " * (level + axis + 1)
+        sep, close = "," + pad, "\n" + "  " * (level + axis) + "]"
+        items = ["[" + pad + sep.join(items[g * size:(g + 1) * size]) + close
+                 for g in range(groups)]
+    return items[0]
 
 
 def _load(path, loader, what):
@@ -317,7 +375,7 @@ def main(argv=None) -> int:
         report = {"schema": SCHEMA, "verb": args.verb,
                   "internal_error": {"type": type(err).__name__, "message": str(err)}}
         code = 3
-    text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = render_report(report) + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)

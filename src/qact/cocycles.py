@@ -313,6 +313,23 @@ def _coaction_module_maps(backend: Backend, act: Action):
             for k, x in enumerate(g.elements)}
 
 
+def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) -> np.ndarray:
+    """The deformed product table sum_{a, c} vals[a, c] sum_{p, q}
+    rd[a][p, i] rd[c][q, j] table[p, q]: the rd[a] side is contracted once
+    per a, then each pair (a, c) with a nonzero value adds one contraction
+    with rd[c], in the order of the pairs."""
+    out = np.zeros_like(table)
+    for a, row in enumerate(vals):
+        if not row.any():
+            continue
+        # t[i, q, r] = sum_p rd[a][p, i] table[p, q, r]
+        t = np.tensordot(rd[a], table, (0, 0))
+        for c, w in enumerate(row):
+            if w != 0:
+                out += w * np.tensordot(t, rd[c], (1, 0)).transpose(0, 2, 1)
+    return out
+
+
 def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
                   tol: float = 1e-9, seed: int = 0) -> DeformedAlgebra:
     """The deformed algebra: both product factors are routed through the
@@ -336,16 +353,7 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
         table = base.table
         dagger = base.star_matrix
     else:
-        table = np.zeros_like(base.table)
-        for a in range(n):
-            da = rd[g.elements[a]]
-            for c in range(n):
-                w = vals[a, c]
-                if w == 0:
-                    continue
-                table += w * np.einsum(
-                    "pqr,pi,qj->ijr", base.table, da, rd[g.elements[c]]
-                )
+        table = deformed_table(base.table, [rd[x] for x in g.elements], vals)
         dagger = np.zeros_like(base.star_matrix)
         if act.kind == "grading":
             # <| by the pointwise conjugate of the companion function

@@ -33,20 +33,20 @@ from .algebras import (
     AdjointBatch,
     BlockAlgebra,
     Correspondence,
-    adjoints_by_source,
+    adjoints_by_shape,
     adjoints_of,
     algebra_as_correspondence,
     module_linear_residuals,
-    tensor_semi_inner,
+    tensor_semi_inners,
+    validate_correspondences,
 )
 from .errors import BackendError, IncompleteDataError
 from .groups import GroupPresentation
 from .repcat import Backend, Rep, dual_backend
 
-# complex entries per triple chunk of the stacked validation contractions,
-# and per shared adjoint solve; past these sizes a larger stack runs slower
+# complex entries per triple chunk of the stacked validation contractions;
+# past this size a larger stack runs slower
 CHUNK = 1 << 15
-SOLVE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -304,17 +304,16 @@ def _isometry_residuals(t: np.ndarray, inner: np.ndarray, semi: np.ndarray) -> n
     """Largest entry, per stack entry, of <t(x (x) y), t(x' (x) y')> -
     <x (x) y, x' (x) y'> for a stack (count, c, a, b) of multiplication
     tensors t : M_a (x) M_b -> M_c, where inner is the stack of inner
-    tensors of M_c and semi that of tensor_semi_inner(M_a, M_b); two
-    stacked matrix products, laid out as semi is."""
+    tensors of M_c, (count, c, c, k) in the algebra's coordinates, and semi
+    that of tensor_semi_inners(M_a, M_b); two stacked matrix products."""
     count, c, a, b = t.shape
-    n = inner.shape[-1]
-    # half[t, (r, z), (u, v)] = sum_s t[s, r, z] <m_t, m_s>_uv
-    half = t.reshape(count, 1, c, a * b).transpose(0, 1, 3, 2) \
-        @ inner.reshape(count, c, c, n * n)
-    # lhs[(p, q), (r, z, u, v)] = sum_t conj(t[t, p, q]) half[t, r, z, u, v]
+    k = inner.shape[-1]
+    # half[t, (r, z), l] = sum_s t[s, r, z] <m_t, m_s>_l
+    half = t.reshape(count, 1, c, a * b).transpose(0, 1, 3, 2) @ inner
+    # lhs[(p, q), (r, z, l)] = sum_t conj(t[t, p, q]) half[t, r, z, l]
     lhs = t.conj().reshape(count, c, a * b).transpose(0, 2, 1) \
-        @ half.reshape(count, c, a * b * n * n)
-    lhs -= semi.reshape(lhs.shape)
+        @ half.reshape(count, c, a * b * k)
+    lhs.reshape(semi.shape)[...] -= semi
     return np.abs(lhs).max(axis=(1, 2), initial=0.0)
 
 
@@ -432,24 +431,24 @@ def _bracketings(real: Realization, live: list):
 
 
 def _adjoints(jobs: list, tol: float) -> list[AdjointBatch]:
-    """adjoints_of for (source key, source, maps, target inner tensor)
-    jobs; the jobs with one source and one shape share one solve
-    (adjoints_by_source)."""
+    """adjoints_of for (source key, source, maps, target) jobs: the jobs of
+    one shape share one adjoints_by_shape call, with one factorization per
+    distinct source key.  Sources of one key must have equal inner tensors,
+    as the carriers F(w) of words w with the same constituent labels do."""
     groups: dict = {}
-    for n, (key, _, maps, target) in enumerate(jobs):
-        groups.setdefault((key, maps.shape, target.shape), []).append(n)
+    for n, (_, _, maps, _) in enumerate(jobs):
+        groups.setdefault(maps.shape, []).append(n)
     out = [None] * len(jobs)
-    for (_, (count, dim_n, dim_m), _), members in groups.items():
-        source = jobs[members[0]][1]
-        size = dim_m * source.algebra.n ** 2 * count * dim_n  # one job's right-hand sides
-        step = max(1, SOLVE_CHUNK // max(size, 1))
-        for lo in range(0, len(members), step):
-            idx = members[lo:lo + step]
-            batch = adjoints_by_source(np.stack([jobs[n][2] for n in idx]), source,
-                                       np.stack([jobs[n][3] for n in idx]), tol)
-            for k, n in enumerate(idx):
-                out[n] = AdjointBatch(batch.adjoints[k], batch.residuals[k],
-                                      batch.adjointable[k])
+    for members in groups.values():
+        sources: dict = {}
+        for n in members:
+            sources.setdefault(jobs[n][0], jobs[n][1])
+        index = {key: k for k, key in enumerate(sources)}
+        batch = adjoints_by_shape([jobs[n][2] for n in members], list(sources.values()),
+                                  [index[jobs[n][0]] for n in members],
+                                  [jobs[n][3] for n in members], tol)
+        for k, n in enumerate(members):
+            out[n] = AdjointBatch(batch.adjoints[k], batch.residuals[k], batch.adjointable[k])
     return out
 
 
@@ -471,14 +470,24 @@ def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
     (iv) and the exchange identity of (v) run on F_2 of the two
     bracketings of every word a*b*c, evaluated from fusion data by
     ``_bracketings`` with no word of length 3 realized: triples of one
-    shape signature form one stack, each axiom is a few contractions per
-    stack, and the adjoint solves that share a source (F(b) or F(bc)) and
-    a shape are one least-squares solve.  Each entry of (iv), an einsum
-    per stack, gets the bits the word-by-word evaluation gives it.  (ii),
-    one stack per shape of F_2, the right-hand sides of the adjoint solves
-    and the exchange identity of (v) are stacked matrix products (BLAS):
-    an entry is the same in any stack, and agrees with a contraction in
-    another order to rounding, not bit for bit.
+    shape signature form one stack, and each axiom is a few contractions
+    per stack.  Each quantity is formed once per shape, across labels,
+    pairs and sources: the module checks one stack per module dimension
+    (validate_correspondences), the semi-inner products of (ii) one stack
+    per shape of F_2 from each module's inner-tensor coordinates, taken
+    once, and module linearity in (v) one stack per shape of the maps.  The
+    adjoints of (v), out of F(b) or F(bc), are one adjoints_by_shape call
+    per shape, with one SVD per distinct source: the carriers of words
+    with the same constituent labels are equal.  (ii) and the adjoint
+    solves compare algebra elements by their matrix-unit coordinates; the
+    entries outside the blocks of the algebra, zero for valid data, are
+    checked once, by modules_wellformed.
+
+    Each entry of (iv), an einsum per stack, gets the bits the word-by-word
+    evaluation gives it.  (ii), the adjoint solves and the exchange
+    identity of (v) are stacked matrix products (BLAS): an entry is the
+    same in any stack, and agrees with a contraction in another order, or
+    with lstsq's solve, to rounding, not bit for bit.
 
     Residuals are reported in the word basis of a*b*c, through the
     isometries of its decomposition.  A max-abs entry is not invariant
@@ -514,13 +523,11 @@ def _axioms_i_to_iv(real: Realization, tol: float):
         )
     axioms["i_unit_object"] = AxiomCheck(res_i, res_i < tol)
 
-    # module well-formedness feeds into the same report
+    # module well-formedness feeds into the same report; the modules of one
+    # dimension are checked as one stack
+    live = [label for label in labels if functor.module(label).dim]
     worst_mod = 0.0
-    for label in labels:
-        mod = functor.module(label)
-        if mod.dim == 0:
-            continue
-        rep = mod.validate(tol)
+    for rep in validate_correspondences([functor.module(label) for label in live], tol):
         worst_mod = max(
             worst_mod,
             rep["actions"],
@@ -533,27 +540,31 @@ def _axioms_i_to_iv(real: Realization, tol: float):
 
     # (ii) isometry pair by pair; the words of length 2 decompose as one
     # stack, and their F_2 form one stack per layout
-    live = [label for label in labels if functor.module(label).dim]
     keys = [(a, b) for a in live for b in live]
     backend.decompose_words([((a, False), (b, False)) for a, b in keys])
     pairs = [(real.atom_object(a), real.atom_object(b)) for a, b in keys]
     f2 = dict(zip(keys, real.f2_tensors(pairs)))
-    # one stack of residuals per shape of F_2, at most CHUNK entries of the
-    # inner products of M_a (x) M_b per chunk
     shapes: dict = {}
     for key, (oa, ob) in zip(keys, pairs):
         shapes.setdefault(f2[key].shape, []).append((key, real.object(oa.atoms + ob.atoms)))
+    # the inner products in the algebra's matrix-unit coordinates (entries
+    # outside its blocks are modules_wellformed's concern), each module's
+    # taken once; one stack of residuals per shape of F_2, at most CHUNK
+    # entries of the inner products of M_a (x) M_b per chunk
+    alg = functor.algebra
+    coords = {label: alg.coords(functor.module(label).inner_tensor) for label in live}
     res_pairs = {}
-    n = functor.algebra.n
     for (_, ma, mb), members in shapes.items():
-        step = max(1, CHUNK // (ma * mb * ma * mb * n * n))
+        step = max(1, CHUNK // (ma * mb * ma * mb * alg.dim))
         for lo in range(0, len(members), step):
             part = members[lo:lo + step]
             res_pairs.update(zip((key for key, _ in part), _isometry_residuals(
                 np.stack([f2[key] for key, _ in part]),
-                np.stack([target.carrier.inner_tensor for _, target in part]),
-                np.stack([tensor_semi_inner(functor.module(a), functor.module(b))
-                          for (a, b), _ in part]))))
+                alg.coords(np.stack([target.carrier.inner_tensor for _, target in part])),
+                tensor_semi_inners(
+                    np.stack([coords[a] for (a, _), _ in part]),
+                    np.stack([functor.module(b).left for (_, b), _ in part]),
+                    np.stack([coords[b] for (_, b), _ in part])))))
     detail_ii = {f"{a},{b}": float(res_pairs[a, b]) for a, b in keys}
     res_ii = max(detail_ii.values(), default=0.0)
     axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
@@ -607,47 +618,64 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
     """
     functor = real.functor
     live, f2, triples, chunks, abc_labels = fusion
-    carrier = {p: real.object(((p[0], False), (p[1], False))).carrier for p in f2}
+    words = {p: real.object(((p[0], False), (p[1], False))) for p in f2}
     maps = {(a, b): t.transpose(1, 0, 2) for (a, b), t in f2.items()}
-    lin = {(a, b): module_linear_residuals(s, functor.module(b), carrier[a, b])
-           for (a, b), s in maps.items()}
-    adj = dict(zip(f2, _adjoints([(b, functor.module(b), s, carrier[a, b].inner_tensor)
-                                  for (a, b), s in maps.items()], tol)))
-    # the adjoints of S_p : F(bc) -> F(abc), then lhs - rhs of the exchange
+    # module linearity, one stack per shape of the maps
+    lin = {}
+    shapes: dict = {}
+    for p, s in maps.items():
+        shapes.setdefault(s.shape, []).append(p)
+    for (count, dim_n, dim_m), members in shapes.items():
+        step = max(1, CHUNK // max(count * functor.algebra.dim * dim_n * dim_m, 1))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            lin.update(zip(part, module_linear_residuals(
+                np.stack([maps[p] for p in part]),
+                np.stack([functor.module(p[1]).right for p in part]),
+                np.stack([words[p].carrier.right for p in part]))))
+    # the adjoints of S_p : F(b) -> F(ab) and of S_p : F(bc) -> F(abc), all
+    # in one call; a source is keyed by its constituent labels
+    jobs = [((b,), functor.module(b), s, words[a, b].carrier) for (a, b), s in maps.items()]
     sums: dict = {}
-    jobs = {}
+    order = []
     for idx, _, a_bc in chunks:
         for n, t in zip(idx, a_bc):
             key = abc_labels[n]
             if key not in sums:
                 sums[key] = direct_sum(functor.algebra, [functor.module(l) for l in key])
-            bc = triples[n][1:]
-            jobs[n] = (bc, carrier[bc], t.transpose(1, 0, 2), sums[key].inner_tensor)
-    big = dict(zip(jobs, _adjoints(list(jobs.values()), tol)))
-    exchange = {}
+            bc = words[triples[n][1:]]
+            jobs.append((tuple(label for label, _ in bc.components), bc.carrier,
+                         t.transpose(1, 0, 2), sums[key]))
+            order.append(n)
+    solved = _adjoints(jobs, tol)
+    adj = dict(zip(f2, solved))
+    big = dict(zip(order, solved[len(f2):]))
+    # per triple and basis vector: the exchange residual where S_p : F(bc) ->
+    # F(abc) has an adjoint, else the residual of its solve
+    entry = {}
     for idx, ab_c, _ in chunks:
-        exchange.update(zip(idx, _exchange_residuals(
+        found = np.stack([big[n].adjointable for n in idx])
+        exchange = _exchange_residuals(
             np.stack([adj[triples[n][:2]].adjoints for n in idx]),
             np.stack([f2[triples[n][1:]] for n in idx]),
-            np.stack([big[n].adjoints for n in idx]), ab_c)))
-    res_v = 0.0
+            np.stack([big[n].adjoints for n in idx]), ab_c)
+        solve = np.stack([big[n].residuals for n in idx])
+        entry.update(zip(idx, zip(np.where(found, exchange, solve).tolist(), found.tolist())))
     missing = False
     detail_v = {}
     index = {t: n for n, t in enumerate(triples)}
     for a, b in f2:
-        for p, adjointable in enumerate(adj[a, b].adjointable):
-            r = float(max(lin[a, b][p], adj[a, b].residuals[p]))
-            detail_v[f"adjoint:{a},{b}:{p}"] = r
-            res_v = max(res_v, r)
+        rows = [entry[index[a, b, c]] for c in live]
+        solve = adj[a, b].residuals
+        residuals = np.where(solve > lin[a, b], solve, lin[a, b]).tolist()
+        for p, adjointable in enumerate(adj[a, b].adjointable.tolist()):
+            detail_v[f"adjoint:{a},{b}:{p}"] = residuals[p]
             if not adjointable:
                 continue
-            for c in live:
-                n = index[a, b, c]
-                found = big[n].adjointable[p]
-                r2 = float(exchange[n][p] if found else big[n].residuals[p])
-                missing = missing or not found
-                detail_v[f"exchange:{a},{b},{c}:{p}"] = r2
-                res_v = max(res_v, r2)
+            for c, (values, found) in zip(live, rows):
+                missing = missing or not found[p]
+                detail_v[f"exchange:{a},{b},{c}:{p}"] = values[p]
+    res_v = max([0.0, *detail_v.values()])
     return AxiomCheck(res_v, res_v < 100 * tol and not missing, {"checks": detail_v})
 
 

@@ -117,8 +117,12 @@ def _golden() -> dict:
 
 def check(key: str, code: int, report: dict) -> None:
     """Assert that a run matches its record in tests/golden/residuals.json."""
+    check_summary(key, summarize(code, report))
+
+
+def check_summary(key: str, got: dict) -> None:
+    """check for a run given by its summary."""
     want = _golden()[key]
-    got = summarize(code, report)
     assert got["exit"] == want["exit"], (key, got["exit"], want["exit"])
     assert got["flags"] == want["flags"], key
     assert sorted(got["floats"]) == sorted(want["floats"]), key
@@ -137,8 +141,13 @@ def _run(argv, tmp: pathlib.Path) -> dict:
     return summarize(code, json.loads(out.read_text()))
 
 
+FIXTURE_KEYS = frozenset(fixture_key(args) for args in
+                         [*FIXTURE_RUNS, DEFORM_GROUP_RUN, NEGATIVE_FIBER_RUN])
+
+
 def record(skip=frozenset()) -> dict:
-    """Summaries of every recorded run whose key is not in skip."""
+    """Summaries of every recorded run whose key is not in skip; skip
+    FIXTURE_KEYS for the corpus runs alone."""
     from qact import serialize
     from qact.actions import spectral_functor
     from qact.fixtures import action_corpus, standard_backends

@@ -173,6 +173,20 @@ def test_fullness_fails_on_proper_submodule(backends):
     assert cert.max_rank == 1  # strictly less than the rank of the algebra
 
 
+def test_fullness_of_the_zero_module_is_a_failed_certificate(backends):
+    # the zero module under the Z2 translation: no candidate, rank 0
+    backend = backends["z2"]
+    act = translation_action(backend)
+    b = act.algebra
+    zero = EquivariantModule(act, 0, np.zeros((b.dim, 0, 0), dtype=complex),
+                             np.zeros((0, 0, b.n, b.n), dtype=complex),
+                             comodule={x: np.zeros((0, 0)) for x in act.group.elements})
+    cert = fullness_check(backend, zero)
+    assert not cert.passed
+    assert cert.max_rank == 0 and cert.full_rank == 0
+    assert cert.chosen == [] and cert.gram is None
+
+
 def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
     """fullness_check as it was before it ran on stacks: every candidate
     prefix summed again pair by pair, and the isometry checked one pair of

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qact.algebras import (
+    AdjointBatch,
     AlgebraError,
     BlockAlgebra,
     Correspondence,
-    adjoints_by_source,
+    adjoints_by_shape,
     adjoints_of,
     algebra_as_correspondence,
     internal_tensor,
@@ -169,8 +170,9 @@ def test_internal_tensor_associative():
     left_assoc = internal_tensor(internal_tensor(m, m).product, m).product
     right_assoc = internal_tensor(m, internal_tensor(m, m).product).product
     assert left_assoc.dim == right_assoc.dim
-    s1 = np.linalg.eigvalsh(left_assoc.scalar_gram())
-    s2 = np.linalg.eigvalsh(right_assoc.scalar_gram())
+    # the trace-composed Gram matrices of the two bases
+    s1 = np.linalg.eigvalsh(np.einsum("pquu->pq", left_assoc.inner_tensor))
+    s2 = np.linalg.eigvalsh(np.einsum("pquu->pq", right_assoc.inner_tensor))
     np.testing.assert_allclose(sorted(s1), sorted(s2), atol=1e-8)
 
 
@@ -229,7 +231,7 @@ def test_adjoint_rejects_non_linear_map():
     m = algebra_as_correspondence(a)
     rng = np.random.default_rng(5)
     t = rng.standard_normal((m.dim, m.dim))  # generic: not right-A-linear
-    lin = module_linear_residuals(t[None], m, m)[0]
+    lin = module_linear_residuals(t[None], m.right, m.right)[0]
     assert lin > 100 * TOL * max(1.0, float(np.linalg.norm(t)))
 
 
@@ -312,7 +314,7 @@ def test_batched_kernels_match_loop_on_random_correspondences(copies):
     n, pn = skewed_copies(a, copies[1], rng)
     maps = linear_maps(a, m, pm, n, pn, 4, rng)
     batch = adjoints_of(maps, m, n, TOL)
-    lin = module_linear_residuals(maps, m, n)
+    lin = module_linear_residuals(maps, m.right, n.right)
     assert_matches_loop(maps, m, n, batch, lin)
     assert batch.adjointable.all() and lin.max() < 1e-10
     # the defining identity <T m_p, n_s> = <m_p, T* n_s> on the bases
@@ -329,7 +331,7 @@ def test_batched_kernels_flag_only_the_non_linear_map():
     good = linear_maps(a, m, pm, m, pm, 2, rng)
     maps = np.array([good[0], rng.standard_normal((m.dim, m.dim)), good[1]])
     batch = adjoints_of(maps, m, m, TOL)
-    lin = module_linear_residuals(maps, m, m)
+    lin = module_linear_residuals(maps, m.right, m.right)
     assert_matches_loop(maps, m, m, batch, lin)
     assert lin[1] > TOL and lin[0] < TOL and lin[2] < TOL
     assert batch.residuals[1] > TOL
@@ -349,7 +351,7 @@ def test_batched_kernels_on_zero_dimensional_carriers():
         assert batch.adjoints.shape == (3, src.dim, tgt.dim)
         assert batch.adjointable.all()
         np.testing.assert_array_equal(batch.residuals, 0.0)
-        np.testing.assert_array_equal(module_linear_residuals(maps, src, tgt), 0.0)
+        np.testing.assert_array_equal(module_linear_residuals(maps, src.right, tgt.right), 0.0)
     assert adjoints_of(np.zeros((0, m.dim, m.dim)), m, m, TOL).adjoints.shape == (0, m.dim, m.dim)
 
 
@@ -409,20 +411,88 @@ def test_validate_matches_loop_on_corpus_modules():
             assert abs(rep[key] - val) < 1e-12, (name, key)
 
 
+def reference_adjoints_by_source(maps, m, targets, tol=TOL):
+    """The adjoint solve before adjoints_by_shape: one np.linalg.lstsq on the
+    system over full n x n matrices, G[(p, u, v), r] = <m_p, m_r>_{uv},
+    shared by the stacks (stacks, count, dim N, dim M) of maps out of M,
+    stack k into the target whose inner tensor is targets[k]."""
+    maps = np.asarray(maps, dtype=complex)
+    stacks, count, dim_n, _ = maps.shape
+    scale = np.maximum(1.0, np.linalg.norm(maps, axis=(2, 3)))
+    if m.dim == 0 or dim_n == 0:
+        zeros = np.zeros((stacks, count))
+        return AdjointBatch(np.zeros((stacks, count, m.dim, dim_n), dtype=complex), zeros,
+                            zeros <= tol * scale)
+    n = m.algebra.n
+    nn = n * n
+    gram = np.transpose(m.inner_tensor, (0, 2, 3, 1)).reshape(m.dim * nn, m.dim)
+    rhs = maps.conj().transpose(0, 1, 3, 2).reshape(stacks, count * m.dim, dim_n) \
+        @ np.reshape(targets, (stacks, dim_n, dim_n * nn))
+    rhs = rhs.reshape(stacks, count, m.dim, dim_n, n, n).transpose(2, 4, 5, 0, 1, 3)
+    rhs = rhs.reshape(m.dim * nn, stacks, count * dim_n)
+    rcond = np.finfo(float).eps * m.dim * dim_n * nn
+    sol, *_ = np.linalg.lstsq(gram, rhs.reshape(m.dim * nn, -1), rcond=rcond)
+    sol = sol.reshape(m.dim, stacks, count * dim_n).transpose(1, 0, 2)
+    resid = (gram @ sol - rhs.transpose(1, 0, 2)).reshape(stacks, m.dim * nn, count, dim_n)
+    residuals = np.sqrt(np.einsum("kris,kris->ki", resid.conj(), resid).real)
+    adjoints = sol.reshape(stacks, m.dim, count, dim_n).transpose(0, 2, 1, 3)
+    return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
+
+
+def reference_adjoints_of(maps, m, n, tol=TOL):
+    """reference_adjoints_by_source for one stack of maps M -> N."""
+    ref = reference_adjoints_by_source(np.asarray(maps)[None], m, n.inner_tensor[None], tol)
+    return AdjointBatch(ref.adjoints[0], ref.residuals[0], ref.adjointable[0])
+
+
+def assert_matches_reference_solve(got, want, bound=1e-12):
+    """Equal adjointable flags, adjoints and residuals within bound, and
+    every residual the reference finds exactly zero still exactly zero."""
+    np.testing.assert_array_equal(got.adjointable, want.adjointable)
+    assert np.abs(got.adjoints - want.adjoints).max(initial=0.0) <= bound
+    assert np.abs(got.residuals - want.residuals).max(initial=0.0) <= bound
+    assert (got.residuals[want.residuals == 0.0] == 0.0).all()
+
+
+def test_rank_deficient_source_gives_the_minimum_norm_solution():
+    # a source whose spanning set repeats a basis vector: its Gram matrix
+    # has a zero singular value, and the adjoint is determined only up to
+    # that direction; both solves pick the least-squares solution of
+    # minimum norm
+    a = BlockAlgebra((2, 1))
+    rng = np.random.default_rng(12)
+    m, pm = skewed_copies(a, 1, rng)
+    n, pn = skewed_copies(a, 2, rng)
+    idx = list(range(m.dim)) + [0]
+    zeros = np.zeros((a.dim, len(idx), len(idx)))
+    rep = Correspondence(a, len(idx), zeros, zeros, m.inner_tensor[idx][:, idx])
+    maps = linear_maps(a, m, pm, n, pn, 3, rng)[:, :, idx]
+    maps[2] = rng.standard_normal(maps[2].shape)  # not adjointable
+    got = adjoints_of(maps, rep, n, TOL)
+    assert list(got.adjointable) == [True, True, False]
+    assert_matches_reference_solve(got, reference_adjoints_of(maps, rep, n))
+    # the adjoint has no part along the kernel of the spanning map, the
+    # difference of the two copies of the first basis vector
+    kernel = np.zeros(len(idx))
+    kernel[0], kernel[-1] = 1.0, -1.0
+    assert np.abs(np.einsum("r,irs->is", kernel, got.adjoints[:2])).max() < 1e-12
+
+
 def test_shared_solve_gives_each_stack_its_own_adjoints():
-    # stacks out of one source into different targets of one dimension, one
-    # of them holding a non-linear map: the shared solve returns, bit for
-    # bit, what adjoints_of returns for each stack alone
+    # stacks out of two sources into different targets of one dimension,
+    # one of them holding a non-linear map: the shared solve returns, bit
+    # for bit, what adjoints_of returns for each stack alone, a stack of one
     a = BlockAlgebra((2, 1))
     rng = np.random.default_rng(11)
-    m, pm = skewed_copies(a, 1, rng)
+    sources = [skewed_copies(a, 1, rng) for _ in range(2)]
     targets = [skewed_copies(a, 2, rng) for _ in range(3)]
-    stacks = [linear_maps(a, m, pm, n, pn, 3, rng) for n, pn in targets]
+    which = [0, 1, 0]
+    stacks = [linear_maps(a, *sources[w], n, pn, 3, rng) for w, (n, pn) in zip(which, targets)]
     stacks[1][2] = rng.standard_normal(stacks[1][2].shape)
-    batch = adjoints_by_source(np.array(stacks), m,
-                               np.array([n.inner_tensor for n, _ in targets]), TOL)
-    for k, (maps, (n, _)) in enumerate(zip(stacks, targets)):
-        alone = adjoints_of(maps, m, n, TOL)
+    batch = adjoints_by_shape(stacks, [m for m, _ in sources], which, [n for n, _ in targets],
+                              TOL)
+    for k, (maps, w, (n, _)) in enumerate(zip(stacks, which, targets)):
+        alone = adjoints_of(maps, sources[w][0], n, TOL)
         np.testing.assert_array_equal(batch.adjoints[k], alone.adjoints)
         np.testing.assert_array_equal(batch.residuals[k], alone.residuals)
         np.testing.assert_array_equal(batch.adjointable[k], alone.adjointable)

@@ -42,9 +42,29 @@ def test_verbs_pass_on_fixtures(args, tmp_path):
         record_golden.check(record_golden.fixture_key(args), proc.returncode, data)
 
 
+TWO_THREAD_CORPUS_RUNS = f"""
+import json, sys
+sys.path.insert(0, {str(pathlib.Path(__file__).resolve().parent)!r})
+import record_golden
+print(json.dumps(record_golden.record(skip=record_golden.FIXTURE_KEYS)))
+"""
+
+
+@pytest.fixture(scope="module")
+def two_thread_corpus_runs():
+    """The summaries of every corpus run of record_golden.record, made in a
+    child process under two BLAS threads: the report bits may depend on the
+    thread count, and the golden rule must hold for both."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", TWO_THREAD_CORPUS_RUNS], capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("verb", ["spectral", "roundtrip", "module-functor", "fullness"])
 @pytest.mark.parametrize("name", sorted(action_corpus()))
-def test_action_verbs_on_whole_corpus(name, verb, tmp_path):
+def test_action_verbs_on_whole_corpus(name, verb, tmp_path, two_thread_corpus_runs):
     backend = json.loads((FIXTURES / "actions" / f"{name}.json").read_text())["backend_ref"]
     report = tmp_path / "report.json"
     code = cli.main([verb, "--backend", str(FIXTURES / backend),
@@ -53,12 +73,14 @@ def test_action_verbs_on_whole_corpus(name, verb, tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert data["verb"] == verb and "error" not in data
-    record_golden.check(record_golden.action_key(verb, name), code, data)
+    key = record_golden.action_key(verb, name)
+    record_golden.check(key, code, data)
+    record_golden.check_summary(key, two_thread_corpus_runs[key])
 
 
 @pytest.mark.parametrize("verb", ["validate", "build"])
 @pytest.mark.parametrize("name", sorted(action_corpus()))
-def test_functor_verbs_on_whole_corpus(name, verb, tmp_path):
+def test_functor_verbs_on_whole_corpus(name, verb, tmp_path, two_thread_corpus_runs):
     from qact import serialize
     from qact.actions import spectral_functor
     from qact.fixtures import standard_backends
@@ -74,7 +96,9 @@ def test_functor_verbs_on_whole_corpus(name, verb, tmp_path):
     data = json.loads(report.read_text())
     assert data["validation"]["passed"]
     assert verb == "validate" or data["build"]["passed"]
-    record_golden.check(record_golden.functor_key(verb, name), code, data)
+    key = record_golden.functor_key(verb, name)
+    record_golden.check(key, code, data)
+    record_golden.check_summary(key, two_thread_corpus_runs[key])
     # axiom (v) reports one adjoint check per basis vector and pair, and one
     # exchange check per basis vector and triple, of nonzero modules
     labels = [l for l in functor.backend.labels if functor.module(l).dim]
@@ -155,8 +179,59 @@ def test_encode_complex_gives_the_recursive_encoders_bytes():
     for arr in arrays:
         want = json.dumps(recursive_encode_complex(arr), indent=2)
         assert json.dumps(serialize.encode_complex(arr), indent=2) == want
-        assert json.dumps(cli.jsonable({"a": np.asarray(arr)}), indent=2) \
+        assert cli.render_report({"a": np.asarray(arr)}) \
             == json.dumps({"a": recursive_encode_complex(arr)}, indent=2)
+
+
+def reference_jsonable(obj):
+    """The report with numpy values as JSON values, for json.dumps: what
+    cli.main encoded before render_report wrote arrays whole."""
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        from qact import serialize
+
+        return serialize.encode_complex(obj)
+    return obj
+
+
+def test_render_report_edge_cases_match_json_module():
+    special = np.array([0.0, -0.0, 1.0, -1e-300, np.inf, -np.inf, np.nan, 2.5e-17])
+    report = {"a": special, 3: {1: np.zeros((3, 0)), "x": [1, 2.5, (3, np.float64(-0.0))],
+                                "c": np.complex128(1 - 2j), "e": [], "f": {}, "g": [[]]},
+              "z": np.zeros((2, 0, 4)), "w": np.asarray(3), "n": None, "t": np.bool_(True),
+              "s": "h\u00e9 \"q\"", "i": np.int64(-7), "m": np.arange(6.0).reshape(2, 3)}
+    assert cli.render_report(report) \
+        == json.dumps(reference_jsonable(report), indent=2, sort_keys=True)
+
+
+def test_every_comparison_set_report_is_the_json_module_text(tmp_path, monkeypatch):
+    # the runs of tests/report_diff.py: every verb on every corpus input and
+    # both benchmark workloads' jobs
+    import report_diff
+
+    runs = report_diff.comparison_set(tmp_path / "inputs")
+    render, checked = cli.render_report, []
+
+    def compared(report):
+        text = render(report)
+        checked.append(text == json.dumps(reference_jsonable(report), indent=2, sort_keys=True))
+        return text
+
+    monkeypatch.setattr(cli, "render_report", compared)
+    for argv in runs:
+        cli.main([*argv, "--report", str(tmp_path / "report.json")])
+    assert len(checked) == len(runs) and all(checked)
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -13,9 +13,11 @@ from qact.groups import cyclic_group, direct_product
 from qact.cocycles import (
     CocycleError,
     TwistedBackend,
+    _coaction_module_maps,
     check_cocycle,
     deform_action,
     deform_functor,
+    deformed_table,
     make_cocycle,
     trivial_cocycle,
     twist_element,
@@ -655,3 +657,39 @@ def test_deform_audit_makes_no_single_element_products(backends, monkeypatch):
     bk, act, om = m3_coboundary()
     assert deform_action(backends[bk], act, om).report["passed"]
     assert calls == []
+
+
+def reference_deformed_table(table, rd, vals):
+    """deformed_table as one unoptimized three-operand einsum per nonzero
+    cocycle value."""
+    out = np.zeros_like(table)
+    for a in range(len(vals)):
+        for c in range(len(vals)):
+            if vals[a, c] != 0:
+                out += vals[a, c] * np.einsum("pqr,pi,qj->ijr", table, rd[a], rd[c])
+    return out
+
+
+def clock_shift_coboundary(n):
+    from qact.fixtures import clock_shift_grading
+    from qact.repcat import dual_backend
+
+    act = clock_shift_grading(n)
+    phases = np.exp(2j * np.pi * np.random.default_rng(n).random(n))
+    phases[act.group.identity] = 1.0
+    return dual_backend(act.group), act, coboundary_cocycle(act.group, phases)
+
+
+@pytest.mark.parametrize("which", ["clock3", "clock4", "bicharacter", "group_bicharacter"])
+def test_deformed_table_is_the_einsum_bit_for_bit(which, backends):
+    if which.startswith("clock"):
+        backend, act, cocycle = clock_shift_coboundary(int(which[-1]))
+    else:
+        bk, act, cocycle = _audit_pair(which)
+        backend = backends[bk]
+    table = StarAlgebraModel.of_block_algebra(act.algebra).table
+    rd = _coaction_module_maps(backend, act)
+    rd = [rd[x] for x in act.group.elements]
+    got = deformed_table(table, rd, cocycle.values)
+    assert np.array_equal(got, reference_deformed_table(table, rd, cocycle.values))
+    assert np.abs(got).max() > 0

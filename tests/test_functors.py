@@ -34,6 +34,7 @@ from qact.groups import cyclic_group
 from qact.actions import canonical_module_iso, spectral_functor
 from qact.algebras import adjoints_of, module_linear_residuals
 from qact.repcat import Backend, cyclic_backend, dual_backend
+from test_algebras import reference_adjoints_of
 from test_reconstruction import conjugated_clock_shift, random_element
 
 TOL = 1e-9
@@ -377,16 +378,15 @@ def one_missing_exchange_adjoint(monkeypatch, modules):
     its first map as not adjointable, with residual 10 * TOL."""
     from qact import functors
 
-    solve, done = functors.adjoints_by_source, []
+    solve = functors._adjoints
 
-    def patched(maps, source, targets, tol):
-        batch = solve(maps, source, targets, tol)
-        if not done and all(source is not m for m in modules):
-            done.append(True)
-            batch.residuals[0, 0], batch.adjointable[0, 0] = 10 * TOL, False
-        return batch
+    def patched(jobs, tol):
+        out = solve(jobs, tol)
+        first = next(n for n, job in enumerate(jobs) if all(job[1] is not m for m in modules))
+        out[first].residuals[0], out[first].adjointable[0] = 10 * TOL, False
+        return out
 
-    monkeypatch.setattr(functors, "adjoints_by_source", patched)
+    monkeypatch.setattr(functors, "_adjoints", patched)
 
 
 def test_missing_exchange_adjoint_fails_with_its_residual(monkeypatch, backends):
@@ -609,7 +609,7 @@ def reference_validate_functor(functor, tol=1e-9):
             ob = real.atom_object(b)
             oab = real.object(oa.atoms + ob.atoms)
             s = np.moveaxis(real.f2_tensor(oa, ob), 1, 0)
-            lin = module_linear_residuals(s, ob.carrier, oab.carrier)
+            lin = module_linear_residuals(s, ob.carrier.right, oab.carrier.right)
             adj = adjoints_of(s, ob.carrier, oab.carrier, tol)
             exchange = {}
             for c in live:
@@ -812,3 +812,59 @@ def test_validation_builds_no_f2_stack_of_one(monkeypatch):
     assert validate_functor(functor).passed
     assert sizes and min(sizes) > 1
     assert 64 in sizes
+
+
+def solved_adjoint_jobs(monkeypatch, functor):
+    """The (job, result) pairs of every adjoint solve of validate_functor,
+    and its axiom (v) check."""
+    from qact import functors
+
+    seen, solve = [], functors._adjoints
+
+    def capture(jobs, tol):
+        out = solve(jobs, tol)
+        seen.extend(zip(jobs, out))
+        return out
+
+    monkeypatch.setattr(functors, "_adjoints", capture)
+    return seen, validate_functor(functor).axioms["v_adjointability"]
+
+
+ADJOINT_CASES = [f"{kind} {name}" for name in sorted(action_corpus())
+                 for kind in ("spectral", "module")] + ["clock3", "clock4", "clock5"]
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_shape_solve_matches_lstsq_and_stacks_of_one(case, backends, monkeypatch):
+    # every adjoint of axiom (v), solved one shape at a time, against the
+    # former lstsq solve on full matrices; each job alone, a stack of one,
+    # gets the entries it got in its shape's stack; and axiom (v) reports
+    # what it reports with the lstsq solve, every exact zero kept
+    from qact import functors
+
+    if case.startswith("clock"):
+        n = int(case[-1])
+        functor = spectral_functor(dual_backend(cyclic_group(n)),
+                                   conjugated_clock_shift(n)).functor
+    else:
+        kind, name = case.split()
+        bk, act = action_corpus()[name]
+        functor = (spectral_functor(backends[bk], act).functor if kind == "spectral"
+                   else canonical_module_iso(backends[bk], act)[1].functor)
+    jobs, got = solved_adjoint_jobs(monkeypatch, functor)
+    assert jobs
+    for (_, source, maps, target), batch in jobs:
+        want = reference_adjoints_of(maps, source, target)
+        np.testing.assert_array_equal(batch.adjointable, want.adjointable)
+        assert np.abs(batch.adjoints - want.adjoints).max(initial=0.0) <= 1e-12
+        assert np.abs(batch.residuals - want.residuals).max(initial=0.0) <= 1e-12
+        alone = adjoints_of(maps, source, target, TOL)
+        np.testing.assert_array_equal(alone.adjoints, batch.adjoints)
+        np.testing.assert_array_equal(alone.residuals, batch.residuals)
+    monkeypatch.setattr(functors, "_adjoints", lambda jobs, tol: [
+        reference_adjoints_of(maps, source, target, tol) for _, source, maps, target in jobs])
+    want = validate_functor(functor).axioms["v_adjointability"]
+    assert (got.passed, sorted(got.detail["checks"])) == (want.passed, sorted(want.detail["checks"]))
+    for key, value in want.detail["checks"].items():
+        assert abs(got.detail["checks"][key] - value) <= 1e-12, key
+        assert value != 0.0 or got.detail["checks"][key] == 0.0, key
