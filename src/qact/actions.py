@@ -10,10 +10,11 @@ rebuilding the algebra from that data reproduces the original action.
 One builder, `functor_from_subspaces`, turns invariant subspaces into
 functor data.  It serves the spectral functor of an action (subspaces of
 the acted-on algebra), the functor of an equivariant module (equivariant
-maps M -> M (x) H) and the spectral functor of a reconstructed algebra;
-`blockdecomp.null_space` and `InSpan` are the shared kernel and projection
-helpers.  Only the round trips rebuild an algebra, so only they import
-`reconstruction`.
+maps M -> M (x) H) and the spectral functor of a reconstructed algebra.
+The bases of the subspaces come from the routines of `blockdecomp`
+(`row_spaces`, `column_span`), reached through that module so that one
+patch changes them all; `InSpan` is the shared projection helper.  Only
+the round trips rebuild an algebra, so only they import `reconstruction`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
-from .blockdecomp import SubalgebraBlocks, decompose_star_algebra, null_space
+from . import blockdecomp
+from .blockdecomp import SubalgebraBlocks, decompose_star_algebra
 from .errors import ActionError, BackendError
 from .functors import TensorFunctorData
 from .groups import GroupPresentation
-from .repcat import Backend, RANK_TOL
+from .repcat import Backend
 from .staralg import StarAlgebraModel, verify_algebra_iso
 
 if TYPE_CHECKING:
@@ -167,9 +169,7 @@ def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> Subalge
         for x in act.group.elements:
             proj += act.map_matrix(x)
         proj /= act.group.order
-        w, s, _ = np.linalg.svd(proj)
-        rank = int(np.sum(s > RANK_TOL))
-        mats = [b.from_coords(w[:, k]) for k in range(rank)]
+        mats = [b.from_coords(col) for col in blockdecomp.column_span(proj).T]
     else:
         e = act.group.elements[act.group.identity]
         mats = [b.from_coords(row) for row in act.component_rows(e)]
@@ -335,23 +335,18 @@ def _invariant_tuples(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
     of the stacked kron(u(g), maps(g)) - 1, shape (count, d, dim)."""
     d, dim = u.shape[-1], maps.shape[-1]
     rows = _kron(u, maps) - np.eye(d * dim)
-    return null_space(rows.reshape(-1, d * dim)).reshape(-1, d, dim)
+    return blockdecomp.row_spaces(rows.reshape(-1, d * dim))[1].reshape(-1, d, dim)
 
 
 def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     """Orthonormal basis of the invariant subspace attached to one
     irreducible, shape (multiplicity, irrep dim, dim B)."""
     _check_backend(backend, act)
-    b = act.algebra
     if act.kind == "automorphism":
         maps = np.array([act.map_matrix(x) for x in act.group.elements])
         return _invariant_tuples(backend.irrep(label).matrices, maps)
-    rows = act.component_rows(label)
-    if rows.shape[0] == 0:
-        return np.zeros((0, 1, b.dim))
-    _, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > RANK_TOL))
-    return vh[:rank].reshape(rank, 1, b.dim)
+    span, _ = blockdecomp.row_spaces(act.component_rows(label))
+    return span.reshape(-1, 1, act.algebra.dim)
 
 
 @dataclass
@@ -608,7 +603,7 @@ def _equivariant_maps(backend: Backend, module: EquivariantModule, label: str,
         rows = np.diag(mask.reshape(-1))
     # rows of M (x) H are indexed (module index, representation index)
     stacked = np.vstack([right_rows, rows.reshape(-1, t * module.dim)])
-    basis = null_space(stacked).reshape(-1, module.dim, d, module.dim)
+    basis = blockdecomp.row_spaces(stacked)[1].reshape(-1, module.dim, d, module.dim)
     return basis.transpose(0, 2, 1, 3)
 
 
@@ -690,7 +685,6 @@ class FullnessCertificate:
     lower_constant: float
     residuals: dict[str, float]
     max_rank: int
-    full_rank: int
 
 
 def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.ndarray:
@@ -704,7 +698,8 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
         u = backend.irrep(label).matrices
         w = np.array([module.comodule[x] for x in act.group.elements])
         rows = _kron(np.eye(d), w) - _kron(u.transpose(0, 2, 1), np.eye(module.dim))
-        return null_space(rows.reshape(-1, d * module.dim)).reshape(-1, d, module.dim)
+        kernel = blockdecomp.row_spaces(rows.reshape(-1, d * module.dim))[1]
+        return kernel.reshape(-1, d, module.dim)
     g = act.group
     want = g.elements[g.inv(g.index(label))]
     return np.eye(module.dim)[np.array(module.grades) == want][:, None]
@@ -740,11 +735,11 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     # grams[k] is <Y, Y> for Y made of the first k + 1 candidates
     grams = np.cumsum(np.concatenate(weighted), axis=0)
     herm = (grams + grams.conj().swapaxes(-1, -2)) / 2
-    full_rank = int(np.linalg.matrix_rank(herm[-1], tol=1e-8)) if len(herm) else 0
+    max_rank = int(np.linalg.matrix_rank(herm[-1], tol=1e-8)) if len(herm) else 0
     invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > 1e-8)
     if not invertible.size:
         gram = grams[-1] if len(grams) else None
-        return FullnessCertificate(False, chosen, gram, 0.0, {}, full_rank, full_rank)
+        return FullnessCertificate(False, chosen, gram, 0.0, {}, max_rank)
     count = invertible[0] + 1
     chosen, rhos, gram = chosen[:count], rhos[:count], grams[count - 1]
 
@@ -780,7 +775,7 @@ def fullness_check(backend: Backend, module: EquivariantModule,
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
-    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank, full_rank)
+    return FullnessCertificate(passed, chosen, gram, c, residuals, max_rank)
 
 
 # -- natural isomorphisms ------------------------------------------------------

@@ -367,6 +367,7 @@ def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
     inner_flat = tensor_semi_inner(m, n)
     gram = np.einsum("pquu->pq", inner_flat)
     gram = (gram + gram.conj().T) / 2
+    # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
     w, v = np.linalg.eigh(gram)
     cutoff = GRAM_CUTOFF * max(float(w.max()), 0.0)
     keep = w > cutoff

@@ -1,4 +1,5 @@
-"""Block decomposition of *-closed matrix algebras.
+"""Block decomposition of *-closed matrix algebras, and the routines that
+pick orthonormal bases.
 
 Recovers the matrix-unit structure of a unital *-closed subalgebra S of
 M_n(C): the list of block sizes together with images in S of the abstract
@@ -6,8 +7,12 @@ matrix units.  The probe is a random self-adjoint element of the center
 (then of each simple summand) with a fixed seed, so results are
 deterministic for a given seed.
 
-`null_space` is the package's one kernel routine: the center here, and the
-spectral subspaces, equivariant maps and bimodule maps of `actions`.
+Every basis the package picks is a gauge, and each kind is picked by one
+routine, reached as an attribute of this module so that one patch changes
+every basis of its kind: `row_spaces` (row span and kernel, one SVD),
+`column_span` (column span, thin SVD) and `eigenprojections` (eigenspace
+projections, which are gauge-free).  `repcat.Backend._mor_stack` picks the
+intertwiner bases.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ class DecompositionError(RuntimeError):
     """The probe failed to separate the algebra (after retries)."""
 
 
-def null_space(stacked: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the kernel of a matrix, shape (nullity,
-    columns).  Singular values up to RANK_TOL count as zero; the columns in
+def row_spaces(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row space of a matrix and its kernel,
+    shapes (rank, columns) and (nullity, columns), from one SVD: the center
+    here, the spectral subspaces, equivariant maps and tuple spaces of
+    `actions`.  Singular values up to RANK_TOL count as zero; the columns in
     excess of the rows always lie in the kernel.
 
     A stack with at least 17/9 (complex) or 11/6 (real) times as many rows
@@ -38,25 +45,53 @@ def null_space(stacked: np.ndarray) -> np.ndarray:
     divide-and-conquer SVD (?gesdd) runs that same QR itself on a stack
     that tall, so with one LAPACK the values and vectors are those of the
     thin SVD bit for bit.  A shorter stack takes the thin SVD, where ?gesdd
-    runs no QR.  Another LAPACK build, which may factor differently or
-    cross over elsewhere, gives the same null space up to rounding.
+    runs no QR; a wide one the full SVD, so that every kernel row is formed.
+    Another LAPACK build, which may factor differently or cross over
+    elsewhere, gives the same spaces up to rounding.
     """
     rows, cols = stacked.shape
     num, den = (17, 9) if np.iscomplexobj(stacked) else (11, 6)
     if rows > cols and rows >= cols * num // den:
         stacked = np.linalg.qr(stacked, mode="r")
     _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < cols)
+    rank = int(np.sum(s > RANK_TOL))
     # rows of vh are orthonormal; conjugate so x (not x-bar) solves stacked x = 0
-    return vh[int(np.sum(s > RANK_TOL)):].conj()
+    return vh[:rank], vh[rank:].conj()
 
 
-def _orthonormal_span(mats: list[np.ndarray], n: int, tol: float = 1e-10) -> list[np.ndarray]:
+def column_span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the column space of a matrix, shape
+    (rows, rank), from its thin SVD: the spans here, the fixed-point algebra
+    of `actions`.  The rank counts the singular values above 1e-10 times
+    the largest (or 1)."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    return u[:, :int(np.sum(s > 1e-10 * max(float(s.max()), 1.0)))]
+
+
+def eigenprojections(h: np.ndarray, unit: np.ndarray) -> list[np.ndarray]:
+    """The orthogonal projections onto the eigenspaces of a Hermitian matrix
+    that meet the range of the projection `unit`, in increasing order of
+    eigenvalue.  Eigenvalues closer than CLUSTER_TOL times the largest
+    modulus (or 1) to their neighbour count as one; a projection meets
+    `unit` when the norm of their product exceeds 1e-8."""
+    w, v = np.linalg.eigh(h)
+    tol = CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
+    order = np.argsort(w)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if w[idx] - w[clusters[-1][-1]] < tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    projections = [v[:, idx] @ v[:, idx].conj().T for idx in map(np.array, clusters)]
+    return [p for p in projections if np.linalg.norm(p @ unit) > 1e-8]
+
+
+def _orthonormal_span(mats: list[np.ndarray], n: int) -> list[np.ndarray]:
     if not mats:
         return []
-    stack = np.array([m.reshape(-1) for m in mats]).T
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s.max(), 1.0)))
-    return [u[:, k].reshape(n, n) for k in range(rank)]
+    span = column_span(np.array([m.reshape(-1) for m in mats]).T)
+    return [col.reshape(n, n) for col in span.T]
 
 
 def _selfadjoint_basis(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
@@ -66,33 +101,13 @@ def _selfadjoint_basis(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
     self-adjoint matrices, hence self-adjoint itself; the real dimension of
     the self-adjoint part equals the complex dimension of the span.
     """
-    cands = []
-    for b in basis:
-        cands.append((b + b.conj().T) / 2)
-        cands.append((b - b.conj().T) / 2j)
+    cands = [c for b in basis for c in ((b + b.conj().T) / 2, (b - b.conj().T) / 2j)]
     if not cands:
         return []
-    stack = np.array([
+    span = column_span(np.array([
         np.concatenate([m.reshape(-1).real, m.reshape(-1).imag]) for m in cands
-    ]).T
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(float(s.max()), 1.0)))
-    out = []
-    for k in range(rank):
-        vec = u[:n * n, k] + 1j * u[n * n:, k]
-        out.append(vec.reshape(n, n))
-    return out
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] < tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
+    ]).T)
+    return [(col[:n * n] + 1j * col[n * n:]).reshape(n, n) for col in span.T]
 
 
 @dataclass
@@ -124,26 +139,20 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int,
     if not basis:
         raise DecompositionError("empty algebra")
     # center: commutes with every basis element
-    rows = []
-    for b in basis:
-        block = np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T
-        rows.append(block)
-    center = [sum(c * b for c, b in zip(row, basis)) for row in null_space(np.vstack(rows))]
+    rows = [np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T for b in basis]
+    center = [sum(c * b for c, b in zip(row, basis)) for row in row_spaces(np.vstack(rows))[1]]
     center_sa = _selfadjoint_basis(center, n)
     n_blocks = len(center_sa)
+    unit = _unit_of(basis, n)
 
     rng = np.random.default_rng(seed)
     last_error = "no attempt made"
     for _ in range(attempts):
         coeffs = rng.standard_normal(n_blocks)
         probe = sum(c * h for c, h in zip(coeffs, center_sa))
-        w, v = np.linalg.eigh(probe)
-        clusters = _cluster(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
-        projections = [v[:, idx] @ v[:, idx].conj().T for idx in clusters]
-        # drop the part outside the unit of S (eigenvalue-0 directions that
-        # do not belong to any central summand)
-        unit = sum(h * 0 for h in center_sa) + _unit_of(basis, n)
-        projections = [p for p in projections if np.linalg.norm(p @ unit) > 1e-8]
+        # the part outside the unit of S (eigenvalue-0 directions that do
+        # not belong to any central summand) is dropped
+        projections = eigenprojections(probe, unit)
         if len(projections) != n_blocks:
             last_error = f"central probe produced {len(projections)} summands, expected {n_blocks}"
             continue
@@ -184,11 +193,7 @@ def _units_from_projections(basis, projections, n, rng) -> SubalgebraBlocks:
 
     blocks = tuple(d for d, _, _ in summands)
     mults = tuple(m for _, m, _ in summands)
-    images = []
-    for d, _, units in summands:
-        for i in range(d):
-            for j in range(d):
-                images.append(units[i][j])
+    images = [unit for _, _, units in summands for row in units for unit in row]
     return SubalgebraBlocks(BlockAlgebra(blocks), np.array(images), mults, n)
 
 
@@ -199,14 +204,10 @@ def _matrix_units(comp_basis, p, d, mult, n, rng, tol=1e-7):
     for _ in range(8):
         coeffs = rng.standard_normal(len(comp_basis))
         h = sum(c * b for c, b in zip(coeffs, comp_basis))
-        h = (h + h.conj().T) / 2
-        w, v = np.linalg.eigh(h)
-        live = np.abs(w) > 1e-8 * max(1.0, float(np.abs(w).max()))
-        clusters = _cluster(w[live], CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
-        if len(clusters) != d:
+        # the eigenspaces of h inside p: h is 0 on the rest
+        qs = eigenprojections((h + h.conj().T) / 2, p)
+        if len(qs) != d:
             continue
-        idx_live = np.where(live)[0]
-        qs = [v[:, idx_live[c]] @ v[:, idx_live[c]].conj().T for c in clusters]
         if any(abs(np.trace(q).real - mult) > 0.1 for q in qs):
             continue
         scoeff = rng.standard_normal(len(comp_basis))
@@ -241,9 +242,7 @@ def _matrix_units(comp_basis, p, d, mult, n, rng, tol=1e-7):
 
 
 def _unit_relations_residual(units, p, d) -> float:
-    worst = 0.0
-    total = sum(units[i][i] for i in range(d))
-    worst = max(worst, float(np.linalg.norm(total - p)))
+    worst = float(np.linalg.norm(sum(units[i][i] for i in range(d)) - p))
     for i in range(d):
         for j in range(d):
             worst = max(

@@ -26,7 +26,7 @@ from .errors import CocycleError
 from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
 from .reconstruction import build_algebra
-from .repcat import Backend, ConjugateSolution, Rep
+from .repcat import RANK_TOL, Backend, ConjugateSolution, Rep
 from .staralg import StarAlgebraModel, verify_algebra_iso
 
 
@@ -396,7 +396,8 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     report["expectation_gram_min_eig"] = float(eigs.min())
-    report["expectation_faithful"] = bool(eigs.min() > tol)
+    # a rank decision, not a residual: it does not move with tol
+    report["expectation_faithful"] = bool(eigs.min() > RANK_TOL * max(1.0, float(eigs.max())))
 
     rng = np.random.default_rng(seed)
     xs, avecs, anorms = [], [], []

@@ -11,7 +11,7 @@ import numpy as np
 from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
 from .actions import Action
 from .cocycles import Cocycle, make_cocycle, trivial_cocycle
-from .functors import GradedBundle
+from .functors import GradedBundle, group_algebra_bundle
 from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_group
 from .repcat import (
     Backend,
@@ -367,7 +367,7 @@ def write_corpus(outdir) -> list[str]:
 
     for name, bundle in (
         ("clock_shift_z3", clock_shift_bundle(3)),
-        ("group_algebra_z2", __import__("qact.functors", fromlist=["group_algebra_bundle"]).group_algebra_bundle(cyclic_group(2))),
+        ("group_algebra_z2", group_algebra_bundle(cyclic_group(2))),
         ("zero_odd", zero_odd_bundle()),
         ("m2_plus_c", m2_plus_c_bundle()),
         ("negative_odd_fiber", negative_odd_fiber_bundle()),

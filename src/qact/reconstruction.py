@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functors import Realization, TensorFunctorData, ValidationReport, validate_functor
+from .repcat import RANK_TOL
 from .staralg import StarAlgebraModel
 
 
@@ -248,7 +249,8 @@ def build_report(alg: ReconstructedAlgebra, seed: int = 0, samples: int = 100) -
     scal = (scal + scal.conj().T) / 2
     eigs = np.linalg.eigvalsh(scal) if alg.dim else np.array([1.0])
     rep["expectation_gram_min_eig"] = float(eigs.min())
-    rep["expectation_faithful"] = bool(eigs.min() > tol)
+    # a rank decision, not a residual: it does not move with tol
+    rep["expectation_faithful"] = bool(eigs.min() > RANK_TOL * max(1.0, float(eigs.max())))
 
     # the projection onto irreducibles is a homomorphism on word elements
     labels = alg.labels

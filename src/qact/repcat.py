@@ -118,6 +118,8 @@ class Backend:
         if kind not in ("group", "dual"):
             raise BackendError(f"unknown backend kind {kind!r}")
         self.kind = kind
+        # the data of a representation: its matrices or its grades
+        self._field = "matrices" if kind == "group" else "grades"
         self.group = group
         self.irreps = {ir.label: ir for ir in irreps}
         if len(self.irreps) != len(irreps):
@@ -292,12 +294,10 @@ class Backend:
 
     def mor_basis(self, u: Rep, v: Rep) -> list[np.ndarray]:
         """Orthonormal basis (trace inner product) of the intertwiner space
-        Mor(u, v), computed by averaging a full matrix-unit basis and
-        extracting the span by singular-value thresholding.
+        Mor(u, v): the stack of one of ``_mor_stack``.
 
         The character count ``multiplicity(u, v)`` comes first: when it is 0
-        the basis is empty and no SVD runs.  Otherwise the basis is the
-        stack of one of ``_mor_stack``, whose rank check it shares.
+        the basis is empty and ``_mor_stack`` does not run.
         """
         if u.backend is not v.backend:
             raise BackendError("representations live over different backends")
@@ -305,38 +305,38 @@ class Backend:
         if key in self._mor_cache:
             return self._mor_cache[key]
         count = self.multiplicity(u, v)
-        if count == 0:
-            basis = []
-        elif self.kind == "group":
-            basis = list(self._mor_stack(u.matrices[None], v.matrices[None], count,
-                                         lambda _: f"{u}, {v}")[0])
-        else:
-            basis = []
-            for k in range(v.dim):
-                for l in range(u.dim):
-                    if v.grades[k] == u.grades[l]:
-                        e = np.zeros((v.dim, u.dim), dtype=complex)
-                        e[k, l] = 1.0
-                        basis.append(e)
+        basis = []
+        if count:
+            udata, vdata = (np.asarray(getattr(r, self._field))[None] for r in (u, v))
+            basis = list(self._mor_stack(udata, vdata, count, lambda _: f"{u}, {v}")[0])
         self._mor_cache[key] = basis
         return basis
 
-    def _mor_stack(self, umats: np.ndarray, vmats: np.ndarray, count: int,
+    def _mor_stack(self, udata: np.ndarray, vdata: np.ndarray, count: int,
                    name) -> np.ndarray:
-        """Bases of Mor(u_n, v_n) for a stack of group-kind pairs of one
-        shape and one character count > 0, given by their matrices
-        (N, |G|, dim u, dim u) and (N, |G|, dim v, dim v): shape
-        (N, count, dim v, dim u).
+        """Bases of Mor(u_n, v_n) for a stack of pairs of one shape and one
+        character count > 0, given by their matrices (N, |G|, dim u, dim u)
+        and (N, |G|, dim v, dim v), or for the dual kind by their grades
+        (N, dim u) and (N, dim v): shape (N, count, dim v, dim u).  This is
+        the one routine that chooses intertwiner bases.
 
-        The averaging maps of the whole stack go through one SVD.  Each
-        pair's number of singular values above RANK_TOL must equal the
-        count; if it does not, the matrices are not a representation and
-        BackendError is raised, naming the pair by ``name(index)``.
+        For the dual kind the basis is the matrix units e_kl with grade k of
+        v equal to grade l of u, in row-major order.  For the group kind the
+        averaging maps of the whole stack go through one SVD.  Each pair's
+        number of singular values above RANK_TOL must equal the count; if it
+        does not, the matrices are not a representation and BackendError is
+        raised, naming the pair by ``name(index)``.
         """
-        n, _, du, _ = umats.shape
-        dv = vmats.shape[2]
+        if self.kind == "dual":
+            n, k, l = np.nonzero(vdata[:, :, None] == udata[:, None, :])
+            out = np.zeros((len(vdata), count, vdata.shape[1], udata.shape[1]), dtype=complex)
+            # the position of each unit within its pair's basis
+            out[n, np.arange(len(n)) - np.searchsorted(n, n), k, l] = 1.0
+            return out
+        n, _, du, _ = udata.shape
+        dv = vdata.shape[2]
         # columns of the averaging superoperator are the projected units
-        sup = np.einsum("ngki,nglj->nklij", vmats, umats.conj())
+        sup = np.einsum("ngki,nglj->nklij", vdata, udata.conj())
         sup = sup.reshape(n, dv * du, dv * du) / self.group.order
         w, s, _ = np.linalg.svd(sup)
         ranks = np.sum(s > RANK_TOL, axis=1)
@@ -392,14 +392,13 @@ class Backend:
                 out[n] = [(w[0][0], np.eye(self.irrep(w[0][0]).dim, dtype=complex))]
             else:
                 shapes.setdefault(tuple(self.irrep(label).dim for label, _ in w), []).append(n)
-        field = "matrices" if self.kind == "group" else "grades"
 
         def column(idx, pos):
             """The matrices (or grades) of the atoms at one position of the
             words, each distinct atom looked up once."""
             atoms = [words[n][pos] for n in idx]
             distinct = {x: k for k, x in enumerate(dict.fromkeys(atoms))}
-            table = np.array([getattr(self.atom(*x), field) for x in distinct])
+            table = np.array([getattr(self.atom(*x), self._field) for x in distinct])
             return table[[distinct[x] for x in atoms]]
 
         for idx in shapes.values():
@@ -426,16 +425,11 @@ class Backend:
             isos: dict = {}
             for (dim, count), pairs in found.items():
                 rows, cols = (list(x) for x in zip(*pairs))
-                if self.kind == "group":
-                    bases = self._mor_stack(
-                        np.stack([irreps[col].matrices for col in cols]), data[rows], count,
-                        lambda k: f"{irreps[cols[k]]}, "
-                                  f"{_word_name(words[idx[rows[k]]], data.shape[-1])}",
-                    )
-                else:
-                    # the matrix units at the basis vectors of the irreducible's grade
-                    bases = np.array([np.eye(data.shape[1], dtype=complex)[
-                        data[row] == irreps[col].grades[0]][:, :, None] for row, col in pairs])
+                bases = self._mor_stack(
+                    np.array([getattr(irreps[col], self._field) for col in cols]), data[rows],
+                    count, lambda k: f"{irreps[cols[k]]}, "
+                                     f"{_word_name(words[idx[rows[k]]], data.shape[-1])}",
+                )
                 for pair, isometries in zip(pairs, np.sqrt(dim) * bases):
                     isos[pair] = list(isometries)
             for row, col in sorted(isos):

@@ -156,6 +156,7 @@ class StarAlgebraModel:
         the largest, and the square roots of those eigenvalues."""
         dim, n = gram.shape[0], gram.shape[2]
         s = np.transpose(gram, (0, 2, 1, 3)).reshape(dim * n, dim * n)
+        # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
         w, v = np.linalg.eigh((s + s.conj().T) / 2)
         keep = w > GNS_CUTOFF * max(float(w.max()), 1e-300)
         return v[:, keep], np.sqrt(w[keep])

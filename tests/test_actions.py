@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qact.algebras import BlockAlgebra
+from qact.blockdecomp import row_spaces
 from qact.fixtures import (
     action_corpus,
     standard_backends,
@@ -24,7 +25,6 @@ from qact.actions import (
     module_from_algebra,
     module_functor,
     module_tensor_irrep,
-    null_space,
     roundtrip_check,
     spectral_basis,
     spectral_functor,
@@ -32,6 +32,11 @@ from qact.actions import (
 )
 
 TOL = 1e-9
+
+
+def null_space(stacked):
+    """The kernel half of the one SVD of blockdecomp.row_spaces."""
+    return row_spaces(stacked)[1]
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +188,7 @@ def test_fullness_of_the_zero_module_is_a_failed_certificate(backends):
                              comodule={x: np.zeros((0, 0)) for x in act.group.elements})
     cert = fullness_check(backend, zero)
     assert not cert.passed
-    assert cert.max_rank == 0 and cert.full_rank == 0
+    assert cert.max_rank == 0
     assert cert.chosen == [] and cert.gram is None
 
 
@@ -234,7 +239,7 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
         rank = 0
         if gram is not None:
             rank = int(np.linalg.matrix_rank((gram + gram.conj().T) / 2, tol=1e-8))
-        return FullnessCertificate(False, chosen, gram, 0.0, {}, rank, full_rank)
+        return FullnessCertificate(False, chosen, gram, 0.0, {}, rank)
 
     scalar_blocks = [np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rho_blocks]
     c = float(min(scalar_blocks))
@@ -267,7 +272,7 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
-    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank, full_rank)
+    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank)
 
 
 def non_full_module(backend):
@@ -319,8 +324,7 @@ def test_fullness_check_agrees_with_the_pairwise_reference(backends, corpus):
         if not got.passed:
             failed.append(name)
         assert [label for label, _ in got.chosen] == [label for label, _ in want.chosen], name
-        assert (got.lower_constant, got.max_rank, got.full_rank) == \
-            (want.lower_constant, want.max_rank, want.full_rank), name
+        assert (got.lower_constant, got.max_rank) == (want.lower_constant, want.max_rank), name
         np.testing.assert_allclose(got.gram, want.gram, rtol=0, atol=1e-12, err_msg=name)
         assert sorted(got.residuals) == sorted(want.residuals), name
         for key, value in want.residuals.items():
@@ -614,6 +618,11 @@ def test_null_space_of_rotated_matrix():
     np.testing.assert_allclose(ker @ ker.conj().T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(ker.T @ ker.conj(), v[:, 2:] @ v[:, 2:].conj().T,
                                atol=1e-12)
+    # the other half of the same SVD spans the rows, the complement of the kernel
+    span, same = row_spaces(stacked)
+    assert span.shape == (2, 4) and same.tobytes() == ker.tobytes()
+    np.testing.assert_allclose(stacked @ span.conj().T @ span, stacked, atol=1e-12)
+    np.testing.assert_allclose(span.conj().T @ span + ker.T @ ker.conj(), np.eye(4), atol=1e-12)
 
 
 def test_null_space_counts_missing_rows():
@@ -707,15 +716,15 @@ def test_equivariant_maps_keep_the_bits_of_the_kron_system(backends, corpus, mon
     # the per-label kron system byte for byte (signed zeros included), and
     # the QR-first kernel gives the basis of its thin SVD byte for byte;
     # s3_translation's std is the 2-dimensional irreducible
-    from qact import actions
+    from qact import actions, blockdecomp
 
     stacks = []
 
     def captured(stacked):
         stacks.append(stacked)
-        return null_space(stacked)
+        return row_spaces(stacked)
 
-    monkeypatch.setattr(actions, "null_space", captured)
+    monkeypatch.setattr(blockdecomp, "row_spaces", captured)
     seen = set()
     for name, backend, module in corpus_modules(backends, corpus):
         for label in backend.labels:
@@ -734,16 +743,15 @@ def test_null_space_keeps_the_thin_svd_bits_on_every_tall_stack(backends, corpus
     # every tall stack the corpus and the Z8 translation send to the kernel
     # routine (spectral subspaces, equivariant maps, the center solve, tuple
     # spaces); bit identity holds with the LAPACK the suite runs on
-    from qact import actions, blockdecomp
+    from qact import blockdecomp
 
     stacks = []
 
     def captured(stacked):
         stacks.append(stacked)
-        return null_space(stacked)
+        return row_spaces(stacked)
 
-    monkeypatch.setattr(actions, "null_space", captured)
-    monkeypatch.setattr(blockdecomp, "null_space", captured)
+    monkeypatch.setattr(blockdecomp, "row_spaces", captured)
     z8 = cyclic_backend(8)
     runs = [(backends[bk], act) for bk, act in corpus.values()] + [(z8, translation_action(z8))]
     for backend, act in runs:

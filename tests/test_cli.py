@@ -441,6 +441,20 @@ def test_tolerance_override_changes_verdict(tmp_path):
     assert loose.returncode == 0
 
 
+def test_faithfulness_does_not_move_with_the_tolerance(tmp_path):
+    # the smallest eigenvalue of the expectation's Gram matrix is 1/12 here;
+    # whether it is invertible is a rank decision, so a loose tolerance,
+    # which lets every residual pass, cannot fail it
+    report = tmp_path / "r.json"
+    code = cli.main(["build", "--backend", str(FIXTURES / "backends/s3.json"),
+                     "--input", str(FIXTURES / "functors/spectral_s3_translation.json"),
+                     "--tolerance", "0.1", "--report", str(report)])
+    build = json.loads(report.read_text())["build"]
+    assert code == 0
+    assert build["expectation_faithful"] is True
+    assert abs(build["expectation_gram_min_eig"] - 1 / 12) < 1e-12
+
+
 @pytest.mark.parametrize("backend,action", [
     ("z2", "swap_c2"), ("s3", "s3_translation"), ("z2", "trivial_m2"),
     ("z2z2", "z2z2_translation"),
