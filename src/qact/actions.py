@@ -33,6 +33,15 @@ from .functors import TensorFunctorData
 from .groups import GroupPresentation
 from .repcat import Backend
 from .staralg import StarAlgebraModel, verify_algebra_iso
+from .thresholds import (
+    AUDIT_FACTOR,
+    COMPOSITE_FACTOR,
+    DEFAULT_TOL,
+    ISOMETRY_TOL,
+    NULL_VECTOR_FLOOR,
+    RANK_TOL,
+    SPAN_TOL,
+)
 
 if TYPE_CHECKING:
     from .reconstruction import ReconstructedAlgebra
@@ -75,7 +84,7 @@ class Action:
                           dtype=complex)
         return rows.reshape(-1, self.algebra.dim)
 
-    def validate(self, tol: float = 1e-9) -> dict:
+    def validate(self, tol: float = DEFAULT_TOL) -> dict:
         """Check that the data is an action: a homomorphism into the
         *-automorphisms, or a spanning grading whose components multiply
         and star into the components they must.  Each group element g is
@@ -102,7 +111,7 @@ class Action:
             rep["homomorphism"] = worst_hom
             rep["multiplicative"] = worst_mult
             rep["star_preserving"] = worst_star
-            rep["passed"] = max(worst_hom, worst_mult, worst_star) < 100 * tol
+            rep["passed"] = max(worst_hom, worst_mult, worst_star) < COMPOSITE_FACTOR * tol
         else:
             stacked = np.vstack([self.component_rows(x) for x in g.elements])
             if stacked.shape[0] != b.dim:
@@ -110,7 +119,7 @@ class Action:
                 rep["passed"] = False
                 return rep
             sv = np.linalg.svd(stacked, compute_uv=False)
-            rep["spanning"] = bool(sv.min() > 1e-8)
+            rep["spanning"] = bool(sv.min() > RANK_TOL)
             worst_mult = 0.0
             worst_star = 0.0
             mats = [b.from_coords(self.component_rows(x)) for x in g.elements]
@@ -127,17 +136,17 @@ class Action:
             rep["component_products"] = worst_mult
             rep["component_star"] = worst_star
             rep["passed"] = bool(
-                rep["spanning"] and max(worst_mult, worst_star) < 100 * tol
+                rep["spanning"] and max(worst_mult, worst_star) < COMPOSITE_FACTOR * tol
             )
         return rep
 
 
 def _outside_span(vecs: np.ndarray, rows: np.ndarray) -> float:
     """The largest distance of a vector, or of the columns of a matrix,
-    from the span of the rows; vectors of norm below 1e-14 count as 0."""
+    from the span of the rows; vectors of norm below NULL_VECTOR_FLOOR count as 0."""
     vecs = vecs.reshape(len(vecs), -1)
     norms = np.linalg.norm(vecs, axis=0)
-    vecs = vecs[:, norms >= 1e-14]
+    vecs = vecs[:, norms >= NULL_VECTOR_FLOOR]
     if vecs.shape[1] == 0:
         return 0.0
     if rows.size == 0:
@@ -212,13 +221,13 @@ def _span_coords(pinv: np.ndarray, flat: np.ndarray, vecs: np.ndarray,
     span along the first of them (one label: a single span).
 
     Each vector is one matrix-vector product, as pinv @ vector gives it
-    alone.  A vector farther than 1e-6 (relative) from its span raises
+    alone.  A vector farther than SPAN_TOL (relative) from its span raises
     ActionError, naming the span.
     """
     coords = (pinv @ vecs[..., None])[..., 0]
     back = (flat.swapaxes(-1, -2) @ coords[..., None])[..., 0]
     resid = np.linalg.norm(back - vecs, axis=-1)
-    bad = resid > 1e-6 * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
+    bad = resid > SPAN_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=-1))
     if bad.any():
         label = labels[np.argwhere(bad)[0][0]] if len(labels) > 1 else labels[0]
         raise ActionError(f"element does not lie in the subspace of {label!r}")
@@ -413,7 +422,7 @@ def canonical_map(spec: SpectralFunctor, alg: ReconstructedAlgebra) -> np.ndarra
 
 
 def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
-                    tol: float = 1e-9) -> RoundtripCertificate:
+                    tol: float = DEFAULT_TOL) -> RoundtripCertificate:
     """Rebuild the algebra from the spectral data of an action and certify
     the canonical map back onto the original algebra: a unital
     *-isomorphism (staralg.verify_algebra_iso), equivariant, and the
@@ -454,7 +463,7 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
             worst_eq = max(worst_eq, _outside_span(phi[:, span], act.component_rows(label)))
     residuals["equivariance"] = worst_eq
 
-    passed = bool(iso["passed"] and max(worst_fixed, worst_eq) < 1e4 * tol)
+    passed = bool(iso["passed"] and max(worst_fixed, worst_eq) < AUDIT_FACTOR * tol)
     return RoundtripCertificate(phi, residuals, (b.dim, alg.dim), passed)
 
 
@@ -706,7 +715,7 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
 
 
 def fullness_check(backend: Backend, module: EquivariantModule,
-                   tol: float = 1e-9) -> FullnessCertificate:
+                   tol: float = DEFAULT_TOL) -> FullnessCertificate:
     """Search the spectral subspaces of a module for an invariant vector Y
     with invertible self-pairing; success certifies the module generates.
 
@@ -714,7 +723,7 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     by label in backend order; tuple X of a label with rho contributes
     sum_ij rho[j, i] <X_i, X_j>.  Y gathers the shortest prefix of the
     candidates whose summed contributions have a Hermitian part with
-    smallest eigenvalue above 1e-8.
+    smallest eigenvalue above RANK_TOL.
 
     On success the certificate carries Y's constituents, <Y, Y>, a constant
     c > 0 with <Y, Y> >= c * sum_i <X_i, X_i>, and the residual of the
@@ -735,8 +744,8 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     # grams[k] is <Y, Y> for Y made of the first k + 1 candidates
     grams = np.cumsum(np.concatenate(weighted), axis=0)
     herm = (grams + grams.conj().swapaxes(-1, -2)) / 2
-    max_rank = int(np.linalg.matrix_rank(herm[-1], tol=1e-8)) if len(herm) else 0
-    invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > 1e-8)
+    max_rank = int(np.linalg.matrix_rank(herm[-1], tol=RANK_TOL)) if len(herm) else 0
+    invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > RANK_TOL)
     if not invertible.size:
         gram = grams[-1] if len(grams) else None
         return FullnessCertificate(False, chosen, gram, 0.0, {}, max_rank)
@@ -774,7 +783,7 @@ def fullness_check(backend: Backend, module: EquivariantModule,
         "lower_bound_violation": max(bound_violation, 0.0),
         "embedding_isometry": worst_iso,
     }
-    passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
+    passed = bound_violation < AUDIT_FACTOR * tol and worst_iso < ISOMETRY_TOL
     return FullnessCertificate(passed, chosen, gram, c, residuals, max_rank)
 
 
@@ -789,7 +798,7 @@ class NaturalIso:
 
 
 def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
-                       maps: dict[str, np.ndarray], tol: float = 1e-9) -> NaturalIso:
+                       maps: dict[str, np.ndarray], tol: float = DEFAULT_TOL) -> NaturalIso:
     """Check that a family of per-irreducible maps is a unitary isomorphism
     of functor data: bimodular, inner-product preserving, compatible with
     every multiplication tensor."""
@@ -812,7 +821,7 @@ def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
         if m1.dim == 0:
             continue
         sv = np.linalg.svd(v, compute_uv=False)
-        if sv.size and (sv.min() < 1e-8):
+        if sv.size and (sv.min() < RANK_TOL):
             worst_shape = float("inf")
         worst_bimod = max(worst_bimod, _worst(v @ m1.left - m2.left @ v),
                           _worst(v @ m1.right - m2.right @ v))
@@ -831,7 +840,7 @@ def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
     residuals["bimodule"] = worst_bimod
     residuals["inner_products"] = worst_inner
     residuals["monoidality"] = worst_mono
-    passed = all(v < 1e4 * tol for v in residuals.values())
+    passed = all(v < AUDIT_FACTOR * tol for v in residuals.values())
     return NaturalIso(dict(maps), residuals, passed)
 
 
@@ -891,7 +900,7 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     return functor, bases
 
 
-def functor_roundtrip_check(functor: TensorFunctorData, tol: float = 1e-9):
+def functor_roundtrip_check(functor: TensorFunctorData, tol: float = DEFAULT_TOL):
     """Certify the functor-side round trip: the spectral data of the rebuilt
     algebra is naturally unitarily isomorphic to the input, through the
     canonical map sending X to the invariant vector with components
@@ -915,7 +924,7 @@ def functor_roundtrip_check(functor: TensorFunctorData, tol: float = 1e-9):
     return verify_natural_iso(functor, functor2, maps, tol)
 
 
-def canonical_module_iso(backend: Backend, act: Action, tol: float = 1e-9,
+def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL,
                          seed: int = 0):
     """The functor of the algebra as a module over itself, compared with the
     spectral functor of the action through the canonical identification

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError
+from .thresholds import DEFAULT_TOL, RELATIVE_RANK_TOL
 
-
-GRAM_CUTOFF = 1e-10  # relative eigenvalue cutoff for quotients by null spaces
 # complex right-hand-side entries per stacked product of adjoints_by_shape,
 # and complex entries per stack of the largest arrays of
 # validate_correspondences: past these sizes a larger stack runs slower, or
@@ -103,7 +102,7 @@ class BlockAlgebra:
             return 0.0
         return float(np.linalg.norm(np.asarray(mat, dtype=complex), 2))
 
-    def is_positive(self, mat: np.ndarray, tol: float = 1e-9) -> bool:
+    def is_positive(self, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         mat = np.asarray(mat, dtype=complex)
         herm = float(np.linalg.norm(mat - mat.conj().T))
         if herm > tol * max(1.0, np.linalg.norm(mat)):
@@ -190,12 +189,12 @@ class Correspondence:
         val = self.algebra.opnorm((gram + gram.conj().T) / 2)
         return float(np.sqrt(max(val, 0.0)))
 
-    def validate(self, tol: float = 1e-9) -> dict:
+    def validate(self, tol: float = DEFAULT_TOL) -> dict:
         """Residuals of the correspondence axioms on the basis."""
         return validate_correspondences([self], tol)[0]
 
 
-def validate_correspondences(mods: list[Correspondence], tol: float = 1e-9) -> list[dict]:
+def validate_correspondences(mods: list[Correspondence], tol: float = DEFAULT_TOL) -> list[dict]:
     """Correspondence.validate for each of a list of correspondences over
     one algebra; those of one dimension are checked as one stack, each
     check one contraction or stacked matrix product over the stack."""
@@ -287,7 +286,7 @@ def _validate_stack(a: BlockAlgebra, dim: int, left: np.ndarray, right: np.ndarr
             "gram_min_eig": gmin,
             "positive": gmin > -tol,
             # degeneracy is a rank statement, not a residual: fixed relative floor
-            "nondegenerate": gmin > 1e-10 * max(gmax, 1.0) if dim else True,
+            "nondegenerate": gmin > RELATIVE_RANK_TOL * max(gmax, 1.0) if dim else True,
         })
     return reps
 
@@ -369,7 +368,7 @@ def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
     gram = (gram + gram.conj().T) / 2
     # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
     w, v = np.linalg.eigh(gram)
-    cutoff = GRAM_CUTOFF * max(float(w.max()), 0.0)
+    cutoff = RELATIVE_RANK_TOL * max(float(w.max()), 0.0)
     keep = w > cutoff
     proj = v[:, keep].conj().T  # (r, dmn); class coordinates of v are proj @ v
     r = proj.shape[0]
@@ -415,7 +414,7 @@ def module_linear_residuals(maps: np.ndarray, m_right: np.ndarray,
 
 
 def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
-                tol: float = 1e-9) -> AdjointBatch:
+                tol: float = DEFAULT_TOL) -> AdjointBatch:
     """Adjoints of a stack (count, dim N, dim M) of maps M -> N for the
     algebra-valued inner products; the stack of one of adjoints_by_shape."""
     batch = adjoints_by_shape([np.asarray(maps)], [m], [0], [n], tol)
@@ -423,7 +422,7 @@ def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
 
 
 def adjoints_by_shape(maps, sources: list[Correspondence], which,
-                      targets: list[Correspondence], tol: float = 1e-9) -> AdjointBatch:
+                      targets: list[Correspondence], tol: float = DEFAULT_TOL) -> AdjointBatch:
     """Adjoints of stacks of maps of one shape (count, dim N, dim M), stack
     k out of the source sources[which[k]] into the target targets[k].
     Every field of the result gains the leading stack axis.  T_i is

@@ -22,9 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import BlockAlgebra
-from .repcat import RANK_TOL
-
-CLUSTER_TOL = 1e-7
+from .thresholds import (
+    CLUSTER_TOL,
+    IDEMPOTENT_TOL,
+    PROBE_ATTEMPTS,
+    RANK_TOL,
+    RELATIVE_RANK_TOL,
+    TRACE_SLACK,
+    UNIT_MEET_FLOOR,
+    UNIT_RELATIONS_TOL,
+)
 
 
 class DecompositionError(RuntimeError):
@@ -62,10 +69,10 @@ def row_spaces(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def column_span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the column space of a matrix, shape
     (rows, rank), from its thin SVD: the spans here, the fixed-point algebra
-    of `actions`.  The rank counts the singular values above 1e-10 times
-    the largest (or 1)."""
+    of `actions`.  The rank counts the singular values above
+    RELATIVE_RANK_TOL times the largest (or 1)."""
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    return u[:, :int(np.sum(s > 1e-10 * max(float(s.max()), 1.0)))]
+    return u[:, :int(np.sum(s > RELATIVE_RANK_TOL * max(float(s.max()), 1.0)))]
 
 
 def eigenprojections(h: np.ndarray, unit: np.ndarray) -> list[np.ndarray]:
@@ -73,7 +80,7 @@ def eigenprojections(h: np.ndarray, unit: np.ndarray) -> list[np.ndarray]:
     that meet the range of the projection `unit`, in increasing order of
     eigenvalue.  Eigenvalues closer than CLUSTER_TOL times the largest
     modulus (or 1) to their neighbour count as one; a projection meets
-    `unit` when the norm of their product exceeds 1e-8."""
+    `unit` when the norm of their product exceeds UNIT_MEET_FLOOR."""
     w, v = np.linalg.eigh(h)
     tol = CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
     order = np.argsort(w)
@@ -84,7 +91,7 @@ def eigenprojections(h: np.ndarray, unit: np.ndarray) -> list[np.ndarray]:
         else:
             clusters.append([idx])
     projections = [v[:, idx] @ v[:, idx].conj().T for idx in map(np.array, clusters)]
-    return [p for p in projections if np.linalg.norm(p @ unit) > 1e-8]
+    return [p for p in projections if np.linalg.norm(p @ unit) > UNIT_MEET_FLOOR]
 
 
 def _orthonormal_span(mats: list[np.ndarray], n: int) -> list[np.ndarray]:
@@ -133,7 +140,7 @@ class SubalgebraBlocks:
 
 
 def decompose_star_algebra(basis: list[np.ndarray], n: int,
-                           seed: int = 0, attempts: int = 8) -> SubalgebraBlocks:
+                           seed: int = 0) -> SubalgebraBlocks:
     """Matrix units of the unital *-algebra spanned by `basis` inside M_n(C)."""
     basis = _orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
     if not basis:
@@ -147,7 +154,7 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int,
 
     rng = np.random.default_rng(seed)
     last_error = "no attempt made"
-    for _ in range(attempts):
+    for _ in range(PROBE_ATTEMPTS):
         coeffs = rng.standard_normal(n_blocks)
         probe = sum(c * h for c, h in zip(coeffs, center_sa))
         # the part outside the unit of S (eigenvalue-0 directions that do
@@ -170,7 +177,7 @@ def _unit_of(basis: list[np.ndarray], n: int) -> np.ndarray:
     target = np.eye(n).reshape(-1)
     coef, *_ = np.linalg.lstsq(stack, target, rcond=None)
     unit = sum(c * b for c, b in zip(coef, basis))
-    if np.linalg.norm(unit @ unit - unit) > 1e-8:
+    if np.linalg.norm(unit @ unit - unit) > IDEMPOTENT_TOL:
         raise DecompositionError("algebra does not contain a unit")
     return unit
 
@@ -197,18 +204,18 @@ def _units_from_projections(basis, projections, n, rng) -> SubalgebraBlocks:
     return SubalgebraBlocks(BlockAlgebra(blocks), np.array(images), mults, n)
 
 
-def _matrix_units(comp_basis, p, d, mult, n, rng, tol=1e-7):
+def _matrix_units(comp_basis, p, d, mult, n, rng):
     """Matrix units of one simple summand p S p (isomorphic to M_d)."""
     if d == 1:
         return [[p]]
-    for _ in range(8):
+    for _ in range(PROBE_ATTEMPTS):
         coeffs = rng.standard_normal(len(comp_basis))
         h = sum(c * b for c, b in zip(coeffs, comp_basis))
         # the eigenspaces of h inside p: h is 0 on the rest
         qs = eigenprojections((h + h.conj().T) / 2, p)
         if len(qs) != d:
             continue
-        if any(abs(np.trace(q).real - mult) > 0.1 for q in qs):
+        if any(abs(np.trace(q).real - mult) > TRACE_SLACK for q in qs):
             continue
         scoeff = rng.standard_normal(len(comp_basis))
         s = sum(c * b for c, b in zip(scoeff, comp_basis))
@@ -218,7 +225,7 @@ def _matrix_units(comp_basis, p, d, mult, n, rng, tol=1e-7):
             vmat = qs[0] @ s @ qs[i]
             gram = vmat.conj().T @ vmat
             wg, vg = np.linalg.eigh(gram)
-            keep = wg > 1e-10 * max(1.0, float(wg.max()))
+            keep = wg > RELATIVE_RANK_TOL * max(1.0, float(wg.max()))
             if int(np.sum(keep)) != mult:
                 ok = False
                 break
@@ -236,7 +243,7 @@ def _matrix_units(comp_basis, p, d, mult, n, rng, tol=1e-7):
             for j in range(1, d):
                 units[i][j] = row[i].conj().T @ row[j]
         resid = _unit_relations_residual(units, p, d)
-        if resid < tol:
+        if resid < UNIT_RELATIONS_TOL:
             return units
     raise DecompositionError("failed to build matrix units for a summand")
 

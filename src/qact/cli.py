@@ -38,6 +38,7 @@ from .errors import (
     IncompleteDataError,
     SchemaError,
 )
+from .thresholds import DEFAULT_TOL
 
 SCHEMA = "report.v1"
 
@@ -351,7 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", help="backend table (JSON)")
     parser.add_argument("--input", action="append", default=[],
                         help="input file; repeat for verbs taking several")
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--report", help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cross-test", action="store_true", dest="cross_test",

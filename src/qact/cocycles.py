@@ -26,8 +26,15 @@ from .errors import CocycleError
 from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
 from .reconstruction import build_algebra
-from .repcat import RANK_TOL, Backend, ConjugateSolution, Rep
+from .repcat import Backend, ConjugateSolution, Rep
 from .staralg import StarAlgebraModel, verify_algebra_iso
+from .thresholds import (
+    AUDIT_FACTOR,
+    COCYCLE_SCALAR_FLOOR,
+    COCYCLE_SV_FLOOR,
+    DEFAULT_TOL,
+    RANK_TOL,
+)
 
 
 @dataclass
@@ -63,12 +70,12 @@ def make_cocycle(kind: str, group: GroupPresentation, values) -> Cocycle:
     e = group.identity
     if kind == "dual":
         c = vals[e, e]
-        if abs(c) < 1e-12:
+        if abs(c) < COCYCLE_SCALAR_FLOOR:
             raise CocycleError("cocycle vanishes at the identity pair")
         vals = vals / c
     else:
         c = vals.sum(axis=0)[e]
-        if abs(c) < 1e-12:
+        if abs(c) < COCYCLE_SCALAR_FLOOR:
             raise CocycleError("cocycle has no counit component")
         vals = vals / c
     return Cocycle(kind, group, vals, raw)
@@ -108,7 +115,7 @@ def _group_star(group: GroupPresentation, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_cocycle(cocycle: Cocycle, tol: float = 1e-9) -> dict:
+def check_cocycle(cocycle: Cocycle, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of unitarity, the cocycle identity, and counitality
     (after the load-time phase normalization); names the worst triple."""
     g = cocycle.group
@@ -138,7 +145,7 @@ def check_cocycle(cocycle: Cocycle, tol: float = 1e-9) -> dict:
         delta = np.zeros((n, n), dtype=complex)
         delta[g.identity, g.identity] = 1.0
         sv = np.linalg.svd(_omega_regular(g, vals), compute_uv=False)
-        if sv.min() < 1e-10:
+        if sv.min() < COCYCLE_SV_FLOOR:
             raise CocycleError("cocycle is not invertible")
         rep["unitarity"] = float(np.abs(
             _convolve(g, vals, _group_star(g, vals)) - delta
@@ -168,7 +175,7 @@ def check_cocycle(cocycle: Cocycle, tol: float = 1e-9) -> dict:
         want[g.identity] = 1.0
         rep["counital"] = float(max(np.abs(v1 - want).max(), np.abs(v2 - want).max()))
     rep["passed"] = bool(max(rep["unitarity"], rep["cocycle_identity"],
-                             rep["counital"]) < 1e4 * tol)
+                             rep["counital"]) < AUDIT_FACTOR * tol)
     return rep
 
 
@@ -209,7 +216,7 @@ class TwistElement:
         return np.einsum("g,gij->ij", self.coeffs, rep.matrices)
 
 
-def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
+def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
     """Contract the cocycle through the antipode to its companion element;
     verify invertibility, the antipode identity for the inverse, and the
     intertwining identity against every conjugation solution of the table.
@@ -223,7 +230,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
     rep: dict = {}
     if cocycle.kind == "dual":
         coeffs = np.array([vals[x, g.inv(x)] for x in range(n)])
-        if np.abs(coeffs).min() < 1e-12:
+        if np.abs(coeffs).min() < COCYCLE_SCALAR_FLOOR:
             raise CocycleError("companion element is not invertible")
         u = TwistElement("dual", g, coeffs)
         # u^{-1} = antipode of u*, pointwise: 1/u(x) = conj(u(x^{-1}))
@@ -237,7 +244,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
                 coeffs[g.mul[a, g.inv(b)]] += vals[a, b]
         reg = _left_regular(g, coeffs)
         sv = np.linalg.svd(reg, compute_uv=False)
-        if sv.min() < 1e-10:
+        if sv.min() < COCYCLE_SV_FLOOR:
             raise CocycleError("companion element is not invertible")
         u = TwistElement("group", g, coeffs)
         # the antipode of u* has coefficient conj(u_x) at x
@@ -255,7 +262,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = 1e-9):
         rhs = np.kron(u.rep_matrix(bar), np.eye(plain.dim)) @ r
         worst_eu = max(worst_eu, float(np.abs(lhs - rhs).max()))
     rep["conjugation_intertwining"] = worst_eu
-    rep["passed"] = bool(max(rep.values()) < 1e4 * tol)
+    rep["passed"] = bool(max(rep.values()) < AUDIT_FACTOR * tol)
     return u, rep
 
 
@@ -331,7 +338,7 @@ def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) ->
 
 
 def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
-                  tol: float = 1e-9, seed: int = 0) -> DeformedAlgebra:
+                  tol: float = DEFAULT_TOL, seed: int = 0) -> DeformedAlgebra:
     """The deformed algebra: both product factors are routed through the
     coaction against the cocycle, and the involution picks up the companion
     element.  The state of the model is the trace of the expectation onto
@@ -425,14 +432,14 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
     report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
     report["passed"] = bool(
         max(report["associative"], report["involutive"], report["anti_multiplicative"],
-            report["unital"], report["expectation_bound_violation"]) < 1e4 * tol
+            report["unital"], report["expectation_bound_violation"]) < AUDIT_FACTOR * tol
         and report["expectation_faithful"]
     )
     return DeformedAlgebra(model, proj, report)
 
 
 def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
-                           deformed: DeformedAlgebra, tol: float = 1e-9,
+                           deformed: DeformedAlgebra, tol: float = DEFAULT_TOL,
                            seed: int = 0) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
     functor, and compare it with the deformed action's algebra through the
@@ -447,7 +454,7 @@ def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
     return {
         "twisted_functor_valid": val.passed,
         "comparison_residual": worst,
-        "passed": bool(val.passed and worst < 1e4 * tol),
+        "passed": bool(val.passed and worst < AUDIT_FACTOR * tol),
     }
 
 

@@ -43,6 +43,7 @@ from .algebras import (
 from .errors import BackendError, IncompleteDataError
 from .groups import GroupPresentation
 from .repcat import Backend, Rep, dual_backend
+from .thresholds import COMPOSITE_FACTOR, DEFAULT_TOL, RANK_TOL, SCHUR_FLOOR
 
 # complex entries per triple chunk of the stacked validation contractions;
 # past this size a larger stack runs slower
@@ -166,7 +167,8 @@ class Realization:
         """F(T) for T in Mor(src.rep, tgt.rep), as a matrix on the carriers.
 
         Blocks between matching irreducible constituents are Schur scalars
-        of the compressed intertwiners.
+        of the compressed intertwiners; a block whose scalar is at most
+        SCHUR_FLOOR in modulus stays zero.
         """
         out = np.zeros((tgt.dim, src.dim), dtype=complex)
         for k, (lk, wk) in enumerate(tgt.components):
@@ -175,10 +177,9 @@ class Realization:
                     continue
                 d = self.backend.irrep(lk).dim
                 scalar = np.trace(wk.conj().T @ t @ wj) / d
-                if abs(scalar) < 1e-16:
-                    continue
-                mod_dim = self.functor.module(lk).dim
-                out[tgt.slot(k), src.slot(j)] = scalar * np.eye(mod_dim)
+                if abs(scalar) > SCHUR_FLOOR:
+                    mod_dim = self.functor.module(lk).dim
+                    out[tgt.slot(k), src.slot(j)] = scalar * np.eye(mod_dim)
         return out
 
     def _fusion_data(self, alpha: str, beta: str, gamma: str):
@@ -213,7 +214,7 @@ class Realization:
         return [self._f2[left.atoms, right.atoms] for left, right in pairs]
 
     def involution_partners(self, alpha: str, xs: np.ndarray,
-                            tol: float = 1e-9) -> np.ndarray:
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
         """The elements of the conjugate module dual to the rows X of xs
         under the conjugation pairing, as rows; the building blocks of the
         involution.
@@ -348,9 +349,9 @@ def _stacked_f2(real: Realization, prods: list, layout) -> np.ndarray:
 
     Block by block: the Kronecker product of the two isometries compressed
     by the target's, one trace against each intertwiner of the fusion
-    triple, and the phi tensors weighted by the traces above 1e-16.  Every
-    operation acts on each product of the stack on its own, so a product
-    gets the same bits alone as in any stack.
+    triple, and the phi tensors weighted by the traces above SCHUR_FLOOR.
+    Every operation acts on each product of the stack on its own, so a
+    product gets the same bits alone as in any stack.
     """
     parts, blocks = layout
     off = [np.cumsum([0] + [m for _, m in part]) for part in parts]
@@ -370,7 +371,7 @@ def _stacked_f2(real: Realization, prods: list, layout) -> np.ndarray:
         block = out[:, off[2][k]:off[2][k + 1], off[0][i]:off[0][i + 1],
                     off[1][j]:off[1][j + 1]]
         for m in range(count):
-            keep = np.abs(coeffs[:, m]) > 1e-16
+            keep = np.abs(coeffs[:, m]) > SCHUR_FLOOR
             phis = _gather([f[1][m] for f in fusion])[keep]
             block[keep] += coeffs[keep, m][:, None, None, None] * phis
     return out
@@ -452,7 +453,7 @@ def _adjoints(jobs: list, tol: float) -> list[AdjointBatch]:
     return out
 
 
-def validate_functor(functor: TensorFunctorData, tol: float = 1e-9,
+def validate_functor(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
                      real: Realization | None = None) -> ValidationReport:
     """Check the defining conditions of the functor data, on `real`, a
     Realization of it, when given: a caller that goes on to use the
@@ -536,7 +537,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
             rep["inner_module_linear"],
             0.0 if rep["nondegenerate"] else float("inf"),
         )
-    axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < 100 * tol)
+    axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < COMPOSITE_FACTOR * tol)
 
     # (ii) isometry pair by pair; the words of length 2 decompose as one
     # stack, and their F_2 form one stack per layout
@@ -676,7 +677,7 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
                 missing = missing or not found[p]
                 detail_v[f"exchange:{a},{b},{c}:{p}"] = values[p]
     res_v = max([0.0, *detail_v.values()])
-    return AxiomCheck(res_v, res_v < 100 * tol and not missing, {"checks": detail_v})
+    return AxiomCheck(res_v, res_v < COMPOSITE_FACTOR * tol and not missing, {"checks": detail_v})
 
 
 # -- graded bundles -----------------------------------------------------------
@@ -718,18 +719,18 @@ GRADED_KEYS = {"i_unit_object": "a_unit_fiber", "modules_wellformed": "modules_w
                "iv_associativity": "c_associativity", "v_adjointability": "d_adjoint_exchange"}
 
 
-def validate_graded(bundle: GradedBundle, tol: float = 1e-9) -> ValidationReport:
+def validate_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> ValidationReport:
     """validate_functor on from_graded(bundle), with its axioms renamed by
     GRADED_KEYS and without the per-pair and per-triple detail.
 
     Axiom (v), the adjoint exchange, is skipped, and reported as such, when
-    every multiplication map is surjective (numerical rank at 1e-8).
+    every multiplication map is surjective (numerical rank at RANK_TOL).
     """
     functor = from_graded(bundle)
     real = Realization(functor)
     checks, fusion = _axioms_i_to_iv(real, tol)
     axioms = {GRADED_KEYS[k]: AxiomCheck(c.residual, c.passed) for k, c in checks.items()}
-    if all(not len(t) or np.linalg.matrix_rank(t.reshape(len(t), -1), tol=1e-8) == len(t)
+    if all(not len(t) or np.linalg.matrix_rank(t.reshape(len(t), -1), tol=RANK_TOL) == len(t)
            for [t] in functor.phi.values()):
         axioms["d_adjoint_exchange"] = AxiomCheck(
             0.0, True, {"skipped": "all multiplication maps are surjective"}

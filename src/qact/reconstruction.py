@@ -21,8 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .functors import Realization, TensorFunctorData, ValidationReport, validate_functor
-from .repcat import RANK_TOL
 from .staralg import StarAlgebraModel
+from .thresholds import (
+    AUDIT_FACTOR,
+    CSTAR_TOL,
+    DEFAULT_TOL,
+    RANK_TOL,
+    RELATIVE_RESIDUAL_GUARD,
+)
 
 
 class BuildError(ValueError):
@@ -44,7 +50,7 @@ class ReconstructedAlgebra:
     build; the report is kept as `validation` (None without `validate`).
     """
 
-    def __init__(self, functor: TensorFunctorData, tol: float = 1e-9,
+    def __init__(self, functor: TensorFunctorData, tol: float = DEFAULT_TOL,
                  validate: bool = True):
         self.real = Realization(functor)
         self.validation = None
@@ -145,25 +151,15 @@ class ReconstructedAlgebra:
         """A base-algebra element as a flat vector on the trivial component."""
         return self.component(self.backend.trivial_label, self.algebra.coords(mat))
 
-    def project_word(self, atoms, arr: np.ndarray, components=None) -> np.ndarray:
+    def project_word(self, atoms, arr: np.ndarray) -> np.ndarray:
         """Project an element of (conjugate word space) (x) F(word) onto the
-        algebra, as a flat vector; independent of the decomposition used
-        (components may override the cached one to exercise that
-        independence)."""
+        algebra, as a flat vector; independent of the decomposition used."""
         obj = self.real.object(tuple(atoms))
         arr = np.asarray(arr, dtype=complex).reshape(obj.rep.dim, obj.dim)
         vec = np.zeros(self.dim, dtype=complex)
-        if components is None:
-            for k, (gamma, wk) in enumerate(obj.components):
-                if gamma in self.shapes:
-                    vec[self.spans[gamma]] += (wk.T @ arr[:, obj.slot(k)]).reshape(-1)
-        else:
-            for gamma, wk in components:
-                if gamma in self.shapes:
-                    fw = self.real.morphism_matrix(
-                        wk.conj().T, obj, self.real.atom_object(gamma)
-                    )
-                    vec[self.spans[gamma]] += (wk.T @ (arr @ fw.T)).reshape(-1)
+        for k, (gamma, wk) in enumerate(obj.components):
+            if gamma in self.shapes:
+                vec[self.spans[gamma]] += (wk.T @ arr[:, obj.slot(k)]).reshape(-1)
         return self.model.prune(vec)
 
     def free_product_word(self, a: str, xa: np.ndarray, b: str, yb: np.ndarray):
@@ -183,7 +179,7 @@ class ReconstructedAlgebra:
         return {l: [self.shapes[l][0], self.shapes[l][1]] for l in self.labels}
 
 
-def build_algebra(functor: TensorFunctorData, tol: float = 1e-9,
+def build_algebra(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
                   validate: bool = True) -> ReconstructedAlgebra:
     return ReconstructedAlgebra(functor, tol=tol, validate=validate)
 
@@ -217,10 +213,10 @@ def build_report(alg: ReconstructedAlgebra, seed: int = 0, samples: int = 100) -
         model.prune(model.star(xy) - model.multiply(model.star(y), sx)),
         model.multiply(sx, x),
     ]))
-    worst_assoc = worst(assoc / np.maximum(nx * ny * nz, 1e-30))
-    worst_invol = worst(invol / np.maximum(nx, 1e-30))
-    worst_anti = worst(anti / np.maximum(nx * ny, 1e-30))
-    worst_cstar = worst(abs(cstar - nx**2) / np.maximum(nx**2, 1e-30))
+    worst_assoc = worst(assoc / np.maximum(nx * ny * nz, RELATIVE_RESIDUAL_GUARD))
+    worst_invol = worst(invol / np.maximum(nx, RELATIVE_RESIDUAL_GUARD))
+    worst_anti = worst(anti / np.maximum(nx * ny, RELATIVE_RESIDUAL_GUARD))
+    worst_cstar = worst(abs(cstar - nx**2) / np.maximum(nx**2, RELATIVE_RESIDUAL_GUARD))
     rep["associativity"] = worst_assoc
     rep["involution"] = worst_invol
     rep["anti_multiplicative"] = worst_anti
@@ -271,14 +267,14 @@ def build_report(alg: ReconstructedAlgebra, seed: int = 0, samples: int = 100) -
     rep["word_projection_homomorphism"] = worst_pi
 
     checks = [
-        worst_assoc < 1e4 * tol,
-        worst_invol < 1e4 * tol,
-        worst_anti < 1e4 * tol,
-        worst_cstar < 1e-8,
-        worst_bimod < 1e4 * tol,
-        rep["expectation_bound_violation"] < 1e4 * tol,
+        worst_assoc < AUDIT_FACTOR * tol,
+        worst_invol < AUDIT_FACTOR * tol,
+        worst_anti < AUDIT_FACTOR * tol,
+        worst_cstar < CSTAR_TOL,
+        worst_bimod < AUDIT_FACTOR * tol,
+        rep["expectation_bound_violation"] < AUDIT_FACTOR * tol,
         rep["expectation_faithful"],
-        worst_pi < 1e4 * tol,
+        worst_pi < AUDIT_FACTOR * tol,
     ]
     rep["passed"] = bool(all(checks))
     return rep

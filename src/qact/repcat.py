@@ -35,9 +35,7 @@ import numpy as np
 
 from .errors import BackendError
 from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_group
-
-TOL = 1e-9
-RANK_TOL = 1e-8
+from .thresholds import DEFAULT_TOL, RANK_TOL, TABLE_MATCH_TOL
 
 
 def _hermitian_power(mat: np.ndarray, power: float) -> np.ndarray:
@@ -139,7 +137,7 @@ class Backend:
             return self.group.elements[self.group.identity]
         for label in self.labels:
             ir = self.irreps[label]
-            if ir.dim == 1 and np.allclose(ir.matrices, 1.0, atol=1e-12):
+            if ir.dim == 1 and np.allclose(ir.matrices, 1.0, atol=TABLE_MATCH_TOL):
                 return label
         raise BackendError("table has no trivial representation")
 
@@ -157,7 +155,7 @@ class Backend:
         """Trace of rho; equals the ordinary dimension for Kac backends."""
         return float(np.trace(self.irrep(label).rho).real)
 
-    def check(self, tol: float = TOL) -> None:
+    def check(self, tol: float = DEFAULT_TOL) -> None:
         """Validate the table: unitarity, multiplicativity, rho normalization,
         conjugation pairing."""
         g = self.group
@@ -496,7 +494,7 @@ def _character_backend(group: GroupPresentation, characters: np.ndarray,
         # conjugate character identifies the conjugate irrep
         conj = None
         for l in range(len(labels)):
-            if np.allclose(characters[l], characters[k].conj(), atol=1e-12):
+            if np.allclose(characters[l], characters[k].conj(), atol=TABLE_MATCH_TOL):
                 conj = labels[l]
                 break
         irreps.append(Irrep(label, 1, mats, np.array([[1.0 + 0j]]), conj))

@@ -30,10 +30,15 @@ import numpy as np
 
 from .algebras import BlockAlgebra
 from .blockdecomp import decompose_star_algebra
+from .thresholds import (
+    AUDIT_FACTOR,
+    DEFAULT_TOL,
+    GNS_CUTOFF,
+    GNS_SCALE_GUARD,
+    PRUNE_TOL,
+    RANK_TOL,
+)
 
-PRUNE_TOL = 1e-13
-# relative eigenvalue cutoff of the GNS step
-GNS_CUTOFF = 1e-12
 # stacked operations work through their inputs in chunks of about this many entries
 CHUNK_ENTRIES = 1 << 17
 
@@ -158,7 +163,7 @@ class StarAlgebraModel:
         s = np.transpose(gram, (0, 2, 1, 3)).reshape(dim * n, dim * n)
         # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
         w, v = np.linalg.eigh((s + s.conj().T) / 2)
-        keep = w > GNS_CUTOFF * max(float(w.max()), 1e-300)
+        keep = w > GNS_CUTOFF * max(float(w.max()), GNS_SCALE_GUARD)
         return v[:, keep], np.sqrt(w[keep])
 
     @functools.cached_property
@@ -182,13 +187,13 @@ class StarAlgebraModel:
                 moved, left, axes=([1, 2], [0, 1])).transpose(0, 2, 1)
         return ops
 
-    def center_dimension(self, tol: float = 1e-8) -> int:
+    def center_dimension(self) -> int:
         """Dimension of the center: z is central iff z b_j = b_j z for every
         basis element b_j; row (j, k) of the stacked system is coordinate k
         of z b_j - b_j z."""
         comm = self.table - self.table.transpose(1, 0, 2)
         s = np.linalg.svd(comm.transpose(1, 2, 0).reshape(-1, self.dim), compute_uv=False)
-        return int(self.dim - np.sum(s > tol))
+        return int(self.dim - np.sum(s > RANK_TOL))
 
     def block_structure(self, seed: int = 0) -> tuple[int, ...]:
         """Wedderburn block sizes, recovered from the GNS representation."""
@@ -198,7 +203,7 @@ class StarAlgebraModel:
 
 
 def verify_algebra_iso(src: StarAlgebraModel, dst: StarAlgebraModel,
-                       phi: np.ndarray, tol: float = 1e-9) -> dict:
+                       phi: np.ndarray, tol: float = DEFAULT_TOL) -> dict:
     """Certify that a linear map of coordinates is a unital *-isomorphism:
     phi(b_i b_j) = phi(b_i) phi(b_j) and phi(b_i*) = phi(b_i)* over all basis
     elements, as contractions.  The products of the images are one
@@ -218,7 +223,7 @@ def verify_algebra_iso(src: StarAlgebraModel, dst: StarAlgebraModel,
                                - phi.T.conj() @ dst.star_matrix.T).max(initial=0.0))
     out["unit"] = float(np.abs(phi @ src.unit - dst.unit).max())
     out["passed"] = bool(
-        sv.size and sv.min() > 1e-8
-        and max(out["multiplicative"], out["star"], out["unit"]) < 1e4 * tol
+        sv.size and sv.min() > RANK_TOL
+        and max(out["multiplicative"], out["star"], out["unit"]) < AUDIT_FACTOR * tol
     )
     return out

@@ -1,12 +1,13 @@
 """Compare the CLI reports of two source trees run by run.
 
-    python tests/report_diff.py run TREE INPUTS OUT
+    python tests/report_diff.py run TREE INPUTS OUT [ARG ...]
     python tests/report_diff.py compare OUT_A OUT_B
 
 `run` makes every run of the comparison set with the `qact` of the source
 tree TREE (a checkout: its `src` goes first on sys.path), in this process
 and with one BLAS thread, and writes each run's exit code and report text
-to the file OUT.  The first `run` on a directory INPUTS fills it: a copy of
+to the file OUT.  Each ARG, such as `--tolerance 1e-6`, is appended to
+every run.  The first `run` on a directory INPUTS fills it: a copy of
 `fixtures/`, the inputs of both benchmark workloads at seed 1 (made with
 `perfbench/workloads.py`), and `runs.json`, the list of runs.  Later runs
 read the same files, so the reports of two trees name the same paths.
@@ -162,11 +163,11 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 4 and argv[0] == "run":
-        tree, inputs, out = (pathlib.Path(a).resolve() for a in argv[1:])
+    if len(argv) >= 4 and argv[0] == "run":
+        tree, inputs, out = (pathlib.Path(a).resolve() for a in argv[1:4])
         sys.path.insert(0, str(tree / "src"))
         inputs.mkdir(parents=True, exist_ok=True)
-        runs = comparison_set(inputs)
+        runs = [[*args, *argv[4:]] for args in comparison_set(inputs)]
         results = run_all(runs, inputs)
         out.write_text(json.dumps(results, sort_keys=True) + "\n")
         # a fixture run that is also a corpus run is written once

@@ -11,7 +11,8 @@ from qact.fixtures import (
     trivial_action,
 )
 from qact.functors import validate_functor
-from qact.repcat import RANK_TOL, cyclic_backend
+from qact.repcat import cyclic_backend
+from qact.thresholds import RANK_TOL
 from qact.actions import (
     Action,
     ActionError,

@@ -7,7 +7,8 @@ from qact.groups import cyclic_group
 from qact.actions import spectral_functor
 from qact.algebras import BlockAlgebra
 from qact.reconstruction import build_algebra, build_report
-from qact.staralg import PRUNE_TOL, StarAlgebraModel, verify_algebra_iso
+from qact.staralg import StarAlgebraModel, verify_algebra_iso
+from qact.thresholds import PRUNE_TOL
 
 TOL = 1e-9
 
@@ -96,8 +97,14 @@ def test_project_word_decomposition_independent(s3_algebra):
         (label, np.exp(2j * np.pi * rng.random()) * w)
         for label, w in obj.components
     ]
+    # the projection through the rotated components: each is compressed by F(w*)
+    vec = np.zeros(alg.dim, dtype=complex)
+    for label, w in rotated:
+        if label in alg.shapes:
+            fw = alg.real.morphism_matrix(w.conj().T, obj, alg.real.atom_object(label))
+            vec[alg.spans[label]] += (w.T @ (arr @ fw.T)).reshape(-1)
     out1 = alg.project_word(word, arr)
-    out2 = alg.project_word(word, arr, components=rotated)
+    out2 = alg.model.prune(vec)
     diff = alg.model.prune(out1 - out2)
     assert alg.model.operator_norm(diff) < 1e-10
 

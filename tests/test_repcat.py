@@ -7,7 +7,6 @@ from qact.cocycles import TwistedBackend
 from qact.fixtures import bicharacter_cocycle, group_backend_bicharacter_cocycle
 from qact.groups import GroupError, cyclic_group, direct_product, symmetric_group
 from qact.repcat import (
-    RANK_TOL,
     Backend,
     BackendError,
     Irrep,
@@ -16,6 +15,7 @@ from qact.repcat import (
     dual_backend,
     symmetric3_backend,
 )
+from qact.thresholds import RANK_TOL
 
 TOL = 1e-9
 

@@ -57,3 +57,18 @@ def test_a_tree_matches_itself_and_a_moved_float_is_flagged(tmp_path, capsys):
     lost = edited(first, key, lambda data: residuals(data).pop("unit"))
     for other in (changed, flipped, lost, {k: first[k] for k in list(first)[1:]}):
         assert report_diff.compare(first, other)[1].violations
+
+
+def test_run_appends_extra_arguments_to_every_run(tmp_path):
+    # a tol replaced by the default constant shows only at another tolerance
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "runs.json").write_text(json.dumps([record_golden.fixture_argv(args)
+                                                  for args in RUNS]))
+    out = tmp_path / "out.json"
+    argv = ["run", str(record_golden.ROOT), str(inputs), str(out), "--tolerance", "1e-6"]
+    assert report_diff.main(argv) == 0
+    runs = json.loads(out.read_text())
+    assert len(runs) == len(RUNS)
+    assert all(key.endswith(" --tolerance 1e-6") for key in runs)
+    assert all(json.loads(run["report"])["tolerance"] == 1e-6 for run in runs.values())
