@@ -14,25 +14,25 @@ maps M -> M (x) H) and the spectral functor of a reconstructed algebra.
 The bases of the subspaces come from the routines of `blockdecomp`
 (`row_spaces`, `column_span`), reached through that module so that one
 patch changes them all; `InSpan` is the shared projection helper.  Only
-the round trips rebuild an algebra, so only they import `reconstruction`.
+the round trips rebuild an algebra, so only they import `reconstruction`;
+`functors` and `staralg` are reached through their modules, so a verb
+that never calls into them (`fullness`) leaves them unrun when the CLI
+binds them lazily.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebras import BlockAlgebra, Correspondence, algebra_as_correspondence
-from . import blockdecomp
+from . import blockdecomp, functors, staralg
 from .blockdecomp import SubalgebraBlocks, decompose_star_algebra
 from .errors import ActionError, BackendError
-from .functors import TensorFunctorData
 from .groups import GroupPresentation
 from .repcat import Backend
-from .staralg import StarAlgebraModel, verify_algebra_iso
 from .thresholds import (
     AUDIT_FACTOR,
     COMPOSITE_FACTOR,
@@ -243,7 +243,7 @@ def _tuple_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
                            bases: dict[str, np.ndarray], ambient, product,
-                           pairing, name: str) -> TensorFunctorData:
+                           pairing, name: str) -> functors.TensorFunctorData:
     """Functor data of a family of invariant subspaces of an ambient algebra.
 
     bases[label] has shape (multiplicity, irrep dim, ...): basis vector p of
@@ -334,7 +334,7 @@ def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
                                       mapped.reshape(mapped.shape[:3] + (-1,)), list(gammas))
                 for (_, _, _, tensors, m), c in zip(items, coords):
                     tensors[m] = np.ascontiguousarray(c.transpose(2, 0, 1))
-    return TensorFunctorData(backend, base, modules, phi, name=name)
+    return functors.TensorFunctorData(backend, base, modules, phi, name=name)
 
 
 def _invariant_tuples(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -363,7 +363,7 @@ class SpectralFunctor:
     """Functor data extracted from an action, with the context needed to
     relate it back to the algebra it came from."""
 
-    functor: TensorFunctorData
+    functor: functors.TensorFunctorData
     fixed: SubalgebraBlocks
     bases: dict[str, np.ndarray]
     action: Action
@@ -440,7 +440,8 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
         )
 
     phi = canonical_map(spec, alg)
-    iso = verify_algebra_iso(alg.model, StarAlgebraModel.of_block_algebra(b), phi, tol)
+    iso = staralg.verify_algebra_iso(alg.model, staralg.StarAlgebraModel.of_block_algebra(b),
+                                     phi, tol)
     residuals = {"invertibility": iso["smallest_singular_value"],
                  "multiplicative": iso["multiplicative"], "star": iso["star"],
                  "unit": iso["unit"]}
@@ -508,32 +509,6 @@ def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
     return EquivariantModule(act, b.dim, right_h, inner_h, grades=grades, frame=frame)
 
 
-def module_direct_sum(m1: EquivariantModule, m2: EquivariantModule) -> EquivariantModule:
-    act = m1.action
-    dim = m1.dim + m2.dim
-    b = act.algebra
-    right = np.zeros((b.dim, dim, dim), dtype=complex)
-    inner = np.zeros((dim, dim, b.n, b.n), dtype=complex)
-    right[:, : m1.dim, : m1.dim] = m1.right
-    right[:, m1.dim:, m1.dim:] = m2.right
-    inner[: m1.dim, : m1.dim] = m1.inner
-    inner[m1.dim:, m1.dim:] = m2.inner
-    if act.kind == "automorphism":
-        com = {
-            x: _block_diag(m1.comodule[x], m2.comodule[x])
-            for x in act.group.elements
-        }
-        return EquivariantModule(act, dim, right, inner, comodule=com)
-    return EquivariantModule(act, dim, right, inner, grades=m1.grades + m2.grades)
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 def module_tensor_irrep(backend: Backend, module: EquivariantModule,
                         label: str) -> EquivariantModule:
     """M (x) H for the representation space H of one irreducible; carrier
@@ -569,7 +544,7 @@ def _tensor_grades(backend: Backend, module: EquivariantModule,
 
 @dataclass
 class ModuleFunctor:
-    functor: TensorFunctorData
+    functor: functors.TensorFunctorData
     endomorphisms: SubalgebraBlocks  # blocks of End(M) in the induced Hilbert space
     end_units_module: np.ndarray     # (dim A, dim M, dim M): units as module maps
     bases: dict[str, np.ndarray]     # per label: (mult, d, dim M, dim M) component maps
@@ -631,7 +606,7 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     """
     nb = module.action.algebra.n
     # isometric coordinates for the Hilbert space induced by the inner product
-    vecs, sing = StarAlgebraModel.gns_space(module.inner)
+    vecs, sing = staralg.StarAlgebraModel.gns_space(module.inner)
 
     def hilbert(t):
         """A module map M -> M, or each of a stack, as a matrix on the
@@ -720,29 +695,25 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     with invertible self-pairing; success certifies the module generates.
 
     The candidates are the basis tuples X of every spectral subspace, label
-    by label in backend order; tuple X of a label with rho contributes
-    sum_ij rho[j, i] <X_i, X_j>.  Y gathers the shortest prefix of the
-    candidates whose summed contributions have a Hermitian part with
-    smallest eigenvalue above RANK_TOL.
+    by label in backend order; tuple X contributes sum_i <X_i, X_i>.  Y
+    gathers the shortest prefix of the candidates whose summed contributions
+    have a Hermitian part with smallest eigenvalue above RANK_TOL.
 
-    On success the certificate carries Y's constituents, <Y, Y>, a constant
-    c > 0 with <Y, Y> >= c * sum_i <X_i, X_i>, and the residual of the
-    isometry x -> Y <Y,Y>^{-1/2} x on the algebra.  On failure it reports
-    the rank of the sum over all candidates.
+    On success the certificate carries Y's constituents, <Y, Y>, the
+    constant c = 1 of <Y, Y> >= c * sum_i <X_i, X_i> (an equality, checked
+    as a residual), and the residual of the isometry x -> Y <Y,Y>^{-1/2} x
+    on the algebra.  On failure it reports the rank of the sum over all
+    candidates.
     """
     b = module.action.algebra
     chosen: list = []
-    rhos: list[np.ndarray] = []
-    weighted: list[np.ndarray] = []
+    pairings: list[np.ndarray] = []
     for label in backend.labels:
         space = _tuple_space(backend, module, label)
-        rho = backend.irrep(label).rho
         chosen += [(label, x) for x in space]
-        rhos += [rho] * len(space)
-        weighted.append(np.einsum("ji,tip,tjq,pquv->tuv", rho, space.conj(), space,
-                                  module.inner))
+        pairings.append(np.einsum("tip,tiq,pquv->tuv", space.conj(), space, module.inner))
     # grams[k] is <Y, Y> for Y made of the first k + 1 candidates
-    grams = np.cumsum(np.concatenate(weighted), axis=0)
+    grams = np.cumsum(np.concatenate(pairings), axis=0)
     herm = (grams + grams.conj().swapaxes(-1, -2)) / 2
     max_rank = int(np.linalg.matrix_rank(herm[-1], tol=RANK_TOL)) if len(herm) else 0
     invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > RANK_TOL)
@@ -750,16 +721,13 @@ def fullness_check(backend: Backend, module: EquivariantModule,
         gram = grams[-1] if len(grams) else None
         return FullnessCertificate(False, chosen, gram, 0.0, {}, max_rank)
     count = invertible[0] + 1
-    chosen, rhos, gram = chosen[:count], rhos[:count], grams[count - 1]
+    chosen, gram = chosen[:count], grams[count - 1]
 
-    # lower bound <Y,Y> >= c sum <X_i, X_i> with c the smallest eigenvalue of
-    # the (block diagonal) matrix rho_all of rho pairings, which pairs the
-    # components of all chosen tuples at once
-    c = float(min(np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rhos))
+    # lower bound <Y,Y> >= 1 * sum <X_i, X_i>, over the components of all
+    # chosen tuples at once
     comps = np.concatenate([x for _, x in chosen])
-    rho_all = functools.reduce(_block_diag, rhos)
     plain = np.einsum("ip,iq,pquv->uv", comps.conj(), comps, module.inner)
-    bound = gram - c * plain
+    bound = gram - plain
     bound_violation = -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min())
 
     # isometry of x -> Y <Y,Y>^{-1/2} x: the pairing of images reproduces
@@ -770,11 +738,10 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     # images[x, a] is component a of Y times <Y,Y>^{-1/2} u_x
     acting = np.tensordot(b.coords(gram_inv_half @ units), module.right, 1)
     images = (acting @ comps.T).swapaxes(1, 2)
-    weighted_images = rho_all.T @ images
     # sum_p conj(images[x, a, p]) inner[p, q] first, then summed over (a, q)
-    # against the weighted images of y: vals[y, x] pairs the images of x, y
+    # against the images of y: vals[y, x] pairs the images of x, y
     left = images.conj().reshape(-1, module.dim) @ module.inner.reshape(module.dim, -1)
-    vals = np.tensordot(weighted_images.reshape(b.dim, -1),
+    vals = np.tensordot(images.reshape(b.dim, -1),
                         left.reshape(b.dim, -1, b.n * b.n), axes=(1, 1))
     target = units.conj().swapaxes(1, 2)[None] @ units[:, None]
     worst_iso = float(np.abs(vals.reshape(target.shape) - target).max())
@@ -784,7 +751,7 @@ def fullness_check(backend: Backend, module: EquivariantModule,
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < AUDIT_FACTOR * tol and worst_iso < ISOMETRY_TOL
-    return FullnessCertificate(passed, chosen, gram, c, residuals, max_rank)
+    return FullnessCertificate(passed, chosen, gram, 1.0, residuals, max_rank)
 
 
 # -- natural isomorphisms ------------------------------------------------------
@@ -797,7 +764,7 @@ class NaturalIso:
     passed: bool
 
 
-def verify_natural_iso(f1: TensorFunctorData, f2: TensorFunctorData,
+def verify_natural_iso(f1: functors.TensorFunctorData, f2: functors.TensorFunctorData,
                        maps: dict[str, np.ndarray], tol: float = DEFAULT_TOL) -> NaturalIso:
     """Check that a family of per-irreducible maps is a unitary isomorphism
     of functor data: bimodular, inner-product preserving, compatible with
@@ -900,7 +867,7 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     return functor, bases
 
 
-def functor_roundtrip_check(functor: TensorFunctorData, tol: float = DEFAULT_TOL):
+def functor_roundtrip_check(functor: functors.TensorFunctorData, tol: float = DEFAULT_TOL):
     """Certify the functor-side round trip: the spectral data of the rebuilt
     algebra is naturally unitarily isomorphic to the input, through the
     canonical map sending X to the invariant vector with components

@@ -102,14 +102,6 @@ class BlockAlgebra:
             return 0.0
         return float(np.linalg.norm(np.asarray(mat, dtype=complex), 2))
 
-    def is_positive(self, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        mat = np.asarray(mat, dtype=complex)
-        herm = float(np.linalg.norm(mat - mat.conj().T))
-        if herm > tol * max(1.0, np.linalg.norm(mat)):
-            return False
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        return bool(w.min() > -tol * max(1.0, abs(w).max()))
-
 
 @functools.cache
 def _unit_positions(blocks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +164,6 @@ class Correspondence:
         self.inner_tensor = np.asarray(inner, dtype=complex).reshape(
             dim, dim, algebra.n, algebra.n
         )
-
-    def left_mul(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c = self.algebra.coords(a)
-        return np.einsum("k,kpq,q->p", c, self.left, x)
-
-    def right_mul(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        c = self.algebra.coords(a)
-        return np.einsum("k,kpq,q->p", c, self.right, x)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("p,q,pquv->uv", np.conj(x), y, self.inner_tensor)

@@ -14,10 +14,13 @@ produce byte-identical reports.
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
 first attribute access: `validate`, `validate-graded` and `build` never run
-`actions` or `cocycles`, and `module-functor` never runs `cocycles` or
-`reconstruction`.  All of them are bound, so `import qact.cli` still puts
-every layer in sys.modules, where a tool that wraps the layers' functions
-before calling `main` finds them (perfbench/tracer.py does).
+`actions` or `cocycles`, `module-functor` never runs `cocycles` or
+`reconstruction`, `fullness` never runs `functors`, `staralg`,
+`reconstruction` or `cocycles`, and `cocycle-check` runs none of `actions`,
+`algebras`, `blockdecomp`, `functors`, `reconstruction` and `staralg`.  All
+of them are bound, so `import qact.cli` still puts every layer in
+sys.modules, where a tool that wraps the layers' functions before calling
+`main` finds them (perfbench/tracer.py does).
 """
 
 from __future__ import annotations

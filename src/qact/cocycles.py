@@ -12,6 +12,10 @@ companion element u built by contracting one leg of the cocycle through
 the antipode.  The deformed algebra is a qact.staralg.StarAlgebraModel,
 the class of the algebra rebuilt from functor data, whose state is the
 trace of the expectation onto the fixed algebra.
+
+The layers of actions, functors and algebras are reached through their
+modules, so `cocycle-check`, which checks a cocycle against a backend's
+table alone, leaves them unrun when the CLI binds them lazily.
 """
 
 from __future__ import annotations
@@ -20,14 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, canonical_map, fixed_point_algebra, spectral_functor
-from .algebras import BlockAlgebra
+from . import actions, algebras, functors, reconstruction, staralg
 from .errors import CocycleError
-from .functors import TensorFunctorData, validate_functor
 from .groups import GroupPresentation
-from .reconstruction import build_algebra
 from .repcat import Backend, ConjugateSolution, Rep
-from .staralg import StarAlgebraModel, verify_algebra_iso
 from .thresholds import (
     AUDIT_FACTOR,
     COCYCLE_SCALAR_FLOOR,
@@ -206,9 +206,6 @@ class TwistElement:
     group: GroupPresentation
     coeffs: np.ndarray  # dual: u(gamma_i); group: coefficient of g_i
 
-    def dual_value(self, label: str) -> complex:
-        return complex(self.coeffs[self.group.index(label)])
-
     def rep_matrix(self, rep: Rep) -> np.ndarray:
         """pi_U(u) for a representation of the matching backend."""
         if self.kind == "dual":
@@ -294,12 +291,12 @@ class DeformedAlgebra:
     plus the unchanged expectation onto the fixed part as a coordinate
     projection."""
 
-    model: StarAlgebraModel
+    model: staralg.StarAlgebraModel
     expectation_matrix: np.ndarray
     report: dict
 
 
-def _coaction_module_maps(backend: Backend, act: Action):
+def _coaction_module_maps(backend: Backend, act: actions.Action):
     """x <| g as coordinate matrices: the inverse automorphism (group kind)
     or the projection onto each component along the grading decomposition
     (dual kind)."""
@@ -337,7 +334,7 @@ def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) ->
     return out
 
 
-def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
+def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
                   tol: float = DEFAULT_TOL, seed: int = 0) -> DeformedAlgebra:
     """The deformed algebra: both product factors are routed through the
     coaction against the cocycle, and the involution picks up the companion
@@ -351,7 +348,7 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
     g = act.group
     n = g.order
     vals = cocycle.values
-    base = StarAlgebraModel.of_block_algebra(b)
+    base = staralg.StarAlgebraModel.of_block_algebra(b)
     rd = _coaction_module_maps(backend, act)
     u, u_rep = twist_element(backend, cocycle, tol=tol)
 
@@ -373,12 +370,12 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
                     continue
                 dagger += np.conj(u.coeffs[x]) * rd[g.elements[g.inv(x)]] @ base.star_matrix
 
-    fixed = fixed_point_algebra(backend, act, seed=seed)
+    fixed = actions.fixed_point_algebra(backend, act, seed=seed)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])
     proj = emb.T @ np.linalg.pinv(emb.T)
     trace_vec = np.trace(b.from_coords(proj.T), axis1=1, axis2=2)
-    model = StarAlgebraModel(table, dagger, base.unit, {}, BlockAlgebra((1,)),
-                             trace_vec[None, :])
+    model = staralg.StarAlgebraModel(table, dagger, base.unit, {}, algebras.BlockAlgebra((1,)),
+                                     trace_vec[None, :])
 
     def worst(values) -> float:
         return float(np.abs(values).max(initial=0.0))
@@ -438,18 +435,19 @@ def deform_action(backend: Backend, act: Action, cocycle: Cocycle,
     return DeformedAlgebra(model, proj, report)
 
 
-def deformation_cross_test(backend: Backend, act: Action, cocycle: Cocycle,
+def deformation_cross_test(backend: Backend, act: actions.Action, cocycle: Cocycle,
                            deformed: DeformedAlgebra, tol: float = DEFAULT_TOL,
                            seed: int = 0) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
     functor, and compare it with the deformed action's algebra through the
     canonical map of the spectral functor: the two product tables and the
     two star matrices must agree (staralg.verify_algebra_iso)."""
-    spec = spectral_functor(backend, act, seed=seed)
+    spec = actions.spectral_functor(backend, act, seed=seed)
     twisted = deform_functor(spec.functor, cocycle)
-    val = validate_functor(twisted, tol)
-    rebuilt = build_algebra(twisted, tol=tol, validate=False)
-    iso = verify_algebra_iso(rebuilt.model, deformed.model, canonical_map(spec, rebuilt), tol)
+    val = functors.validate_functor(twisted, tol)
+    rebuilt = reconstruction.build_algebra(twisted, tol=tol, validate=False)
+    iso = staralg.verify_algebra_iso(rebuilt.model, deformed.model,
+                                     actions.canonical_map(spec, rebuilt), tol)
     worst = max(iso["multiplicative"], iso["star"])
     return {
         "twisted_functor_valid": val.passed,
@@ -469,7 +467,7 @@ def _check_cocycle_backend(backend: Backend, cocycle: Cocycle) -> None:
         raise CocycleError("cocycle and backend use different groups")
 
 
-def _require_matching(act: Action, cocycle: Cocycle) -> None:
+def _require_matching(act: actions.Action, cocycle: Cocycle) -> None:
     want = "automorphism" if cocycle.kind == "group" else "grading"
     if act.kind != want:
         raise CocycleError(
@@ -543,12 +541,13 @@ class TwistedBackend(Backend):
         return self.base.word(rep.atoms)
 
 
-def deform_functor(functor: TensorFunctorData, cocycle: Cocycle) -> TensorFunctorData:
+def deform_functor(functor: functors.TensorFunctorData,
+                   cocycle: Cocycle) -> functors.TensorFunctorData:
     """Precompose functor data with the cocycle twist of its category: same
     modules and the same multiplication tensors, read against the twisted
     intertwiner bases of the twisted backend."""
     twisted = TwistedBackend(functor.backend, cocycle)
-    return TensorFunctorData(
+    return functors.TensorFunctorData(
         twisted,
         functor.algebra,
         dict(functor.modules),

@@ -76,9 +76,6 @@ class GroupPresentation:
                 f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
             )
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
 
 def group_from_table(elements, table, identity, name="group") -> GroupPresentation:
     """Build and validate a presentation from a name-valued Cayley table.

@@ -21,10 +21,11 @@ count run as one stacked SVD (``_mor_stack``).  ``mor_basis`` and
 ``decompose`` are its stacks of one, so a word gets the same bits alone as
 in any stack.
 
-Every irreducible carries a positive matrix ``rho`` implementing the
-modular data of conjugation.  The supported backends all have rho = 1,
-but the formulas below use the stored rho throughout, so synthetic
-non-trivial rho data can be exercised in tests.
+Every table is of Kac type: every finite quantum group is (its Haar state
+is a trace; Woronowicz, "Compact matrix pseudogroups", 1987), so the
+modular matrix rho of the conjugate equations is the identity.  The
+conjugate of an irreducible is its entrywise conjugate, and the
+conjugate equations are solved by the identity matrices r and rbar.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ import numpy as np
 from .errors import BackendError
 from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_group
 from .thresholds import DEFAULT_TOL, RANK_TOL, TABLE_MATCH_TOL
-
-
-def _hermitian_power(mat: np.ndarray, power: float) -> np.ndarray:
-    """Fractional power of a positive Hermitian matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(mat)
-    if np.any(w <= 0):
-        raise BackendError("matrix is not positive definite")
-    return (v * w**power) @ v.conj().T
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -62,13 +55,12 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Irrep:
-    """One irreducible: label, dimension, matrices (group kind only),
-    rho, and the label of the designated conjugate."""
+    """One irreducible: label, dimension, matrices (group kind only) and
+    the label of the designated conjugate."""
 
     label: str
     dim: int
     matrices: np.ndarray | None  # (|G|, d, d) for the group kind
-    rho: np.ndarray  # (d, d) positive
     conj: str
 
 
@@ -81,15 +73,14 @@ class Rep:
     per basis vector).
     """
 
-    __slots__ = ("backend", "atoms", "dim", "matrices", "grades", "rho")
+    __slots__ = ("backend", "atoms", "dim", "matrices", "grades")
 
-    def __init__(self, backend, atoms, dim, matrices, grades, rho):
+    def __init__(self, backend, atoms, dim, matrices, grades):
         self.backend = backend
         self.atoms = atoms  # tuple of (label, barred) pairs
         self.dim = dim
         self.matrices = matrices
         self.grades = grades
-        self.rho = rho
 
     @property
     def key(self):
@@ -137,7 +128,7 @@ class Backend:
             return self.group.elements[self.group.identity]
         for label in self.labels:
             ir = self.irreps[label]
-            if ir.dim == 1 and np.allclose(ir.matrices, 1.0, atol=TABLE_MATCH_TOL):
+            if ir.dim == 1 and np.allclose(ir.matrices, 1.0, rtol=0, atol=TABLE_MATCH_TOL):
                 return label
         raise BackendError("table has no trivial representation")
 
@@ -151,22 +142,15 @@ class Backend:
         except KeyError:
             raise BackendError(f"unknown irrep label {label!r}") from None
 
-    def quantum_dim(self, label: str) -> float:
-        """Trace of rho; equals the ordinary dimension for Kac backends."""
-        return float(np.trace(self.irrep(label).rho).real)
-
     def check(self, tol: float = DEFAULT_TOL) -> None:
-        """Validate the table: unitarity, multiplicativity, rho normalization,
-        conjugation pairing."""
+        """Validate the table: unitarity, multiplicativity, conjugation
+        pairing."""
         g = self.group
         g.check()
         for label in self.labels:
             ir = self.irreps[label]
             if ir.conj not in self.irreps:
                 raise BackendError(f"conjugate of {label!r} missing from table")
-            tr, tri = np.trace(ir.rho), np.trace(np.linalg.inv(ir.rho))
-            if abs(tr - tri) > tol * max(1.0, abs(tr)):
-                raise BackendError(f"rho of {label!r} is not trace-normalized")
             if self.kind == "dual":
                 if ir.dim != 1:
                     raise BackendError("dual-backend irreps must be one-dimensional")
@@ -206,22 +190,14 @@ class Backend:
             return self._rep_cache[key]
         ir = self.irrep(label)
         if self.kind == "group":
-            if barred:
-                # conjugate representation on the conjugate space; with the
-                # canonical identification the matrices are rho-twisted
-                # entrywise conjugates
-                rt = _hermitian_power(ir.rho.T, 0.5)
-                rti = _hermitian_power(ir.rho.T, -0.5)
-                mats = np.array([rt @ m.conj() @ rti for m in ir.matrices])
-                rho = np.linalg.inv(ir.rho).T
-            else:
-                mats = ir.matrices
-                rho = ir.rho
-            rep = Rep(self, key, ir.dim, mats, None, rho)
+            # the conjugate representation on the conjugate space: with the
+            # canonical identification its matrices are the entrywise conjugates
+            mats = ir.matrices.conj() if barred else ir.matrices
+            rep = Rep(self, key, ir.dim, mats, None)
         else:
             idx = self.group.index(label)
             grade = self.group.inv(idx) if barred else idx
-            rep = Rep(self, key, 1, None, (grade,), np.array([[1.0 + 0j]]))
+            rep = Rep(self, key, 1, None, (grade,))
         self._rep_cache[key] = rep
         return rep
 
@@ -235,17 +211,16 @@ class Backend:
         if key in self._rep_cache:
             return self._rep_cache[key]
         dim = u.dim * v.dim
-        rho = np.kron(u.rho, v.rho)
         if self.kind == "group":
             mats = np.einsum("gij,gkl->gikjl", u.matrices, v.matrices).reshape(
                 self.group.order, dim, dim
             )
-            rep = Rep(self, key, dim, mats, None, rho)
+            rep = Rep(self, key, dim, mats, None)
         else:
             grades = tuple(
                 self.group.times(a, b) for a in u.grades for b in v.grades
             )
-            rep = Rep(self, key, dim, None, grades, rho)
+            rep = Rep(self, key, dim, None, grades)
         self._rep_cache[key] = rep
         return rep
 
@@ -439,15 +414,11 @@ class Backend:
 
         Coordinates: r lives in H_bar (x) H, rbar in H (x) H_bar, both stored
         as (d, d) arrays with the conjugate index first / last respectively.
+        For a Kac table both are the identity: r = sum_k xi-bar_k (x) xi_k.
         """
         ir = self.irrep(label)
-        rho = ir.rho
-        r = _hermitian_power(rho, -0.5).T.copy()
-        rbar = _hermitian_power(rho, 0.5)
-        return ConjugateSolution(label, ir.conj, r, rbar)
-
-    def conj_label(self, label: str) -> str:
-        return self.irrep(label).conj
+        eye = np.eye(ir.dim, dtype=complex)
+        return ConjugateSolution(label, ir.conj, eye, eye.copy())
 
 
 @dataclass(frozen=True)
@@ -481,7 +452,7 @@ def dual_backend(group: GroupPresentation) -> Backend:
     irreps = []
     for i, name in enumerate(group.elements):
         conj = group.elements[group.inv(i)]
-        irreps.append(Irrep(name, 1, None, np.array([[1.0 + 0j]]), conj))
+        irreps.append(Irrep(name, 1, None, conj))
     return Backend("dual", group, irreps)
 
 
@@ -494,10 +465,11 @@ def _character_backend(group: GroupPresentation, characters: np.ndarray,
         # conjugate character identifies the conjugate irrep
         conj = None
         for l in range(len(labels)):
-            if np.allclose(characters[l], characters[k].conj(), atol=TABLE_MATCH_TOL):
+            if np.allclose(characters[l], characters[k].conj(), rtol=0,
+                           atol=TABLE_MATCH_TOL):
                 conj = labels[l]
                 break
-        irreps.append(Irrep(label, 1, mats, np.array([[1.0 + 0j]]), conj))
+        irreps.append(Irrep(label, 1, mats, conj))
     return Backend("group", group, irreps)
 
 
@@ -552,8 +524,8 @@ def symmetric3_backend() -> Backend:
         std[i] = b.T @ p @ b
         sign[i] = np.linalg.det(p)
     irreps = [
-        Irrep("triv", 1, triv, np.eye(1, dtype=complex), "triv"),
-        Irrep("sign", 1, sign, np.eye(1, dtype=complex), "sign"),
-        Irrep("std", 2, std, np.eye(2, dtype=complex), "std"),
+        Irrep("triv", 1, triv, "triv"),
+        Irrep("sign", 1, sign, "sign"),
+        Irrep("std", 2, std, "std"),
     ]
     return Backend("group", group, irreps)

@@ -5,7 +5,9 @@ Complex entries are serialized as [re, im] pairs, which round-trip exactly
 at double precision.  Every file carries a "schema" tag.
 
 The readers of actions and cocycles import those layers when called, so
-loading a backend, functor or bundle imports neither.
+loading a backend, functor or bundle imports neither; `algebras` and
+`functors` are reached through their modules, so loading a backend or a
+cocycle runs neither when the CLI binds them lazily.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebras import BlockAlgebra, Correspondence, zero_correspondence
+from . import algebras, functors
 from .errors import SchemaError
-from .functors import GradedBundle, TensorFunctorData
 from .groups import GroupPresentation, group_from_table
 from .repcat import Backend, Irrep
+from .thresholds import TABLE_MATCH_TOL
 
 if TYPE_CHECKING:
     from .actions import Action
@@ -68,7 +70,7 @@ def backend_to_json(backend: Backend) -> dict:
         entry = {
             "label": ir.label,
             "dim": ir.dim,
-            "rho": encode_complex(ir.rho),
+            "rho": encode_complex(np.eye(ir.dim)),
             "conj": ir.conj,
         }
         if backend.kind == "group":
@@ -97,10 +99,15 @@ def backend_from_json(data: dict) -> Backend:
             mats = np.array([
                 decode_complex(entry["matrices"][name]) for name in group.elements
             ])
-        irreps.append(Irrep(
-            entry["label"], int(entry["dim"]), mats,
-            decode_complex(entry["rho"]), entry["conj"],
-        ))
+        dim = int(entry["dim"])
+        # every finite backend is of Kac type: the modular matrix rho of the
+        # conjugate equations is the identity, and the table stores no other
+        rho = decode_complex(entry["rho"])
+        if rho.shape != (dim, dim) or not np.allclose(rho, np.eye(dim), rtol=0,
+                                                      atol=TABLE_MATCH_TOL):
+            raise SchemaError(f"rho of irrep {entry['label']!r} is not the identity; "
+                              "only Kac-type tables are supported")
+        irreps.append(Irrep(entry["label"], dim, mats, entry["conj"]))
     backend = Backend(kind, group, irreps)
     backend.check()
     return backend
@@ -109,7 +116,7 @@ def backend_from_json(data: dict) -> Backend:
 # -- correspondences and functors ------------------------------------------------
 
 
-def correspondence_to_json(corr: Correspondence) -> dict:
+def correspondence_to_json(corr: algebras.Correspondence) -> dict:
     return {
         "algebra": {"blocks": list(corr.algebra.blocks)},
         "dim": corr.dim,
@@ -119,12 +126,12 @@ def correspondence_to_json(corr: Correspondence) -> dict:
     }
 
 
-def correspondence_from_json(data: dict) -> Correspondence:
-    algebra = BlockAlgebra(tuple(data["algebra"]["blocks"]))
+def correspondence_from_json(data: dict) -> algebras.Correspondence:
+    algebra = algebras.BlockAlgebra(tuple(data["algebra"]["blocks"]))
     dim = int(data["dim"])
     if dim == 0:
-        return zero_correspondence(algebra)
-    return Correspondence(
+        return algebras.zero_correspondence(algebra)
+    return algebras.Correspondence(
         algebra, dim,
         decode_complex(data["left_action"]),
         decode_complex(data["right_action"]),
@@ -132,7 +139,7 @@ def correspondence_from_json(data: dict) -> Correspondence:
     )
 
 
-def functor_to_json(functor: TensorFunctorData, backend_ref: str = "") -> dict:
+def functor_to_json(functor: functors.TensorFunctorData, backend_ref: str = "") -> dict:
     phi_entries = []
     for (alpha, beta, gamma) in sorted(functor.phi):
         for idx, tensor in enumerate(functor.phi[(alpha, beta, gamma)]):
@@ -157,10 +164,10 @@ def functor_to_json(functor: TensorFunctorData, backend_ref: str = "") -> dict:
     }
 
 
-def functor_from_json(data: dict, backend: Backend) -> TensorFunctorData:
+def functor_from_json(data: dict, backend: Backend) -> functors.TensorFunctorData:
     if data.get("schema") != "functor.v1":
         raise SchemaError("not a functor file")
-    algebra = BlockAlgebra(tuple(data["base_algebra"]["blocks"]))
+    algebra = algebras.BlockAlgebra(tuple(data["base_algebra"]["blocks"]))
     modules = {}
     for label in backend.labels:
         if label not in data["modules"]:
@@ -175,7 +182,7 @@ def functor_from_json(data: dict, backend: Backend) -> TensorFunctorData:
     phi = {}
     for key, items in buckets.items():
         phi[key] = [items[i] for i in sorted(items)]
-    return TensorFunctorData(backend, algebra, modules, phi, name="loaded")
+    return functors.TensorFunctorData(backend, algebra, modules, phi, name="loaded")
 
 
 # -- actions ----------------------------------------------------------------------
@@ -206,7 +213,7 @@ def action_from_json(data: dict) -> Action:
 
     if data.get("schema") != "action.v1":
         raise SchemaError("not an action file")
-    algebra = BlockAlgebra(tuple(data["algebra"]["blocks"]))
+    algebra = algebras.BlockAlgebra(tuple(data["algebra"]["blocks"]))
     group = group_from_json(data["group"])
     kind = data["kind"]
     if kind == "automorphism":
@@ -230,7 +237,7 @@ def action_from_json(data: dict) -> Action:
 # -- bundles ------------------------------------------------------------------------
 
 
-def bundle_to_json(bundle: GradedBundle) -> dict:
+def bundle_to_json(bundle: functors.GradedBundle) -> dict:
     mult = []
     for a in bundle.group.elements:
         for b in bundle.group.elements:
@@ -250,11 +257,11 @@ def bundle_to_json(bundle: GradedBundle) -> dict:
     }
 
 
-def bundle_from_json(data: dict) -> GradedBundle:
+def bundle_from_json(data: dict) -> functors.GradedBundle:
     if data.get("schema") != "bundle.v1":
         raise SchemaError("not a bundle file")
     group = group_from_json(data["group"])
-    algebra = BlockAlgebra(tuple(data["algebra"]["blocks"]))
+    algebra = algebras.BlockAlgebra(tuple(data["algebra"]["blocks"]))
     fibers = {
         name: correspondence_from_json(data["fibers"][name])
         for name in group.elements
@@ -262,7 +269,7 @@ def bundle_from_json(data: dict) -> GradedBundle:
     mult = {}
     for entry in data["mult"]:
         mult[(entry["a"], entry["b"])] = decode_complex(entry["tensor"])
-    return GradedBundle(group, algebra, fibers, mult)
+    return functors.GradedBundle(group, algebra, fibers, mult)
 
 
 # -- cocycles -------------------------------------------------------------------------

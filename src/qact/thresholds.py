@@ -132,9 +132,9 @@ element (`twist_element`) is not invertible when the smallest singular
 value of its left-regular matrix is below it.  Fixed."""
 
 TABLE_MATCH_TOL = 1e-12
-"""1e-12, absolute, on top of numpy's default relative 1e-5 of
-`np.allclose`: the entries of a backend table that identify the trivial
-irreducible and the conjugate of a character.  Fixed."""
+"""1e-12, absolute (`np.allclose` with `rtol=0`): the entries of a backend
+table that identify the trivial irreducible and the conjugate of a
+character, and the rho of a backend file against the identity.  Fixed."""
 
 # -- division guards ------------------------------------------------------------
 

@@ -21,8 +21,10 @@ The comparison set:
 - every job of both benchmark workloads, with --seed 1.
 
 `compare` prints how many reports are byte-identical and the largest
-float difference, names every run whose report differs with its own
-largest float difference, and lists the violations of the rule of
+float difference, how many runs on each side exit 0, 1, 2 and 3 (so a
+count of identical reports shows how many of them are input errors),
+names every run whose report differs with its own largest float
+difference, and lists the violations of the rule of
 `record_golden.check`: a run missing on one side, a changed exit code,
 key or non-float value, a float that moved by more than 1e-12, or a
 residual recorded as exactly 0.0 that moved.  Entries of encoded matrices
@@ -162,6 +164,12 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
     return same, diff
 
 
+def exit_counts(runs: dict[str, dict]) -> str:
+    """How many runs exit 0, 1, 2 and 3, as "n0/n1/n2/n3"."""
+    return "/".join(str(sum(run["exit"] == code for run in runs.values()))
+                    for code in (0, 1, 2, 3))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) >= 4 and argv[0] == "run":
         tree, inputs, out = (pathlib.Path(a).resolve() for a in argv[1:4])
@@ -179,6 +187,7 @@ def main(argv: list[str]) -> int:
         print(f"{same} of {len(set(a) | set(b))} reports byte-identical; "
               f"largest float difference {diff.largest:.3g}; "
               f"{len(diff.violations)} violations")
+        print(f"runs exiting 0/1/2/3: {exit_counts(a)} -> {exit_counts(b)}")
         for key, largest in diff.differing[:50]:
             print(f"  differs: {key} (largest float difference {largest:.3g})")
         for line in diff.violations[:50]:

@@ -72,7 +72,7 @@ def test_criterion_01_conjugate_equations():
             sol = backend.conjugate_solution(label)
             r1, r2 = sol.residuals()
             nr, nrb = sol.norms()
-            dq = backend.quantum_dim(label)
+            dq = backend.irrep(label).dim
             worst = max(worst, r1, r2, abs(nr**2 - dq), abs(nrb**2 - dq))
     report(1, worst < 1e-9, f"worst residual {worst:.2e}")
 

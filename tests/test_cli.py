@@ -118,6 +118,42 @@ def test_committed_fixtures_are_fresh(tmp_path):
         assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
 
 
+def test_a_backend_whose_rho_is_not_the_identity_is_an_input_error(tmp_path):
+    # every finite backend is of Kac type, so a rho other than the identity
+    # is malformed input: exit 2 with a report naming the irreducible
+    data = json.loads((FIXTURES / "backends/s3.json").read_text())
+    entry = next(e for e in data["irreps"] if e["label"] == "std")
+    entry["rho"] = [[[1.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1 / 1.7, 0.0]]]
+    backend = tmp_path / "non_kac_s3.json"
+    backend.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    for verb, inp in (("spectral", "actions/s3_translation.json"),
+                      ("validate", "functors/spectral_s3_translation.json"),
+                      ("cocycle-check", "cocycles/bicharacter_z2z2.json")):
+        proc = run_cli(verb, "--backend", str(backend), "--input", str(FIXTURES / inp),
+                       "--report", str(report))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        out = json.loads(report.read_text())
+        assert sorted(out) == ["error", "schema", "verb"] and out["verb"] == verb
+        assert "rho of irrep 'std' is not the identity" in out["error"]
+
+
+def test_a_looser_tolerance_passes_every_run_the_default_passes(tmp_path):
+    # --tolerance only loosens: no fixture run that exits 0 at the default
+    # fails at a larger tolerance
+    report = tmp_path / "r.json"
+
+    def code(args, *extra):
+        return cli.main([*record_golden.fixture_argv(args), *extra, "--report", str(report)])
+
+    runs = [*record_golden.FIXTURE_RUNS, record_golden.DEFORM_GROUP_RUN]
+    passing = [args for args in runs if code(args) == 0]
+    assert passing == runs
+    for args in passing:
+        for tol in ("1e-6", "1e-3", "1e-1"):
+            assert code(args, "--tolerance", tol) == 0, (args, tol)
+
+
 def test_validate_graded_rejects_a_fiber_that_is_no_correspondence(tmp_path):
     args = record_golden.NEGATIVE_FIBER_RUN
     report = tmp_path / "report.json"
@@ -493,16 +529,22 @@ print(json.dumps(sorted(name for name, mod in sys.modules.items()
 """
 
 
-@pytest.mark.parametrize("argv,unused", [
+@pytest.mark.parametrize("argv,used,unused", [
     (("validate", "--backend", "backends/s3.json",
-      "--input", "functors/spectral_s3_translation.json"), {"actions", "cocycles"}),
-    (("validate-graded", "--input", "bundles/clock_shift_z3.json"), {"actions", "cocycles"}),
-    (("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"),
+      "--input", "functors/spectral_s3_translation.json"), {"functors"}, {"actions", "cocycles"}),
+    (("validate-graded", "--input", "bundles/clock_shift_z3.json"), {"functors"},
      {"actions", "cocycles"}),
+    (("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"),
+     {"functors"}, {"actions", "cocycles"}),
     (("module-functor", "--backend", "backends/z2.json", "--input", "actions/inner_m2.json"),
-     {"cocycles", "reconstruction"}),
-], ids=["validate", "validate-graded", "build", "module-functor"])
-def test_verbs_run_only_their_layers(argv, unused, tmp_path):
+     {"functors", "actions"}, {"cocycles", "reconstruction"}),
+    (("cocycle-check", "--backend", "backends/z2z2.json",
+      "--input", "cocycles/group_bicharacter_z2z2.json"), {"cocycles", "repcat", "serialize"},
+     {"actions", "algebras", "blockdecomp", "functors", "reconstruction", "staralg"}),
+    (("fullness", "--backend", "backends/z2.json", "--input", "actions/swap_c2.json"),
+     {"actions", "algebras", "blockdecomp"}, {"functors", "staralg", "reconstruction", "cocycles"}),
+], ids=["validate", "validate-graded", "build", "module-functor", "cocycle-check", "fullness"])
+def test_verbs_run_only_their_layers(argv, used, unused, tmp_path):
     # every layer is bound in sys.modules, but a layer the verb does not use
     # stays a lazy module whose code never ran
     args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
@@ -512,8 +554,7 @@ def test_verbs_run_only_their_layers(argv, unused, tmp_path):
     assert proc.returncode == 0, proc.stderr
     ran = {name.split(".", 1)[1] for name in json.loads(proc.stdout)}
     assert not ran & unused
-    assert "functors" in ran
-    assert argv[0] != "module-functor" or "actions" in ran
+    assert used <= ran
 
 
 def test_unexpected_exception_is_exit_three(monkeypatch, tmp_path):

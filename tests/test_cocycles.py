@@ -100,6 +100,11 @@ def test_counital_normalization_retains_raw():
     assert om.values[0, 0] == 1.0
 
 
+def dual_value(u, label):
+    """The value of a dual-kind companion element at one group element."""
+    return complex(u.coeffs[u.group.index(label)])
+
+
 def test_twist_element_dual(backends):
     om = bicharacter_cocycle([2, 2])
     u, rep = twist_element(backends["dual_z2z2"], om)
@@ -107,8 +112,8 @@ def test_twist_element_dual(backends):
     # two independent evaluations: the contracted form against the diagonal
     g = om.group
     for i, x in enumerate(g.elements):
-        assert abs(u.dual_value(x) - om.values[i, g.inv(i)]) < 1e-12
-        assert abs(abs(u.dual_value(x)) - 1.0) < 1e-12
+        assert abs(dual_value(u, x) - om.values[i, g.inv(i)]) < 1e-12
+        assert abs(abs(dual_value(u, x)) - 1.0) < 1e-12
 
 
 def test_twist_element_group_backend(backends):

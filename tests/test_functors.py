@@ -133,7 +133,7 @@ def test_involution_partner_identities(backends):
     algebra = functor.algebra
     for label in ("triv", "sign", "std"):
         mod = functor.module(label)
-        bar = functor.backend.conj_label(label)
+        bar = functor.backend.irrep(label).conj
         mbar = functor.module(bar)
         sol = functor.backend.conjugate_solution(label)
         u_obj = real.atom_object(label)
@@ -217,7 +217,7 @@ def test_involution_partner_trace_identity(backends):
     rng = np.random.default_rng(1)
     for label in ("sign", "std"):
         mod = functor.module(label)
-        mbar = functor.module(functor.backend.conj_label(label))
+        mbar = functor.module(functor.backend.irrep(label).conj)
         x = rng.standard_normal(mod.dim) + 1j * rng.standard_normal(mod.dim)
         part = real.involution_partners(label, x[None])[0]
         t1 = np.trace(mod.inner(x, x))

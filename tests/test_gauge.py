@@ -135,7 +135,6 @@ GAUGE_FREE = {
     "algebras.adjoints_by_shape",  # the pseudo-inverse of each Gram matrix
     "blockdecomp._matrix_units",  # the inverse square root of a Gram matrix
     "actions.fullness_check",  # the inverse square root of <Y, Y>
-    "repcat._hermitian_power",  # a fractional power of rho
 }
 # bases still picked outside the seams
 LATER_SEAMS = {

@@ -10,6 +10,8 @@ from qact.reconstruction import build_algebra, build_report
 from qact.staralg import StarAlgebraModel, verify_algebra_iso
 from qact.thresholds import PRUNE_TOL
 
+from test_algebras import left_mul, right_mul
+
 TOL = 1e-9
 
 
@@ -189,7 +191,7 @@ def test_component_inner_product_formula(s3_algebra):
     # E((xi_i (x) X)* (xi_j (x) Y)) = delta_ij <X, Y> / dim
     alg = s3_algebra
     mod = alg.functor.module("std")
-    dq = alg.backend.quantum_dim("std")
+    dq = alg.backend.irrep("std").dim
     for i in range(2):
         for j in range(2):
             for p in range(mod.dim):
@@ -352,10 +354,10 @@ def test_algebra_acts_componentwise(s3_algebra):
             x = unit_component(alg, "std", i, p)
             left = parts(alg, alg.model.multiply(a_el, x))
             expect = np.zeros((2, mod.dim), dtype=complex)
-            expect[i] = mod.left_mul(amat, np.eye(mod.dim)[p])
+            expect[i] = left_mul(mod, amat, np.eye(mod.dim)[p])
             np.testing.assert_allclose(left["std"], expect, atol=TOL)
             right = parts(alg, alg.model.multiply(x, a_el))
-            expect[i] = mod.right_mul(np.eye(mod.dim)[p], amat)
+            expect[i] = right_mul(mod, np.eye(mod.dim)[p], amat)
             np.testing.assert_allclose(right["std"], expect, atol=TOL)
 
 

@@ -45,7 +45,9 @@ def test_a_tree_matches_itself_and_a_moved_float_is_flagged(tmp_path, capsys):
     for path, runs in zip(paths, (first, bumped)):
         path.write_text(json.dumps(runs))
     assert report_diff.main(["compare", *map(str, paths)]) == 0
-    assert f"differs: {key} (largest float difference" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"differs: {key} (largest float difference" in out
+    assert "runs exiting 0/1/2/3: 3/0/0/0 -> 3/0/0/0\n" in out
     # a residual that moved by more, or a zero residual that moved at all
     for name, by in (("invertibility", 1e-9), ("unit", 1e-17)):
         _, diff = report_diff.compare(first, edited(first, key, bump(name, by)))
@@ -57,6 +59,11 @@ def test_a_tree_matches_itself_and_a_moved_float_is_flagged(tmp_path, capsys):
     lost = edited(first, key, lambda data: residuals(data).pop("unit"))
     for other in (changed, flipped, lost, {k: first[k] for k in list(first)[1:]}):
         assert report_diff.compare(first, other)[1].violations
+    # the exit codes are counted on each side
+    changed[key]["exit"] = 2
+    paths[1].write_text(json.dumps(changed))
+    assert report_diff.main(["compare", *map(str, paths)]) == 1
+    assert "runs exiting 0/1/2/3: 3/0/0/0 -> 2/0/1/0\n" in capsys.readouterr().out
 
 
 def test_run_appends_extra_arguments_to_every_run(tmp_path):
