@@ -5,7 +5,9 @@ Recovers the matrix-unit structure of a unital *-closed subalgebra S of
 M_n(C): the list of block sizes together with images in S of the abstract
 matrix units.  The probe is a random self-adjoint element of the center
 (then of each simple summand) with a fixed seed, so results are
-deterministic for a given seed.
+deterministic for a given seed.  A one-dimensional algebra, such as the
+fixed-point algebra C of an ergodic action, has one matrix unit and draws
+no probe, so numpy.random is loaded only where a number is drawn.
 
 Every basis the package picks is a gauge, and each kind is picked by one
 routine, reached as an attribute of this module so that one patch changes
@@ -141,7 +143,15 @@ class SubalgebraBlocks:
 
 def decompose_star_algebra(basis: list[np.ndarray], n: int,
                            seed: int = 0) -> SubalgebraBlocks:
-    """Matrix units of the unital *-algebra spanned by `basis` inside M_n(C)."""
+    """Matrix units of the unital *-algebra spanned by `basis` inside M_n(C).
+
+    A one-dimensional algebra C e draws nothing: its one probe is its
+    self-adjoint central element with coefficient 1, whose eigenprojection
+    onto the unit is the one summand, so `seed` is not read.  A larger
+    algebra draws its
+    probes from `np.random.default_rng(seed)`: first a central probe, then
+    one pair per simple summand of size at least 2, retrying up to
+    PROBE_ATTEMPTS times."""
     basis = _orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
     if not basis:
         raise DecompositionError("empty algebra")
@@ -152,10 +162,14 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int,
     n_blocks = len(center_sa)
     unit = _unit_of(basis, n)
 
-    rng = np.random.default_rng(seed)
+    if len(basis) == 1:
+        # C e has one matrix unit: one probe with coefficient 1, no draw
+        rng, draws = None, [np.ones(1)]
+    else:
+        rng = np.random.default_rng(seed)
+        draws = (rng.standard_normal(n_blocks) for _ in range(PROBE_ATTEMPTS))
     last_error = "no attempt made"
-    for _ in range(PROBE_ATTEMPTS):
-        coeffs = rng.standard_normal(n_blocks)
+    for coeffs in draws:
         probe = sum(c * h for c, h in zip(coeffs, center_sa))
         # the part outside the unit of S (eigenvalue-0 directions that do
         # not belong to any central summand) is dropped

@@ -168,16 +168,18 @@ class Realization:
 
         Blocks between matching irreducible constituents are Schur scalars
         of the compressed intertwiners; a block whose scalar is at most
-        SCHUR_FLOOR in modulus stays zero.
+        SCHUR_FLOOR times the Frobenius norm of T in modulus stays zero, so
+        F(c T) = c F(T) for every scalar c.
         """
         out = np.zeros((tgt.dim, src.dim), dtype=complex)
+        floor = SCHUR_FLOOR * np.linalg.norm(t)
         for k, (lk, wk) in enumerate(tgt.components):
             for j, (lj, wj) in enumerate(src.components):
                 if lk != lj:
                     continue
                 d = self.backend.irrep(lk).dim
                 scalar = np.trace(wk.conj().T @ t @ wj) / d
-                if abs(scalar) > SCHUR_FLOOR:
+                if abs(scalar) > floor:
                     mod_dim = self.functor.module(lk).dim
                     out[tgt.slot(k), src.slot(j)] = scalar * np.eye(mod_dim)
         return out

@@ -71,9 +71,11 @@ a star, or a value E(b_i* b_j) of the Gram matrix, whose entries all lie
 within it is set to zero.  Fixed."""
 
 SCHUR_FLOOR = 1e-16
-"""1e-16, absolute: a block of F(T) or of F_2 is formed only where the
-modulus of its Schur scalar (the trace of the compressed intertwiner) is
-above it.  Fixed."""
+"""1e-16: a block of F(T) or of F_2 is formed only where the modulus of its
+Schur scalar (the trace of the compressed intertwiner) is above it.  For
+F(T) it is relative to the Frobenius norm of T, so that F is linear at
+every scale; for F_2 it is absolute, since those traces are taken against
+isometries and orthonormal intertwiners.  Fixed."""
 
 # -- block decomposition (fixed) ------------------------------------------------
 
@@ -101,8 +103,9 @@ probe is drawn again.  Fixed."""
 
 PROBE_ATTEMPTS = 8
 """8: the random probes drawn before `decompose_star_algebra` gives up
-separating the central summands, and before `_matrix_units` gives up on
-one summand.  Fixed."""
+separating the central summands of an algebra of dimension at least 2, and
+before `_matrix_units` gives up on one summand of size at least 2.  A
+one-dimensional algebra takes no probe.  Fixed."""
 
 # -- spans and isometries (fixed) -----------------------------------------------
 

@@ -925,3 +925,114 @@ def test_builder_stacks_keep_the_bits_of_the_per_element_builder(backends, corpu
         spec = actions.spectral_functor(backend, act).functor
         seen_empty |= any(spec.module(label).dim == 0 for label in backend.labels)
     assert seen_empty
+
+
+def reference_decompose_star_algebra(basis, n, seed=0):
+    """The probe path of `blockdecomp.decompose_star_algebra` for an algebra
+    of every dimension: a one-dimensional algebra draws its central probe
+    too."""
+    from qact import blockdecomp
+    from qact.thresholds import PROBE_ATTEMPTS
+
+    basis = blockdecomp._orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
+    rows = [np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T for b in basis]
+    center = [sum(c * b for c, b in zip(row, basis)) for row in row_spaces(np.vstack(rows))[1]]
+    center_sa = blockdecomp._selfadjoint_basis(center, n)
+    unit = blockdecomp._unit_of(basis, n)
+    rng = np.random.default_rng(seed)
+    for _ in range(PROBE_ATTEMPTS):
+        coeffs = rng.standard_normal(len(center_sa))
+        probe = sum(c * h for c, h in zip(coeffs, center_sa))
+        projections = blockdecomp.eigenprojections(probe, unit)
+        if len(projections) != len(center_sa):
+            continue
+        try:
+            return blockdecomp._units_from_projections(basis, projections, n, rng)
+        except blockdecomp.DecompositionError:
+            pass
+    raise blockdecomp.DecompositionError("the reference probes failed")
+
+
+@pytest.fixture(scope="module")
+def corpus_decompositions(backends, corpus):
+    """(case, spanning set, n) of every decomposition asked for by the
+    corpus actions, Z8 and Z12 translation through `canonical_module_iso`
+    (whose spectral functor decomposes the fixed-point algebra) and through
+    `module_functor` without a base, and by the fixed-point algebras of the
+    conjugated clock-shift gradings of M_3 and M_4."""
+    from qact import actions
+    from qact.fixtures import translation_action
+    from qact.groups import cyclic_group
+    from qact.repcat import dual_backend
+    from test_reconstruction import conjugated_clock_shift
+
+    calls = []
+    decompose = actions.decompose_star_algebra
+
+    def recording(basis, n, seed=0):
+        calls.append((case, [np.array(b) for b in basis], n))
+        return decompose(basis, n, seed=seed)
+
+    cases = [(name, backends[bk], act) for name, (bk, act) in sorted(corpus.items())]
+    for n in (8, 12):
+        backend = cyclic_backend(n)
+        cases.append((f"z{n}_translation", backend, translation_action(backend)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "decompose_star_algebra", recording)
+        for case, backend, act in cases:
+            canonical_module_iso(backend, act)
+            module_functor(backend, module_from_algebra(backend, act))
+        for n in (3, 4):
+            case = f"clock{n}"
+            fixed_point_algebra(dual_backend(cyclic_group(n)), conjugated_clock_shift(n, 1))
+    return calls
+
+
+def test_a_one_dimensional_algebra_keeps_the_probe_paths_bits(corpus_decompositions,
+                                                             monkeypatch):
+    # the rule draws nothing; where the unit is the identity it keeps the
+    # probe path's bytes, elsewhere (End(M) of the group-algebra gradings,
+    # whose unit lies a few 1e-15 from I) its values to 1e-12
+    from qact import blockdecomp
+
+    def no_draw(seed=None):
+        raise AssertionError("a one-dimensional algebra drew a number")
+
+    ones = [(case, basis, n) for case, basis, n in corpus_decompositions
+            if len(blockdecomp._orthonormal_span(basis, n)) == 1]
+    identity, near = set(), set()
+    for case, basis, n in ones:
+        for seed in range(4):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", no_draw)
+                got = blockdecomp.decompose_star_algebra(basis, n, seed=seed)
+            want = reference_decompose_star_algebra(basis, n, seed=seed)
+            assert got.algebra.blocks == want.algebra.blocks == (1,), case
+            assert got.multiplicities == want.multiplicities, case
+            if np.array_equal(want.unit_images[0], np.eye(n)):
+                assert got.unit_images.tobytes() == want.unit_images.tobytes(), case
+                identity.add(case)
+            else:
+                np.testing.assert_allclose(got.unit_images, want.unit_images, rtol=0,
+                                           atol=1e-12, err_msg=case)
+                near.add(case)
+    assert {"s3_translation", "z8_translation", "z12_translation"} <= identity | near
+    assert identity
+
+
+def test_a_larger_algebra_keeps_the_probe_paths_bytes(corpus_decompositions):
+    # algebras of dimension >= 2 draw the reference's numbers in its order,
+    # the factors M_d among them
+    from qact import blockdecomp
+
+    cases = set()
+    for case, basis, n in corpus_decompositions:
+        if len(blockdecomp._orthonormal_span(basis, n)) < 2:
+            continue
+        for seed in range(4):
+            got = blockdecomp.decompose_star_algebra(basis, n, seed=seed)
+            want = reference_decompose_star_algebra(basis, n, seed=seed)
+            assert got.algebra.blocks == want.algebra.blocks, case
+            assert got.unit_images.tobytes() == want.unit_images.tobytes(), case
+        cases.add(case)
+    assert {"inner_m2", "trivial_m2", "clock3", "clock4"} <= cases

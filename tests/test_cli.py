@@ -557,6 +557,40 @@ def test_verbs_run_only_their_layers(argv, used, unused, tmp_path):
     assert used <= ran
 
 
+RANDOM_RUN = """
+import json, sys
+from qact.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.random" in sys.modules]))
+"""
+
+
+def test_only_verbs_that_draw_import_numpy_random(tmp_path):
+    # the fixed-point algebra of an ergodic action is C, which takes no
+    # probe, so spectral, roundtrip and module-functor on S3 translation
+    # never load numpy.random; build draws its audit samples, and the
+    # two-dimensional fixed algebra of inner_m2 needs a real probe
+    s3 = ("--backend", "backends/s3.json", "--input", "actions/s3_translation.json")
+    runs = {
+        ("spectral", *s3): False,
+        ("roundtrip", *s3): False,
+        ("module-functor", *s3): False,
+        ("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"):
+            True,
+        ("spectral", "--backend", "backends/z2.json", "--input", "actions/inner_m2.json"): True,
+    }
+    procs = {}
+    for k, argv in enumerate(runs):
+        args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        procs[argv] = subprocess.Popen(
+            [sys.executable, "-c", RANDOM_RUN, *args, "--report", str(tmp_path / f"r{k}.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for argv, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == [0, runs[argv]], argv
+
+
 def test_unexpected_exception_is_exit_three(monkeypatch, tmp_path):
     from qact import functors
 

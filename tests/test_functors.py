@@ -234,6 +234,22 @@ def adjoint_maps(real, u, v):
     return adj.adjoints
 
 
+def test_morphism_matrix_is_linear_at_every_scale(backends):
+    # the Schur floor is relative to the norm of T, so F(c w) = c F(w) also
+    # where |c| is below SCHUR_FLOOR, which an absolute floor would send to 0
+    bk, act = action_corpus()["s3_translation"]
+    real = Realization(spectral_functor(backends[bk], act).functor)
+    obj = real.object((("std", False), ("std", False)))
+    label, w = obj.components[0]
+    atom = real.atom_object(label)
+    fw = real.morphism_matrix(w, atom, obj)
+    assert np.abs(fw).max() == pytest.approx(1.0)
+    for c in (1e-15, 1e-17):
+        got = real.morphism_matrix(c * w, atom, obj)
+        np.testing.assert_allclose(got, c * fw, rtol=1e-12, atol=0)
+        assert np.abs(got).max() == pytest.approx(c)
+
+
 def test_s_adjoint_naturality(backends):
     # the adjoint of left multiplication is natural against intertwiners
     bk, act = action_corpus()["s3_translation"]
