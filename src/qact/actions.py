@@ -528,14 +528,13 @@ def module_tensor_irrep(backend: Backend, module: EquivariantModule,
         com = dict(zip(act.group.elements, _kron(w, rep.matrices)))
         return EquivariantModule(act, dim, right, inner, comodule=com)
     return EquivariantModule(act, dim, right, inner,
-                             grades=_tensor_grades(backend, module, label))
+                             grades=_tensor_grades(module, label))
 
 
-def _tensor_grades(backend: Backend, module: EquivariantModule,
-                   label: str) -> tuple[str, ...]:
+def _tensor_grades(module: EquivariantModule, label: str) -> tuple[str, ...]:
     """The grades of the carrier basis of M (x) H for a dual backend."""
     g = module.action.group
-    gamma = backend.atom(label).grades[0]
+    gamma = g.index(label)
     return tuple(g.elements[g.times(g.inv(gamma), g.index(mu))] for mu in module.grades)
 
 
@@ -582,7 +581,7 @@ def _equivariant_maps(backend: Backend, module: EquivariantModule, label: str,
         w2 = _kron(w, backend.atom(label).matrices)
         rows = _kron(np.eye(t), w.transpose(0, 2, 1)) - _kron(w2, np.eye(module.dim))
     else:
-        grades = np.array(_tensor_grades(backend, module, label))
+        grades = np.array(_tensor_grades(module, label))
         mask = (grades[:, None] != np.array(module.grades)[None, :]).astype(float)
         rows = np.diag(mask.reshape(-1))
     # rows of M (x) H are indexed (module index, representation index)

@@ -199,17 +199,16 @@ def _omega_regular(group: GroupPresentation, vals: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TwistElement:
-    """The companion element u of a cocycle: a function on the group (dual
-    kind) or a group-algebra element (group kind)."""
+    """The companion element u = sum_x coeffs[x] e_x of a cocycle, on the
+    basis of D: a function on the group (dual kind) or a group-algebra
+    element (group kind)."""
 
-    kind: str
     group: GroupPresentation
     coeffs: np.ndarray  # dual: u(gamma_i); group: coefficient of g_i
 
     def rep_matrix(self, rep: Rep) -> np.ndarray:
-        """pi_U(u) for a representation of the matching backend."""
-        if self.kind == "dual":
-            return np.diag([self.coeffs[gr] for gr in rep.grades])
+        """pi_U(u) = sum_x coeffs[x] pi_U(e_x) for a representation of the
+        matching backend."""
         return np.einsum("g,gij->ij", self.coeffs, rep.matrices)
 
 
@@ -229,7 +228,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
         coeffs = np.array([vals[x, g.inv(x)] for x in range(n)])
         if np.abs(coeffs).min() < COCYCLE_SCALAR_FLOOR:
             raise CocycleError("companion element is not invertible")
-        u = TwistElement("dual", g, coeffs)
+        u = TwistElement(g, coeffs)
         # u^{-1} = antipode of u*, pointwise: 1/u(x) = conj(u(x^{-1}))
         rep["inverse_identity"] = float(max(
             abs(1.0 / coeffs[x] - np.conj(coeffs[g.inv(x)])) for x in range(n)
@@ -243,7 +242,7 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
         sv = np.linalg.svd(reg, compute_uv=False)
         if sv.min() < COCYCLE_SV_FLOOR:
             raise CocycleError("companion element is not invertible")
-        u = TwistElement("group", g, coeffs)
+        u = TwistElement(g, coeffs)
         # the antipode of u* has coefficient conj(u_x) at x
         reg2 = _left_regular(g, coeffs.conj())
         rep["inverse_identity"] = float(np.abs(reg @ reg2 - np.eye(n)).max())
@@ -265,20 +264,15 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
 
 def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
     """The action of the cocycle on the tensor product of two
-    representations of the matching backend."""
-    if cocycle.kind == "dual":
-        diag = np.array([
-            cocycle.values[gu, gv] for gu in u.grades for gv in v.grades
-        ])
-        return np.diag(diag)
-    n = cocycle.group.order
+    representations of the matching backend: the sum of values[a, b]
+    kron(u(e_a), v(e_b)) over the basis of D (x) D."""
+    a, b = np.nonzero(cocycle.values)
     out = np.zeros((u.dim * v.dim, u.dim * v.dim), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            w = cocycle.values[a, b]
-            if w == 0:
-                continue
-            out += w * np.kron(u.matrices[a], v.matrices[b])
+    # the kron of every pair with a nonzero value, as one product, added in
+    # the order of the pairs
+    krons = u.matrices[a][:, :, None, :, None] * v.matrices[b][:, None, :, None, :]
+    for w, k in zip(cocycle.values[a, b], krons.reshape(len(a), *out.shape)):
+        out += w * k
     return out
 
 
@@ -358,17 +352,11 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
         dagger = base.star_matrix
     else:
         table = deformed_table(base.table, [rd[x] for x in g.elements], vals)
+        # <| by u* = sum_x conj(u_x) e_x*, where <| by e_x is rd[x]
         dagger = np.zeros_like(base.star_matrix)
-        if act.kind == "grading":
-            # <| by the pointwise conjugate of the companion function
-            for x in range(n):
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[x]] @ base.star_matrix
-        else:
-            # u* = sum_h conj(u_h) h^{-1}; <| by a group element h is rd[h]
-            for x in range(n):
-                if u.coeffs[x] == 0:
-                    continue
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[g.inv(x)]] @ base.star_matrix
+        for x in range(n):
+            if u.coeffs[x] != 0:
+                dagger += np.conj(u.coeffs[x]) * rd[g.elements[backend.star[x]]] @ base.star_matrix
 
     fixed = actions.fixed_point_algebra(backend, act, seed=seed)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])

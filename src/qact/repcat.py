@@ -1,19 +1,26 @@
 """Representation categories of the two supported symmetry backends.
 
-A backend is either a finite group G (representations are unitary matrix
-representations) or the dual of a finite group Gamma (representations are
-Gamma-graded vector spaces; irreducibles are one-dimensional and labeled
-by group elements).  Both expose the same category operations: morphism
-spaces, decomposition into irreducibles, and conjugation data.
+A backend is a finite quantum group of Kac type, given by its dual
+algebra D with a coproduct: D = C[G] for a finite group G (the group
+kind), or D = C(Gamma) for the dual of a finite group Gamma (the dual
+kind, whose irreducibles are one-dimensional and labeled by group
+elements).  A representation is a *-representation of D, stored as one
+datum: the images of D's basis, an array of shape (|G|, d, d) holding the
+unitaries U(g) for the group kind and the grade projections P_gamma for
+the dual kind.  The kind enters once, as the data of D that the backend
+keeps: the coproduct as index pairs, the counit, the conjugation and star
+indices, and the normaliser of characters.  Tensor products, characters
+and multiplicities are then one formula for both kinds.
 
 Multiplicities come from characters before any SVD.  The character of a
-word is the vector chi_u(g) = tr U(g) over the group for the group kind,
-and the count of basis vectors in each grade for the dual kind; the
-backend caches it per word, next to the table of irreducible characters.
-dim Mor(u, v) is then <chi_u, chi_v>/|G| (Schur orthogonality), or the
-number of matching grade pairs.  ``mor_basis`` skips the SVD when this count
-is 0, and otherwise checks the rank of its thresholded SVD against it, so
-the count certifies every rank decision and is never just trusted.
+word is the vector chi_u(x) = tr u(x) over D's basis, which for the dual
+kind counts the basis vectors of each grade; the backend caches it per
+word, next to the table of irreducible characters.  dim Mor(u, v) is then
+<chi_u, chi_v> divided by the normaliser, |G| for the group kind (Schur
+orthogonality) and 1 for the dual kind.  ``mor_basis`` skips the SVD when
+this count is 0, and otherwise checks the rank of its thresholded SVD
+against it, so the count certifies every rank decision and is never just
+trusted.
 
 ``decompose_words`` decomposes many words at once: words of one shape are
 formed as one stack of matrices, and the Mor-space SVDs of one shape and
@@ -30,7 +37,7 @@ conjugate equations are solved by the identity matrices r and rbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,12 +62,13 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Irrep:
-    """One irreducible: label, dimension, matrices (group kind only) and
-    the label of the designated conjugate."""
+    """One irreducible: label, dimension, the images of D's basis and the
+    label of the designated conjugate.  A dual irrep's matrices are built
+    by its backend: the point mass at its label."""
 
     label: str
     dim: int
-    matrices: np.ndarray | None  # (|G|, d, d) for the group kind
+    matrices: np.ndarray | None  # (|G|, d, d): U(g), or P_gamma for the dual kind
     conj: str
 
 
@@ -68,19 +76,18 @@ class Rep:
     """A concrete representation, tracked as a word of atomic factors.
 
     Atoms are irreducibles or their literal conjugates; tensor products
-    concatenate words.  For the group kind the data is one unitary per
-    group element; for the dual kind it is a grading (one group element
-    per basis vector).
+    concatenate words.  The data is the image of each basis element of D,
+    shape (|G|, dim, dim): one unitary per group element for the group
+    kind, one grade projection per group element for the dual kind.
     """
 
-    __slots__ = ("backend", "atoms", "dim", "matrices", "grades")
+    __slots__ = ("backend", "atoms", "dim", "matrices")
 
-    def __init__(self, backend, atoms, dim, matrices, grades):
+    def __init__(self, backend, atoms, dim, matrices):
         self.backend = backend
         self.atoms = atoms  # tuple of (label, barred) pairs
         self.dim = dim
         self.matrices = matrices
-        self.grades = grades
 
     @property
     def key(self):
@@ -98,17 +105,37 @@ def _word_name(atoms, dim: int) -> str:
 class Backend:
     """Irreducible table plus category operations for one backend.
 
-    kind = "group": compact backend C(G) for a finite group G.
-    kind = "dual":  dual backend C*(Gamma); irreps are labeled by
-    elements of Gamma and all have dimension one.
+    kind = "group": compact backend C(G) for a finite group G, D = C[G].
+    kind = "dual":  dual backend C*(Gamma), D = C(Gamma); irreps are
+    labeled by elements of Gamma and all have dimension one.
+
+    Every representation is the images of D's basis e_x.  The kind is
+    read once, into the data of D: ``_coproduct``, index arrays a, b of
+    shape (|G|, m) with Delta(e_x) = sum_k e_a[x, k] (x) e_b[x, k];
+    ``_counit``; ``_bar``, the index of the basis element whose image the
+    conjugate representation conjugates entrywise; ``star``, the index of
+    e_x*; and ``_norm``, the normaliser of character inner products.
     """
 
     def __init__(self, kind: str, group: GroupPresentation, irreps: list[Irrep]):
         if kind not in ("group", "dual"):
             raise BackendError(f"unknown backend kind {kind!r}")
+        n = group.order
+        ids = np.arange(n)
+        if kind == "group":
+            # Delta(g) = g (x) g, eps(g) = 1, g* = g^-1
+            self._coproduct = (ids[:, None], ids[:, None])
+            self._counit = np.ones(n)
+            self._bar, self.star, self._norm = ids, group.inverse, n
+        else:
+            # Delta(delta_c) = sum_a delta_a (x) delta_{a^-1 c}, eps(delta_x) = [x = e],
+            # and the irrep gamma sends delta_x to [x = gamma]
+            self._coproduct = (np.tile(ids, (n, 1)), group.mul[group.inverse].T)
+            self._counit = np.eye(n)[group.identity]
+            self._bar, self.star, self._norm = group.inverse, ids, 1
+            points = np.eye(n, dtype=complex)[:, :, None, None]
+            irreps = [replace(ir, matrices=points[group.index(ir.label)]) for ir in irreps]
         self.kind = kind
-        # the data of a representation: its matrices or its grades
-        self._field = "matrices" if kind == "group" else "grades"
         self.group = group
         self.irreps = {ir.label: ir for ir in irreps}
         if len(self.irreps) != len(irreps):
@@ -124,11 +151,11 @@ class Backend:
     # -- table structure ------------------------------------------------
 
     def _find_trivial(self) -> str:
-        if self.kind == "dual":
-            return self.group.elements[self.group.identity]
+        """The irrep whose matrices are the counit."""
         for label in self.labels:
-            ir = self.irreps[label]
-            if ir.dim == 1 and np.allclose(ir.matrices, 1.0, rtol=0, atol=TABLE_MATCH_TOL):
+            mats = self.irreps[label].matrices
+            if mats.shape[1:] == (1, 1) and np.allclose(mats[:, 0, 0], self._counit, rtol=0,
+                                                        atol=TABLE_MATCH_TOL):
                 return label
         raise BackendError("table has no trivial representation")
 
@@ -144,7 +171,7 @@ class Backend:
 
     def check(self, tol: float = DEFAULT_TOL) -> None:
         """Validate the table: unitarity, multiplicativity, conjugation
-        pairing."""
+        pairing, irreducibility and completeness."""
         g = self.group
         g.check()
         for label in self.labels:
@@ -181,6 +208,11 @@ class Backend:
                 n = len(self.mor_basis(self.atom(a), self.atom(b)))
                 if (a == b and n != 1) or (a != b and n != 0):
                     raise BackendError(f"table is not irreducible at ({a}, {b})")
+        # every irreducible occurs: dim D = sum of d^2 over the table
+        total = sum(ir.dim ** 2 for ir in self.irreps.values())
+        if total != g.order:
+            raise BackendError(f"table is incomplete: the sum of squared irrep dimensions "
+                               f"is {total}, not |G| = {g.order}")
 
     # -- representation constructors -------------------------------------
 
@@ -189,15 +221,11 @@ class Backend:
         if key in self._rep_cache:
             return self._rep_cache[key]
         ir = self.irrep(label)
-        if self.kind == "group":
-            # the conjugate representation on the conjugate space: with the
-            # canonical identification its matrices are the entrywise conjugates
-            mats = ir.matrices.conj() if barred else ir.matrices
-            rep = Rep(self, key, ir.dim, mats, None)
-        else:
-            idx = self.group.index(label)
-            grade = self.group.inv(idx) if barred else idx
-            rep = Rep(self, key, 1, None, (grade,))
+        # the conjugate representation on the conjugate space: with the
+        # canonical identification it sends x to the entrywise conjugate of
+        # the image of x (group kind) or of x^-1 (dual kind)
+        mats = ir.matrices[self._bar].conj() if barred else ir.matrices
+        rep = Rep(self, key, ir.dim, mats)
         self._rep_cache[key] = rep
         return rep
 
@@ -210,19 +238,17 @@ class Backend:
         key = u.atoms + v.atoms
         if key in self._rep_cache:
             return self._rep_cache[key]
-        dim = u.dim * v.dim
-        if self.kind == "group":
-            mats = np.einsum("gij,gkl->gikjl", u.matrices, v.matrices).reshape(
-                self.group.order, dim, dim
-            )
-            rep = Rep(self, key, dim, mats, None)
-        else:
-            grades = tuple(
-                self.group.times(a, b) for a in u.grades for b in v.grades
-            )
-            rep = Rep(self, key, dim, None, grades)
+        rep = Rep(self, key, u.dim * v.dim, self._tensor(u.matrices[None], v.matrices[None])[0])
         self._rep_cache[key] = rep
         return rep
+
+    def _tensor(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The images of D's basis on the tensor products of two stacks of
+        representations (N, |G|, d, d) and (N, |G|, e, e): x goes to the sum
+        of kron(u(a), v(b)) over the coproduct pairs (a, b) of x."""
+        a, b = self._coproduct
+        out = np.einsum("ngmij,ngmkl->ngikjl", u[:, a], v[:, b])
+        return out.reshape(u.shape[:2] + (u.shape[-1] * v.shape[-1],) * 2)
 
     def word(self, atoms) -> Rep:
         """Representation of a word of (label, barred) atoms; () is trivial."""
@@ -237,28 +263,22 @@ class Backend:
     # -- characters ---------------------------------------------------------
 
     def character(self, u: Rep) -> np.ndarray:
-        """The character of a word, cached: tr U(g) per group element for
-        the group kind, the number of basis vectors of each grade for the
-        dual kind."""
+        """The character of a word, cached: the trace of the image of each
+        basis element of D, which for the dual kind is the number of basis
+        vectors of each grade."""
         chi = self._char_cache.get(u.atoms)
         if chi is None:
-            if self.kind == "group":
-                chi = np.einsum("gii->g", u.matrices)
-            else:
-                grades = np.asarray(u.grades, dtype=int)
-                chi = np.bincount(grades, minlength=self.group.order).astype(complex)
-            self._char_cache[u.atoms] = chi
+            chi = self._char_cache[u.atoms] = np.einsum("gii->g", u.matrices)
         return chi
 
     def _count(self, inner) -> np.ndarray:
         """Multiplicities from raw character inner products."""
-        if self.kind == "group":
-            inner = inner / self.group.order
-        return np.rint(np.real(inner)).astype(int)
+        return np.rint(np.real(inner / self._norm)).astype(int)
 
     def multiplicity(self, u: Rep, v: Rep) -> int:
         """dim Mor(u, v) from characters: <chi_u, chi_v>/|G| for the group
-        kind, the number of matching grade pairs for the dual kind."""
+        kind, <chi_u, chi_v>, the number of matching grade pairs, for the
+        dual kind."""
         if u.backend is not v.backend:
             raise BackendError("representations live over different backends")
         return int(self._count(np.vdot(self.character(u), self.character(v))))
@@ -280,29 +300,29 @@ class Backend:
         count = self.multiplicity(u, v)
         basis = []
         if count:
-            udata, vdata = (np.asarray(getattr(r, self._field))[None] for r in (u, v))
-            basis = list(self._mor_stack(udata, vdata, count, lambda _: f"{u}, {v}")[0])
+            basis = list(self._mor_stack(u.matrices[None], v.matrices[None], count,
+                                         lambda _: f"{u}, {v}")[0])
         self._mor_cache[key] = basis
         return basis
 
     def _mor_stack(self, udata: np.ndarray, vdata: np.ndarray, count: int,
                    name) -> np.ndarray:
         """Bases of Mor(u_n, v_n) for a stack of pairs of one shape and one
-        character count > 0, given by their matrices (N, |G|, dim u, dim u)
-        and (N, |G|, dim v, dim v), or for the dual kind by their grades
-        (N, dim u) and (N, dim v): shape (N, count, dim v, dim u).  This is
-        the one routine that chooses intertwiner bases.
+        character count > 0, given by the images of D's basis (N, |G|, dim u,
+        dim u) and (N, |G|, dim v, dim v): shape (N, count, dim v, dim u).
+        This is the one routine that chooses intertwiner bases.
 
         For the dual kind the basis is the matrix units e_kl with grade k of
-        v equal to grade l of u, in row-major order.  For the group kind the
-        averaging maps of the whole stack go through one SVD.  Each pair's
-        number of singular values above RANK_TOL must equal the count; if it
-        does not, the matrices are not a representation and BackendError is
-        raised, naming the pair by ``name(index)``.
+        v equal to grade l of u, read off the diagonals of the grade
+        projections as sum_x P_x(v)_kk P_x(u)_ll, in row-major order.  For
+        the group kind the averaging maps of the whole stack go through one
+        SVD.  Each pair's number of singular values above RANK_TOL must equal
+        the count; if it does not, the matrices are not a representation and
+        BackendError is raised, naming the pair by ``name(index)``.
         """
         if self.kind == "dual":
-            n, k, l = np.nonzero(vdata[:, :, None] == udata[:, None, :])
-            out = np.zeros((len(vdata), count, vdata.shape[1], udata.shape[1]), dtype=complex)
+            n, k, l = np.nonzero(np.einsum("nxkk,nxll->nkl", vdata, udata))
+            out = np.zeros((len(vdata), count, vdata.shape[-1], udata.shape[-1]), dtype=complex)
             # the position of each unit within its pair's basis
             out[n, np.arange(len(n)) - np.searchsorted(n, n), k, l] = 1.0
             return out
@@ -367,30 +387,18 @@ class Backend:
                 shapes.setdefault(tuple(self.irrep(label).dim for label, _ in w), []).append(n)
 
         def column(idx, pos):
-            """The matrices (or grades) of the atoms at one position of the
-            words, each distinct atom looked up once."""
+            """The matrices of the atoms at one position of the words, each
+            distinct atom looked up once."""
             atoms = [words[n][pos] for n in idx]
             distinct = {x: k for k, x in enumerate(dict.fromkeys(atoms))}
-            table = np.array([getattr(self.atom(*x), self._field) for x in distinct])
+            table = np.array([self.atom(*x).matrices for x in distinct])
             return table[[distinct[x] for x in atoms]]
 
         for idx in shapes.values():
             data = column(idx, 0)
             for pos in range(1, len(words[idx[0]])):
-                nxt = column(idx, pos)
-                if self.kind == "group":
-                    dim = data.shape[-1] * nxt.shape[-1]
-                    data = np.einsum("ngij,ngkl->ngikjl", data, nxt).reshape(
-                        len(idx), self.group.order, dim, dim
-                    )
-                else:
-                    data = self.group.mul[data[:, :, None], nxt[:, None, :]].reshape(len(idx), -1)
-            if self.kind == "group":
-                chars = np.einsum("ngii->ng", data)
-            else:
-                chars = np.array([np.bincount(g, minlength=self.group.order) for g in data],
-                                 dtype=complex)
-            counts = self._count(chars @ self._char_table.T)
+                data = self._tensor(data, column(idx, pos))
+            counts = self._count(np.einsum("ngii->ng", data) @ self._char_table.T)
             irreps = [self.atom(label) for label in self.labels]
             found: dict = {}
             for row, col in zip(*np.nonzero(counts)):
@@ -399,7 +407,7 @@ class Backend:
             for (dim, count), pairs in found.items():
                 rows, cols = (list(x) for x in zip(*pairs))
                 bases = self._mor_stack(
-                    np.array([getattr(irreps[col], self._field) for col in cols]), data[rows],
+                    np.array([irreps[col].matrices for col in cols]), data[rows],
                     count, lambda k: f"{irreps[cols[k]]}, "
                                      f"{_word_name(words[idx[rows[k]]], data.shape[-1])}",
                 )

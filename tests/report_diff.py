@@ -184,14 +184,19 @@ def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "compare":
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in argv[1:])
         same, diff = compare(a, b)
-        print(f"{same} of {len(set(a) | set(b))} reports byte-identical; "
-              f"largest float difference {diff.largest:.3g}; "
-              f"{len(diff.violations)} violations")
-        print(f"runs exiting 0/1/2/3: {exit_counts(a)} -> {exit_counts(b)}")
-        for key, largest in diff.differing[:50]:
-            print(f"  differs: {key} (largest float difference {largest:.3g})")
-        for line in diff.violations[:50]:
-            print("  " + line)
+        lines = [f"{same} of {len(set(a) | set(b))} reports byte-identical; "
+                 f"largest float difference {diff.largest:.3g}; "
+                 f"{len(diff.violations)} violations",
+                 f"runs exiting 0/1/2/3: {exit_counts(a)} -> {exit_counts(b)}"]
+        lines += [f"  differs: {key} (largest float difference {largest:.3g})"
+                  for key, largest in diff.differing[:50]]
+        lines += ["  " + line for line in diff.violations[:50]]
+        try:
+            print("\n".join(lines), flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout, as `| head` does: drop the rest of
+            # the text, and the flush at exit with it, and keep the verdict
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1 if diff.violations else 0
     print(__doc__.split("\n\n")[0], file=sys.stderr)
     return 2

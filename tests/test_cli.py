@@ -270,6 +270,67 @@ def test_every_comparison_set_report_is_the_json_module_text(tmp_path, monkeypat
     assert len(checked) == len(runs) and all(checked)
 
 
+def write_backend(tmp_path, source, name, edit):
+    """A copy of a corpus backend file, changed by edit(data)."""
+    data = json.loads((FIXTURES / "backends" / source).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def assert_input_error(proc, report, verb, message):
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    out = json.loads(report.read_text())
+    assert sorted(out) == ["error", "schema", "verb"] and out["verb"] == verb
+    assert message in out["error"], out["error"]
+
+
+def keep_irreps(*labels):
+    def edit(data):
+        data["irreps"] = [e for e in data["irreps"] if e["label"] in labels]
+    return edit
+
+
+@pytest.mark.parametrize("source, labels, action, total, order", [
+    ("s3.json", ("triv", "sign"), "s3_translation", 2, 6),
+    ("dual_z2z2.json", ("0|0", "0|1"), "z2z2_group_algebra", 2, 4),
+], ids=["s3_without_std", "dual_z2z2_half"])
+def test_an_incomplete_table_is_an_input_error(source, labels, action, total, order, tmp_path):
+    # a table that misses irreducibles would give a functor that misses them
+    backend = write_backend(tmp_path, source, "partial.json", keep_irreps(*labels))
+    report = tmp_path / "r.json"
+    for verb in ("spectral", "roundtrip", "module-functor", "fullness"):
+        proc = run_cli(verb, "--backend", str(backend),
+                       "--input", str(FIXTURES / "actions" / f"{action}.json"),
+                       "--report", str(report))
+        assert_input_error(proc, report, verb, f"the sum of squared irrep dimensions "
+                                               f"is {total}, not |G| = {order}")
+
+
+def declare_dim_two(data):
+    entry = next(e for e in data["irreps"] if e["label"] == "1")
+    entry["dim"] = 2
+    entry["rho"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def self_conjugate(data):
+    next(e for e in data["irreps"] if e["label"] == "1")["conj"] = "1"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (declare_dim_two, "dual-backend irreps must be one-dimensional"),
+    (self_conjugate, "conjugate of '1' must be its inverse"),
+], ids=["dim_two", "conj_not_inverse"])
+def test_dual_table_rules_are_input_errors(edit, message, tmp_path):
+    backend = write_backend(tmp_path, "dual_z3.json", "bad_dual_z3.json", edit)
+    report = tmp_path / "r.json"
+    proc = run_cli("spectral", "--backend", str(backend),
+                   "--input", str(FIXTURES / "actions" / "m3_clock_shift.json"),
+                   "--report", str(report))
+    assert_input_error(proc, report, "spectral", message)
+
+
 def test_missing_file_is_input_error(tmp_path):
     proc = run_cli("roundtrip", "--backend", str(FIXTURES / "backends/z2.json"),
                    "--input", str(tmp_path / "nope.json"))

@@ -15,6 +15,7 @@ from qact.cocycles import (
     TwistedBackend,
     _coaction_module_maps,
     check_cocycle,
+    cocycle_pair_matrix,
     deform_action,
     deform_functor,
     deformed_table,
@@ -27,6 +28,8 @@ from qact.algebras import BlockAlgebra
 from qact.functors import validate_functor
 from qact.reconstruction import build_algebra
 from qact.staralg import StarAlgebraModel, verify_algebra_iso
+
+from test_repcat import reference_grades, words_up_to_three
 
 TOL = 1e-9
 
@@ -294,7 +297,6 @@ def test_twist_matrix_bracketing_independent(backends):
     # the iterated cocycle action is independent of the bracketing
     omg = group_backend_bicharacter_cocycle()
     tw = TwistedBackend(backends["z2z2"], omg)
-    from qact.cocycles import cocycle_pair_matrix
     a1 = tw.atom(tw.labels[1])
     a2 = tw.atom(tw.labels[2])
     a3 = tw.atom(tw.labels[3])
@@ -698,3 +700,74 @@ def test_deformed_table_is_the_einsum_bit_for_bit(which, backends):
     got = deformed_table(table, rd, cocycle.values)
     assert np.array_equal(got, reference_deformed_table(table, rd, cocycle.values))
     assert np.abs(got).max() > 0
+
+
+# -- the dual kind's diagonal forms, as reference code for the group formulas --
+
+
+def reference_pair_matrix(cocycle, u_grades, v_grades):
+    """The cocycle on the tensor product of two graded spaces: the diagonal
+    of its values at the pairs of grades."""
+    return np.diag(np.array([cocycle.values[gu, gv] for gu in u_grades for gv in v_grades]))
+
+
+def reference_rep_matrix(element, grades):
+    """A companion function on a graded space: the diagonal of its values at
+    the grades."""
+    return np.diag([element.coeffs[gr] for gr in grades])
+
+
+def unit_modulus_s3_cocycle():
+    # not a cocycle: the formulas read a table, they do not check it
+    s3 = standard_backends()["dual_s3"].group
+    phases = np.random.default_rng(7).uniform(0, 2 * np.pi, (s3.order, s3.order))
+    return make_cocycle("dual", s3, np.exp(1j * phases))
+
+
+@pytest.mark.parametrize("name, make", [
+    ("dual_z2z2", lambda: bicharacter_cocycle([2, 2])),
+    ("dual_s3", unit_modulus_s3_cocycle),
+], ids=["bicharacter_z2z2", "unit_modulus_s3"])
+def test_group_formulas_keep_the_diagonal_forms_on_point_masses(name, make):
+    backend = standard_backends()[name]
+    cocycle = make()
+    u, _ = twist_element(backend, cocycle)
+    words = words_up_to_three(backend)
+    atoms = [backend.atom(*w[0]) for w in words if len(w) == 1]
+    for word in words:
+        rep = backend.word(word)
+        grades = reference_grades(backend, word)
+        assert np.array_equal(u.rep_matrix(rep), reference_rep_matrix(u, grades))
+        if len(word) == 3:
+            continue
+        for atom in atoms:
+            got = cocycle_pair_matrix(cocycle, rep, atom)
+            want = reference_pair_matrix(cocycle, grades, reference_grades(backend, atom.atoms))
+            assert np.array_equal(got, want)
+
+
+def reference_kron_loop(cocycle, u, v):
+    """The group formula one pair at a time, as np.kron gives it."""
+    n = cocycle.group.order
+    out = np.zeros((u.dim * v.dim, u.dim * v.dim), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            if cocycle.values[a, b] != 0:
+                out += cocycle.values[a, b] * np.kron(u.matrices[a], v.matrices[b])
+    return out
+
+
+@pytest.mark.parametrize("name, make", [
+    ("z2z2", group_backend_bicharacter_cocycle),
+    ("dual_z2z2", lambda: bicharacter_cocycle([2, 2])),
+], ids=["group_bicharacter_z2z2", "bicharacter_z2z2"])
+def test_pair_matrix_keeps_the_bytes_of_the_kron_loop(name, make):
+    backend = standard_backends()[name]
+    cocycle = make()
+    words = [w for w in words_up_to_three(backend) if len(w) < 3]
+    atoms = [backend.atom(*w[0]) for w in words if len(w) == 1]
+    for word in words:
+        rep = backend.word(word)
+        for atom in atoms:
+            got = cocycle_pair_matrix(cocycle, rep, atom)
+            assert got.tobytes() == reference_kron_loop(cocycle, rep, atom).tobytes()

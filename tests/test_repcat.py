@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from qact.cocycles import TwistedBackend
-from qact.fixtures import bicharacter_cocycle, group_backend_bicharacter_cocycle
+from qact.fixtures import (
+    bicharacter_cocycle,
+    group_backend_bicharacter_cocycle,
+    standard_backends,
+)
 from qact.groups import GroupError, cyclic_group, direct_product, symmetric_group
 from qact.repcat import (
     Backend,
@@ -250,9 +254,29 @@ def test_mor_space_backend_mismatch(s3):
 # -- character counts against the SVD of every label --------------------------
 
 
+def grades_of(rep):
+    """The grade of each basis vector of a dual-kind representation: the
+    group element whose projection has a 1 on that diagonal entry."""
+    return tuple(int(x) for x in np.argmax(np.einsum("xkk->kx", rep.matrices).real, axis=1))
+
+
+def grade_matched_units(v_grades, u_grades):
+    """The matrix units e_kl with grade k of v equal to grade l of u, in
+    row-major order."""
+    basis = []
+    for k, gv in enumerate(v_grades):
+        for l, gu in enumerate(u_grades):
+            if gv == gu:
+                e = np.zeros((len(v_grades), len(u_grades)), dtype=complex)
+                e[k, l] = 1.0
+                basis.append(e)
+    return basis
+
+
 def reference_mor_basis(backend, u, v):
     """Mor(u, v) without character counts: the thresholded SVD of the
-    averaging map for the group kind, grade matching for the dual kind."""
+    averaging map for the group kind, grade matching on the diagonals of
+    the grade projections for the dual kind."""
     if isinstance(backend, TwistedBackend):
         tu, tv = backend.twist_matrix(u), backend.twist_matrix(v)
         base = reference_mor_basis(
@@ -260,14 +284,7 @@ def reference_mor_basis(backend, u, v):
         )
         return [tv @ t @ tu.conj().T for t in base]
     if backend.kind == "dual":
-        basis = []
-        for k in range(v.dim):
-            for l in range(u.dim):
-                if v.grades[k] == u.grades[l]:
-                    e = np.zeros((v.dim, u.dim), dtype=complex)
-                    e[k, l] = 1.0
-                    basis.append(e)
-        return basis
+        return grade_matched_units(grades_of(v), grades_of(u))
     sup = np.einsum("gki,glj->klij", v.matrices, u.matrices.conj())
     sup = sup.reshape(v.dim * u.dim, v.dim * u.dim) / backend.group.order
     w, s, _ = np.linalg.svd(sup)
@@ -425,3 +442,62 @@ def test_group_check_names_the_first_nonassociative_triple():
     names = ", ".join("abcde"[x] for x in first)
     with pytest.raises(GroupError, match=rf"associativity fails at \({names}\)"):
         group.check()
+
+
+# -- the dual kind's grade arithmetic, as reference code for the one datum --
+
+
+DUAL_CORPUS = sorted(name for name in standard_backends() if name.startswith("dual_"))
+
+
+def words_up_to_three(backend):
+    atoms = [(label, barred) for label in backend.labels for barred in (False, True)]
+    return [w for n in (1, 2, 3) for w in itertools.product(atoms, repeat=n)]
+
+
+def reference_grades(backend, atoms):
+    """The grades of a dual-kind word, one group index per basis vector: an
+    atom has the grade of its label, or of the inverse when barred, and a
+    tensor product has the products of the pairs of grades."""
+    g = backend.group
+    grades = None
+    for label, barred in atoms:
+        idx = g.index(label)
+        atom = (g.inv(idx) if barred else idx,)
+        grades = atom if grades is None else tuple(g.times(a, b) for a in grades for b in atom)
+    return grades
+
+
+def reference_character(backend, grades):
+    """The number of basis vectors of each grade."""
+    return np.bincount(np.asarray(grades, dtype=int), minlength=backend.group.order).astype(complex)
+
+
+def grade_projections(backend, grades):
+    return np.array([np.diag([complex(gr == x) for gr in grades])
+                     for x in range(backend.group.order)])
+
+
+@pytest.mark.parametrize("name", DUAL_CORPUS)
+def test_dual_matrices_keep_the_grade_arithmetic(name):
+    # every word of length <= 3: its matrices are the projections onto the
+    # tuple-product grades, its character is their count, and its Mor bases
+    # and decomposition are the grade-matched units, all bit for bit
+    backend = standard_backends()[name]
+    words = words_up_to_three(backend)
+    irreps = [backend.atom(label) for label in backend.labels]
+    for word, parts in zip(words, backend.decompose_words(words)):
+        u = backend.word(word)
+        grades = reference_grades(backend, word)
+        assert np.array_equal(u.matrices, grade_projections(backend, grades))
+        assert grades_of(u) == grades
+        assert np.array_equal(backend.character(u), reference_character(backend, grades))
+        want = []
+        for a in irreps:
+            units = grade_matched_units(grades, reference_grades(backend, a.atoms))
+            basis = backend.mor_basis(a, u)
+            assert len(basis) == len(units) == backend.multiplicity(a, u)
+            assert all(np.array_equal(t, e) for t, e in zip(basis, units))
+            want += [(a.atoms[0][0], e) for e in units]
+        assert [label for label, _ in parts] == [label for label, _ in want]
+        assert all(np.array_equal(w, e) for (_, w), (_, e) in zip(parts, want))

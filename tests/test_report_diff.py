@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import record_golden
 import report_diff
@@ -79,3 +81,17 @@ def test_run_appends_extra_arguments_to_every_run(tmp_path):
     assert len(runs) == len(RUNS)
     assert all(key.endswith(" --tolerance 1e-6") for key in runs)
     assert all(json.loads(run["report"])["tolerance"] == 1e-6 for run in runs.values())
+
+
+def test_compare_stops_quietly_when_stdout_closes(tmp_path):
+    # the reader's end of the pipe closes before compare writes a line
+    runs = {f"run {k}": {"exit": 0, "report": f"{{\"r\": {k}.0}}\n"} for k in range(200)}
+    moved = {key: {"exit": 1, "report": run["report"]} for key, run in runs.items()}
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, data in zip(paths, (runs, moved)):
+        path.write_text(json.dumps(data))
+    with subprocess.Popen([sys.executable, report_diff.__file__, "compare", *map(str, paths)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1 and stderr == "", stderr
