@@ -70,6 +70,11 @@ class Action:
             raise ActionError("automorphism action needs its maps")
         if self.kind == "grading" and self.components is None:
             raise ActionError("grading action needs its components")
+        dim = self.algebra.dim
+        for x, m in (self.maps or {}).items():
+            if np.shape(m) != (dim, dim):
+                raise ActionError(f"the map of {x!r} has shape {np.shape(m)}, "
+                                  f"not ({dim}, {dim})")
 
     def map_matrix(self, element: str) -> np.ndarray:
         return np.asarray(self.maps[element], dtype=complex)
@@ -83,6 +88,25 @@ class Action:
         rows = np.asarray(self.components.get(element, np.zeros((0, self.algebra.dim))),
                           dtype=complex)
         return rows.reshape(-1, self.algebra.dim)
+
+    def module_maps(self) -> dict[str, np.ndarray]:
+        """b <| e_x for each basis element e_x of the backend's dual algebra,
+        as coordinate matrices: the inverse automorphism of x (automorphism
+        kind), or the projection onto the component of x along the grading
+        decomposition (grading kind)."""
+        b = self.algebra
+        g = self.group
+        if self.kind == "automorphism":
+            return {x: self.map_matrix(g.elements[g.inv(g.index(x))]) for x in g.elements}
+        rows = [self.component_rows(x) for x in g.elements]
+        v = np.vstack(rows)  # rows span B; coordinates along the grading
+        if v.shape[0] != b.dim:
+            raise ActionError("grading components do not span the algebra")
+        vinv = np.linalg.inv(v.T)
+        # owners[i]: the number of the group element whose component row i spans
+        owners = np.repeat(np.arange(g.order), [len(r) for r in rows])
+        return {x: v.T @ np.diag((owners == k).astype(float)) @ vinv
+                for k, x in enumerate(g.elements)}
 
     def validate(self, tol: float = DEFAULT_TOL) -> dict:
         """Check that the data is an action: a homomorphism into the

@@ -1,17 +1,21 @@
 """Unitary 2-cocycles on the dual side of a backend and the deformations
 they induce.
 
-For the dual backend of a group Gamma a cocycle is a unit-modulus function
-on Gamma x Gamma; for a finite-group backend it is an invertible element of
-the tensor square of the group algebra.  Loading normalizes the cocycle to
-counital form by the permitted overall phase (the raw data is retained).
+A cocycle is an element Omega of D (x) D for the dual algebra D of a
+backend kind (qact.repcat.DualAlgebra): C(Gamma) for the dual backend of a
+group Gamma, where Omega is a unit-modulus function on Gamma x Gamma, and
+the group algebra C[G] for a finite-group backend.  Every check is one
+formula over D, written with D's product, unit, antipode, coproduct,
+counit and star, whichever kind D comes from.  Loading normalizes the
+cocycle to counital form by the permitted overall phase (the raw data is
+retained).
 
 The deformed product routes both factors through the coaction before
 multiplying; the deformed involution composes the original one with the
-companion element u built by contracting one leg of the cocycle through
-the antipode.  The deformed algebra is a qact.staralg.StarAlgebraModel,
-the class of the algebra rebuilt from functor data, whose state is the
-trace of the expectation onto the fixed algebra.
+companion element u = m(i (x) S)(Omega).  The deformed algebra is a
+qact.staralg.StarAlgebraModel, the class of the algebra rebuilt from
+functor data, whose state is the trace of the expectation onto the fixed
+algebra.
 
 The layers of actions, functors and algebras are reached through their
 modules, so `cocycle-check`, which checks a cocycle against a backend's
@@ -20,14 +24,14 @@ table alone, leaves them unrun when the CLI binds them lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import actions, algebras, functors, reconstruction, staralg
-from .errors import CocycleError
+from .errors import BackendError, CocycleError
 from .groups import GroupPresentation
-from .repcat import Backend, ConjugateSolution, Rep
+from .repcat import Backend, ConjugateSolution, DualAlgebra, Rep, dual_algebra
 from .thresholds import (
     AUDIT_FACTOR,
     COCYCLE_SCALAR_FLOOR,
@@ -39,162 +43,124 @@ from .thresholds import (
 
 @dataclass
 class Cocycle:
-    """kind "dual": values[i, j] = Omega(gamma_i, gamma_j), unit modulus.
-    kind "group": values[i, j] = coefficient of g_i (x) g_j in Omega."""
+    """values[i, j] is the coefficient of e_i (x) e_j in Omega, for the basis
+    e_x of D: Omega(gamma_i, gamma_j) for the dual kind, the coefficient of
+    g_i (x) g_j for the group kind."""
 
     kind: str
     group: GroupPresentation
     values: np.ndarray
     raw: np.ndarray  # as loaded, before counital normalization
+    dual: DualAlgebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("dual", "group"):
-            raise CocycleError(f"unknown cocycle kind {self.kind!r}")
+        try:
+            self.dual = dual_algebra(self.kind, self.group)
+        except BackendError:
+            raise CocycleError(f"unknown cocycle kind {self.kind!r}") from None
         n = self.group.order
         if self.values.shape != (n, n):
-            raise CocycleError(f"cocycle table has shape {self.values.shape}")
+            raise CocycleError(f"cocycle table has shape {self.values.shape}, "
+                               f"not ({n}, {n})")
 
     def is_trivial(self) -> bool:
-        n = self.group.order
-        if self.kind == "dual":
-            return bool(np.array_equal(self.values, np.ones((n, n))))
-        expect = np.zeros((n, n), dtype=complex)
-        expect[self.group.identity, self.group.identity] = 1.0
-        return bool(np.array_equal(self.values, expect))
+        return bool(np.array_equal(self.values, np.outer(self.dual.unit, self.dual.unit)))
 
 
 def make_cocycle(kind: str, group: GroupPresentation, values) -> Cocycle:
-    """Normalize to counital form by the permitted phase and package."""
+    """Normalize to counital form by the permitted phase, the coefficient
+    of (eps (x) i)(Omega) at e, and package."""
     raw = np.asarray(values, dtype=complex)
-    vals = raw.copy()
-    e = group.identity
-    if kind == "dual":
-        c = vals[e, e]
-        if abs(c) < COCYCLE_SCALAR_FLOOR:
-            raise CocycleError("cocycle vanishes at the identity pair")
-        vals = vals / c
-    else:
-        c = vals.sum(axis=0)[e]
-        if abs(c) < COCYCLE_SCALAR_FLOOR:
-            raise CocycleError("cocycle has no counit component")
-        vals = vals / c
-    return Cocycle(kind, group, vals, raw)
+    cocycle = Cocycle(kind, group, raw, raw)  # checks the kind and the shape
+    c = _counit_legs(cocycle.dual, raw)[0][group.identity]
+    if abs(c) < COCYCLE_SCALAR_FLOOR:
+        raise CocycleError("cocycle has no counit component")
+    cocycle.values = raw / c
+    return cocycle
 
 
 def trivial_cocycle(kind: str, group: GroupPresentation) -> Cocycle:
-    n = group.order
-    if kind == "dual":
-        return make_cocycle(kind, group, np.ones((n, n), dtype=complex))
-    vals = np.zeros((n, n), dtype=complex)
-    vals[group.identity, group.identity] = 1.0
-    return make_cocycle(kind, group, vals)
+    """The cocycle 1 (x) 1."""
+    unit = dual_algebra(kind, group).unit
+    return make_cocycle(kind, group, np.outer(unit, unit))
 
 
-def _convolve(group: GroupPresentation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product in the tensor square of the group algebra."""
-    n = group.order
-    out = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        for y in range(n):
-            axy = a[x, y]
-            if axy == 0:
-                continue
-            for u in range(n):
-                row = group.mul[x, u]
-                for v in range(n):
-                    out[row, group.mul[y, v]] += axy * b[u, v]
+# -- D as index data: products over nonzero coefficients ------------------------
+
+
+def _sums(shape) -> np.ndarray:
+    """Accumulators for np.add.at, holding -0.0, the identity of IEEE
+    addition: a coefficient that one term reaches is that term, bit for
+    bit."""
+    return np.full(shape, complex(-0.0, -0.0))
+
+
+def _times(dual: DualAlgebra, x: np.ndarray, legs: tuple, y: np.ndarray) -> np.ndarray:
+    """The product (x on legs) y in the tensor power of D that y lives in: x
+    is an element of D^(x len(legs)) acting on the given legs of y, and 1 on
+    the others.  A term is formed for each nonzero coefficient of y and each
+    nonzero product of basis elements e_a e_b on the legs, in the order of
+    y's coefficients."""
+    a, _, c = dual.product
+    at = list(np.nonzero(y))
+    w = y[tuple(at)]
+    xat: list = []
+    for leg in legs:
+        # every triple (a, b, c) with b the index of y on this leg
+        t = dual.left_partners[at[leg]]
+        rows, k = np.nonzero(t >= 0)
+        t = t[rows, k]
+        at = [i[rows] for i in at]
+        xat = [i[rows] for i in xat] + [a[t]]
+        w = w[rows]
+        at[leg] = c[t]
+    out = _sums(y.shape)
+    np.add.at(out, tuple(at), x[tuple(xat)] * w)
     return out
 
 
-def _group_star(group: GroupPresentation, a: np.ndarray) -> np.ndarray:
-    n = group.order
-    out = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        for y in range(n):
-            out[group.inv(x), group.inv(y)] = np.conj(a[x, y])
+def _coproduct_on(dual: DualAlgebra, omega: np.ndarray, leg: int) -> np.ndarray:
+    """(Delta (x) i)(Omega) for leg 0, (i (x) Delta)(Omega) for leg 1, in
+    D (x) D (x) D."""
+    p, q = dual.coproduct
+    m = p.shape[1]
+    at = np.nonzero(omega)
+    out_at = [np.repeat(i, m) for i in at]
+    out_at[leg:leg + 1] = [p[at[leg]].ravel(), q[at[leg]].ravel()]
+    out = _sums((len(omega),) * 3)
+    np.add.at(out, tuple(out_at), np.repeat(omega[at], m))
     return out
+
+
+def _counit_legs(dual: DualAlgebra, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eps (x) i)(Omega) and (i (x) eps)(Omega), in D."""
+    eps = dual.counit
+    return (eps[:, None] * omega).sum(axis=0), (omega * eps).sum(axis=1)
 
 
 def check_cocycle(cocycle: Cocycle, tol: float = DEFAULT_TOL) -> dict:
-    """Residuals of unitarity, the cocycle identity, and counitality
-    (after the load-time phase normalization); names the worst triple."""
-    g = cocycle.group
-    n = g.order
-    vals = cocycle.values
+    """Residuals, as the largest coefficient on the basis, of unitarity
+    Omega Omega* = 1 (x) 1, of the cocycle identity (Omega (x) 1)(Delta (x)
+    i)(Omega) = (1 (x) Omega)(i (x) Delta)(Omega), and of counitality
+    (eps (x) i)(Omega) = (i (x) eps)(Omega) = 1 (after the load-time phase
+    normalization); names the first worst triple of the identity, or null
+    when it holds exactly.  A non-invertible Omega fails unitarity."""
+    dual, vals, g = cocycle.dual, cocycle.values, cocycle.group
+    one = dual.unit
     rep: dict = {"kind": cocycle.kind}
-    if cocycle.kind == "dual":
-        rep["unitarity"] = float(np.abs(np.abs(vals) - 1.0).max())
-        worst = 0.0
-        worst_triple = None
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = vals[a, b] * vals[g.mul[a, b], c]
-                    rhs = vals[b, c] * vals[a, g.mul[b, c]]
-                    r = abs(lhs - rhs)
-                    if r > worst:
-                        worst = r
-                        worst_triple = (g.elements[a], g.elements[b], g.elements[c])
-        rep["cocycle_identity"] = worst
-        rep["worst_triple"] = list(worst_triple) if worst_triple else None
-        e = g.identity
-        rep["counital"] = float(max(
-            np.abs(vals[e, :] - 1.0).max(), np.abs(vals[:, e] - 1.0).max()
-        ))
-    else:
-        delta = np.zeros((n, n), dtype=complex)
-        delta[g.identity, g.identity] = 1.0
-        sv = np.linalg.svd(_omega_regular(g, vals), compute_uv=False)
-        if sv.min() < COCYCLE_SV_FLOOR:
-            raise CocycleError("cocycle is not invertible")
-        rep["unitarity"] = float(np.abs(
-            _convolve(g, vals, _group_star(g, vals)) - delta
-        ).max())
-        # (Omega (x) 1)(Dhat (x) i)(Omega) versus (1 (x) Omega)(i (x) Dhat)(Omega)
-        lhs = np.zeros((n, n, n), dtype=complex)
-        rhs = np.zeros((n, n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                w1 = vals[a, b]
-                if w1 == 0:
-                    continue
-                for c in range(n):
-                    for d in range(n):
-                        w2 = vals[c, d]
-                        if w2 == 0:
-                            continue
-                        lhs[g.mul[a, c], g.mul[b, c], d] += w1 * w2
-                        rhs[c, g.mul[a, d], g.mul[b, d]] += w1 * w2
-        rep["cocycle_identity"] = float(np.abs(lhs - rhs).max())
-        flat = np.abs(lhs - rhs)
-        worst_idx = np.unravel_index(int(flat.argmax()), flat.shape)
-        rep["worst_triple"] = [g.elements[i] for i in worst_idx]
-        v1 = vals.sum(axis=0)
-        v2 = vals.sum(axis=1)
-        want = np.zeros(n)
-        want[g.identity] = 1.0
-        rep["counital"] = float(max(np.abs(v1 - want).max(), np.abs(v2 - want).max()))
+    star = vals.conj()[np.ix_(dual.star, dual.star)]
+    rep["unitarity"] = float(np.abs(_times(dual, vals, (0, 1), star) - np.outer(one, one)).max())
+    lhs = _times(dual, vals, (0, 1), _coproduct_on(dual, vals, 0))
+    rhs = _times(dual, vals, (1, 2), _coproduct_on(dual, vals, 1))
+    diff = np.abs(lhs - rhs)
+    rep["cocycle_identity"] = float(diff.max())
+    worst = np.unravel_index(int(diff.argmax()), diff.shape)
+    rep["worst_triple"] = [g.elements[i] for i in worst] if diff.max() > 0 else None
+    left, right = _counit_legs(dual, vals)
+    rep["counital"] = float(max(np.abs(left - one).max(), np.abs(right - one).max()))
     rep["passed"] = bool(max(rep["unitarity"], rep["cocycle_identity"],
                              rep["counital"]) < AUDIT_FACTOR * tol)
     return rep
-
-
-def _left_regular(group: GroupPresentation, coeffs: np.ndarray) -> np.ndarray:
-    """Left multiplication by sum_x coeffs[x] x on the group algebra: entry
-    [xy, y] is coeffs[x]."""
-    out = np.zeros((group.order, group.order), dtype=complex)
-    out[group.mul, np.arange(group.order)] = coeffs[:, None]
-    return out
-
-
-def _omega_regular(group: GroupPresentation, vals: np.ndarray) -> np.ndarray:
-    """Omega in the left regular representation of the tensor square: entry
-    [(au, bv), (u, v)] is vals[a, b]."""
-    n = group.order
-    out = np.zeros((n * n, n * n), dtype=complex)
-    rows = group.mul[:, None, :, None] * n + group.mul[None, :, None, :]
-    out[rows, np.arange(n * n).reshape(n, n)] = vals[:, :, None, None]
-    return out
 
 
 @dataclass
@@ -213,39 +179,29 @@ class TwistElement:
 
 
 def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
-    """Contract the cocycle through the antipode to its companion element;
-    verify invertibility, the antipode identity for the inverse, and the
+    """Contract the cocycle through the antipode to its companion element
+    u = m(i (x) S)(Omega); verify invertibility (the smallest singular value
+    of u's left-regular matrix), the inverse identity u S(u*) = 1, and the
     intertwining identity against every conjugation solution of the table.
 
     Returns (element, report).
     """
     _check_cocycle_backend(backend, cocycle)
-    g = cocycle.group
-    n = g.order
-    vals = cocycle.values
+    dual, vals = cocycle.dual, cocycle.values
+    n = cocycle.group.order
+    a, b, c = dual.product
     rep: dict = {}
-    if cocycle.kind == "dual":
-        coeffs = np.array([vals[x, g.inv(x)] for x in range(n)])
-        if np.abs(coeffs).min() < COCYCLE_SCALAR_FLOOR:
-            raise CocycleError("companion element is not invertible")
-        u = TwistElement(g, coeffs)
-        # u^{-1} = antipode of u*, pointwise: 1/u(x) = conj(u(x^{-1}))
-        rep["inverse_identity"] = float(max(
-            abs(1.0 / coeffs[x] - np.conj(coeffs[g.inv(x)])) for x in range(n)
-        ))
-    else:
-        coeffs = np.zeros(n, dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                coeffs[g.mul[a, g.inv(b)]] += vals[a, b]
-        reg = _left_regular(g, coeffs)
-        sv = np.linalg.svd(reg, compute_uv=False)
-        if sv.min() < COCYCLE_SV_FLOOR:
-            raise CocycleError("companion element is not invertible")
-        u = TwistElement(g, coeffs)
-        # the antipode of u* has coefficient conj(u_x) at x
-        reg2 = _left_regular(g, coeffs.conj())
-        rep["inverse_identity"] = float(np.abs(reg @ reg2 - np.eye(n)).max())
+    # the terms Omega[a, x] e_a S(e_x) with S(e_x) = e_b and e_a e_b = e_c
+    coeffs = _sums(n)
+    np.add.at(coeffs, c, vals[a, dual.antipode[b]])
+    reg = np.zeros((n, n), dtype=complex)
+    np.add.at(reg, (c, b), coeffs[a])  # [c, b]: the coefficient of e_c in u e_b
+    if np.linalg.svd(reg, compute_uv=False).min() < COCYCLE_SV_FLOOR:
+        raise CocycleError("companion element is not invertible")
+    u = TwistElement(cocycle.group, coeffs)
+    # S(u*) = sum_x conj(u_x) S(e_x*)
+    s_ustar = coeffs.conj()[dual.star[dual.antipode]]
+    rep["inverse_identity"] = float(np.abs(_times(dual, coeffs, (0,), s_ustar) - dual.unit).max())
 
     worst_eu = 0.0
     for label in backend.labels:
@@ -290,27 +246,6 @@ class DeformedAlgebra:
     report: dict
 
 
-def _coaction_module_maps(backend: Backend, act: actions.Action):
-    """x <| g as coordinate matrices: the inverse automorphism (group kind)
-    or the projection onto each component along the grading decomposition
-    (dual kind)."""
-    b = act.algebra
-    g = act.group
-    if act.kind == "automorphism":
-        return {
-            x: act.map_matrix(g.elements[g.inv(g.index(x))]) for x in g.elements
-        }
-    rows = [act.component_rows(x) for x in g.elements]
-    v = np.vstack(rows)  # rows span B; coordinates along the grading
-    if v.shape[0] != b.dim:
-        raise CocycleError("grading components do not span the algebra")
-    vinv = np.linalg.inv(v.T)
-    # owners[i]: the number of the group element whose component row i spans
-    owners = np.repeat(np.arange(g.order), [len(r) for r in rows])
-    return {x: v.T @ np.diag((owners == k).astype(float)) @ vinv
-            for k, x in enumerate(g.elements)}
-
-
 def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) -> np.ndarray:
     """The deformed product table sum_{a, c} vals[a, c] sum_{p, q}
     rd[a][p, i] rd[c][q, j] table[p, q]: the rd[a] side is contracted once
@@ -343,7 +278,7 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
     n = g.order
     vals = cocycle.values
     base = staralg.StarAlgebraModel.of_block_algebra(b)
-    rd = _coaction_module_maps(backend, act)
+    rd = act.module_maps()
     u, u_rep = twist_element(backend, cocycle, tol=tol)
 
     if cocycle.is_trivial():
@@ -356,7 +291,7 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
         dagger = np.zeros_like(base.star_matrix)
         for x in range(n):
             if u.coeffs[x] != 0:
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[backend.star[x]]] @ base.star_matrix
+                dagger += np.conj(u.coeffs[x]) * rd[g.elements[backend.dual.star[x]]] @ base.star_matrix
 
     fixed = actions.fixed_point_algebra(backend, act, seed=seed)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])

@@ -7,10 +7,10 @@ kind, whose irreducibles are one-dimensional and labeled by group
 elements).  A representation is a *-representation of D, stored as one
 datum: the images of D's basis, an array of shape (|G|, d, d) holding the
 unitaries U(g) for the group kind and the grade projections P_gamma for
-the dual kind.  The kind enters once, as the data of D that the backend
-keeps: the coproduct as index pairs, the counit, the conjugation and star
-indices, and the normaliser of characters.  Tensor products, characters
-and multiplicities are then one formula for both kinds.
+the dual kind.  The kind enters once, in ``dual_algebra``: D's structure
+as one value, a DualAlgebra, which the backend keeps as ``dual`` and
+qact.cocycles reads too.  Tensor products, characters and multiplicities
+are then one formula for both kinds.
 
 Multiplicities come from characters before any SVD.  The character of a
 word is the vector chi_u(x) = tr u(x) over D's basis, which for the dual
@@ -38,6 +38,7 @@ conjugate equations are solved by the identity matrices r and rbar.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,54 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(flat):
         return np.sqrt(square(flat.real) + square(flat.imag))
     return np.sqrt(square(flat))
+
+
+@dataclass(frozen=True, eq=False)
+class DualAlgebra:
+    """The dual algebra D of a backend, a Hopf *-algebra, as index data on
+    its basis e_x (x numbers the group elements)."""
+
+    product: tuple  # (a, b, c): e_a e_b = e_c, row-major in (a, b); other products are 0
+    unit: np.ndarray  # the coefficients of 1
+    antipode: np.ndarray  # S(e_x) = e_antipode[x]
+    coproduct: tuple  # (a, b), shape (|G|, m): Delta(e_x) = sum_k e_a[x, k] (x) e_b[x, k]
+    counit: np.ndarray  # eps(e_x)
+    star: np.ndarray  # e_x* = e_star[x]
+    conj: np.ndarray  # the conjugate representation conjugates the image of e_conj[x]
+    norm: int  # the normaliser of character inner products
+    pointwise: bool  # whether the basis is orthogonal projections
+
+    @cached_property
+    def left_partners(self) -> np.ndarray:
+        """[b, k]: the number of the k-th product triple (a, b, c), padded
+        with -1."""
+        right = self.product[1]
+        order = np.argsort(right, kind="stable")
+        rank = np.arange(len(order)) - np.searchsorted(right[order], right[order])
+        out = np.full((len(self.unit), rank.max() + 1), -1)
+        out[right[order], rank] = order
+        return out
+
+
+def dual_algebra(kind: str, group: GroupPresentation) -> DualAlgebra:
+    """D for a backend kind over a group: C[G] for the group kind, C(Gamma)
+    for the dual kind.  The one place where a kind string chooses math."""
+    n = group.order
+    ids = np.arange(n)
+    if kind == "group":
+        # g h = gh, 1 = e, S(g) = g* = g^-1, Delta(g) = g (x) g, eps(g) = 1
+        a, b = np.divmod(np.arange(n * n), n)
+        return DualAlgebra((a, b, group.mul[a, b]), np.eye(n)[group.identity], group.inverse,
+                           (ids[:, None], ids[:, None]), np.ones(n), group.inverse, ids, n,
+                           pointwise=False)
+    if kind == "dual":
+        # delta_x delta_y = [x = y] delta_x, 1 = sum_x delta_x, S(delta_x) =
+        # delta_{x^-1}, delta_x* = delta_x, Delta(delta_c) = sum_a delta_a (x)
+        # delta_{a^-1 c}, eps(delta_x) = [x = e]
+        return DualAlgebra((ids, ids, ids), np.ones(n), group.inverse,
+                           (np.tile(ids, (n, 1)), group.mul[group.inverse].T),
+                           np.eye(n)[group.identity], ids, group.inverse, 1, pointwise=True)
+    raise BackendError(f"unknown backend kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -110,30 +159,15 @@ class Backend:
     labeled by elements of Gamma and all have dimension one.
 
     Every representation is the images of D's basis e_x.  The kind is
-    read once, into the data of D: ``_coproduct``, index arrays a, b of
-    shape (|G|, m) with Delta(e_x) = sum_k e_a[x, k] (x) e_b[x, k];
-    ``_counit``; ``_bar``, the index of the basis element whose image the
-    conjugate representation conjugates entrywise; ``star``, the index of
-    e_x*; and ``_norm``, the normaliser of character inner products.
+    read once, into ``dual``, the DualAlgebra of D; every category
+    operation reads that value, never the kind.
     """
 
     def __init__(self, kind: str, group: GroupPresentation, irreps: list[Irrep]):
-        if kind not in ("group", "dual"):
-            raise BackendError(f"unknown backend kind {kind!r}")
-        n = group.order
-        ids = np.arange(n)
-        if kind == "group":
-            # Delta(g) = g (x) g, eps(g) = 1, g* = g^-1
-            self._coproduct = (ids[:, None], ids[:, None])
-            self._counit = np.ones(n)
-            self._bar, self.star, self._norm = ids, group.inverse, n
-        else:
-            # Delta(delta_c) = sum_a delta_a (x) delta_{a^-1 c}, eps(delta_x) = [x = e],
-            # and the irrep gamma sends delta_x to [x = gamma]
-            self._coproduct = (np.tile(ids, (n, 1)), group.mul[group.inverse].T)
-            self._counit = np.eye(n)[group.identity]
-            self._bar, self.star, self._norm = group.inverse, ids, 1
-            points = np.eye(n, dtype=complex)[:, :, None, None]
+        self.dual = dual_algebra(kind, group)
+        if self.dual.pointwise:
+            # the irrep gamma of a basis of projections sends e_x to [x = gamma]
+            points = np.eye(group.order, dtype=complex)[:, :, None, None]
             irreps = [replace(ir, matrices=points[group.index(ir.label)]) for ir in irreps]
         self.kind = kind
         self.group = group
@@ -154,7 +188,7 @@ class Backend:
         """The irrep whose matrices are the counit."""
         for label in self.labels:
             mats = self.irreps[label].matrices
-            if mats.shape[1:] == (1, 1) and np.allclose(mats[:, 0, 0], self._counit, rtol=0,
+            if mats.shape[1:] == (1, 1) and np.allclose(mats[:, 0, 0], self.dual.counit, rtol=0,
                                                         atol=TABLE_MATCH_TOL):
                 return label
         raise BackendError("table has no trivial representation")
@@ -178,7 +212,7 @@ class Backend:
             ir = self.irreps[label]
             if ir.conj not in self.irreps:
                 raise BackendError(f"conjugate of {label!r} missing from table")
-            if self.kind == "dual":
+            if self.dual.pointwise:
                 if ir.dim != 1:
                     raise BackendError("dual-backend irreps must be one-dimensional")
                 idx = g.index(label)
@@ -224,7 +258,7 @@ class Backend:
         # the conjugate representation on the conjugate space: with the
         # canonical identification it sends x to the entrywise conjugate of
         # the image of x (group kind) or of x^-1 (dual kind)
-        mats = ir.matrices[self._bar].conj() if barred else ir.matrices
+        mats = ir.matrices[self.dual.conj].conj() if barred else ir.matrices
         rep = Rep(self, key, ir.dim, mats)
         self._rep_cache[key] = rep
         return rep
@@ -246,7 +280,7 @@ class Backend:
         """The images of D's basis on the tensor products of two stacks of
         representations (N, |G|, d, d) and (N, |G|, e, e): x goes to the sum
         of kron(u(a), v(b)) over the coproduct pairs (a, b) of x."""
-        a, b = self._coproduct
+        a, b = self.dual.coproduct
         out = np.einsum("ngmij,ngmkl->ngikjl", u[:, a], v[:, b])
         return out.reshape(u.shape[:2] + (u.shape[-1] * v.shape[-1],) * 2)
 
@@ -273,7 +307,7 @@ class Backend:
 
     def _count(self, inner) -> np.ndarray:
         """Multiplicities from raw character inner products."""
-        return np.rint(np.real(inner / self._norm)).astype(int)
+        return np.rint(np.real(inner / self.dual.norm)).astype(int)
 
     def multiplicity(self, u: Rep, v: Rep) -> int:
         """dim Mor(u, v) from characters: <chi_u, chi_v>/|G| for the group
@@ -312,15 +346,16 @@ class Backend:
         dim u) and (N, |G|, dim v, dim v): shape (N, count, dim v, dim u).
         This is the one routine that chooses intertwiner bases.
 
-        For the dual kind the basis is the matrix units e_kl with grade k of
-        v equal to grade l of u, read off the diagonals of the grade
-        projections as sum_x P_x(v)_kk P_x(u)_ll, in row-major order.  For
-        the group kind the averaging maps of the whole stack go through one
+        Where D's basis is orthogonal projections (``dual.pointwise``, the
+        dual kind) the basis is the matrix units e_kl with grade k of v
+        equal to grade l of u, read off the diagonals of the grade
+        projections as sum_x P_x(v)_kk P_x(u)_ll, in row-major order.
+        Otherwise the averaging maps of the whole stack go through one
         SVD.  Each pair's number of singular values above RANK_TOL must equal
         the count; if it does not, the matrices are not a representation and
         BackendError is raised, naming the pair by ``name(index)``.
         """
-        if self.kind == "dual":
+        if self.dual.pointwise:
             n, k, l = np.nonzero(np.einsum("nxkk,nxll->nkl", vdata, udata))
             out = np.zeros((len(vdata), count, vdata.shape[-1], udata.shape[-1]), dtype=complex)
             # the position of each unit within its pair's basis

@@ -306,7 +306,11 @@ def cocycle_from_json(data: dict) -> Cocycle:
             if not (key.startswith("(") and key.endswith(")")):
                 raise SchemaError(f"bad cocycle key {key!r}")
             a, b = key[1:-1].split(",")
-            vals[group.index(a), group.index(b)] = decode_complex(entry)
+            value = decode_complex(entry)
+            if value.shape != ():
+                raise SchemaError(f"cocycle value {key} must be one [re, im] pair, "
+                                  f"got shape {value.shape}")
+            vals[group.index(a), group.index(b)] = value
         return make_cocycle("dual", group, vals)
     return make_cocycle("group", group, decode_complex(data["tensor"]))
 

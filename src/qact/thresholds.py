@@ -125,14 +125,14 @@ it.  Fixed."""
 # -- cocycles and backend tables (fixed) ----------------------------------------
 
 COCYCLE_SCALAR_FLOOR = 1e-12
-"""1e-12, absolute: a scalar that must be invertible is taken as zero when
-its modulus is below it: the normalizing value of `make_cocycle` and each
-coefficient of a dual-kind companion element in `twist_element`.  Fixed."""
+"""1e-12, absolute: the normalizing value of `make_cocycle`, the
+coefficient of (eps (x) i)(Omega) at e, is taken as zero when its modulus
+is below it.  Fixed."""
 
 COCYCLE_SV_FLOOR = 1e-10
-"""1e-10, absolute: a group-kind cocycle (`check_cocycle`) or companion
-element (`twist_element`) is not invertible when the smallest singular
-value of its left-regular matrix is below it.  Fixed."""
+"""1e-10, absolute: a companion element (`twist_element`), of either
+kind, is not invertible when the smallest singular value of its
+left-regular matrix is below it.  Fixed."""
 
 TABLE_MATCH_TOL = 1e-12
 """1e-12, absolute (`np.allclose` with `rtol=0`): the entries of a backend

@@ -442,6 +442,48 @@ def test_failing_cocycle_exits_one(tmp_path):
     assert data["cocycle"]["worst_triple"] is not None
 
 
+def flatten_tensor(data):
+    data["tensor"] = [pair for row in data["tensor"] for pair in row]
+
+
+def nest_a_value(data):
+    data["values"]["(0|0,0|0)"] = [[1.0, 0.0], [1.0, 0.0]]
+
+
+def four_axis_tensor(data):
+    data["tensor"] = [[[[pair, pair], [pair, pair]] for pair in row] for row in data["tensor"]]
+
+
+@pytest.mark.parametrize("source, backend, edit, message", [
+    ("group_bicharacter_z2z2.json", "z2z2.json", flatten_tensor,
+     "cocycle table has shape (16,), not (4, 4)"),
+    ("bicharacter_z2z2.json", "dual_z2z2.json", nest_a_value,
+     "cocycle value (0|0,0|0) must be one [re, im] pair, got shape (2,)"),
+    ("group_bicharacter_z2z2.json", "z2z2.json", four_axis_tensor,
+     "cocycle table has shape (4, 4, 2, 2), not (4, 4)"),
+], ids=["group_pairs_list", "dual_nested_value", "group_four_axes"])
+def test_a_misshapen_cocycle_is_an_input_error(source, backend, edit, message, tmp_path):
+    data = json.loads((FIXTURES / "cocycles" / source).read_text())
+    edit(data)
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    proc = run_cli("cocycle-check", "--backend", str(FIXTURES / "backends" / backend),
+                   "--input", str(path), "--report", str(report))
+    assert_input_error(proc, report, "cocycle-check", message)
+
+
+def test_a_misshapen_automorphism_map_is_an_input_error(tmp_path):
+    data = json.loads((FIXTURES / "actions" / "z2z2_translation.json").read_text())
+    data["data"]["maps"]["0|1"] = data["data"]["maps"]["0|1"][:3]
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    proc = run_cli("spectral", "--backend", str(FIXTURES / "backends" / "z2z2.json"),
+                   "--input", str(path), "--report", str(report))
+    assert_input_error(proc, report, "spectral", "the map of '0|1' has shape (3, 4), not (4, 4)")
+
+
 def non_actions():
     """Three action files that are no action, each with its backend: the
     transpose of M_2 under Z2 (not multiplicative), a shift of C^3 that
