@@ -7,6 +7,11 @@ algebra, the invariant subspaces attached to each irreducible, and the
 functor data they assemble into; the round-trip check certifies that
 rebuilding the algebra from that data reproduces the original action.
 
+An equivariant module holds its symmetry as its comodule, the images of
+the basis of D (qact.repcat.DualAlgebra) on its carrier, for both kinds:
+the module half is written once over D, and only the action half
+branches on the action's kind.
+
 One builder, `functor_from_subspaces`, turns invariant subspaces into
 functor data.  It serves the spectral functor of an action (subspaces of
 the acted-on algebra), the functor of an equivariant module (equivariant
@@ -497,18 +502,17 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
 
 @dataclass
 class EquivariantModule:
-    """A right module over the acted-on algebra with a compatible group
-    structure: an invertible map per group element (group kind) or a
-    homogeneous grading of the carrier basis (dual kind).  The optional
-    frame expresses the carrier basis in algebra coordinates when the
-    module is (a sum of copies of) the algebra itself."""
+    """A right module over the acted-on algebra with a compatible symmetry,
+    its comodule: the images of D's basis on the carrier, an invertible map
+    per group element (group kind) or the grade projections of a
+    homogeneous carrier basis (dual kind).  The frame expresses the carrier
+    basis in algebra coordinates when the module is the algebra itself."""
 
     action: Action
     dim: int
     right: np.ndarray  # (dim B, dim, dim)
     inner: np.ndarray  # (dim, dim, n, n): B-valued
-    comodule: dict[str, np.ndarray] | None = None
-    grades: tuple[str, ...] | None = None
+    comodule: np.ndarray  # (|G|, dim, dim): the images of D's basis
     frame: np.ndarray | None = None
 
 
@@ -519,47 +523,45 @@ def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
     regular = algebra_as_correspondence(b)
     right, inner = regular.right, regular.inner_tensor
     if act.kind == "automorphism":
-        com = {x: act.map_matrix(x) for x in act.group.elements}
-        return EquivariantModule(act, b.dim, right, inner, comodule=com,
-                                 frame=np.eye(b.dim, dtype=complex))
+        com = np.array([act.map_matrix(x) for x in act.group.elements])
+        return EquivariantModule(act, b.dim, right, inner, com, np.eye(b.dim, dtype=complex))
     bases = [spectral_basis(backend, act, label) for label in act.group.elements]
-    grades = tuple(label for label, basis in zip(act.group.elements, bases) for _ in basis)
+    grades = np.repeat(np.arange(len(bases)), [len(basis) for basis in bases])
+    com = np.array([np.diag(grades == x).astype(complex) for x in range(len(bases))])
     # distinct components need not be orthogonal in coordinates (for a
     # nonabelian group algebra they are not), so transport operators with
     # the genuine inverse of the frame
     frame = np.concatenate([basis[:, 0] for basis in bases])
     right_h = np.linalg.inv(frame.T) @ right @ frame.T
     inner_h = np.einsum("pa,qb,abuv->pquv", frame.conj(), frame, inner)
-    return EquivariantModule(act, b.dim, right_h, inner_h, grades=grades, frame=frame)
+    return EquivariantModule(act, b.dim, right_h, inner_h, com, frame)
+
+
+def _tensor_comodule(backend: Backend, comodule: np.ndarray, label: str) -> np.ndarray:
+    """The comodule of M (x) H for one irreducible: e_x goes to the sum of
+    W(b) (x) pibar(a) over the coproduct pairs (a, b) of x, for pibar the
+    irrep read through D's conjugation index; carrier index order (module
+    index, representation index)."""
+    pibar = backend.irrep(label).matrices[backend.dual.conj]
+    d, m = pibar.shape[-1], comodule.shape[-1]
+    out = backend._tensor(pibar[None], comodule[None])[0].reshape(-1, d, m, d, m)
+    return out.transpose(0, 2, 1, 4, 3).reshape(-1, m * d, m * d)
 
 
 def module_tensor_irrep(backend: Backend, module: EquivariantModule,
                         label: str) -> EquivariantModule:
     """M (x) H for the representation space H of one irreducible; carrier
     index order is (module index, representation index)."""
-    act = module.action
-    rep = backend.atom(label)
-    d = rep.dim
+    d = backend.irrep(label).dim
     dim = module.dim * d
-    b = act.algebra
+    b = module.action.algebra
     right = _kron(module.right, np.eye(d))
     # <m_p (x) e_i, m_q (x) e_j> = delta_ij <m_p, m_q>
     inner = np.zeros((module.dim, d, module.dim, d, b.n, b.n), dtype=complex)
     inner[:, range(d), :, range(d)] = module.inner
     inner = inner.reshape(dim, dim, b.n, b.n)
-    if act.kind == "automorphism":
-        w = np.array([module.comodule[x] for x in act.group.elements])
-        com = dict(zip(act.group.elements, _kron(w, rep.matrices)))
-        return EquivariantModule(act, dim, right, inner, comodule=com)
-    return EquivariantModule(act, dim, right, inner,
-                             grades=_tensor_grades(module, label))
-
-
-def _tensor_grades(module: EquivariantModule, label: str) -> tuple[str, ...]:
-    """The grades of the carrier basis of M (x) H for a dual backend."""
-    g = module.action.group
-    gamma = g.index(label)
-    return tuple(g.elements[g.times(g.inv(gamma), g.index(mu))] for mu in module.grades)
+    return EquivariantModule(module.action, dim, right, inner,
+                             _tensor_comodule(backend, module.comodule, label))
 
 
 # -- functors from module objects ----------------------------------------------
@@ -593,21 +595,20 @@ def _equivariant_maps(backend: Backend, module: EquivariantModule, label: str,
     basis of H_label; shape (count, d, dim M, dim M).
 
     right_rows are the right-linearity equations for the dimension of
-    H_label (_right_linearity_rows); the label adds its equivariance
-    equations, one per group element or the grading mask.
+    H_label (_right_linearity_rows); the label adds T W(x) = W'(x) T over
+    D's basis, for the comodules W of M and W' of M (x) H.  Where that
+    basis is projections every block is diagonal, and one diagonal of their
+    largest moduli has their null space.
     """
-    act = module.action
     d = backend.irrep(label).dim
     t = module.dim * d
-    if act.kind == "automorphism":
-        # W_x T = (W_x (x) U_x) T, the comodule maps of M and M (x) H
-        w = np.array([module.comodule[x] for x in act.group.elements])
-        w2 = _kron(w, backend.atom(label).matrices)
-        rows = _kron(np.eye(t), w.transpose(0, 2, 1)) - _kron(w2, np.eye(module.dim))
+    w = module.comodule
+    w2 = _tensor_comodule(backend, w, label)
+    if backend.dual.pointwise:
+        diagonals = np.einsum("xcc->xc", w)[:, None] - np.einsum("xrr->xr", w2)[:, :, None]
+        rows = np.diag(np.abs(diagonals).max(axis=0).reshape(-1))
     else:
-        grades = np.array(_tensor_grades(module, label))
-        mask = (grades[:, None] != np.array(module.grades)[None, :]).astype(float)
-        rows = np.diag(mask.reshape(-1))
+        rows = _kron(np.eye(t), w.transpose(0, 2, 1)) - _kron(w2, np.eye(module.dim))
     # rows of M (x) H are indexed (module index, representation index)
     stacked = np.vstack([right_rows, rows.reshape(-1, t * module.dim)])
     basis = blockdecomp.row_spaces(stacked)[1].reshape(-1, module.dim, d, module.dim)
@@ -696,20 +697,15 @@ class FullnessCertificate:
 
 def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.ndarray:
     """Vectors (X_1 ... X_d) in the spectral subspace of M for one
-    irreducible; shape (count, d, dim M)."""
-    act = module.action
+    irreducible, the null space of kron(I_d, W(x)) - kron(pibar(x)^T, I_M)
+    stacked over D's basis; shape (count, d, dim M)."""
     d = backend.irrep(label).dim
-    if act.kind == "automorphism":
-        if module.dim == 0:
-            return np.zeros((0, d, 0), dtype=complex)
-        u = backend.irrep(label).matrices
-        w = np.array([module.comodule[x] for x in act.group.elements])
-        rows = _kron(np.eye(d), w) - _kron(u.transpose(0, 2, 1), np.eye(module.dim))
-        kernel = blockdecomp.row_spaces(rows.reshape(-1, d * module.dim))[1]
-        return kernel.reshape(-1, d, module.dim)
-    g = act.group
-    want = g.elements[g.inv(g.index(label))]
-    return np.eye(module.dim)[np.array(module.grades) == want][:, None]
+    if module.dim == 0:
+        return np.zeros((0, d, 0), dtype=complex)
+    pibar = backend.irrep(label).matrices[backend.dual.conj]
+    rows = _kron(np.eye(d), module.comodule) - _kron(pibar.transpose(0, 2, 1), np.eye(module.dim))
+    kernel = blockdecomp.row_spaces(rows.reshape(-1, d * module.dim))[1]
+    return kernel.reshape(-1, d, module.dim)
 
 
 def fullness_check(backend: Backend, module: EquivariantModule,
@@ -723,10 +719,11 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     have a Hermitian part with smallest eigenvalue above RANK_TOL.
 
     On success the certificate carries Y's constituents, <Y, Y>, the
-    constant c = 1 of <Y, Y> >= c * sum_i <X_i, X_i> (an equality, checked
-    as a residual), and the residual of the isometry x -> Y <Y,Y>^{-1/2} x
-    on the algebra.  On failure it reports the rank of the sum over all
-    candidates.
+    constant c = 1 of <Y, Y> >= c * sum_i <X_i, X_i>, and the residual of
+    the isometry x -> Y <Y,Y>^{-1/2} x on the algebra.  On failure it
+    reports the rank of the sum over all candidates.  With rho = 1 the bound
+    is an equality, one sum taken in two orders, so `lower_bound_violation`
+    is a rounding check.
     """
     b = module.action.algebra
     chosen: list = []
@@ -926,11 +923,8 @@ def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL
 
     def left_mult(coords: np.ndarray) -> np.ndarray:
         """Left multiplication by the elements with the given coordinates
-        (..., dim B) as maps of the module carrier."""
-        lmat = np.tensordot(coords, left, 1)
-        if mod.grades is not None:
-            lmat = np.linalg.inv(mod.frame.T) @ lmat @ mod.frame.T
-        return lmat
+        (..., dim B) as maps of the module carrier, in its frame."""
+        return np.linalg.inv(mod.frame.T) @ np.tensordot(coords, left, 1) @ mod.frame.T
 
     lmaps = left_mult(b.coords(spec.fixed.unit_images))
     mf = module_functor(backend, mod, seed=seed, base=(spec.fixed.algebra, lmaps))

@@ -271,7 +271,7 @@ def test_criterion_11_fullness():
     right[0] = 1.0
     inner = np.zeros((1, 1, 2, 2), dtype=complex)
     inner[0, 0, 0, 0] = 1.0
-    com = {x: np.eye(1, dtype=complex) for x in backend.group.elements}
+    com = np.ones((backend.group.order, 1, 1), dtype=complex)
     bad = EquivariantModule(act, 1, right, inner, comodule=com)
     bad_cert = fullness_check(backend, bad)
     ok = ok and (not bad_cert.passed)

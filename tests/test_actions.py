@@ -45,10 +45,8 @@ def module_direct_sum(m1, m2):
     right[:, m1.dim:, m1.dim:] = m2.right
     inner[: m1.dim, : m1.dim] = m1.inner
     inner[m1.dim:, m1.dim:] = m2.inner
-    if act.kind == "automorphism":
-        com = {x: block_diag(m1.comodule[x], m2.comodule[x]) for x in act.group.elements}
-        return EquivariantModule(act, dim, right, inner, comodule=com)
-    return EquivariantModule(act, dim, right, inner, grades=m1.grades + m2.grades)
+    com = np.array([block_diag(w1, w2) for w1, w2 in zip(m1.comodule, m2.comodule)])
+    return EquivariantModule(act, dim, right, inner, comodule=com)
 
 
 def block_diag(a, b):
@@ -209,7 +207,7 @@ def test_fullness_of_the_zero_module_is_a_failed_certificate(backends):
     b = act.algebra
     zero = EquivariantModule(act, 0, np.zeros((b.dim, 0, 0), dtype=complex),
                              np.zeros((0, 0, b.n, b.n), dtype=complex),
-                             comodule={x: np.zeros((0, 0)) for x in act.group.elements})
+                             comodule=np.zeros((act.group.order, 0, 0), dtype=complex))
     cert = fullness_check(backend, zero)
     assert not cert.passed
     assert cert.max_rank == 0
@@ -291,8 +289,27 @@ def non_full_module(backend):
     right[0] = 1.0  # only the first block acts
     inner = np.zeros((1, 1, 2, 2), dtype=complex)
     inner[0, 0, 0, 0] = 1.0
-    com = {x: np.eye(1, dtype=complex) for x in backend.group.elements}
+    com = np.ones((backend.group.order, 1, 1), dtype=complex)
     return EquivariantModule(act, 1, right, inner, comodule=com)
+
+
+def test_tuple_spaces_of_a_grading_are_its_inverse_grade_components(backends, corpus):
+    # the spectral subspace of the label gamma in a graded module is spanned
+    # by the carrier basis vectors of grade gamma^-1 (Z3 and S3 tell gamma
+    # from its inverse)
+    from qact.actions import _tuple_space
+
+    for name, backend, module in corpus_modules(backends, corpus):
+        if module.action.kind != "grading":
+            continue
+        g = module.action.group
+        for target in (module, module_tensor_irrep(backend, module, backend.labels[-1])):
+            grades = np.array(module_grades(target))
+            for label in backend.labels:
+                space = _tuple_space(backend, target, label)[:, 0]
+                units = np.eye(target.dim)[grades == g.elements[g.inv(g.index(label))]]
+                np.testing.assert_allclose(space.conj().T @ space, units.T @ units,
+                                           rtol=0, atol=1e-12, err_msg=f"{name} {label}")
 
 
 def test_fullness_check_agrees_with_the_pairwise_reference(backends, corpus):
@@ -688,17 +705,48 @@ def reference_equivariant_system(backend, module, label):
         rk, rk2 = module.right[k], target.right[k]
         rows.append(np.kron(np.eye(target.dim), rk.T) - np.kron(rk2, np.eye(module.dim)))
     if act.kind == "automorphism":
-        for x in act.group.elements:
-            w, w2 = module.comodule[x], target.comodule[x]
+        for w, w2 in zip(module.comodule, target.comodule):
             rows.append(np.kron(np.eye(target.dim), w.T) - np.kron(w2, np.eye(module.dim)))
     else:
+        grades, target_grades = module_grades(module), module_grades(target)
         mask = np.zeros((target.dim, module.dim))
         for r in range(target.dim):
             for c in range(module.dim):
-                if target.grades[r] != module.grades[c]:
+                if target_grades[r] != grades[c]:
                     mask[r, c] = 1.0
         rows.append(np.diag(mask.reshape(-1)))
     return np.vstack(rows)
+
+
+def module_grades(module):
+    """The grade of each carrier basis vector of a graded module: the
+    element whose projection holds it."""
+    diagonals = np.einsum("xcc->cx", module.comodule)
+    assert set(diagonals.ravel()) <= {0, 1} and (diagonals.sum(axis=1) == 1).all()
+    return tuple(module.action.group.elements[x] for x in diagonals.argmax(axis=1))
+
+
+def test_tensor_comodule_is_the_kron_of_the_maps_or_the_left_translated_grades(
+        backends, corpus):
+    # M (x) H carries W(g) (x) U(g) for the group kind, and for the dual kind
+    # gives m (x) h the grade label^-1 mu for m of grade mu: on S3 the other
+    # order, mu label^-1, differs
+    seen = set()
+    for name, backend, module in corpus_modules(backends, corpus):
+        g = module.action.group
+        for label in backend.labels:
+            target = module_tensor_irrep(backend, module, label)
+            if module.action.kind == "automorphism":
+                want = [np.kron(w, u) for w, u in
+                        zip(module.comodule, backend.irrep(label).matrices)]
+                assert np.array_equal(target.comodule, want), (name, label)
+            else:
+                gamma = g.inv(g.index(label))
+                want = tuple(g.elements[g.times(gamma, g.index(mu))]
+                             for mu in module_grades(module))
+                assert module_grades(target) == want, (name, label)
+            seen.add((module.action.kind, g.order))
+    assert ("grading", 6) in seen
 
 
 def thin_svd_null_space(stacked):

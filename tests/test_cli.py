@@ -529,6 +529,50 @@ def test_every_action_verb_rejects_a_non_action(name, tmp_path):
         assert data["action"]["passed"] is False, verb
 
 
+def empty_component_gradings():
+    """Two gradings with empty spectral subspaces, each with its backend:
+    M_2 graded by Z3 with every element in degree 0, and C^2 graded by
+    Z2 x Z2 with its unit in degree 0|0, (1, -1) in degree 0|1 and the
+    components of 1|0 and 1|1 empty."""
+    from qact.actions import Action
+    from qact.algebras import BlockAlgebra
+    from qact.fixtures import trivial_action
+    from qact.groups import cyclic_group, direct_product
+    from qact.repcat import dual_backend
+
+    z3 = dual_backend(cyclic_group(3))
+    z2z2 = dual_backend(direct_product(cyclic_group(2), cyclic_group(2)))
+    comps = {x: np.zeros((0, 2)) for x in z2z2.group.elements}
+    comps["0|0"], comps["0|1"] = np.array([[1.0, 1.0]]), np.array([[1.0, -1.0]])
+    return {
+        "m2_degree_zero": (z3, trivial_action(z3, BlockAlgebra((2,)), name="m2-degree-zero"),
+                           {"0": 4, "1": 0, "2": 0}),
+        "c2_two_empty": (z2z2, Action("grading", BlockAlgebra((1, 1)), z2z2.group,
+                                      components=comps, name="c2-two-empty"),
+                         {"0|0": 1, "0|1": 1, "1|0": 0, "1|1": 0}),
+    }
+
+
+@pytest.mark.parametrize("name", ["m2_degree_zero", "c2_two_empty"])
+def test_every_action_verb_passes_with_empty_spectral_subspaces(name, tmp_path):
+    from qact import serialize
+
+    backend, act, dims = empty_component_gradings()[name]
+    bpath, apath = tmp_path / "backend.json", tmp_path / "action.json"
+    serialize.dump_json(serialize.backend_to_json(backend), bpath)
+    serialize.dump_json(serialize.action_to_json(act), apath)
+    report = tmp_path / "r.json"
+    for verb in ("spectral", "roundtrip", "module-functor", "fullness"):
+        code = cli.main([verb, "--backend", str(bpath), "--input", str(apath),
+                         "--report", str(report)])
+        data = json.loads(report.read_text())
+        assert code == 0, (verb, data)
+        assert "error" not in data and "internal_error" not in data, verb
+        if verb in ("spectral", "module-functor"):
+            assert data["module_dims"] == dims, verb
+    assert data["certificate"]["passed"] is True
+
+
 def test_project_word_unknown_label_is_error():
     import numpy as np
     import pytest as _pytest

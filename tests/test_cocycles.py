@@ -976,3 +976,19 @@ def test_formulas_over_d_match_the_per_kind_formulas(name):
     coeffs, inverse = reference_companion(cocycle)
     assert u.coeffs.tobytes() == coeffs.tobytes()
     assert abs(urep["inverse_identity"] - inverse) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["coboundary_z3z3", "random_phases_s3", "group_coboundary_z4",
+                                  "trivial_group_s3"])
+def test_pair_matrix_over_nonzero_images_keeps_the_bytes_of_the_full_loop(name):
+    # a dual word's images vanish off its grades, so most pairs are left out
+    # of the sum; a group word's images are unitaries, so none is
+    cocycle = REFERENCE_COCYCLES[name]()
+    backend = reference_backend(cocycle)
+    words = [w for w in words_up_to_three(backend) if len(w) < 3]
+    atoms = [backend.atom(*w[0]) for w in words if len(w) == 1]
+    for word in words:
+        rep = backend.word(word)
+        for atom in atoms:
+            got = cocycle_pair_matrix(cocycle, rep, atom)
+            assert got.tobytes() == reference_kron_loop(cocycle, rep, atom).tobytes(), word
