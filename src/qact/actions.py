@@ -84,11 +84,6 @@ class Action:
     def map_matrix(self, element: str) -> np.ndarray:
         return np.asarray(self.maps[element], dtype=complex)
 
-    def apply(self, element: str, mat: np.ndarray) -> np.ndarray:
-        """alpha_g(x) for the automorphism kind."""
-        b = self.algebra
-        return b.from_coords(self.map_matrix(element) @ b.coords(mat))
-
     def component_rows(self, element: str) -> np.ndarray:
         rows = np.asarray(self.components.get(element, np.zeros((0, self.algebra.dim))),
                           dtype=complex)
@@ -366,14 +361,26 @@ def functor_from_subspaces(backend: Backend, base: BlockAlgebra,
     return functors.TensorFunctorData(backend, base, modules, phi, name=name)
 
 
-def _invariant_tuples(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tuples (x_1 ... x_d) with
-    sum_j u(g)_ij maps(g) x_j = x_i at every group element g, for a stack u
-    of irrep matrices and a stack of maps, one per element: the null space
-    of the stacked kron(u(g), maps(g)) - 1, shape (count, d, dim)."""
-    d, dim = u.shape[-1], maps.shape[-1]
-    rows = _kron(u, maps) - np.eye(d * dim)
-    return blockdecomp.row_spaces(rows.reshape(-1, d * dim))[1].reshape(-1, d, dim)
+def _spectral_tuples(backend: Backend, label: str, maps: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the spectral subspace of one irreducible for a
+    left D-module structure L(e_x) = maps[x] on C^dim: the null space of
+    sum_k pibar(b_k) (x) L(c_k) - eps(e_x) 1, stacked over D's basis e_x,
+    for the coproduct Delta(e_x) = sum_k e_(b_k) (x) e_(c_k), the counit eps
+    and pibar the irrep read through D's conjugation index; shape (count,
+    d, dim).  The rows are one kron per coproduct column, summed in column
+    order, and eps is subtracted on the diagonal in place, so a coproduct
+    of one column (C[G]) gives kron(u(g), L(g)) - 1 with np.kron's bits."""
+    dual = backend.dual
+    mats = backend.irrep(label).matrices
+    b, c = dual.coproduct
+    d, dim = mats.shape[-1], maps.shape[-1]
+    rows = _kron(mats[dual.conj[b[:, 0]]], maps[c[:, 0]])
+    for k in range(1, b.shape[1]):
+        rows += _kron(mats[dual.conj[b[:, k]]], maps[c[:, k]])
+    # every (d dim + 1)-th entry of a flattened block is on its diagonal
+    flat = rows.reshape(len(rows), -1)
+    flat[:, ::d * dim + 1] -= dual.counit[:, None]
+    return blockdecomp.row_spaces(flat.reshape(-1, d * dim))[1].reshape(-1, d, dim)
 
 
 def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
@@ -382,7 +389,7 @@ def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     _check_backend(backend, act)
     if act.kind == "automorphism":
         maps = np.array([act.map_matrix(x) for x in act.group.elements])
-        return _invariant_tuples(backend.irrep(label).matrices, maps)
+        return _spectral_tuples(backend, label, maps)
     span, _ = blockdecomp.row_spaces(act.component_rows(label))
     return span.reshape(-1, 1, act.algebra.dim)
 
@@ -548,22 +555,6 @@ def _tensor_comodule(backend: Backend, comodule: np.ndarray, label: str) -> np.n
     return out.transpose(0, 2, 1, 4, 3).reshape(-1, m * d, m * d)
 
 
-def module_tensor_irrep(backend: Backend, module: EquivariantModule,
-                        label: str) -> EquivariantModule:
-    """M (x) H for the representation space H of one irreducible; carrier
-    index order is (module index, representation index)."""
-    d = backend.irrep(label).dim
-    dim = module.dim * d
-    b = module.action.algebra
-    right = _kron(module.right, np.eye(d))
-    # <m_p (x) e_i, m_q (x) e_j> = delta_ij <m_p, m_q>
-    inner = np.zeros((module.dim, d, module.dim, d, b.n, b.n), dtype=complex)
-    inner[:, range(d), :, range(d)] = module.inner
-    inner = inner.reshape(dim, dim, b.n, b.n)
-    return EquivariantModule(module.action, dim, right, inner,
-                             _tensor_comodule(backend, module.comodule, label))
-
-
 # -- functors from module objects ----------------------------------------------
 
 
@@ -578,10 +569,11 @@ class ModuleFunctor:
 
 def _right_linearity_rows(module: EquivariantModule, d: int) -> np.ndarray:
     """The equations T R_k = R'_k T of a map T : M -> M (x) H, stacked over
-    the basis of B, where R'_k = R_k (x) I_d is the right action on M (x) H
-    (module_tensor_irrep); they depend on H only through d = dim H."""
+    the basis of B, where R'_k = R_k (x) I_d is the right action on M (x) H,
+    carrier index order (module index, representation index); they depend
+    on H only through d = dim H."""
     t = module.dim * d
-    # complex as module_tensor_irrep stores it, so the system stays complex
+    # complex, so the system stays complex for a real right action
     right2 = _kron(module.right, np.eye(d)).astype(complex)
     # row-major vec: T A -> kron(I, A.T), A T -> kron(A, I)
     rows = _kron(np.eye(t), module.right.transpose(0, 2, 1)) - _kron(right2, np.eye(module.dim))
@@ -844,23 +836,12 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     backend = alg.backend
     a = alg.algebra
     dim = alg.dim
-
-    if backend.kind == "group":
-        # the coaction evaluated at g is the automorphism of g^{-1}
-        coaction = np.array([alg.coaction_matrix(backend.group.inv(gi))
-                             for gi in range(backend.group.order)])
-    bases: dict[str, np.ndarray] = {}
-    for label in backend.labels:
-        if label == backend.trivial_label:
-            # pin the trivial component to the matrix units of the base algebra
-            bases[label] = np.array([[alg.from_algebra(u)] for u in a.basis()])
-        elif backend.kind == "group":
-            bases[label] = _invariant_tuples(backend.irrep(label).matrices, coaction)
-        elif label in alg.spans:
-            span = alg.spans[label]
-            bases[label] = np.eye(dim, dtype=complex)[span].reshape(-1, 1, dim)
-        else:
-            bases[label] = np.zeros((0, 1, dim))
+    # e_x acts as the coaction at e_x*: g^-1 for C[G], x for C(Gamma)
+    coaction = np.array([alg.coaction_matrix(x) for x in backend.dual.star])
+    # the trivial component is pinned to the matrix units of the base algebra
+    bases = {label: np.array([[alg.from_algebra(u)] for u in a.basis()])
+             if label == backend.trivial_label else _spectral_tuples(backend, label, coaction)
+             for label in backend.labels}
 
     model = alg.model
     table = model.table.reshape(dim, dim * dim)

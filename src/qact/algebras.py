@@ -98,8 +98,6 @@ class BlockAlgebra:
         return np.eye(self.n, dtype=complex)
 
     def opnorm(self, mat: np.ndarray) -> float:
-        if self.n == 0:
-            return 0.0
         return float(np.linalg.norm(np.asarray(mat, dtype=complex), 2))
 
 
@@ -165,23 +163,12 @@ class Correspondence:
             dim, dim, algebra.n, algebra.n
         )
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("p,q,pquv->uv", np.conj(x), y, self.inner_tensor)
-
-    def norm(self, x: np.ndarray) -> float:
-        gram = self.inner(x, x)
-        val = self.algebra.opnorm((gram + gram.conj().T) / 2)
-        return float(np.sqrt(max(val, 0.0)))
-
-    def validate(self, tol: float = DEFAULT_TOL) -> dict:
-        """Residuals of the correspondence axioms on the basis."""
-        return validate_correspondences([self], tol)[0]
-
 
 def validate_correspondences(mods: list[Correspondence], tol: float = DEFAULT_TOL) -> list[dict]:
-    """Correspondence.validate for each of a list of correspondences over
-    one algebra; those of one dimension are checked as one stack, each
-    check one contraction or stacked matrix product over the stack."""
+    """The residuals of the correspondence axioms on the basis, for each of
+    a list of correspondences over one algebra; those of one dimension are
+    checked as one stack, each check one contraction or stacked matrix
+    product over the stack."""
     groups: dict = {}
     for k, mod in enumerate(mods):
         groups.setdefault(mod.dim, []).append(k)
@@ -201,7 +188,7 @@ def validate_correspondences(mods: list[Correspondence], tol: float = DEFAULT_TO
 
 def _validate_stack(a: BlockAlgebra, dim: int, left: np.ndarray, right: np.ndarray,
                     inner: np.ndarray, tol: float) -> list[dict]:
-    """The residuals of Correspondence.validate for a stack of
+    """The residuals of validate_correspondences for a stack of
     correspondences of one dimension, given their stacked tensors."""
     structure = a.structure_tensor()
     units = np.array(a.basis())
@@ -294,33 +281,15 @@ def zero_correspondence(algebra: BlockAlgebra) -> Correspondence:
     )
 
 
-@dataclass
-class TensorQuotient:
-    """Interior tensor product M (x)_A N, together with the quotient map
-    from the algebraic tensor product (row-isometry onto kept directions)."""
-
-    product: Correspondence
-    projector: np.ndarray  # (dim_quotient, dim_M * dim_N)
-
-
-def tensor_semi_inner(m: Correspondence, n: Correspondence) -> np.ndarray:
-    """Algebra-valued semi-inner product on the algebraic tensor product,
-    <m_p (x) n_q, m_r (x) n_s> = <n_q, <m_p, m_r> n_s>, flattened to
-    (dim_M * dim_N, dim_M * dim_N, n, n); the stack of one of
-    tensor_semi_inners."""
-    a = m.algebra
-    return tensor_semi_inners(a.coords(m.inner_tensor)[None], n.left[None],
-                              n.inner_tensor[None])[0].reshape(m.dim * n.dim, m.dim * n.dim,
-                                                               a.n, a.n)
-
-
 def tensor_semi_inners(coords: np.ndarray, lefts: np.ndarray, inners: np.ndarray) -> np.ndarray:
-    """tensor_semi_inner for a stack of pairs (M_k, N_k) of one shape, from
-    the matrix-unit coordinates (stack, dim M, dim M, A.dim) of the inner
-    tensors of the M_k, and the left actions (stack, A.dim, dim N, dim N)
-    and inner tensors (stack, dim N, dim N, ...) of the N_k, whose algebra
-    values may be (n, n) matrices or coordinates: a view of shape (stack,
-    dim M, dim N, dim M, dim N, ...), entry [k, p, q, r, s] for
+    """The algebra-valued semi-inner products on the algebraic tensor
+    products M_k (x) N_k, <m_p (x) n_q, m_r (x) n_s> = <n_q, <m_p, m_r> n_s>,
+    for a stack of pairs (M_k, N_k) of one shape, from the matrix-unit
+    coordinates (stack, dim M, dim M, A.dim) of the inner tensors of the
+    M_k, and the left actions (stack, A.dim, dim N, dim N) and inner
+    tensors (stack, dim N, dim N, ...) of the N_k, whose algebra values may
+    be (n, n) matrices or coordinates: a view of shape (stack, dim M,
+    dim N, dim M, dim N, ...), entry [k, p, q, r, s] for
     <m_p (x) n_q, m_r (x) n_s> in the layout of the inners.  Two stacked
     matrix products, each acting on one pair on its own."""
     count, dm, _, k = coords.shape
@@ -332,44 +301,6 @@ def tensor_semi_inners(coords: np.ndarray, lefts: np.ndarray, inners: np.ndarray
         count, dm * dm * dn, dn) @ np.swapaxes(inners, 1, 2).reshape(count, dn, -1)
     full = full.reshape(count, dm, dm, dn, dn, -1).transpose(0, 1, 4, 2, 3, 5)
     return full.reshape(full.shape[:5] + value)
-
-
-def internal_tensor(m: Correspondence, n: Correspondence) -> TensorQuotient:
-    """Interior tensor product over A.
-
-    The semi-inner product <x (x) y, x' (x) y'> = <y, <x, x'> y'> is formed on
-    the algebraic tensor product, and the null space is removed by eigenvalue
-    thresholding of the trace-composed Gram matrix at a relative cutoff.
-    """
-    if m.algebra.blocks != n.algebra.blocks:
-        raise AlgebraError("correspondences live over different algebras")
-    a = m.algebra
-    dmn = m.dim * n.dim
-    if dmn == 0:
-        return TensorQuotient(zero_correspondence(a), np.zeros((0, dmn)))
-    inner_flat = tensor_semi_inner(m, n)
-    gram = np.einsum("pquu->pq", inner_flat)
-    gram = (gram + gram.conj().T) / 2
-    # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
-    w, v = np.linalg.eigh(gram)
-    cutoff = RELATIVE_RANK_TOL * max(float(w.max()), 0.0)
-    keep = w > cutoff
-    proj = v[:, keep].conj().T  # (r, dmn); class coordinates of v are proj @ v
-    r = proj.shape[0]
-    embed = proj.conj().T
-    left = np.zeros((a.dim, r, r), dtype=complex)
-    right = np.zeros((a.dim, r, r), dtype=complex)
-    eye_m = np.eye(m.dim)
-    eye_n = np.eye(n.dim)
-    for k in range(a.dim):
-        lmn = np.einsum("pq,st->psqt", m.left[k], eye_n).reshape(dmn, dmn)
-        rmn = np.einsum("pq,st->psqt", eye_m, n.right[k]).reshape(dmn, dmn)
-        left[k] = proj @ lmn @ embed
-        right[k] = proj @ rmn @ embed
-    # representatives of quotient basis vectors are the columns of embed
-    inner_q = np.einsum("ap,bq,pquv->abuv", proj, proj.conj(), inner_flat)
-    quotient = Correspondence(a, r, left, right, inner_q)
-    return TensorQuotient(quotient, proj)
 
 
 @dataclass
@@ -417,7 +348,7 @@ def adjoints_by_shape(maps, sources: list[Correspondence], which,
     G[(p, k), r] = coordinate k of <m_p, m_r>.  Both sides are elements of
     the algebra, so the system is written in its matrix-unit coordinates;
     entries outside its blocks, zero for valid data, are the concern of
-    Correspondence.validate.  The solution is G's pseudo-inverse applied to
+    validate_correspondences.  The solution is G's pseudo-inverse applied to
     the right-hand sides: the minimum-norm least-squares solution, with
     singular values at most eps * dim M * dim N * n^2 times the largest
     dropped, the cutoff lstsq applies to the system of one map on full

@@ -9,7 +9,8 @@ action file that is not an action fails every action verb this way),
 negative --seed, is one), 3 internal error (any other exception; the
 report names its type and message under "internal_error").  The report
 is written to --report (or stdout) either way; identical inputs and seed
-produce byte-identical reports.
+produce byte-identical reports under one BLAS thread setting (another
+thread count can move a value at the 1e-16 level).
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their

@@ -128,10 +128,8 @@ class ReconstructedAlgebra:
         return out
 
     def coaction_matrix(self, gi: int) -> np.ndarray:
-        """The coaction evaluated at group element number gi, on flat
-        coordinates: block kron(u_alpha(g)^T, 1) per label."""
-        if self.backend.kind != "group":
-            raise BuildError("pointwise coaction evaluation needs a group backend")
+        """The coaction evaluated at the basis element e_gi of D, on flat
+        coordinates: block kron(u_alpha(e_gi)^T, 1) per label."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for label, span in self.spans.items():
             u = self.backend.irrep(label).matrices[gi]

@@ -474,17 +474,6 @@ class ConjugateSolution:
     r: np.ndarray  # r[c, k]: component on xi-bar_c (x) xi_k
     rbar: np.ndarray  # rbar[k, c]: component on xi_k (x) xi-bar_c
 
-    def residuals(self) -> tuple[float, float]:
-        """Deviation of the two conjugate-equation composites from the identity."""
-        d = self.r.shape[0]
-        m1 = np.einsum("kc,ci->ik", self.rbar.conj(), self.r)
-        m2 = np.einsum("ck,kd->dc", self.r.conj(), self.rbar)
-        eye = np.eye(d)
-        return float(np.linalg.norm(m1 - eye)), float(np.linalg.norm(m2 - eye))
-
-    def norms(self) -> tuple[float, float]:
-        return float(np.linalg.norm(self.r)), float(np.linalg.norm(self.rbar))
-
 
 # -- backend constructors ----------------------------------------------------
 

@@ -262,10 +262,11 @@ def bundle_from_json(data: dict) -> functors.GradedBundle:
         raise SchemaError("not a bundle file")
     group = group_from_json(data["group"])
     algebra = algebras.BlockAlgebra(tuple(data["algebra"]["blocks"]))
-    fibers = {
-        name: correspondence_from_json(data["fibers"][name])
-        for name in group.elements
-    }
+    fibers = {}
+    for name in group.elements:
+        if name not in data["fibers"]:
+            raise SchemaError(f"bundle file has no fiber for {name!r}")
+        fibers[name] = correspondence_from_json(data["fibers"][name])
     mult = {}
     for entry in data["mult"]:
         mult[(entry["a"], entry["b"])] = decode_complex(entry["tensor"])

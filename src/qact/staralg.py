@@ -29,7 +29,6 @@ import functools
 import numpy as np
 
 from .algebras import BlockAlgebra
-from .blockdecomp import decompose_star_algebra
 from .thresholds import (
     AUDIT_FACTOR,
     DEFAULT_TOL,
@@ -194,12 +193,6 @@ class StarAlgebraModel:
         comm = self.table - self.table.transpose(1, 0, 2)
         s = np.linalg.svd(comm.transpose(1, 2, 0).reshape(-1, self.dim), compute_uv=False)
         return int(self.dim - np.sum(s > RANK_TOL))
-
-    def block_structure(self, seed: int = 0) -> tuple[int, ...]:
-        """Wedderburn block sizes, recovered from the GNS representation."""
-        ops = self._gns_operators
-        blocks = decompose_star_algebra(list(ops), ops.shape[1], seed=seed)
-        return blocks.algebra.blocks
 
 
 def verify_algebra_iso(src: StarAlgebraModel, dst: StarAlgebraModel,

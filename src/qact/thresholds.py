@@ -52,9 +52,8 @@ max(1, largest eigenvalue), it decides `expectation_faithful` of
 RELATIVE_RANK_TOL = 1e-10
 """1e-10, relative: a singular value or Gram eigenvalue above 1e-10 times
 the largest counts toward the rank.  Fixed.  The scale is max(largest, 1)
-in `column_span`, `_matrix_units` and the `nondegenerate` flag of a
-correspondence, and max(largest, 0) in the quotient of
-`internal_tensor`."""
+in `column_span`, `_matrix_units` and the `nondegenerate` flag of
+`validate_correspondences`."""
 
 GNS_CUTOFF = 1e-12
 """1e-12, relative to the largest eigenvalue (floored at GNS_SCALE_GUARD):

@@ -2,6 +2,7 @@
 
     python tests/report_diff.py run TREE INPUTS OUT [ARG ...]
     python tests/report_diff.py compare OUT_A OUT_B
+    python tests/report_diff.py unreached TREE INPUTS
 
 `run` makes every run of the comparison set with the `qact` of the source
 tree TREE (a checkout: its `src` goes first on sys.path), in this process
@@ -30,10 +31,19 @@ key or non-float value, a float that moved by more than 1e-12, or a
 residual recorded as exactly 0.0 that moved.  Entries of encoded matrices
 and lists are held to the 1e-12 bound, not to the zero rule, as
 `record_golden.summarize` leaves them out.  It exits 1 on any violation.
+
+`unreached` makes every run of the comparison set with the `qact` of
+TREE, in this process under `sys.setprofile`, and prints, sorted, every
+function and method defined in TREE's `src/qact` (nested functions too,
+but no lambda or comprehension) that no run calls, as module.qualname.
+Functions are matched by their code object's qualified name, not by line.
+Code that runs before the first run, such as what the CLI runs at import,
+is listed.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pathlib
@@ -100,6 +110,40 @@ def run_all(runs: list[list[str]], inputs: pathlib.Path) -> dict[str, dict]:
             code = cli.main([*argv, "--report", str(report)])
             out[run_key(argv, inputs)] = {"exit": code, "report": report.read_text()}
     return out
+
+
+def _functions(code):
+    """The code objects of the functions and methods defined in a compiled
+    module, nested ones included, without lambdas, comprehensions and
+    class bodies."""
+    for const in code.co_consts:
+        if hasattr(const, "co_qualname"):
+            if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                yield const
+            yield from _functions(const)
+
+
+def unreached(runs: list[list[str]], inputs: pathlib.Path) -> list[str]:
+    """module.qualname of every function and method of the qact found first
+    on sys.path that none of the runs calls, sorted."""
+    from qact import cli
+
+    package = pathlib.Path(cli.__file__).parent
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        run_all(runs, inputs)
+    finally:
+        sys.setprofile(None)
+    return sorted(f"{path.stem}.{code.co_qualname}"
+                  for path in package.glob("*.py")
+                  for code in _functions(compile(path.read_text(), str(path), "exec"))
+                  if (str(path), code.co_qualname) not in called)
 
 
 class Diff:
@@ -180,6 +224,12 @@ def main(argv: list[str]) -> int:
         out.write_text(json.dumps(results, sort_keys=True) + "\n")
         # a fixture run that is also a corpus run is written once
         print(f"ran {len(runs)} runs of {tree}; wrote {len(results)} distinct ones to {out}")
+        return 0
+    if len(argv) == 3 and argv[0] == "unreached":
+        tree, inputs = (pathlib.Path(a).resolve() for a in argv[1:3])
+        sys.path.insert(0, str(tree / "src"))
+        inputs.mkdir(parents=True, exist_ok=True)
+        print("\n".join(unreached(comparison_set(inputs), inputs)))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in argv[1:])

@@ -33,7 +33,6 @@ from qact.actions import (
     functor_roundtrip_check,
     fullness_check,
     module_from_algebra,
-    module_tensor_irrep,
     roundtrip_check,
     spectral_basis,
     spectral_functor,
@@ -46,6 +45,10 @@ from qact.cocycles import (
 )
 from qact.reconstruction import build_algebra
 from qact.staralg import StarAlgebraModel, verify_algebra_iso
+
+from test_actions import module_tensor_irrep
+from test_cocycles import block_structure
+from test_repcat import conjugate_norms, conjugate_residuals
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BACKENDS = standard_backends()
@@ -70,8 +73,8 @@ def test_criterion_01_conjugate_equations():
         backend = BACKENDS[name]
         for label in backend.labels:
             sol = backend.conjugate_solution(label)
-            r1, r2 = sol.residuals()
-            nr, nrb = sol.norms()
+            r1, r2 = conjugate_residuals(sol)
+            nr, nrb = conjugate_norms(sol)
             dq = backend.irrep(label).dim
             worst = max(worst, r1, r2, abs(nr**2 - dq), abs(nrb**2 - dq))
     report(1, worst < 1e-9, f"worst residual {worst:.2e}")
@@ -162,7 +165,7 @@ def test_criterion_06_fell_bundle_equivalence():
     model = alg.model
     iso = verify_algebra_iso(model, model3, phi, tol=1e-9)
     worst = max(iso["multiplicative"], iso["star"], iso["unit"])
-    simple = model.center_dimension() == 1 and model.block_structure() == (3,)
+    simple = model.center_dimension() == 1 and block_structure(model) == (3,)
     ok = ok and iso["passed"] and simple
     report(6, ok, f"isomorphism residual {worst:.2e}; ideal lattice trivial: {simple}")
 
@@ -191,7 +194,7 @@ def test_criterion_08_primitive_bicharacter_deformation():
     om = bicharacter_cocycle([2, 2])
     deformed = deform_action(BACKENDS[bk], act, om)
     simple = (deformed.model.center_dimension() == 1
-              and deformed.model.block_structure() == (2,))
+              and block_structure(deformed.model) == (2,))
     g = act.group
     m2 = StarAlgebraModel.of_block_algebra(BlockAlgebra((2,)))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -573,6 +573,98 @@ def test_every_action_verb_passes_with_empty_spectral_subspaces(name, tmp_path):
     assert data["certificate"]["passed"] is True
 
 
+@pytest.mark.parametrize("verb", ["validate", "build", "spectral", "roundtrip",
+                                  "module-functor", "fullness", "cocycle-check", "deform"])
+def test_a_verb_without_its_backend_is_an_input_error(verb, tmp_path):
+    report = tmp_path / "r.json"
+    code = cli.main([verb, "--input", str(FIXTURES / "actions/swap_c2.json"),
+                     "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 2 and data == {"error": f"verb {verb!r} needs --backend",
+                                  "schema": "report.v1", "verb": verb}
+
+
+def test_deform_with_a_failing_cocycle_exits_one(tmp_path):
+    from qact import serialize
+    from qact.cocycles import Cocycle
+    from qact.groups import cyclic_group, direct_product
+
+    group = direct_product(cyclic_group(2), cyclic_group(2))
+    vals = np.exp(2j * np.pi * np.random.default_rng(1).random((4, 4)))
+    vals = vals / vals[group.identity, group.identity]
+    path = tmp_path / "bad_cocycle.json"
+    serialize.dump_json(serialize.cocycle_to_json(Cocycle("dual", group, vals, vals)), path)
+    report = tmp_path / "r.json"
+    code = cli.main(["deform", "--backend", str(FIXTURES / "backends/dual_z2z2.json"),
+                     "--input", str(FIXTURES / "actions/z2z2_group_algebra.json"),
+                     "--input", str(path), "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 1
+    assert data["cocycle"]["passed"] is False and "deformed" not in data
+
+
+def grading_of_c2(rows):
+    """The Z3 "grading" of C^2 whose component of element k holds the rows
+    rows[k], which need not be an action of the dual Z3 backend."""
+    from qact.actions import Action
+    from qact.algebras import BlockAlgebra
+    from qact.groups import cyclic_group
+
+    return Action("grading", BlockAlgebra((1, 1)), cyclic_group(3), components={
+        str(k): np.reshape(np.asarray(r, dtype=float), (-1, 2)) for k, r in enumerate(rows)})
+
+
+@pytest.mark.parametrize("rows, check", [
+    # e_2 e_2 = e_2 must lie in the empty component of 1 + 1 = 2
+    ([[[1.0, 0.0]], [[0.0, 1.0]], []], {"component_products": 1.0, "spanning": True}),
+    # one component row for an algebra of dimension 2
+    ([[[1.0, 0.0]], [], []], {"spanning": False}),
+], ids=["empty_product_component", "too_few_rows"])
+def test_every_action_verb_rejects_a_bad_grading(rows, check, tmp_path):
+    from qact import serialize
+
+    path = tmp_path / "action.json"
+    serialize.dump_json(serialize.action_to_json(grading_of_c2(rows)), path)
+    report = tmp_path / "r.json"
+    for verb in ("spectral", "roundtrip", "module-functor", "fullness"):
+        code = cli.main([verb, "--backend", str(FIXTURES / "backends/dual_z3.json"),
+                         "--input", str(path), "--report", str(report)])
+        data = json.loads(report.read_text())
+        assert code == 1, (verb, data)
+        assert data["action"]["passed"] is False, verb
+        assert {key: data["action"][key] for key in check} == check, verb
+
+
+def drop_fiber(data):
+    del data["fibers"]["2"]
+
+
+def drop_tensor(data):
+    data["mult"] = [e for e in data["mult"] if (e["a"], e["b"]) != ("1", "1")]
+
+
+def cut_tensor(data):
+    entry = next(e for e in data["mult"] if (e["a"], e["b"]) == ("1", "1"))
+    entry["tensor"] = entry["tensor"][1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_fiber, "bundle file has no fiber for '2'"),
+    (drop_tensor, "missing multiplication tensor for (1, 1)"),
+    (cut_tensor, "tensor for (1, 1) has shape (2, 3, 3)"),
+], ids=["missing_fiber", "missing_tensor", "misshapen_tensor"])
+def test_a_malformed_bundle_is_an_input_error(edit, message, tmp_path):
+    data = json.loads((FIXTURES / "bundles/clock_shift_z3.json").read_text())
+    edit(data)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code = cli.main(["validate-graded", "--input", str(path), "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 2 and sorted(data) == ["error", "schema", "verb"]
+    assert message in data["error"], data["error"]
+
+
 def test_project_word_unknown_label_is_error():
     import numpy as np
     import pytest as _pytest

@@ -5,7 +5,7 @@ from qact.algebras import (
     BlockAlgebra,
     Correspondence,
     algebra_as_correspondence,
-    tensor_semi_inner,
+    validate_correspondences,
     zero_correspondence,
 )
 from qact.fixtures import (
@@ -34,7 +34,7 @@ from qact.groups import cyclic_group
 from qact.actions import canonical_module_iso, spectral_functor
 from qact.algebras import adjoints_of, module_linear_residuals
 from qact.repcat import Backend, cyclic_backend, dual_backend
-from test_algebras import reference_adjoints_of
+from test_algebras import module_inner, reference_adjoints_of, tensor_semi_inner
 from test_reconstruction import conjugated_clock_shift, random_element
 
 TOL = 1e-9
@@ -152,12 +152,12 @@ def test_involution_partner_identities(backends):
         for p, (x, part) in enumerate(zip(np.eye(mod.dim), parts)):
             for q, y in enumerate(np.eye(mbar.dim)):
                 # <X., Y> agrees with the conjugation pairing of X and Y
-                lhs = mbar.inner(part, y)
+                lhs = module_inner(mbar, part, y)
                 rhs = algebra.from_coords(f_rbar_star @ f2_bar[:, p, q])
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
             for q, y in enumerate(np.eye(mod.dim)):
                 # and the original inner product is recovered from the partner
-                lhs = mod.inner(x, y)
+                lhs = module_inner(mod, x, y)
                 rhs = algebra.from_coords(f_r_star @ f2_back[:, :, q] @ part)
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
@@ -179,7 +179,7 @@ def test_involution_partner_graded_case():
             for q in range(minv.dim):
                 y = np.zeros(minv.dim, dtype=complex)
                 y[q] = 1.0
-                lhs = minv.inner(part, y)
+                lhs = module_inner(minv, part, y)
                 prod = np.einsum("tpq,p,q->t", t, x, y)
                 rhs = functor.algebra.from_coords(prod)
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -220,8 +220,8 @@ def test_involution_partner_trace_identity(backends):
         mbar = functor.module(functor.backend.irrep(label).conj)
         x = rng.standard_normal(mod.dim) + 1j * rng.standard_normal(mod.dim)
         part = real.involution_partners(label, x[None])[0]
-        t1 = np.trace(mod.inner(x, x))
-        t2 = np.trace(mbar.inner(part, part))
+        t1 = np.trace(module_inner(mod, x, x))
+        t2 = np.trace(module_inner(mbar, part, part))
         assert abs(t1 - t2) < 1e-8 * max(1.0, abs(t1))
 
 
@@ -570,7 +570,7 @@ def reference_validate_functor(functor, tol=1e-9):
         mod = functor.module(label)
         if mod.dim == 0:
             continue
-        rep = mod.validate(tol)
+        rep = validate_correspondences([mod], tol)[0]
         worst_mod = max(
             worst_mod, rep["actions"], rep["left_right_commute"], rep["inner_hermitian"],
             rep["inner_module_linear"], 0.0 if rep["nondegenerate"] else float("inf"),

@@ -139,7 +139,6 @@ GAUGE_FREE = {
 # bases still picked outside the seams
 LATER_SEAMS = {
     "staralg.StarAlgebraModel.gns_space",  # later seam (ROADMAP item 1): the GNS space
-    "algebras.internal_tensor",  # later seam (ROADMAP item 1): the tensor quotient
 }
 
 

@@ -1,13 +1,16 @@
 """The kind of a backend chooses math in one place.
 
 `repcat` and `cocycles` work from D's structure, the DualAlgebra value
-that `repcat.dual_algebra` builds from a kind string, and so does the
-module half of `actions`: an equivariant module is its comodule over D.
+that `repcat.dual_algebra` builds from a kind string, and so do the
+module half of `actions` (an equivariant module is its comodule over D)
+and the spectral solver of a rebuilt algebra (its coaction is a D-module).
 The guard reads their source: no comparison of a kind (a name `kind` or
 an attribute `.kind`) with a string literal may appear in `repcat` or
 `cocycles` outside `dual_algebra` and the two checks that match a cocycle
 with its backend and its action, nor anywhere in the functions and
-classes of the module half of `actions`.
+classes of the module half of `actions`, in `actions._spectral_tuples`
+and `actions.algebra_spectral_functor`, or in
+`ReconstructedAlgebra.coaction_matrix`.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ GUARDED = ("repcat", "cocycles")
 ALLOWED = {"dual_algebra", "_check_cocycle_backend", "_require_matching"}
 # the module half of actions; the action half (Action, the spectral
 # equations, module_from_algebra) still reads the action's kind
-MODULE_HALF = {"EquivariantModule", "_tensor_comodule", "module_tensor_irrep",
-               "_right_linearity_rows", "_equivariant_maps", "module_functor", "_tuple_space",
-               "fullness_check", "canonical_module_iso"}
+MODULE_HALF = {"EquivariantModule", "_tensor_comodule", "_right_linearity_rows",
+               "_equivariant_maps", "module_functor", "_tuple_space", "fullness_check",
+               "canonical_module_iso"}
+# the spectral solver over D and the algebra side that reaches it through it
+SOLVER = {"_spectral_tuples", "algebra_spectral_functor"}
 
 
 def _is_kind(node) -> bool:
@@ -72,6 +77,15 @@ def test_the_module_half_of_actions_reads_no_kind_string():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert MODULE_HALF <= defined  # a renamed function would leave the guard
     assert kind_comparisons(source, "actions", MODULE_HALF) == []
+
+
+def test_the_spectral_solver_of_a_rebuilt_algebra_reads_no_kind_string():
+    source = (SRC / "actions.py").read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert SOLVER <= defined
+    assert kind_comparisons(source, "actions", SOLVER) == []
+    assert kind_comparisons((SRC / "reconstruction.py").read_text(), "reconstruction",
+                            {"coaction_matrix"}) == []
 
 
 def test_the_guard_sees_a_kind_comparison():

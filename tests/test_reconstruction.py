@@ -10,7 +10,7 @@ from qact.reconstruction import build_algebra, build_report
 from qact.staralg import StarAlgebraModel, verify_algebra_iso
 from qact.thresholds import PRUNE_TOL
 
-from test_algebras import left_mul, right_mul
+from test_algebras import left_mul, module_inner, right_mul
 
 TOL = 1e-9
 
@@ -200,8 +200,8 @@ def test_component_inner_product_formula(s3_algebra):
                     y = unit_component(alg, "std", j, q)
                     lhs = alg.model.inner(x, y)
                     scalar = (1.0 / dq) if i == j else 0.0
-                    rhs = scalar * mod.inner(
-                        np.eye(mod.dim)[p], np.eye(mod.dim)[q]
+                    rhs = scalar * module_inner(
+                        mod, np.eye(mod.dim)[p], np.eye(mod.dim)[q]
                     )
                     np.testing.assert_allclose(lhs, rhs, atol=TOL)
 

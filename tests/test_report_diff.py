@@ -95,3 +95,12 @@ def test_compare_stops_quietly_when_stdout_closes(tmp_path):
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1 and stderr == "", stderr
+
+
+def test_unreached_lists_the_functions_no_run_calls():
+    argvs = [record_golden.fixture_argv(args) for args in RUNS]
+    names = report_diff.unreached(argvs, record_golden.FIXTURES)
+    assert names == sorted(names)
+    assert "cli.main" not in names and "actions.roundtrip_check" not in names
+    # a helper that runs only on an error path
+    assert "repcat._word_name" in names
