@@ -1,5 +1,11 @@
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+# The process ends after main: freezing the imports' heap, then the whole heap,
+# keeps main's collections and the shutdown collections from walking them.
+gc.freeze()
+code = main()
+gc.freeze()
+sys.exit(code)

@@ -22,6 +22,18 @@ first attribute access: `validate`, `validate-graded` and `build` never run
 of them are bound, so `import qact.cli` still puts every layer in
 sys.modules, where a tool that wraps the layers' functions before calling
 `main` finds them (perfbench/tracer.py does).
+
+The process entry, `python -m qact` (qact/__main__.py), calls gc.freeze()
+after importing this module and again after `main` returns.  The
+collections inside `main` then skip the objects the imports made, and the
+collections of interpreter shutdown, which would walk numpy's objects and
+every layer, walk none: the time from `main`'s return to the end of the
+process went from 36-45 ms to 8-11 ms (medians of 9, on the benchmark's
+spectral/z4_translation, roundtrip/clock5 and module-functor/z8_translation
+jobs, 2-vCPU host).  `main` itself leaves the collector alone, so whatever
+calls it (the tests, the installed `qact` script, perfbench/tracer.py) keeps
+its collector; the benchmark's traced passes keep this cost, so its
+per-layer trace.overhead_ratio may rise, which is no end-to-end metric.
 """
 
 from __future__ import annotations
@@ -163,7 +175,9 @@ def _load(path, loader, what):
         raise InputError(f"{what} file {path} is not valid JSON: {err}")
     try:
         return loader(data)
-    except (SchemaError, KeyError, ValueError) as err:
+    except KeyError as err:
+        raise InputError(f"{what} file {path}: missing key {err}")
+    except (SchemaError, ValueError) as err:
         raise InputError(f"{what} file {path}: {err}")
 
 

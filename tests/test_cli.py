@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -663,6 +664,88 @@ def test_a_malformed_bundle_is_an_input_error(edit, message, tmp_path):
     data = json.loads(report.read_text())
     assert code == 2 and sorted(data) == ["error", "schema", "verb"]
     assert message in data["error"], data["error"]
+
+
+# the file each kind of input is cut from, and the run that loads it
+MISSING_KEY_RUNS = {
+    "backend": ("backends/z2.json",
+                lambda path: ["spectral", "--backend", path,
+                              "--input", str(FIXTURES / "actions/swap_c2.json")]),
+    "action": ("actions/swap_c2.json",
+               lambda path: ["spectral", "--backend", str(FIXTURES / "backends/z2.json"),
+                             "--input", path]),
+    "functor": ("functors/spectral_swap_c2.json",
+                lambda path: ["validate", "--backend", str(FIXTURES / "backends/z2.json"),
+                              "--input", path]),
+    "cocycle": ("cocycles/bicharacter_z2z2.json",
+                lambda path: ["cocycle-check", "--backend",
+                              str(FIXTURES / "backends/dual_z2z2.json"), "--input", path]),
+    "bundle": ("bundles/clock_shift_z3.json",
+               lambda path: ["validate-graded", "--input", path]),
+}
+
+
+@pytest.mark.parametrize("what, key", [
+    ("backend", "group"), ("backend", "irreps"), ("backend", "kind"),
+    ("action", "algebra"), ("action", "data"), ("action", "group"), ("action", "kind"),
+    ("functor", "base_algebra"), ("functor", "modules"), ("functor", "phi"),
+    ("cocycle", "group"), ("cocycle", "kind"), ("cocycle", "values"),
+    ("bundle", "algebra"), ("bundle", "fibers"), ("bundle", "group"), ("bundle", "mult"),
+    ("bundle", "tensor"),
+], ids=lambda v: v)
+def test_a_missing_key_is_named(what, key, tmp_path):
+    source, argv = MISSING_KEY_RUNS[what]
+    data = json.loads((FIXTURES / source).read_text())
+    del (data["mult"][0] if key == "tensor" else data)[key]
+    path = tmp_path / f"{what}.json"
+    path.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code = cli.main([*argv(str(path)), "--report", str(report)])
+    out = json.loads(report.read_text())
+    assert code == 2 and sorted(out) == ["error", "schema", "verb"]
+    assert out["error"] == f"{what} file {path}: missing key {key!r}"
+
+
+def test_process_entry_gives_mains_exit_codes_and_bytes(tmp_path, capsys):
+    # python -m qact freezes the collector around cli.main; that must change
+    # no exit code and no byte of a report, written to --report or stdout
+    broken = json.loads((FIXTURES / "functors/spectral_s3_translation.json").read_text())
+    broken["phi"][0]["tensor"][0][0][0][0] += 1e-3
+    (tmp_path / "broken.json").write_text(json.dumps(broken))
+    s3 = ["--backend", str(FIXTURES / "backends/s3.json")]
+    runs = {
+        0: ["spectral", *s3, "--input", str(FIXTURES / "actions/s3_translation.json")],
+        1: ["validate", *s3, "--input", str(tmp_path / "broken.json")],
+        2: ["spectral", *s3, "--input", str(tmp_path / "nope.json")],
+    }
+    for expected, argv in runs.items():
+        for to_file in (True, False) if expected == 0 else (True,):
+            report = ["--report", str(tmp_path / "r.json")] if to_file else []
+            (tmp_path / "r.json").unlink(missing_ok=True)
+            proc = subprocess.run([sys.executable, "-m", "qact", *argv, *report],
+                                  capture_output=True, timeout=300)
+            child = (tmp_path / "r.json").read_bytes() if to_file else proc.stdout
+            assert proc.returncode == expected and not proc.stderr, proc.stderr
+            capsys.readouterr()
+            assert cli.main(argv + report) == expected
+            own = (tmp_path / "r.json").read_bytes() if to_file \
+                else capsys.readouterr().out.encode()
+            assert child == own, (expected, to_file)
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    argv = ["spectral", "--backend", str(FIXTURES / "backends/z2.json"),
+            "--input", str(FIXTURES / "actions/swap_c2.json"),
+            "--report", str(tmp_path / "r.json")]
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            gc.enable() if state else gc.disable()
+            frozen = gc.get_freeze_count()
+            assert cli.main(argv) == 0
+            assert gc.isenabled() == state and gc.get_freeze_count() == frozen
+    finally:
+        gc.enable() if enabled else gc.disable()
 
 
 def test_project_word_unknown_label_is_error():
