@@ -437,14 +437,6 @@ def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFu
 # -- round trip ---------------------------------------------------------------
 
 
-@dataclass
-class RoundtripCertificate:
-    matrix: np.ndarray
-    residuals: dict[str, float]
-    dims: tuple[int, int]
-    passed: bool
-
-
 def canonical_map(spec: SpectralFunctor, alg: ReconstructedAlgebra) -> np.ndarray:
     """The canonical map from an algebra rebuilt from functor data with the
     module dimensions of `spec` onto the acted-on algebra, as a coordinate
@@ -458,11 +450,15 @@ def canonical_map(spec: SpectralFunctor, alg: ReconstructedAlgebra) -> np.ndarra
 
 
 def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> RoundtripCertificate:
+                    tol: float = DEFAULT_TOL) -> dict:
     """Rebuild the algebra from the spectral data of an action and certify
     the canonical map back onto the original algebra: a unital
     *-isomorphism (staralg.verify_algebra_iso), equivariant, and the
-    identity on the fixed subalgebra."""
+    identity on the fixed subalgebra.
+
+    Returns the certificate section of the roundtrip report: `passed`,
+    `residuals`, `dims` (of the algebra and of the rebuilt one) and
+    `isomorphism`, the canonical map as a coordinate matrix."""
     from .reconstruction import build_algebra
 
     spec = spectral_functor(backend, act, seed=seed)
@@ -470,10 +466,9 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     b = act.algebra
 
     if alg.dim != b.dim:
-        return RoundtripCertificate(
-            np.zeros((b.dim, 0)), {"dimension_mismatch": float(abs(alg.dim - b.dim))},
-            (b.dim, alg.dim), False,
-        )
+        return {"passed": False,
+                "residuals": {"dimension_mismatch": float(abs(alg.dim - b.dim))},
+                "dims": [b.dim, alg.dim], "isomorphism": np.zeros((b.dim, 0))}
 
     phi = canonical_map(spec, alg)
     iso = staralg.verify_algebra_iso(alg.model, staralg.StarAlgebraModel.of_block_algebra(b),
@@ -501,7 +496,8 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     residuals["equivariance"] = worst_eq
 
     passed = bool(iso["passed"] and max(worst_fixed, worst_eq) < AUDIT_FACTOR * tol)
-    return RoundtripCertificate(phi, residuals, (b.dim, alg.dim), passed)
+    return {"passed": passed, "residuals": residuals, "dims": [b.dim, alg.dim],
+            "isomorphism": phi}
 
 
 # -- equivariant modules ------------------------------------------------------
@@ -677,16 +673,6 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
 # -- fullness -----------------------------------------------------------------
 
 
-@dataclass
-class FullnessCertificate:
-    passed: bool
-    chosen: list  # (label, tuple array (d, dim M))
-    gram: np.ndarray | None  # <Y, Y> in B
-    lower_constant: float
-    residuals: dict[str, float]
-    max_rank: int
-
-
 def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.ndarray:
     """Vectors (X_1 ... X_d) in the spectral subspace of M for one
     irreducible, the null space of kron(I_d, W(x)) - kron(pibar(x)^T, I_M)
@@ -701,7 +687,7 @@ def _tuple_space(backend: Backend, module: EquivariantModule, label: str) -> np.
 
 
 def fullness_check(backend: Backend, module: EquivariantModule,
-                   tol: float = DEFAULT_TOL) -> FullnessCertificate:
+                   tol: float = DEFAULT_TOL) -> dict:
     """Search the spectral subspaces of a module for an invariant vector Y
     with invertible self-pairing; success certifies the module generates.
 
@@ -710,12 +696,13 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     gathers the shortest prefix of the candidates whose summed contributions
     have a Hermitian part with smallest eigenvalue above RANK_TOL.
 
-    On success the certificate carries Y's constituents, <Y, Y>, the
-    constant c = 1 of <Y, Y> >= c * sum_i <X_i, X_i>, and the residual of
-    the isometry x -> Y <Y,Y>^{-1/2} x on the algebra.  On failure it
-    reports the rank of the sum over all candidates.  With rho = 1 the bound
-    is an equality, one sum taken in two orders, so `lower_bound_violation`
-    is a rounding check.
+    Returns the certificate section of the fullness report.  On success it
+    carries the labels of Y's constituents (`chosen`), <Y, Y> (`gram`), the
+    constant c = 1 of <Y, Y> >= c * sum_i <X_i, X_i> (`lower_constant`),
+    and the residual of the isometry x -> Y <Y,Y>^{-1/2} x on the algebra.
+    On failure `max_rank` is the rank of the sum over all candidates.  With
+    rho = 1 the bound is an equality, one sum taken in two orders, so
+    `lower_bound_violation` is a rounding check.
     """
     b = module.action.algebra
     chosen: list = []
@@ -730,8 +717,9 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     max_rank = int(np.linalg.matrix_rank(herm[-1], tol=RANK_TOL)) if len(herm) else 0
     invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > RANK_TOL)
     if not invertible.size:
-        gram = grams[-1] if len(grams) else None
-        return FullnessCertificate(False, chosen, gram, 0.0, {}, max_rank)
+        return {"passed": False, "chosen": [label for label, _ in chosen],
+                "gram": grams[-1] if len(grams) else None, "lower_constant": 0.0,
+                "residuals": {}, "max_rank": max_rank}
     count = invertible[0] + 1
     chosen, gram = chosen[:count], grams[count - 1]
 
@@ -763,24 +751,19 @@ def fullness_check(backend: Backend, module: EquivariantModule,
         "embedding_isometry": worst_iso,
     }
     passed = bound_violation < AUDIT_FACTOR * tol and worst_iso < ISOMETRY_TOL
-    return FullnessCertificate(passed, chosen, gram, 1.0, residuals, max_rank)
+    return {"passed": passed, "chosen": [label for label, _ in chosen], "gram": gram,
+            "lower_constant": 1.0, "residuals": residuals, "max_rank": max_rank}
 
 
 # -- natural isomorphisms ------------------------------------------------------
 
 
-@dataclass
-class NaturalIso:
-    maps: dict[str, np.ndarray]
-    residuals: dict[str, float]
-    passed: bool
-
-
 def verify_natural_iso(f1: functors.TensorFunctorData, f2: functors.TensorFunctorData,
-                       maps: dict[str, np.ndarray], tol: float = DEFAULT_TOL) -> NaturalIso:
+                       maps: dict[str, np.ndarray], tol: float = DEFAULT_TOL) -> dict:
     """Check that a family of per-irreducible maps is a unitary isomorphism
     of functor data: bimodular, inner-product preserving, compatible with
-    every multiplication tensor."""
+    every multiplication tensor.  Returns the report section
+    {passed, residuals}."""
     if f1.backend is not f2.backend:
         raise BackendError("functors live over different backends")
     if f1.algebra.blocks != f2.algebra.blocks:
@@ -819,8 +802,8 @@ def verify_natural_iso(f1: functors.TensorFunctorData, f2: functors.TensorFuncto
     residuals["bimodule"] = worst_bimod
     residuals["inner_products"] = worst_inner
     residuals["monoidality"] = worst_mono
-    passed = all(v < AUDIT_FACTOR * tol for v in residuals.values())
-    return NaturalIso(dict(maps), residuals, passed)
+    return {"passed": all(v < AUDIT_FACTOR * tol for v in residuals.values()),
+            "residuals": residuals}
 
 
 # -- spectral data of a reconstructed algebra -----------------------------------
@@ -896,7 +879,8 @@ def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL
                          seed: int = 0):
     """The functor of the algebra as a module over itself, compared with the
     spectral functor of the action through the canonical identification
-    X -> (b -> sum_i x_i b (x) basis vector i)."""
+    X -> (b -> sum_i x_i b (x) basis vector i).  Returns (spectral functor,
+    module functor, the natural_iso_to_spectral section of verify_natural_iso)."""
     spec = spectral_functor(backend, act, seed=seed)
     mod = module_from_algebra(backend, act)
     b = act.algebra

@@ -187,7 +187,8 @@ def build_report(alg: ReconstructedAlgebra, seed: int = 0, samples: int = 100) -
     expectation laws, the C*-identity for the regular norm, and the
     homomorphism property of the word projection.  Each block of samples
     is evaluated as one stack of flat vectors; the random stream is drawn
-    in the order of one element at a time."""
+    in the order of one element at a time.  Returns the build section of the
+    build report, the model's multiplication table included."""
     rng = np.random.default_rng(seed)
     tol = alg.tol
     model = alg.model
@@ -195,6 +196,7 @@ def build_report(alg: ReconstructedAlgebra, seed: int = 0, samples: int = 100) -
         "dimension": alg.dim,
         "component_dims": alg.component_dims(),
         "tolerance": tol,
+        "multiplication_table": model.table,
     }
 
     def worst(values) -> float:

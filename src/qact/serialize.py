@@ -1,8 +1,14 @@
 """JSON schemas for backends, correspondences, functors, actions, bundles
-and cocycles.
+and cocycles, and the one JSON encoder of qact.
 
 Complex entries are serialized as [re, im] pairs, which round-trip exactly
 at double precision.  Every file carries a "schema" tag.
+
+`dumps` is the only encoder: every data file (`dump_json`) and every report
+of the command line is its text.  The `*_to_json` writers hand it complex
+arrays as they are, so their dicts are for `dumps`; a reader takes the
+parsed text, and an in-memory round trip goes through
+`json.loads(dumps(...))`.
 
 The readers of actions and cocycles import those layers when called, so
 loading a backend, functor or bundle imports neither; `algebras` and
@@ -13,6 +19,7 @@ cocycle runs neither when the CLI binds them lazily.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,13 +33,6 @@ from .thresholds import TABLE_MATCH_TOL
 if TYPE_CHECKING:
     from .actions import Action
     from .cocycles import Cocycle
-
-
-def encode_complex(arr) -> list:
-    """Nested lists of [re, im] pairs of Python floats, the array's shape
-    plus a last axis of 2; signed zeros are kept."""
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def decode_complex(data) -> np.ndarray:
@@ -70,12 +70,12 @@ def backend_to_json(backend: Backend) -> dict:
         entry = {
             "label": ir.label,
             "dim": ir.dim,
-            "rho": encode_complex(np.eye(ir.dim)),
+            "rho": np.eye(ir.dim),
             "conj": ir.conj,
         }
         if backend.kind == "group":
             entry["matrices"] = {
-                backend.group.elements[g]: encode_complex(ir.matrices[g])
+                backend.group.elements[g]: ir.matrices[g]
                 for g in range(backend.group.order)
             }
         irreps.append(entry)
@@ -120,9 +120,9 @@ def correspondence_to_json(corr: algebras.Correspondence) -> dict:
     return {
         "algebra": {"blocks": list(corr.algebra.blocks)},
         "dim": corr.dim,
-        "left_action": encode_complex(corr.left),
-        "right_action": encode_complex(corr.right),
-        "inner": encode_complex(corr.inner_tensor),
+        "left_action": corr.left,
+        "right_action": corr.right,
+        "inner": corr.inner_tensor,
     }
 
 
@@ -150,7 +150,7 @@ def functor_to_json(functor: functors.TensorFunctorData, backend_ref: str = "") 
                 "beta": beta,
                 "gamma": gamma,
                 "intertwiner_index": idx,
-                "tensor": encode_complex(tensor),
+                "tensor": tensor,
             })
     return {
         "schema": "functor.v1",
@@ -198,11 +198,11 @@ def action_to_json(act: Action) -> dict:
     }
     if act.kind == "automorphism":
         out["data"] = {"maps": {
-            x: encode_complex(act.map_matrix(x)) for x in act.group.elements
+            x: act.map_matrix(x) for x in act.group.elements
         }}
     else:
         out["data"] = {"components": {
-            x: encode_complex(act.component_rows(x)) for x in act.group.elements
+            x: act.component_rows(x) for x in act.group.elements
             if act.component_rows(x).shape[0]
         }}
     return out
@@ -244,7 +244,7 @@ def bundle_to_json(bundle: functors.GradedBundle) -> dict:
             tensor = bundle.mult_tensor(a, b)
             if tensor.size == 0:
                 continue  # the loader rebuilds zero-size maps from the fibers
-            mult.append({"a": a, "b": b, "tensor": encode_complex(tensor)})
+            mult.append({"a": a, "b": b, "tensor": tensor})
     return {
         "schema": "bundle.v1",
         "group": group_to_json(bundle.group),
@@ -285,12 +285,12 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
     g = cocycle.group
     if cocycle.kind == "dual":
         out["values"] = {
-            f"({a},{b})": encode_complex(cocycle.raw[i, j])
+            f"({a},{b})": cocycle.raw[i, j]
             for i, a in enumerate(g.elements)
             for j, b in enumerate(g.elements)
         }
     else:
-        out["tensor"] = encode_complex(cocycle.raw)
+        out["tensor"] = cocycle.raw
     return out
 
 
@@ -316,13 +316,90 @@ def cocycle_from_json(data: dict) -> Cocycle:
     return make_cocycle("group", group, decode_complex(data["tensor"]))
 
 
-# -- file helpers ------------------------------------------------------------------------
+# -- the encoder and file helpers ------------------------------------------------------
+
+
+def dumps(obj) -> str:
+    """obj as json.dumps(..., indent=2, sort_keys=True) writes it, with
+    numpy values as JSON values: dict keys become str, tuples lists, numpy
+    scalars Python ones, a complex number its [re, im] pair and an array
+    nested lists of [re, im] pairs (its shape plus a last axis of 2, signed
+    zeros kept).
+
+    With indent set, the json module encodes through its pure-Python
+    encoder, value by value.  Here an array is written whole instead: the
+    reprs of its floats (the json module's own spelling), joined level by
+    level, with the same indentation and separators."""
+    out: list[str] = []
+    _render(obj, 0, out)
+    return "".join(out)
+
+
+def _render(obj, level: int, out: list) -> None:
+    if isinstance(obj, np.ndarray):
+        out.append(_render_array(obj, level))
+    elif isinstance(obj, dict):
+        _render_items(sorted({str(k): v for k, v in obj.items()}.items()), "{}", level, out)
+    elif isinstance(obj, (list, tuple)):
+        _render_items([(None, v) for v in obj], "[]", level, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _render([float(obj.real), float(obj.imag)], level, out)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _render_items(items: list, brackets: str, level: int, out: list) -> None:
+    """A JSON object (keys given) or array (keys None) of the items."""
+    if not items:
+        out.append(brackets)
+        return
+    pad = "\n" + "  " * (level + 1)
+    out.append(brackets[0])
+    for n, (key, value) in enumerate(items):
+        out.append(pad if n == 0 else "," + pad)
+        if key is not None:
+            out.append(json.dumps(key) + ": ")
+        _render(value, level + 1, out)
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _render_array(arr: np.ndarray, level: int) -> str:
+    """The array's [re, im] pairs as an indented JSON array at `level`,
+    built from the innermost axis out."""
+    arr = np.asarray(arr, dtype=complex)
+    pairs = np.stack([arr.real, arr.imag], -1)
+    flat = pairs.ravel().tolist()
+    items = list(map(float.__repr__, flat)) if np.isfinite(pairs).all() \
+        else [_float_text(x) for x in flat]
+    for axis in range(pairs.ndim - 1, -1, -1):
+        size, groups = pairs.shape[axis], math.prod(pairs.shape[:axis])
+        if size == 0:
+            items = ["[]"] * groups
+            continue
+        pad = "\n" + "  " * (level + axis + 1)
+        sep, close = "," + pad, "\n" + "  " * (level + axis) + "]"
+        items = ["[" + pad + sep.join(items[g * size:(g + 1) * size]) + close
+                 for g in range(groups)]
+    return items[0]
 
 
 def dump_json(data: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(data) + "\n")
 
 
 def load_json(path) -> dict:

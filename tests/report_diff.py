@@ -3,6 +3,7 @@
     python tests/report_diff.py run TREE INPUTS OUT [ARG ...]
     python tests/report_diff.py compare OUT_A OUT_B
     python tests/report_diff.py unreached TREE INPUTS
+    python tests/report_diff.py inputs TREE OUT
 
 `run` makes every run of the comparison set with the `qact` of the source
 tree TREE (a checkout: its `src` goes first on sys.path), in this process
@@ -39,6 +40,17 @@ but no lambda or comprehension) that no run calls, as module.qualname.
 Functions are matched by their code object's qualified name, not by line.
 Code that runs before the first run, such as what the CLI runs at import,
 is listed.
+
+`inputs` writes, with the `qact` of TREE and in this process, the fixture
+corpus (`qact.fixtures.write_corpus`) under OUT/fixtures and the inputs of
+both benchmark workloads at seed 1 under OUT/<workload> (made with
+`perfbench/workloads.py`).  The writer must not change a byte, so after
+
+    python tests/report_diff.py inputs PARENT /tmp/a
+    python tests/report_diff.py inputs CHANGE /tmp/b
+    diff -r /tmp/a /tmp/b
+
+prints nothing.
 """
 
 from __future__ import annotations
@@ -90,6 +102,20 @@ def comparison_set(inputs: pathlib.Path) -> list[list[str]]:
             runs.append([*job.argv, "--seed", str(LADDER_SEED)])
     listing.write_text(json.dumps(runs, indent=0) + "\n")
     return runs
+
+
+def write_inputs(out: pathlib.Path) -> list[pathlib.Path]:
+    """Write the fixture corpus and both workloads' inputs under out with
+    the qact found first on sys.path; returns the files, sorted."""
+    from qact.fixtures import write_corpus
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, build_jobs
+
+    write_corpus(out / "fixtures")
+    for workload in WORKLOADS:
+        build_jobs(workload, LADDER_SEED, out / workload)
+    return sorted(out.rglob("*.json"))
 
 
 def run_key(argv: list[str], inputs: pathlib.Path) -> str:
@@ -230,6 +256,11 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(tree / "src"))
         inputs.mkdir(parents=True, exist_ok=True)
         print("\n".join(unreached(comparison_set(inputs), inputs)))
+        return 0
+    if len(argv) == 3 and argv[0] == "inputs":
+        tree, out = (pathlib.Path(a).resolve() for a in argv[1:3])
+        sys.path.insert(0, str(tree / "src"))
+        print(f"wrote {len(write_inputs(out))} input files of {tree} under {out}")
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in argv[1:])

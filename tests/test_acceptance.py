@@ -99,9 +99,9 @@ def test_criterion_03_roundtrip_corpus():
     for name in ROUNDTRIP_NAMES:
         bk, act = CORPUS[name]
         cert = roundtrip_check(BACKENDS[bk], act)
-        ok = ok and cert.passed
+        ok = ok and cert["passed"]
         worst = max(worst, max(
-            v for k, v in cert.residuals.items() if k != "invertibility"
+            v for k, v in cert["residuals"].items() if k != "invertibility"
         ))
     report(3, ok and worst < 1e-9, f"worst residual {worst:.2e}")
 
@@ -116,8 +116,8 @@ def test_criterion_04_functor_roundtrip():
     ok = True
     for functor in functors:
         iso = functor_roundtrip_check(functor)
-        ok = ok and iso.passed
-        worst = max(worst, max(iso.residuals.values()))
+        ok = ok and iso["passed"]
+        worst = max(worst, max(iso["residuals"].values()))
     report(4, ok and worst < 1e-9, f"worst intertwiner residual {worst:.2e}")
 
 
@@ -259,11 +259,11 @@ def test_criterion_11_fullness():
         backend = BACKENDS[bk]
         mod = module_from_algebra(backend, act)
         cert = fullness_check(backend, mod)
-        ok = ok and cert.passed and cert.lower_constant > 0
-        min_c = min(min_c, cert.lower_constant)
+        ok = ok and cert["passed"] and cert["lower_constant"] > 0
+        min_c = min(min_c, cert["lower_constant"])
         label = backend.labels[-1]
         cert2 = fullness_check(backend, module_tensor_irrep(backend, mod, label))
-        ok = ok and cert2.passed
+        ok = ok and cert2["passed"]
     # constructed non-full module: one summand of C (+) C under the trivial
     # symmetry
     from qact.actions import EquivariantModule
@@ -277,7 +277,7 @@ def test_criterion_11_fullness():
     com = np.ones((backend.group.order, 1, 1), dtype=complex)
     bad = EquivariantModule(act, 1, right, inner, comodule=com)
     bad_cert = fullness_check(backend, bad)
-    ok = ok and (not bad_cert.passed)
+    ok = ok and (not bad_cert["passed"])
     report(11, ok, f"smallest reported constant c = {min_c}")
 
 

@@ -63,14 +63,18 @@ def two_thread_corpus_runs():
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("verb", ["spectral", "roundtrip", "module-functor", "fullness"])
+def corpus_argv(verb: str, name: str) -> list[str]:
+    """An action verb on a corpus action file, over the backend it names."""
+    path = FIXTURES / "actions" / f"{name}.json"
+    backend = json.loads(path.read_text())["backend_ref"]
+    return [verb, "--backend", str(FIXTURES / backend), "--input", str(path)]
+
+
+@pytest.mark.parametrize("verb", record_golden.ACTION_VERBS)
 @pytest.mark.parametrize("name", sorted(action_corpus()))
 def test_action_verbs_on_whole_corpus(name, verb, tmp_path, two_thread_corpus_runs):
-    backend = json.loads((FIXTURES / "actions" / f"{name}.json").read_text())["backend_ref"]
     report = tmp_path / "report.json"
-    code = cli.main([verb, "--backend", str(FIXTURES / backend),
-                     "--input", str(FIXTURES / "actions" / f"{name}.json"),
-                     "--report", str(report)])
+    code = cli.main([*corpus_argv(verb, name), "--report", str(report)])
     assert code == 0
     data = json.loads(report.read_text())
     assert data["verb"] == verb and "error" not in data
@@ -140,19 +144,39 @@ def test_a_backend_whose_rho_is_not_the_identity_is_an_input_error(tmp_path):
 
 
 def test_a_looser_tolerance_passes_every_run_the_default_passes(tmp_path):
-    # --tolerance only loosens: no fixture run that exits 0 at the default
-    # fails at a larger tolerance
+    # --tolerance only loosens: no fixture run, and no run of
+    # test_action_verbs_on_whole_corpus, that exits 0 at the default fails
+    # at a larger tolerance
     report = tmp_path / "r.json"
 
-    def code(args, *extra):
-        return cli.main([*record_golden.fixture_argv(args), *extra, "--report", str(report)])
+    def code(argv, *extra):
+        return cli.main([*argv, *extra, "--report", str(report)])
 
-    runs = [*record_golden.FIXTURE_RUNS, record_golden.DEFORM_GROUP_RUN]
-    passing = [args for args in runs if code(args) == 0]
+    runs = [record_golden.fixture_argv(args)
+            for args in [*record_golden.FIXTURE_RUNS, record_golden.DEFORM_GROUP_RUN]]
+    runs += [corpus_argv(verb, name)
+             for name in sorted(action_corpus()) for verb in record_golden.ACTION_VERBS]
+    passing = [argv for argv in runs if code(argv) == 0]
     assert passing == runs
-    for args in passing:
+    for argv in passing:
         for tol in ("1e-6", "1e-3", "1e-1"):
-            assert code(args, "--tolerance", tol) == 0, (args, tol)
+            assert code(argv, "--tolerance", tol) == 0, (argv, tol)
+
+
+def test_every_golden_run_exits_by_the_one_rule():
+    # exit 1 exactly when some top-level section of the report has "passed"
+    # false: checked on the recorded flags, with no run
+    golden = json.loads(record_golden.GOLDEN.read_text())
+    codes = []
+    for key, run in golden.items():
+        if run["exit"] not in (0, 1):
+            continue
+        sections = [flag for path, flag in run["flags"].items()
+                    if path.count("/") == 2 and path.endswith("/passed")]
+        assert sections, key
+        assert run["exit"] == (0 if all(sections) else 1), key
+        codes.append(run["exit"])
+    assert 0 in codes and 1 in codes
 
 
 def test_validate_graded_rejects_a_fiber_that_is_no_correspondence(tmp_path):
@@ -199,7 +223,14 @@ def recursive_encode_complex(arr) -> list:
     return [recursive_encode_complex(sub) for sub in arr]
 
 
-def test_encode_complex_gives_the_recursive_encoders_bytes():
+def encode_complex(arr) -> list:
+    """The array encoder of the data files as it was, before serialize.dumps
+    wrote them: nested lists of [re, im] pairs for json.dump."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def test_dumps_gives_the_recursive_encoders_bytes():
     from qact import serialize
 
     rng = np.random.default_rng(5)
@@ -215,14 +246,15 @@ def test_encode_complex_gives_the_recursive_encoders_bytes():
     ]
     for arr in arrays:
         want = json.dumps(recursive_encode_complex(arr), indent=2)
-        assert json.dumps(serialize.encode_complex(arr), indent=2) == want
-        assert cli.render_report({"a": np.asarray(arr)}) \
+        assert json.dumps(encode_complex(arr), indent=2) == want
+        assert serialize.dumps(np.asarray(arr)) == want
+        assert serialize.dumps({"a": np.asarray(arr)}) \
             == json.dumps({"a": recursive_encode_complex(arr)}, indent=2)
 
 
 def reference_jsonable(obj):
     """The report with numpy values as JSON values, for json.dumps: what
-    cli.main encoded before render_report wrote arrays whole."""
+    cli.main encoded before serialize.dumps wrote arrays whole."""
     if isinstance(obj, dict):
         return {str(k): reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -236,39 +268,43 @@ def reference_jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
-        from qact import serialize
-
-        return serialize.encode_complex(obj)
+        return encode_complex(obj)
     return obj
 
 
-def test_render_report_edge_cases_match_json_module():
+def test_dumps_edge_cases_match_json_module():
+    from qact import serialize
+
     special = np.array([0.0, -0.0, 1.0, -1e-300, np.inf, -np.inf, np.nan, 2.5e-17])
     report = {"a": special, 3: {1: np.zeros((3, 0)), "x": [1, 2.5, (3, np.float64(-0.0))],
                                 "c": np.complex128(1 - 2j), "e": [], "f": {}, "g": [[]]},
               "z": np.zeros((2, 0, 4)), "w": np.asarray(3), "n": None, "t": np.bool_(True),
               "s": "h\u00e9 \"q\"", "i": np.int64(-7), "m": np.arange(6.0).reshape(2, 3)}
-    assert cli.render_report(report) \
+    assert serialize.dumps(report) \
         == json.dumps(reference_jsonable(report), indent=2, sort_keys=True)
 
 
 def test_every_comparison_set_report_is_the_json_module_text(tmp_path, monkeypatch):
     # the runs of tests/report_diff.py: every verb on every corpus input and
-    # both benchmark workloads' jobs
+    # both benchmark workloads' jobs, and every input file of the workloads,
+    # which the set writes first
     import report_diff
+    from qact import serialize
 
-    runs = report_diff.comparison_set(tmp_path / "inputs")
-    render, checked = cli.render_report, []
+    render, checked = serialize.dumps, []
 
-    def compared(report):
-        text = render(report)
-        checked.append(text == json.dumps(reference_jsonable(report), indent=2, sort_keys=True))
+    def compared(obj):
+        text = render(obj)
+        checked.append(text == json.dumps(reference_jsonable(obj), indent=2, sort_keys=True))
         return text
 
-    monkeypatch.setattr(cli, "render_report", compared)
+    monkeypatch.setattr(serialize, "dumps", compared)
+    runs = report_diff.comparison_set(tmp_path / "inputs")
+    written = len(checked)
+    assert written and written == len(list(tmp_path.glob("inputs/*-ladder/*.json")))
     for argv in runs:
         cli.main([*argv, "--report", str(tmp_path / "report.json")])
-    assert len(checked) == len(runs) and all(checked)
+    assert len(checked) == written + len(runs) and all(checked)
 
 
 def write_backend(tmp_path, source, name, edit):
@@ -339,6 +375,40 @@ def test_missing_file_is_input_error(tmp_path):
     assert "error" in json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("what", ["backend", "action"])
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "cannot be read: Is a directory"),
+    ("not_utf8", "is not UTF-8 text: invalid continuation byte"),
+], ids=["directory", "not_utf8"])
+def test_an_unreadable_input_is_an_input_error(what, kind, message, tmp_path):
+    # reading the file fails before any JSON is parsed; a file that cannot
+    # be opened for lack of permission takes the same path
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"schema": "caf\xe9 au lait"}')
+    backend = bad if what == "backend" else FIXTURES / "backends/z2.json"
+    action = bad if what == "action" else FIXTURES / "actions/swap_c2.json"
+    report = tmp_path / "r.json"
+    code = cli.main(["spectral", "--backend", str(backend), "--input", str(action),
+                     "--report", str(report)])
+    out = json.loads(report.read_text())
+    assert code == 2 and sorted(out) == ["error", "schema", "verb"]
+    assert out["error"] == f"{what} file {bad} {message}", out["error"]
+
+
+def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys):
+    # a report path in a missing directory: exit 2, nothing on stdout and
+    # one line on stderr naming the path
+    path = tmp_path / "missing" / "r.json"
+    code = cli.main(["spectral", "--backend", str(FIXTURES / "backends/z2.json"),
+                     "--input", str(FIXTURES / "actions/swap_c2.json"), "--report", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not path.exists()
+    assert err == f"qact: cannot write the report to {path}: No such file or directory\n"
+
+
 def test_bad_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -385,9 +455,9 @@ def test_backend_files_roundtrip_exactly():
     from qact.fixtures import standard_backends
 
     for name, backend in standard_backends().items():
-        data = serialize.backend_to_json(backend)
-        again = serialize.backend_to_json(serialize.backend_from_json(data))
-        assert json.dumps(data, sort_keys=True) == json.dumps(again, sort_keys=True)
+        text = serialize.dumps(serialize.backend_to_json(backend))
+        again = serialize.backend_to_json(serialize.backend_from_json(json.loads(text)))
+        assert serialize.dumps(again) == text, name
 
 
 def test_functor_file_roundtrip(tmp_path):
@@ -398,7 +468,7 @@ def test_functor_file_roundtrip(tmp_path):
     backends = standard_backends()
     bk, act = action_corpus()["swap_c2"]
     functor = spectral_functor(backends[bk], act).functor
-    data = serialize.functor_to_json(functor)
+    data = json.loads(serialize.dumps(serialize.functor_to_json(functor)))
     loaded = serialize.functor_from_json(data, backends[bk])
     for label in backends[bk].labels:
         np.testing.assert_array_equal(

@@ -377,8 +377,7 @@ def test_cross_deformation_consistency(backends, pair):
     assert validate_functor(twisted).passed
     alg = build_algebra(twisted, validate=False)
     deformed = deform_action(backends[bk], act, om)
-    cert = roundtrip_check(backends[bk], act)
-    phi = cert.matrix
+    phi = roundtrip_check(backends[bk], act)["isomorphism"]
     worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
 
@@ -394,8 +393,7 @@ def test_cross_deformation_group_backend(backends):
     assert validate_functor(twisted).passed
     alg = build_algebra(twisted, validate=False)
     deformed = deform_action(backend, act, om)
-    cert = roundtrip_check(backend, act)
-    phi = cert.matrix
+    phi = roundtrip_check(backend, act)["isomorphism"]
     worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
     assert block_structure(deformed.model) == (2,)
@@ -423,7 +421,7 @@ def test_cross_deformation_nonabelian_dual(backends):
     assert validate_functor(twisted).passed
     alg = build_algebra(twisted, validate=False)
     deformed = deform_action(backends[bk], act, om)
-    phi = roundtrip_check(backends[bk], act).matrix
+    phi = roundtrip_check(backends[bk], act)["isomorphism"]
     worst = cross_residual(alg, deformed, phi)
     assert worst < TOL
 
@@ -627,7 +625,7 @@ def test_contraction_audits_match_per_basis_loops(backends, which):
                        reference_deform_audit(backend, act, om, deformed))
     rebuilt = build_algebra(deform_functor(spectral_functor(backend, act).functor, om),
                             validate=False).model
-    phi = roundtrip_check(backend, act).matrix
+    phi = roundtrip_check(backend, act)["isomorphism"]
     assert_same_report(verify_algebra_iso(rebuilt, deformed.model, phi),
                        reference_algebra_iso(rebuilt, deformed.model, phi))
     for model in (rebuilt, deformed.model):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -757,8 +759,9 @@ def test_validation_realizes_no_word_of_length_three(monkeypatch):
     from qact import functors, repcat, serialize
 
     backend = cyclic_backend(12)
-    data = serialize.functor_to_json(translation_functor(backend))
-    fresh = serialize.backend_from_json(serialize.backend_to_json(backend))
+    data = json.loads(serialize.dumps(serialize.functor_to_json(translation_functor(backend))))
+    fresh = serialize.backend_from_json(
+        json.loads(serialize.dumps(serialize.backend_to_json(backend))))
     functor = serialize.functor_from_json(data, fresh)
     calls = {"decompose": 0, "object": 0, "svd": 0, "lstsq": 0}
     decompose, obj = repcat.Backend.decompose, functors.Realization.object

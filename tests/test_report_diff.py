@@ -97,6 +97,20 @@ def test_compare_stops_quietly_when_stdout_closes(tmp_path):
         assert proc.wait(timeout=60) == 1 and stderr == "", stderr
 
 
+def test_inputs_writes_the_corpus_and_both_workloads_the_same_twice(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert report_diff.main(["inputs", str(record_golden.ROOT), str(out)]) == 0
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.json"))
+    assert {p.parts[0] for p in files} == {"fixtures", "block-ladder", "translation-ladder"}
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*.json"))
+    for rel in files:
+        data = (outs[0] / rel).read_bytes()
+        assert data == (outs[1] / rel).read_bytes(), rel
+        if rel.parts[0] == "fixtures":
+            assert data == (record_golden.FIXTURES / rel.relative_to("fixtures")).read_bytes()
+
+
 def test_unreached_lists_the_functions_no_run_calls():
     argvs = [record_golden.fixture_argv(args) for args in RUNS]
     names = report_diff.unreached(argvs, record_golden.FIXTURES)
