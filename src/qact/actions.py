@@ -27,7 +27,6 @@ binds them lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,20 +54,20 @@ if TYPE_CHECKING:
 CHUNK = 1 << 15
 
 
-@dataclass
 class Action:
     """A finite-group action ("automorphism" kind: one coordinate matrix per
     group element) or a group grading ("grading" kind: one coefficient-row
     array per group element) on a block algebra."""
 
-    kind: str
-    algebra: BlockAlgebra
-    group: GroupPresentation
-    maps: dict[str, np.ndarray] | None = None
-    components: dict[str, np.ndarray] | None = None
-    name: str = "action"
-
-    def __post_init__(self):
+    def __init__(self, kind: str, algebra: BlockAlgebra, group: GroupPresentation,
+                 maps: dict[str, np.ndarray] | None = None,
+                 components: dict[str, np.ndarray] | None = None, name: str = "action"):
+        self.kind = kind
+        self.algebra = algebra
+        self.group = group
+        self.maps = maps
+        self.components = components
+        self.name = name
         if self.kind not in ("automorphism", "grading"):
             raise ActionError(f"unknown action kind {self.kind!r}")
         if self.kind == "automorphism" and self.maps is None:
@@ -394,15 +393,16 @@ def spectral_basis(backend: Backend, act: Action, label: str) -> np.ndarray:
     return span.reshape(-1, 1, act.algebra.dim)
 
 
-@dataclass
 class SpectralFunctor:
     """Functor data extracted from an action, with the context needed to
     relate it back to the algebra it came from."""
 
-    functor: functors.TensorFunctorData
-    fixed: SubalgebraBlocks
-    bases: dict[str, np.ndarray]
-    action: Action
+    def __init__(self, functor: functors.TensorFunctorData, fixed: SubalgebraBlocks,
+                 bases: dict[str, np.ndarray], action: Action):
+        self.functor = functor
+        self.fixed = fixed
+        self.bases = bases
+        self.action = action
 
 
 def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFunctor:
@@ -503,7 +503,6 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
 # -- equivariant modules ------------------------------------------------------
 
 
-@dataclass
 class EquivariantModule:
     """A right module over the acted-on algebra with a compatible symmetry,
     its comodule: the images of D's basis on the carrier, an invertible map
@@ -511,12 +510,14 @@ class EquivariantModule:
     homogeneous carrier basis (dual kind).  The frame expresses the carrier
     basis in algebra coordinates when the module is the algebra itself."""
 
-    action: Action
-    dim: int
-    right: np.ndarray  # (dim B, dim, dim)
-    inner: np.ndarray  # (dim, dim, n, n): B-valued
-    comodule: np.ndarray  # (|G|, dim, dim): the images of D's basis
-    frame: np.ndarray | None = None
+    def __init__(self, action: Action, dim: int, right: np.ndarray, inner: np.ndarray,
+                 comodule: np.ndarray, frame: np.ndarray | None = None):
+        self.action = action
+        self.dim = dim
+        self.right = right  # (dim B, dim, dim)
+        self.inner = inner  # (dim, dim, n, n): B-valued
+        self.comodule = comodule  # (|G|, dim, dim): the images of D's basis
+        self.frame = frame
 
 
 def module_from_algebra(backend: Backend, act: Action) -> EquivariantModule:
@@ -554,13 +555,15 @@ def _tensor_comodule(backend: Backend, comodule: np.ndarray, label: str) -> np.n
 # -- functors from module objects ----------------------------------------------
 
 
-@dataclass
 class ModuleFunctor:
-    functor: functors.TensorFunctorData
-    endomorphisms: SubalgebraBlocks  # blocks of End(M) in the induced Hilbert space
-    end_units_module: np.ndarray     # (dim A, dim M, dim M): units as module maps
-    bases: dict[str, np.ndarray]     # per label: (mult, d, dim M, dim M) component maps
-    module: EquivariantModule
+    def __init__(self, functor: functors.TensorFunctorData, endomorphisms: SubalgebraBlocks,
+                 end_units_module: np.ndarray, bases: dict[str, np.ndarray],
+                 module: EquivariantModule):
+        self.functor = functor
+        self.endomorphisms = endomorphisms  # blocks of End(M) in the induced Hilbert space
+        self.end_units_module = end_units_module  # (dim A, dim M, dim M): units as module maps
+        self.bases = bases  # per label: (mult, d, dim M, dim M) component maps
+        self.module = module
 
 
 def _right_linearity_rows(module: EquivariantModule, d: int) -> np.ndarray:

@@ -9,11 +9,11 @@ coefficient tensors on a chosen basis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlgebraError
+from .records import ReadOnly
 from .thresholds import DEFAULT_TOL, RELATIVE_RANK_TOL
 
 # complex right-hand-side entries per stacked product of adjoints_by_shape,
@@ -24,8 +24,7 @@ SOLVE_CHUNK = 1 << 13
 VALIDATE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class BlockAlgebra:
+class BlockAlgebra(ReadOnly):
     """Direct sum of matrix blocks M_{b_1} (+) ... (+) M_{b_k}.
 
     Elements are (n, n) complex matrices supported on the diagonal blocks,
@@ -33,9 +32,8 @@ class BlockAlgebra:
     enumerated block by block in row-major order.
     """
 
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[int, ...]):
+        self.__dict__.update(blocks=blocks)
         if not self.blocks or any(b < 1 for b in self.blocks):
             raise AlgebraError("block sizes must be positive")
 
@@ -303,16 +301,16 @@ def tensor_semi_inners(coords: np.ndarray, lefts: np.ndarray, inners: np.ndarray
     return full.reshape(full.shape[:5] + value)
 
 
-@dataclass
 class AdjointBatch:
     """Least-squares adjoints of a stack of maps T_i : M -> N.
 
     adjoints[i] has shape (dim M, dim N); T_i is adjointable when its
     residual is within tol * max(1, |T_i|)."""
 
-    adjoints: np.ndarray
-    residuals: np.ndarray
-    adjointable: np.ndarray
+    def __init__(self, adjoints: np.ndarray, residuals: np.ndarray, adjointable: np.ndarray):
+        self.adjoints = adjoints
+        self.residuals = residuals
+        self.adjointable = adjointable
 
 
 def module_linear_residuals(maps: np.ndarray, m_right: np.ndarray,

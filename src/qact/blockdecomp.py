@@ -19,8 +19,6 @@ intertwiner bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebras import BlockAlgebra
@@ -119,15 +117,16 @@ def _selfadjoint_basis(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
     return [(col[:n * n] + 1j * col[n * n:]).reshape(n, n) for col in span.T]
 
 
-@dataclass
 class SubalgebraBlocks:
     """Result: abstract block algebra, images of its matrix units, and the
     multiplicity of each block in the ambient representation."""
 
-    algebra: BlockAlgebra
-    unit_images: np.ndarray  # (algebra.dim, n, n), aligned with algebra.basis()
-    multiplicities: tuple[int, ...]
-    ambient_n: int
+    def __init__(self, algebra: BlockAlgebra, unit_images: np.ndarray,
+                 multiplicities: tuple[int, ...], ambient_n: int):
+        self.algebra = algebra
+        self.unit_images = unit_images  # (algebra.dim, n, n), aligned with algebra.basis()
+        self.multiplicities = multiplicities
+        self.ambient_n = ambient_n
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         return np.einsum("k,kuv->uv", np.asarray(coords, dtype=complex), self.unit_images)

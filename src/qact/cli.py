@@ -11,11 +11,11 @@ verb through its "action" section), 0 if none has.  The other codes:
 --tolerance that is not finite and positive, or a negative --seed; the
 report holds "error"), 3 internal error (any other exception; the report
 names its type and message under "internal_error").  The report is written
-to --report (or stdout) either way; a --report path that cannot be written
-gives exit 2 and one line on stderr naming it.  Identical inputs and seed
-produce byte-identical reports under one BLAS thread setting (another
-thread count can move a value at the 1e-16 level).  serialize.dumps writes
-the report text.
+to --report (or stdout) either way; a --report path or a stdout that cannot
+be written (closed, or a full device) gives exit 2 and one line on stderr
+naming it.  Identical inputs and seed produce byte-identical reports under
+one BLAS thread setting (another thread count can move a value at the
+1e-16 level).  serialize.dumps writes the report text.
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
@@ -28,24 +28,31 @@ of them are bound, so `import qact.cli` still puts every layer in
 sys.modules, where a tool that wraps the layers' functions before calling
 `main` finds them (perfbench/tracer.py does).
 
-The process entry, `python -m qact` (qact/__main__.py), calls gc.freeze()
-after importing this module and again after `main` returns.  The
-collections inside `main` then skip the objects the imports made, and the
-collections of interpreter shutdown, which would walk numpy's objects and
-every layer, walk none: the time from `main`'s return to the end of the
-process went from 36-45 ms to 8-11 ms (medians of 9, on the benchmark's
+The process entry, qact/__main__.py's `run` (`python -m qact` and the
+installed `qact` script), imports this module with the collector off: with
+it on, that import window, numpy included, ran 29 generation-0 and 2
+generation-1 collections, 3.6-4.1 ms per process, over objects that nearly
+all live until the process ends (346 that do not, about 0.2 MB, are left
+uncollected).  It then calls gc.freeze(), turns the collector back on, and
+calls gc.freeze() again after `main` returns.  The collections inside
+`main` then skip the objects the imports made, and the collections of
+interpreter shutdown, which would walk numpy's objects and every layer,
+walk none: the time from `main`'s return to the end of the process went
+from 36-45 ms to 8-11 ms (medians of 9, on the benchmark's
 spectral/z4_translation, roundtrip/clock5 and module-functor/z8_translation
 jobs, 2-vCPU host).  `main` itself leaves the collector alone, so whatever
-calls it (the tests, the installed `qact` script, perfbench/tracer.py) keeps
-its collector; the benchmark's traced passes keep this cost, so its
-per-layer trace.overhead_ratio may rise, which is no end-to-end metric.
+calls it in process (the tests, perfbench/tracer.py) keeps its collector;
+the benchmark's traced passes keep this cost, so its per-layer
+trace.overhead_ratio may rise, which is no end-to-end metric.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.util
 import json
+import os
 import sys
 
 import numpy as np
@@ -256,17 +263,31 @@ def main(argv=None) -> int:
                   "internal_error": {"type": type(err).__name__, "message": str(err)}}
         code = 3
     text = serialize.dumps(report) + "\n"
-    if not args.report:
-        sys.stdout.write(text)
-        return code
     try:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _write_stdout(text)
     except OSError as err:
-        print(f"qact: cannot write the report to {args.report}: {err.strerror}",
+        print(f"qact: cannot write the report to {args.report or 'stdout'}: {err.strerror}",
               file=sys.stderr)
         return 2
     return code
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush text on stdout.  If stdout cannot take it, raise
+    OSError, and first point stdout at the null device, so the flush at
+    exit finds nothing left to fail on."""
+    if sys.stdout is None:  # the process started with stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 if __name__ == "__main__":

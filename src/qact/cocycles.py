@@ -24,8 +24,6 @@ table alone, leaves them unrun when the CLI binds them lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import actions, algebras, functors, reconstruction, staralg
@@ -41,19 +39,17 @@ from .thresholds import (
 )
 
 
-@dataclass
 class Cocycle:
     """values[i, j] is the coefficient of e_i (x) e_j in Omega, for the basis
     e_x of D: Omega(gamma_i, gamma_j) for the dual kind, the coefficient of
     g_i (x) g_j for the group kind."""
 
-    kind: str
-    group: GroupPresentation
-    values: np.ndarray
-    raw: np.ndarray  # as loaded, before counital normalization
-    dual: DualAlgebra = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, kind: str, group: GroupPresentation, values: np.ndarray,
+                 raw: np.ndarray):
+        self.kind = kind
+        self.group = group
+        self.values = values
+        self.raw = raw  # as loaded, before counital normalization
         try:
             self.dual = dual_algebra(self.kind, self.group)
         except BackendError:
@@ -163,14 +159,14 @@ def check_cocycle(cocycle: Cocycle, tol: float = DEFAULT_TOL) -> dict:
     return rep
 
 
-@dataclass
 class TwistElement:
     """The companion element u = sum_x coeffs[x] e_x of a cocycle, on the
     basis of D: a function on the group (dual kind) or a group-algebra
     element (group kind)."""
 
-    group: GroupPresentation
-    coeffs: np.ndarray  # dual: u(gamma_i); group: coefficient of g_i
+    def __init__(self, group: GroupPresentation, coeffs: np.ndarray):
+        self.group = group
+        self.coeffs = coeffs  # dual: u(gamma_i); group: coefficient of g_i
 
     def rep_matrix(self, rep: Rep) -> np.ndarray:
         """pi_U(u) = sum_x coeffs[x] pi_U(e_x) for a representation of the
@@ -238,15 +234,16 @@ def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
 # -- deformation of concrete actions -------------------------------------------
 
 
-@dataclass
 class DeformedAlgebra:
     """The deformed *-algebra on the coordinate space of the original one,
     plus the unchanged expectation onto the fixed part as a coordinate
     projection."""
 
-    model: staralg.StarAlgebraModel
-    expectation_matrix: np.ndarray
-    report: dict
+    def __init__(self, model: staralg.StarAlgebraModel, expectation_matrix: np.ndarray,
+                 report: dict):
+        self.model = model
+        self.expectation_matrix = expectation_matrix
+        self.report = report
 
 
 def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) -> np.ndarray:

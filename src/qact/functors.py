@@ -25,8 +25,6 @@ length 3, and reports them in the word basis of a*b*c (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .algebras import (
@@ -50,7 +48,6 @@ from .thresholds import COMPOSITE_FACTOR, DEFAULT_TOL, RANK_TOL, SCHUR_FLOOR
 CHUNK = 1 << 15
 
 
-@dataclass
 class TensorFunctorData:
     """The presentation of a functor into correspondences over one algebra.
 
@@ -59,11 +56,14 @@ class TensorFunctorData:
     of Mor(alpha x beta, gamma) in backend order.
     """
 
-    backend: Backend
-    algebra: BlockAlgebra
-    modules: dict[str, Correspondence]
-    phi: dict[tuple[str, str, str], list[np.ndarray]]
-    name: str = "functor"
+    def __init__(self, backend: Backend, algebra: BlockAlgebra,
+                 modules: dict[str, Correspondence],
+                 phi: dict[tuple[str, str, str], list[np.ndarray]], name: str = "functor"):
+        self.backend = backend
+        self.algebra = algebra
+        self.modules = modules
+        self.phi = phi
+        self.name = name
 
     def module(self, label: str) -> Correspondence:
         if label not in self.modules:
@@ -108,15 +108,16 @@ def direct_sum(algebra: BlockAlgebra, parts: list[Correspondence]) -> Correspond
     return Correspondence(algebra, total, left, right, inner)
 
 
-@dataclass
 class WordObject:
     """The realization of F on one tensor word of atoms."""
 
-    atoms: tuple
-    rep: Rep
-    components: list  # (label, isometry) pairs from the backend decomposition
-    offsets: list[int]
-    carrier: Correspondence
+    def __init__(self, atoms: tuple, rep: Rep, components: list, offsets: list[int],
+                 carrier: Correspondence):
+        self.atoms = atoms
+        self.rep = rep
+        self.components = components  # (label, isometry) pairs from the backend decomposition
+        self.offsets = offsets
+        self.carrier = carrier
 
     @property
     def dim(self) -> int:
@@ -245,17 +246,17 @@ class Realization:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
 class AxiomCheck:
-    residual: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
+    def __init__(self, residual: float, passed: bool, detail: dict | None = None):
+        self.residual = residual
+        self.passed = passed
+        self.detail = {} if detail is None else detail
 
 
-@dataclass
 class ValidationReport:
-    tol: float
-    axioms: dict[str, AxiomCheck]
+    def __init__(self, tol: float, axioms: dict[str, AxiomCheck]):
+        self.tol = tol
+        self.axioms = axioms
 
     @property
     def passed(self) -> bool:
@@ -685,16 +686,17 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
 # -- graded bundles -----------------------------------------------------------
 
 
-@dataclass
 class GradedBundle:
     """A group-indexed bundle of correspondences with multiplication
     isometries phi[(a, b)] : M_a (x) M_b -> M_{ab}, tensors of shape
     (dim M_ab, dim M_a, dim M_b)."""
 
-    group: GroupPresentation
-    algebra: BlockAlgebra
-    fibers: dict[str, Correspondence]
-    mult: dict[tuple[str, str], np.ndarray]
+    def __init__(self, group: GroupPresentation, algebra: BlockAlgebra,
+                 fibers: dict[str, Correspondence], mult: dict[tuple[str, str], np.ndarray]):
+        self.group = group
+        self.algebra = algebra
+        self.fibers = fibers
+        self.mult = mult
 
     def fiber(self, label: str) -> Correspondence:
         if label not in self.fibers:

@@ -7,18 +7,18 @@ deterministic (no hash-ordered iteration anywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
+
+from .records import ReadOnly
 
 
 class GroupError(ValueError):
     """Raised when a multiplication table violates the group laws."""
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(ReadOnly):
     """A finite group as an ordered element list plus a Cayley table.
 
     Parameters
@@ -33,11 +33,10 @@ class GroupPresentation:
         ``inverse[i]`` is the index of ``elements[i] ** -1``.
     """
 
-    elements: tuple[str, ...]
-    mul: np.ndarray
-    identity: int
-    inverse: np.ndarray
-    name: str = field(default="group", compare=False)
+    def __init__(self, elements: tuple[str, ...], mul: np.ndarray, identity: int,
+                 inverse: np.ndarray, name: str = "group"):
+        self.__dict__.update(elements=elements, mul=mul, identity=identity,
+                             inverse=inverse, name=name)
 
     @property
     def order(self) -> int:

@@ -37,13 +37,13 @@ conjugate equations are solved by the identity matrices r and rbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BackendError
 from .groups import GroupPresentation, cyclic_group, direct_product, symmetric_group
+from .records import ReadOnly
 from .thresholds import DEFAULT_TOL, RANK_TOL, TABLE_MATCH_TOL
 
 
@@ -61,20 +61,25 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(square(flat))
 
 
-@dataclass(frozen=True, eq=False)
-class DualAlgebra:
+class DualAlgebra(ReadOnly):
     """The dual algebra D of a backend, a Hopf *-algebra, as index data on
     its basis e_x (x numbers the group elements)."""
 
-    product: tuple  # (a, b, c): e_a e_b = e_c, row-major in (a, b); other products are 0
-    unit: np.ndarray  # the coefficients of 1
-    antipode: np.ndarray  # S(e_x) = e_antipode[x]
-    coproduct: tuple  # (a, b), shape (|G|, m): Delta(e_x) = sum_k e_a[x, k] (x) e_b[x, k]
-    counit: np.ndarray  # eps(e_x)
-    star: np.ndarray  # e_x* = e_star[x]
-    conj: np.ndarray  # the conjugate representation conjugates the image of e_conj[x]
-    norm: int  # the normaliser of character inner products
-    pointwise: bool  # whether the basis is orthogonal projections
+    def __init__(self, product: tuple, unit: np.ndarray, antipode: np.ndarray,
+                 coproduct: tuple, counit: np.ndarray, star: np.ndarray, conj: np.ndarray,
+                 norm: int, pointwise: bool):
+        self.__dict__.update(
+            product=product,  # (a, b, c): e_a e_b = e_c, row-major in (a, b); other products are 0
+            unit=unit,  # the coefficients of 1
+            antipode=antipode,  # S(e_x) = e_antipode[x]
+            # (a, b), shape (|G|, m): Delta(e_x) = sum_k e_a[x, k] (x) e_b[x, k]
+            coproduct=coproduct,
+            counit=counit,  # eps(e_x)
+            star=star,  # e_x* = e_star[x]
+            conj=conj,  # the conjugate representation conjugates the image of e_conj[x]
+            norm=norm,  # the normaliser of character inner products
+            pointwise=pointwise,  # whether the basis is orthogonal projections
+        )
 
     @cached_property
     def left_partners(self) -> np.ndarray:
@@ -109,16 +114,14 @@ def dual_algebra(kind: str, group: GroupPresentation) -> DualAlgebra:
     raise BackendError(f"unknown backend kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(ReadOnly):
     """One irreducible: label, dimension, the images of D's basis and the
     label of the designated conjugate.  A dual irrep's matrices are built
     by its backend: the point mass at its label."""
 
-    label: str
-    dim: int
-    matrices: np.ndarray | None  # (|G|, d, d): U(g), or P_gamma for the dual kind
-    conj: str
+    def __init__(self, label: str, dim: int, matrices: np.ndarray | None, conj: str):
+        # matrices (|G|, d, d): U(g), or P_gamma for the dual kind
+        self.__dict__.update(label=label, dim=dim, matrices=matrices, conj=conj)
 
 
 class Rep:
@@ -168,7 +171,8 @@ class Backend:
         if self.dual.pointwise:
             # the irrep gamma of a basis of projections sends e_x to [x = gamma]
             points = np.eye(group.order, dtype=complex)[:, :, None, None]
-            irreps = [replace(ir, matrices=points[group.index(ir.label)]) for ir in irreps]
+            irreps = [Irrep(ir.label, ir.dim, points[group.index(ir.label)], ir.conj)
+                      for ir in irreps]
         self.kind = kind
         self.group = group
         self.irreps = {ir.label: ir for ir in irreps}
@@ -464,15 +468,13 @@ class Backend:
         return ConjugateSolution(label, ir.conj, eye, eye.copy())
 
 
-@dataclass(frozen=True)
-class ConjugateSolution:
+class ConjugateSolution(ReadOnly):
     """Conjugation maps for one irreducible: r : C -> H_bar (x) H and
     rbar : C -> H (x) H_bar, as coefficient matrices."""
 
-    label: str
-    conj: str
-    r: np.ndarray  # r[c, k]: component on xi-bar_c (x) xi_k
-    rbar: np.ndarray  # rbar[k, c]: component on xi_k (x) xi-bar_c
+    def __init__(self, label: str, conj: str, r: np.ndarray, rbar: np.ndarray):
+        # r[c, k]: component on xi-bar_c (x) xi_k; rbar[k, c]: on xi_k (x) xi-bar_c
+        self.__dict__.update(label=label, conj=conj, r=r, rbar=rbar)
 
 
 # -- backend constructors ----------------------------------------------------

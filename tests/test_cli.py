@@ -409,6 +409,33 @@ def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys):
     assert err == f"qact: cannot write the report to {path}: No such file or directory\n"
 
 
+ROUNDTRIP_S3 = ["roundtrip", "--backend", str(FIXTURES / "backends/s3.json"),
+                "--input", str(FIXTURES / "actions/s3_translation.json")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_full_stdout_is_an_input_error(unbuffered):
+    # every write to /dev/full fails with ENOSPC: exit 2 and one stderr line.
+    # Buffered, the failure comes at the flush, and the flush at exit must
+    # then find no text left to fail on (it would exit 120)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qact", *ROUNDTRIP_S3], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=300, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "qact: cannot write the report to stdout: No space left on device\n"
+
+
+def test_a_closed_stdout_is_an_input_error():
+    # the process starts with file descriptor 1 closed, so sys.stdout is None
+    proc = subprocess.run([sys.executable, "-m", "qact", *ROUNDTRIP_S3],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == "qact: cannot write the report to stdout: Bad file descriptor\n"
+
+
 def test_bad_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -777,8 +804,15 @@ def test_a_missing_key_is_named(what, key, tmp_path):
 
 
 def test_process_entry_gives_mains_exit_codes_and_bytes(tmp_path, capsys):
-    # python -m qact freezes the collector around cli.main; that must change
-    # no exit code and no byte of a report, written to --report or stdout
+    # python -m qact and the installed qact script (which calls
+    # qact.__main__.run and exits with its code) turn the collector off
+    # while importing and freeze it around cli.main; that must change no
+    # exit code and no byte of a report, written to --report or stdout
+    import tomllib
+
+    pyproject = tomllib.loads((record_golden.ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"qact": "qact.__main__:run"}
+    script = ["-c", "import sys; from qact.__main__ import run; sys.exit(run())"]
     broken = json.loads((FIXTURES / "functors/spectral_s3_translation.json").read_text())
     broken["phi"][0]["tensor"][0][0][0][0] += 1e-3
     (tmp_path / "broken.json").write_text(json.dumps(broken))
@@ -791,16 +825,19 @@ def test_process_entry_gives_mains_exit_codes_and_bytes(tmp_path, capsys):
     for expected, argv in runs.items():
         for to_file in (True, False) if expected == 0 else (True,):
             report = ["--report", str(tmp_path / "r.json")] if to_file else []
-            (tmp_path / "r.json").unlink(missing_ok=True)
-            proc = subprocess.run([sys.executable, "-m", "qact", *argv, *report],
-                                  capture_output=True, timeout=300)
-            child = (tmp_path / "r.json").read_bytes() if to_file else proc.stdout
-            assert proc.returncode == expected and not proc.stderr, proc.stderr
+            children = []
+            for entry in (["-m", "qact"], script):
+                (tmp_path / "r.json").unlink(missing_ok=True)
+                proc = subprocess.run([sys.executable, *entry, *argv, *report],
+                                      capture_output=True, timeout=300)
+                children.append((tmp_path / "r.json").read_bytes() if to_file
+                                else proc.stdout)
+                assert proc.returncode == expected and not proc.stderr, proc.stderr
             capsys.readouterr()
             assert cli.main(argv + report) == expected
             own = (tmp_path / "r.json").read_bytes() if to_file \
                 else capsys.readouterr().out.encode()
-            assert child == own, (expected, to_file)
+            assert children == [own, own], (expected, to_file)
 
 
 def test_main_leaves_the_collector_as_it_was(tmp_path):

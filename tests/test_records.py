@@ -1,0 +1,106 @@
+"""Records are plain classes, and only the process entry touches the collector.
+
+The record classes of qact write their `__init__` out instead of having
+`dataclasses` generate and exec it when a layer is imported, so no module
+of qact may import `dataclasses` or call `exec` or `eval`.  The process
+entry, `qact/__main__.py`, is the one module that calls into `gc`.  The
+five read-only records refuse assignment and deletion, and still cache
+their cached properties.
+"""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+
+import pytest
+
+from qact.algebras import BlockAlgebra
+from qact.fixtures import standard_backends
+from qact.groups import cyclic_group
+from qact.repcat import dual_algebra
+
+import record_golden
+
+SRC = record_golden.ROOT / "src" / "qact"
+FIXTURES = record_golden.ROOT / "fixtures"
+
+
+def _imports(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _called_names(tree) -> set[str]:
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def _modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"__main__.py", "cli.py", "repcat.py"} <= {p.name for p in paths}
+    return {p.name: ast.parse(p.read_text()) for p in paths}
+
+
+def test_no_module_imports_dataclasses_or_runs_generated_code():
+    found = [(name, hit) for name, tree in _modules().items()
+             for hit in sorted((_imports(tree) & {"dataclasses"})
+                               | (_called_names(tree) & {"exec", "eval", "compile"}))]
+    assert found == []
+
+
+def test_only_the_process_entry_touches_the_collector():
+    touching = {name for name, tree in _modules().items() if "gc" in _imports(tree)}
+    assert touching == {"__main__.py"}
+
+
+def test_a_verb_runs_without_loading_dataclasses(tmp_path):
+    argv = ["spectral", "--backend", str(FIXTURES / "backends/s3.json"),
+            "--input", str(FIXTURES / "actions/s3_translation.json"),
+            "--report", str(tmp_path / "r.json")]
+    code = ("import sys; from qact.__main__ import run; "
+            f"sys.argv[1:] = {argv!r}; assert run() == 0; "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _read_only_records():
+    group = cyclic_group(3)
+    s3 = standard_backends()["s3"]
+    return {
+        "GroupPresentation": (group, "name"),
+        "BlockAlgebra": (BlockAlgebra((1, 2)), "blocks"),
+        "DualAlgebra": (dual_algebra("group", group), "unit"),
+        "Irrep": (s3.irreps["std"], "matrices"),
+        "ConjugateSolution": (s3.conjugate_solution("std"), "r"),
+    }
+
+
+@pytest.mark.parametrize("name", ["GroupPresentation", "BlockAlgebra", "DualAlgebra",
+                                  "Irrep", "ConjugateSolution"])
+def test_read_only_records_refuse_assignment_and_deletion(name):
+    record, field = _read_only_records()[name]
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    for attribute in (field, "new_attribute"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(record, attribute, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(record, attribute)
+    assert getattr(record, field) is before and not hasattr(record, "new_attribute")
+
+
+def test_read_only_records_keep_their_cached_properties():
+    algebra = BlockAlgebra((1, 2))
+    assert (algebra.n, algebra.dim) == (3, 5)
+    assert algebra.n == 3 and vars(algebra)["dim"] == 5  # cached on the instance
+    dual = dual_algebra("dual", cyclic_group(3))
+    assert dual.left_partners is dual.left_partners
