@@ -18,13 +18,17 @@ The comparison set:
 - the fixture runs of `tests/record_golden.py`;
 - spectral, roundtrip, module-functor and fullness on every pair of a
   corpus backend and a corpus action;
+- the same four verbs on each corpus action conjugated by a random unitary
+  of its algebra (`perfbench/workloads.py` `conjugated`) at each seed of
+  CONJUGATION_SEEDS, with the action's own corpus backend;
 - cocycle-check on every backend and cocycle, and deform --cross-test on
   every backend, action and cocycle;
 - every job of both benchmark workloads, with --seed 1.
 
 `compare` prints how many reports are byte-identical and the largest
 float difference, how many runs on each side exit 0, 1, 2 and 3 (so a
-count of identical reports shows how many of them are input errors),
+count of identical reports shows how many of them are input errors) and
+how many reach the library (exit 0 or 1),
 names every run whose report differs with its own largest float
 difference, and lists the violations of the rule of
 `record_golden.check`: a run missing on one side, a changed exit code,
@@ -42,8 +46,9 @@ Code that runs before the first run, such as what the CLI runs at import,
 is listed.
 
 `inputs` writes, with the `qact` of TREE and in this process, the fixture
-corpus (`qact.fixtures.write_corpus`) under OUT/fixtures and the inputs of
-both benchmark workloads at seed 1 under OUT/<workload> (made with
+corpus (`qact.fixtures.write_corpus`) under OUT/fixtures, the conjugated
+corpus actions under OUT/conjugated and the inputs of both benchmark
+workloads at seed 1 under OUT/<workload> (made with
 `perfbench/workloads.py`).  The writer must not change a byte, so after
 
     python tests/report_diff.py inputs PARENT /tmp/a
@@ -66,6 +71,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FLOAT_TOL = 1e-12
 LADDER_SEED = 1
+CONJUGATION_SEEDS = (3, 4, 5)
 ACTION_VERBS = ("spectral", "roundtrip", "module-functor", "fullness")
 
 
@@ -77,9 +83,7 @@ def comparison_set(inputs: pathlib.Path) -> list[list[str]]:
         return json.loads(listing.read_text())
     import record_golden
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS, build_jobs
-
+    workloads = _workloads()
     fixtures = inputs / "fixtures"
     shutil.copytree(ROOT / "fixtures", fixtures)
     runs = [[str(fixtures / a) if a.endswith(".json") else a for a in args]
@@ -97,24 +101,54 @@ def comparison_set(inputs: pathlib.Path) -> list[list[str]]:
             for act in actions:
                 runs.append(["deform", "--backend", str(backend), "--input", str(act),
                              "--input", str(cocycle), "--cross-test"])
-    for workload in WORKLOADS:
-        for job in build_jobs(workload, LADDER_SEED, inputs / workload):
+    for backend, act in write_conjugated(inputs / "conjugated"):
+        for verb in ACTION_VERBS:
+            runs.append([verb, "--backend", str(fixtures / "backends" / f"{backend}.json"),
+                         "--input", str(act)])
+    for workload in workloads.WORKLOADS:
+        for job in workloads.build_jobs(workload, LADDER_SEED, inputs / workload):
             runs.append([*job.argv, "--seed", str(LADDER_SEED)])
     listing.write_text(json.dumps(runs, indent=0) + "\n")
     return runs
 
 
+def _workloads():
+    """perfbench/workloads.py, imported from this checkout."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def write_conjugated(out: pathlib.Path) -> list[tuple[str, pathlib.Path]]:
+    """Write each corpus action conjugated at each seed of CONJUGATION_SEEDS
+    under out, as <action>_s<seed>.json, with the qact found first on
+    sys.path; returns (corpus backend name, action file) pairs."""
+    from qact import serialize
+    from qact.fixtures import action_corpus
+
+    conjugated = _workloads().conjugated
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, (backend, act) in sorted(action_corpus().items()):
+        for seed in CONJUGATION_SEEDS:
+            path = out / f"{name}_s{seed}.json"
+            serialize.dump_json(serialize.action_to_json(conjugated(act, seed)), path)
+            written.append((backend, path))
+    return written
+
+
 def write_inputs(out: pathlib.Path) -> list[pathlib.Path]:
-    """Write the fixture corpus and both workloads' inputs under out with
-    the qact found first on sys.path; returns the files, sorted."""
+    """Write the fixture corpus, the conjugated corpus actions and both
+    workloads' inputs under out with the qact found first on sys.path;
+    returns the files, sorted."""
     from qact.fixtures import write_corpus
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS, build_jobs
-
+    workloads = _workloads()
     write_corpus(out / "fixtures")
-    for workload in WORKLOADS:
-        build_jobs(workload, LADDER_SEED, out / workload)
+    write_conjugated(out / "conjugated")
+    for workload in workloads.WORKLOADS:
+        workloads.build_jobs(workload, LADDER_SEED, out / workload)
     return sorted(out.rglob("*.json"))
 
 
@@ -240,6 +274,11 @@ def exit_counts(runs: dict[str, dict]) -> str:
                     for code in (0, 1, 2, 3))
 
 
+def reaching(runs: dict[str, dict]) -> int:
+    """How many runs reach the library: exit 0 or 1."""
+    return sum(run["exit"] in (0, 1) for run in runs.values())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) >= 4 and argv[0] == "run":
         tree, inputs, out = (pathlib.Path(a).resolve() for a in argv[1:4])
@@ -268,7 +307,8 @@ def main(argv: list[str]) -> int:
         lines = [f"{same} of {len(set(a) | set(b))} reports byte-identical; "
                  f"largest float difference {diff.largest:.3g}; "
                  f"{len(diff.violations)} violations",
-                 f"runs exiting 0/1/2/3: {exit_counts(a)} -> {exit_counts(b)}"]
+                 f"runs exiting 0/1/2/3: {exit_counts(a)} -> {exit_counts(b)}",
+                 f"runs reaching the library (exit 0 or 1): {reaching(a)} -> {reaching(b)}"]
         lines += [f"  differs: {key} (largest float difference {largest:.3g})"
                   for key, largest in diff.differing[:50]]
         lines += ["  " + line for line in diff.violations[:50]]

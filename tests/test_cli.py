@@ -285,9 +285,10 @@ def test_dumps_edge_cases_match_json_module():
 
 
 def test_every_comparison_set_report_is_the_json_module_text(tmp_path, monkeypatch):
-    # the runs of tests/report_diff.py: every verb on every corpus input and
-    # both benchmark workloads' jobs, and every input file of the workloads,
-    # which the set writes first
+    # the runs of tests/report_diff.py: every verb on every corpus input, the
+    # conjugated corpus actions and both benchmark workloads' jobs, and
+    # every input file of the conjugated actions and the workloads, which
+    # the set writes first
     import report_diff
     from qact import serialize
 
@@ -301,7 +302,8 @@ def test_every_comparison_set_report_is_the_json_module_text(tmp_path, monkeypat
     monkeypatch.setattr(serialize, "dumps", compared)
     runs = report_diff.comparison_set(tmp_path / "inputs")
     written = len(checked)
-    assert written and written == len(list(tmp_path.glob("inputs/*-ladder/*.json")))
+    assert written and written == len(list(tmp_path.glob("inputs/*-ladder/*.json"))) \
+        + len(list(tmp_path.glob("inputs/conjugated/*.json")))
     for argv in runs:
         cli.main([*argv, "--report", str(tmp_path / "report.json")])
     assert len(checked) == written + len(runs) and all(checked)

@@ -102,7 +102,8 @@ def test_inputs_writes_the_corpus_and_both_workloads_the_same_twice(tmp_path):
     for out in outs:
         assert report_diff.main(["inputs", str(record_golden.ROOT), str(out)]) == 0
     files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.json"))
-    assert {p.parts[0] for p in files} == {"fixtures", "block-ladder", "translation-ladder"}
+    assert {p.parts[0] for p in files} == {"fixtures", "conjugated", "block-ladder",
+                                           "translation-ladder"}
     assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*.json"))
     for rel in files:
         data = (outs[0] / rel).read_bytes()
@@ -118,3 +119,29 @@ def test_unreached_lists_the_functions_no_run_calls():
     assert "cli.main" not in names and "actions.roundtrip_check" not in names
     # a helper that runs only on an error path
     assert "repcat._word_name" in names
+
+
+def test_a_conjugated_action_gives_its_originals_outcome(tmp_path):
+    # a change of basis of the acted-on algebra moves no exit code, block
+    # or module dimension of the four action verbs
+    from qact import cli
+
+    report = tmp_path / "report.json"
+
+    def outcome(verb, backend, action):
+        code = cli.main([verb, "--backend", str(backend), "--input", str(action),
+                         "--report", str(report)])
+        data = json.loads(report.read_text())
+        return (code, sorted(data.get("fixed_algebra_blocks", [])), data.get("module_dims"),
+                sorted(data.get("endomorphism_blocks", [])))
+
+    written = report_diff.write_conjugated(tmp_path / "conjugated")
+    assert len(written) * len(report_diff.ACTION_VERBS) == 144
+    originals = {}
+    for bk, path in written:
+        backend = record_golden.FIXTURES / "backends" / f"{bk}.json"
+        original = record_golden.FIXTURES / "actions" / f"{path.stem.rsplit('_s', 1)[0]}.json"
+        for verb in report_diff.ACTION_VERBS:
+            if (verb, original) not in originals:
+                originals[verb, original] = outcome(verb, backend, original)
+            assert outcome(verb, backend, path) == originals[verb, original], (verb, path.name)
