@@ -192,7 +192,7 @@ def _check_backend(backend: Backend, act: Action) -> None:
         raise BackendError("action and backend use different groups")
 
 
-def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> SubalgebraBlocks:
+def fixed_point_algebra(backend: Backend, act: Action) -> SubalgebraBlocks:
     """The invariant subalgebra, with its block structure and embedding."""
     _check_backend(backend, act)
     b = act.algebra
@@ -205,7 +205,7 @@ def fixed_point_algebra(backend: Backend, act: Action, seed: int = 0) -> Subalge
     else:
         e = act.group.elements[act.group.identity]
         mats = [b.from_coords(row) for row in act.component_rows(e)]
-    return decompose_star_algebra(mats, b.n, seed=seed)
+    return decompose_star_algebra(mats, b.n)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -405,7 +405,7 @@ class SpectralFunctor:
         self.action = action
 
 
-def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFunctor:
+def spectral_functor(backend: Backend, act: Action) -> SpectralFunctor:
     """Assemble the functor of invariant subspaces of an action.
 
     Each module carries the bimodule structure over the fixed-point algebra
@@ -414,7 +414,7 @@ def spectral_functor(backend: Backend, act: Action, seed: int = 0) -> SpectralFu
     """
     _check_backend(backend, act)
     b = act.algebra
-    fixed = fixed_point_algebra(backend, act, seed=seed)
+    fixed = fixed_point_algebra(backend, act)
     a = fixed.algebra
     # the trivial component must carry the matrix-unit basis of the fixed
     # algebra, so that it is that algebra on the nose
@@ -449,8 +449,7 @@ def canonical_map(spec: SpectralFunctor, alg: ReconstructedAlgebra) -> np.ndarra
     return phi
 
 
-def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> dict:
+def roundtrip_check(backend: Backend, act: Action, tol: float = DEFAULT_TOL) -> dict:
     """Rebuild the algebra from the spectral data of an action and certify
     the canonical map back onto the original algebra: a unital
     *-isomorphism (staralg.verify_algebra_iso), equivariant, and the
@@ -461,7 +460,7 @@ def roundtrip_check(backend: Backend, act: Action, seed: int = 0,
     `isomorphism`, the canonical map as a coordinate matrix."""
     from .reconstruction import build_algebra
 
-    spec = spectral_functor(backend, act, seed=seed)
+    spec = spectral_functor(backend, act)
     alg = build_algebra(spec.functor, tol=tol)
     b = act.algebra
 
@@ -606,7 +605,7 @@ def _equivariant_maps(backend: Backend, module: EquivariantModule, label: str,
     return basis.transpose(0, 2, 1, 3)
 
 
-def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
+def module_functor(backend: Backend, module: EquivariantModule,
                    base: tuple[BlockAlgebra, np.ndarray] | None = None) -> ModuleFunctor:
     """The functor of equivariant module maps M -> M (x) H attached to an
     equivariant module, over the algebra of equivariant endomorphisms.
@@ -614,7 +613,7 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
     `base` optionally fixes the endomorphism algebra: a block algebra
     together with the images of its matrix units as module maps, shape
     (algebra dim, dim M, dim M).  Functors of related modules can then
-    share one base algebra instead of each probing its own.  The maps of
+    share one base algebra instead of each decomposing its own.  The maps of
     the trivial label, End(M) itself, are solved for only without `base`;
     with it, the given unit images are that label's basis.  The
     right-linearity equations are built once per irrep dimension.
@@ -642,7 +641,7 @@ def module_functor(backend: Backend, module: EquivariantModule, seed: int = 0,
         # maps into M (x) C are maps into M
         end_maps = equivariant_maps(triv)[:, 0]
         end_h = hilbert(end_maps)
-        blocks = decompose_star_algebra(end_h, kdim, seed=seed)
+        blocks = decompose_star_algebra(end_h, kdim)
         unit_module = np.zeros((blocks.algebra.dim, module.dim, module.dim), dtype=complex)
         stack = end_h.reshape(len(end_h), -1).T
         for k in range(blocks.algebra.dim):
@@ -878,13 +877,12 @@ def functor_roundtrip_check(functor: functors.TensorFunctorData, tol: float = DE
     return verify_natural_iso(functor, functor2, maps, tol)
 
 
-def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL,
-                         seed: int = 0):
+def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL):
     """The functor of the algebra as a module over itself, compared with the
     spectral functor of the action through the canonical identification
     X -> (b -> sum_i x_i b (x) basis vector i).  Returns (spectral functor,
     module functor, the natural_iso_to_spectral section of verify_natural_iso)."""
-    spec = spectral_functor(backend, act, seed=seed)
+    spec = spectral_functor(backend, act)
     mod = module_from_algebra(backend, act)
     b = act.algebra
     left = algebra_as_correspondence(b).left
@@ -895,7 +893,7 @@ def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL
         return np.linalg.inv(mod.frame.T) @ np.tensordot(coords, left, 1) @ mod.frame.T
 
     lmaps = left_mult(b.coords(spec.fixed.unit_images))
-    mf = module_functor(backend, mod, seed=seed, base=(spec.fixed.algebra, lmaps))
+    mf = module_functor(backend, mod, base=(spec.fixed.algebra, lmaps))
     maps = {label: np.ascontiguousarray(
                 InSpan(mf.bases[label], label)(left_mult(spec.bases[label])).T)
             for label in backend.labels}

@@ -3,11 +3,11 @@ pick orthonormal bases.
 
 Recovers the matrix-unit structure of a unital *-closed subalgebra S of
 M_n(C): the list of block sizes together with images in S of the abstract
-matrix units.  The probe is a random self-adjoint element of the center
-(then of each simple summand) with a fixed seed, so results are
-deterministic for a given seed.  A one-dimensional algebra, such as the
-fixed-point algebra C of an ergodic action, has one matrix unit and draws
-no probe, so numpy.random is loaded only where a number is drawn.
+matrix units.  No element is drawn at random: the center's self-adjoint
+basis splits the unit into the minimal central projections, and each
+summand's self-adjoint basis splits its projection down to a minimal one
+(Horn-Johnson, Matrix Analysis, 2.5), so the result depends on the
+spanning set alone.
 
 Every basis the package picks is a gauge, and each kind is picked by one
 routine, reached as an attribute of this module so that one patch changes
@@ -25,7 +25,6 @@ from .algebras import BlockAlgebra
 from .thresholds import (
     CLUSTER_TOL,
     IDEMPOTENT_TOL,
-    PROBE_ATTEMPTS,
     RANK_TOL,
     RELATIVE_RANK_TOL,
     TRACE_SLACK,
@@ -35,7 +34,9 @@ from .thresholds import (
 
 
 class DecompositionError(RuntimeError):
-    """The probe failed to separate the algebra (after retries)."""
+    """The spanning set is not a unital *-algebra: the center or a summand
+    does not split as a block algebra, or its matrix units fail their
+    relations by UNIT_RELATIONS_TOL or more."""
 
 
 def row_spaces(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +141,14 @@ class SubalgebraBlocks:
         return np.trace(units @ mat[..., None, :, :], axis1=-2, axis2=-1) / mults
 
 
-def decompose_star_algebra(basis: list[np.ndarray], n: int,
-                           seed: int = 0) -> SubalgebraBlocks:
-    """Matrix units of the unital *-algebra spanned by `basis` inside M_n(C).
+def decompose_star_algebra(basis: list[np.ndarray], n: int) -> SubalgebraBlocks:
+    """Matrix units of the unital *-algebra S spanned by `basis` inside M_n(C).
 
-    A one-dimensional algebra C e draws nothing: its one probe is its
-    self-adjoint central element with coefficient 1, whose eigenprojection
-    onto the unit is the one summand, so `seed` is not read.  A larger
-    algebra draws its
-    probes from `np.random.default_rng(seed)`: first a central probe, then
-    one pair per simple summand of size at least 2, retrying up to
-    PROBE_ATTEMPTS times."""
+    Deterministic, with no generic element: the unit is split by the
+    eigenprojections of each self-adjoint basis element of the center in
+    turn, until there are dim Z(S) parts, the minimal central projections
+    (their joint eigenspaces).  Each part p is a summand pSp, isomorphic to
+    M_d with multiplicity m, and `_matrix_units` builds its matrix units."""
     basis = _orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
     if not basis:
         raise DecompositionError("empty algebra")
@@ -158,29 +156,38 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int,
     rows = [np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T for b in basis]
     center = [sum(c * b for c, b in zip(row, basis)) for row in row_spaces(np.vstack(rows))[1]]
     center_sa = _selfadjoint_basis(center, n)
-    n_blocks = len(center_sa)
     unit = _unit_of(basis, n)
+    # the first split drops the part outside the unit of S (eigenvalue-0
+    # directions that belong to no central summand)
+    projections = _split(center_sa[0], unit)
+    for h in center_sa[1:]:
+        if len(projections) == len(center_sa):
+            break
+        projections = [q for p in projections for q in _split(h, p)]
+    if len(projections) != len(center_sa):
+        raise DecompositionError(
+            f"the center split into {len(projections)} summands, expected {len(center_sa)}")
 
-    if len(basis) == 1:
-        # C e has one matrix unit: one probe with coefficient 1, no draw
-        rng, draws = None, [np.ones(1)]
-    else:
-        rng = np.random.default_rng(seed)
-        draws = (rng.standard_normal(n_blocks) for _ in range(PROBE_ATTEMPTS))
-    last_error = "no attempt made"
-    for coeffs in draws:
-        probe = sum(c * h for c, h in zip(coeffs, center_sa))
-        # the part outside the unit of S (eigenvalue-0 directions that do
-        # not belong to any central summand) is dropped
-        projections = eigenprojections(probe, unit)
-        if len(projections) != n_blocks:
-            last_error = f"central probe produced {len(projections)} summands, expected {n_blocks}"
-            continue
-        try:
-            return _units_from_projections(basis, projections, n, rng)
-        except DecompositionError as err:
-            last_error = str(err)
-    raise DecompositionError(last_error)
+    summands = []
+    for p in projections:
+        comp = _orthonormal_span([p @ b @ p for b in basis], n)
+        d = int(round(np.sqrt(len(comp))))
+        if d * d != len(comp):
+            raise DecompositionError("summand dimension is not a square")
+        rank = int(round(np.trace(p).real))
+        if rank % d:
+            raise DecompositionError("summand rank incompatible with block size")
+        summands.append((d, rank // d, _matrix_units(comp, p, d, rank // d, n)))
+    images = [e for _, _, units in summands for row in units for e in row]
+    return SubalgebraBlocks(BlockAlgebra(tuple(d for d, _, _ in summands)), np.array(images),
+                            tuple(m for _, m, _ in summands), n)
+
+
+def _split(h: np.ndarray, p: np.ndarray) -> list[np.ndarray]:
+    """The eigenprojections of a Hermitian h that commutes with the
+    projection p, cut to p (q p) where they leave it."""
+    return [q @ p if np.linalg.norm(q - q @ p) > UNIT_MEET_FLOOR else q
+            for q in eigenprojections(h, p)]
 
 
 def _unit_of(basis: list[np.ndarray], n: int) -> np.ndarray:
@@ -195,70 +202,34 @@ def _unit_of(basis: list[np.ndarray], n: int) -> np.ndarray:
     return unit
 
 
-def _units_from_projections(basis, projections, n, rng) -> SubalgebraBlocks:
-    summands = []
-    for p in projections:
-        comp = [p @ b @ p for b in basis]
-        comp = _orthonormal_span(comp, n)
-        d2 = len(comp)
-        d = int(round(np.sqrt(d2)))
-        if d * d != d2:
-            raise DecompositionError("summand dimension is not a square")
-        rank = int(round(np.trace(p).real))
-        if rank % d:
-            raise DecompositionError("summand rank incompatible with block size")
-        mult = rank // d
-        units = _matrix_units(comp, p, d, mult, n, rng)
-        summands.append((d, mult, units))
+def _matrix_units(comp_basis, p, d, mult, n):
+    """Matrix units of one simple summand p S p (isomorphic to M_d with
+    multiplicity `mult`), from an orthonormal basis of it.
 
-    blocks = tuple(d for d, _, _ in summands)
-    mults = tuple(m for _, m, _ in summands)
-    images = [unit for _, _, units in summands for row in units for unit in row]
-    return SubalgebraBlocks(BlockAlgebra(blocks), np.array(images), mults, n)
-
-
-def _matrix_units(comp_basis, p, d, mult, n, rng):
-    """Matrix units of one simple summand p S p (isomorphic to M_d)."""
+    A minimal projection q comes from splitting p by the compressions q h q
+    of the summand's self-adjoint basis, keeping the first eigenprojection,
+    until trace q = mult.  Then e_11 = q, and e_1j = sqrt(mult) v_j for an
+    orthonormal basis v_j (Hilbert-Schmidt) of the part of the row q S
+    orthogonal to q, since the e_1j are orthogonal of norm sqrt(mult);
+    e_ij = e_1i* e_1j."""
     if d == 1:
         return [[p]]
-    for _ in range(PROBE_ATTEMPTS):
-        coeffs = rng.standard_normal(len(comp_basis))
-        h = sum(c * b for c, b in zip(coeffs, comp_basis))
-        # the eigenspaces of h inside p: h is 0 on the rest
-        qs = eigenprojections((h + h.conj().T) / 2, p)
-        if len(qs) != d:
-            continue
-        if any(abs(np.trace(q).real - mult) > TRACE_SLACK for q in qs):
-            continue
-        scoeff = rng.standard_normal(len(comp_basis))
-        s = sum(c * b for c, b in zip(scoeff, comp_basis))
-        row = [qs[0]]
-        ok = True
-        for i in range(1, d):
-            vmat = qs[0] @ s @ qs[i]
-            gram = vmat.conj().T @ vmat
-            wg, vg = np.linalg.eigh(gram)
-            keep = wg > RELATIVE_RANK_TOL * max(1.0, float(wg.max()))
-            if int(np.sum(keep)) != mult:
-                ok = False
-                break
-            inv_sqrt = (vg[:, keep] / np.sqrt(wg[keep])) @ vg[:, keep].conj().T
-            row.append(vmat @ inv_sqrt)
-        if not ok:
-            continue
-        # row[i] plays the role of e_{1i} (with row[0] = q_1); e_{ij} = e_{1i}* e_{1j}
-        units = [[None] * d for _ in range(d)]
-        units[0][0] = qs[0]
-        for j in range(1, d):
-            units[0][j] = row[j]
-            units[j][0] = row[j].conj().T
-        for i in range(1, d):
-            for j in range(1, d):
-                units[i][j] = row[i].conj().T @ row[j]
-        resid = _unit_relations_residual(units, p, d)
-        if resid < UNIT_RELATIONS_TOL:
-            return units
-    raise DecompositionError("failed to build matrix units for a summand")
+    q = p
+    for h in _selfadjoint_basis(comp_basis, n):
+        if abs(np.trace(q).real - mult) <= TRACE_SLACK:
+            break
+        q = _split(q @ h @ q, q)[0]
+    row = [q @ b for b in comp_basis]
+    row = [x - np.vdot(q, x) / mult * q for x in row]
+    vs = _orthonormal_span(row, n)
+    if len(vs) != d - 1:
+        raise DecompositionError("the row of a minimal projection has the wrong dimension")
+    first = [q] + [np.sqrt(mult) * v for v in vs]
+    units = [first] + [[first[i].conj().T] + [first[i].conj().T @ e for e in first[1:]]
+                       for i in range(1, d)]
+    if _unit_relations_residual(units, p, d) >= UNIT_RELATIONS_TOL:
+        raise DecompositionError("failed to build matrix units for a summand")
+    return units
 
 
 def _unit_relations_residual(units, p, d) -> float:

@@ -15,7 +15,8 @@ to --report (or stdout) either way; a --report path or a stdout that cannot
 be written (closed, or a full device) gives exit 2 and one line on stderr
 naming it.  Identical inputs and seed produce byte-identical reports under
 one BLAS thread setting (another thread count can move a value at the
-1e-16 level).  serialize.dumps writes the report text.
+1e-16 level); --seed seeds only the audit samples of build and deform, and
+the other verbs draw nothing.  serialize.dumps writes the report text.
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
@@ -182,7 +183,7 @@ def run_verb(args) -> dict:
     elif (act := _checked_action(args, report)) is None:
         pass  # an action verb on no action: the failed check is the report
     elif verb == "spectral":
-        spec = actions.spectral_functor(backend, act, seed=seed)
+        spec = actions.spectral_functor(backend, act)
         report["fixed_algebra_blocks"] = list(spec.fixed.algebra.blocks)
         report["module_dims"] = {
             label: spec.functor.module(label).dim for label in backend.labels
@@ -190,12 +191,12 @@ def run_verb(args) -> dict:
         report["validation"] = functors.validate_functor(spec.functor, tol).summary()
     elif verb == "roundtrip":
         try:
-            report["certificate"] = actions.roundtrip_check(backend, act, seed=seed, tol=tol)
+            report["certificate"] = actions.roundtrip_check(backend, act, tol=tol)
         except reconstruction.BuildError as err:
             report["validation"] = err.report.summary()
     elif verb == "module-functor":
         _, mf, report["natural_iso_to_spectral"] = actions.canonical_module_iso(
-            backend, act, tol=tol, seed=seed)
+            backend, act, tol=tol)
         report["endomorphism_blocks"] = list(mf.endomorphisms.algebra.blocks)
         report["module_dims"] = {
             label: mf.functor.module(label).dim for label in backend.labels
@@ -214,7 +215,7 @@ def run_verb(args) -> dict:
         report["center_dimension"] = deformed.model.center_dimension()
         if args.cross_test:
             report["cross_test"] = cocycles.deformation_cross_test(
-                backend, act, cocycle, deformed, tol=tol, seed=seed)
+                backend, act, cocycle, deformed, tol=tol)
     return report
 
 

@@ -293,7 +293,7 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
             if u.coeffs[x] != 0:
                 dagger += np.conj(u.coeffs[x]) * rd[g.elements[backend.dual.star[x]]] @ base.star_matrix
 
-    fixed = actions.fixed_point_algebra(backend, act, seed=seed)
+    fixed = actions.fixed_point_algebra(backend, act)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])
     proj = emb.T @ np.linalg.pinv(emb.T)
     trace_vec = np.trace(b.from_coords(proj.T), axis1=1, axis2=2)
@@ -359,13 +359,12 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
 
 
 def deformation_cross_test(backend: Backend, act: actions.Action, cocycle: Cocycle,
-                           deformed: DeformedAlgebra, tol: float = DEFAULT_TOL,
-                           seed: int = 0) -> dict:
+                           deformed: DeformedAlgebra, tol: float = DEFAULT_TOL) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
     functor, and compare it with the deformed action's algebra through the
     canonical map of the spectral functor: the two product tables and the
     two star matrices must agree (staralg.verify_algebra_iso)."""
-    spec = actions.spectral_functor(backend, act, seed=seed)
+    spec = actions.spectral_functor(backend, act)
     twisted = deform_functor(spec.functor, cocycle)
     # validated on the build's realization, so the twisted F_2 is formed once
     rebuilt = reconstruction.build_algebra(twisted, tol=tol, validate=False)

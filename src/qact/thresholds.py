@@ -52,7 +52,7 @@ max(1, largest eigenvalue), it decides `expectation_faithful` of
 RELATIVE_RANK_TOL = 1e-10
 """1e-10, relative: a singular value or Gram eigenvalue above 1e-10 times
 the largest counts toward the rank.  Fixed.  The scale is max(largest, 1)
-in `column_span`, `_matrix_units` and the `nondegenerate` flag of
+in `column_span` and the `nondegenerate` flag of
 `validate_correspondences`."""
 
 GNS_CUTOFF = 1e-12
@@ -84,7 +84,9 @@ eigenvalues closer than this count as one in `eigenprojections`.  Fixed."""
 
 UNIT_MEET_FLOOR = 1e-8
 """1e-8, absolute: `eigenprojections` keeps an eigenprojection p when the
-Frobenius norm of p @ unit is above it.  Fixed."""
+Frobenius norm of p @ unit is above it, and the block decomposition cuts
+an eigenprojection q to the projection p it splits (q @ p) when the norm
+of q - q @ p is above it.  Fixed."""
 
 IDEMPOTENT_TOL = 1e-8
 """1e-8, absolute: `_unit_of` rejects a least-squares unit u whose
@@ -96,15 +98,9 @@ largest Frobenius residual of the relations e_ij e_kl = delta_jk e_il,
 e_ij* = e_ji and sum_i e_ii = p is below it.  Fixed."""
 
 TRACE_SLACK = 0.1
-"""0.1, absolute: in `_matrix_units`, the trace of each eigenprojection of
-a probe must lie within 0.1 of the multiplicity (an integer), or the
-probe is drawn again.  Fixed."""
-
-PROBE_ATTEMPTS = 8
-"""8: the random probes drawn before `decompose_star_algebra` gives up
-separating the central summands of an algebra of dimension at least 2, and
-before `_matrix_units` gives up on one summand of size at least 2.  A
-one-dimensional algebra takes no probe.  Fixed."""
+"""0.1, absolute: `_matrix_units` stops splitting a summand's projection q
+once trace q lies within 0.1 of the multiplicity (an integer): q is then
+a minimal projection.  Fixed."""
 
 # -- spans and isometries (fixed) -----------------------------------------------
 

@@ -998,12 +998,16 @@ def test_builder_stacks_keep_the_bits_of_the_per_element_builder(backends, corpu
     assert seen_empty
 
 
+REFERENCE_ATTEMPTS = 8
+
+
 def reference_decompose_star_algebra(basis, n, seed=0):
-    """The probe path of `blockdecomp.decompose_star_algebra` for an algebra
-    of every dimension: a one-dimensional algebra draws its central probe
-    too."""
+    """The random-probe decomposition that the deterministic refinement of
+    `blockdecomp.decompose_star_algebra` replaced, for an algebra of every
+    dimension: a central probe drawn from `np.random.default_rng(seed)`,
+    then a pair of probes for each summand M_d with d >= 2, each retried up
+    to REFERENCE_ATTEMPTS times."""
     from qact import blockdecomp
-    from qact.thresholds import PROBE_ATTEMPTS
 
     basis = blockdecomp._orthonormal_span([np.asarray(b, dtype=complex) for b in basis], n)
     rows = [np.array([(b @ c - c @ b).reshape(-1) for c in basis]).T for b in basis]
@@ -1011,17 +1015,69 @@ def reference_decompose_star_algebra(basis, n, seed=0):
     center_sa = blockdecomp._selfadjoint_basis(center, n)
     unit = blockdecomp._unit_of(basis, n)
     rng = np.random.default_rng(seed)
-    for _ in range(PROBE_ATTEMPTS):
+    for _ in range(REFERENCE_ATTEMPTS):
         coeffs = rng.standard_normal(len(center_sa))
         probe = sum(c * h for c, h in zip(coeffs, center_sa))
         projections = blockdecomp.eigenprojections(probe, unit)
         if len(projections) != len(center_sa):
             continue
         try:
-            return blockdecomp._units_from_projections(basis, projections, n, rng)
+            return reference_units_from_projections(basis, projections, n, rng)
         except blockdecomp.DecompositionError:
             pass
     raise blockdecomp.DecompositionError("the reference probes failed")
+
+
+def reference_units_from_projections(basis, projections, n, rng):
+    from qact import blockdecomp
+
+    summands = []
+    for p in projections:
+        comp = blockdecomp._orthonormal_span([p @ b @ p for b in basis], n)
+        d = int(round(np.sqrt(len(comp))))
+        if d * d != len(comp):
+            raise blockdecomp.DecompositionError("summand dimension is not a square")
+        rank = int(round(np.trace(p).real))
+        if rank % d:
+            raise blockdecomp.DecompositionError("summand rank incompatible with block size")
+        summands.append((d, rank // d, reference_matrix_units(comp, p, d, rank // d, rng)))
+    images = [unit for _, _, units in summands for row in units for unit in row]
+    return blockdecomp.SubalgebraBlocks(BlockAlgebra(tuple(d for d, _, _ in summands)),
+                                        np.array(images), tuple(m for _, m, _ in summands), n)
+
+
+def reference_matrix_units(comp_basis, p, d, mult, rng):
+    """Matrix units of one summand from two random probes: the eigenspaces
+    of the first inside p are the e_ii, and the polar parts of the second
+    compressed between them the e_1i."""
+    from qact import blockdecomp
+    from qact.thresholds import RELATIVE_RANK_TOL, TRACE_SLACK, UNIT_RELATIONS_TOL
+
+    if d == 1:
+        return [[p]]
+    for _ in range(REFERENCE_ATTEMPTS):
+        h = sum(c * b for c, b in zip(rng.standard_normal(len(comp_basis)), comp_basis))
+        qs = blockdecomp.eigenprojections((h + h.conj().T) / 2, p)
+        if len(qs) != d or any(abs(np.trace(q).real - mult) > TRACE_SLACK for q in qs):
+            continue
+        s = sum(c * b for c, b in zip(rng.standard_normal(len(comp_basis)), comp_basis))
+        row = [qs[0]]
+        for i in range(1, d):
+            vmat = qs[0] @ s @ qs[i]
+            wg, vg = np.linalg.eigh(vmat.conj().T @ vmat)
+            keep = wg > RELATIVE_RANK_TOL * max(1.0, float(wg.max()))
+            if int(np.sum(keep)) != mult:
+                break
+            row.append(vmat @ (vg[:, keep] / np.sqrt(wg[keep])) @ vg[:, keep].conj().T)
+        if len(row) < d:
+            continue
+        units = [[row[i].conj().T @ row[j] for j in range(d)] for i in range(d)]
+        units[0] = row
+        for i in range(1, d):
+            units[i][0] = row[i].conj().T
+        if blockdecomp._unit_relations_residual(units, p, d) < UNIT_RELATIONS_TOL:
+            return units
+    raise blockdecomp.DecompositionError("failed to build matrix units for a summand")
 
 
 @pytest.fixture(scope="module")
@@ -1040,9 +1096,9 @@ def corpus_decompositions(backends, corpus):
     calls = []
     decompose = actions.decompose_star_algebra
 
-    def recording(basis, n, seed=0):
+    def recording(basis, n):
         calls.append((case, [np.array(b) for b in basis], n))
-        return decompose(basis, n, seed=seed)
+        return decompose(basis, n)
 
     cases = [(name, backends[bk], act) for name, (bk, act) in sorted(corpus.items())]
     for n in (8, 12):
@@ -1076,7 +1132,7 @@ def test_a_one_dimensional_algebra_keeps_the_probe_paths_bits(corpus_decompositi
         for seed in range(4):
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", no_draw)
-                got = blockdecomp.decompose_star_algebra(basis, n, seed=seed)
+                got = blockdecomp.decompose_star_algebra(basis, n)
             want = reference_decompose_star_algebra(basis, n, seed=seed)
             assert got.algebra.blocks == want.algebra.blocks == (1,), case
             assert got.multiplicities == want.multiplicities, case
@@ -1091,19 +1147,88 @@ def test_a_one_dimensional_algebra_keeps_the_probe_paths_bits(corpus_decompositi
     assert identity
 
 
-def test_a_larger_algebra_keeps_the_probe_paths_bytes(corpus_decompositions):
-    # algebras of dimension >= 2 draw the reference's numbers in its order,
-    # the factors M_d among them
+def gauge_free(dec):
+    """(block, multiplicity, central projection sum_i e_ii) of each summand
+    of a decomposition, in its order."""
+    out, k = [], 0
+    for d, m in zip(dec.algebra.blocks, dec.multiplicities):
+        out.append((d, m, sum(dec.unit_images[k + i * d + i] for i in range(d))))
+        k += d * d
+    return out
+
+
+def test_a_larger_algebra_keeps_the_probe_paths_summands(corpus_decompositions):
+    # the matrix units are a choice of basis, so only their sorted blocks,
+    # and each summand's block, multiplicity and central projection, are
+    # compared with the probe path's
     from qact import blockdecomp
 
     cases = set()
     for case, basis, n in corpus_decompositions:
         if len(blockdecomp._orthonormal_span(basis, n)) < 2:
             continue
+        got = blockdecomp.decompose_star_algebra(basis, n)
         for seed in range(4):
-            got = blockdecomp.decompose_star_algebra(basis, n, seed=seed)
             want = reference_decompose_star_algebra(basis, n, seed=seed)
-            assert got.algebra.blocks == want.algebra.blocks, case
-            assert got.unit_images.tobytes() == want.unit_images.tobytes(), case
+            assert sorted(got.algebra.blocks) == sorted(want.algebra.blocks), case
+            for d, m, z in gauge_free(got):
+                assert sum(d == e and m == k and np.abs(z - y).max() < 1e-12
+                           for e, k, y in gauge_free(want)) == 1, (case, seed)
         cases.add(case)
     assert {"inner_m2", "trivial_m2", "clock3", "clock4"} <= cases
+
+
+def test_every_corpus_algebra_decomposes_without_a_draw(corpus_decompositions, monkeypatch):
+    from qact import blockdecomp
+
+    def no_draw(seed=None):
+        raise AssertionError("the decomposition drew a number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    sizes = set()
+    for case, basis, n in corpus_decompositions:
+        dec = blockdecomp.decompose_star_algebra(basis, n)
+        assert dec.unit_images.shape == (dec.algebra.dim, n, n), case
+        sizes.add(dec.algebra.dim)
+    assert 1 in sizes and max(sizes) > 1
+
+
+SEPARATED_ONLY_JOINTLY = [
+    ((2, 2, 2), (1, 1, 1)), ((2,), (3,)), ((1, 2, 3), (2, 1, 1)), ((3, 3), (2, 1)),
+    ((2, 2), (2, 2)), ((1, 1, 1, 1), (1, 1, 1, 1)), ((4,), (1,)),
+]
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["axis-aligned", "haar"])
+@pytest.mark.parametrize("blocks, mults", SEPARATED_ONLY_JOINTLY,
+                         ids=[f"{b}x{m}" for b, m in SEPARATED_ONLY_JOINTLY])
+def test_block_algebras_that_one_center_element_cannot_split(blocks, mults, conjugate):
+    # the matrix units e_ij (x) 1_m of each block, on the axes and conjugated
+    # by a Haar unitary; on the axes the first center element of (2, 2, 2),
+    # (1, 2, 3) and (1, 1, 1, 1) leaves two summands together, and every
+    # M_d with d >= 2 has its minimal projection split out of its unit
+    from qact import blockdecomp
+    from qact.thresholds import UNIT_RELATIONS_TOL
+
+    n = sum(d * m for d, m in zip(blocks, mults))
+    basis, off = [], 0
+    for d, m in zip(blocks, mults):
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((n, n), dtype=complex)
+                e[off:off + d * m, off:off + d * m] = np.kron(np.outer(np.eye(d)[i], np.eye(d)[j]),
+                                                             np.eye(m))
+                basis.append(e)
+        off += d * m
+    if conjugate:
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        basis = [u @ e @ u.conj().T for e in basis]
+    dec = blockdecomp.decompose_star_algebra(basis, n)
+    assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == sorted(zip(blocks, mults))
+    k = 0
+    for d, (_, _, z) in zip(dec.algebra.blocks, gauge_free(dec)):
+        units = [[dec.unit_images[k + i * d + j] for j in range(d)] for i in range(d)]
+        assert blockdecomp._unit_relations_residual(units, z, d) < UNIT_RELATIONS_TOL
+        k += d * d
+    np.testing.assert_allclose(sum(z for _, _, z in gauge_free(dec)), np.eye(n), atol=1e-12)

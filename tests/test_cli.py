@@ -997,18 +997,22 @@ print(json.dumps([code, "numpy.random" in sys.modules]))
 
 
 def test_only_verbs_that_draw_import_numpy_random(tmp_path):
-    # the fixed-point algebra of an ergodic action is C, which takes no
-    # probe, so spectral, roundtrip and module-functor on S3 translation
-    # never load numpy.random; build draws its audit samples, and the
-    # two-dimensional fixed algebra of inner_m2 needs a real probe
+    # the block decomposition draws nothing, so the four action verbs never
+    # load numpy.random, on an ergodic action (S3 translation) or on fixed
+    # algebras of dimension 2 (inner_m2) and 3 (m3_clock_shift); build draws
+    # its audit samples
     s3 = ("--backend", "backends/s3.json", "--input", "actions/s3_translation.json")
+    inner = ("--backend", "backends/z2.json", "--input", "actions/inner_m2.json")
+    clock = ("--backend", "backends/dual_z3.json", "--input", "actions/m3_clock_shift.json")
     runs = {
         ("spectral", *s3): False,
         ("roundtrip", *s3): False,
         ("module-functor", *s3): False,
         ("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"):
             True,
-        ("spectral", "--backend", "backends/z2.json", "--input", "actions/inner_m2.json"): True,
+        ("spectral", *inner): False,
+        **{(verb, *args): False for verb in ("roundtrip", "module-functor", "fullness")
+           for args in (inner, clock)},
     }
     procs = {}
     for k, argv in enumerate(runs):

@@ -36,11 +36,11 @@ from test_repcat import conjugate_residuals, reference_grades, words_up_to_three
 TOL = 1e-9
 
 
-def block_structure(model, seed=0):
+def block_structure(model):
     """Wedderburn block sizes of a StarAlgebraModel, recovered from the GNS
     representation."""
     ops = model._gns_operators
-    blocks = decompose_star_algebra(list(ops), ops.shape[1], seed=seed)
+    blocks = decompose_star_algebra(list(ops), ops.shape[1])
     return blocks.algebra.blocks
 
 
@@ -519,7 +519,7 @@ def reference_deform_audit(backend, act, cocycle, deformed, tol=TOL, seed=0):
     report["expectation_gram_min_eig"] = float(eigs.min())
     report["expectation_faithful"] = bool(eigs.min() > tol)
 
-    fixed = fixed_point_algebra(backend, act, seed=seed)
+    fixed = fixed_point_algebra(backend, act)
     rng = np.random.default_rng(seed)
     worst_bound = 0.0
     for _ in range(10):

@@ -133,7 +133,6 @@ SEAMS = {"blockdecomp.row_spaces", "blockdecomp.column_span", "blockdecomp.eigen
 # uses whose result does not depend on the vectors chosen
 GAUGE_FREE = {
     "algebras.adjoints_by_shape",  # the pseudo-inverse of each Gram matrix
-    "blockdecomp._matrix_units",  # the inverse square root of a Gram matrix
     "actions.fullness_check",  # the inverse square root of <Y, Y>
 }
 # bases still picked outside the seams
