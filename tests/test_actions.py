@@ -1226,9 +1226,9 @@ def test_block_algebras_that_one_center_element_cannot_split(blocks, mults, conj
         basis = [u @ e @ u.conj().T for e in basis]
     dec = blockdecomp.decompose_star_algebra(basis, n)
     assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == sorted(zip(blocks, mults))
-    k = 0
-    for d, (_, _, z) in zip(dec.algebra.blocks, gauge_free(dec)):
+    summands, k = gauge_free(dec), 0
+    for d, _, z in summands:
         units = [[dec.unit_images[k + i * d + j] for j in range(d)] for i in range(d)]
         assert blockdecomp._unit_relations_residual(units, z, d) < UNIT_RELATIONS_TOL
         k += d * d
-    np.testing.assert_allclose(sum(z for _, _, z in gauge_free(dec)), np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(sum(z for _, _, z in summands), np.eye(n), atol=1e-12)
