@@ -233,15 +233,14 @@ def _matrix_units(comp_basis, p, d, mult, n):
 
 
 def _unit_relations_residual(units, p, d) -> float:
-    worst = float(np.linalg.norm(sum(units[i][i] for i in range(d)) - p))
-    for i in range(d):
-        for j in range(d):
-            worst = max(
-                worst, float(np.linalg.norm(units[i][j].conj().T - units[j][i]))
-            )
-            for k in range(d):
-                for l in range(d):
-                    prod = units[i][j] @ units[k][l]
-                    expect = units[i][l] if j == k else np.zeros_like(prod)
-                    worst = max(worst, float(np.linalg.norm(prod - expect)))
-    return worst
+    """The largest Frobenius residual of e_ij e_kl = delta_jk e_il, e_ij* =
+    e_ji and sum_i e_ii = p; all d^4 products are one matrix product."""
+    e = np.asarray(units)
+    n = e.shape[-1]
+    worst = max(float(np.linalg.norm(np.trace(e, axis1=0, axis2=1) - p)),
+                float(np.linalg.norm(e.conj().transpose(1, 0, 3, 2) - e, axis=(2, 3)).max()))
+    # prods[i, j, a, k, l, c] = (e_ij e_kl)[a, c]
+    prods = (e.reshape(-1, n) @ e.transpose(2, 0, 1, 3).reshape(n, -1)).reshape(d, d, n, d, d, n)
+    idx = np.arange(d)
+    prods[:, idx, :, idx] -= e.transpose(0, 2, 1, 3)  # [j, i, a, l, c] -= e_il[a, c]
+    return max(worst, float(np.sqrt((np.abs(prods) ** 2).sum(axis=(2, 5))).max()))

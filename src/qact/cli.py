@@ -13,10 +13,11 @@ report holds "error"), 3 internal error (any other exception; the report
 names its type and message under "internal_error").  The report is written
 to --report (or stdout) either way; a --report path or a stdout that cannot
 be written (closed, or a full device) gives exit 2 and one line on stderr
-naming it.  Identical inputs and seed produce byte-identical reports under
-one BLAS thread setting (another thread count can move a value at the
-1e-16 level); --seed seeds only the audit samples of build and deform, and
-the other verbs draw nothing.  serialize.dumps writes the report text.
+naming it.  Identical inputs produce byte-identical reports under one BLAS
+thread setting (another thread count can move a value at the 1e-16
+level).  No verb draws: --seed seeds nothing and is only validated and
+recorded as the report's "seed", because benchmark job lines pass it.
+serialize.dumps writes the report text.
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
@@ -147,12 +148,12 @@ def _checked_action(args, report):
 def run_verb(args) -> dict:
     """The report of one verb: its inputs loaded, the library's checks run,
     and each check's section placed under its name."""
-    verb, tol, seed = args.verb, args.tolerance, args.seed
+    verb, tol = args.verb, args.tolerance
     report: dict = {
         "schema": SCHEMA,
         "verb": verb,
         "tolerance": tol,
-        "seed": seed,
+        "seed": args.seed,
         "inputs": list(args.input),
         "backend": args.backend,
     }
@@ -174,7 +175,7 @@ def run_verb(args) -> dict:
             report["validation"] = err.report.summary()
             return report
         report["validation"] = alg.validation.summary()
-        report["build"] = reconstruction.build_report(alg, seed=seed)
+        report["build"] = reconstruction.build_report(alg)
     elif verb == "cocycle-check":
         cocycle = _load(args.input[0], serialize.cocycle_from_json, "cocycle")
         report["cocycle"] = cocycles.check_cocycle(cocycle, tol)
@@ -210,7 +211,7 @@ def run_verb(args) -> dict:
         report["cocycle"] = cocycles.check_cocycle(cocycle, tol)
         if not report["cocycle"]["passed"]:
             return report
-        deformed = cocycles.deform_action(backend, act, cocycle, tol=tol, seed=seed)
+        deformed = cocycles.deform_action(backend, act, cocycle, tol=tol)
         report["deformed"] = deformed.report
         report["center_dimension"] = deformed.model.center_dimension()
         if args.cross_test:

@@ -14,10 +14,11 @@ The deformed product routes both factors through the coaction before
 multiplying; the deformed involution composes the original one with the
 companion element u = m(i (x) S)(Omega).  The deformed algebra is a
 qact.staralg.StarAlgebraModel, the class of the algebra rebuilt from
-functor data, whose state is the trace of the expectation onto the fixed
-algebra.
+functor data, whose expectation is the unchanged one onto the fixed
+algebra, and staralg.audit, the audit of `build` too, certifies it over
+the basis without a random draw.
 
-The layers of actions, functors and algebras are reached through their
+The layers of actions, functors and staralg are reached through their
 modules, so `cocycle-check`, which checks a cocycle against a backend's
 table alone, leaves them unrun when the CLI binds them lazily.
 """
@@ -26,17 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import actions, algebras, functors, reconstruction, staralg
+from . import actions, functors, reconstruction, staralg
 from .errors import BackendError, CocycleError
 from .groups import GroupPresentation
 from .repcat import Backend, ConjugateSolution, DualAlgebra, Rep, dual_algebra
-from .thresholds import (
-    AUDIT_FACTOR,
-    COCYCLE_SCALAR_FLOOR,
-    COCYCLE_SV_FLOOR,
-    DEFAULT_TOL,
-    RANK_TOL,
-)
+from .thresholds import AUDIT_FACTOR, COCYCLE_SCALAR_FLOOR, COCYCLE_SV_FLOOR, DEFAULT_TOL
 
 
 class Cocycle:
@@ -236,13 +231,11 @@ def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
 
 class DeformedAlgebra:
     """The deformed *-algebra on the coordinate space of the original one,
-    plus the unchanged expectation onto the fixed part as a coordinate
-    projection."""
+    whose model's expectation model.expect is the unchanged projection
+    onto the fixed part, and its audit report."""
 
-    def __init__(self, model: staralg.StarAlgebraModel, expectation_matrix: np.ndarray,
-                 report: dict):
+    def __init__(self, model: staralg.StarAlgebraModel, report: dict):
         self.model = model
-        self.expectation_matrix = expectation_matrix
         self.report = report
 
 
@@ -264,13 +257,16 @@ def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) ->
 
 
 def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
-                  tol: float = DEFAULT_TOL, seed: int = 0) -> DeformedAlgebra:
+                  tol: float = DEFAULT_TOL) -> DeformedAlgebra:
     """The deformed algebra: both product factors are routed through the
     coaction against the cocycle, and the involution picks up the companion
-    element.  The state of the model is the trace of the expectation onto
-    the fixed algebra.  The report verifies, as contractions over the whole
-    basis, that it is again a *-algebra, and that the expectation still
-    satisfies the algebraic-action conditions."""
+    element.  The model's expectation is the unchanged one onto the fixed
+    algebra F, as a B-valued map, so its state is the trace of B after it.
+    The report is staralg.audit of the model over the matrix units of F:
+    the *-algebra laws over the whole basis, and the algebraic-action
+    conditions of the expectation, its faithfulness and the bound over F
+    derived from its positivity.  The audit's C*-identity and bimodularity,
+    which the section has no keys for, are gated in `passed`."""
     _check_cocycle_backend(backend, cocycle)
     _require_matching(act, cocycle)
     b = act.algebra
@@ -295,67 +291,18 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
 
     fixed = actions.fixed_point_algebra(backend, act)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])
-    proj = emb.T @ np.linalg.pinv(emb.T)
-    trace_vec = np.trace(b.from_coords(proj.T), axis1=1, axis2=2)
-    model = staralg.StarAlgebraModel(table, dagger, base.unit, {}, algebras.BlockAlgebra((1,)),
-                                     trace_vec[None, :])
+    model = staralg.StarAlgebraModel(table, dagger, base.unit, {}, b,
+                                     emb.T @ np.linalg.pinv(emb.T))
 
-    def worst(values) -> float:
-        return float(np.abs(values).max(initial=0.0))
-
+    checks = staralg.audit(model, emb, tol)
     report = dict(u_rep)
-    basis = np.eye(b.dim, dtype=complex)
-    stars = model.star(basis)
-    # [p, q] is b_p b_q, and [p, q, r] is (b_p b_q) b_r against b_p (b_q b_r)
-    prods = model.table
-    report["associative"] = worst(model.multiply(prods[:, :, None], basis)
-                                  - model.multiply(basis[:, None, None], prods[None]))
-    report["involutive"] = worst(model.star(stars) - basis)
-    report["anti_multiplicative"] = worst(model.star(prods)
-                                          - model.multiply(stars[None], stars[:, None]))
-    report["unital"] = max(worst(model.multiply(base.unit, basis) - basis),
-                           worst(model.multiply(basis, base.unit) - basis))
-
-    # algebraic-action conditions for the unchanged coaction: the expectation
-    # is positive and faithful for the new structure and satisfies the
-    # boundedness estimate over the fixed algebra
-    gram = model.gram()[:, :, 0, 0]
-    gram = (gram + gram.conj().T) / 2
-    eigs = np.linalg.eigvalsh(gram)
-    report["expectation_gram_min_eig"] = float(eigs.min())
-    # a rank decision, not a residual: it does not move with tol
-    report["expectation_faithful"] = bool(eigs.min() > RANK_TOL * max(1.0, float(eigs.max())))
-
-    rng = np.random.default_rng(seed)
-    xs, avecs, anorms = [], [], []
-    for _ in range(10):
-        xs.append(rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim))
-        acoords = fixed.algebra.coords(
-            fixed.algebra.project(
-                rng.standard_normal((fixed.algebra.n, fixed.algebra.n))
-            )
-        )
-        amat = fixed.embed(acoords)
-        avecs.append(b.coords(amat))
-        anorms.append(b.opnorm(amat))
-    xs = np.array(xs)
-    axs = model.multiply(np.array(avecs), xs)
-
-    def expect(ys):
-        # E(y* y) onto the fixed algebra, as elements of B, one sample at a time
-        return b.from_coords(np.array([proj @ v for v in model.multiply(model.star(ys), ys)]))
-
-    diff = np.array(anorms)[:, None, None] ** 2 * expect(xs) - expect(axs)
-    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2
-    report["expectation_bound_violation"] = max(
-        0.0, float(np.max(-np.linalg.eigvalsh(diff).min(axis=1))))
+    report["associative"] = checks["associativity"]
+    report["involutive"] = checks["involution"]
+    for key in ("anti_multiplicative", "unital", "expectation_gram_min_eig",
+                "expectation_faithful", "expectation_bound_violation", "passed"):
+        report[key] = checks[key]
     report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
-    report["passed"] = bool(
-        max(report["associative"], report["involutive"], report["anti_multiplicative"],
-            report["unital"], report["expectation_bound_violation"]) < AUDIT_FACTOR * tol
-        and report["expectation_faithful"]
-    )
-    return DeformedAlgebra(model, proj, report)
+    return DeformedAlgebra(model, report)
 
 
 def deformation_cross_test(backend: Backend, act: actions.Action, cocycle: Cocycle,

@@ -1,12 +1,12 @@
 """The flat model of a finite-dimensional *-algebra.
 
 An element is a coordinate vector of length dim.  The model is a product
-table, a star matrix, a unit, and a conditional expectation onto a base
+table, a star matrix, a unit, and a conditional expectation E onto a base
 BlockAlgebra; a state is an expectation onto C = BlockAlgebra((1,)).
 Every operation acts on whole stacks (..., dim) of vectors, so audits are
 batched contractions.  Both the algebra rebuilt from functor data
 (qact.reconstruction) and the algebra deformed by a cocycle
-(qact.cocycles) are instances.
+(qact.cocycles) are instances, and `audit` certifies both over the basis.
 
 Pruning rule: the coordinates are grouped into label spans, and every
 span of a product or a star whose entries all lie within PRUNE_TOL is set
@@ -15,11 +15,11 @@ entries all lie within PRUNE_TOL.  This keeps exact zero residuals exactly
 zero.  A model without spans prunes no product or star.
 
 GNS rule (StarAlgebraModel.gns_space): the C*-norm is the norm of left
-multiplication on the Hilbert space induced from the expectation.  That
-space is spanned by the eigenvectors of the Gram matrix of E(x* y) whose
-eigenvalues exceed GNS_CUTOFF times the largest one.  The Hilbert space
-induced by a module's inner product (qact.actions) is built by the same
-step.
+multiplication on the Hilbert space induced from the state tr E, the
+trace of the base algebra after E.  That space is spanned by the
+eigenvectors of the Gram matrix of tr E(x* y) whose eigenvalues exceed
+GNS_CUTOFF times the largest one.  The Hilbert space induced by a
+module's inner product (qact.actions) is built by the same step.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .thresholds import (
     AUDIT_FACTOR,
+    CSTAR_TOL,
     DEFAULT_TOL,
     GNS_CUTOFF,
     GNS_SCALE_GUARD,
     PRUNE_TOL,
     RANK_TOL,
+    RELATIVE_RESIDUAL_GUARD,
 )
 
 # stacked operations work through their inputs in chunks of about this many entries
@@ -53,17 +55,17 @@ class StarAlgebraModel:
 
     table[i, j] is the product of basis elements i and j; the coordinates of
     x* are star_matrix @ conj(x); E(x) has base coordinates expect @ x.  The
-    table is pruned over spans on entry and is read-only, as is the star
-    matrix.
+    spans, if any, tile the coordinates in order.  The table is pruned over
+    spans on entry and is read-only, as is the star matrix.
     """
 
     def __init__(self, table: np.ndarray, star: np.ndarray, unit: np.ndarray,
                  spans: dict[str, slice], base: BlockAlgebra, expect: np.ndarray):
         self.dim = len(unit)
         self.spans = spans
-        self.table = np.array(table, dtype=complex)
-        for span in spans.values():
-            prune_components(self.table[:, :, span])
+        self._starts = np.array([span.start for span in spans.values()], dtype=np.intp)
+        self._sizes = np.diff(self._starts, append=self.dim)
+        self.table = self.prune(table)
         self.table.setflags(write=False)
         self.star_matrix = np.array(star, dtype=complex)
         self.star_matrix.setflags(write=False)
@@ -87,8 +89,9 @@ class StarAlgebraModel:
         """A copy of xs with every span whose entries all lie within
         PRUNE_TOL set to zero."""
         out = np.array(xs, dtype=complex)
-        for span in self.spans.values():
-            prune_components(out[..., span])
+        if self.spans:
+            peaks = np.maximum.reduceat(np.abs(out), self._starts, axis=-1)
+            out[np.repeat(~(peaks > PRUNE_TOL), self._sizes, axis=-1)] = 0.0
         return out
 
     def multiply(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -120,8 +123,8 @@ class StarAlgebraModel:
 
     def operator_norm(self, xs: np.ndarray) -> np.ndarray:
         """C*-norms of a stack of vectors: the norm of left multiplication
-        on the Hilbert space induced from the expectation, a faithful
-        *-representation."""
+        on the Hilbert space induced from the state tr E, a faithful
+        *-representation when E is faithful."""
         ops = self._gns_operators
         xs = np.asarray(xs, dtype=complex)
         shape = xs.shape[:-1]
@@ -165,25 +168,29 @@ class StarAlgebraModel:
         keep = w > GNS_CUTOFF * max(float(w.max()), GNS_SCALE_GUARD)
         return v[:, keep], np.sqrt(w[keep])
 
+    def state_gram(self) -> np.ndarray:
+        """The Gram matrix tr E(b_i* b_j) of the state tr E, made
+        Hermitian."""
+        scal = np.einsum("pquu->pq", self.gram())
+        return (scal + scal.conj().T) / 2
+
     @functools.cached_property
     def _gns_operators(self) -> np.ndarray:
         """The left-regular operators of the basis compressed onto the GNS
-        space of the expectation, ops[i] = V^* (L_i (x) 1) V' with L_i the
-        matrix of y -> b_i y, V the vectors of gns_space(gram()) scaled by
-        their square roots and V' scaled by the inverse square roots.  The
-        norm of x is the largest singular value of sum_i x_i ops[i]."""
-        v, sq = self.gns_space(self.gram())
-        n = self.base.n
-        r = len(sq)
-        left = (v * sq).conj().reshape(self.dim, n, r)
-        right = (v / sq).reshape(self.dim, n, r)
-        ops = np.empty((self.dim, r, r), dtype=complex)
-        step = max(1, CHUNK_ENTRIES // max(1, self.dim * n * r))
+        space of the state tr E, ops[i] = V^* L_i V' with L_i the matrix of
+        y -> b_i y, V the vectors of gns_space of the state's Gram matrix
+        scaled by their square roots and V' scaled by the inverse square
+        roots: the matrix of L(b_i) in an orthonormal basis of that space.
+        The norm of x is the largest singular value of sum_i x_i ops[i]."""
+        v, sq = self.gns_space(self.state_gram()[:, :, None, None])
+        left = (v * sq).conj()
+        right = v / sq
+        ops = np.empty((self.dim, len(sq), len(sq)), dtype=complex)
+        step = max(1, CHUNK_ENTRIES // max(1, self.dim * len(sq)))
         for lo in range(0, self.dim, step):
-            # moved[i, k, u, q] = (L_i (x) 1) V' at row (k, u), column q
+            # moved[i, k, q] = L_i V' at row k, column q
             moved = np.tensordot(self.table[lo:lo + step], right, axes=(1, 0))
-            ops[lo:lo + step] = np.tensordot(
-                moved, left, axes=([1, 2], [0, 1])).transpose(0, 2, 1)
+            ops[lo:lo + step] = np.tensordot(moved, left, axes=(1, 0)).transpose(0, 2, 1)
         return ops
 
     def center_dimension(self) -> int:
@@ -193,6 +200,97 @@ class StarAlgebraModel:
         comm = self.table - self.table.transpose(1, 0, 2)
         s = np.linalg.svd(comm.transpose(1, 2, 0).reshape(-1, self.dim), compute_uv=False)
         return int(self.dim - np.sum(s > RANK_TOL))
+
+
+def audit(model: StarAlgebraModel, units: np.ndarray, tol: float = DEFAULT_TOL) -> dict:
+    """The basis-exact audit of a model, shared by `build` and `deform`.
+
+    units[k] holds the coordinates of the k-th matrix unit of the algebra A
+    over which E is a bimodule map; E fixes A, so the base matrix of a unit
+    is its image under E.  Each residual but the C*-identity is the largest
+    coefficient over the basis b_i of the model, so by linearity it bounds
+    the law on every element:
+    - associativity: (b_p b_q) b_r - b_p (b_q b_r), two tensordots of the
+      table per chunk of p, pruned by spans;
+    - involution b_i** - b_i, anti_multiplicative (b_p b_q)* - b_q* b_p*,
+      and unital 1 b_i - b_i and b_i 1 - b_i;
+    - cstar_identity: the largest |L(b_i*) - L(b_i)^+| / |L(b_i)|
+      (operator norms) on the GNS space of the state tr E.  Then L is a
+      *-representation, faithful when E is, so the GNS norm satisfies
+      |x* x| = |x|^2;
+    - expectation_bimodular: E(u b_i v) - u E(b_i) v over the units u, v;
+    - expectation_bound_violation, the positivity of E, from which the
+      bound E(x* a* a x) <= |a|^2 E(x* x) for a in A follows, with |a| the
+      norm of A, which by the C*-identity is the norm of a in the model:
+      with c = (|a|^2 - a* a)^(1/2) in A, the laws above give
+      |a|^2 E(x* x) - E(x* a* a x) = E((c x)* (c x)), and E(y* y) =
+      sum_ij conj(y_i) y_j E(b_i* b_j) is positive for every y when the
+      scalarized Gram matrix S[(i, u), (j, w)] = E(b_i* b_j)[u, w] is,
+      since xi^* E(y* y) xi = v^* S v for v = y (x) xi.  The value is the
+      most negative eigenvalue of S over the largest, where an eigenvalue
+      within GNS_CUTOFF of zero (the null space of the GNS rule) reads 0;
+    - expectation_gram_min_eig and expectation_faithful: the smallest
+      eigenvalue of the state's Gram matrix tr E(b_i* b_j), a rank
+      decision that does not move with tol.
+    `passed` gates every value."""
+    dim = model.dim
+    table = model.table
+    basis = np.eye(dim, dtype=complex)
+    out: dict = {}
+
+    def worst(values) -> float:
+        return float(np.abs(values).max(initial=0.0))
+
+    step = max(1, CHUNK_ENTRIES // max(1, dim ** 3))
+    assoc = 0.0
+    for lo in range(0, dim, step):
+        # [p, q, r, t]: coordinate t of (b_p b_q) b_r and of b_p (b_q b_r)
+        left = np.tensordot(table[lo:lo + step], table, axes=(2, 0))
+        right = np.tensordot(table, table[lo:lo + step], axes=(2, 1)).transpose(2, 0, 1, 3)
+        assoc = max(assoc, worst(model.prune(left - right)))
+    out["associativity"] = assoc
+    stars = model.star(basis)
+    out["involution"] = worst(model.prune(model.star(stars) - basis))
+    # [q, p]: b_q* b_p*
+    star_products = np.tensordot(np.tensordot(stars, table, axes=(1, 0)), stars, axes=(1, 1))
+    out["anti_multiplicative"] = worst(model.prune(
+        model.star(table) - model.prune(star_products.transpose(2, 0, 1))))
+    out["unital"] = max(worst(model.multiply(model.unit, basis) - basis),
+                        worst(model.multiply(basis, model.unit) - basis))
+
+    ops = model._gns_operators
+    if ops.size:
+        adjoint_gap = np.linalg.norm(np.tensordot(stars, ops, axes=(1, 0))
+                                     - ops.conj().transpose(0, 2, 1), 2, axis=(1, 2))
+        norms = np.linalg.norm(ops, 2, axis=(1, 2))
+        out["cstar_identity"] = float(
+            (adjoint_gap / np.maximum(norms, RELATIVE_RESIDUAL_GUARD)).max())
+    else:
+        out["cstar_identity"] = 0.0
+
+    # [k, i, l]: E(u_k b_i u_l) against u_k E(b_i) u_l
+    ua = model.expectation(units)
+    lhs = model.expectation(model.multiply(model.multiply(units[:, None, None], basis[:, None]),
+                                           units[None, None]))
+    rhs = ua[:, None, None] @ model.expectation(basis)[:, None] @ ua[None, None]
+    out["expectation_bimodular"] = worst(lhs - rhs)
+
+    gram = model.gram()
+    n = model.base.n
+    s = np.transpose(gram, (0, 2, 1, 3)).reshape(dim * n, dim * n)
+    w = np.linalg.eigvalsh((s + s.conj().T) / 2)
+    scale = max(float(w.max()), GNS_SCALE_GUARD)
+    out["expectation_bound_violation"] = (
+        float(-w.min() / scale) if w.min() < -GNS_CUTOFF * scale else 0.0)
+    eigs = np.linalg.eigvalsh(model.state_gram())
+    out["expectation_gram_min_eig"] = float(eigs.min())
+    out["expectation_faithful"] = bool(eigs.min() > RANK_TOL * max(1.0, float(eigs.max())))
+    out["passed"] = bool(
+        max(out["associativity"], out["involution"], out["anti_multiplicative"],
+            out["unital"], out["expectation_bimodular"],
+            out["expectation_bound_violation"]) < AUDIT_FACTOR * tol
+        and out["cstar_identity"] < CSTAR_TOL and out["expectation_faithful"])
+    return out
 
 
 def verify_algebra_iso(src: StarAlgebraModel, dst: StarAlgebraModel,

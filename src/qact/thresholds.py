@@ -33,7 +33,8 @@ round-tripped algebra, whose residuals pass through solves, norms and many
 products: a check passes when its residual is below 1e4 * tol.  Moves with
 `--tolerance`.  It gates `roundtrip_check`, the lower bound of
 `fullness_check`, `verify_natural_iso`, `check_cocycle`, `twist_element`,
-the deform audit and cross test, `build_report` and `verify_algebra_iso`."""
+`staralg.audit` (of `build` and `deform`), the word projection of
+`build_report`, the deform cross test and `verify_algebra_iso`."""
 
 # -- rank and invertibility decisions (fixed) -----------------------------------
 
@@ -47,7 +48,7 @@ maps of `verify_natural_iso` and `verify_algebra_iso`, the surjectivity
 of the multiplication maps in `validate_graded` and
 `StarAlgebraModel.center_dimension`.  As a relative floor, times
 max(1, largest eigenvalue), it decides `expectation_faithful` of
-`build_report` and of the deform audit."""
+`staralg.audit`."""
 
 RELATIVE_RANK_TOL = 1e-10
 """1e-10, relative: a singular value or Gram eigenvalue above 1e-10 times
@@ -58,7 +59,9 @@ in `column_span` and the `nondegenerate` flag of
 GNS_CUTOFF = 1e-12
 """1e-12, relative to the largest eigenvalue (floored at GNS_SCALE_GUARD):
 the eigenvectors of the Gram matrix kept by the GNS step of
-`StarAlgebraModel.gns_space`.  Fixed."""
+`StarAlgebraModel.gns_space`, and the band around zero in which
+`staralg.audit` reads an eigenvalue of the expectation's Gram matrix as
+zero when it certifies positivity.  Fixed."""
 
 NULL_VECTOR_FLOOR = 1e-14
 """1e-14, absolute: `_outside_span` drops vectors whose Euclidean norm is
@@ -113,9 +116,9 @@ ISOMETRY_TOL = 1e-6
 the isometry residual of x -> Y <Y,Y>^{-1/2} x is below it.  Fixed."""
 
 CSTAR_TOL = 1e-8
-"""1e-8, on a residual relative to |x|^2: `build_report` passes the
-C*-identity |x* x| = |x|^2 when the largest relative residual is below
-it.  Fixed."""
+"""1e-8, relative to |L(b)|: `staralg.audit` passes the C*-identity,
+L(b*) = L(b)^+ on the GNS space for every basis element b, when the
+largest relative residual is below it.  Fixed."""
 
 # -- cocycles and backend tables (fixed) ----------------------------------------
 
@@ -137,8 +140,9 @@ character, and the rho of a backend file against the identity.  Fixed."""
 # -- division guards ------------------------------------------------------------
 
 RELATIVE_RESIDUAL_GUARD = 1e-30
-"""1e-30, absolute: the relative residuals of `build_report` divide by the
-norms of the sampled elements, each raised to at least this.  Fixed."""
+"""1e-30, absolute: the relative C*-identity residual of `staralg.audit`
+divides by the norm of each basis element's GNS operator, raised to at
+least this.  Fixed."""
 
 GNS_SCALE_GUARD = 1e-300
 """1e-300, absolute: the largest Gram eigenvalue that scales GNS_CUTOFF is

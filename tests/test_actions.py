@@ -1080,6 +1080,20 @@ def reference_matrix_units(comp_basis, p, d, mult, rng):
     raise blockdecomp.DecompositionError("failed to build matrix units for a summand")
 
 
+def reference_unit_relations_residual(units, p, d) -> float:
+    """_unit_relations_residual with one product e_ij e_kl at a time."""
+    worst = float(np.linalg.norm(sum(units[i][i] for i in range(d)) - p))
+    for i in range(d):
+        for j in range(d):
+            worst = max(worst, float(np.linalg.norm(units[i][j].conj().T - units[j][i])))
+            for k in range(d):
+                for l in range(d):
+                    prod = units[i][j] @ units[k][l]
+                    expect = units[i][l] if j == k else np.zeros_like(prod)
+                    worst = max(worst, float(np.linalg.norm(prod - expect)))
+    return worst
+
+
 @pytest.fixture(scope="module")
 def corpus_decompositions(backends, corpus):
     """(case, spanning set, n) of every decomposition asked for by the
@@ -1227,8 +1241,16 @@ def test_block_algebras_that_one_center_element_cannot_split(blocks, mults, conj
     dec = blockdecomp.decompose_star_algebra(basis, n)
     assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == sorted(zip(blocks, mults))
     summands, k = gauge_free(dec), 0
+    rng = np.random.default_rng(len(blocks))
     for d, _, z in summands:
         units = [[dec.unit_images[k + i * d + j] for j in range(d)] for i in range(d)]
         assert blockdecomp._unit_relations_residual(units, z, d) < UNIT_RELATIONS_TOL
+        # the batched residual against the loop, on these units and on units
+        # moved by noise of 1e-3
+        moved = [[e + 1e-3 * rng.standard_normal(e.shape) for e in row] for row in units]
+        for es in (units, moved):
+            want = reference_unit_relations_residual(es, z, d)
+            got = blockdecomp._unit_relations_residual(es, z, d)
+            assert abs(got - want) <= 1e-12 * max(1, want)
         k += d * d
     np.testing.assert_allclose(sum(z for _, _, z in summands), np.eye(n), atol=1e-12)

@@ -996,24 +996,26 @@ print(json.dumps([code, "numpy.random" in sys.modules]))
 """
 
 
-def test_only_verbs_that_draw_import_numpy_random(tmp_path):
-    # the block decomposition draws nothing, so the four action verbs never
-    # load numpy.random, on an ergodic action (S3 translation) or on fixed
-    # algebras of dimension 2 (inner_m2) and 3 (m3_clock_shift); build draws
-    # its audit samples
+def test_no_verb_imports_numpy_random(tmp_path):
+    # nothing in qact draws: the block decomposition and the audits of build
+    # and deform are exact over the basis, so no verb loads numpy.random, on
+    # an ergodic action (S3 translation), on fixed algebras of dimension 2
+    # (inner_m2) and 3 (m3_clock_shift), or on both deform inputs
     s3 = ("--backend", "backends/s3.json", "--input", "actions/s3_translation.json")
     inner = ("--backend", "backends/z2.json", "--input", "actions/inner_m2.json")
     clock = ("--backend", "backends/dual_z3.json", "--input", "actions/m3_clock_shift.json")
-    runs = {
-        ("spectral", *s3): False,
-        ("roundtrip", *s3): False,
-        ("module-functor", *s3): False,
-        ("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"):
-            True,
-        ("spectral", *inner): False,
-        **{(verb, *args): False for verb in ("roundtrip", "module-functor", "fullness")
-           for args in (inner, clock)},
-    }
+    runs = [
+        ("spectral", *s3),
+        ("roundtrip", *s3),
+        ("module-functor", *s3),
+        ("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"),
+        ("spectral", *inner),
+        *((verb, *args) for verb in ("roundtrip", "module-functor", "fullness")
+          for args in (inner, clock)),
+        record_golden.FIXTURE_RUNS[-2],
+        record_golden.DEFORM_GROUP_RUN,
+    ]
+    assert runs[-2][0] == "deform"
     procs = {}
     for k, argv in enumerate(runs):
         args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
@@ -1023,7 +1025,7 @@ def test_only_verbs_that_draw_import_numpy_random(tmp_path):
     for argv, proc in procs.items():
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
-        assert json.loads(out) == [0, runs[argv]], argv
+        assert json.loads(out) == [0, False], argv
 
 
 def test_unexpected_exception_is_exit_three(monkeypatch, tmp_path):

@@ -454,11 +454,11 @@ def test_deformed_cstar_identity_and_expectation(backends, z2z2_grading):
     e_label = act.group.elements[act.group.identity]
     unit_row = act.component_rows(e_label)[0]
     np.testing.assert_allclose(
-        deformed.expectation_matrix @ unit_row, unit_row, atol=1e-12
+        deformed.model.expect @ unit_row, unit_row, atol=1e-12
     )
     other = act.component_rows(act.group.elements[1])[0]
     np.testing.assert_allclose(
-        deformed.expectation_matrix @ other, 0, atol=1e-12
+        deformed.model.expect @ other, 0, atol=1e-12
     )
 
 
@@ -472,8 +472,9 @@ def reference_deform_audit(backend, act, cocycle, deformed, tol=TOL, seed=0):
 
     model = deformed.model
     b = act.algebra
-    proj = deformed.expectation_matrix
-    trace_vec = model.expect[0]
+    proj = model.expect
+    # the state: the trace of B after the expectation
+    trace_vec = np.trace(b.from_coords(proj.T), axis1=1, axis2=2)
 
     def multiply(x, y):
         return np.einsum("pqr,p,q->r", model.table, x, y)
@@ -630,6 +631,27 @@ def test_contraction_audits_match_per_basis_loops(backends, which):
                        reference_algebra_iso(rebuilt, deformed.model, phi))
     for model in (rebuilt, deformed.model):
         assert model.center_dimension() == reference_center_dimension(model)
+
+
+@pytest.mark.parametrize("which", ["bicharacter", "group_bicharacter", "trivial",
+                                   "m3_coboundary", "broken"])
+def test_exact_deform_audit_gives_the_sampled_verdicts(backends, which):
+    # both deform inputs of the corpus, the trivial cocycle and the M_3
+    # coboundary pass both audits at the default tolerance, 1e-6 and 1e-12;
+    # a bicharacter whose values are moved by phases of size 0.3 is no
+    # cocycle, and both audits fail its non-associative deformation
+    if which == "broken":
+        bk, act, om = _audit_pair("bicharacter")
+        phases = np.exp(0.3j * np.random.default_rng(9).standard_normal(om.values.shape))
+        om = make_cocycle(om.kind, om.group, om.values * phases)
+    else:
+        bk, act, om = _audit_pair(which)
+    for tol in (TOL, 1e-6, 1e-12):
+        deformed = deform_action(backends[bk], act, om, tol=tol)
+        want = reference_deform_audit(backends[bk], act, om, deformed, tol=tol)
+        for key in ("passed", "expectation_faithful"):
+            assert deformed.report[key] == want[key], (tol, key)
+        assert deformed.report["passed"] == (which != "broken")
 
 
 def test_cross_test_builds_one_functor_and_one_algebra(monkeypatch, tmp_path):

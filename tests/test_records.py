@@ -1,10 +1,13 @@
-"""Records are plain classes, and only the process entry touches the collector.
+"""Records are plain classes, only the process entry touches the collector,
+and nothing draws random numbers.
 
 The record classes of qact write their `__init__` out instead of having
 `dataclasses` generate and exec it when a layer is imported, so no module
 of qact may import `dataclasses` or call `exec` or `eval`.  The process
-entry, `qact/__main__.py`, is the one module that calls into `gc`.  The
-five read-only records refuse assignment and deletion, and still cache
+entry, `qact/__main__.py`, is the one module that calls into `gc`.  No
+module imports `numpy.random` or calls `default_rng`: every check is exact
+over a basis, and a verb that loaded `numpy.random` would pay its import.
+The five read-only records refuse assignment and deletion, and still cache
 their cached properties.
 """
 
@@ -52,6 +55,23 @@ def test_no_module_imports_dataclasses_or_runs_generated_code():
     found = [(name, hit) for name, tree in _modules().items()
              for hit in sorted((_imports(tree) & {"dataclasses"})
                                | (_called_names(tree) & {"exec", "eval", "compile"}))]
+    assert found == []
+
+
+def test_no_module_imports_numpy_random_or_calls_default_rng():
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(name, a.name) for a in node.names if a.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("numpy.random") or (
+                        node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                    found.append((name, node.module))
+            elif isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng"):
+                found.append((name, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "default_rng":
+                found.append((name, node.id))
     assert found == []
 
 

@@ -11,7 +11,9 @@ runs every job R times as `python -m qact <verb> ... --seed N`, in the
 environment of `perfbench/harness.child_env`, reaps each child with
 `wait4` and prints the median of its `ru_maxrss` (KiB) and of its wall
 time (ms).  With two trees it alternates them job by job, the first tree
-going first on even jobs.
+going first on even jobs.  One more run of each job, through
+`qact.__main__.run` in a `python -c` child, tells whether the job loads
+`numpy.random` (column `np.random`).
 
 This process never imports numpy.  A child forked from a parent inherits
 the parent's resident size as the floor of its `ru_maxrss`, so the
@@ -22,7 +24,7 @@ process's size (about 10 MiB).
 
 The last line of standard output is one JSON object: per tree, each
 workload's generation peak and each job's median `maxrss_kb` and
-`wall_ms`.
+`wall_ms`, and whether it loads `numpy.random` (`numpy_random`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ print(json.dumps({"jobs": jobs,
                   "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+LOADS_RANDOM = """
+import json, sys
+from qact.__main__ import run
+run()
+print(json.dumps("numpy.random" in sys.modules))
+"""
+
 
 def generate(tree: pathlib.Path, workload: str, seed: int, out: pathlib.Path) -> dict:
     """One workload's job list, with its inputs written under out, and the
@@ -63,6 +72,14 @@ def generate(tree: pathlib.Path, workload: str, seed: int, out: pathlib.Path) ->
     proc = subprocess.run(
         [sys.executable, "-c", GENERATE, str(tree), workload, str(seed), str(out)],
         env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def loads_numpy_random(tree: pathlib.Path, argv: list[str]) -> bool:
+    """Whether one job, run through the process entry, loads numpy.random."""
+    proc = subprocess.run([sys.executable, "-c", LOADS_RANDOM, *argv],
+                          env=harness.child_env(str(tree / "src")),
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -103,16 +120,20 @@ def main(argv: list[str]) -> int:
                                          f"{out.stderr_tail}")
                     samples[k][job_id][0].append(out.maxrss_kb)
                     samples[k][job_id][1].append(out.wall_s * 1e3)
+        random = [{job_id: loads_numpy_random(tree, [*jobs[k][job_id], "--seed",
+                                                     str(args.seed), "--report", report])
+                   for job_id in ids} for k, tree in enumerate(trees)]
     finally:
         shutil.rmtree(tmp)
     if "numpy" in sys.modules:
         raise SystemExit("numpy was imported by the parent; its peaks would be floors")
 
     result = {}
-    for tree, gen, got in zip(trees, generated, samples):
+    for tree, gen, got, loads in zip(trees, generated, samples, random):
         result[str(tree)] = {
             "generation_maxrss_kb": {w: gen[w]["maxrss_kb"] for w in WORKLOADS},
             "jobs": {job_id: {"maxrss_kb": statistics.median(rss),
+                              "numpy_random": loads[job_id],
                               "wall_ms": round(statistics.median(wall), 1)}
                      for job_id, (rss, wall) in got.items()},
         }
@@ -122,11 +143,13 @@ def main(argv: list[str]) -> int:
     for k, tree in enumerate(trees):
         peaks = ", ".join(f"{w} {generated[k][w]['maxrss_kb']:,} KiB" for w in WORKLOADS)
         print(f"tree {'AB'[k]}: {tree}  (input generation peak: {peaks})")
-    head = "".join(f"  {'AB'[k]} maxrss  {'AB'[k]} wall" for k in range(len(trees)))
+    head = "".join(f"  {'AB'[k]} maxrss  {'AB'[k]} wall  {'AB'[k]} np.random"
+                   for k in range(len(trees)))
     print(f"{'job':56s}{head}" + ("  B-A maxrss" if len(trees) == 2 else ""))
     for job_id in ids:
         rows = [c["jobs"][job_id] for c in columns]
-        cells = "".join(f"  {r['maxrss_kb']:8,.0f}  {r['wall_ms']:6.0f}" for r in rows)
+        cells = "".join(f"  {r['maxrss_kb']:8,.0f}  {r['wall_ms']:6.0f}  {r['numpy_random']!s:>11}"
+                        for r in rows)
         if len(rows) == 2:
             cells += f"  {rows[1]['maxrss_kb'] - rows[0]['maxrss_kb']:+10,.0f}"
         print(f"{job_id:56s}{cells}")
