@@ -266,7 +266,8 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
     the *-algebra laws over the whole basis, and the algebraic-action
     conditions of the expectation, its faithfulness and the bound over F
     derived from its positivity.  The audit's C*-identity and bimodularity,
-    which the section has no keys for, are gated in `passed`."""
+    which the section has no keys for, are gated in `passed`, and so is the
+    companion element's verdict, whose report the section starts from."""
     _check_cocycle_backend(backend, cocycle)
     _require_matching(act, cocycle)
     b = act.algebra
@@ -299,8 +300,9 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
     report["associative"] = checks["associativity"]
     report["involutive"] = checks["involution"]
     for key in ("anti_multiplicative", "unital", "expectation_gram_min_eig",
-                "expectation_faithful", "expectation_bound_violation", "passed"):
+                "expectation_faithful", "expectation_bound_violation"):
         report[key] = checks[key]
+    report["passed"] = u_rep["passed"] and checks["passed"]
     report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
     return DeformedAlgebra(model, report)
 

@@ -13,10 +13,9 @@ component alpha, an array of shape (irrep dim, module dim), sits
 row-major at offsets[alpha], and each component is one span of the
 model's pruning rule.  Products, stars, the expectation and norms are the
 model's; ReconstructedAlgebra adds what only the functor data knows: the
-layout of the labels, the coaction, and the projection of tensor words.
-build_report certifies the model with staralg.audit, exact over the
-basis, and the word projection over every pair of basis elements; it
-draws nothing.
+layout of the labels and the coaction.  The product of two basis elements
+is formed once, in the multiplication table; build_report certifies the
+model with staralg.audit, exact over the basis, and draws nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .functors import Realization, TensorFunctorData, ValidationReport, validate_functor
 from .staralg import StarAlgebraModel, audit
-from .thresholds import AUDIT_FACTOR, DEFAULT_TOL
+from .thresholds import DEFAULT_TOL
 
 
 class BuildError(ValueError):
@@ -39,8 +38,7 @@ class BuildError(ValueError):
 
 class ReconstructedAlgebra:
     """The graded *-algebra of a functor: the flat model alg.model plus the
-    label layout (labels, shapes, offsets, spans), the coaction and the
-    projection of tensor words onto the algebra.
+    label layout (labels, shapes, offsets, spans) and the coaction.
 
     With `validate`, the functor is validated on the build's own
     Realization, so the word objects and F_2 of the validation serve the
@@ -146,32 +144,6 @@ class ReconstructedAlgebra:
         """A base-algebra element as a flat vector on the trivial component."""
         return self.component(self.backend.trivial_label, self.algebra.coords(mat))
 
-    def project_word(self, atoms, arr: np.ndarray) -> np.ndarray:
-        """Project elements of (conjugate word space) (x) F(word), a stack
-        (..., word rep dim, word dim), onto the algebra, as flat vectors;
-        independent of the decomposition used."""
-        obj = self.real.object(tuple(atoms))
-        arr = np.asarray(arr, dtype=complex)
-        arr = arr.reshape(*arr.shape[:-2], obj.rep.dim, obj.dim)
-        vec = np.zeros((*arr.shape[:-2], self.dim), dtype=complex)
-        for k, (gamma, wk) in enumerate(obj.components):
-            if gamma in self.shapes:
-                part = wk.T @ arr[..., obj.slot(k)]
-                vec[..., self.spans[gamma]] += part.reshape(*part.shape[:-2], -1)
-        return self.model.prune(vec)
-
-    def free_product_word(self, a: str, xa: np.ndarray, b: str, yb: np.ndarray):
-        """The elementary products of two broadcastable stacks of components
-        before projection: the pair (word, coefficient arrays) in
-        (conjugate space) (x) F(word)."""
-        oa = self.real.atom_object(a)
-        ob = self.real.atom_object(b)
-        f2 = self.real.f2_tensor(oa, ob)
-        arr = np.einsum("...ip,...jq,tpq->...ijt", xa, yb, f2)
-        atoms = oa.atoms + ob.atoms
-        word = self.real.object(atoms)
-        return atoms, arr.reshape(*arr.shape[:-3], word.rep.dim, word.dim)
-
     # -- reporting -------------------------------------------------------------
 
     def component_dims(self) -> dict[str, list[int]]:
@@ -185,11 +157,7 @@ def build_algebra(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
 
 def build_report(alg: ReconstructedAlgebra) -> dict:
     """The build section of the build report: the model's multiplication
-    table, staralg.audit of the model over the matrix units of A, and the
-    homomorphism property of the word projection over every pair of labels
-    and their component bases, one stack per pair: the projection of the
-    free product of two basis elements against their product in the model,
-    whose largest C*-norm is word_projection_homomorphism.  The
+    table and staralg.audit of the model over the matrix units of A.  The
     audit's unital residual, which the section has no key for, is gated
     in `passed`."""
     model = alg.model
@@ -200,19 +168,6 @@ def build_report(alg: ReconstructedAlgebra) -> dict:
         "multiplication_table": model.table,
     }
     checks = audit(model, model.expect, alg.tol)
-    passed = checks.pop("passed")
     checks.pop("unital")
     rep.update(checks)
-
-    # [i, j]: the projected free product of basis elements i and j
-    words = np.zeros_like(model.table)
-    units = {label: np.eye(d * m).reshape(-1, d, m) for label, (d, m) in alg.shapes.items()}
-    for a in alg.labels:
-        for b in alg.labels:
-            atoms, arr = alg.free_product_word(a, units[a][:, None], b, units[b][None])
-            words[alg.spans[a], alg.spans[b]] = alg.project_word(atoms, arr)
-    diff = model.prune(words - model.table).reshape(-1, alg.dim)
-    worst_pi = float(model.operator_norm(diff[diff.any(axis=-1)]).max(initial=0.0))
-    rep["word_projection_homomorphism"] = worst_pi
-    rep["passed"] = bool(passed and worst_pi < AUDIT_FACTOR * alg.tol)
     return rep

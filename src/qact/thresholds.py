@@ -33,8 +33,8 @@ round-tripped algebra, whose residuals pass through solves, norms and many
 products: a check passes when its residual is below 1e4 * tol.  Moves with
 `--tolerance`.  It gates `roundtrip_check`, the lower bound of
 `fullness_check`, `verify_natural_iso`, `check_cocycle`, `twist_element`,
-`staralg.audit` (of `build` and `deform`), the word projection of
-`build_report`, the deform cross test and `verify_algebra_iso`."""
+`staralg.audit` (of `build` and `deform`), the deform cross test and
+`verify_algebra_iso`."""
 
 # -- rank and invertibility decisions (fixed) -----------------------------------
 

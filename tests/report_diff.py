@@ -33,7 +33,10 @@ names every run whose report differs with its own largest float
 difference, and lists the violations of the rule of
 `record_golden.check`: a run missing on one side, a changed exit code,
 key or non-float value, a float that moved by more than 1e-12, or a
-residual recorded as exactly 0.0 that moved.  Entries of encoded matrices
+residual recorded as exactly 0.0 that moved.  A key present in the
+reports of one side only is listed once, first, with its side, its path
+and the number of runs that have it, so a key that a change adds or
+removes reads as one violation, not one per run.  Entries of encoded matrices
 and lists are held to the 1e-12 bound, not to the zero rule, as
 `record_golden.summarize` leaves them out.  It exits 1 on any violation.
 
@@ -67,6 +70,7 @@ import pathlib
 import shutil
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FLOAT_TOL = 1e-12
@@ -209,20 +213,27 @@ def unreached(runs: list[list[str]], inputs: pathlib.Path) -> list[str]:
 class Diff:
     """The violations and the largest float difference of two reports, and
     of two run files the runs whose reports differ, each with its largest
-    float difference."""
+    float difference.  A key present on one side only is kept apart, in
+    `one_sided`: by side ("A" or "B") and key path, the number of runs it
+    is found in.  compare adds one violation per such key, not per run."""
 
     def __init__(self):
         self.violations: list[str] = []
         self.largest = 0.0
         self.differing: list[tuple[str, float]] = []
+        self.one_sided: Counter[tuple[str, str]] = Counter()
 
     def walk(self, old, new, path: str, in_array: bool = False) -> None:
         if isinstance(old, dict):
-            if not isinstance(new, dict) or sorted(old) != sorted(new):
+            if not isinstance(new, dict):
                 self.violations.append(f"{path}: keys changed")
                 return
+            for side, keys in (("A", old.keys() - new.keys()), ("B", new.keys() - old.keys())):
+                for key in sorted(keys):
+                    self.one_sided[side, f"{path}/{key}"] += 1
             for key in old:
-                self.walk(old[key], new[key], f"{path}/{key}", in_array)
+                if key in new:
+                    self.walk(old[key], new[key], f"{path}/{key}", in_array)
         elif isinstance(old, list):
             if not isinstance(new, list) or len(old) != len(new):
                 self.violations.append(f"{path}: list changed")
@@ -246,8 +257,10 @@ class Diff:
 
 def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
     """The number of byte-identical reports of two run files, and their
-    Diff: the violations (each prefixed by its run), the largest float
-    difference and the runs whose reports differ."""
+    Diff: the violations, the largest float difference and the runs whose
+    reports differ.  The violations start with one line per key found on
+    one side only, with its path and its number of runs; each other
+    violation is prefixed by its run."""
     same = 0
     diff = Diff()
     for key in sorted(set(a) | set(b)):
@@ -263,8 +276,11 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> tuple[int, Diff]:
         run = Diff()
         run.walk(json.loads(old["report"]), json.loads(new["report"]), "")
         diff.violations += [f"{key}: {v}" for v in run.violations]
+        diff.one_sided.update(run.one_sided)
         diff.largest = max(diff.largest, run.largest)
         diff.differing.append((key, run.largest))
+    diff.violations[:0] = [f"key only in {side}: {path} ({count} runs)"
+                           for (side, path), count in sorted(diff.one_sided.items())]
     return same, diff
 
 

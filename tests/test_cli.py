@@ -144,9 +144,12 @@ def test_a_backend_whose_rho_is_not_the_identity_is_an_input_error(tmp_path):
 
 
 def test_a_looser_tolerance_passes_every_run_the_default_passes(tmp_path):
-    # --tolerance only loosens: no fixture run, and no run of
-    # test_action_verbs_on_whole_corpus, that exits 0 at the default fails
+    # --tolerance only loosens: no fixture run, no run of
+    # test_action_verbs_on_whole_corpus and no job of either benchmark
+    # workload (inputs written at seed 1) that exits 0 at the default fails
     # at a larger tolerance
+    import report_diff
+
     report = tmp_path / "r.json"
 
     def code(argv, *extra):
@@ -156,6 +159,11 @@ def test_a_looser_tolerance_passes_every_run_the_default_passes(tmp_path):
             for args in [*record_golden.FIXTURE_RUNS, record_golden.DEFORM_GROUP_RUN]]
     runs += [corpus_argv(verb, name)
              for name in sorted(action_corpus()) for verb in record_golden.ACTION_VERBS]
+    workloads = report_diff._workloads()
+    jobs = [[*job.argv, "--seed", "1"] for workload in workloads.WORKLOADS
+            for job in workloads.build_jobs(workload, 1, tmp_path / workload)]
+    assert len(jobs) == 31
+    runs += jobs
     passing = [argv for argv in runs if code(argv) == 0]
     assert passing == runs
     for argv in passing:
@@ -703,6 +711,30 @@ def test_deform_with_a_failing_cocycle_exits_one(tmp_path):
     assert data["cocycle"]["passed"] is False and "deformed" not in data
 
 
+def test_deform_with_a_failing_companion_element_exits_one(tmp_path, monkeypatch):
+    # a companion element that fails u S(u*) = 1 fails the deformed section,
+    # though the deformed algebra's own audit passes
+    from qact import cocycles
+
+    twist = cocycles.twist_element
+
+    def failing(*args, **kwargs):
+        u, rep = twist(*args, **kwargs)
+        return u, {**rep, "inverse_identity": 1.0, "passed": False}
+
+    monkeypatch.setattr(cocycles, "twist_element", failing)
+    report = tmp_path / "r.json"
+    code = cli.main(["deform", "--backend", str(FIXTURES / "backends/dual_z2z2.json"),
+                     "--input", str(FIXTURES / "actions/z2z2_group_algebra.json"),
+                     "--input", str(FIXTURES / "cocycles/bicharacter_z2z2.json"),
+                     "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 1
+    assert data["cocycle"]["passed"] is True
+    assert data["deformed"]["inverse_identity"] == 1.0
+    assert data["deformed"]["passed"] is False
+
+
 def grading_of_c2(rows):
     """The Z3 "grading" of C^2 whose component of element k holds the rows
     rows[k], which need not be an action of the dual Z3 backend."""
@@ -855,22 +887,6 @@ def test_main_leaves_the_collector_as_it_was(tmp_path):
             assert gc.isenabled() == state and gc.get_freeze_count() == frozen
     finally:
         gc.enable() if enabled else gc.disable()
-
-
-def test_project_word_unknown_label_is_error():
-    import numpy as np
-    import pytest as _pytest
-
-    from qact.fixtures import standard_backends, action_corpus
-    from qact.actions import spectral_functor
-    from qact.reconstruction import build_algebra
-    from qact.repcat import BackendError
-
-    backends = standard_backends()
-    bk, act = action_corpus()["swap_c2"]
-    alg = build_algebra(spectral_functor(backends[bk], act).functor, validate=False)
-    with _pytest.raises(BackendError):
-        alg.project_word((("nope", False),), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("args", [

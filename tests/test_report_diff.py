@@ -68,6 +68,25 @@ def test_a_tree_matches_itself_and_a_moved_float_is_flagged(tmp_path, capsys):
     assert "runs exiting 0/1/2/3: 3/0/0/0 -> 2/0/1/0\n" in capsys.readouterr().out
 
 
+def test_a_key_on_one_side_only_is_one_violation_for_all_its_runs(tmp_path, capsys):
+    # a key that a change removes from every report of a verb, and one it
+    # adds to one report, read as one violation each, with their run counts
+    runs = {f"run {k}": {"exit": 0, "report": json.dumps({"s": {"old": 0.0, "r": 1.0}})}
+            for k in range(3)}
+    changed = {key: {"exit": 0, "report": json.dumps({"s": {"r": 1.0}})} for key in runs}
+    changed["run 0"]["report"] = json.dumps({"s": {"r": 1.0, "new": {"x": 0.0}}})
+    same, diff = report_diff.compare(runs, changed)
+    assert same == 0 and diff.largest == 0.0
+    assert diff.violations == ["key only in A: /s/old (3 runs)",
+                               "key only in B: /s/new (1 runs)"]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, data in zip(paths, (runs, changed)):
+        path.write_text(json.dumps(data))
+    assert report_diff.main(["compare", *map(str, paths)]) == 1
+    out = capsys.readouterr().out
+    assert "; 2 violations\n" in out and "  key only in A: /s/old (3 runs)\n" in out
+
+
 def test_run_appends_extra_arguments_to_every_run(tmp_path):
     # a tol replaced by the default constant shows only at another tolerance
     inputs = tmp_path / "inputs"
