@@ -455,19 +455,22 @@ def roundtrip_check(backend: Backend, act: Action, tol: float = DEFAULT_TOL) -> 
     *-isomorphism (staralg.verify_algebra_iso), equivariant, and the
     identity on the fixed subalgebra.
 
-    Returns the certificate section of the roundtrip report: `passed`,
-    `residuals`, `dims` (of the algebra and of the rebuilt one) and
-    `isomorphism`, the canonical map as a coordinate matrix."""
+    Returns {"validation": the failed section} when the spectral functor
+    fails validation, else {"certificate": ...}: `passed`, `residuals`,
+    `dims` (of the algebra and of the rebuilt one) and `isomorphism`, the
+    canonical map as a coordinate matrix."""
     from .reconstruction import build_algebra
 
     spec = spectral_functor(backend, act)
-    alg = build_algebra(spec.functor, tol=tol)
+    validation, alg = build_algebra(spec.functor, tol=tol)
+    if alg is None:
+        return {"validation": validation}
     b = act.algebra
 
     if alg.dim != b.dim:
-        return {"passed": False,
-                "residuals": {"dimension_mismatch": float(abs(alg.dim - b.dim))},
-                "dims": [b.dim, alg.dim], "isomorphism": np.zeros((b.dim, 0))}
+        return {"certificate": {
+            "passed": False, "residuals": {"dimension_mismatch": float(abs(alg.dim - b.dim))},
+            "dims": [b.dim, alg.dim], "isomorphism": np.zeros((b.dim, 0))}}
 
     phi = canonical_map(spec, alg)
     iso = staralg.verify_algebra_iso(alg.model, staralg.StarAlgebraModel.of_block_algebra(b),
@@ -495,8 +498,8 @@ def roundtrip_check(backend: Backend, act: Action, tol: float = DEFAULT_TOL) -> 
     residuals["equivariance"] = worst_eq
 
     passed = bool(iso["passed"] and max(worst_fixed, worst_eq) < AUDIT_FACTOR * tol)
-    return {"passed": passed, "residuals": residuals, "dims": [b.dim, alg.dim],
-            "isomorphism": phi}
+    return {"certificate": {"passed": passed, "residuals": residuals, "dims": [b.dim, alg.dim],
+                            "isomorphism": phi}}
 
 
 # -- equivariant modules ------------------------------------------------------
@@ -853,14 +856,13 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     return functor, bases
 
 
-def functor_roundtrip_check(functor: functors.TensorFunctorData, tol: float = DEFAULT_TOL):
-    """Certify the functor-side round trip: the spectral data of the rebuilt
-    algebra is naturally unitarily isomorphic to the input, through the
-    canonical map sending X to the invariant vector with components
-    (basis vector i) (x) (conjugate basis vector i) (x) X."""
-    from .reconstruction import build_algebra
-
-    alg = build_algebra(functor, tol=tol)
+def functor_roundtrip_check(alg: ReconstructedAlgebra, tol: float = DEFAULT_TOL):
+    """Certify the functor-side round trip of an algebra rebuilt from
+    functor data: its spectral data is naturally unitarily isomorphic to
+    that functor data, alg.functor, through the canonical map sending X to
+    the invariant vector with components (basis vector i) (x) (conjugate
+    basis vector i) (x) X."""
+    functor = alg.functor
     functor2, bases2 = algebra_spectral_functor(alg)
     maps: dict[str, np.ndarray] = {}
     for label in functor.backend.labels:

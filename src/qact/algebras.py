@@ -16,7 +16,7 @@ from .errors import AlgebraError
 from .records import ReadOnly
 from .thresholds import DEFAULT_TOL, RELATIVE_RANK_TOL
 
-# complex right-hand-side entries per stacked product of adjoints_by_shape,
+# complex right-hand-side entries per stacked product of adjoints_of,
 # and complex entries per stack of the largest arrays of
 # validate_correspondences: past these sizes a larger stack runs slower, or
 # holds more memory than it saves time
@@ -94,9 +94,6 @@ class BlockAlgebra(ReadOnly):
 
     def identity(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)
-
-    def opnorm(self, mat: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(mat, dtype=complex), 2))
 
 
 @functools.cache
@@ -301,18 +298,6 @@ def tensor_semi_inners(coords: np.ndarray, lefts: np.ndarray, inners: np.ndarray
     return full.reshape(full.shape[:5] + value)
 
 
-class AdjointBatch:
-    """Least-squares adjoints of a stack of maps T_i : M -> N.
-
-    adjoints[i] has shape (dim M, dim N); T_i is adjointable when its
-    residual is within tol * max(1, |T_i|)."""
-
-    def __init__(self, adjoints: np.ndarray, residuals: np.ndarray, adjointable: np.ndarray):
-        self.adjoints = adjoints
-        self.residuals = residuals
-        self.adjointable = adjointable
-
-
 def module_linear_residuals(maps: np.ndarray, m_right: np.ndarray,
                             n_right: np.ndarray) -> np.ndarray:
     """How far each map of a stack (..., count, dim N, dim M) of maps M -> N
@@ -326,70 +311,78 @@ def module_linear_residuals(maps: np.ndarray, m_right: np.ndarray,
     return np.linalg.norm(diff, axis=-2).max(axis=(-2, -1), initial=0.0)
 
 
-def adjoints_of(maps: np.ndarray, m: Correspondence, n: Correspondence,
-                tol: float = DEFAULT_TOL) -> AdjointBatch:
-    """Adjoints of a stack (count, dim N, dim M) of maps M -> N for the
-    algebra-valued inner products; the stack of one of adjoints_by_shape."""
-    batch = adjoints_by_shape([np.asarray(maps)], [m], [0], [n], tol)
-    return AdjointBatch(batch.adjoints[0], batch.residuals[0], batch.adjointable[0])
+def adjoints_of(jobs: list, tol: float = DEFAULT_TOL) -> list[tuple]:
+    """Adjoints for the algebra-valued inner products, one result per job
+    (source key, source, maps, target): maps is a stack (count, dim N,
+    dim M) of maps T_i from the correspondence source M into target N, and
+    the result is (adjoints (count, dim M, dim N), residuals (count,),
+    adjointable (count,)).  T_i is adjointable when its residual is within
+    tol * max(1, |T_i|).
 
-
-def adjoints_by_shape(maps, sources: list[Correspondence], which,
-                      targets: list[Correspondence], tol: float = DEFAULT_TOL) -> AdjointBatch:
-    """Adjoints of stacks of maps of one shape (count, dim N, dim M), stack
-    k out of the source sources[which[k]] into the target targets[k].
-    Every field of the result gains the leading stack axis.  T_i is
-    adjointable when its residual is within tol * max(1, |T_i|).
-
-    The adjoint solves <T m_p, n_s> = <m_p, T* n_s> for the matrix of T*,
-    column s by column s, against the source's coefficient matrix
-    G[(p, k), r] = coordinate k of <m_p, m_r>.  Both sides are elements of
-    the algebra, so the system is written in its matrix-unit coordinates;
-    entries outside its blocks, zero for valid data, are the concern of
-    validate_correspondences.  The solution is G's pseudo-inverse applied to
-    the right-hand sides: the minimum-norm least-squares solution, with
-    singular values at most eps * dim M * dim N * n^2 times the largest
-    dropped, the cutoff lstsq applies to the system of one map on full
-    matrices (G repeated once per column of N).  So there is one batched
-    SVD over the distinct sources.  The right-hand sides, the solutions and
-    the residuals are stacked matrix products (BLAS), SOLVE_CHUNK
-    right-hand-side entries at a time, and every product acts on one stack
-    on its own: a stack gets the same entries alone as in any larger stack.
+    The jobs whose maps have one shape are solved together, with one
+    factorization per distinct source key; sources of one key must have
+    equal inner tensors, as the carriers F(w) of words with the same
+    constituent labels do.  The adjoint solves <T m_p, n_s> = <m_p, T* n_s>
+    for the matrix of T*, column s by column s, against the source's
+    coefficient matrix G[(p, k), r] = coordinate k of <m_p, m_r>.  Both
+    sides are elements of the algebra, so the system is written in its
+    matrix-unit coordinates; entries outside its blocks, zero for valid
+    data, are the concern of validate_correspondences.  The solution is G's
+    pseudo-inverse applied to the right-hand sides: the minimum-norm
+    least-squares solution, with singular values at most eps * dim M *
+    dim N * n^2 times the largest dropped, the cutoff lstsq applies to the
+    system of one map on full matrices (G repeated once per column of N).
+    So there is one batched SVD over the distinct sources of a shape.  The
+    right-hand sides, the solutions and the residuals are stacked matrix
+    products (BLAS), SOLVE_CHUNK right-hand-side entries at a time, and
+    every product acts on one job on its own: a job gets the same entries
+    alone as among any other jobs.
     """
-    stacks = len(maps)
-    count, dim_n, dim_m = np.shape(maps[0]) if stacks else (0, 0, 0)
-    adjoints = np.zeros((stacks, count, dim_m, dim_n), dtype=complex)
-    residuals = np.zeros((stacks, count))
-    scale = np.ones((stacks, count))
-    if not (stacks and count and dim_m and dim_n):
-        return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
-    a = sources[0].algebra
-    grams = a.coords(np.array([m.inner_tensor for m in sources])).transpose(0, 1, 3, 2)
-    grams = grams.reshape(len(sources), dim_m * a.dim, dim_m)
-    u, s, vh = np.linalg.svd(grams, full_matrices=False)
-    rcond = np.finfo(float).eps * dim_m * dim_n * a.n * a.n
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
-    # the transposes of G and of its pseudo-inverse: the solve runs on the
-    # transposed system, whose residual holds each map's entries together
-    pinvs_t = u.conj() @ (inv_s[:, :, None] * vh.conj())
-    grams_t = grams.transpose(0, 2, 1).copy()
-    which = np.asarray(which)
-    step = max(1, SOLVE_CHUNK // (dim_m * a.dim * count * dim_n))
-    for lo in range(0, stacks, step):
-        part = slice(lo, min(lo + step, stacks))
-        t = np.asarray(maps[part], dtype=complex)
-        k = len(t)
-        scale[part] = np.maximum(1.0, np.linalg.norm(t, axis=(2, 3)))
-        # rhs[k, (i, s), (p, l)] = coordinate l of <T_ki m_p, n_s>
-        #                        = sum_q conj(T_ki[q, p]) <n_q, n_s>_l
-        inner = a.coords(np.array([n.inner_tensor for n in targets[part]]))
-        rhs = t.conj().transpose(0, 1, 3, 2).reshape(k, count * dim_m, dim_n) \
-            @ inner.reshape(k, dim_n, dim_n * a.dim)
-        rhs = rhs.reshape(k, count, dim_m, dim_n, a.dim).transpose(0, 1, 3, 2, 4).reshape(
-            k, count * dim_n, dim_m * a.dim)
-        w = which[part]
-        sol = rhs @ pinvs_t[w]
-        resid = (sol @ grams_t[w] - rhs).reshape(k, count, dim_n * dim_m * a.dim)
-        residuals[part] = np.sqrt(np.vecdot(resid, resid).real)
-        adjoints[part] = sol.reshape(k, count, dim_n, dim_m).transpose(0, 1, 3, 2)
-    return AdjointBatch(adjoints, residuals, residuals <= tol * scale)
+    out: list = [None] * len(jobs)
+    groups: dict = {}
+    for n, (_, _, maps, _) in enumerate(jobs):
+        groups.setdefault(np.shape(maps), []).append(n)
+    for (count, dim_n, dim_m), members in groups.items():
+        stacks = len(members)
+        adjoints = np.zeros((stacks, count, dim_m, dim_n), dtype=complex)
+        residuals = np.zeros((stacks, count))
+        scale = np.ones((stacks, count))
+        if count and dim_m and dim_n:
+            sources: dict = {}
+            for n in members:
+                sources.setdefault(jobs[n][0], jobs[n][1])
+            index = {key: k for k, key in enumerate(sources)}
+            which = np.array([index[jobs[n][0]] for n in members])
+            a = jobs[members[0]][1].algebra
+            grams = a.coords(np.array([m.inner_tensor for m in sources.values()]))
+            grams = grams.transpose(0, 1, 3, 2).reshape(len(sources), dim_m * a.dim, dim_m)
+            u, s, vh = np.linalg.svd(grams, full_matrices=False)
+            rcond = np.finfo(float).eps * dim_m * dim_n * a.n * a.n
+            inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+            # the transposes of G and of its pseudo-inverse: the solve runs on
+            # the transposed system, whose residual holds each map's entries
+            # together
+            pinvs_t = u.conj() @ (inv_s[:, :, None] * vh.conj())
+            grams_t = grams.transpose(0, 2, 1).copy()
+            step = max(1, SOLVE_CHUNK // (dim_m * a.dim * count * dim_n))
+            for lo in range(0, stacks, step):
+                part = slice(lo, min(lo + step, stacks))
+                t = np.asarray([jobs[n][2] for n in members[part]], dtype=complex)
+                k = len(t)
+                scale[part] = np.maximum(1.0, np.linalg.norm(t, axis=(2, 3)))
+                # rhs[k, (i, s), (p, l)] = coordinate l of <T_ki m_p, n_s>
+                #                        = sum_q conj(T_ki[q, p]) <n_q, n_s>_l
+                inner = a.coords(np.array([jobs[n][3].inner_tensor for n in members[part]]))
+                rhs = t.conj().transpose(0, 1, 3, 2).reshape(k, count * dim_m, dim_n) \
+                    @ inner.reshape(k, dim_n, dim_n * a.dim)
+                rhs = rhs.reshape(k, count, dim_m, dim_n, a.dim).transpose(0, 1, 3, 2, 4).reshape(
+                    k, count * dim_n, dim_m * a.dim)
+                w = which[part]
+                sol = rhs @ pinvs_t[w]
+                resid = (sol @ grams_t[w] - rhs).reshape(k, count, dim_n * dim_m * a.dim)
+                residuals[part] = np.sqrt(np.vecdot(resid, resid).real)
+                adjoints[part] = sol.reshape(k, count, dim_n, dim_m).transpose(0, 1, 3, 2)
+        adjointable = residuals <= tol * scale
+        for k, n in enumerate(members):
+            out[n] = (adjoints[k], residuals[k], adjointable[k])
+    return out

@@ -129,9 +129,6 @@ class SubalgebraBlocks:
         self.multiplicities = multiplicities
         self.ambient_n = ambient_n
 
-    def embed(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kuv->uv", np.asarray(coords, dtype=complex), self.unit_images)
-
     def restrict(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of an ambient element lying in the subalgebra, or of
         each element of a stack (..., n, n): coordinate k is

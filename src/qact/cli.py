@@ -3,21 +3,23 @@
 Verbs: validate, validate-graded, build, spectral, roundtrip,
 module-functor, fullness, cocycle-check, deform.
 
-A verb writes the sections the library's checks return, and one rule sets
-the exit code of every verb: 1 if some top-level section of the report has
-"passed" false (an action file that is not an action fails every action
-verb through its "action" section), 0 if none has.  The other codes:
-2 input error (a missing, unreadable, non-UTF-8 or malformed input file, a
+A verb writes the sections the library's checks return, as they return
+them: validation, build and deform hand back their sections, and a check
+that fails is a section with "passed" false, never an exception.  One rule
+sets the exit code of every verb: 1 if some top-level section of the report
+has "passed" false (an action file that is not an action fails every action
+verb through its "action" section), 0 if none has.  The other codes: 2
+input error (a missing, unreadable, non-UTF-8 or malformed input file, a
 --tolerance that is not finite and positive, or a negative --seed; the
 report holds "error"), 3 internal error (any other exception; the report
 names its type and message under "internal_error").  The report is written
 to --report (or stdout) either way; a --report path or a stdout that cannot
 be written (closed, or a full device) gives exit 2 and one line on stderr
 naming it.  Identical inputs produce byte-identical reports under one BLAS
-thread setting (another thread count can move a value at the 1e-16
-level).  No verb draws: --seed seeds nothing and is only validated and
-recorded as the report's "seed", because benchmark job lines pass it.
-serialize.dumps writes the report text.
+thread setting (another thread count can move a value at the 1e-16 level).
+No verb draws: --seed seeds nothing and is only validated and recorded as
+the report's "seed", because benchmark job lines pass it.  serialize.dumps
+writes the report text.
 
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
@@ -65,6 +67,7 @@ from .errors import (
     BackendError,
     CocycleError,
     IncompleteDataError,
+    InputError,
     SchemaError,
 )
 from .thresholds import DEFAULT_TOL
@@ -91,10 +94,6 @@ for _name in ("actions", "algebras", "blockdecomp", "cocycles", "functors", "gro
     _bind_lazily(_name)
 # bound above, so these name the lazy modules without running them
 from . import actions, cocycles, functors, reconstruction, serialize
-
-
-class InputError(Exception):
-    pass
 
 
 # malformed or mismatched data surfaced by the library maps to exit code 2
@@ -162,20 +161,16 @@ def run_verb(args) -> dict:
 
     if verb == "validate-graded":
         bundle = _load(args.input[0], serialize.bundle_from_json, "bundle")
-        report["validation"] = functors.validate_graded(bundle, tol).summary()
+        report["validation"] = functors.validate_graded(bundle, tol)
     elif verb in ("validate", "build"):
         functor = _load(args.input[0], lambda d: serialize.functor_from_json(d, backend),
                         "functor")
         if verb == "validate":
-            report["validation"] = functors.validate_functor(functor, tol).summary()
+            report["validation"] = functors.validate_functor(functor, tol)
             return report
-        try:
-            alg = reconstruction.build_algebra(functor, tol=tol)
-        except reconstruction.BuildError as err:
-            report["validation"] = err.report.summary()
-            return report
-        report["validation"] = alg.validation.summary()
-        report["build"] = reconstruction.build_report(alg)
+        report["validation"], alg = reconstruction.build_algebra(functor, tol=tol)
+        if alg is not None:
+            report["build"] = reconstruction.build_report(alg)
     elif verb == "cocycle-check":
         cocycle = _load(args.input[0], serialize.cocycle_from_json, "cocycle")
         report["cocycle"] = cocycles.check_cocycle(cocycle, tol)
@@ -189,12 +184,9 @@ def run_verb(args) -> dict:
         report["module_dims"] = {
             label: spec.functor.module(label).dim for label in backend.labels
         }
-        report["validation"] = functors.validate_functor(spec.functor, tol).summary()
+        report["validation"] = functors.validate_functor(spec.functor, tol)
     elif verb == "roundtrip":
-        try:
-            report["certificate"] = actions.roundtrip_check(backend, act, tol=tol)
-        except reconstruction.BuildError as err:
-            report["validation"] = err.report.summary()
+        report.update(actions.roundtrip_check(backend, act, tol=tol))
     elif verb == "module-functor":
         _, mf, report["natural_iso_to_spectral"] = actions.canonical_module_iso(
             backend, act, tol=tol)
@@ -202,7 +194,7 @@ def run_verb(args) -> dict:
         report["module_dims"] = {
             label: mf.functor.module(label).dim for label in backend.labels
         }
-        report["validation"] = functors.validate_functor(mf.functor, tol).summary()
+        report["validation"] = functors.validate_functor(mf.functor, tol)
     elif verb == "fullness":
         module = actions.module_from_algebra(backend, act)
         report["certificate"] = actions.fullness_check(backend, module, tol=tol)
@@ -211,12 +203,11 @@ def run_verb(args) -> dict:
         report["cocycle"] = cocycles.check_cocycle(cocycle, tol)
         if not report["cocycle"]["passed"]:
             return report
-        deformed = cocycles.deform_action(backend, act, cocycle, tol=tol)
-        report["deformed"] = deformed.report
-        report["center_dimension"] = deformed.model.center_dimension()
+        model, report["deformed"] = cocycles.deform_action(backend, act, cocycle, tol=tol)
+        report["center_dimension"] = model.center_dimension()
         if args.cross_test:
             report["cross_test"] = cocycles.deformation_cross_test(
-                backend, act, cocycle, deformed, tol=tol)
+                backend, act, cocycle, model, tol=tol)
     return report
 
 

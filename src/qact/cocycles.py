@@ -16,7 +16,9 @@ companion element u = m(i (x) S)(Omega).  The deformed algebra is a
 qact.staralg.StarAlgebraModel, the class of the algebra rebuilt from
 functor data, whose expectation is the unchanged one onto the fixed
 algebra, and staralg.audit, the audit of `build` too, certifies it over
-the basis without a random draw.
+the basis without a random draw.  `twist_element` returns the companion
+element's coefficients and `deform_action` the model, each with its
+report section.
 
 The layers of actions, functors and staralg are reached through their
 modules, so `cocycle-check`, which checks a cocycle against a backend's
@@ -154,19 +156,11 @@ def check_cocycle(cocycle: Cocycle, tol: float = DEFAULT_TOL) -> dict:
     return rep
 
 
-class TwistElement:
-    """The companion element u = sum_x coeffs[x] e_x of a cocycle, on the
-    basis of D: a function on the group (dual kind) or a group-algebra
-    element (group kind)."""
-
-    def __init__(self, group: GroupPresentation, coeffs: np.ndarray):
-        self.group = group
-        self.coeffs = coeffs  # dual: u(gamma_i); group: coefficient of g_i
-
-    def rep_matrix(self, rep: Rep) -> np.ndarray:
-        """pi_U(u) = sum_x coeffs[x] pi_U(e_x) for a representation of the
-        matching backend."""
-        return np.einsum("g,gij->ij", self.coeffs, rep.matrices)
+def rep_matrix(coeffs: np.ndarray, rep: Rep) -> np.ndarray:
+    """pi_U(u) = sum_x coeffs[x] pi_U(e_x) for the element u of D with
+    coefficients coeffs on the basis e_x and a representation of the
+    matching backend."""
+    return np.einsum("g,gij->ij", coeffs, rep.matrices)
 
 
 def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
@@ -175,7 +169,8 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
     of u's left-regular matrix), the inverse identity u S(u*) = 1, and the
     intertwining identity against every conjugation solution of the table.
 
-    Returns (element, report).
+    Returns u's coefficients on the basis e_x of D (u(gamma_i) for the
+    dual kind, the coefficient of g_i for the group kind) and the report.
     """
     _check_cocycle_backend(backend, cocycle)
     dual, vals = cocycle.dual, cocycle.values
@@ -189,7 +184,6 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
     np.add.at(reg, (c, b), coeffs[a])  # [c, b]: the coefficient of e_c in u e_b
     if np.linalg.svd(reg, compute_uv=False).min() < COCYCLE_SV_FLOOR:
         raise CocycleError("companion element is not invertible")
-    u = TwistElement(cocycle.group, coeffs)
     # S(u*) = sum_x conj(u_x) S(e_x*)
     s_ustar = coeffs.conj()[dual.star[dual.antipode]]
     rep["inverse_identity"] = float(np.abs(_times(dual, coeffs, (0,), s_ustar) - dual.unit).max())
@@ -202,11 +196,11 @@ def twist_element(backend: Backend, cocycle: Cocycle, tol: float = DEFAULT_TOL):
         omega_mat = cocycle_pair_matrix(cocycle, bar, plain)
         r = sol.r.reshape(-1)
         lhs = omega_mat @ r
-        rhs = np.kron(u.rep_matrix(bar), np.eye(plain.dim)) @ r
+        rhs = np.kron(rep_matrix(coeffs, bar), np.eye(plain.dim)) @ r
         worst_eu = max(worst_eu, float(np.abs(lhs - rhs).max()))
     rep["conjugation_intertwining"] = worst_eu
     rep["passed"] = bool(max(rep.values()) < AUDIT_FACTOR * tol)
-    return u, rep
+    return coeffs, rep
 
 
 def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
@@ -229,16 +223,6 @@ def cocycle_pair_matrix(cocycle: Cocycle, u: Rep, v: Rep) -> np.ndarray:
 # -- deformation of concrete actions -------------------------------------------
 
 
-class DeformedAlgebra:
-    """The deformed *-algebra on the coordinate space of the original one,
-    whose model's expectation model.expect is the unchanged projection
-    onto the fixed part, and its audit report."""
-
-    def __init__(self, model: staralg.StarAlgebraModel, report: dict):
-        self.model = model
-        self.report = report
-
-
 def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) -> np.ndarray:
     """The deformed product table sum_{a, c} vals[a, c] sum_{p, q}
     rd[a][p, i] rd[c][q, j] table[p, q]: the rd[a] side is contracted once
@@ -257,12 +241,14 @@ def deformed_table(table: np.ndarray, rd: list[np.ndarray], vals: np.ndarray) ->
 
 
 def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
-                  tol: float = DEFAULT_TOL) -> DeformedAlgebra:
-    """The deformed algebra: both product factors are routed through the
-    coaction against the cocycle, and the involution picks up the companion
+                  tol: float = DEFAULT_TOL):
+    """(model, report) of the deformed algebra, on the coordinate space of
+    the original one: both product factors are routed through the coaction
+    against the cocycle, and the involution picks up the companion
     element.  The model's expectation is the unchanged one onto the fixed
     algebra F, as a B-valued map, so its state is the trace of B after it.
-    The report is staralg.audit of the model over the matrix units of F:
+    The report, the deformed section, is staralg.audit of the model over
+    the matrix units of F:
     the *-algebra laws over the whole basis, and the algebraic-action
     conditions of the expectation, its faithfulness and the bound over F
     derived from its positivity.  The audit's C*-identity and bimodularity,
@@ -287,8 +273,8 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
         # <| by u* = sum_x conj(u_x) e_x*, where <| by e_x is rd[x]
         dagger = np.zeros_like(base.star_matrix)
         for x in range(n):
-            if u.coeffs[x] != 0:
-                dagger += np.conj(u.coeffs[x]) * rd[g.elements[backend.dual.star[x]]] @ base.star_matrix
+            if u[x] != 0:
+                dagger += np.conj(u[x]) * rd[g.elements[backend.dual.star[x]]] @ base.star_matrix
 
     fixed = actions.fixed_point_algebra(backend, act)
     emb = np.array([b.coords(fixed.unit_images[k]) for k in range(fixed.algebra.dim)])
@@ -304,27 +290,31 @@ def deform_action(backend: Backend, act: actions.Action, cocycle: Cocycle,
         report[key] = checks[key]
     report["passed"] = u_rep["passed"] and checks["passed"]
     report["fixed_algebra_blocks"] = list(fixed.algebra.blocks)
-    return DeformedAlgebra(model, report)
+    return model, report
 
 
 def deformation_cross_test(backend: Backend, act: actions.Action, cocycle: Cocycle,
-                           deformed: DeformedAlgebra, tol: float = DEFAULT_TOL) -> dict:
+                           deformed: staralg.StarAlgebraModel,
+                           tol: float = DEFAULT_TOL) -> dict:
     """Rebuild the deformed algebra a second way, from the twisted spectral
-    functor, and compare it with the deformed action's algebra through the
-    canonical map of the spectral functor: the two product tables and the
-    two star matrices must agree (staralg.verify_algebra_iso)."""
+    functor, and compare it with `deformed`, the model of deform_action,
+    through the canonical map of the spectral functor: the two product
+    tables and the two star matrices must agree
+    (staralg.verify_algebra_iso).  A twisted functor that fails validation
+    still gets its comparison residual."""
     spec = actions.spectral_functor(backend, act)
     twisted = deform_functor(spec.functor, cocycle)
-    # validated on the build's realization, so the twisted F_2 is formed once
-    rebuilt = reconstruction.build_algebra(twisted, tol=tol, validate=False)
-    val = functors.validate_functor(twisted, tol, real=rebuilt.real)
-    iso = staralg.verify_algebra_iso(rebuilt.model, deformed.model,
+    # built, then validated on the build's realization: F_2 is formed once
+    real = functors.Realization(twisted)
+    rebuilt = reconstruction.ReconstructedAlgebra(real, tol)
+    valid = functors.validate_functor(twisted, tol, real=real)["passed"]
+    iso = staralg.verify_algebra_iso(rebuilt.model, deformed,
                                      actions.canonical_map(spec, rebuilt), tol)
     worst = max(iso["multiplicative"], iso["star"])
     return {
-        "twisted_functor_valid": val.passed,
+        "twisted_functor_valid": valid,
         "comparison_residual": worst,
-        "passed": bool(val.passed and worst < AUDIT_FACTOR * tol),
+        "passed": bool(valid and worst < AUDIT_FACTOR * tol),
     }
 
 

@@ -28,3 +28,7 @@ class CocycleError(ValueError):
 
 class SchemaError(ValueError):
     """Malformed or mislabeled input file."""
+
+
+class InputError(Exception):
+    """A command-line input that is missing, unreadable or out of range."""

@@ -11,7 +11,8 @@ value on a tensor word is the direct sum of the modules of its irreducible
 constituents, morphisms act blockwise by Schur scalars, and the
 multiplication maps assemble from the stored family.  ``Realization``
 builds this extension word by word, for the reconstruction and the
-involution.
+involution; the layout of F_2 on a product of words is memoized by the
+component labels and dimension of each word, which determine it.
 
 The validator checks the axioms on the finite set of decompositions the
 backend produces, which by semisimplicity certifies them up to tensor
@@ -20,7 +21,8 @@ data carried along the two bracketings of a*b*c (the F-moves of
 Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, ch. 4); the validator
 evaluates them from fusion data, stacked, without realizing any word of
 length 3, and reports them in the word basis of a*b*c (see
-``validate_functor``).
+``validate_functor``).  Both validators return the validation section
+itself; data that fails an axiom gives `passed` false, not an exception.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import (
-    AdjointBatch,
     BlockAlgebra,
     Correspondence,
-    adjoints_by_shape,
     adjoints_of,
     algebra_as_correspondence,
     module_linear_residuals,
@@ -46,6 +46,13 @@ from .thresholds import COMPOSITE_FACTOR, DEFAULT_TOL, RANK_TOL, SCHUR_FLOOR
 # complex entries per triple chunk of the stacked validation contractions;
 # past this size a larger stack runs slower
 CHUNK = 1 << 15
+
+
+def _word_key(components: list) -> tuple:
+    """The component labels, in order, and the dimension of a word, given by
+    its component list: with those of the other words of a product, they
+    determine the layout of F_2 on it (Realization.layout)."""
+    return tuple(label for label, _ in components), components[0][1].shape[0]
 
 
 class TensorFunctorData:
@@ -118,6 +125,7 @@ class WordObject:
         self.components = components  # (label, isometry) pairs from the backend decomposition
         self.offsets = offsets
         self.carrier = carrier
+        self.key = _word_key(components)
 
     @property
     def dim(self) -> int:
@@ -138,6 +146,7 @@ class Realization:
         self._objects: dict = {}
         self._f2: dict = {}
         self._fusion: dict = {}
+        self._layouts: dict = {}
 
     def object(self, atoms) -> WordObject:
         atoms = tuple(atoms)
@@ -197,6 +206,27 @@ class Realization:
             self._fusion[key] = (basis, tensors)
         return self._fusion[key]
 
+    def layout(self, key: tuple, prod: tuple):
+        """The shape of F_2 on one product of words, given by their component
+        lists prod = (left, right, target): each component's isometry shape
+        and module dimension, and (k, i, j, number of intertwiners) for every
+        block F_2 fills.  Memoized by `key`, the _word_key of each of the
+        three words, which determines it."""
+        if key not in self._layouts:
+            left, right, target = prod
+            dim = {label: self.functor.module(label).dim for label, _ in left + right + target}
+            parts = tuple(tuple((w.shape, dim[l]) for l, w in comps) for comps in prod)
+            blocks = []
+            for k, (lk, _) in enumerate(target):
+                for i, (li, _) in enumerate(left):
+                    for j, (lj, _) in enumerate(right):
+                        if dim[lk] and dim[li] and dim[lj]:
+                            count = len(self._fusion_data(li, lj, lk)[0])
+                            if count:
+                                blocks.append((k, i, j, count))
+            self._layouts[key] = parts, tuple(blocks)
+        return self._layouts[key]
+
     def f2_tensor(self, left: WordObject, right: WordObject) -> np.ndarray:
         """The multiplication map F(left) (x) F(right) -> F(left * right) as a
         dense (target, left, right) tensor."""
@@ -209,9 +239,10 @@ class Realization:
         for left, right in pairs:
             key = (left.atoms, right.atoms)
             if key not in self._f2:
-                prod = (left.components, right.components,
-                        self.object(left.atoms + right.atoms).components)
-                stacks.setdefault(_layout(self, *prod), {})[key] = prod
+                target = self.object(left.atoms + right.atoms)
+                prod = (left.components, right.components, target.components)
+                layout = self.layout((left.key, right.key, target.key), prod)
+                stacks.setdefault(layout, {})[key] = prod
         for layout, prods in stacks.items():
             self._f2.update(zip(prods, _stacked_f2(self, list(prods.values()), layout)))
         return [self._f2[left.atoms, right.atoms] for left, right in pairs]
@@ -235,42 +266,26 @@ class Realization:
         unit = self.functor.algebra.coords(self.functor.algebra.identity())
         target_vec = f_rbar @ unit
         maps = np.einsum("tpq,ip->itq", self.f2_tensor(u, bar), xs)
-        adj = adjoints_of(maps, bar.carrier, pair.carrier, tol)
-        if not adj.adjointable.all():
+        [(adjoints, _, adjointable)] = adjoints_of([(None, bar.carrier, maps, pair.carrier)], tol)
+        if not adjointable.all():
             raise BackendError(
                 "adjoint solve failed; the data violates the adjointability axiom"
             )
-        return adj.adjoints @ target_vec
+        return adjoints @ target_vec
 
 
 # -- validation ---------------------------------------------------------------
 
 
-class AxiomCheck:
-    def __init__(self, residual: float, passed: bool, detail: dict | None = None):
-        self.residual = residual
-        self.passed = passed
-        self.detail = {} if detail is None else detail
+def _axiom(residual: float, passed: bool, **detail) -> dict:
+    """One axiom's entry of the validation section."""
+    return {"residual": residual, "passed": passed, **detail}
 
 
-class ValidationReport:
-    def __init__(self, tol: float, axioms: dict[str, AxiomCheck]):
-        self.tol = tol
-        self.axioms = axioms
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.axioms.values())
-
-    def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tol,
-            "axioms": {
-                name: {"residual": c.residual, "passed": c.passed, **c.detail}
-                for name, c in sorted(self.axioms.items())
-            },
-        }
+def _section(tol: float, axioms: dict) -> dict:
+    """The validation section: passed when every axiom is."""
+    return {"passed": all(c["passed"] for c in axioms.values()), "tolerance": tol,
+            "axioms": dict(sorted(axioms.items()))}
 
 
 def _unit_axiom_residual(real: Realization) -> float:
@@ -319,23 +334,6 @@ def _isometry_residuals(t: np.ndarray, inner: np.ndarray, semi: np.ndarray) -> n
         @ half.reshape(count, c, a * b * k)
     lhs.reshape(semi.shape)[...] -= semi
     return np.abs(lhs).max(axis=(1, 2), initial=0.0)
-
-
-def _layout(real: Realization, left, right, target):
-    """The shape of F_2 on one product of words, given by their component
-    lists: each component's isometry shape and module dimension, and
-    (k, i, j, number of intertwiners) for every block F_2 fills."""
-    dim = {label: real.functor.module(label).dim for label, _ in left + right + target}
-    parts = tuple(tuple((w.shape, dim[l]) for l, w in comps) for comps in (left, right, target))
-    blocks = []
-    for k, (lk, _) in enumerate(target):
-        for i, (li, _) in enumerate(left):
-            for j, (lj, _) in enumerate(right):
-                if dim[lk] and dim[li] and dim[lj]:
-                    count = len(real._fusion_data(li, lj, lk)[0])
-                    if count:
-                        blocks.append((k, i, j, count))
-    return parts, tuple(blocks)
 
 
 def _gather(items: list) -> np.ndarray:
@@ -393,33 +391,21 @@ def _bracketings(real: Realization, live: list):
     (the module dimension of b and the layouts of both products), at most
     CHUNK entries per triple's largest contraction.
     """
-    comps = {(x,): real.atom_object(x).components for x in live}
-    comps.update({(x, y): real.object(((x, False), (y, False))).components
-                  for x in live for y in live})
+    words = {(x,): real.atom_object(x) for x in live}
+    words.update({(x, y): real.object(((x, False), (y, False))) for x in live for y in live})
     triples = [(a, b, c) for a in live for b in live for c in live]
     abc = real.backend.decompose_words([tuple((x, False) for x in t) for t in triples])
-
-    def key(parts):
-        return tuple(label for label, _ in parts), parts[0][1].shape[0]
-
-    keys = {word: key(parts) for word, parts in comps.items()}
-    layouts: dict = {}  # the products' keys -> (layout, its number among the distinct ones)
-    distinct: dict = {}
+    abc_keys = [_word_key(parts) for parts in abc]
     groups: dict = {}
     for n, (a, b, c) in enumerate(triples):
-        k3 = key(abc[n])
-        prods = ((comps[a, b], comps[c,], abc[n]), (comps[a,], comps[b, c], abc[n]))
-        found = []
-        for k, prod in zip(((keys[a, b], keys[c,], k3), (keys[a,], keys[b, c], k3)), prods):
-            if k not in layouts:
-                lay = _layout(real, *prod)
-                layouts[k] = lay, distinct.setdefault(lay, len(distinct))
-            found.append(layouts[k])
-        (lay_ab_c, i), (lay_a_bc, j) = found
-        mb = real.functor.module(b).dim
-        groups.setdefault((mb, i, j), (mb, lay_ab_c, lay_a_bc, []))[3].append((n, prods))
+        ab, c_, a_, bc = words[a, b], words[c,], words[a,], words[b, c]
+        prods = ((ab.components, c_.components, abc[n]), (a_.components, bc.components, abc[n]))
+        key = (real.functor.module(b).dim,
+               real.layout((ab.key, c_.key, abc_keys[n]), prods[0]),
+               real.layout((a_.key, bc.key, abc_keys[n]), prods[1]))
+        groups.setdefault(key, []).append((n, prods))
     chunks = []
-    for mb, lay_ab_c, lay_a_bc, members in groups.values():
+    for (mb, lay_ab_c, lay_a_bc), members in groups.items():
         (n_ab, mc, n_abc), (ma, n_bc, _) = (
             [sum(m for _, m in part) for part in lay[0]] for lay in (lay_ab_c, lay_a_bc)
         )
@@ -431,36 +417,16 @@ def _bracketings(real: Realization, live: list):
                 _stacked_f2(real, [p[0] for _, p in part], lay_ab_c),
                 _stacked_f2(real, [p[1] for _, p in part], lay_a_bc),
             ))
-    return triples, chunks, [tuple(label for label, _ in parts) for parts in abc]
-
-
-def _adjoints(jobs: list, tol: float) -> list[AdjointBatch]:
-    """adjoints_of for (source key, source, maps, target) jobs: the jobs of
-    one shape share one adjoints_by_shape call, with one factorization per
-    distinct source key.  Sources of one key must have equal inner tensors,
-    as the carriers F(w) of words w with the same constituent labels do."""
-    groups: dict = {}
-    for n, (_, _, maps, _) in enumerate(jobs):
-        groups.setdefault(maps.shape, []).append(n)
-    out = [None] * len(jobs)
-    for members in groups.values():
-        sources: dict = {}
-        for n in members:
-            sources.setdefault(jobs[n][0], jobs[n][1])
-        index = {key: k for k, key in enumerate(sources)}
-        batch = adjoints_by_shape([jobs[n][2] for n in members], list(sources.values()),
-                                  [index[jobs[n][0]] for n in members],
-                                  [jobs[n][3] for n in members], tol)
-        for k, n in enumerate(members):
-            out[n] = AdjointBatch(batch.adjoints[k], batch.residuals[k], batch.adjointable[k])
-    return out
+    return triples, chunks, [labels for labels, _ in abc_keys]
 
 
 def validate_functor(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
-                     real: Realization | None = None) -> ValidationReport:
-    """Check the defining conditions of the functor data, on `real`, a
-    Realization of it, when given: a caller that goes on to use the
-    realization (the algebra build) then reuses its word objects and F_2.
+                     real: Realization | None = None) -> dict:
+    """The validation section of the functor data: `passed`, `tolerance`
+    and, under `axioms`, each axiom's residual and verdict.  It is checked
+    on `real`, a Realization of the data, when given: a caller that goes on
+    to use the realization (the algebra build) then reuses its word
+    objects and F_2.
 
     (i)   the trivial module is the base algebra;
     (ii)  multiplication maps are jointly isometric for the inner products;
@@ -480,9 +446,9 @@ def validate_functor(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
     (validate_correspondences), the semi-inner products of (ii) one stack
     per shape of F_2 from each module's inner-tensor coordinates, taken
     once, and module linearity in (v) one stack per shape of the maps.  The
-    adjoints of (v), out of F(b) or F(bc), are one adjoints_by_shape call
-    per shape, with one SVD per distinct source: the carriers of words
-    with the same constituent labels are equal.  (ii) and the adjoint
+    adjoints of (v), out of F(b) or F(bc), are one adjoints_of call, with
+    one SVD per shape and distinct source: the carriers of words with the
+    same constituent labels are equal.  (ii) and the adjoint
     solves compare algebra elements by their matrix-unit coordinates; the
     entries outside the blocks of the algebra, zero for valid data, are
     checked once, by modules_wellformed.
@@ -502,7 +468,7 @@ def validate_functor(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
     real = Realization(functor) if real is None else real
     axioms, fusion = _axioms_i_to_iv(real, tol)
     axioms["v_adjointability"] = _axiom_v(real, fusion, tol)
-    return ValidationReport(tol, axioms)
+    return _section(tol, axioms)
 
 
 def _axioms_i_to_iv(real: Realization, tol: float):
@@ -512,7 +478,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
     functor = real.functor
     backend = functor.backend
     labels = list(backend.labels)
-    axioms: dict[str, AxiomCheck] = {}
+    axioms: dict = {}
 
     # (i) trivial module equals the algebra
     canonical = algebra_as_correspondence(functor.algebra)
@@ -525,7 +491,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
             float(np.abs(m_e.right - canonical.right).max()),
             float(np.abs(m_e.inner_tensor - canonical.inner_tensor).max()),
         )
-    axioms["i_unit_object"] = AxiomCheck(res_i, res_i < tol)
+    axioms["i_unit_object"] = _axiom(res_i, res_i < tol)
 
     # module well-formedness feeds into the same report; the modules of one
     # dimension are checked as one stack
@@ -540,7 +506,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
             rep["inner_module_linear"],
             0.0 if rep["nondegenerate"] else float("inf"),
         )
-    axioms["modules_wellformed"] = AxiomCheck(worst_mod, worst_mod < COMPOSITE_FACTOR * tol)
+    axioms["modules_wellformed"] = _axiom(worst_mod, worst_mod < COMPOSITE_FACTOR * tol)
 
     # (ii) isometry pair by pair; the words of length 2 decompose as one
     # stack, and their F_2 form one stack per layout
@@ -571,11 +537,11 @@ def _axioms_i_to_iv(real: Realization, tol: float):
                     np.stack([coords[b] for (_, b), _ in part])))))
     detail_ii = {f"{a},{b}": float(res_pairs[a, b]) for a, b in keys}
     res_ii = max(detail_ii.values(), default=0.0)
-    axioms["ii_isometry"] = AxiomCheck(res_ii, res_ii < tol, {"pairs": detail_ii})
+    axioms["ii_isometry"] = _axiom(res_ii, res_ii < tol, pairs=detail_ii)
 
     # (iii) units
     res_iii = _unit_axiom_residual(real)
-    axioms["iii_units"] = AxiomCheck(res_iii, res_iii < tol)
+    axioms["iii_units"] = _axiom(res_iii, res_iii < tol)
 
     # (iv) associativity on the two bracketings of every word a*b*c
     triples, chunks, abc_labels = _bracketings(real, live)
@@ -586,7 +552,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
         res_iv[idx] = np.abs(lhs - rhs).max(axis=(1, 2, 3, 4), initial=0.0)
     detail_iv = {f"{a},{b},{c}": float(r) for (a, b, c), r in zip(triples, res_iv)}
     res = max(detail_iv.values(), default=0.0)
-    axioms["iv_associativity"] = AxiomCheck(res, res < tol, {"triples": detail_iv})
+    axioms["iv_associativity"] = _axiom(res, res < tol, triples=detail_iv)
     return axioms, (live, f2, triples, chunks, abc_labels)
 
 
@@ -611,7 +577,7 @@ def _exchange_residuals(adj_ab: np.ndarray, f2_bc: np.ndarray, adj_a_bc: np.ndar
     return np.abs(diff).max(axis=(2, 3, 4), initial=0.0)
 
 
-def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
+def _axiom_v(real: Realization, fusion, tol: float) -> dict:
     """Axiom (v) on the fusion data of ``_axioms_i_to_iv``: adjointability
     plus the exchange identity, for the maps S_p = F_2(m_p (x) -) of all
     basis vectors m_p of F(a) at once.
@@ -651,28 +617,28 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
             jobs.append((tuple(label for label, _ in bc.components), bc.carrier,
                          t.transpose(1, 0, 2), sums[key]))
             order.append(n)
-    solved = _adjoints(jobs, tol)
+    solved = adjoints_of(jobs, tol)
     adj = dict(zip(f2, solved))
     big = dict(zip(order, solved[len(f2):]))
     # per triple and basis vector: the exchange residual where S_p : F(bc) ->
     # F(abc) has an adjoint, else the residual of its solve
     entry = {}
     for idx, ab_c, _ in chunks:
-        found = np.stack([big[n].adjointable for n in idx])
+        found = np.stack([big[n][2] for n in idx])
         exchange = _exchange_residuals(
-            np.stack([adj[triples[n][:2]].adjoints for n in idx]),
+            np.stack([adj[triples[n][:2]][0] for n in idx]),
             np.stack([f2[triples[n][1:]] for n in idx]),
-            np.stack([big[n].adjoints for n in idx]), ab_c)
-        solve = np.stack([big[n].residuals for n in idx])
+            np.stack([big[n][0] for n in idx]), ab_c)
+        solve = np.stack([big[n][1] for n in idx])
         entry.update(zip(idx, zip(np.where(found, exchange, solve).tolist(), found.tolist())))
     missing = False
     detail_v = {}
     index = {t: n for n, t in enumerate(triples)}
     for a, b in f2:
         rows = [entry[index[a, b, c]] for c in live]
-        solve = adj[a, b].residuals
+        _, solve, adjointable = adj[a, b]
         residuals = np.where(solve > lin[a, b], solve, lin[a, b]).tolist()
-        for p, adjointable in enumerate(adj[a, b].adjointable.tolist()):
+        for p, adjointable in enumerate(adjointable.tolist()):
             detail_v[f"adjoint:{a},{b}:{p}"] = residuals[p]
             if not adjointable:
                 continue
@@ -680,7 +646,7 @@ def _axiom_v(real: Realization, fusion, tol: float) -> AxiomCheck:
                 missing = missing or not found[p]
                 detail_v[f"exchange:{a},{b},{c}:{p}"] = values[p]
     res_v = max([0.0, *detail_v.values()])
-    return AxiomCheck(res_v, res_v < COMPOSITE_FACTOR * tol and not missing, {"checks": detail_v})
+    return _axiom(res_v, res_v < COMPOSITE_FACTOR * tol and not missing, checks=detail_v)
 
 
 # -- graded bundles -----------------------------------------------------------
@@ -723,9 +689,10 @@ GRADED_KEYS = {"i_unit_object": "a_unit_fiber", "modules_wellformed": "modules_w
                "iv_associativity": "c_associativity", "v_adjointability": "d_adjoint_exchange"}
 
 
-def validate_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """validate_functor on from_graded(bundle), with its axioms renamed by
-    GRADED_KEYS and without the per-pair and per-triple detail.
+def validate_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
+    """The validation section of validate_functor on from_graded(bundle),
+    with its axioms renamed by GRADED_KEYS and without the per-pair and
+    per-triple detail.
 
     Axiom (v), the adjoint exchange, is skipped, and reported as such, when
     every multiplication map is surjective (numerical rank at RANK_TOL).
@@ -733,16 +700,15 @@ def validate_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> Validatio
     functor = from_graded(bundle)
     real = Realization(functor)
     checks, fusion = _axioms_i_to_iv(real, tol)
-    axioms = {GRADED_KEYS[k]: AxiomCheck(c.residual, c.passed) for k, c in checks.items()}
+    axioms = {GRADED_KEYS[k]: _axiom(c["residual"], c["passed"]) for k, c in checks.items()}
     if all(not len(t) or np.linalg.matrix_rank(t.reshape(len(t), -1), tol=RANK_TOL) == len(t)
            for [t] in functor.phi.values()):
-        axioms["d_adjoint_exchange"] = AxiomCheck(
-            0.0, True, {"skipped": "all multiplication maps are surjective"}
-        )
+        axioms["d_adjoint_exchange"] = _axiom(
+            0.0, True, skipped="all multiplication maps are surjective")
     else:
         d = _axiom_v(real, fusion, tol)
-        axioms["d_adjoint_exchange"] = AxiomCheck(d.residual, d.passed)
-    return ValidationReport(tol, axioms)
+        axioms["d_adjoint_exchange"] = _axiom(d["residual"], d["passed"])
+    return _section(tol, axioms)
 
 
 def from_graded(bundle: GradedBundle) -> TensorFunctorData:

@@ -11,50 +11,33 @@ This module builds that algebra from the functor data as the one flat
 model of qact.staralg, alg.model.  An element is a coordinate vector:
 component alpha, an array of shape (irrep dim, module dim), sits
 row-major at offsets[alpha], and each component is one span of the
-model's pruning rule.  Products, stars, the expectation and norms are the
+model's pruning rule.  Products, stars and the expectation are the
 model's; ReconstructedAlgebra adds what only the functor data knows: the
 layout of the labels and the coaction.  The product of two basis elements
 is formed once, in the multiplication table; build_report certifies the
 model with staralg.audit, exact over the basis, and draws nothing.
+build_algebra returns the validation section beside the algebra, or
+beside None when the data fails: a failed check raises nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functors import Realization, TensorFunctorData, ValidationReport, validate_functor
+from .functors import Realization, TensorFunctorData, validate_functor
 from .staralg import StarAlgebraModel, audit
 from .thresholds import DEFAULT_TOL
 
 
-class BuildError(ValueError):
-    """Functor data failed validation on entry to the build; `report` is
-    the validation report."""
-
-    def __init__(self, message: str, report: ValidationReport | None = None):
-        super().__init__(message)
-        self.report = report
-
-
 class ReconstructedAlgebra:
-    """The graded *-algebra of a functor: the flat model alg.model plus the
-    label layout (labels, shapes, offsets, spans) and the coaction.
+    """The graded *-algebra of the functor of a Realization, built on its
+    word objects and F_2 without validating the data: the flat model
+    alg.model plus the label layout (labels, shapes, offsets, spans) and
+    the coaction."""
 
-    With `validate`, the functor is validated on the build's own
-    Realization, so the word objects and F_2 of the validation serve the
-    build; the report is kept as `validation` (None without `validate`).
-    """
-
-    def __init__(self, functor: TensorFunctorData, tol: float = DEFAULT_TOL,
-                 validate: bool = True):
-        self.real = Realization(functor)
-        self.validation = None
-        if validate:
-            self.validation = validate_functor(functor, tol, real=self.real)
-            if not self.validation.passed:
-                bad = sorted(k for k, v in self.validation.axioms.items() if not v.passed)
-                raise BuildError(f"functor data fails validation at {bad}", self.validation)
-        self.functor = functor
+    def __init__(self, real: Realization, tol: float = DEFAULT_TOL):
+        self.real = real
+        self.functor = functor = real.functor
         self.backend = functor.backend
         self.algebra = functor.algebra
         self.tol = tol
@@ -150,9 +133,14 @@ class ReconstructedAlgebra:
         return {l: [self.shapes[l][0], self.shapes[l][1]] for l in self.labels}
 
 
-def build_algebra(functor: TensorFunctorData, tol: float = DEFAULT_TOL,
-                  validate: bool = True) -> ReconstructedAlgebra:
-    return ReconstructedAlgebra(functor, tol=tol, validate=validate)
+def build_algebra(functor: TensorFunctorData, tol: float = DEFAULT_TOL):
+    """(validation section, algebra): the functor data validated on a
+    Realization, and the algebra built on that Realization, so the word
+    objects and F_2 of the validation serve the build; the algebra is None
+    when the validation fails."""
+    real = Realization(functor)
+    validation = validate_functor(functor, tol, real=real)
+    return validation, ReconstructedAlgebra(real, tol) if validation["passed"] else None
 
 
 def build_report(alg: ReconstructedAlgebra) -> dict:

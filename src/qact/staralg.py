@@ -117,29 +117,6 @@ class StarAlgebraModel:
         """E(x) as base-algebra matrices of shape (..., n, n)."""
         return self.base.from_coords(np.asarray(xs) @ self.expect.T)
 
-    def inner(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Base-algebra-valued inner products E(x* y)."""
-        return self.expectation(self.multiply(self.star(xs), ys))
-
-    def operator_norm(self, xs: np.ndarray) -> np.ndarray:
-        """C*-norms of a stack of vectors: the norm of left multiplication
-        on the Hilbert space induced from the state tr E, a faithful
-        *-representation when E is faithful."""
-        ops = self._gns_operators
-        xs = np.asarray(xs, dtype=complex)
-        shape = xs.shape[:-1]
-        xs = xs.reshape(-1, self.dim)
-        r = ops.shape[1]
-        out = np.zeros(len(xs))
-        if r == 0:
-            return out.reshape(shape)
-        ops = ops.reshape(self.dim, r * r)
-        step = max(1, CHUNK_ENTRIES // (r * r))
-        for lo in range(0, len(xs), step):
-            t = (xs[lo:lo + step] @ ops).reshape(-1, r, r)
-            out[lo:lo + step] = np.linalg.svd(t, compute_uv=False)[:, 0]
-        return out.reshape(shape)
-
     # -- structure -------------------------------------------------------------
 
     def gram(self) -> np.ndarray:

@@ -453,19 +453,41 @@ def test_bad_json_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
-def test_validation_failure_is_exit_one(tmp_path):
-    # perturb one stored tensor of a good functor file
+def broken_s3_functor() -> dict:
+    """The S3 translation functor file with one stored tensor perturbed, so
+    that it fails validation."""
     src = json.loads((FIXTURES / "functors/spectral_s3_translation.json").read_text())
     entry = next(e for e in src["phi"]
                  if (e["alpha"], e["beta"], e["gamma"]) == ("std", "std", "std"))
     entry["tensor"][0][0][0][0] += 1e-3
+    return src
+
+
+def test_validation_failure_is_exit_one(tmp_path):
     bad = tmp_path / "broken.json"
-    bad.write_text(json.dumps(src))
+    bad.write_text(json.dumps(broken_s3_functor()))
     proc = run_cli("validate", "--backend", str(FIXTURES / "backends/s3.json"),
                    "--input", str(bad))
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
     assert not data["validation"]["passed"]
+
+
+def test_roundtrip_whose_functor_fails_validation_writes_that_section(tmp_path, monkeypatch):
+    # the round trip rebuilds nothing from a functor that fails validation:
+    # the failed validation section stands in place of the certificate
+    from qact import reconstruction
+
+    validate = reconstruction.validate_functor
+    monkeypatch.setattr(reconstruction, "validate_functor",
+                        lambda *args, **kwargs: {**validate(*args, **kwargs), "passed": False})
+    report = tmp_path / "r.json"
+    code = cli.main(["roundtrip", "--backend", str(FIXTURES / "backends/s3.json"),
+                     "--input", str(FIXTURES / "actions/s3_translation.json"),
+                     "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 1
+    assert data["validation"]["passed"] is False and "certificate" not in data
 
 
 def test_wrong_inputs_count(tmp_path):
@@ -733,6 +755,33 @@ def test_deform_with_a_failing_companion_element_exits_one(tmp_path, monkeypatch
     assert data["cocycle"]["passed"] is True
     assert data["deformed"]["inverse_identity"] == 1.0
     assert data["deformed"]["passed"] is False
+
+
+def test_deform_cross_test_with_a_failing_twisted_validation_exits_one(tmp_path, monkeypatch):
+    # the cross test builds the twisted algebra before it validates the
+    # twisted functor, so a validation that fails still leaves the rebuilt
+    # algebra to compare: a finite residual, and the section fails
+    from qact import functors
+
+    validate, calls = functors.validate_functor, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        return {**validate(*args, **kwargs), "passed": False}
+
+    monkeypatch.setattr(functors, "validate_functor", failing)
+    report = tmp_path / "r.json"
+    code = cli.main(["deform", "--backend", str(FIXTURES / "backends/dual_z2z2.json"),
+                     "--input", str(FIXTURES / "actions/z2z2_group_algebra.json"),
+                     "--input", str(FIXTURES / "cocycles/bicharacter_z2z2.json"),
+                     "--cross-test", "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert code == 1 and calls == [1]
+    assert data["deformed"]["passed"] is True
+    cross = data["cross_test"]
+    assert cross["twisted_functor_valid"] is False and cross["passed"] is False
+    assert np.isfinite(cross["comparison_residual"])
+    assert cross["comparison_residual"] < 1e-9
 
 
 def grading_of_c2(rows):

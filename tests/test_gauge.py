@@ -132,7 +132,7 @@ SEAMS = {"blockdecomp.row_spaces", "blockdecomp.column_span", "blockdecomp.eigen
          "repcat.Backend._mor_stack"}
 # uses whose result does not depend on the vectors chosen
 GAUGE_FREE = {
-    "algebras.adjoints_by_shape",  # the pseudo-inverse of each Gram matrix
+    "algebras.adjoints_of",  # the pseudo-inverse of each Gram matrix
     "actions.fullness_check",  # the inverse square root of <Y, Y>
 }
 # bases still picked outside the seams

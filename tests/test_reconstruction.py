@@ -2,17 +2,43 @@ import numpy as np
 import pytest
 
 from qact.fixtures import action_corpus, clock_shift_bundle, standard_backends
-from qact.functors import from_graded, group_algebra_bundle
+from qact.functors import Realization, from_graded, group_algebra_bundle, validate_functor
 from qact.groups import cyclic_group
 from qact.actions import spectral_functor
 from qact.algebras import BlockAlgebra
-from qact.reconstruction import build_algebra, build_report
-from qact.staralg import StarAlgebraModel, verify_algebra_iso
+from qact.reconstruction import ReconstructedAlgebra, build_algebra, build_report
+from qact.staralg import CHUNK_ENTRIES, StarAlgebraModel, verify_algebra_iso
 from qact.thresholds import PRUNE_TOL
 
-from test_algebras import left_mul, module_inner, right_mul
+from test_algebras import left_mul, module_inner, opnorm, right_mul
 
 TOL = 1e-9
+
+
+def operator_norm(model, xs):
+    """C*-norms of a stack of vectors of a StarAlgebraModel: the norm of left
+    multiplication on the Hilbert space induced from the state tr E, a
+    faithful *-representation when E is faithful; the largest singular
+    value of sum_i x_i ops[i] over the model's GNS operators."""
+    ops = model._gns_operators
+    xs = np.asarray(xs, dtype=complex)
+    shape = xs.shape[:-1]
+    xs = xs.reshape(-1, model.dim)
+    r = ops.shape[1]
+    out = np.zeros(len(xs))
+    if r == 0:
+        return out.reshape(shape)
+    ops = ops.reshape(model.dim, r * r)
+    step = max(1, CHUNK_ENTRIES // (r * r))
+    for lo in range(0, len(xs), step):
+        t = (xs[lo:lo + step] @ ops).reshape(-1, r, r)
+        out[lo:lo + step] = np.linalg.svd(t, compute_uv=False)[:, 0]
+    return out.reshape(shape)
+
+
+def model_inner(model, xs, ys):
+    """Base-algebra-valued inner products E(x* y) of a StarAlgebraModel."""
+    return model.expectation(model.multiply(model.star(xs), ys))
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +50,17 @@ def backends():
 def s3_algebra(backends):
     bk, act = action_corpus()["s3_translation"]
     functor = spectral_functor(backends[bk], act).functor
-    return build_algebra(functor)
+    return build_algebra(functor)[1]
 
 
 @pytest.fixture(scope="module")
 def z3_group_algebra():
-    return build_algebra(from_graded(group_algebra_bundle(cyclic_group(3))))
+    return build_algebra(from_graded(group_algebra_bundle(cyclic_group(3))))[1]
 
 
 @pytest.fixture(scope="module")
 def m3_algebra():
-    return build_algebra(from_graded(clock_shift_bundle(3)))
+    return build_algebra(from_graded(clock_shift_bundle(3)))[1]
 
 
 def unit_component(alg, label, i, p):
@@ -149,7 +175,7 @@ def test_project_word_decomposition_independent(s3_algebra):
     out1 = project_word(alg, word, arr)
     out2 = alg.model.prune(vec)
     diff = alg.model.prune(out1 - out2)
-    assert alg.model.operator_norm(diff) < 1e-10
+    assert operator_norm(alg.model, diff) < 1e-10
 
 
 def test_project_word_isometry_property(s3_algebra):
@@ -167,14 +193,15 @@ def test_project_word_isometry_property(s3_algebra):
     arr = w.conj() @ x @ fw.T
     out1 = project_word(alg, word, arr)
     out2 = project_word(alg, atom, x)
-    assert alg.model.operator_norm(alg.model.prune(out1 - out2)) < 1e-10
+    assert operator_norm(alg.model, alg.model.prune(out1 - out2)) < 1e-10
 
 
 def test_project_word_unknown_label_is_error():
     from qact.repcat import BackendError
 
     bk, act = action_corpus()["swap_c2"]
-    alg = build_algebra(spectral_functor(standard_backends()[bk], act).functor, validate=False)
+    alg = ReconstructedAlgebra(Realization(
+        spectral_functor(standard_backends()[bk], act).functor))
     with pytest.raises(BackendError):
         project_word(alg, (("nope", False),), np.zeros((1, 1)))
 
@@ -248,7 +275,7 @@ def test_component_inner_product_formula(s3_algebra):
                 for q in range(mod.dim):
                     x = unit_component(alg, "std", i, p)
                     y = unit_component(alg, "std", j, q)
-                    lhs = alg.model.inner(x, y)
+                    lhs = model_inner(alg.model, x, y)
                     scalar = (1.0 / dq) if i == j else 0.0
                     rhs = scalar * module_inner(
                         mod, np.eye(mod.dim)[p], np.eye(mod.dim)[q]
@@ -260,7 +287,7 @@ def test_components_mutually_orthogonal(s3_algebra):
     alg = s3_algebra
     x = unit_component(alg, "sign", 0, 0)
     y = unit_component(alg, "std", 1, 0)
-    np.testing.assert_allclose(alg.model.inner(x, y), 0, atol=TOL)
+    np.testing.assert_allclose(model_inner(alg.model, x, y), 0, atol=TOL)
 
 
 def test_coaction_constants_and_law(s3_algebra):
@@ -339,7 +366,7 @@ def test_grading_form_of_coaction(z3_group_algebra):
 
 def test_regular_norm_examples(z3_group_algebra, m3_algebra):
     alg = z3_group_algebra
-    assert abs(alg.model.operator_norm(alg.model.unit) - 1.0) < TOL
+    assert abs(operator_norm(alg.model, alg.model.unit) - 1.0) < TOL
     # Fourier oracle on the cyclic group algebra
     rng = np.random.default_rng(7)
     coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -349,12 +376,12 @@ def test_regular_norm_examples(z3_group_algebra, m3_algebra):
         abs(sum(coeff[k] * omega ** (k * chi) for k in range(3)))
         for chi in range(3)
     )
-    assert abs(alg.model.operator_norm(el) - oracle) < 1e-8
+    assert abs(operator_norm(alg.model, el) - oracle) < 1e-8
     # the clock/shift algebra carries the operator norm of 3x3 matrices
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     el = alg2_element_from_matrix(m3_algebra, m)
     oracle = np.linalg.svd(m, compute_uv=False)[0]
-    assert abs(m3_algebra.model.operator_norm(el) - oracle) < 1e-8
+    assert abs(operator_norm(m3_algebra.model, el) - oracle) < 1e-8
 
 
 def alg2_element_from_matrix(alg, m):
@@ -373,8 +400,8 @@ def test_cstar_identity_random(s3_algebra):
     for _ in range(20):
         model = s3_algebra.model
         x = random_element(s3_algebra, rng)
-        n = model.operator_norm(x)
-        nn = model.operator_norm(model.multiply(model.star(x), x))
+        n = operator_norm(model, x)
+        nn = operator_norm(model, model.multiply(model.star(x), x))
         assert abs(nn - n * n) < 1e-8 * n * n
 
 
@@ -387,7 +414,7 @@ def test_build_reports(s3_algebra, z3_group_algebra, m3_algebra):
 def test_trivial_functor_builds_to_algebra(backends):
     bk, act = action_corpus()["trivial_m2"]
     functor = spectral_functor(backends[bk], act).functor
-    alg = build_algebra(functor)
+    alg = build_algebra(functor)[1]
     assert alg.dim == 4
     assert alg.labels == ["chi0"]
 
@@ -417,8 +444,8 @@ def test_norm_submultiplicative(s3_algebra):
         model = s3_algebra.model
         x = random_element(s3_algebra, rng)
         y = random_element(s3_algebra, rng)
-        nxy = model.operator_norm(model.multiply(x, y))
-        assert nxy <= model.operator_norm(x) * model.operator_norm(y) + 1e-9
+        nxy = operator_norm(model, model.multiply(x, y))
+        assert nxy <= operator_norm(model, x) * operator_norm(model, y) + 1e-9
 
 
 # -- the flat model against the dict-of-arrays model it replaced ---------------
@@ -574,7 +601,7 @@ def dict_build_report(alg, seed=0, samples=100):
         rhs = amat @ ref.expectation(x) @ amat
         worst_bimod = max(worst_bimod, float(np.abs(lhs - rhs).max()))
         ax = ref.multiply(a_el, x)
-        bound = alg.algebra.opnorm(amat) ** 2 * ref.inner(x, x) - ref.inner(ax, ax)
+        bound = opnorm(amat) ** 2 * ref.inner(x, x) - ref.inner(ax, ax)
         worst_bound = max(worst_bound,
                           -float(np.linalg.eigvalsh((bound + bound.conj().T) / 2).min()))
     rep["expectation_bimodular"] = worst_bimod
@@ -640,7 +667,7 @@ def reference_functor(name):
 
 @pytest.fixture(scope="module", params=REFERENCE_NAMES)
 def flat_and_reference(request):
-    alg = build_algebra(reference_functor(request.param), validate=False)
+    alg = ReconstructedAlgebra(Realization(reference_functor(request.param)))
     return alg, DictReference(alg)
 
 
@@ -711,11 +738,11 @@ def test_flat_norms_and_gram_match_dict_model(flat_and_reference):
     rng = np.random.default_rng(12)
     elements = _sample_elements(alg, rng)
     np.testing.assert_allclose(alg.model.gram(), ref.gram(), rtol=0, atol=1e-13)
-    flat = alg.model.operator_norm(np.array(elements))
+    flat = operator_norm(alg.model, np.array(elements))
     for x, got in zip(elements, flat):
         want = ref.operator_norm(to_dict(alg, x))
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
-        assert abs(alg.model.operator_norm(x) - got) <= 1e-13 * max(got, 1.0)
+        assert abs(operator_norm(alg.model, x) - got) <= 1e-13 * max(got, 1.0)
 
 
 def test_flat_build_report_matches_dict_model(flat_and_reference):
@@ -754,10 +781,10 @@ def reference_build_report(alg, seed=0, samples=100):
 
     draws = rng.standard_normal((samples, 3, 2, alg.dim))
     x, y, z = model.prune(np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0))
-    nx, ny, nz = model.operator_norm(np.stack([x, y, z]))
+    nx, ny, nz = operator_norm(model, np.stack([x, y, z]))
     xy = model.multiply(x, y)
     sx = model.star(x)
-    assoc, invol, anti, cstar = model.operator_norm(np.stack([
+    assoc, invol, anti, cstar = operator_norm(model, np.stack([
         model.prune(model.multiply(xy, z) - model.multiply(x, model.multiply(y, z))),
         model.prune(model.star(sx) - x),
         model.prune(model.star(xy) - model.multiply(model.star(y), sx)),
@@ -779,7 +806,7 @@ def reference_build_report(alg, seed=0, samples=100):
     rhs = amat @ model.expectation(x) @ amat
     rep["expectation_bimodular"] = worst(np.abs(lhs - rhs).max(axis=(1, 2)))
     ax = model.multiply(a_el, x)
-    bound = alg.algebra.opnorm(amat) ** 2 * model.inner(x, x) - model.inner(ax, ax)
+    bound = opnorm(amat) ** 2 * model_inner(model, x, x) - model_inner(model, ax, ax)
     bound = (bound + bound.conj().transpose(0, 2, 1)) / 2
     rep["expectation_bound_violation"] = worst(-np.linalg.eigvalsh(bound).min(axis=1))
 
@@ -802,8 +829,8 @@ def reference_build_report(alg, seed=0, samples=100):
         words.append(project_word(alg, atoms, arr))
         lefts.append(alg.component(a, xa))
         rights.append(alg.component(b, yb))
-    rep["word_projection_homomorphism"] = worst(model.operator_norm(
-        model.prune(np.array(words) - model.multiply(np.array(lefts), np.array(rights)))))
+    rep["word_projection_homomorphism"] = worst(operator_norm(model, model.prune(
+        np.array(words) - model.multiply(np.array(lefts), np.array(rights)))))
 
     rep["passed"] = bool(all([
         *(rep[key] < AUDIT_FACTOR * tol for key in (
@@ -853,7 +880,7 @@ def test_exact_build_audit_gives_the_sampled_verdicts():
     rng = np.random.default_rng(14)
     verdicts = {}
     for name, functor in {**functors, **broken}.items():
-        alg = build_algebra(functor, validate=False)
+        alg = ReconstructedAlgebra(Realization(functor))
         if name in broken:
             m = alg.model
             noise = 1e-3 * rng.standard_normal(m.table.shape) * (m.table != 0)
@@ -877,13 +904,13 @@ def test_projected_basis_products_are_the_table():
     functors.update(conjugated_corpus_functors())
     assert len(functors) == 50
     for name, functor in functors.items():
-        alg = build_algebra(functor, validate=False)
+        alg = ReconstructedAlgebra(Realization(functor))
         diff = alg.model.prune(projected_basis_products(alg) - alg.model.table)
         assert not diff.any(), (name, float(np.abs(diff).max()))
 
 
 def test_build_report_forms_no_kron(monkeypatch):
-    alg = build_algebra(reference_functor("clock4_conjugated"), validate=False)
+    alg = ReconstructedAlgebra(Realization(reference_functor("clock4_conjugated")))
     calls = []
     kron = np.kron
     monkeypatch.setattr(np, "kron", lambda *a: calls.append(1) or kron(*a))
@@ -899,5 +926,20 @@ def test_roundtrip_makes_no_element_products(monkeypatch):
     monkeypatch.setattr(StarAlgebraModel, "multiply",
                         lambda self, x, y: calls.append(1) or multiply(self, x, y))
     bk, act = action_corpus()["m3_clock_shift"]
-    assert roundtrip_check(standard_backends()[bk], act)["passed"]
+    assert roundtrip_check(standard_backends()[bk], act)["certificate"]["passed"]
     assert calls == []
+
+
+def test_build_algebra_on_failing_data_returns_the_failed_section():
+    # the perturbed functor of test_validation_failure_is_exit_one: a failed
+    # validation is a section beside no algebra, not an exception
+    from qact import serialize
+
+    from test_cli import FIXTURES, broken_s3_functor
+
+    backend = serialize.backend_from_json(serialize.load_json(FIXTURES / "backends/s3.json"))
+    functor = serialize.functor_from_json(broken_s3_functor(), backend)
+    validation, alg = build_algebra(functor)
+    assert alg is None
+    assert validation["passed"] is False
+    assert validation == validate_functor(functor)

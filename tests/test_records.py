@@ -1,5 +1,5 @@
 """Records are plain classes, only the process entry touches the collector,
-and nothing draws random numbers.
+nothing draws random numbers, and a failed check raises nothing.
 
 The record classes of qact write their `__init__` out instead of having
 `dataclasses` generate and exec it when a layer is imported, so no module
@@ -8,12 +8,16 @@ entry, `qact/__main__.py`, is the one module that calls into `gc`.  No
 module imports `numpy.random` or calls `default_rng`: every check is exact
 over a basis, and a verb that loaded `numpy.random` would pay its import.
 The five read-only records refuse assignment and deletion, and still cache
-their cached properties.
+their cached properties.  The exception classes qact defines are the input
+errors of `errors.py`, `groups.GroupError` and
+`blockdecomp.DecompositionError`, so a check that fails stays a report
+section and cannot turn into a raised exception again.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import subprocess
 import sys
 
@@ -78,6 +82,45 @@ def test_no_module_imports_numpy_random_or_calls_default_rng():
 def test_only_the_process_entry_touches_the_collector():
     touching = {name for name, tree in _modules().items() if "gc" in _imports(tree)}
     assert touching == {"__main__.py"}
+
+
+def _exception_classes(trees) -> set[tuple[str, str]]:
+    """(module file, class name) of every class defined in the trees,
+    nested ones too, that derives from a builtin exception or from another
+    such class, its bases read by name."""
+    builtin = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [(name, node) for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found: set = set()
+    while True:
+        known = builtin | {cls for _, cls in found}
+        more = {(name, node.name) for name, node in classes
+                if any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) in known
+                       for b in node.bases)}
+        if more <= found:
+            return found
+        found |= more
+
+
+def test_the_only_exceptions_are_the_input_errors_and_two_library_failures():
+    # a failed check is a report section: qact raises only the input errors
+    # of errors.py, a group element that does not exist and a decomposition
+    # that finds no block structure
+    trees = _modules()
+    errors = {("errors.py", node.name) for node in trees["errors.py"].body
+              if isinstance(node, ast.ClassDef)}
+    assert len(errors) >= 6
+    assert _exception_classes(trees) == errors | {("groups.py", "GroupError"),
+                                                  ("blockdecomp.py", "DecompositionError")}
+
+
+def test_the_exception_guard_sees_nested_and_derived_classes():
+    tree = ast.parse("class A(ValueError):\n    pass\n"
+                     "class B(A):\n    pass\n"
+                     "def f():\n    class C(errors.B):\n        pass\n"
+                     "class D(dict):\n    pass\n")
+    assert _exception_classes({"m.py": tree}) == {("m.py", "A"), ("m.py", "B"), ("m.py", "C")}
 
 
 def test_a_verb_runs_without_loading_dataclasses(tmp_path):
