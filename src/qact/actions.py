@@ -856,12 +856,13 @@ def algebra_spectral_functor(alg: ReconstructedAlgebra):
     return functor, bases
 
 
-def functor_roundtrip_check(alg: ReconstructedAlgebra, tol: float = DEFAULT_TOL):
+def functor_roundtrip_check(alg: ReconstructedAlgebra):
     """Certify the functor-side round trip of an algebra rebuilt from
     functor data: its spectral data is naturally unitarily isomorphic to
     that functor data, alg.functor, through the canonical map sending X to
     the invariant vector with components (basis vector i) (x) (conjugate
-    basis vector i) (x) X."""
+    basis vector i) (x) X.  Checked at the tolerance the algebra was built
+    with, alg.tol."""
     functor = alg.functor
     functor2, bases2 = algebra_spectral_functor(alg)
     maps: dict[str, np.ndarray] = {}
@@ -876,7 +877,7 @@ def functor_roundtrip_check(alg: ReconstructedAlgebra, tol: float = DEFAULT_TOL)
         entries = alg.offsets[label] + np.arange(d) * m + np.arange(m)[:, None]
         vecs = np.eye(alg.dim, dtype=complex)[entries]
         maps[label] = np.ascontiguousarray(InSpan(bases2[label], label)(vecs).T)
-    return verify_natural_iso(functor, functor2, maps, tol)
+    return verify_natural_iso(functor, functor2, maps, alg.tol)
 
 
 def canonical_module_iso(backend: Backend, act: Action, tol: float = DEFAULT_TOL):

@@ -210,8 +210,8 @@ class Realization:
         """The shape of F_2 on one product of words, given by their component
         lists prod = (left, right, target): each component's isometry shape
         and module dimension, and (k, i, j, number of intertwiners) for every
-        block F_2 fills.  Memoized by `key`, the _word_key of each of the
-        three words, which determines it."""
+        block F_2 fills.  Memoized by `key`, which must be the _word_key of
+        each of the three words of prod (WordObject.key), and determines it."""
         if key not in self._layouts:
             left, right, target = prod
             dim = {label: self.functor.module(label).dim for label, _ in left + right + target}
@@ -400,6 +400,7 @@ def _bracketings(real: Realization, live: list):
     for n, (a, b, c) in enumerate(triples):
         ab, c_, a_, bc = words[a, b], words[c,], words[a,], words[b, c]
         prods = ((ab.components, c_.components, abc[n]), (a_.components, bc.components, abc[n]))
+        # layout's precondition: abc_keys[n] is _word_key(abc[n])
         key = (real.functor.module(b).dim,
                real.layout((ab.key, c_.key, abc_keys[n]), prods[0]),
                real.layout((a_.key, bc.key, abc_keys[n]), prods[1]))
