@@ -16,13 +16,14 @@ One builder, `functor_from_subspaces`, turns invariant subspaces into
 functor data.  It serves the spectral functor of an action (subspaces of
 the acted-on algebra), the functor of an equivariant module (equivariant
 maps M -> M (x) H) and the spectral functor of a reconstructed algebra.
-The bases of the subspaces come from the routines of `blockdecomp`
-(`row_spaces`, `column_span`), reached through that module so that one
+The bases of the subspaces, and the Hilbert space a module's inner
+product induces, come from the routines of `blockdecomp` (`row_spaces`,
+`column_span`, `gns_space`), reached through that module so that one
 patch changes them all; `InSpan` is the shared projection helper.  Only
 the round trips rebuild an algebra, so only they import `reconstruction`;
 `functors` and `staralg` are reached through their modules, so a verb
-that never calls into them (`fullness`) leaves them unrun when the CLI
-binds them lazily.
+that never calls into them (`fullness`, and `module-functor` for
+`staralg`) leaves them unrun when the CLI binds them lazily.
 """
 
 from __future__ import annotations
@@ -559,11 +560,9 @@ def _tensor_comodule(backend: Backend, comodule: np.ndarray, label: str) -> np.n
 
 class ModuleFunctor:
     def __init__(self, functor: functors.TensorFunctorData, endomorphisms: SubalgebraBlocks,
-                 end_units_module: np.ndarray, bases: dict[str, np.ndarray],
-                 module: EquivariantModule):
+                 bases: dict[str, np.ndarray], module: EquivariantModule):
         self.functor = functor
         self.endomorphisms = endomorphisms  # blocks of End(M) in the induced Hilbert space
-        self.end_units_module = end_units_module  # (dim A, dim M, dim M): units as module maps
         self.bases = bases  # per label: (mult, d, dim M, dim M) component maps
         self.module = module
 
@@ -623,7 +622,7 @@ def module_functor(backend: Backend, module: EquivariantModule,
     """
     nb = module.action.algebra.n
     # isometric coordinates for the Hilbert space induced by the inner product
-    vecs, sing = staralg.StarAlgebraModel.gns_space(module.inner)
+    vecs, sing = blockdecomp.gns_space(module.inner)
 
     def hilbert(t):
         """A module map M -> M, or each of a stack, as a matrix on the
@@ -657,7 +656,7 @@ def module_functor(backend: Backend, module: EquivariantModule,
         # the multiplicity of a block is the trace of its first matrix unit
         firsts = np.cumsum((0,) + tuple(d * d for d in algebra.blocks[:-1]))
         mults = np.trace(images[firsts], axis1=1, axis2=2).real.round().astype(int)
-        blocks = SubalgebraBlocks(algebra, images, tuple(int(m) for m in mults), kdim)
+        blocks = SubalgebraBlocks(algebra, images, tuple(int(m) for m in mults))
     a = blocks.algebra
 
     # trivial component: matrix units of the endomorphism algebra themselves
@@ -672,7 +671,7 @@ def module_functor(backend: Backend, module: EquivariantModule,
 
     functor = functor_from_subspaces(backend, a, bases, lambda t: t, np.matmul,
                                      pairing, "module-functor")
-    return ModuleFunctor(functor, blocks, unit_module, bases, module)
+    return ModuleFunctor(functor, blocks, bases, module)
 
 
 # -- fullness -----------------------------------------------------------------
@@ -719,8 +718,10 @@ def fullness_check(backend: Backend, module: EquivariantModule,
     # grams[k] is <Y, Y> for Y made of the first k + 1 candidates
     grams = np.cumsum(np.concatenate(pairings), axis=0)
     herm = (grams + grams.conj().swapaxes(-1, -2)) / 2
-    max_rank = int(np.linalg.matrix_rank(herm[-1], tol=RANK_TOL)) if len(herm) else 0
-    invertible = np.flatnonzero(np.linalg.eigvalsh(herm)[:, 0] > RANK_TOL)
+    eigs = np.linalg.eigvalsh(herm)
+    # the singular values of a Hermitian matrix are the moduli of its eigenvalues
+    max_rank = int(np.sum(np.abs(eigs[-1]) > RANK_TOL)) if len(herm) else 0
+    invertible = np.flatnonzero(eigs[:, 0] > RANK_TOL)
     if not invertible.size:
         return {"passed": False, "chosen": [label for label, _ in chosen],
                 "gram": grams[-1] if len(grams) else None, "lower_constant": 0.0,

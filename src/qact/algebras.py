@@ -159,7 +159,7 @@ class Correspondence:
         )
 
 
-def validate_correspondences(mods: list[Correspondence], tol: float = DEFAULT_TOL) -> list[dict]:
+def validate_correspondences(mods: list[Correspondence]) -> list[dict]:
     """The residuals of the correspondence axioms on the basis, for each of
     a list of correspondences over one algebra; those of one dimension are
     checked as one stack, each check one contraction or stacked matrix
@@ -175,14 +175,14 @@ def validate_correspondences(mods: list[Correspondence], tol: float = DEFAULT_TO
         for lo in range(0, len(members), step):
             part = members[lo:lo + step]
             reps = _validate_stack(a, dim, *(np.stack([getattr(mods[k], f) for k in part])
-                                             for f in ("left", "right", "inner_tensor")), tol)
+                                             for f in ("left", "right", "inner_tensor")))
             for k, rep in zip(part, reps):
                 out[k] = rep
     return out
 
 
 def _validate_stack(a: BlockAlgebra, dim: int, left: np.ndarray, right: np.ndarray,
-                    inner: np.ndarray, tol: float) -> list[dict]:
+                    inner: np.ndarray) -> list[dict]:
     """The residuals of validate_correspondences for a stack of
     correspondences of one dimension, given their stacked tensors."""
     structure = a.structure_tensor()
@@ -249,8 +249,6 @@ def _validate_stack(a: BlockAlgebra, dim: int, left: np.ndarray, right: np.ndarr
             "left_right_commute": float(worst_comm[m]),
             "inner_hermitian": float(worst_star[m]),
             "inner_module_linear": float(worst_lin[m]),
-            "gram_min_eig": gmin,
-            "positive": gmin > -tol,
             # degeneracy is a rank statement, not a residual: fixed relative floor
             "nondegenerate": gmin > RELATIVE_RANK_TOL * max(gmax, 1.0) if dim else True,
         })

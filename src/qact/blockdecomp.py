@@ -12,9 +12,10 @@ spanning set alone.
 Every basis the package picks is a gauge, and each kind is picked by one
 routine, reached as an attribute of this module so that one patch changes
 every basis of its kind: `row_spaces` (row span and kernel, one SVD),
-`column_span` (column span, thin SVD) and `eigenprojections` (eigenspace
-projections, which are gauge-free).  `repcat.Backend._mor_stack` picks the
-intertwiner bases.
+`column_span` (column span, thin SVD), `eigenprojections` (eigenspace
+projections, which are gauge-free) and `gns_space` (the Hilbert space of
+a Gram matrix, one eigenvector per kept eigenvalue).
+`repcat.Backend._mor_stack` picks the intertwiner bases.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .thresholds import (
     CLUSTER_TOL,
+    GNS_CUTOFF,
+    GNS_SCALE_GUARD,
     IDEMPOTENT_TOL,
     RANK_TOL,
     RELATIVE_RANK_TOL,
@@ -95,6 +98,20 @@ def eigenprojections(h: np.ndarray, unit: np.ndarray) -> list[np.ndarray]:
     return [p for p in projections if np.linalg.norm(p @ unit) > UNIT_MEET_FLOOR]
 
 
+def gns_space(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GNS step for a base-algebra-valued Gram matrix gram[i, j] of
+    shape (dim, dim, n, n): the eigenvectors, rows indexed by (i, u), of
+    the scalarized Gram matrix whose eigenvalues exceed GNS_CUTOFF times
+    the largest, and the square roots of those eigenvalues: the Hilbert
+    space of the state tr E in `staralg` and that of a module's inner
+    product in `actions`."""
+    dim, n = gram.shape[0], gram.shape[2]
+    s = np.transpose(gram, (0, 2, 1, 3)).reshape(dim * n, dim * n)
+    w, v = np.linalg.eigh((s + s.conj().T) / 2)
+    keep = w > GNS_CUTOFF * max(float(w.max()), GNS_SCALE_GUARD)
+    return v[:, keep], np.sqrt(w[keep])
+
+
 def _orthonormal_span(mats: list[np.ndarray], n: int) -> list[np.ndarray]:
     if not mats:
         return []
@@ -123,11 +140,10 @@ class SubalgebraBlocks:
     multiplicity of each block in the ambient representation."""
 
     def __init__(self, algebra: BlockAlgebra, unit_images: np.ndarray,
-                 multiplicities: tuple[int, ...], ambient_n: int):
+                 multiplicities: tuple[int, ...]):
         self.algebra = algebra
         self.unit_images = unit_images  # (algebra.dim, n, n), aligned with algebra.basis()
         self.multiplicities = multiplicities
-        self.ambient_n = ambient_n
 
     def restrict(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of an ambient element lying in the subalgebra, or of
@@ -177,7 +193,7 @@ def decompose_star_algebra(basis: list[np.ndarray], n: int) -> SubalgebraBlocks:
         summands.append((d, rank // d, _matrix_units(comp, p, d, rank // d, n)))
     images = [e for _, _, units in summands for row in units for e in row]
     return SubalgebraBlocks(BlockAlgebra(tuple(d for d, _, _ in summands)), np.array(images),
-                            tuple(m for _, m, _ in summands), n)
+                            tuple(m for _, m, _ in summands))
 
 
 def _split(h: np.ndarray, p: np.ndarray) -> list[np.ndarray]:

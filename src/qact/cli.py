@@ -24,8 +24,8 @@ writes the report text.
 A verb runs the code of only the layers it uses.  The layers are bound
 here as lazy modules (importlib.util.LazyLoader), whose code runs on their
 first attribute access: `validate`, `validate-graded` and `build` never run
-`actions` or `cocycles`, `module-functor` never runs `cocycles` or
-`reconstruction`, `fullness` never runs `functors`, `staralg`,
+`actions` or `cocycles`, `module-functor` never runs `cocycles`,
+`reconstruction` or `staralg`, `fullness` never runs `functors`, `staralg`,
 `reconstruction` or `cocycles`, and `cocycle-check` runs none of `actions`,
 `algebras`, `blockdecomp`, `functors`, `reconstruction` and `staralg`.  All
 of them are bound, so `import qact.cli` still puts every layer in

@@ -225,7 +225,7 @@ def m2_plus_c_bundle() -> GradedBundle:
     """The Z_2-grading of M_2 (+) C inside the 3 x 3 matrices: the diagonal
     of M_2 and the C block are even, the off-diagonal of M_2 is odd.  Odd
     times odd misses the C block, so the product into the even fiber is not
-    surjective and the adjoint-exchange condition is checked, not skipped."""
+    surjective, and the adjoint exchange has nontrivial adjoints to check."""
     group = cyclic_group(2)
     algebra = BlockAlgebra((1, 1, 1))
 

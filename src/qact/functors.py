@@ -41,7 +41,7 @@ from .algebras import (
 from .errors import BackendError, IncompleteDataError
 from .groups import GroupPresentation
 from .repcat import Backend, Rep, dual_backend
-from .thresholds import COMPOSITE_FACTOR, DEFAULT_TOL, RANK_TOL, SCHUR_FLOOR
+from .thresholds import COMPOSITE_FACTOR, DEFAULT_TOL, SCHUR_FLOOR
 
 # complex entries per triple chunk of the stacked validation contractions;
 # past this size a larger stack runs slower
@@ -498,7 +498,7 @@ def _axioms_i_to_iv(real: Realization, tol: float):
     # dimension are checked as one stack
     live = [label for label in labels if functor.module(label).dim]
     worst_mod = 0.0
-    for rep in validate_correspondences([functor.module(label) for label in live], tol):
+    for rep in validate_correspondences([functor.module(label) for label in live]):
         worst_mod = max(
             worst_mod,
             rep["actions"],
@@ -693,23 +693,10 @@ GRADED_KEYS = {"i_unit_object": "a_unit_fiber", "modules_wellformed": "modules_w
 def validate_graded(bundle: GradedBundle, tol: float = DEFAULT_TOL) -> dict:
     """The validation section of validate_functor on from_graded(bundle),
     with its axioms renamed by GRADED_KEYS and without the per-pair and
-    per-triple detail.
-
-    Axiom (v), the adjoint exchange, is skipped, and reported as such, when
-    every multiplication map is surjective (numerical rank at RANK_TOL).
-    """
-    functor = from_graded(bundle)
-    real = Realization(functor)
-    checks, fusion = _axioms_i_to_iv(real, tol)
-    axioms = {GRADED_KEYS[k]: _axiom(c["residual"], c["passed"]) for k, c in checks.items()}
-    if all(not len(t) or np.linalg.matrix_rank(t.reshape(len(t), -1), tol=RANK_TOL) == len(t)
-           for [t] in functor.phi.values()):
-        axioms["d_adjoint_exchange"] = _axiom(
-            0.0, True, skipped="all multiplication maps are surjective")
-    else:
-        d = _axiom_v(real, fusion, tol)
-        axioms["d_adjoint_exchange"] = _axiom(d["residual"], d["passed"])
-    return _section(tol, axioms)
+    per-triple detail.  Every axiom runs, the adjoint exchange (v) too."""
+    axioms = validate_functor(from_graded(bundle), tol)["axioms"]
+    return _section(tol, {GRADED_KEYS[k]: _axiom(c["residual"], c["passed"])
+                          for k, c in axioms.items()})
 
 
 def from_graded(bundle: GradedBundle) -> TensorFunctorData:

@@ -47,20 +47,6 @@ from .records import ReadOnly
 from .thresholds import DEFAULT_TOL, RANK_TOL, TABLE_MATCH_TOL
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each matrix of a stack (..., m, n), with the bits
-    norm gives that matrix alone: the same dot products of the real and
-    imaginary parts, as one stacked product each."""
-    flat = stack.reshape(stack.shape[:-2] + (1, -1))
-
-    def square(x):
-        return (x @ x.swapaxes(-1, -2))[..., 0, 0]
-
-    if np.iscomplexobj(flat):
-        return np.sqrt(square(flat.real) + square(flat.imag))
-    return np.sqrt(square(flat))
-
-
 class DualAlgebra(ReadOnly):
     """The dual algebra D of a backend, a Hopf *-algebra, as index data on
     its basis e_x (x numbers the group elements)."""
@@ -140,10 +126,6 @@ class Rep:
         self.atoms = atoms  # tuple of (label, barred) pairs
         self.dim = dim
         self.matrices = matrices
-
-    @property
-    def key(self):
-        return self.atoms
 
     def __repr__(self):
         return _word_name(self.atoms, self.dim)
@@ -228,8 +210,9 @@ class Backend:
                 raise BackendError(f"irrep {label!r} has malformed matrices")
             # U_i U_i* and U_i U_j for all i, j as two stacked products; the
             # first failure in the order i, then (i, j) over j, is reported
-            unitary = _frobenius(mats @ mats.conj().transpose(0, 2, 1) - np.eye(ir.dim)) > tol
-            table = _frobenius(mats[:, None] @ mats[None] - mats[g.mul]) > tol
+            unitary = np.linalg.norm(mats @ mats.conj().transpose(0, 2, 1) - np.eye(ir.dim),
+                                     axis=(1, 2)) > tol
+            table = np.linalg.norm(mats[:, None] @ mats[None] - mats[g.mul], axis=(2, 3)) > tol
             bad = np.flatnonzero(unitary | table.any(axis=1))
             if bad.size and unitary[bad[0]]:
                 raise BackendError(f"irrep {label!r} is not unitary at {g.elements[bad[0]]}")
@@ -240,11 +223,11 @@ class Backend:
             chib = np.einsum("gii->g", self.irreps[ir.conj].matrices)
             if np.linalg.norm(chi.conj() - chib) > tol * g.order:
                 raise BackendError(f"conjugate pairing of {label!r} is wrong")
-        # Schur orthogonality across the table
+        # Schur orthogonality across the table, from the character counts
         for a in self.labels:
             for b in self.labels:
-                n = len(self.mor_basis(self.atom(a), self.atom(b)))
-                if (a == b and n != 1) or (a != b and n != 0):
+                n = self.multiplicity(self.atom(a), self.atom(b))
+                if n != (a == b):
                     raise BackendError(f"table is not irreducible at ({a}, {b})")
         # every irreducible occurs: dim D = sum of d^2 over the table
         total = sum(ir.dim ** 2 for ir in self.irreps.values())

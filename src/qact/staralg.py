@@ -14,12 +14,12 @@ to zero, and so is each value E(b_i* b_j) of the Gram matrix whose
 entries all lie within PRUNE_TOL.  This keeps exact zero residuals exactly
 zero.  A model without spans prunes no product or star.
 
-GNS rule (StarAlgebraModel.gns_space): the C*-norm is the norm of left
-multiplication on the Hilbert space induced from the state tr E, the
-trace of the base algebra after E.  That space is spanned by the
-eigenvectors of the Gram matrix of tr E(x* y) whose eigenvalues exceed
-GNS_CUTOFF times the largest one.  The Hilbert space induced by a
-module's inner product (qact.actions) is built by the same step.
+GNS rule: the C*-norm is the norm of left multiplication on the Hilbert
+space induced from the state tr E, the trace of the base algebra after E.
+That space is spanned by the eigenvectors of the Gram matrix of
+tr E(x* y) whose eigenvalues exceed GNS_CUTOFF times the largest one,
+from `blockdecomp.gns_space`, the step that also builds the Hilbert space
+induced by a module's inner product (qact.actions).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import functools
 
 import numpy as np
 
+from . import blockdecomp
 from .algebras import BlockAlgebra
 from .thresholds import (
     AUDIT_FACTOR,
@@ -132,19 +133,6 @@ class StarAlgebraModel:
             self._gram = self.base.from_coords(values)
         return self._gram
 
-    @staticmethod
-    def gns_space(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The GNS step for a base-algebra-valued Gram matrix gram[i, j] of
-        shape (dim, dim, n, n): the eigenvectors, rows indexed by (i, u), of
-        the scalarized Gram matrix whose eigenvalues exceed GNS_CUTOFF times
-        the largest, and the square roots of those eigenvalues."""
-        dim, n = gram.shape[0], gram.shape[2]
-        s = np.transpose(gram, (0, 2, 1, 3)).reshape(dim * n, dim * n)
-        # a basis picked outside blockdecomp's routines: a later seam (ROADMAP item 1)
-        w, v = np.linalg.eigh((s + s.conj().T) / 2)
-        keep = w > GNS_CUTOFF * max(float(w.max()), GNS_SCALE_GUARD)
-        return v[:, keep], np.sqrt(w[keep])
-
     def state_gram(self) -> np.ndarray:
         """The Gram matrix tr E(b_i* b_j) of the state tr E, made
         Hermitian."""
@@ -159,7 +147,7 @@ class StarAlgebraModel:
         scaled by their square roots and V' scaled by the inverse square
         roots: the matrix of L(b_i) in an orthonormal basis of that space.
         The norm of x is the largest singular value of sum_i x_i ops[i]."""
-        v, sq = self.gns_space(self.state_gram()[:, :, None, None])
+        v, sq = blockdecomp.gns_space(self.state_gram()[:, :, None, None])
         left = (v * sq).conj()
         right = v / sq
         ops = np.empty((self.dim, len(sq), len(sq)), dtype=complex)

@@ -44,8 +44,7 @@ matrix) above it counts toward the rank, and a matrix whose smallest one
 is above it is invertible.  Fixed.  It decides the ranks of `row_spaces`
 and `Backend.mor_basis`, the spanning of a grading, the invertible
 self-pairing and `max_rank` of `fullness_check`, the invertibility of the
-maps of `verify_natural_iso` and `verify_algebra_iso`, the surjectivity
-of the multiplication maps in `validate_graded` and
+maps of `verify_natural_iso` and `verify_algebra_iso`, and
 `StarAlgebraModel.center_dimension`.  As a relative floor, times
 max(1, largest eigenvalue), it decides `expectation_faithful` of
 `staralg.audit`."""
@@ -59,7 +58,7 @@ in `column_span` and the `nondegenerate` flag of
 GNS_CUTOFF = 1e-12
 """1e-12, relative to the largest eigenvalue (floored at GNS_SCALE_GUARD):
 the eigenvectors of the Gram matrix kept by the GNS step of
-`StarAlgebraModel.gns_space`, and the band around zero in which
+`blockdecomp.gns_space`, and the band around zero in which
 `staralg.audit` reads an eigenvalue of the expectation's Gram matrix as
 zero when it certifies positivity.  Fixed."""
 

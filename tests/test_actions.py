@@ -1044,7 +1044,7 @@ def reference_units_from_projections(basis, projections, n, rng):
         summands.append((d, rank // d, reference_matrix_units(comp, p, d, rank // d, rng)))
     images = [unit for _, _, units in summands for row in units for unit in row]
     return blockdecomp.SubalgebraBlocks(BlockAlgebra(tuple(d for d, _, _ in summands)),
-                                        np.array(images), tuple(m for _, m, _ in summands), n)
+                                        np.array(images), tuple(m for _, m, _ in summands))
 
 
 def reference_matrix_units(comp_basis, p, d, mult, rng):

@@ -512,7 +512,7 @@ def test_validate_matches_loop_on_corpus_modules():
     rng = np.random.default_rng(8)
     skewed = [(f"skewed{k}", skewed_copies(BlockAlgebra((2, 1)), k, rng)[0]) for k in (1, 2)]
     for name, mod in corpus_modules() + skewed:
-        rep = validate_correspondences([mod], TOL)[0]
+        rep = validate_correspondences([mod])[0]
         for key, val in loop_validate(mod, TOL).items():
             assert abs(rep[key] - val) < 1e-12, (name, key)
 

@@ -197,6 +197,20 @@ def test_validate_graded_rejects_a_fiber_that_is_no_correspondence(tmp_path):
     record_golden.check(record_golden.fixture_key(args), code, data)
 
 
+@pytest.mark.parametrize("bundle", ["clock_shift_z3", "zero_odd"])
+def test_validate_graded_runs_the_adjoint_exchange(bundle, tmp_path):
+    # every multiplication map of these bundles is surjective; axiom (v) is
+    # checked all the same, and nothing is reported as skipped
+    report = tmp_path / "report.json"
+    code = cli.main(["validate-graded", "--input", str(FIXTURES / f"bundles/{bundle}.json"),
+                     "--report", str(report)])
+    assert code == 0
+    text = report.read_text()
+    assert "skipped" not in text
+    exchange = json.loads(text)["validation"]["axioms"]["d_adjoint_exchange"]
+    assert exchange == {"residual": 0.0, "passed": True}
+
+
 def test_record_golden_add_records_only_missing_runs(tmp_path):
     # --add runs only the runs the file lacks (a fixture run and the two
     # functor verbs of one corpus action here) and leaves every other line
@@ -1033,7 +1047,7 @@ print(json.dumps(sorted(name for name, mod in sys.modules.items()
     (("build", "--backend", "backends/z2.json", "--input", "functors/spectral_swap_c2.json"),
      {"functors"}, {"actions", "cocycles"}),
     (("module-functor", "--backend", "backends/z2.json", "--input", "actions/inner_m2.json"),
-     {"functors", "actions"}, {"cocycles", "reconstruction"}),
+     {"functors", "actions"}, {"cocycles", "reconstruction", "staralg"}),
     (("cocycle-check", "--backend", "backends/z2z2.json",
       "--input", "cocycles/group_bicharacter_z2z2.json"), {"cocycles", "repcat", "serialize"},
      {"actions", "algebras", "blockdecomp", "functors", "reconstruction", "staralg"}),

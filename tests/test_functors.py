@@ -314,9 +314,11 @@ def test_star_independent_of_conjugation_phases(backends):
 
 
 def test_validate_graded_clock_shift():
+    # every multiplication map is surjective, and the adjoint exchange runs
+    # all the same
     rep = validate_graded(clock_shift_bundle(3))
     assert rep["passed"]
-    assert rep["axioms"]["d_adjoint_exchange"].get("skipped")
+    assert rep["axioms"]["d_adjoint_exchange"] == {"residual": 0.0, "passed": True}
 
 
 def test_validate_graded_zero_fiber():
@@ -448,12 +450,8 @@ def test_validate_graded_is_validate_functor_renamed(name):
     full = validate_functor(from_graded(bundle))["axioms"]
     assert sorted(graded) == sorted(GRADED_KEYS.values())
     for key, renamed in GRADED_KEYS.items():
-        got, want = graded[renamed], full[key]
-        if "skipped" in got:
-            assert renamed == "d_adjoint_exchange"
-            assert (got["residual"], got["passed"]) == (0.0, True)
-        else:
-            assert got == {"residual": want["residual"], "passed": want["passed"]}, key
+        want = full[key]
+        assert graded[renamed] == {"residual": want["residual"], "passed": want["passed"]}, key
 
 
 def test_from_graded_outputs_validate():
@@ -583,7 +581,7 @@ def reference_validate_functor(functor, tol=1e-9):
         mod = functor.module(label)
         if mod.dim == 0:
             continue
-        rep = validate_correspondences([mod], tol)[0]
+        rep = validate_correspondences([mod])[0]
         worst_mod = max(
             worst_mod, rep["actions"], rep["left_right_commute"], rep["inner_hermitian"],
             rep["inner_module_linear"], 0.0 if rep["nondegenerate"] else float("inf"),

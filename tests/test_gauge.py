@@ -6,12 +6,15 @@ The gauge tests rotate the routines that pick those bases
 (`blockdecomp.row_spaces`, `blockdecomp.column_span` and, for group
 backends, `repcat.Backend._mor_stack`), first by a sign flip and then by
 one seeded unitary on the count axis, and replay the recorded runs of
-`record_golden.record` under each rotation.  Every exit code and flag must
-be the recorded one and every float within 1e-12 of its record.  The rule
-of `record_golden.check` that a recorded zero stays zero does not apply
-here: an exact zero may record the bases this LAPACK returns.  The unitary
-depends only on the seed and the shape, so a functor file written under a
-gauge reads back under the same gauge.
+`record_golden.record` under each rotation.  The GNS vectors of
+`blockdecomp.gns_space` turn by one unit phase each, the phases of the
+rotation's diagonal: a unitary that mixed vectors of different
+eigenvalues would change the space's isometry `vecs * sing`.  Every exit
+code and flag must be the recorded one and every float within 1e-12 of
+its record.  The rule of `record_golden.check` that a recorded zero stays
+zero does not apply here: an exact zero may record the bases this LAPACK
+returns.  The unitary depends only on the seed and the shape, so a
+functor file written under a gauge reads back under the same gauge.
 
 The guard test keeps the choices in those routines: no other code in
 src/qact takes singular vectors or eigenvectors, except a named list of
@@ -59,9 +62,17 @@ def seeded_unitary(seed: int):
 GAUGES = {"sign-flip": sign_flip, "seed-1": seeded_unitary(1)}
 
 
+def unit_phases(unitary: np.ndarray) -> np.ndarray:
+    """The phases of the diagonal of a unitary: -1 each for the sign flip,
+    seeded phases for a seeded unitary."""
+    d = np.diagonal(unitary)
+    return d / np.abs(d)
+
+
 def patch_seams(mp: pytest.MonkeyPatch, gauge, calls: dict[str, int]) -> None:
-    row_spaces, column_span, mor_stack = (blockdecomp.row_spaces, blockdecomp.column_span,
-                                          Backend._mor_stack)
+    row_spaces, column_span, gns_space, mor_stack = (
+        blockdecomp.row_spaces, blockdecomp.column_span, blockdecomp.gns_space,
+        Backend._mor_stack)
 
     def rows(stacked):
         calls["row_spaces"] += 1
@@ -72,6 +83,11 @@ def patch_seams(mp: pytest.MonkeyPatch, gauge, calls: dict[str, int]) -> None:
         calls["column_span"] += 1
         span = column_span(stack)
         return span @ gauge(span.shape[1], span.dtype)
+
+    def gns(gram):
+        calls["gns_space"] += 1
+        vecs, sing = gns_space(gram)
+        return vecs * unit_phases(gauge(vecs.shape[1], vecs.dtype)), sing
 
     def mor(self, umats, vmats, count, name):
         bases = mor_stack(self, umats, vmats, count, name)
@@ -84,6 +100,7 @@ def patch_seams(mp: pytest.MonkeyPatch, gauge, calls: dict[str, int]) -> None:
 
     mp.setattr(blockdecomp, "row_spaces", rows)
     mp.setattr(blockdecomp, "column_span", columns)
+    mp.setattr(blockdecomp, "gns_space", gns)
     mp.setattr(Backend, "_mor_stack", mor)
 
 
@@ -91,7 +108,7 @@ def patch_seams(mp: pytest.MonkeyPatch, gauge, calls: dict[str, int]) -> None:
 def gauged(request):
     """The summaries of every recorded run under one gauge, and the number
     of calls of each rotated routine."""
-    calls = dict.fromkeys(("row_spaces", "column_span", "_mor_stack"), 0)
+    calls = dict.fromkeys(("row_spaces", "column_span", "gns_space", "_mor_stack"), 0)
     with pytest.MonkeyPatch.context() as mp:
         patch_seams(mp, GAUGES[request.param], calls)
         return record_golden.record(), calls
@@ -129,15 +146,11 @@ def test_committed_functor_file_under_another_gauge(gauged, key):
 
 # the routines that pick bases
 SEAMS = {"blockdecomp.row_spaces", "blockdecomp.column_span", "blockdecomp.eigenprojections",
-         "repcat.Backend._mor_stack"}
+         "blockdecomp.gns_space", "repcat.Backend._mor_stack"}
 # uses whose result does not depend on the vectors chosen
 GAUGE_FREE = {
     "algebras.adjoints_of",  # the pseudo-inverse of each Gram matrix
     "actions.fullness_check",  # the inverse square root of <Y, Y>
-}
-# bases still picked outside the seams
-LATER_SEAMS = {
-    "staralg.StarAlgebraModel.gns_space",  # later seam (ROADMAP item 1): the GNS space
 }
 
 
@@ -169,7 +182,7 @@ def vector_calls(source: str, module: str):
 def test_bases_are_picked_only_in_the_seams():
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in vector_calls(path.read_text(), path.stem)]
-    allowed = SEAMS | GAUGE_FREE | LATER_SEAMS
+    allowed = SEAMS | GAUGE_FREE
     assert [hit for hit in found if hit[0] not in allowed] == []
     # every listed use is still there, so the lists cannot go stale
     assert {scope for scope, _ in found} == allowed

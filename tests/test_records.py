@@ -1,5 +1,6 @@
 """Records are plain classes, only the process entry touches the collector,
-nothing draws random numbers, and a failed check raises nothing.
+nothing draws random numbers, a failed check raises nothing, and no class
+stores a field that nothing reads.
 
 The record classes of qact write their `__init__` out instead of having
 `dataclasses` generate and exec it when a layer is imported, so no module
@@ -11,7 +12,9 @@ The five read-only records refuse assignment and deletion, and still cache
 their cached properties.  The exception classes qact defines are the input
 errors of `errors.py`, `groups.GroupError` and
 `blockdecomp.DecompositionError`, so a check that fails stays a report
-section and cannot turn into a raised exception again.
+section and cannot turn into a raised exception again.  Every attribute a
+class of qact stores on its instances is read somewhere in qact or its
+tests, so a result that no caller uses cannot come back as a field.
 """
 
 from __future__ import annotations
@@ -167,3 +170,47 @@ def test_read_only_records_keep_their_cached_properties():
     assert algebra.n == 3 and vars(algebra)["dim"] == 5  # cached on the instance
     dual = dual_algebra("dual", cyclic_group(3))
     assert dual.left_partners is dual.left_partners
+
+
+def _stored_attributes(tree) -> set[tuple[str, str]]:
+    """(class, attribute) of every attribute the methods of a class store on
+    `self`, by assignment (plain, annotated, augmented or unpacked) or by
+    `self.__dict__.update(name=...)`."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self":
+                found.add((cls.name, node.attr))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "update" and ast.unparse(node.func.value) == "self.__dict__":
+                found |= {(cls.name, k.arg) for k in node.keywords if k.arg}
+    return found
+
+
+def _read_attributes(trees) -> set[str]:
+    """The name of every attribute read in the trees."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_stored_attribute_is_read():
+    # a field that no code reads is a result that nobody uses
+    trees = _modules()
+    tests = [ast.parse(p.read_text()) for p in sorted(record_golden.ROOT.glob("tests/*.py"))]
+    read = _read_attributes([*trees.values(), *tests])
+    unread = sorted((name, cls, attr) for name, tree in trees.items()
+                    for cls, attr in _stored_attributes(tree) if attr not in read)
+    assert unread == []
+
+
+def test_the_attribute_guard_sees_every_form_of_store():
+    tree = ast.parse("class A:\n    def __init__(self, x):\n        self.a = x\n"
+                     "        self.b: int = 1\n        self.c, self.d = x\n        self.e += 1\n"
+                     "        self.__dict__.update(f=x, g=x)\n        other.h = x\n"
+                     "        self.i.j = x\n")
+    assert _stored_attributes(tree) == {("A", k) for k in "abcdefg"}
+    uses = ast.parse("y = z.a + z.b.c\nz.d = y\nprint(z.e[0])\n")
+    assert _read_attributes([uses]) == {"a", "b", "c", "e"}

@@ -445,6 +445,35 @@ def test_check_names_the_first_element_that_fails():
         backend([1j, 2, 4]).check()
 
 
+def test_check_rejects_a_reducible_irrep():
+    # a 2-dimensional "irrep" of S3 that is triv (+) sign: unitary and
+    # multiplicative, but its character has norm 2
+    s3 = symmetric3_backend()
+    triv, sign = (s3.irreps[label].matrices[:, 0, 0] for label in ("triv", "sign"))
+    fake = np.zeros((6, 2, 2), dtype=complex)
+    fake[:, 0, 0], fake[:, 1, 1] = triv, sign
+    irreps = [Irrep("std", 2, fake, "std"), s3.irreps["triv"], s3.irreps["sign"]]
+    with pytest.raises(BackendError, match=r"table is not irreducible at \(std, std\)"):
+        Backend("group", s3.group, irreps).check()
+
+
+def test_check_rejects_a_character_listed_twice():
+    n = 3
+    omega = np.exp(2j * np.pi / n)
+    chars = np.array([[omega ** (k * g) for g in range(n)] for k in (0, 1, 2, 1)])
+    backend = _character_backend(cyclic_group(n), chars, ["chi0", "chi1", "chi2", "again"])
+    with pytest.raises(BackendError, match=r"table is not irreducible at \(chi1, again\)"):
+        backend.check()
+
+
+def test_check_rejects_a_wrong_conjugate_label():
+    z3 = cyclic_backend(3)
+    irreps = [Irrep(ir.label, ir.dim, ir.matrices, "chi1" if ir.label == "chi1" else ir.conj)
+              for ir in z3.irreps.values()]
+    with pytest.raises(BackendError, match="conjugate pairing of 'chi1' is wrong"):
+        Backend("group", z3.group, irreps).check()
+
+
 def test_group_check_names_the_first_nonassociative_triple():
     # a loop of order 5: identity and inverses, but not associative
     from qact.groups import GroupPresentation
