@@ -120,6 +120,7 @@ class Rep:
     """
 
     __slots__ = ("backend", "atoms", "dim", "matrices")
+    key = property(lambda self: self.atoms)  # perfbench/tracer.py counts mor_basis pairs by it
 
     def __init__(self, backend, atoms, dim, matrices):
         self.backend = backend

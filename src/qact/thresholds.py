@@ -17,9 +17,8 @@ The module holds constants only.
 DEFAULT_TOL = 1e-9
 """1e-9: the residual tolerance tol when `--tolerance` is not given, and
 the default of every library check that takes one.  `--tolerance` replaces
-it.  Each check states its scale: absolute for the axioms (i)-(iv) and
-the positivity of a correspondence, relative to max(1, |T|) for the
-adjoint of a map T in axiom (v)."""
+it.  Each check states its scale: absolute for the axioms (i)-(iv),
+relative to max(1, |T|) for the adjoint of a map T in axiom (v)."""
 
 COMPOSITE_FACTOR = 100
 """100: the pass factor of residuals composed of a few products of the
@@ -53,7 +52,7 @@ RELATIVE_RANK_TOL = 1e-10
 """1e-10, relative: a singular value or Gram eigenvalue above 1e-10 times
 the largest counts toward the rank.  Fixed.  The scale is max(largest, 1)
 in `column_span` and the `nondegenerate` flag of
-`validate_correspondences`."""
+`validate_correspondences`, which so also fails a non-positive inner product."""
 
 GNS_CUTOFF = 1e-12
 """1e-12, relative to the largest eigenvalue (floored at GNS_SCALE_GUARD):

@@ -211,6 +211,25 @@ def test_validate_graded_runs_the_adjoint_exchange(bundle, tmp_path):
     assert exchange == {"residual": 0.0, "passed": True}
 
 
+def test_traced_spectral_reaches_the_mor_basis_hook(tmp_path):
+    # perfbench/tracer.py counts repeated mor_basis pairs by the `key` of
+    # both Rep arguments; spectral on a group backend calls mor_basis, and
+    # the traced run gives the plain run's report
+    root = FIXTURES.parent
+    argv = ["spectral", "--backend", str(FIXTURES / "backends/s3.json"),
+            "--input", str(FIXTURES / "actions/s3_translation.json")]
+    plain = run_cli(*argv, "--report", str(tmp_path / "a.json"))
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench/tracer.py"), str(tmp_path / "spans.json"),
+         *argv, "--report", str(tmp_path / "b.json")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    assert spans["calls"]["repcat.Backend.mor_basis"] > spans["mor_basis_repeats"] > 0
+
+
 def test_record_golden_add_records_only_missing_runs(tmp_path):
     # --add runs only the runs the file lacks (a fixture run and the two
     # functor verbs of one corpus action here) and leaves every other line
