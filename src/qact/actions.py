@@ -2,10 +2,12 @@
 
 An action is either a homomorphism from a finite group into the
 *-automorphisms of a block algebra (group backend) or a group grading of
-the algebra (dual backend).  From an action we extract its fixed-point
-algebra, the invariant subspaces attached to each irreducible, and the
-functor data they assemble into; the round-trip check certifies that
-rebuilding the algebra from that data reproduces the original action.
+the algebra (dual backend).  From an action we extract its invariant
+subspaces, one per irreducible, and the functor data they assemble into;
+for an automorphism action each subspace is one null space
+(`_spectral_tuples`), the trivial label's, the fixed-point algebra,
+included.  The round-trip check certifies that rebuilding the algebra
+from that data reproduces the original action.
 
 An equivariant module holds its symmetry as its comodule, the images of
 the basis of D (qact.repcat.DualAlgebra) on its carrier, for both kinds:
@@ -18,9 +20,9 @@ the acted-on algebra), the functor of an equivariant module (equivariant
 maps M -> M (x) H) and the spectral functor of a reconstructed algebra.
 The bases of the subspaces, and the Hilbert space a module's inner
 product induces, come from the routines of `blockdecomp` (`row_spaces`,
-`column_span`, `gns_space`), reached through that module so that one
-patch changes them all; `InSpan` is the shared projection helper.  Only
-the round trips rebuild an algebra, so only they import `reconstruction`;
+`gns_space`), reached through that module so that one patch changes them
+all; `InSpan` is the shared projection helper.  Only the round trips
+rebuild an algebra, so only they import `reconstruction`;
 `functors` and `staralg` are reached through their modules, so a verb
 that never calls into them (`fullness`, and `module-functor` for
 `staralg`) leaves them unrun when the CLI binds them lazily.
@@ -194,19 +196,15 @@ def _check_backend(backend: Backend, act: Action) -> None:
 
 
 def fixed_point_algebra(backend: Backend, act: Action) -> SubalgebraBlocks:
-    """The invariant subalgebra, with its block structure and embedding."""
-    _check_backend(backend, act)
-    b = act.algebra
+    """The invariant subalgebra, with its block structure and embedding: the
+    spectral subspace of the trivial label (`spectral_basis`) for an
+    automorphism action, the component of the identity for a grading."""
     if act.kind == "automorphism":
-        proj = np.zeros((b.dim, b.dim), dtype=complex)
-        for x in act.group.elements:
-            proj += act.map_matrix(x)
-        proj /= act.group.order
-        mats = [b.from_coords(col) for col in blockdecomp.column_span(proj).T]
+        vecs = spectral_basis(backend, act, backend.trivial_label)[:, 0]
     else:
-        e = act.group.elements[act.group.identity]
-        mats = [b.from_coords(row) for row in act.component_rows(e)]
-    return decompose_star_algebra(mats, b.n)
+        _check_backend(backend, act)
+        vecs = act.component_rows(act.group.elements[act.group.identity])
+    return decompose_star_algebra(act.algebra.from_coords(vecs), act.algebra.n)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

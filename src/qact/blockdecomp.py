@@ -72,9 +72,8 @@ def row_spaces(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def column_span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the column space of a matrix, shape
-    (rows, rank), from its thin SVD: the spans here, the fixed-point algebra
-    of `actions`.  The rank counts the singular values above
-    RELATIVE_RANK_TOL times the largest (or 1)."""
+    (rows, rank), from its thin SVD: the spans here.  The rank counts the
+    singular values above RELATIVE_RANK_TOL times the largest (or 1)."""
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     return u[:, :int(np.sum(s > RELATIVE_RANK_TOL * max(float(s.max()), 1.0)))]
 

@@ -78,10 +78,9 @@ class TensorFunctorData:
         return self.modules[label]
 
     def phi_tensors(self, alpha: str, beta: str, gamma: str) -> list[np.ndarray]:
-        n_mor = self.backend.mor_dim(
-            self.backend.tensor(self.backend.atom(alpha), self.backend.atom(beta)),
-            self.backend.atom(gamma),
-        )
+        backend = self.backend
+        n_mor = backend.multiplicity(backend.tensor(backend.atom(alpha), backend.atom(beta)),
+                                     backend.atom(gamma))
         key = (alpha, beta, gamma)
         shape = (self.module(gamma).dim, self.module(alpha).dim, self.module(beta).dim)
         if key not in self.phi:

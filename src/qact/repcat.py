@@ -192,9 +192,9 @@ class Backend:
 
     def check(self, tol: float = DEFAULT_TOL) -> None:
         """Validate the table: unitarity, multiplicativity, conjugation
-        pairing, irreducibility and completeness."""
+        pairing, irreducibility and completeness.  The group laws are
+        group_from_table's, which checks every group it builds."""
         g = self.group
-        g.check()
         for label in self.labels:
             ir = self.irreps[label]
             if ir.conj not in self.irreps:
@@ -363,9 +363,6 @@ class Backend:
             )
         return np.moveaxis(w[:, :, :count], 2, 1).reshape(n, count, dv, du)
 
-    def mor_dim(self, u: Rep, v: Rep) -> int:
-        return len(self.mor_basis(u, v))
-
     def decompose(self, u: Rep) -> list[tuple[str, np.ndarray]]:
         """Decompose into irreducibles: a list of (label, isometry) pairs with
         w* w = 1 on each summand and sum_i w_i w_i* = 1 on H_u; the stack of
@@ -476,19 +473,13 @@ def dual_backend(group: GroupPresentation) -> Backend:
 
 def _character_backend(group: GroupPresentation, characters: np.ndarray,
                        labels: list[str]) -> Backend:
-    irreps = []
-    n = group.order
-    for k, label in enumerate(labels):
-        mats = characters[k].reshape(n, 1, 1).astype(complex)
-        # conjugate character identifies the conjugate irrep
-        conj = None
-        for l in range(len(labels)):
-            if np.allclose(characters[l], characters[k].conj(), rtol=0,
-                           atol=TABLE_MATCH_TOL):
-                conj = labels[l]
-                break
-        irreps.append(Irrep(label, 1, mats, conj))
-    return Backend("group", group, irreps)
+    # match[k, l]: character l is the conjugate of character k, entrywise
+    # within TABLE_MATCH_TOL; the first match names the conjugate irrep
+    match = (np.abs(characters[None] - characters.conj()[:, None]) <= TABLE_MATCH_TOL).all(-1)
+    mats = characters.reshape(len(labels), group.order, 1, 1).astype(complex)
+    return Backend("group", group, [
+        Irrep(label, 1, mats[k], labels[match[k].argmax()] if match[k].any() else None)
+        for k, label in enumerate(labels)])
 
 
 def cyclic_backend(n: int) -> Backend:

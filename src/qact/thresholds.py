@@ -131,7 +131,7 @@ kind, is not invertible when the smallest singular value of its
 left-regular matrix is below it.  Fixed."""
 
 TABLE_MATCH_TOL = 1e-12
-"""1e-12, absolute (`np.allclose` with `rtol=0`): the entries of a backend
+"""1e-12, absolute, entrywise |a - b| <= tol: the entries of a backend
 table that identify the trivial irreducible and the conjugate of a
 character, and the rho of a backend file against the identity.  Fixed."""
 

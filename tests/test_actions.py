@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qact.algebras import BlockAlgebra
-from qact.blockdecomp import row_spaces
+from qact.blockdecomp import decompose_star_algebra, row_spaces
 from qact.fixtures import (
     action_corpus,
     standard_backends,
@@ -112,6 +112,43 @@ def test_fixed_algebra_translation(backends):
     fixed = fixed_point_algebra(backends["s3"], act)
     assert fixed.algebra.blocks == (1,)
     np.testing.assert_allclose(fixed.unit_images[0], np.eye(6), atol=TOL)
+
+
+def conjugated(act, seed):
+    """The action transported by a seeded Haar unitary of its algebra, as
+    the benchmark workloads and the comparison set conjugate it."""
+    import pathlib
+    import sys
+
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import conjugated
+
+    return conjugated(act, seed)
+
+
+def test_fixed_algebra_is_the_range_of_the_averaging_projector(backends, corpus):
+    # the trivial label's spectral subspace is the range of the averaging
+    # projector (1/|G|) sum_g alpha_g, an orthogonal projector in
+    # coordinates (each alpha_g is unitary there), for every corpus
+    # automorphism action and its conjugates; the blocks and multiplicities
+    # are those of the decomposition of the projector's column span
+    cases = [(f"{name} at seed {seed}", backends[bk], conjugated(act, seed) if seed else act)
+             for name, (bk, act) in sorted(corpus.items()) if act.kind == "automorphism"
+             for seed in (None, 3, 4, 5)]
+    assert len(cases) >= 28  # seven corpus actions, four ways each
+    for name, backend, act in cases:
+        b = act.algebra
+        fixed = fixed_point_algebra(backend, act)
+        vecs = b.coords(fixed.unit_images).T
+        average = sum(act.map_matrix(x) for x in act.group.elements) / act.group.order
+        np.testing.assert_allclose(vecs @ np.linalg.pinv(vecs), average, rtol=0, atol=1e-12,
+                                   err_msg=name)
+        u, s, _ = np.linalg.svd(average)
+        want = decompose_star_algebra(b.from_coords(u[:, s > 1e-10].T), b.n)
+        assert fixed.algebra.blocks == want.algebra.blocks, name
+        assert fixed.multiplicities == want.multiplicities, name
 
 
 def test_spectral_basis_dims(backends, corpus):
@@ -341,16 +378,8 @@ def test_fullness_check_agrees_with_the_pairwise_reference(backends, corpus):
     # the module of every corpus action and its tensor product with the
     # last label, modules whose bases are not aligned with the axes (Haar
     # conjugated as the block ladder does it) and a module that is not full
-    import pathlib
-    import sys
-
     from qact.fixtures import clock_shift_grading
     from qact.repcat import dual_backend
-
-    bench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    from workloads import conjugated
 
     cases = []
     for name, (bk, act) in sorted(corpus.items()):

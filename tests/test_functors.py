@@ -120,7 +120,7 @@ def test_f2_tensor_looks_up_each_fusion_triple_once(backends, monkeypatch):
     labels = backend.labels
     fusion = {
         (a, b, c) for a in labels for b in labels for c in labels
-        if backend.mor_dim(backend.tensor(backend.atom(a), backend.atom(b)), backend.atom(c))
+        if backend.multiplicity(backend.tensor(backend.atom(a), backend.atom(b)), backend.atom(c))
     }
     assert sorted(calls) == sorted(fusion)
 

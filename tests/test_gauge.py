@@ -15,6 +15,8 @@ its record.  The rule of `record_golden.check` that a recorded zero stays
 zero does not apply here: an exact zero may record the bases this LAPACK
 returns.  The unitary depends only on the seed and the shape, so a
 functor file written under a gauge reads back under the same gauge.
+`tests/gauge_census.py` counts, per recorded run, the zeros each gauge
+moves.
 
 The guard test keeps the choices in those routines: no other code in
 src/qact takes singular vectors or eigenvectors, except a named list of
@@ -194,3 +196,27 @@ def test_the_guard_sees_vectors_taken_anywhere():
               "        return np.linalg.svd(x), np.linalg.svd(x, compute_uv=False), eigh(x)\n"
               "def g(x):\n    return np.linalg.svd(x, full_matrices=False)[0]\n")
     assert list(vector_calls(source, "m")) == [("m.A.f", 5), ("m.A.f", 5), ("m.g", 7)]
+
+
+# -- the census of gauge-level zeros ---------------------------------------------
+
+
+def test_gauge_census_of_one_fixture_run(capsys):
+    # a committed functor file read under another gauge: some of its
+    # recorded zeros move, and --paths lists each with its gauges
+    import gauge_census
+
+    key = record_golden.fixture_key(("build", "--backend", "backends/z2.json",
+                                     "--input", "functors/spectral_swap_c2.json"))
+    zeros = {path for path, v in record_golden._golden()[key]["floats"].items() if v == 0.0}
+    assert gauge_census.main(["--seeds", "1", "--run", key, "--paths"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split("\t") == ["zeros", "sign-flip", "seed-1", "union", "run"]
+    row = lines[1].split("\t")
+    assert row[-1] == key and int(row[0]) == len(zeros)
+    listed = [line.split("\t") for line in lines[2:-2]]
+    assert 0 < int(row[3]) == len(listed) and max(int(row[1]), int(row[2])) <= int(row[3])
+    for _, path, names in listed:
+        assert path in zeros and set(names.split(", ")) <= {"sign-flip", "seed-1"}
+    assert lines[-2].split("\t")[:4] == row[:4]
+    assert lines[-1].startswith(f"{row[3]} recorded zeros move under some gauge, in 1 of 1 runs")

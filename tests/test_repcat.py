@@ -20,7 +20,7 @@ from qact.repcat import (
     dual_backend,
     symmetric3_backend,
 )
-from qact.thresholds import RANK_TOL
+from qact.thresholds import RANK_TOL, TABLE_MATCH_TOL
 
 TOL = 1e-9
 
@@ -210,6 +210,41 @@ def test_table_matches_hold_to_the_absolute_bound():
     assert table.irrep("near").conj != "triv"
 
 
+def reference_conjugates(characters, labels):
+    """The conjugate label of each character, one np.allclose per pair: the
+    first character within TABLE_MATCH_TOL of the conjugate, or None."""
+    return [next((labels[l] for l in range(len(labels))
+                  if np.allclose(characters[l], characters[k].conj(), rtol=0,
+                                 atol=TABLE_MATCH_TOL)), None)
+            for k in range(len(labels))]
+
+
+@pytest.mark.parametrize("backend", [cyclic_backend(n) for n in range(1, 13)]
+                         + [abelian_product_backend([2, 2])], ids=lambda b: b.group.name)
+def test_conjugate_labels_match_the_pairwise_reference(backend):
+    chars = np.array([backend.irrep(label).matrices[:, 0, 0] for label in backend.labels])
+    assert ([backend.irrep(label).conj for label in backend.labels]
+            == reference_conjugates(chars, list(backend.labels)))
+
+
+def test_a_repeated_character_is_matched_first():
+    omega = np.exp(2j * np.pi / 3)
+    chars = np.array([[omega ** (k * g) for g in range(3)] for k in (0, 1, 2, 1)])
+    labels = ["chi0", "chi1", "chi2", "again"]
+    backend = _character_backend(cyclic_group(3), chars, labels)
+    conj = [backend.irrep(label).conj for label in labels]
+    assert conj == reference_conjugates(chars, labels) == ["chi0", "chi2", "chi1", "chi2"]
+
+
+def test_a_character_without_its_conjugate_fails_the_check():
+    omega = np.exp(2j * np.pi / 3)
+    chars = np.array([[omega ** (k * g) for g in range(3)] for k in (0, 1)])
+    backend = _character_backend(cyclic_group(3), chars, ["chi0", "chi1"])
+    assert backend.irrep("chi1").conj is None
+    with pytest.raises(BackendError, match="conjugate of 'chi1' missing from table"):
+        backend.check()
+
+
 # -- Frobenius reciprocity, as reference code for the conjugate solutions --
 
 
@@ -353,7 +388,7 @@ def test_character_counts_match_svd_of_every_label(make):
             assert len(basis) == len(reference_mor_basis(backend, a, u))
             for t1, t2 in zip(basis, reference_mor_basis(backend, a, u)):
                 assert np.array_equal(t1, t2)
-            assert backend.mor_dim(a, u) == backend.multiplicity(a, u)
+            assert len(basis) == backend.multiplicity(a, u)
 
 
 @pytest.mark.parametrize("make", [
